@@ -84,14 +84,6 @@ class Algebra:
             raise AlgebraError(f"unknown proposition {name!r}") from None
         return Element(self, _prop_mask(self.k, i))
 
-    def element_of_minterms(self, minterms: Iterable[int]) -> "Element":
-        mask = 0
-        for m in minterms:
-            if not 0 <= m < self.n_minterms:
-                raise AlgebraError(f"minterm index {m} out of range")
-            mask |= 1 << m
-        return Element(self, mask)
-
     def elements(self, max_carrier: int = MAX_ENUMERABLE_CARRIER) -> Iterator["Element"]:
         """Enumerate the whole carrier (only feasible for small k)."""
         if self.carrier_size > max_carrier:
@@ -142,14 +134,9 @@ class Element:
         return self <= other or other <= self
 
     def minterms(self) -> tuple[int, ...]:
-        out = []
-        m, i = self.mask, 0
-        while m:
-            if m & 1:
-                out.append(i)
-            m >>= 1
-            i += 1
-        return tuple(out)
+        """Indices of the covered minterms, ascending; linear in the mask width."""
+        bits = bin(self.mask)[:1:-1]  # least significant bit first, without "0b"
+        return tuple(i for i, c in enumerate(bits) if c == "1")
 
     @property
     def is_top(self) -> bool:
@@ -279,10 +266,13 @@ def is_subalgebra(elements: Iterable[Element], algebra: Algebra) -> bool:
     for e in elems:
         if e.algebra != algebra:
             raise AlgebraError("elements belong to different algebras")
-    masks = {e.mask for e in elems}
-    if 0 not in masks or algebra.full_mask not in masks:
+    return closed_under_boolean_ops(frozenset(e.mask for e in elems), algebra.full_mask)
+
+
+def closed_under_boolean_ops(masks: frozenset[int], full: int) -> bool:
+    """:func:`is_subalgebra` on element masks, ``full`` being the top mask."""
+    if 0 not in masks or full not in masks:
         return False
-    full = algebra.full_mask
     for a in masks:
         if a ^ full not in masks:
             return False

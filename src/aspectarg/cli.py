@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import combinations
 from typing import Any
 
 from . import constraints, semantics
-from .constraints import ALPHA_GROUPS, CORE, MAX_THEMES
+from .constraints import ALPHA_GROUPS, CORE
 from .errors import AspectArgError, CapExceeded, SynthesisError
-from .model import Violation, validate_wellformed
+from .model import MAX_THEMES, Violation, theme_subsets, validate_wellformed
 from .modelfile import Document, dumps, load_path, to_dict
 from .report import human_violations, render_aspect, to_json, violations_block
 from .synthesis import synthesize_core_witness
@@ -229,15 +228,15 @@ def cmd_classify_relations(args, out, err) -> int:
     entries = []
     lines = [f"classify-relations {args.file}"]
     try:
+        # every relation's cap is checked before any relation is classified
+        plans = []
         for r in sorted(doc.model.relations, key=lambda r: r.pair):
-            rel_themes = sorted(r.themes & set(doc.model.themes))
-            cases = []
-            if only is not None:
-                if only <= r.themes:
-                    cases = [only]
-            else:
-                for size in range(1, len(rel_themes) + 1):
-                    cases.extend(frozenset(c) for c in combinations(rel_themes, size))
+            if only is None:
+                rel_themes = sorted(r.themes & set(doc.model.themes))
+                plans.append((r, theme_subsets(rel_themes, args.max_themes, min_size=1)))
+            elif only <= r.themes:
+                plans.append((r, [only]))
+        for r, cases in plans:
             for t_set in cases:
                 labels = constraints.classify_relation(doc.interpretation, doc.model, t_set, r)
                 entries.append(

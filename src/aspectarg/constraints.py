@@ -11,24 +11,27 @@ auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
-from .algebra import Element, inf_set, is_subalgebra
-from .errors import CapExceeded
+from .algebra import Element, closed_under_boolean_ops
 from .formulas import render_element
 from .model import (
     ATTACK,
+    EMPTY_ROW,
+    MAX_THEMES,
+    OMEGA,
     SUPPORT,
-    AspectSet,
+    AspectTable,
     Interpretation,
     Model,
+    Relation,
+    Row,
+    Statement,
     Violation,
-    _lookup_maybe_missing,
-    effective_aspect,
-    lookup,
+    row_subset,
+    theme_subsets,
 )
-from .statements_sets import contains_redundancy, statements_sets
+from .statements_sets import MINREP_CAP, _redundancy, contains_redundancy, statements_sets
 
 GRAPHIC_IDS = ("tr", "nnp", "nsa", "kos", "nss")
 CORE_IDS = ("aass", "i", "vi", "bat", "pr", "mat", "manss", "ss")
@@ -42,29 +45,92 @@ NWCI = "nwci"
 F = "F"
 ALPHA_GROUPS = (CORE, E, DAS, NWCI, F)
 
-MAX_THEMES = 12
-
-
-def _theme_subsets(themes: Iterable[str], max_themes: int) -> list[frozenset[str]]:
-    ts = tuple(themes)
-    if len(ts) > max_themes:
-        raise CapExceeded(
-            f"{len(ts)} themes exceed the enumeration cap {max_themes}; "
-            "raise it explicitly if the model really is this large"
-        )
-    out: list[frozenset[str]] = []
-    for n in range(len(ts) + 1):
-        for combo in combinations(ts, n):
-            out.append(frozenset(combo))
-    return out
-
 
 def _tkey(themes: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(themes))
 
 
-def _render(e: Element | None, index=None) -> str:
-    return "<absent>" if e is None else render_element(e, preferred=index, max_atoms=8)
+def _subset_masks(
+    table: AspectTable, themes: Iterable[str], max_themes: int, min_size: int = 0
+) -> list[int]:
+    return [table.mask(c) for c in theme_subsets(themes, max_themes, min_size)]
+
+
+def _relation_cases(
+    table: AspectTable, model: Model, max_themes: int, types: Iterable[str] = (ATTACK, SUPPORT)
+) -> list[tuple[Relation, list[int]]]:
+    """The non-empty theme sets of each relation of the given types.
+
+    Every relation's cap is checked before any case is evaluated.
+    """
+    declared, wanted = set(model.themes), set(types)
+    return [
+        (r, _subset_masks(table, sorted(r.themes & declared), max_themes, min_size=1))
+        for r in model.relations
+        if r.rel_types & wanted
+    ]
+
+
+def _render(table: AspectTable, mask: int | None, index=None) -> str:
+    if mask is None:
+        return "<absent>"
+    return render_element(Element(table.algebra, mask), preferred=index, max_atoms=8)
+
+
+# Predicates on effective-aspect masks, shared by the checkers and recheck.
+
+
+def _comparable(u: int, v: int) -> bool:
+    w = u | v
+    return w == u or w == v
+
+
+def _aass_fails(rel_type: str, u: int | None, v: int | None) -> bool:
+    if u is None or v is None:
+        return True
+    return u == v if rel_type == ATTACK else not _comparable(u, v)
+
+
+def _das_fails(rel_type: str, u: int, v: int) -> bool:
+    return _comparable(u, v) if rel_type == ATTACK else u != v
+
+
+def _weakened_contradiction(u: int, v: int, full: int) -> bool:
+    nv = v ^ full  # ~v < u
+    return nv | u == u and nv != u
+
+
+def _incomparable_alternative(u: int, v: int, full: int) -> bool:
+    return not _comparable(u, v) and not _comparable(u, v ^ full)
+
+
+def _meet(a: Row, b: Row) -> Row:
+    if a[0]:
+        return b
+    if b[0]:
+        return a
+    return (False, a[1] & b[1])
+
+
+def _pr_bound(table: AspectTable, model: Model, tmask: int, s: Statement) -> Row:
+    """The proper-range bound of ``s`` at a theme mask."""
+    own = table.mask(t for t in model.themes_of(s.id) if t in table.bits)
+    if not s.is_pointer:
+        return table.row(tmask & own, s.id)
+    widened = tmask & (own | table.bits.get(s.ref_theme, 0))
+    if s.is_summary_pointer:
+        return table.row(widened, s.id)
+    if not model.has_statement(s.ref_target):
+        return EMPTY_ROW  # a dangling target carries no aspects
+    return table.row(widened, s.ref_target)
+
+
+def _exact_region_id(s: Statement) -> str:
+    if s.is_summary_pointer:
+        return "esr"
+    if s.is_statement_pointer:
+        return "ensr"
+    return "eos"
 
 
 # ---------------------------------------------------------------------------
@@ -189,70 +255,54 @@ def check_core(
 ) -> dict[str, list[Violation]]:
     """Check aass, i, vi, bat, pr, mat, manss and ss."""
     out: dict[str, list[Violation]] = {cid: [] for cid in CORE_IDS}
-    subsets = _theme_subsets(model.themes, max_themes)
-    algebra = interp.algebra
+    table = AspectTable(interp, model)
+    subsets = _subset_masks(table, table.names, max_themes)
+    cases = _relation_cases(table, model, max_themes)
+    key, row = table.key, table.row
 
-    for r in model.relations:
-        rel_themes = r.themes & set(model.themes)
-        for t_set in _theme_subsets(sorted(rel_themes), max_themes):
-            if not t_set:
-                continue
-            u = effective_aspect(interp, model, t_set, r.source)
-            v = effective_aspect(interp, model, t_set, r.target)
-            if ATTACK in r.rel_types and (u is None or v is None or u == v):
-                out["aass"].append(
-                    Violation(
-                        "aass",
-                        relation=r.pair,
-                        theme_set=_tkey(t_set),
-                        rel_type=ATTACK,
-                        detail=f"attack {r.pair} at {_tkey(t_set)}: effective aspects "
-                        f"{_render(u, formula_index)} vs {_render(v, formula_index)} "
-                        "must both exist and differ",
+    for r, masks in cases:
+        for tmask in masks:
+            u, v = table.inf(tmask, r.source), table.inf(tmask, r.target)
+            for rel_type in (ATTACK, SUPPORT):
+                if rel_type in r.rel_types and _aass_fails(rel_type, u, v):
+                    need = "differ" if rel_type == ATTACK else "be comparable"
+                    out["aass"].append(
+                        Violation(
+                            "aass",
+                            relation=r.pair,
+                            theme_set=key(tmask),
+                            rel_type=rel_type,
+                            detail=f"{rel_type} {r.pair} at {key(tmask)}: effective aspects "
+                            f"{_render(table, u, formula_index)} vs "
+                            f"{_render(table, v, formula_index)} must both exist and {need}",
+                        )
                     )
-                )
-            if SUPPORT in r.rel_types and (
-                u is None or v is None or not u.comparable(v)
-            ):
-                out["aass"].append(
-                    Violation(
-                        "aass",
-                        relation=r.pair,
-                        theme_set=_tkey(t_set),
-                        rel_type=SUPPORT,
-                        detail=f"support {r.pair} at {_tkey(t_set)}: effective aspects "
-                        f"{_render(u, formula_index)} vs {_render(v, formula_index)} "
-                        "must both exist and be comparable",
-                    )
-                )
 
-    for t_set in subsets:
-        omega = interp.omega_row(t_set)
+    for tmask in subsets:
+        omega = row(tmask, OMEGA)
         for s in model.statements:
-            if not lookup(interp, model, t_set, s.id).issubset(omega):
+            if not row_subset(row(tmask, s.id), omega):
                 out["i"].append(
                     Violation(
                         "i",
                         (s.id,),
-                        theme_set=_tkey(t_set),
-                        detail=f"aspects of {s.id} at {_tkey(t_set)} are not all aspects "
+                        theme_set=key(tmask),
+                        detail=f"aspects of {s.id} at {key(tmask)} are not all aspects "
                         "of the theme set",
                     )
                 )
-        if not omega.is_empty and not omega.full:
-            if not is_subalgebra(omega.elements, algebra):
-                out["bat"].append(
-                    Violation(
-                        "bat",
-                        theme_set=_tkey(t_set),
-                        detail=f"theme aspects at {_tkey(t_set)} are not a subalgebra "
-                        "(missing 0/1 or not closed under not/and/or)",
-                    )
+        if omega[1] and not closed_under_boolean_ops(omega[1], table.algebra.full_mask):
+            out["bat"].append(
+                Violation(
+                    "bat",
+                    theme_set=key(tmask),
+                    detail=f"theme aspects at {key(tmask)} are not a subalgebra "
+                    "(missing 0/1 or not closed under not/and/or)",
                 )
+            )
 
     for s in model.statements:
-        row = lookup(interp, model, frozenset(), s.id)
-        if not row.is_empty:
+        if row(0, s.id) != EMPTY_ROW:
             out["vi"].append(
                 Violation(
                     "vi",
@@ -263,73 +313,63 @@ def check_core(
             )
 
     for s in model.statements:
-        s_themes = model.themes_of(s.id)
-        for t_set in subsets:
-            row = lookup(interp, model, t_set, s.id)
-            if row.is_empty:
+        target = f" and target {s.ref_target}" if s.is_statement_pointer else ""
+        for tmask in subsets:
+            aspects = row(tmask, s.id)
+            if aspects == EMPTY_ROW or row_subset(aspects, _pr_bound(table, model, tmask, s)):
                 continue
-            if not s.is_pointer:
-                bound = lookup(interp, model, t_set & s_themes, s.id)
-            elif s.is_summary_pointer:
-                bound = lookup(interp, model, t_set & (s_themes | {s.ref_theme}), s.id)
-            else:
-                bound = _lookup_maybe_missing(
-                    interp, model, t_set & (s_themes | {s.ref_theme}), s.ref_target
+            out["pr"].append(
+                Violation(
+                    "pr",
+                    (s.id,),
+                    theme_set=key(tmask),
+                    detail=f"aspects of {s.id} at {key(tmask)} exceed the proper-range "
+                    f"bound from its own themes{target}",
                 )
-            if not row.issubset(bound):
-                out["pr"].append(
-                    Violation(
-                        "pr",
-                        (s.id,),
-                        theme_set=_tkey(t_set),
-                        detail=f"aspects of {s.id} at {_tkey(t_set)} exceed the proper-range "
-                        "bound from its own themes"
-                        + ("" if not s.is_statement_pointer else f" and target {s.ref_target}"),
-                    )
-                )
+            )
 
+    monotone = [s.id for s in model.statements if not s.is_summary_pointer]
     for t2 in subsets:
-        for t in sorted(t2):
-            t1 = t2 - {t}
-            if not interp.omega_row(t1).issubset(interp.omega_row(t2)):
+        rest = t2
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            t1 = t2 ^ bit
+            if not row_subset(row(t1, OMEGA), row(t2, OMEGA)):
                 out["mat"].append(
                     Violation(
                         "mat",
-                        theme_set=_tkey(t1),
-                        theme_set2=_tkey(t2),
-                        detail=f"theme aspects shrink from {_tkey(t1)} to {_tkey(t2)}",
+                        theme_set=key(t1),
+                        theme_set2=key(t2),
+                        detail=f"theme aspects shrink from {key(t1)} to {key(t2)}",
                     )
                 )
-            for s in model.statements:
-                if s.is_summary_pointer:
-                    continue
-                if not lookup(interp, model, t1, s.id).issubset(lookup(interp, model, t2, s.id)):
+            for sid in monotone:
+                if not row_subset(row(t1, sid), row(t2, sid)):
                     out["manss"].append(
                         Violation(
                             "manss",
-                            (s.id,),
-                            theme_set=_tkey(t1),
-                            theme_set2=_tkey(t2),
-                            detail=f"aspects of {s.id} shrink from {_tkey(t1)} to {_tkey(t2)}",
+                            (sid,),
+                            theme_set=key(t1),
+                            theme_set2=key(t2),
+                            detail=f"aspects of {sid} shrink from {key(t1)} to {key(t2)}",
                         )
                     )
 
+    full = table.algebra.full_mask
     for s in model.statements:
-        own = sorted(model.themes_of(s.id) & set(model.themes))
-        for t_set in _theme_subsets(own, max_themes):
-            row = lookup(interp, model, t_set, s.id)
-            if row.is_empty:
-                continue
-            eff = inf_set(algebra, iter(row))
-            if eff.is_bottom or eff.is_top:
-                which = "inconsistent (0)" if eff.is_bottom else "trivial (1)"
+        own = sorted(t for t in model.themes_of(s.id) if t in table.bits)
+        for tmask in _subset_masks(table, own, max_themes):
+            eff = table.inf(tmask, s.id)
+            if eff == 0 or eff == full:
+                which = "inconsistent (0)" if eff == 0 else "trivial (1)"
                 out["ss"].append(
                     Violation(
                         "ss",
                         (s.id,),
-                        theme_set=_tkey(t_set),
+                        theme_set=key(tmask),
                         detail=f"{s.id} effectively touches upon the {which} aspect "
-                        f"at {_tkey(t_set)}",
+                        f"at {key(tmask)}",
                     )
                 )
     for vs in out.values():
@@ -347,30 +387,36 @@ def check_exact_region(
 ) -> dict[str, list[Violation]]:
     """Check esr, ensr and eos over every pair of theme sets."""
     out: dict[str, list[Violation]] = {cid: [] for cid in EXACT_REGION_IDS}
-    subsets = _theme_subsets(model.themes, max_themes)
-    for i1, t1 in enumerate(subsets):
-        for t2 in subsets[i1 + 1 :]:
-            common = interp.omega_row(t1).intersection(interp.omega_row(t2))
-            if common.is_empty:
+    table = AspectTable(interp, model)
+    subsets = _subset_masks(table, table.names, max_themes)
+    stmts = [(s.id, _exact_region_id(s)) for s in model.statements]
+    omegas = [table.row(tmask, OMEGA) for tmask in subsets]
+    rows: list[list[Row] | None] = [None] * len(subsets)
+
+    def rows_at(i: int) -> list[Row]:
+        got = rows[i]
+        if got is None:
+            got = rows[i] = [table.row(subsets[i], sid) for sid, _ in stmts]
+        return got
+
+    for i1, omega1 in enumerate(omegas):
+        if omega1 == EMPTY_ROW:
+            continue
+        for i2 in range(i1 + 1, len(subsets)):
+            common = _meet(omega1, omegas[i2])
+            if common == EMPTY_ROW:
                 continue
-            for s in model.statements:
-                left = lookup(interp, model, t1, s.id).intersection(common)
-                right = lookup(interp, model, t2, s.id).intersection(common)
-                if left != right:
-                    if s.is_summary_pointer:
-                        cid = "esr"
-                    elif s.is_statement_pointer:
-                        cid = "ensr"
-                    else:
-                        cid = "eos"
+            for (sid, cid), a, b in zip(stmts, rows_at(i1), rows_at(i2)):
+                if a is not b and _meet(a, common) != _meet(b, common):
+                    t1, t2 = table.key(subsets[i1]), table.key(subsets[i2])
                     out[cid].append(
                         Violation(
                             cid,
-                            (s.id,),
-                            theme_set=_tkey(t1),
-                            theme_set2=_tkey(t2),
-                            detail=f"aspects of {s.id} differ between {_tkey(t1)} and "
-                            f"{_tkey(t2)} inside their common theme region",
+                            (sid,),
+                            theme_set=t1,
+                            theme_set2=t2,
+                            detail=f"aspects of {sid} differ between {t1} and "
+                            f"{t2} inside their common theme region",
                         )
                     )
     for vs in out.values():
@@ -381,13 +427,6 @@ def check_exact_region(
 # ---------------------------------------------------------------------------
 # das and nwci: sharpened attack/support semantics.
 # ---------------------------------------------------------------------------
-
-
-def _relation_theme_cases(model: Model, r, max_themes: int):
-    rel_themes = r.themes & set(model.themes)
-    for t_set in _theme_subsets(sorted(rel_themes), max_themes):
-        if t_set:
-            yield t_set
 
 
 def check_das(
@@ -402,34 +441,37 @@ def check_das(
     reports those.
     """
     out: list[Violation] = []
-    for r in model.relations:
-        for t_set in _relation_theme_cases(model, r, max_themes):
-            u = effective_aspect(interp, model, t_set, r.source)
-            v = effective_aspect(interp, model, t_set, r.target)
+    table = AspectTable(interp, model)
+    for r, masks in _relation_cases(table, model, max_themes):
+        for tmask in masks:
+            u, v = table.inf(tmask, r.source), table.inf(tmask, r.target)
             if u is None or v is None:
                 continue
-            if ATTACK in r.rel_types and u.comparable(v):
+            attack = ATTACK in r.rel_types and _das_fails(ATTACK, u, v)
+            support = SUPPORT in r.rel_types and _das_fails(SUPPORT, u, v)
+            if not attack and not support:
+                continue
+            ru, rv = _render(table, u, formula_index), _render(table, v, formula_index)
+            t_key = table.key(tmask)
+            if attack:
                 out.append(
                     Violation(
                         "das",
                         relation=r.pair,
-                        theme_set=_tkey(t_set),
+                        theme_set=t_key,
                         rel_type=ATTACK,
-                        detail=f"attack {r.pair} at {_tkey(t_set)}: "
-                        f"{_render(u, formula_index)} is comparable with "
-                        f"{_render(v, formula_index)}, so this is weakening/strengthening, "
-                        "not a distinct attack",
+                        detail=f"attack {r.pair} at {t_key}: {ru} is comparable with "
+                        f"{rv}, so this is weakening/strengthening, not a distinct attack",
                     )
                 )
-            if SUPPORT in r.rel_types and u != v:
+            if support:
                 out.append(
                     Violation(
                         "das",
                         relation=r.pair,
-                        theme_set=_tkey(t_set),
+                        theme_set=t_key,
                         rel_type=SUPPORT,
-                        detail=f"support {r.pair} at {_tkey(t_set)}: "
-                        f"{_render(u, formula_index)} differs from {_render(v, formula_index)}, "
+                        detail=f"support {r.pair} at {t_key}: {ru} differs from {rv}, "
                         "so the claimed support is not an affirmation",
                     )
                 )
@@ -445,36 +487,39 @@ def check_nwci(
 ) -> list[Violation]:
     """No weakened contradictions and no incomparable alternatives on attacks."""
     out: list[Violation] = []
-    for r in model.relations:
-        if ATTACK not in r.rel_types:
-            continue
-        for t_set in _relation_theme_cases(model, r, max_themes):
-            u = effective_aspect(interp, model, t_set, r.source)
-            v = effective_aspect(interp, model, t_set, r.target)
+    table = AspectTable(interp, model)
+    full = table.algebra.full_mask
+    for r, masks in _relation_cases(table, model, max_themes, (ATTACK,)):
+        for tmask in masks:
+            u, v = table.inf(tmask, r.source), table.inf(tmask, r.target)
             if u is None or v is None:
                 continue
-            if ~v < u:
+            weakened = _weakened_contradiction(u, v, full)
+            incomparable = _incomparable_alternative(u, v, full)
+            if not weakened and not incomparable:
+                continue
+            ru, rv = _render(table, u, formula_index), _render(table, v, formula_index)
+            t_key = table.key(tmask)
+            if weakened:
                 out.append(
                     Violation(
                         "nwci",
                         relation=r.pair,
-                        theme_set=_tkey(t_set),
+                        theme_set=t_key,
                         rel_type=ATTACK,
-                        detail=f"attack {r.pair} at {_tkey(t_set)}: "
-                        f"{_render(u, formula_index)} strictly above the complement of "
-                        f"{_render(v, formula_index)} is a weakened contradiction",
+                        detail=f"attack {r.pair} at {t_key}: {ru} strictly above the "
+                        f"complement of {rv} is a weakened contradiction",
                     )
                 )
-            if not u.comparable(v) and not u.comparable(~v):
+            if incomparable:
                 out.append(
                     Violation(
                         "nwci",
                         relation=r.pair,
-                        theme_set=_tkey(t_set),
+                        theme_set=t_key,
                         rel_type=ATTACK,
-                        detail=f"attack {r.pair} at {_tkey(t_set)}: "
-                        f"{_render(u, formula_index)} is incomparable with both "
-                        f"{_render(v, formula_index)} and its complement",
+                        detail=f"attack {r.pair} at {t_key}: {ru} is incomparable with "
+                        f"both {rv} and its complement",
                     )
                 )
     out.sort(key=Violation.sort_key)
@@ -495,13 +540,14 @@ def check_fresh_aspects(
     """Check faD and faW: no statements-set may contain redundancy."""
     del max_themes  # quantification here is over statements and their themes
     out: dict[str, list[Violation]] = {cid: [] for cid in FRESH_ASPECT_IDS}
+    table, memo = AspectTable(interp, model), {}
     for s in model.statements:
         for t in sorted(model.themes_of(s.id) & set(model.themes)):
             for rel in (ATTACK, SUPPORT):
                 widths, depths = statements_sets(model, s.id, t, rel)
                 for cid, sets in (("faW", widths), ("faD", depths)):
                     for sset in sets:
-                        witness = contains_redundancy(interp, model, t, sset.members)
+                        witness = _redundancy(table, t, sset.members, MINREP_CAP, memo)
                         if witness is None:
                             continue
                         shared = "{" + ", ".join(
@@ -548,22 +594,25 @@ def classify_relation(
     ``v`` of the target.  Labels overlap by design; the set is never empty,
     and is exactly ``{"undefined"}`` when either effective aspect is absent.
     """
-    u = effective_aspect(interp, model, themes, relation.source)
-    v = effective_aspect(interp, model, themes, relation.target)
+    table = AspectTable(interp, model)
+    tmask = table.mask(themes)
+    u, v = table.inf(tmask, relation.source), table.inf(tmask, relation.target)
     if u is None or v is None:
         return frozenset([UNDEFINED])
+    full = table.algebra.full_mask
+    nv = v ^ full
     labels = set()
     if u == v:
         labels.add(AFFIRMATION)
-    if u < v:
+    if u | v == v and u != v:
         labels.add(STRENGTHENING)
-    if v < u:
+    if u | v == u and u != v:
         labels.add(WEAKENING)
-    if u <= ~v:
+    if u | nv == nv:
         labels.add(CONTRARY)
-    if ~v < u:
+    if _weakened_contradiction(u, v, full):
         labels.add(WEAKENED_CONTRADICTION)
-    if not u.comparable(v) and not u.comparable(~v):
+    if _incomparable_alternative(u, v, full):
         labels.add(INCOMPARABLE_ALTERNATIVE)
     return frozenset(labels)
 
@@ -632,7 +681,6 @@ def classify_normal_form(
 def recheck(model: Model, interp: Interpretation | None, violation: Violation) -> bool:
     """Re-establish a violation from its witness record alone."""
     cid = violation.constraint
-    t_set = frozenset(violation.theme_set or ())
 
     if cid in GRAPHIC_IDS:
         fresh = check_graphic(model)[cid]
@@ -640,53 +688,50 @@ def recheck(model: Model, interp: Interpretation | None, violation: Violation) -
 
     if interp is None:
         return False
+    table = AspectTable(interp, model)
+    row = table.row
+    t1 = table.mask(violation.theme_set or ())
+    t2 = table.mask(violation.theme_set2 or ())
     if cid in ("aass", "das", "nwci"):
-        rel = next(r for r in model.relations if r.pair == violation.relation)
-        u = effective_aspect(interp, model, t_set, rel.source)
-        v = effective_aspect(interp, model, t_set, rel.target)
+        rel = next((r for r in model.relations if r.pair == violation.relation), None)
+        if rel is None:
+            return False
+        u, v = table.inf(t1, rel.source), table.inf(t1, rel.target)
         if cid == "aass":
-            if violation.rel_type == ATTACK:
-                return u is None or v is None or u == v
-            return u is None or v is None or not u.comparable(v)
+            return _aass_fails(violation.rel_type, u, v)
         if u is None or v is None:
             return False
         if cid == "das":
-            return u.comparable(v) if violation.rel_type == ATTACK else u != v
-        return (~v < u) or (not u.comparable(v) and not u.comparable(~v))
+            return _das_fails(violation.rel_type, u, v)
+        full = table.algebra.full_mask
+        return _weakened_contradiction(u, v, full) or _incomparable_alternative(u, v, full)
     if cid == "i":
-        sid = violation.statements[0]
-        return not lookup(interp, model, t_set, sid).issubset(interp.omega_row(t_set))
+        return not row_subset(row(t1, violation.statements[0]), row(t1, OMEGA))
     if cid == "vi":
-        return not lookup(interp, model, frozenset(), violation.statements[0]).is_empty
+        return row(0, violation.statements[0]) != EMPTY_ROW
     if cid == "bat":
-        omega = interp.omega_row(t_set)
-        return not omega.is_empty and not omega.full and not is_subalgebra(
-            omega.elements, interp.algebra
+        omega = row(t1, OMEGA)
+        return bool(omega[1]) and not closed_under_boolean_ops(
+            omega[1], table.algebra.full_mask
         )
     if cid == "pr":
-        return any(
-            _same_witness(v, violation) for v in check_core(model, interp)["pr"]
-        )
-    if cid in ("mat", "manss"):
-        t2 = frozenset(violation.theme_set2 or ())
-        if cid == "mat":
-            return not interp.omega_row(t_set).issubset(interp.omega_row(t2))
-        sid = violation.statements[0]
-        return not lookup(interp, model, t_set, sid).issubset(lookup(interp, model, t2, sid))
-    if cid == "ss":
-        sid = violation.statements[0]
-        row = lookup(interp, model, t_set, sid)
-        if row.is_empty:
+        if not model.has_statement(violation.statements[0]):
             return False
-        eff = inf_set(interp.algebra, iter(row))
-        return eff.is_bottom or eff.is_top
-    if cid in EXACT_REGION_IDS:
-        t2 = frozenset(violation.theme_set2 or ())
-        common = interp.omega_row(t_set).intersection(interp.omega_row(t2))
+        s = model.statement(violation.statements[0])
+        aspects = row(t1, s.id)
+        return aspects != EMPTY_ROW and not row_subset(aspects, _pr_bound(table, model, t1, s))
+    if cid == "mat":
+        return not row_subset(row(t1, OMEGA), row(t2, OMEGA))
+    if cid == "manss":
         sid = violation.statements[0]
-        left = lookup(interp, model, t_set, sid).intersection(common)
-        right = lookup(interp, model, t2, sid).intersection(common)
-        return left != right
+        return not row_subset(row(t1, sid), row(t2, sid))
+    if cid == "ss":
+        eff = table.inf(t1, violation.statements[0])
+        return eff == 0 or eff == table.algebra.full_mask
+    if cid in EXACT_REGION_IDS:
+        common = _meet(row(t1, OMEGA), row(t2, OMEGA))
+        sid = violation.statements[0]
+        return _meet(row(t1, sid), common) != _meet(row(t2, sid), common)
     if cid in FRESH_ASPECT_IDS:
         anchor, s1, s2 = violation.statements
         (t,) = violation.theme_set

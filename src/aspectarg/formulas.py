@@ -11,6 +11,10 @@ Grammar, lowest to highest precedence::
 Whitespace is insignificant.  ``a -> b`` abbreviates ``~a | b`` and
 ``a <-> b`` abbreviates ``(a -> b) & (b -> a)``; both are desugared at
 evaluation time only, so printing keeps the arrows.
+
+A formula may nest at most :data:`MAX_DEPTH` levels, counting each operator
+and each parenthesised group on the way down to a leaf, so that evaluating
+and printing it stay within Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -68,6 +72,10 @@ _TOKEN = re.compile(r"\s*(<->|->|[&|~()]|[01]|[A-Za-z_][A-Za-z0-9_]*)")
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+#: Deepest formula tree the parser accepts.  Model files nest a few levels;
+#: synthesized witnesses write flat disjunctions of up to 20 propositions.
+MAX_DEPTH = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens: list[tuple[str, int]] = []
@@ -85,10 +93,13 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 class _Parser:
+    """Recursive descent; every rule returns its tree and the tree's depth."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0  # open "~", "(" and "->" levels, bounded so recursion stays shallow
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -106,56 +117,84 @@ class _Parser:
             raise FormulaError(f"expected {tok!r}", offset=self.next_offset())
         self.take()
 
-    def parse_iff(self) -> AspectExpr:
+    def too_deep(self, offset: int) -> FormulaError:
+        return FormulaError(f"formula nests deeper than {MAX_DEPTH} levels", offset=offset)
+
+    def descend(self, offset: int) -> None:
+        """Enter a nested rule; recursion stops before it can exhaust the stack."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise self.too_deep(offset)
+
+    def joined(self, cls, left, right, offset: int) -> tuple[AspectExpr, int]:
+        depth = max(left[1], right[1]) + 1
+        if depth > MAX_DEPTH:
+            raise self.too_deep(offset)
+        return cls(left[0], right[0]), depth
+
+    def parse_iff(self) -> tuple[AspectExpr, int]:
         e = self.parse_implies()
         while self.peek() == "<->":
+            offset = self.next_offset()
             self.take()
-            e = Iff(e, self.parse_implies())
+            e = self.joined(Iff, e, self.parse_implies(), offset)
         return e
 
-    def parse_implies(self) -> AspectExpr:
+    def parse_implies(self) -> tuple[AspectExpr, int]:
         e = self.parse_or()
         if self.peek() == "->":
+            offset = self.next_offset()
             self.take()
-            return Implies(e, self.parse_implies())
+            self.descend(offset)
+            right = self.parse_implies()
+            self.nesting -= 1
+            return self.joined(Implies, e, right, offset)
         return e
 
-    def parse_or(self) -> AspectExpr:
+    def parse_or(self) -> tuple[AspectExpr, int]:
         e = self.parse_and()
         while self.peek() == "|":
+            offset = self.next_offset()
             self.take()
-            e = Or(e, self.parse_and())
+            e = self.joined(Or, e, self.parse_and(), offset)
         return e
 
-    def parse_and(self) -> AspectExpr:
+    def parse_and(self) -> tuple[AspectExpr, int]:
         e = self.parse_unary()
         while self.peek() == "&":
+            offset = self.next_offset()
             self.take()
-            e = And(e, self.parse_unary())
+            e = self.joined(And, e, self.parse_unary(), offset)
         return e
 
-    def parse_unary(self) -> AspectExpr:
+    def parse_unary(self) -> tuple[AspectExpr, int]:
         tok = self.peek()
         if tok is None:
             raise FormulaError("unexpected end of input", offset=len(self.text))
+        offset = self.next_offset()
         if tok == "~":
             self.take()
-            return Not(self.parse_unary())
-        if tok == "(":
+            self.descend(offset)
+            operand, depth = self.parse_unary()
+            self.nesting -= 1
+            e = Not(operand)
+        elif tok == "(":
             self.take()
-            e = self.parse_iff()
+            self.descend(offset)
+            e, depth = self.parse_iff()
+            self.nesting -= 1
             self.expect(")")
-            return e
-        if tok == "0":
+        elif tok == "0" or tok == "1":
             self.take()
-            return Const(False)
-        if tok == "1":
+            return Const(tok == "1"), 0
+        elif IDENT.match(tok):
             self.take()
-            return Const(True)
-        if IDENT.match(tok):
-            self.take()
-            return Atom(tok)
-        raise FormulaError(f"unexpected token {tok!r}", offset=self.next_offset())
+            return Atom(tok), 0
+        else:
+            raise FormulaError(f"unexpected token {tok!r}", offset=offset)
+        if depth + 1 > MAX_DEPTH:
+            raise self.too_deep(offset)
+        return e, depth + 1
 
 
 def parse(text: str) -> AspectExpr:
@@ -163,7 +202,7 @@ def parse(text: str) -> AspectExpr:
     if not text.strip():
         raise FormulaError("empty formula", offset=0)
     p = _Parser(text)
-    e = p.parse_iff()
+    e, _ = p.parse_iff()
     if p.peek() is not None:
         raise FormulaError(f"trailing input {p.peek()!r}", offset=p.next_offset())
     return e
@@ -238,11 +277,11 @@ def render_element(
             return name
         if element == ~prop:
             return f"~{name}"
-    parts = element.minterms()
-    if len(parts) > max_atoms:
-        return f"<element covering {len(parts)} of {algebra.n_minterms} atoms>"
+    count = element.mask.bit_count()
+    if count > max_atoms:
+        return f"<element covering {count} of {algebra.n_minterms} atoms>"
     terms = []
-    for m in parts:
+    for m in element.minterms():
         lits = []
         for i, name in enumerate(algebra.props):
             lits.append(name if (m >> i) & 1 else f"~{name}")

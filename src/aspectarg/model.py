@@ -4,16 +4,18 @@ A model is a finite statement graph where every statement carries one or more
 themes and every relation carries attack/support types plus themes drawn from
 its endpoints.  The interpretation maps (theme set, statement) and
 (theme set, omega) to sets of algebra elements; omega rows describe the
-aspects of the theme set itself.
+aspects of the theme set itself.  Checks read it through an
+:class:`AspectTable`, which compiles theme sets and aspect sets to ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Iterator
 
-from .algebra import Algebra, Element, inf_set
-from .errors import ModelError, UnknownIdError
+from .algebra import Algebra, Element
+from .errors import CapExceeded, ModelError, UnknownIdError
 
 ATTACK = "attack"
 SUPPORT = "support"
@@ -26,6 +28,28 @@ SUMMARY = "@summary"
 
 UNION = "union"
 EMPTY = "empty"
+
+#: Default cap on the themes whose subsets a check enumerates (2**12 theme sets).
+MAX_THEMES = 12
+
+
+def theme_subsets(
+    themes: Iterable[str], max_themes: int = MAX_THEMES, min_size: int = 0
+) -> Iterator[tuple[str, ...]]:
+    """Every subset of ``themes`` with at least ``min_size`` members.
+
+    Subsets come by size, then in :func:`itertools.combinations` order over
+    ``themes`` as given.  The cap is checked here, when the enumerator is
+    made, so a caller that makes all its enumerators first fails before it
+    enumerates anything.
+    """
+    ts = tuple(themes)
+    if len(ts) > max_themes:
+        raise CapExceeded(
+            f"{len(ts)} themes exceed the enumeration cap {max_themes}; "
+            "raise it explicitly if the model really is this large"
+        )
+    return (combo for n in range(min_size, len(ts) + 1) for combo in combinations(ts, n))
 
 
 @dataclass(frozen=True)
@@ -194,17 +218,6 @@ class AspectSet:
         return self.algebra.carrier_size if self.full else len(self.elements)
 
 
-def empty_aspects(algebra: Algebra) -> AspectSet:
-    return AspectSet(algebra)
-
-
-ThemeSet = frozenset
-
-
-def canon(themes: Iterable[str]) -> frozenset[str]:
-    return frozenset(themes)
-
-
 @dataclass
 class Interpretation:
     """The interpretation function as explicit rows plus a defaulting rule.
@@ -222,50 +235,136 @@ class Interpretation:
     statement_aspects: dict[tuple[frozenset[str], str], AspectSet] = field(default_factory=dict)
     default_mode: str = UNION
 
-    def omega_row(self, themes: frozenset[str]) -> AspectSet:
-        return self.theme_aspects.get(frozenset(themes), empty_aspects(self.algebra))
+
+#: A compiled aspect set: ``(full, element masks)``; a full row has no masks.
+Row = tuple[bool, frozenset[int]]
+EMPTY_ROW: Row = (False, frozenset())
+FULL_ROW: Row = (True, frozenset())
+
+
+class AspectTable:
+    """One interpretation compiled against one model for integer reads.
+
+    Themes are bit positions in ``model.themes`` order, so a theme set is an
+    int mask, and a row is a :data:`Row` of element masks.  Each
+    (theme mask, statement) row, and each row's infimum, is computed on its
+    first read and kept for the life of the table.  The table reads the
+    interpretation as it is then, so make one per check, not one per process.
+    """
+
+    def __init__(self, interp: Interpretation, model: Model):
+        self.interp = interp
+        self.model = model
+        self.algebra = interp.algebra
+        self.names = tuple(dict.fromkeys(model.themes))
+        self.bits = {t: 1 << i for i, t in enumerate(self.names)}
+        self._rows: dict[tuple[int, str], Row] = {}
+        self._infs: dict[tuple[int, str], int | None] = {}
+        self._keys: dict[int, tuple[str, ...]] = {}
+
+    def mask(self, themes: Iterable[str]) -> int:
+        """The mask of a theme set; every theme must be declared by the model."""
+        out = 0
+        for th in themes:
+            bit = self.bits.get(th)
+            if bit is None:
+                raise UnknownIdError(f"unknown theme id {th!r}")
+            out |= bit
+        return out
+
+    def themes(self, tmask: int) -> frozenset[str]:
+        return frozenset(t for i, t in enumerate(self.names) if tmask >> i & 1)
+
+    def key(self, tmask: int) -> tuple[str, ...]:
+        """The sorted theme names of a mask, as violation records carry them."""
+        out = self._keys.get(tmask)
+        if out is None:
+            out = self._keys[tmask] = tuple(sorted(self.themes(tmask)))
+        return out
+
+    def row(self, tmask: int, s: str) -> Row:
+        """The aspects of statement ``s`` (or :data:`OMEGA`) at a theme mask."""
+        out = self._rows.get((tmask, s))
+        if out is None:
+            out = self._rows[(tmask, s)] = self._build(tmask, s)
+        return out
+
+    def _build(self, tmask: int, s: str) -> Row:
+        interp, themes = self.interp, self.themes(tmask)
+        if s == OMEGA:
+            return _compiled(interp.theme_aspects.get(themes))
+        stmt = self.model.statement(s)
+        explicit = interp.statement_aspects.get((themes, s))
+        if explicit is not None:
+            return _compiled(explicit)
+        if tmask & (tmask - 1) == 0 or interp.default_mode == EMPTY or stmt.is_summary_pointer:
+            return EMPTY_ROW
+        # the union default over the singleton rows
+        masks: set[int] = set()
+        rest = tmask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            full, elements = self.row(bit, s)
+            if full:
+                return FULL_ROW
+            masks |= elements
+        algebra = self.algebra
+        if algebra.k <= 4 and len(masks) == algebra.carrier_size:
+            return FULL_ROW  # as in AspectSet: a small carrier listed in full is full
+        return (False, frozenset(masks))
+
+    def inf(self, tmask: int, s: str) -> int | None:
+        """Mask of the row's infimum (its effective aspect), ``None`` when empty."""
+        key = (tmask, s)
+        if key in self._infs:
+            return self._infs[key]
+        full, masks = self.row(tmask, s)
+        if full:
+            out: int | None = 0  # the carrier contains the bottom element
+        elif not masks:
+            out = None
+        else:
+            out = self.algebra.full_mask
+            for m in masks:
+                out &= m
+        self._infs[key] = out
+        return out
+
+
+def _compiled(aspects: AspectSet | None) -> Row:
+    if aspects is None:
+        return EMPTY_ROW
+    if aspects.full:
+        return FULL_ROW
+    return (False, frozenset(e.mask for e in aspects.elements))
+
+
+def row_subset(a: Row, b: Row) -> bool:
+    if b[0]:
+        return True
+    if a[0]:
+        return False  # a full carrier never fits in a non-full set
+    return a[1] <= b[1]
 
 
 def lookup(
     interp: Interpretation, model: Model, themes: Iterable[str], s: str
 ) -> AspectSet:
     """The aspect set of statement ``s`` (or :data:`OMEGA`) for a theme set."""
-    t = canon(themes)
-    for th in t:
-        if th not in model.themes:
-            raise UnknownIdError(f"unknown theme id {th!r}")
-    if s == OMEGA:
-        return interp.omega_row(t)
-    stmt = model.statement(s)
-    explicit = interp.statement_aspects.get((t, s))
-    if explicit is not None:
-        return explicit
-    if not t or len(t) == 1 or interp.default_mode == EMPTY or stmt.is_summary_pointer:
-        return empty_aspects(interp.algebra)
-    out = empty_aspects(interp.algebra)
-    for th in t:
-        out = out.union(lookup(interp, model, frozenset([th]), s))
-    return out
-
-
-def _lookup_maybe_missing(
-    interp: Interpretation, model: Model, themes: Iterable[str], s: str
-) -> AspectSet:
-    # Pointer targets may name statements outside the graph; those carry no
-    # aspects (they are typed with the empty theme set).
-    if s != OMEGA and not model.has_statement(s):
-        return empty_aspects(interp.algebra)
-    return lookup(interp, model, themes, s)
+    table = AspectTable(interp, model)
+    full, masks = table.row(table.mask(themes), s)
+    algebra = interp.algebra
+    return AspectSet(algebra, frozenset(Element(algebra, m) for m in masks), full)
 
 
 def effective_aspect(
     interp: Interpretation, model: Model, themes: Iterable[str], s: str
 ) -> Element | None:
     """Infimum of the looked-up aspect set, or ``None`` when the set is empty."""
-    aspects = lookup(interp, model, themes, s)
-    if aspects.is_empty:
-        return None
-    return inf_set(interp.algebra, iter(aspects))
+    table = AspectTable(interp, model)
+    mask = table.inf(table.mask(themes), s)
+    return None if mask is None else Element(interp.algebra, mask)
 
 
 @dataclass(frozen=True)

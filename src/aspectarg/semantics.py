@@ -14,16 +14,22 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .algebra import Element, inf_set, sup_set
+from .algebra import Element
 from .errors import CapExceeded, UnknownIdError
-from .model import ATTACK, Interpretation, Model, Relation, effective_aspect
+from .model import (
+    ATTACK,
+    MAX_THEMES,
+    AspectTable,
+    Interpretation,
+    Model,
+    Relation,
+    theme_subsets,
+)
 
 SEMANTICS_IDS = ("grounded", "complete", "preferred", "stable", "naive")
 
 #: Enumeration-based semantics scan all statement subsets; cap the graph size.
 MAX_ENUMERATED_STATEMENTS = 16
-
-MAX_THEMES = 12
 
 
 @dataclass(frozen=True)
@@ -157,23 +163,27 @@ def logico_rhetorical_conclusion(
     non-empty.  Statements whose effective aspect is absent contribute nothing
     to their extension's meet (a meet over nothing is the top element).
     """
-    t = frozenset(themes)
-    sub = sub_model(model, t)
+    return _conclusion(AspectTable(interp, model), frozenset(themes), semantics)
+
+
+def _conclusion(table: AspectTable, t: frozenset[str], semantics: str) -> Element | None:
+    sub = sub_model(table.model, t)
     if sub is None:
         return None
     exts = extensions(sub, semantics)
     if not any(ext for ext in exts):
         return None
-    algebra = interp.algebra
-    disjuncts = []
+    tmask = table.mask(t)
+    full = table.algebra.full_mask
+    joined = 0
     for ext in exts:
-        aspects = []
+        met = full
         for sid in ext:
-            eff = effective_aspect(interp, model, t, sid)
+            eff = table.inf(tmask, sid)
             if eff is not None:
-                aspects.append(eff)
-        disjuncts.append(inf_set(algebra, aspects))
-    return sup_set(algebra, disjuncts)
+                met &= eff
+        joined |= met
+    return Element(table.algebra, joined)
 
 
 @dataclass(frozen=True)
@@ -193,17 +203,14 @@ def detect_logical_fallacy(
 
     Only themes actually used by the model are scanned; unused themes yield
     undefined sub-models and an absent conclusion, which is not the bottom
-    element.
+    element.  The first hit by size, then lexicographically over the sorted
+    used themes, is the witness.
     """
-    used = sorted(model.used_themes())
-    if len(used) > max_themes:
-        raise CapExceeded(
-            f"{len(used)} used themes exceed the enumeration cap {max_themes}"
-        )
-    for size in range(1, len(used) + 1):
-        for combo in combinations(used, size):
-            t = frozenset(combo)
-            conclusion = logico_rhetorical_conclusion(model, interp, t, semantics)
-            if conclusion is not None and conclusion.is_bottom:
-                return LogicalFallacyVerdict(True, t, conclusion)
+    cases = theme_subsets(sorted(model.used_themes()), max_themes, min_size=1)
+    table = AspectTable(interp, model)
+    for combo in cases:
+        t = frozenset(combo)
+        conclusion = _conclusion(table, t, semantics)
+        if conclusion is not None and conclusion.is_bottom:
+            return LogicalFallacyVerdict(True, t, conclusion)
     return LogicalFallacyVerdict(False)

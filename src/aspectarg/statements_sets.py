@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import Element, inf_set
+from .algebra import Element
 from .errors import CapExceeded
-from .model import Interpretation, Model, lookup
+from .model import AspectTable, Interpretation, Model
 
 #: Largest aspect set we will search for minimal representations (2**cap subsets).
 MINREP_CAP = 16
@@ -98,35 +98,67 @@ def minimal_representations_of(
     algebra, elements: Iterable[Element], cap: int = MINREP_CAP
 ) -> list[frozenset[Element]]:
     """All inclusion-minimal subsets with the same infimum as the whole set."""
-    elems = sorted(set(elements), key=lambda e: e.mask)
+    masks = {e.mask for e in elements}
+    return [
+        frozenset(Element(algebra, m) for m in rep)
+        for rep in _minimal_representations(masks, algebra.full_mask, cap)
+    ]
+
+
+def _minimal_representations(
+    masks: Iterable[int], full: int, cap: int
+) -> list[frozenset[int]]:
+    """:func:`minimal_representations_of` on element masks."""
+    elems = sorted(masks)
     if len(elems) > cap:
         raise CapExceeded(
             f"aspect set of size {len(elems)} exceeds the minimal-representation cap {cap}"
         )
-    target = inf_set(algebra, elems)
+
+    def meet(bits: int) -> int:
+        out = full
+        for i, m in enumerate(elems):
+            if bits >> i & 1:
+                out &= m
+        return out
+
     n = len(elems)
-    found: list[frozenset[Element]] = []
+    target = meet((1 << n) - 1)
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for bits in range(1 << n):
+        by_size[bits.bit_count()].append(bits)
+    found: list[frozenset[int]] = []
     # Breadth-first by subset size: the first hits at each size are minimal
     # unless they contain a smaller hit.
-    for size in range(0, n + 1):
-        for bits in range(1 << n):
-            if bin(bits).count("1") != size:
+    for subsets in by_size:
+        for bits in subsets:
+            if meet(bits) != target:
                 continue
-            subset = [elems[i] for i in range(n) if (bits >> i) & 1]
-            if inf_set(algebra, subset) != target:
-                continue
-            fs = frozenset(subset)
+            fs = frozenset(m for i, m in enumerate(elems) if bits >> i & 1)
             if not any(prev < fs for prev in found):
                 found.append(fs)
     return found
+
+
+def _row_representations(table: AspectTable, tmask: int, s: str, cap: int) -> list[frozenset[int]]:
+    full, masks = table.row(tmask, s)
+    if full:
+        carrier = table.algebra.carrier_size
+        if carrier > cap:
+            raise CapExceeded(
+                f"aspect set of size {carrier} exceeds the minimal-representation cap {cap}"
+            )
+        masks = range(carrier)
+    return _minimal_representations(masks, table.algebra.full_mask, cap)
 
 
 def minimal_representations(
     interp: Interpretation, model: Model, themes: Iterable[str], s: str, cap: int = MINREP_CAP
 ) -> list[frozenset[Element]]:
     """Minimal representations of the aspect set of ``s`` for a theme set."""
-    aspects = lookup(interp, model, themes, s)
-    return minimal_representations_of(interp.algebra, iter(aspects), cap=cap)
+    table = AspectTable(interp, model)
+    reps = _row_representations(table, table.mask(themes), s, cap)
+    return [frozenset(Element(interp.algebra, m) for m in rep) for rep in reps]
 
 
 @dataclass(frozen=True)
@@ -149,13 +181,32 @@ def contains_redundancy(
     at one theme set; the singleton ``{t}`` of the enclosing statements-set is
     used.
     """
+    return _redundancy(AspectTable(interp, model), t, statement_ids, cap, {})
+
+
+def _redundancy(
+    table: AspectTable,
+    t: str,
+    statement_ids: Iterable[str],
+    cap: int,
+    memo: dict[tuple[int, str], set[frozenset[int]]],
+) -> RedundancyWitness | None:
+    """:func:`contains_redundancy` over one table; ``memo`` keeps the
+    representations of each (theme mask, statement) row for later calls."""
+    tmask = table.mask([t])
     ids = sorted(set(statement_ids))
-    reps = {
-        sid: set(minimal_representations(interp, model, [t], sid, cap=cap)) for sid in ids
-    }
+    reps = {}
+    for sid in ids:
+        got = memo.get((tmask, sid))
+        if got is None:
+            got = memo[(tmask, sid)] = set(_row_representations(table, tmask, sid, cap))
+        reps[sid] = got
     for i, s1 in enumerate(ids):
         for s2 in ids[i + 1 :]:
             shared = reps[s1] & reps[s2]
             if shared:
-                return RedundancyWitness(s1, s2, min(shared, key=lambda fs: sorted(e.mask for e in fs)))
+                first = min(shared, key=sorted)
+                return RedundancyWitness(
+                    s1, s2, frozenset(Element(table.algebra, m) for m in first)
+                )
     return None

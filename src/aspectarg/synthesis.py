@@ -49,7 +49,15 @@ from .errors import (
     ModelError,
     SynthesisError,
 )
-from .model import UNION, AspectSet, Interpretation, Model, Statement, validate_wellformed
+from .model import (
+    MAX_THEMES,
+    UNION,
+    AspectSet,
+    Interpretation,
+    Model,
+    Statement,
+    validate_wellformed,
+)
 from .constraints import all_violations, check_core, check_graphic
 
 SYNTHESIS_PROP_CAP = 20
@@ -185,7 +193,7 @@ def synthesize_core_witness(
 
     interp = Interpretation(algebra, theme_rows, statement_rows, UNION)
 
-    leftover = all_violations(check_core(model, interp, max_themes=max(12, m)))
+    leftover = all_violations(check_core(model, interp, max_themes=max(MAX_THEMES, m)))
     if leftover:
         raise SynthesisError(
             "synthesized interpretation failed self-verification: "

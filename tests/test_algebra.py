@@ -276,3 +276,24 @@ class TestAlgebraLaws:
         for text in ("x & y", "x | ~y", "~x", "0", "1"):
             expr = parse(text)
             assert evaluate(expr, a) == truth_table_element(expr, a)
+
+
+class TestMinterms:
+    """``minterms`` against a per-bit oracle, up to 16 propositions."""
+
+    @staticmethod
+    def per_bit(mask: int, width: int) -> tuple[int, ...]:
+        return tuple(i for i in range(width) if (mask >> i) & 1)
+
+    def test_random_masks(self):
+        rng = random.Random(23)
+        for k in (1, 2, 3, 5, 8):
+            a = mk_algebra([f"p{i}" for i in range(k)])
+            for mask in [0, a.full_mask] + [rng.getrandbits(a.n_minterms) for _ in range(30)]:
+                assert Element(a, mask).minterms() == self.per_bit(mask, a.n_minterms)
+
+    def test_sixteen_propositions(self):
+        a = mk_algebra([f"p{i}" for i in range(16)])
+        mask = random.Random(24).getrandbits(a.n_minterms) | 1 | (1 << (a.n_minterms - 1))
+        assert Element(a, mask).minterms() == self.per_bit(mask, a.n_minterms)
+        assert a.top.minterms() == tuple(range(a.n_minterms))

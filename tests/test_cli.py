@@ -246,6 +246,56 @@ class TestClassifyRelations:
         assert all(entry["theme_set"] == ["t1"] for entry in report["relations"])
 
 
+    def test_relation_over_the_theme_cap_is_refused_before_classifying(
+        self, tmp_path, monkeypatch
+    ):
+        from aspectarg import constraints
+
+        themes = [f"t{i}" for i in range(13)]
+        doc = {
+            "themes": themes,
+            "props": ["p"],
+            "statements": [
+                {"id": "a", "kind": "ordinary", "themes": themes},
+                {"id": "b", "kind": "ordinary", "themes": themes},
+            ],
+            "relations": [
+                # sorted first, and small: it must not be classified either
+                {"from": "a", "to": "a", "types": ["support"], "themes": ["t0"]},
+                {"from": "a", "to": "b", "types": ["attack"], "themes": themes},
+            ],
+        }
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(
+            constraints, "classify_relation", lambda *args: calls.append(args) or frozenset()
+        )
+        code, out, err = invoke("classify-relations", str(wide))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 13 themes exceed the enumeration cap 12")
+        assert calls == []
+
+
+class TestDeepFormulas:
+    @pytest.mark.parametrize(
+        "formula",
+        ["~" * 5000 + "p", "(" * 3000 + "p" + ")" * 3000, " & ".join(["p"] * 5000)],
+        ids=["negations", "parentheses", "flat_chain"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    def test_exit_code_two(self, tmp_path, formula, command):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["interpretation"]["statement_aspects"][0]["aspects"] = [formula]
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps(doc))
+        code, out, err = invoke(command, str(deep))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "nests deeper" in err
+
+
 class TestSynthesize:
     def test_witness_round_trip(self, tmp_path):
         graph = {

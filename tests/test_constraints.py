@@ -27,6 +27,7 @@ from aspectarg.model import (
     Model,
     Relation,
     Statement,
+    Violation,
     lookup,
 )
 from aspectarg.modelfile import load_path
@@ -649,6 +650,12 @@ class TestWitnessSoundness:
             found.extend(all_violations(run_group(doc.model, doc.interpretation, group)))
         for violation in found:
             assert recheck(doc.model, doc.interpretation, violation), violation
+
+    def test_unknown_relation_does_not_recheck(self):
+        doc = load_path(corpus_path("fear_appeal"))
+        for cid in ("aass", "das", "nwci"):
+            ghost = Violation(cid, relation=("nope", "x"), theme_set=("t1",), rel_type=ATTACK)
+            assert recheck(doc.model, doc.interpretation, ghost) is False
 
     def test_random_violations_recheck(self):
         rng = random.Random(10)

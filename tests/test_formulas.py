@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from aspectarg.algebra import mk_algebra
 from aspectarg.errors import FormulaError
 from aspectarg.formulas import (
+    MAX_DEPTH,
     And,
     Atom,
     Const,
@@ -171,3 +172,53 @@ class TestRenderElement:
     def test_dnf_round_trip(self, fig1, ev):
         e = ev("x <-> y")
         assert ev(render_element(e)) == e
+
+    def test_placeholder_for_wide_elements(self):
+        a = mk_algebra([f"p{i}" for i in range(16)])
+        wide = a.prop("p0") & a.prop("p1") | a.prop("p2") & a.prop("p3") & a.prop("p4")
+        assert render_element(wide, max_atoms=8) == (
+            f"<element covering {wide.mask.bit_count()} of 65536 atoms>"
+        )
+
+    def test_dnf_at_the_atom_limit(self, fig1, ev):
+        e = ev("x | y")  # three minterms
+        assert render_element(e, max_atoms=3) == "(x & ~y) | (~x & y) | (x & y)"
+        assert render_element(e, max_atoms=2) == "<element covering 3 of 4 atoms>"
+
+
+#: The three shapes that used to overflow Python's stack.
+DEEP_FORMULAS = {
+    "negations": "~" * 5000 + "aP",
+    "parentheses": "(" * 3000 + "aP" + ")" * 3000,
+    "flat_chain": " & ".join(["aP"] * 5000),
+}
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("shape", sorted(DEEP_FORMULAS))
+    def test_deep_formula_is_a_formula_error(self, shape):
+        with pytest.raises(FormulaError) as info:
+            parse(DEEP_FORMULAS[shape])
+        assert info.value.offset is not None
+        assert "nests deeper" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: "~" * n + "p",
+            lambda n: "(" * n + "p" + ")" * n,
+            lambda n: " | ".join(["p"] * (n + 1)),
+            lambda n: " -> ".join(["p"] * (n + 1)),
+        ],
+    )
+    def test_limit_is_exact(self, make):
+        a = mk_algebra(["p"])
+        assert evaluate(parse(make(MAX_DEPTH)), a) in (a.prop("p"), ~a.prop("p"), a.top)
+        with pytest.raises(FormulaError):
+            parse(make(MAX_DEPTH + 1))
+
+    def test_synthesized_chains_parse(self):
+        chain = " | ".join(f"w1_{i}" for i in range(1, 21))
+        a = mk_algebra([f"w1_{i}" for i in range(1, 21)])
+        assert format_expr(parse(chain)) == chain
+        assert evaluate(parse(chain), a).mask.bit_count() == a.n_minterms - 1

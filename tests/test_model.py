@@ -1,19 +1,31 @@
-import pytest
+import random
+from collections import Counter
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aspectarg.algebra import Element, mk_algebra
+from aspectarg.constraints import check_exact_region
 from aspectarg.corpus import corpus_path
-from aspectarg.errors import UnknownIdError
+from aspectarg.errors import CapExceeded, UnknownIdError
 from aspectarg.formulas import evaluate, parse
 from aspectarg.model import (
+    OMEGA,
     AspectSet,
+    AspectTable,
     Interpretation,
     Model,
     Relation,
     Statement,
     effective_aspect,
     lookup,
+    theme_subsets,
     validate_wellformed,
 )
 from aspectarg.modelfile import load_path
+from helpers import random_model_any, random_total_interpretation
 
 
 def ev(text, algebra):
@@ -246,3 +258,129 @@ class TestWellformedness:
         assert len(model.relations) == 1
         assert model.relations[0].rel_types == {"attack", "support"}
         assert model.relations[0].themes == {"t1", "t2"}
+
+
+# ---------------------------------------------------------------------------
+# The compiled table against the defaulting rule, read off the raw rows.
+# ---------------------------------------------------------------------------
+
+
+def oracle_aspects(interp: Interpretation, model: Model, themes, s: str) -> tuple[bool, set]:
+    """(full, element masks) of a lookup, from the paper's defaulting rule.
+
+    An explicit row wins.  Otherwise the empty and singleton theme sets read
+    empty, summary pointers read empty (they are explicit only), and larger
+    sets under the union default read the union of the singleton rows.
+    """
+    t = frozenset(themes)
+    if s == OMEGA:
+        row = interp.theme_aspects.get(t)
+    else:
+        row = interp.statement_aspects.get((t, s))
+    if row is not None:
+        return row.full, {e.mask for e in row.elements}
+    summary = any(x.id == s and x.ref_theme and x.ref_target is None for x in model.statements)
+    if s == OMEGA or len(t) < 2 or interp.default_mode != "union" or summary:
+        return False, set()
+    full, masks = False, set()
+    for th in t:
+        single = interp.statement_aspects.get((frozenset([th]), s))
+        if single is not None:
+            full = full or single.full
+            masks |= {e.mask for e in single.elements}
+    if full or len(masks) == 1 << interp.algebra.n_minterms:
+        return True, set()
+    return False, masks
+
+
+def oracle_effective(interp: Interpretation, full: bool, masks: set) -> int | None:
+    if full:
+        return 0  # the whole carrier contains the bottom element
+    if not masks:
+        return None
+    out = (1 << interp.algebra.n_minterms) - 1
+    for m in masks:
+        out &= m
+    return out
+
+
+def with_extra_rows(rng: random.Random, model: Model, interp: Interpretation) -> Interpretation:
+    """Add explicit multi-theme, empty-set and full rows, and maybe the empty default."""
+    algebra = interp.algebra
+    rows = dict(interp.statement_aspects)
+    theme_sets = [frozenset(c) for n in range(len(model.themes) + 1)
+                  for c in combinations(model.themes, n)]
+    for s in model.statements:
+        for t in rng.sample(theme_sets, min(2, len(theme_sets))):
+            if rng.random() < 0.2:
+                rows[(t, s.id)] = AspectSet(algebra, full=True)
+            else:
+                masks = rng.sample(range(algebra.carrier_size), rng.randint(0, 3))
+                rows[(t, s.id)] = AspectSet(algebra, frozenset(Element(algebra, m) for m in masks))
+    mode = rng.choice(["union", "union", "empty"])
+    return Interpretation(algebra, interp.theme_aspects, rows, mode)
+
+
+class TestTableAgainstDefaultingRule:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_lookup_and_effective_aspect(self, seed):
+        rng = random.Random(seed)
+        algebra = mk_algebra(["p", "q"])
+        model = random_model_any(rng, max_themes=3)
+        interp = random_total_interpretation(rng, model, algebra)
+        if rng.random() < 0.7:
+            interp = with_extra_rows(rng, model, interp)
+        for n in range(len(model.themes) + 1):
+            for combo in combinations(model.themes, n):
+                themes = list(combo)
+                rng.shuffle(themes)
+                for s in [x.id for x in model.statements] + [OMEGA]:
+                    full, masks = oracle_aspects(interp, model, combo, s)
+                    got = lookup(interp, model, themes, s)
+                    assert (got.full, {e.mask for e in got.elements}) == (full, masks)
+                    eff = effective_aspect(interp, model, themes, s)
+                    want = oracle_effective(interp, full, masks)
+                    assert (None if eff is None else eff.mask) == want
+
+    def test_unknown_ids_still_raise(self, fear):
+        with pytest.raises(UnknownIdError):
+            effective_aspect(fear.interpretation, fear.model, ["nope"], "s1")
+        with pytest.raises(UnknownIdError):
+            effective_aspect(fear.interpretation, fear.model, ["t1"], "nope")
+
+
+class TestTableRowsAreBuiltOnce:
+    def test_exact_region_on_six_themes(self, monkeypatch):
+        rng = random.Random(31)
+        themes = [f"t{i}" for i in range(6)]
+        statements = [Statement(f"s{i}") for i in range(5)]
+        statements += [Statement("c", ref_theme="t0"), Statement("p", "t1", "s1")]
+        st_themes = {s.id: set(rng.sample(themes, rng.randint(1, 4))) for s in statements}
+        model = Model.build(themes, statements, st_themes, [])
+        interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+
+        built: Counter = Counter()
+        build = AspectTable._build
+
+        def counting(self, tmask, s):
+            built[(tmask, s)] += 1
+            return build(self, tmask, s)
+
+        monkeypatch.setattr(AspectTable, "_build", counting)
+        check_exact_region(model, interp)
+        assert max(built.values()) == 1
+        # every non-empty theme set is read for every statement and for omega
+        assert len(built) >= 63 * (len(statements) + 1)
+
+
+class TestThemeSubsets:
+    def test_order_is_size_then_combinations(self):
+        got = list(theme_subsets(["a", "b", "c"], min_size=1))
+        assert got == [("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"),
+                       ("a", "b", "c")]
+        assert list(theme_subsets([])) == [()]
+
+    def test_cap_is_checked_when_the_enumerator_is_made(self):
+        with pytest.raises(CapExceeded):
+            theme_subsets(["a", "b", "c"], max_themes=2)
