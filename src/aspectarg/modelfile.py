@@ -84,6 +84,8 @@ def load_path(path: str | Path) -> Document:
         raw = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ModelFileError(f"cannot read {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"{p} is not UTF-8 text: {exc}") from exc
     doc = loads(raw)
     doc.path = str(p)
     return doc
@@ -94,6 +96,8 @@ def loads(text: str) -> Document:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelFileError("invalid JSON: nested too deeply") from exc
     return from_dict(data)
 
 
@@ -201,13 +205,18 @@ def from_dict(data: Any) -> Document:
         default_mode = interp_data.get("default", UNION)
         _expect(default_mode in (UNION, EMPTY), "interpretation.default",
                 f"expected 'union' or 'empty', got {default_mode!r}")
-        for i, entry in enumerate(interp_data.get("theme_aspects", [])):
+        theme_entries = interp_data.get("theme_aspects", [])
+        _expect(isinstance(theme_entries, list), "interpretation.theme_aspects", "expected a list")
+        for i, entry in enumerate(theme_entries):
             where = f"interpretation.theme_aspects[{i}]"
             _expect(isinstance(entry, dict), where, "expected an object")
             key = parse_theme_key(entry.get("themes"), where + ".themes")
             _expect(key not in theme_rows, where, "duplicate theme-aspect row")
             theme_rows[key] = parse_aspects(entry.get("aspects"), where + ".aspects", True)
-        for i, entry in enumerate(interp_data.get("statement_aspects", [])):
+        statement_entries = interp_data.get("statement_aspects", [])
+        _expect(isinstance(statement_entries, list), "interpretation.statement_aspects",
+                "expected a list")
+        for i, entry in enumerate(statement_entries):
             where = f"interpretation.statement_aspects[{i}]"
             _expect(isinstance(entry, dict), where, "expected an object")
             key = parse_theme_key(entry.get("themes"), where + ".themes")

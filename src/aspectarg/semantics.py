@@ -11,8 +11,7 @@ a logically inconsistent rhetoric conclusion, i.e. a logical fallacy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .algebra import Element
 from .errors import CapExceeded, UnknownIdError
@@ -28,7 +27,8 @@ from .model import (
 
 SEMANTICS_IDS = ("grounded", "complete", "preferred", "stable", "naive")
 
-#: Enumeration-based semantics scan all statement subsets; cap the graph size.
+#: Semantics other than grounded enumerate conflict-free statement sets, of
+#: which an attack-free graph has 2^n; cap the graph size.
 MAX_ENUMERATED_STATEMENTS = 16
 
 
@@ -80,32 +80,77 @@ def attack_graph(model: Model) -> tuple[frozenset[str], frozenset[tuple[str, str
     return args, attacks
 
 
-def _conflict_free(s: frozenset[str], attacks: frozenset[tuple[str, str]]) -> bool:
-    return not any(a in s and b in s for a, b in attacks)
+class _AttackIndex:
+    """An attack graph on bit positions.
 
+    Statements are numbered in sorted order and sets of them are ``int``
+    masks; each statement has a mask of its attackers and one of its targets.
+    """
 
-def _defends(s: frozenset[str], arg: str, attacks: frozenset[tuple[str, str]]) -> bool:
-    attackers = [a for (a, target) in attacks if target == arg]
-    return all(any((c, b) in attacks for c in s) for b in attackers)
+    def __init__(self, args: frozenset[str], attacks: frozenset[tuple[str, str]]):
+        self.order = sorted(args)
+        pos = {a: i for i, a in enumerate(self.order)}
+        self.everyone = (1 << len(self.order)) - 1
+        self.attackers = [0] * len(self.order)
+        self.targets = [0] * len(self.order)
+        for a, b in attacks:
+            self.attackers[pos[b]] |= 1 << pos[a]
+            self.targets[pos[a]] |= 1 << pos[b]
+        self.self_attacking = sum(
+            1 << i for i, targets in enumerate(self.targets) if targets >> i & 1
+        )
+
+    def attacked_by(self, s: int) -> int:
+        out = 0
+        for i, targets in enumerate(self.targets):
+            if s >> i & 1:
+                out |= targets
+        return out
+
+    def defended(self, attacked: int) -> int:
+        """The statements all of whose attackers lie in ``attacked``."""
+        out = 0
+        for i, attackers in enumerate(self.attackers):
+            if not attackers & ~attacked:
+                out |= 1 << i
+        return out
+
+    def conflict_free_sets(self) -> Iterator[tuple[int, int, int]]:
+        """``(S, attacked_by(S), attackers_of(S))`` for every conflict-free S.
+
+        A depth-first search in index order that adds a statement only when
+        it neither attacks nor is attacked by the set so far, itself
+        included, so it visits every conflict-free set once and no other.
+        """
+        n = len(self.order)
+        attackers, targets = self.attackers, self.targets
+        stack = [(0, 0, 0, 0)]
+        while stack:
+            start, s, attacked, attacking = stack.pop()
+            yield s, attacked, attacking
+            blocked = attacked | attacking | self.self_attacking
+            for i in range(start, n):
+                bit = 1 << i
+                if not blocked & bit:
+                    stack.append(
+                        (i + 1, s | bit, attacked | targets[i], attacking | attackers[i])
+                    )
+
+    def members(self, s: int) -> frozenset[str]:
+        return frozenset(a for i, a in enumerate(self.order) if s >> i & 1)
 
 
 def grounded_extension(
     args: frozenset[str], attacks: frozenset[tuple[str, str]]
 ) -> frozenset[str]:
-    """Least fixed point of the defence operator."""
-    current: frozenset[str] = frozenset()
+    """Least fixed point of the defence operator; ``attacks`` are pairs of ``args``."""
+    index = _AttackIndex(args, attacks)
+    current = 0
     while True:
-        nxt = frozenset(a for a in args if _defends(current, a, attacks))
+        nxt = index.defended(index.attacked_by(current))
         if nxt == current:
-            return current
+            return index.members(current)
         current = nxt
-
-
-def _all_subsets(args: frozenset[str]) -> Iterable[frozenset[str]]:
-    items = sorted(args)
-    for n in range(len(items) + 1):
-        for combo in combinations(items, n):
-            yield frozenset(combo)
 
 
 def extensions(sub: SubModel, semantics: str) -> frozenset[frozenset[str]]:
@@ -120,30 +165,32 @@ def extensions(sub: SubModel, semantics: str) -> frozenset[frozenset[str]]:
             f"{len(args)} statements exceed the subset-enumeration cap "
             f"{MAX_ENUMERATED_STATEMENTS} for {semantics} semantics"
         )
-    candidates = [s for s in _all_subsets(args) if _conflict_free(s, attacks)]
+    index = _AttackIndex(args, attacks)
+    candidates = index.conflict_free_sets()
     if semantics == "naive":
-        return _maximal(candidates)
-    admissible = [
-        s for s in candidates if all(_defends(s, a, attacks) for a in s)
-    ]
-    if semantics == "preferred":
-        return _maximal(admissible)
-    if semantics == "stable":
-        return frozenset(
-            s
-            for s in candidates
-            if all(any((a, b) in attacks for a in s) for b in args - s)
-        )
-    # complete: admissible and containing everything it defends
-    return frozenset(
-        s
-        for s in admissible
-        if all(a in s for a in args if _defends(s, a, attacks))
-    )
+        found = _maximal_masks(s for s, _, _ in candidates)
+    elif semantics == "stable":
+        found = [s for s, attacked, _ in candidates if attacked | s == index.everyone]
+    else:
+        # admissible: every attacker of S is attacked by S
+        admissible = [
+            (s, attacked) for s, attacked, attacking in candidates if not attacking & ~attacked
+        ]
+        if semantics == "preferred":
+            found = _maximal_masks(s for s, _ in admissible)
+        else:  # complete: S is exactly what it defends
+            found = [s for s, attacked in admissible if index.defended(attacked) == s]
+    return frozenset(index.members(s) for s in found)
 
 
-def _maximal(sets: list[frozenset[str]]) -> frozenset[frozenset[str]]:
-    return frozenset(s for s in sets if not any(s < other for other in sets))
+def _maximal_masks(sets: Iterable[int]) -> list[int]:
+    """The sets inside no other, each (largest first) compared only with the
+    maximal sets kept so far: a set inside any other is inside a kept one."""
+    kept: list[int] = []
+    for s in sorted(sets, key=int.bit_count, reverse=True):
+        if not any(s & m == s for m in kept):
+            kept.append(s)
+    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from aspectarg.algebra import mk_algebra
 from aspectarg.formulas import evaluate, parse
+
+# Property tests draw the same examples on every run, and a slow spell of a
+# shared machine cannot fail them on a deadline.
+settings.register_profile("aspectarg", derandomize=True, deadline=None)
+settings.load_profile("aspectarg")
 
 
 @pytest.fixture

@@ -1,7 +1,12 @@
+import copy
 import io
 import json
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspectarg.cli import run
 from aspectarg.corpus import CORPUS_NAMES, corpus_path
@@ -61,6 +66,36 @@ class TestValidate:
         assert "invalid JSON" in err
 
 
+#: Every command that loads a model file, with the options it needs.
+FILE_COMMANDS = (
+    ("validate",),
+    ("check", "--alpha", "core,E,das,nwci,F"),
+    ("conclude", "--scan-logical"),
+    ("classify-relations",),
+    ("synthesize",),
+)
+
+
+class TestUnreadableFiles:
+    def assert_every_command_refuses(self, path, message):
+        for command, *options in FILE_COMMANDS:
+            code, out, err = invoke(command, str(path), *options)
+            assert (code, out) == (2, ""), command
+            assert err.startswith("error:") and message in err, command
+
+    def test_deeply_nested_json(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        self.assert_every_command_refuses(deep, "nested too deeply")
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["statements"][0]["id"] = "énoncé"
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        self.assert_every_command_refuses(latin1, "not UTF-8")
+
+
 class TestModelFileSchema:
     def test_unknown_formula_prop(self):
         doc = json.loads(json.dumps(MINIMAL))
@@ -111,6 +146,13 @@ class TestModelFileSchema:
         )
         loaded = loads(json.dumps(doc))
         assert loaded.model.statement("c").is_summary_pointer
+
+    @pytest.mark.parametrize("key, value", [("theme_aspects", 1), ("statement_aspects", None)])
+    def test_interpretation_rows_must_be_a_list(self, key, value):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["interpretation"][key] = value
+        with pytest.raises(ModelFileError, match=f"interpretation.{key}: expected a list"):
+            loads(json.dumps(doc))
 
     def test_interpretation_may_be_omitted(self):
         doc = json.loads(json.dumps(MINIMAL))
@@ -373,3 +415,81 @@ class TestSynthesize:
         assert code == 0
         witness = loads(out)
         assert witness.has_interpretation
+
+
+# ---------------------------------------------------------------------------
+# Exit-code fuzz: mutated corpus documents through every command.
+# ---------------------------------------------------------------------------
+
+CORPUS_BYTES = [corpus_path(name).read_bytes() for name in CORPUS_NAMES]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def byte_mutants(draw):
+    """A corpus file with a few bits flipped, bytes deleted or bytes inserted."""
+    data = bytearray(draw(st.sampled_from(CORPUS_BYTES)))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("flip", "delete", "insert")))
+        at = draw(st.integers(0, len(data) - 1))
+        if op == "flip":
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif op == "delete":
+            del data[at]
+        else:
+            data.insert(at, draw(st.integers(0, 255)))
+    return bytes(data)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def structure_mutants(draw):
+    """A corpus document with a few values dropped or replaced, either by
+    arbitrary JSON or by a copy of another value of the same document."""
+    doc = json.loads(draw(st.sampled_from(CORPUS_BYTES)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _paths(doc) if p]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = reduce(getitem, path[:-1], doc)
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            donor = reduce(getitem, draw(st.sampled_from(paths)), doc)
+            parent[path[-1]] = draw(st.just(copy.deepcopy(donor)) | JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutant.json"
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=150)
+    @given(data=byte_mutants() | structure_mutants())
+    def test_mutated_corpus_keeps_the_exit_code_contract(self, mutant_path, data):
+        mutant_path.write_bytes(data)
+        for command, *options in FILE_COMMANDS:
+            code, out, _ = invoke(command, str(mutant_path), *options)
+            assert code in (0, 1, 2), command
+            if code == 1:
+                assert out.strip(), command  # a fallacy comes with its report

@@ -126,18 +126,41 @@ class TestExtensions:
             extensions(sub, "preferred")
         extensions(sub, "grounded")  # fixpoint computation is not capped
 
+    def test_enumeration_cap_is_exactly_sixteen(self):
+        sub = sub_model(attack_model({f"s{i:02d}" for i in range(17)}, set()), ["t"])
+        for sem in SEMANTICS_IDS:
+            if sem != "grounded":
+                with pytest.raises(CapExceeded, match="17 statements"):
+                    extensions(sub, sem)
+
+    def test_sixteen_statements_without_attacks(self):
+        args = frozenset(f"s{i:02d}" for i in range(16))
+        sub = sub_model(attack_model(args, set()), ["t"])
+        for sem in SEMANTICS_IDS:
+            assert extensions(sub, sem) == {args}, sem
+
+    def test_sixteen_self_attacking_statements(self):
+        args = frozenset(f"s{i:02d}" for i in range(16))
+        sub = sub_model(attack_model(args, {(a, a) for a in args}), ["t"])
+        for sem in ("grounded", "complete", "preferred", "naive"):
+            assert extensions(sub, sem) == {frozenset()}, sem
+        # the only conflict-free set is the empty one, which attacks no one
+        assert extensions(sub, "stable") == frozenset()
+
     def test_against_oracle_on_random_graphs(self):
         rng = random.Random(16)
-        for _ in range(60):
-            n = rng.randint(1, 8)
-            args = frozenset(f"s{j}" for j in range(n))
-            attacks = frozenset(
-                (a, b) for a in args for b in args if rng.random() < 0.25
-            )
-            sub = sub_model(attack_model(args, attacks), ["t"])
-            oracle = oracle_dung(args, attacks)
-            for sem in SEMANTICS_IDS:
-                assert extensions(sub, sem) == oracle[sem], (sem, sorted(attacks))
+        # pairs are drawn with a == b too, so graphs include self-attacks
+        for density in (0.25, 0, 0.1, 0.5):
+            for _ in range(60):
+                n = rng.randint(1, 10)
+                args = frozenset(f"s{j}" for j in range(n))
+                attacks = frozenset(
+                    (a, b) for a in args for b in args if rng.random() < density
+                )
+                sub = sub_model(attack_model(args, attacks), ["t"])
+                oracle = oracle_dung(args, attacks)
+                for sem in SEMANTICS_IDS:
+                    assert extensions(sub, sem) == oracle[sem], (sem, sorted(attacks))
 
     def test_grounded_inside_every_preferred(self):
         rng = random.Random(17)
