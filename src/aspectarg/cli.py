@@ -19,9 +19,9 @@ import sys
 from typing import Any
 
 from . import constraints, semantics
-from .constraints import ALPHA_GROUPS, CORE
-from .errors import AspectArgError, CapExceeded, SynthesisError
-from .model import MAX_THEMES, Violation, theme_subsets, validate_wellformed
+from .constraints import ALPHA_GROUPS
+from .errors import AspectArgError, ModelError, ModelFileError
+from .model import MAX_THEMES, theme_subsets, validate_wellformed
 from .modelfile import Document, dumps, load_path, to_dict
 from .report import human_violations, render_aspect, to_json, violations_block
 from .synthesis import synthesize_core_witness
@@ -29,10 +29,12 @@ from .synthesis import synthesize_core_witness
 OK, FALLACY, ERROR = 0, 1, 2
 
 
-def _load_validated(path: str) -> tuple[Document, list[Violation]]:
+def _load_wellformed(path: str) -> Document:
+    """The model file at ``path``, refused when its model is not well-formed."""
     doc = load_path(path)
-    problems = validate_wellformed(doc.model)
-    return doc, problems
+    if validate_wellformed(doc.model):
+        raise ModelError(f"{path} is not well-formed; run `aspectarg validate` for details")
+    return doc
 
 
 def _emit(report: dict[str, Any], human_lines: list[str], fmt: str, out) -> None:
@@ -43,11 +45,8 @@ def _emit(report: dict[str, Any], human_lines: list[str], fmt: str, out) -> None
 
 
 def cmd_validate(args, out, err) -> int:
-    try:
-        doc, problems = _load_validated(args.file)
-    except AspectArgError as exc:
-        err.write(f"error: {exc}\n")
-        return ERROR
+    doc = load_path(args.file)
+    problems = validate_wellformed(doc.model)
     report = {
         "command": "validate",
         "file": args.file,
@@ -64,38 +63,19 @@ def cmd_validate(args, out, err) -> int:
     return OK if not problems else ERROR
 
 
-def _parse_alpha(text: str) -> frozenset[str]:
-    groups = frozenset(part.strip() for part in text.split(",") if part.strip())
-    unknown = groups - set(ALPHA_GROUPS)
-    if unknown:
-        raise ValueError(f"unknown constraint groups: {', '.join(sorted(unknown))}")
-    if CORE not in groups:
-        raise ValueError("--alpha must include 'core'")
-    return groups
-
-
 def cmd_check(args, out, err) -> int:
-    try:
-        alpha = _parse_alpha(args.alpha)
-        doc, problems = _load_validated(args.file)
-    except (AspectArgError, ValueError) as exc:
-        err.write(f"error: {exc}\n")
-        return ERROR
-    if problems:
-        err.write(f"error: {args.file} is not well-formed; run `aspectarg validate` for details\n")
-        return ERROR
-
-    try:
-        graphic = constraints.check_graphic(doc.model)
-        semantic: dict[str, dict[str, list[Violation]]] = {}
-        for group in ALPHA_GROUPS:
-            if group in alpha:
-                semantic[group] = constraints.run_group(
-                    doc.model, doc.interpretation, group, args.max_themes, doc.formula_index
-                )
-    except CapExceeded as exc:
-        err.write(f"error: {exc}\n")
-        return ERROR
+    alpha = constraints.validate_alpha(
+        part.strip() for part in args.alpha.split(",") if part.strip()
+    )
+    doc = _load_wellformed(args.file)
+    graphic = constraints.check_graphic(doc.model)
+    semantic = {
+        group: constraints.run_group(
+            doc.model, doc.interpretation, group, args.max_themes, doc.formula_index
+        )
+        for group in ALPHA_GROUPS
+        if group in alpha
+    }
 
     graphic_count = sum(len(vs) for vs in graphic.values())
     semantic_count = sum(len(vs) for g in semantic.values() for vs in g.values())
@@ -119,13 +99,11 @@ def cmd_check(args, out, err) -> int:
         lines.extend(human_violations(graphic))
     else:
         lines.append("graphic constraints: ok")
-    for group in ALPHA_GROUPS:
-        if group not in semantic:
-            continue
-        count = sum(len(vs) for vs in semantic[group].values())
+    for group, groups in semantic.items():
+        count = sum(len(vs) for vs in groups.values())
         if count:
             lines.append(f"{group}: {count} violation(s)")
-            lines.extend(human_violations(semantic[group]))
+            lines.extend(human_violations(groups))
         else:
             lines.append(f"{group}: ok")
     lines.append(f"verdict: {report['verdict']}")
@@ -138,14 +116,7 @@ def _format_extension(ext: frozenset[str]) -> str:
 
 
 def cmd_conclude(args, out, err) -> int:
-    try:
-        doc, problems = _load_validated(args.file)
-    except AspectArgError as exc:
-        err.write(f"error: {exc}\n")
-        return ERROR
-    if problems:
-        err.write(f"error: {args.file} is not well-formed\n")
-        return ERROR
+    doc = _load_wellformed(args.file)
     if not args.themes and not args.scan_logical:
         err.write("error: give --themes, --scan-logical, or both\n")
         return ERROR
@@ -157,123 +128,91 @@ def cmd_conclude(args, out, err) -> int:
     }
     lines = [f"conclude {args.file} ({args.semantics} semantics)"]
     exit_code = OK
-    try:
-        if args.themes:
-            themes = [t.strip() for t in args.themes.split(",") if t.strip()]
-            sub = semantics.sub_model(doc.model, themes)
-            report["themes"] = sorted(themes)
-            if sub is None:
-                report["defined"] = False
-                report["conclusion"] = None
-                lines.append(
-                    f"themes {{{', '.join(sorted(themes))}}}: no conclusion (sub-model undefined)"
-                )
-            else:
-                exts = sorted(semantics.extensions(sub, args.semantics), key=sorted)
-                conclusion = semantics.logico_rhetorical_conclusion(
-                    doc.model, doc.interpretation, themes, args.semantics
-                )
-                rendered = (
-                    None if conclusion is None else render_aspect(conclusion, doc.formula_index)
-                )
-                report["defined"] = True
-                report["extensions"] = [sorted(e) for e in exts]
-                report["conclusion"] = rendered
-                lines.append(f"themes: {{{', '.join(sorted(themes))}}}")
-                lines.append(
-                    "extensions: " + (", ".join(_format_extension(e) for e in exts) or "(none)")
-                )
-                if conclusion is None:
-                    lines.append("conclusion: none (no non-empty extension)")
-                else:
-                    lines.append(f"conclusion: {rendered}")
-                    if conclusion.is_bottom:
-                        lines.append("the conclusion is the inconsistent aspect: logical fallacy")
-                        exit_code = FALLACY
-        if args.scan_logical:
-            verdict = semantics.detect_logical_fallacy(
-                doc.model, doc.interpretation, args.semantics, args.max_themes
+    if args.themes:
+        themes = [t.strip() for t in args.themes.split(",") if t.strip()]
+        exts, conclusion = semantics.conclude(
+            doc.model, doc.interpretation, themes, args.semantics
+        )
+        report["themes"] = sorted(themes)
+        if exts is None:
+            report["defined"] = False
+            report["conclusion"] = None
+            lines.append(
+                f"themes {{{', '.join(sorted(themes))}}}: no conclusion (sub-model undefined)"
             )
-            report["logical_fallacy"] = verdict.found
-            if verdict.found:
-                witness = sorted(verdict.witness)
-                report["witness_themes"] = witness
-                lines.append(
-                    f"logical fallacy: conclusion is 0 at themes {{{', '.join(witness)}}}"
-                )
-                exit_code = FALLACY
+        else:
+            exts = sorted(exts, key=sorted)
+            rendered = None if conclusion is None else render_aspect(conclusion, doc.formula_index)
+            report["defined"] = True
+            report["extensions"] = [sorted(e) for e in exts]
+            report["conclusion"] = rendered
+            lines.append(f"themes: {{{', '.join(sorted(themes))}}}")
+            lines.append(
+                "extensions: " + (", ".join(_format_extension(e) for e in exts) or "(none)")
+            )
+            if conclusion is None:
+                lines.append("conclusion: none (no non-empty extension)")
             else:
-                lines.append("logical fallacy: none found")
-    except (AspectArgError, ValueError) as exc:
-        err.write(f"error: {exc}\n")
-        return ERROR
+                lines.append(f"conclusion: {rendered}")
+                if conclusion.is_bottom:
+                    lines.append("the conclusion is the inconsistent aspect: logical fallacy")
+                    exit_code = FALLACY
+    if args.scan_logical:
+        verdict = semantics.detect_logical_fallacy(
+            doc.model, doc.interpretation, args.semantics, args.max_themes
+        )
+        report["logical_fallacy"] = verdict.found
+        if verdict.found:
+            witness = sorted(verdict.witness)
+            report["witness_themes"] = witness
+            lines.append(f"logical fallacy: conclusion is 0 at themes {{{', '.join(witness)}}}")
+            exit_code = FALLACY
+        else:
+            lines.append("logical fallacy: none found")
     _emit(report, lines, args.format, out)
     return exit_code
 
 
 def cmd_classify_relations(args, out, err) -> int:
-    try:
-        doc, problems = _load_validated(args.file)
-    except AspectArgError as exc:
-        err.write(f"error: {exc}\n")
-        return ERROR
-    if problems:
-        err.write(f"error: {args.file} is not well-formed\n")
-        return ERROR
-
+    doc = _load_wellformed(args.file)
     only: frozenset[str] | None = None
     if args.themes:
         only = frozenset(t.strip() for t in args.themes.split(",") if t.strip())
 
     entries = []
     lines = [f"classify-relations {args.file}"]
-    try:
-        # every relation's cap is checked before any relation is classified
-        plans = []
-        for r in sorted(doc.model.relations, key=lambda r: r.pair):
-            if only is None:
-                rel_themes = sorted(r.themes & set(doc.model.themes))
-                plans.append((r, theme_subsets(rel_themes, args.max_themes, min_size=1)))
-            elif only <= r.themes:
-                plans.append((r, [only]))
-        for r, cases in plans:
-            for t_set in cases:
-                labels = constraints.classify_relation(doc.interpretation, doc.model, t_set, r)
-                entries.append(
-                    {
-                        "from": r.source,
-                        "to": r.target,
-                        "types": sorted(r.rel_types),
-                        "theme_set": sorted(t_set),
-                        "labels": sorted(labels),
-                    }
-                )
-                lines.append(
-                    f"  ({r.source} -> {r.target}) at {{{', '.join(sorted(t_set))}}}: "
-                    + ", ".join(sorted(labels))
-                )
-    except AspectArgError as exc:
-        err.write(f"error: {exc}\n")
-        return ERROR
+    # every relation's cap is checked before any relation is classified
+    plans = []
+    for r in sorted(doc.model.relations, key=lambda r: r.pair):
+        if only is None:
+            rel_themes = sorted(r.themes & set(doc.model.themes))
+            plans.append((r, theme_subsets(rel_themes, args.max_themes, min_size=1)))
+        elif only <= r.themes:
+            plans.append((r, [only]))
+    for r, cases in plans:
+        for t_set in cases:
+            labels = constraints.classify_relation(doc.interpretation, doc.model, t_set, r)
+            entries.append(
+                {
+                    "from": r.source,
+                    "to": r.target,
+                    "types": sorted(r.rel_types),
+                    "theme_set": sorted(t_set),
+                    "labels": sorted(labels),
+                }
+            )
+            lines.append(
+                f"  ({r.source} -> {r.target}) at {{{', '.join(sorted(t_set))}}}: "
+                + ", ".join(sorted(labels))
+            )
     report = {"command": "classify-relations", "file": args.file, "relations": entries}
     _emit(report, lines, args.format, out)
     return OK
 
 
 def cmd_synthesize(args, out, err) -> int:
-    try:
-        doc, problems = _load_validated(args.file)
-    except AspectArgError as exc:
-        err.write(f"error: {exc}\n")
-        return ERROR
-    if problems:
-        err.write(f"error: {args.file} is not well-formed\n")
-        return ERROR
-    try:
-        witness = synthesize_core_witness(doc.model, max_props=args.max_props)
-    except (SynthesisError, CapExceeded) as exc:
-        err.write(f"error: {exc}\n")
-        return ERROR
+    doc = _load_wellformed(args.file)
+    witness = synthesize_core_witness(doc.model, max_props=args.max_props)
     data = to_dict(
         doc.model,
         witness.algebra,
@@ -282,8 +221,11 @@ def cmd_synthesize(args, out, err) -> int:
     )
     text = dumps(data)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ModelFileError(f"cannot write {args.output}: {exc}") from exc
         out.write(f"witness written to {args.output}\n")
     else:
         out.write(text)

@@ -3,9 +3,11 @@
 Every checker is a pure function from a model (and, for the semantic
 constraints, an interpretation) to violation witnesses.  Universal
 quantifications over theme sets are exhaustive subset enumerations, guarded
-by a configurable cap.  ``recheck`` re-verifies a single violation from its
-witness record alone, which keeps every reported fallacy independently
-auditable.
+by a configurable cap.  Each semantic group is one routine over a compiled
+table and a domain of instances: the checker runs it on the whole domain,
+and ``recheck`` re-verifies a single violation by running it on the one
+instance the witness record names, which keeps every reported fallacy
+independently auditable.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .algebra import Element, closed_under_boolean_ops
+from .errors import ConstraintGroupError, UnknownIdError
 from .formulas import render_element
 from .model import (
     ATTACK,
@@ -31,7 +34,7 @@ from .model import (
     row_subset,
     theme_subsets,
 )
-from .statements_sets import MINREP_CAP, _redundancy, contains_redundancy, statements_sets
+from .statements_sets import MINREP_CAP, _redundancy, statements_sets
 
 GRAPHIC_IDS = ("tr", "nnp", "nsa", "kos", "nss")
 CORE_IDS = ("aass", "i", "vi", "bat", "pr", "mat", "manss", "ss")
@@ -50,25 +53,8 @@ def _tkey(themes: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(themes))
 
 
-def _subset_masks(
-    table: AspectTable, themes: Iterable[str], max_themes: int, min_size: int = 0
-) -> list[int]:
-    return [table.mask(c) for c in theme_subsets(themes, max_themes, min_size)]
-
-
-def _relation_cases(
-    table: AspectTable, model: Model, max_themes: int, types: Iterable[str] = (ATTACK, SUPPORT)
-) -> list[tuple[Relation, list[int]]]:
-    """The non-empty theme sets of each relation of the given types.
-
-    Every relation's cap is checked before any case is evaluated.
-    """
-    declared, wanted = set(model.themes), set(types)
-    return [
-        (r, _subset_masks(table, sorted(r.themes & declared), max_themes, min_size=1))
-        for r in model.relations
-        if r.rel_types & wanted
-    ]
+def _subset_masks(table: AspectTable, max_themes: int) -> list[int]:
+    return [table.mask(c) for c in theme_subsets(table.names, max_themes)]
 
 
 def _render(table: AspectTable, mask: int | None, index=None) -> str:
@@ -77,22 +63,9 @@ def _render(table: AspectTable, mask: int | None, index=None) -> str:
     return render_element(Element(table.algebra, mask), preferred=index, max_atoms=8)
 
 
-# Predicates on effective-aspect masks, shared by the checkers and recheck.
-
-
 def _comparable(u: int, v: int) -> bool:
     w = u | v
     return w == u or w == v
-
-
-def _aass_fails(rel_type: str, u: int | None, v: int | None) -> bool:
-    if u is None or v is None:
-        return True
-    return u == v if rel_type == ATTACK else not _comparable(u, v)
-
-
-def _das_fails(rel_type: str, u: int, v: int) -> bool:
-    return _comparable(u, v) if rel_type == ATTACK else u != v
 
 
 def _weakened_contradiction(u: int, v: int, full: int) -> bool:
@@ -104,6 +77,100 @@ def _incomparable_alternative(u: int, v: int, full: int) -> bool:
     return not _comparable(u, v) and not _comparable(u, v ^ full)
 
 
+#: The relation constraints: per relation type, a test on the effective
+#: aspects ``u`` of the source and ``v`` of the target, and the detail text
+#: of a failure.  aass fails on an absent aspect; das and nwci leave those
+#: to aass.
+_RELATION_TESTS = {
+    "aass": (
+        (
+            ATTACK,
+            lambda u, v, full: u is None or v is None or u == v,
+            "attack {pair} at {themes}: effective aspects {u} vs {v} must both exist and differ",
+        ),
+        (
+            SUPPORT,
+            lambda u, v, full: u is None or v is None or not _comparable(u, v),
+            "support {pair} at {themes}: effective aspects {u} vs {v} must both exist "
+            "and be comparable",
+        ),
+    ),
+    DAS: (
+        (
+            ATTACK,
+            lambda u, v, full: u is not None and v is not None and _comparable(u, v),
+            "attack {pair} at {themes}: {u} is comparable with {v}, so this is "
+            "weakening/strengthening, not a distinct attack",
+        ),
+        (
+            SUPPORT,
+            lambda u, v, full: u is not None and v is not None and u != v,
+            "support {pair} at {themes}: {u} differs from {v}, so the claimed support "
+            "is not an affirmation",
+        ),
+    ),
+    NWCI: (
+        (
+            ATTACK,
+            lambda u, v, full: u is not None
+            and v is not None
+            and _weakened_contradiction(u, v, full),
+            "attack {pair} at {themes}: {u} strictly above the complement of {v} "
+            "is a weakened contradiction",
+        ),
+        (
+            ATTACK,
+            lambda u, v, full: u is not None
+            and v is not None
+            and _incomparable_alternative(u, v, full),
+            "attack {pair} at {themes}: {u} is incomparable with both {v} and its complement",
+        ),
+    ),
+}
+
+
+def _relation_cases(
+    table: AspectTable, cid: str, max_themes: int
+) -> list[tuple[Relation, list[int]]]:
+    """The non-empty theme sets of each relation that ``cid`` tests.
+
+    Every relation's cap is checked before any case is evaluated.
+    """
+    declared = set(table.names)
+    wanted = {rel_type for rel_type, _, _ in _RELATION_TESTS[cid]}
+    return [
+        (r, [table.mask(c) for c in theme_subsets(sorted(r.themes & declared), max_themes, 1)])
+        for r in table.model.relations
+        if r.rel_types & wanted
+    ]
+
+
+def _relation_violations(
+    table: AspectTable, cases: list[tuple[Relation, list[int]]], cid: str, formula_index=None
+) -> list[Violation]:
+    """Violations of relation constraint ``cid`` on (relation, theme masks) cases."""
+    out: list[Violation] = []
+    tests, full = _RELATION_TESTS[cid], table.algebra.full_mask
+    for r, masks in cases:
+        for tmask in masks:
+            u, v = table.inf(tmask, r.source), table.inf(tmask, r.target)
+            for rel_type, fails, text in tests:
+                if rel_type in r.rel_types and fails(u, v, full):
+                    t_key = table.key(tmask)
+                    detail = text.format(
+                        pair=r.pair,
+                        themes=t_key,
+                        u=_render(table, u, formula_index),
+                        v=_render(table, v, formula_index),
+                    )
+                    out.append(
+                        Violation(
+                            cid, relation=r.pair, theme_set=t_key, rel_type=rel_type, detail=detail
+                        )
+                    )
+    return out
+
+
 def _meet(a: Row, b: Row) -> Row:
     if a[0]:
         return b
@@ -112,15 +179,14 @@ def _meet(a: Row, b: Row) -> Row:
     return (False, a[1] & b[1])
 
 
-def _pr_bound(table: AspectTable, model: Model, tmask: int, s: Statement) -> Row:
-    """The proper-range bound of ``s`` at a theme mask."""
-    own = table.mask(t for t in model.themes_of(s.id) if t in table.bits)
+def _pr_bound(table: AspectTable, tmask: int, s: Statement, own: int) -> Row:
+    """The proper-range bound of ``s``, whose own themes are ``own``, at a theme mask."""
     if not s.is_pointer:
         return table.row(tmask & own, s.id)
     widened = tmask & (own | table.bits.get(s.ref_theme, 0))
     if s.is_summary_pointer:
         return table.row(widened, s.id)
-    if not model.has_statement(s.ref_target):
+    if not table.model.has_statement(s.ref_target):
         return EMPTY_ROW  # a dangling target carries no aspects
     return table.row(widened, s.ref_target)
 
@@ -131,6 +197,12 @@ def _exact_region_id(s: Statement) -> str:
     if s.is_statement_pointer:
         return "ensr"
     return "eos"
+
+
+def _sorted(out: dict[str, list[Violation]]) -> dict[str, list[Violation]]:
+    for vs in out.values():
+        vs.sort(key=Violation.sort_key)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,29 +326,25 @@ def check_core(
     formula_index=None,
 ) -> dict[str, list[Violation]]:
     """Check aass, i, vi, bat, pr, mat, manss and ss."""
-    out: dict[str, list[Violation]] = {cid: [] for cid in CORE_IDS}
     table = AspectTable(interp, model)
-    subsets = _subset_masks(table, table.names, max_themes)
-    cases = _relation_cases(table, model, max_themes)
-    key, row = table.key, table.row
+    subsets = _subset_masks(table, max_themes)
+    cases = _relation_cases(table, "aass", max_themes)
+    return _sorted(_core(table, subsets, cases, formula_index))
 
-    for r, masks in cases:
-        for tmask in masks:
-            u, v = table.inf(tmask, r.source), table.inf(tmask, r.target)
-            for rel_type in (ATTACK, SUPPORT):
-                if rel_type in r.rel_types and _aass_fails(rel_type, u, v):
-                    need = "differ" if rel_type == ATTACK else "be comparable"
-                    out["aass"].append(
-                        Violation(
-                            "aass",
-                            relation=r.pair,
-                            theme_set=key(tmask),
-                            rel_type=rel_type,
-                            detail=f"{rel_type} {r.pair} at {key(tmask)}: effective aspects "
-                            f"{_render(table, u, formula_index)} vs "
-                            f"{_render(table, v, formula_index)} must both exist and {need}",
-                        )
-                    )
+
+def _core(
+    table: AspectTable,
+    subsets: list[int],
+    cases: list[tuple[Relation, list[int]]],
+    formula_index=None,
+) -> dict[str, list[Violation]]:
+    """Core at the theme masks ``subsets`` and, for aass, on relation ``cases``.
+
+    mat and manss compare each mask with every mask one theme smaller.
+    """
+    model, key, row = table.model, table.key, table.row
+    out: dict[str, list[Violation]] = {cid: [] for cid in CORE_IDS}
+    out["aass"] = _relation_violations(table, cases, "aass", formula_index)
 
     for tmask in subsets:
         omega = row(tmask, OMEGA)
@@ -301,32 +369,48 @@ def check_core(
                 )
             )
 
-    for s in model.statements:
-        if row(0, s.id) != EMPTY_ROW:
-            out["vi"].append(
-                Violation(
-                    "vi",
-                    (s.id,),
-                    theme_set=(),
-                    detail=f"{s.id} has aspects for the empty theme set",
+    if 0 in subsets:
+        for s in model.statements:
+            if row(0, s.id) != EMPTY_ROW:
+                out["vi"].append(
+                    Violation(
+                        "vi",
+                        (s.id,),
+                        theme_set=(),
+                        detail=f"{s.id} has aspects for the empty theme set",
+                    )
                 )
-            )
 
+    full = table.algebra.full_mask
     for s in model.statements:
+        own = table.mask(t for t in model.themes_of(s.id) if t in table.bits)
         target = f" and target {s.ref_target}" if s.is_statement_pointer else ""
         for tmask in subsets:
             aspects = row(tmask, s.id)
-            if aspects == EMPTY_ROW or row_subset(aspects, _pr_bound(table, model, tmask, s)):
-                continue
-            out["pr"].append(
-                Violation(
-                    "pr",
-                    (s.id,),
-                    theme_set=key(tmask),
-                    detail=f"aspects of {s.id} at {key(tmask)} exceed the proper-range "
-                    f"bound from its own themes{target}",
+            if aspects != EMPTY_ROW and not row_subset(aspects, _pr_bound(table, tmask, s, own)):
+                out["pr"].append(
+                    Violation(
+                        "pr",
+                        (s.id,),
+                        theme_set=key(tmask),
+                        detail=f"aspects of {s.id} at {key(tmask)} exceed the proper-range "
+                        f"bound from its own themes{target}",
+                    )
                 )
-            )
+            if tmask & ~own:
+                continue  # ss ranges over the statement's own themes
+            eff = table.inf(tmask, s.id)
+            if eff == 0 or eff == full:
+                which = "inconsistent (0)" if eff == 0 else "trivial (1)"
+                out["ss"].append(
+                    Violation(
+                        "ss",
+                        (s.id,),
+                        theme_set=key(tmask),
+                        detail=f"{s.id} effectively touches upon the {which} aspect "
+                        f"at {key(tmask)}",
+                    )
+                )
 
     monotone = [s.id for s in model.statements if not s.is_summary_pointer]
     for t2 in subsets:
@@ -355,25 +439,6 @@ def check_core(
                             detail=f"aspects of {sid} shrink from {key(t1)} to {key(t2)}",
                         )
                     )
-
-    full = table.algebra.full_mask
-    for s in model.statements:
-        own = sorted(t for t in model.themes_of(s.id) if t in table.bits)
-        for tmask in _subset_masks(table, own, max_themes):
-            eff = table.inf(tmask, s.id)
-            if eff == 0 or eff == full:
-                which = "inconsistent (0)" if eff == 0 else "trivial (1)"
-                out["ss"].append(
-                    Violation(
-                        "ss",
-                        (s.id,),
-                        theme_set=key(tmask),
-                        detail=f"{s.id} effectively touches upon the {which} aspect "
-                        f"at {key(tmask)}",
-                    )
-                )
-    for vs in out.values():
-        vs.sort(key=Violation.sort_key)
     return out
 
 
@@ -386,10 +451,14 @@ def check_exact_region(
     model: Model, interp: Interpretation, max_themes: int = MAX_THEMES
 ) -> dict[str, list[Violation]]:
     """Check esr, ensr and eos over every pair of theme sets."""
-    out: dict[str, list[Violation]] = {cid: [] for cid in EXACT_REGION_IDS}
     table = AspectTable(interp, model)
-    subsets = _subset_masks(table, table.names, max_themes)
-    stmts = [(s.id, _exact_region_id(s)) for s in model.statements]
+    return _sorted(_exact_region(table, _subset_masks(table, max_themes)))
+
+
+def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Violation]]:
+    """esr, ensr and eos on each pair of ``subsets``, in their order."""
+    out: dict[str, list[Violation]] = {cid: [] for cid in EXACT_REGION_IDS}
+    stmts = [(s.id, _exact_region_id(s)) for s in table.model.statements]
     omegas = [table.row(tmask, OMEGA) for tmask in subsets]
     rows: list[list[Row] | None] = [None] * len(subsets)
 
@@ -419,8 +488,6 @@ def check_exact_region(
                             f"{t2} inside their common theme region",
                         )
                     )
-    for vs in out.values():
-        vs.sort(key=Violation.sort_key)
     return out
 
 
@@ -440,43 +507,7 @@ def check_das(
     Pairs with an absent effective aspect are skipped here; aass already
     reports those.
     """
-    out: list[Violation] = []
-    table = AspectTable(interp, model)
-    for r, masks in _relation_cases(table, model, max_themes):
-        for tmask in masks:
-            u, v = table.inf(tmask, r.source), table.inf(tmask, r.target)
-            if u is None or v is None:
-                continue
-            attack = ATTACK in r.rel_types and _das_fails(ATTACK, u, v)
-            support = SUPPORT in r.rel_types and _das_fails(SUPPORT, u, v)
-            if not attack and not support:
-                continue
-            ru, rv = _render(table, u, formula_index), _render(table, v, formula_index)
-            t_key = table.key(tmask)
-            if attack:
-                out.append(
-                    Violation(
-                        "das",
-                        relation=r.pair,
-                        theme_set=t_key,
-                        rel_type=ATTACK,
-                        detail=f"attack {r.pair} at {t_key}: {ru} is comparable with "
-                        f"{rv}, so this is weakening/strengthening, not a distinct attack",
-                    )
-                )
-            if support:
-                out.append(
-                    Violation(
-                        "das",
-                        relation=r.pair,
-                        theme_set=t_key,
-                        rel_type=SUPPORT,
-                        detail=f"support {r.pair} at {t_key}: {ru} differs from {rv}, "
-                        "so the claimed support is not an affirmation",
-                    )
-                )
-    out.sort(key=Violation.sort_key)
-    return out
+    return _check_relations(model, interp, max_themes, DAS, formula_index)
 
 
 def check_nwci(
@@ -486,42 +517,14 @@ def check_nwci(
     formula_index=None,
 ) -> list[Violation]:
     """No weakened contradictions and no incomparable alternatives on attacks."""
-    out: list[Violation] = []
+    return _check_relations(model, interp, max_themes, NWCI, formula_index)
+
+
+def _check_relations(
+    model: Model, interp: Interpretation, max_themes: int, cid: str, formula_index
+) -> list[Violation]:
     table = AspectTable(interp, model)
-    full = table.algebra.full_mask
-    for r, masks in _relation_cases(table, model, max_themes, (ATTACK,)):
-        for tmask in masks:
-            u, v = table.inf(tmask, r.source), table.inf(tmask, r.target)
-            if u is None or v is None:
-                continue
-            weakened = _weakened_contradiction(u, v, full)
-            incomparable = _incomparable_alternative(u, v, full)
-            if not weakened and not incomparable:
-                continue
-            ru, rv = _render(table, u, formula_index), _render(table, v, formula_index)
-            t_key = table.key(tmask)
-            if weakened:
-                out.append(
-                    Violation(
-                        "nwci",
-                        relation=r.pair,
-                        theme_set=t_key,
-                        rel_type=ATTACK,
-                        detail=f"attack {r.pair} at {t_key}: {ru} strictly above the "
-                        f"complement of {rv} is a weakened contradiction",
-                    )
-                )
-            if incomparable:
-                out.append(
-                    Violation(
-                        "nwci",
-                        relation=r.pair,
-                        theme_set=t_key,
-                        rel_type=ATTACK,
-                        detail=f"attack {r.pair} at {t_key}: {ru} is incomparable with "
-                        f"both {rv} and its complement",
-                    )
-                )
+    out = _relation_violations(table, _relation_cases(table, cid, max_themes), cid, formula_index)
     out.sort(key=Violation.sort_key)
     return out
 
@@ -539,36 +542,46 @@ def check_fresh_aspects(
 ) -> dict[str, list[Violation]]:
     """Check faD and faW: no statements-set may contain redundancy."""
     del max_themes  # quantification here is over statements and their themes
+    return _sorted(_fresh_aspects(AspectTable(interp, model), _anchors(model), formula_index))
+
+
+def _anchors(model: Model) -> list[tuple[str, str]]:
+    """Each statement with each of its declared themes: the anchors of F."""
+    declared = set(model.themes)
+    return [(s.id, t) for s in model.statements for t in sorted(model.themes_of(s.id) & declared)]
+
+
+def _fresh_aspects(
+    table: AspectTable, anchors: list[tuple[str, str]], formula_index=None
+) -> dict[str, list[Violation]]:
+    """faW and faD on the statements-sets of each (statement, theme) anchor."""
     out: dict[str, list[Violation]] = {cid: [] for cid in FRESH_ASPECT_IDS}
-    table, memo = AspectTable(interp, model), {}
-    for s in model.statements:
-        for t in sorted(model.themes_of(s.id) & set(model.themes)):
-            for rel in (ATTACK, SUPPORT):
-                widths, depths = statements_sets(model, s.id, t, rel)
-                for cid, sets in (("faW", widths), ("faD", depths)):
-                    for sset in sets:
-                        witness = _redundancy(table, t, sset.members, MINREP_CAP, memo)
-                        if witness is None:
-                            continue
-                        shared = "{" + ", ".join(
-                            sorted(
-                                render_element(e, preferred=formula_index, max_atoms=8)
-                                for e in witness.shared
-                            )
-                        ) + "}"
-                        out[cid].append(
-                            Violation(
-                                cid,
-                                (s.id, witness.first, witness.second),
-                                theme_set=(t,),
-                                rel_type=rel,
-                                detail=f"{witness.first} and {witness.second} share the minimal "
-                                f"representation {shared} in the {sset.kind}-statements-set "
-                                f"of {s.id} for theme {t}",
-                            )
+    memo: dict = {}
+    for sid, t in anchors:
+        for rel in (ATTACK, SUPPORT):
+            widths, depths = statements_sets(table.model, sid, t, rel)
+            for cid, sets in (("faW", widths), ("faD", depths)):
+                for sset in sets:
+                    witness = _redundancy(table, t, sset.members, MINREP_CAP, memo)
+                    if witness is None:
+                        continue
+                    shared = "{" + ", ".join(
+                        sorted(
+                            render_element(e, preferred=formula_index, max_atoms=8)
+                            for e in witness.shared
                         )
-    for vs in out.values():
-        vs.sort(key=Violation.sort_key)
+                    ) + "}"
+                    out[cid].append(
+                        Violation(
+                            cid,
+                            (sid, witness.first, witness.second),
+                            theme_set=(t,),
+                            rel_type=rel,
+                            detail=f"{witness.first} and {witness.second} share the minimal "
+                            f"representation {shared} in the {sset.kind}-statements-set "
+                            f"of {sid} for theme {t}",
+                        )
+                    )
     return out
 
 
@@ -650,6 +663,17 @@ def run_group(
     raise ValueError(f"unknown constraint group {group!r}")
 
 
+def validate_alpha(alpha: Iterable[str]) -> frozenset[str]:
+    """The constraint groups of ``alpha``, which must be known and include core."""
+    chosen = frozenset(alpha)
+    unknown = chosen - set(ALPHA_GROUPS)
+    if unknown:
+        raise ConstraintGroupError(f"unknown constraint groups: {', '.join(sorted(unknown))}")
+    if CORE not in chosen:
+        raise ConstraintGroupError("alpha must include 'core'")
+    return chosen
+
+
 def classify_normal_form(
     model: Model,
     interp: Interpretation,
@@ -658,12 +682,7 @@ def classify_normal_form(
     formula_index=None,
 ) -> NormalFormVerdict:
     """Whether the model is alpha-normal with respect to the interpretation."""
-    chosen = frozenset(alpha)
-    unknown = chosen - set(ALPHA_GROUPS)
-    if unknown:
-        raise ValueError(f"unknown constraint groups: {sorted(unknown)}")
-    if CORE not in chosen:
-        raise ValueError("alpha must contain the core constraint group")
+    chosen = validate_alpha(alpha)
     violations: list[Violation] = []
     for group in ALPHA_GROUPS:  # fixed order keeps reports deterministic
         if group in chosen:
@@ -679,70 +698,45 @@ def classify_normal_form(
 
 
 def recheck(model: Model, interp: Interpretation | None, violation: Violation) -> bool:
-    """Re-establish a violation from its witness record alone."""
+    """Re-establish a violation from its witness record alone.
+
+    The checker's own routine for the witness's constraint runs on the
+    witness's instance only, so exactly the witnesses the checker reports
+    are re-established; one naming an id the model lacks is not.
+    """
     cid = violation.constraint
-
     if cid in GRAPHIC_IDS:
-        fresh = check_graphic(model)[cid]
-        return any(_same_witness(v, violation) for v in fresh)
+        found = check_graphic(model)[cid]
+    elif interp is None:
+        return False
+    else:
+        found = _instance_violations(AspectTable(interp, model), violation)
+    return any(_same_witness(v, violation) for v in found)
 
-    if interp is None:
-        return False
-    table = AspectTable(interp, model)
-    row = table.row
-    t1 = table.mask(violation.theme_set or ())
-    t2 = table.mask(violation.theme_set2 or ())
-    if cid in ("aass", "das", "nwci"):
-        rel = next((r for r in model.relations if r.pair == violation.relation), None)
-        if rel is None:
-            return False
-        u, v = table.inf(t1, rel.source), table.inf(t1, rel.target)
-        if cid == "aass":
-            return _aass_fails(violation.rel_type, u, v)
-        if u is None or v is None:
-            return False
-        if cid == "das":
-            return _das_fails(violation.rel_type, u, v)
-        full = table.algebra.full_mask
-        return _weakened_contradiction(u, v, full) or _incomparable_alternative(u, v, full)
-    if cid == "i":
-        return not row_subset(row(t1, violation.statements[0]), row(t1, OMEGA))
-    if cid == "vi":
-        return row(0, violation.statements[0]) != EMPTY_ROW
-    if cid == "bat":
-        omega = row(t1, OMEGA)
-        return bool(omega[1]) and not closed_under_boolean_ops(
-            omega[1], table.algebra.full_mask
-        )
-    if cid == "pr":
-        if not model.has_statement(violation.statements[0]):
-            return False
-        s = model.statement(violation.statements[0])
-        aspects = row(t1, s.id)
-        return aspects != EMPTY_ROW and not row_subset(aspects, _pr_bound(table, model, t1, s))
-    if cid == "mat":
-        return not row_subset(row(t1, OMEGA), row(t2, OMEGA))
-    if cid == "manss":
-        sid = violation.statements[0]
-        return not row_subset(row(t1, sid), row(t2, sid))
-    if cid == "ss":
-        eff = table.inf(t1, violation.statements[0])
-        return eff == 0 or eff == table.algebra.full_mask
+
+def _instance_violations(table: AspectTable, w: Violation) -> list[Violation]:
+    """The violations of ``w``'s constraint on the one instance ``w`` names."""
+    model, cid = table.model, w.constraint
+    try:
+        t1, t2 = table.mask(w.theme_set or ()), table.mask(w.theme_set2 or ())
+    except UnknownIdError:
+        return []
+    declared = set(model.themes)
+    cases = [
+        (r, [t1])
+        for r in model.relations
+        if r.pair == w.relation and t1 and not t1 & ~table.mask(r.themes & declared)
+    ]
+    if cid in CORE_IDS:
+        return _core(table, [t2 if cid in ("mat", "manss") else t1], cases)[cid]
     if cid in EXACT_REGION_IDS:
-        common = _meet(row(t1, OMEGA), row(t2, OMEGA))
-        sid = violation.statements[0]
-        return _meet(row(t1, sid), common) != _meet(row(t2, sid), common)
+        return _exact_region(table, [t1, t2])[cid]
+    if cid in (DAS, NWCI):
+        return _relation_violations(table, cases, cid)
     if cid in FRESH_ASPECT_IDS:
-        anchor, s1, s2 = violation.statements
-        (t,) = violation.theme_set
-        widths, depths = statements_sets(model, anchor, t, violation.rel_type)
-        candidates = widths if cid == "faW" else depths
-        for sset in candidates:
-            if {s1, s2} <= sset.members:
-                witness = contains_redundancy(interp, model, t, [s1, s2])
-                if witness is not None:
-                    return True
-        return False
+        instance = (w.statements[:1], w.theme_set)
+        anchors = [(s, t) for s, t in _anchors(model) if ((s,), (t,)) == instance]
+        return _fresh_aspects(table, anchors)[cid]
     raise ValueError(f"cannot recheck constraint {cid!r}")
 
 
@@ -753,6 +747,7 @@ def _same_witness(a: Violation, b: Violation) -> bool:
         and a.relation == b.relation
         and a.theme_set == b.theme_set
         and a.theme_set2 == b.theme_set2
+        and a.rel_type == b.rel_type
     )
 
 

@@ -9,6 +9,10 @@ class AlgebraError(AspectArgError):
     """Invalid algebra construction or mixed-algebra operation."""
 
 
+class ConstraintGroupError(AspectArgError, ValueError):
+    """An alpha names an unknown constraint group or leaves out core."""
+
+
 class CapExceeded(AspectArgError):
     """A configurable size cap (props, themes, enumeration) was exceeded."""
 

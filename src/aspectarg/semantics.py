@@ -210,16 +210,29 @@ def logico_rhetorical_conclusion(
     non-empty.  Statements whose effective aspect is absent contribute nothing
     to their extension's meet (a meet over nothing is the top element).
     """
-    return _conclusion(AspectTable(interp, model), frozenset(themes), semantics)
+    return conclude(model, interp, themes, semantics)[1]
 
 
-def _conclusion(table: AspectTable, t: frozenset[str], semantics: str) -> Element | None:
+def conclude(
+    model: Model,
+    interp: Interpretation,
+    themes: Iterable[str],
+    semantics: str,
+) -> tuple[frozenset[frozenset[str]] | None, Element | None]:
+    """The rhetoric conclusion (the sub-model's extensions, ``None`` when the
+    sub-model is undefined) and the logico-rhetorical conclusion."""
+    return _conclude(AspectTable(interp, model), frozenset(themes), semantics)
+
+
+def _conclude(
+    table: AspectTable, t: frozenset[str], semantics: str
+) -> tuple[frozenset[frozenset[str]] | None, Element | None]:
     sub = sub_model(table.model, t)
     if sub is None:
-        return None
+        return None, None
     exts = extensions(sub, semantics)
     if not any(ext for ext in exts):
-        return None
+        return exts, None
     tmask = table.mask(t)
     full = table.algebra.full_mask
     joined = 0
@@ -230,7 +243,7 @@ def _conclusion(table: AspectTable, t: frozenset[str], semantics: str) -> Elemen
             if eff is not None:
                 met &= eff
         joined |= met
-    return Element(table.algebra, joined)
+    return exts, Element(table.algebra, joined)
 
 
 @dataclass(frozen=True)
@@ -257,7 +270,7 @@ def detect_logical_fallacy(
     table = AspectTable(interp, model)
     for combo in cases:
         t = frozenset(combo)
-        conclusion = _conclusion(table, t, semantics)
+        conclusion = _conclude(table, t, semantics)[1]
         if conclusion is not None and conclusion.is_bottom:
             return LogicalFallacyVerdict(True, t, conclusion)
     return LogicalFallacyVerdict(False)

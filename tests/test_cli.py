@@ -223,14 +223,20 @@ class TestCheck:
             outputs.add(proc.stdout)
         assert len(outputs) == 1
 
-    def test_malformed_file_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command",
+        [("check",), ("conclude", "--scan-logical"), ("classify-relations",), ("synthesize",)],
+        ids=lambda argv: argv[0],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, command):
         doc = json.loads(json.dumps(MINIMAL))
         doc["statements"][0]["themes"] = []
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        code, _, err = invoke("check", str(bad))
+        code, out, err = invoke(command[0], str(bad), *command[1:])
         assert code == 2
-        assert "not well-formed" in err
+        assert err.startswith("error:") and "not well-formed" in err
+        assert out == ""
 
 
 class TestConclude:
@@ -265,6 +271,23 @@ class TestConclude:
     def test_needs_themes_or_scan(self):
         code, _, err = invoke("conclude", path("straw_man"))
         assert code == 2
+
+    def test_extensions_are_computed_once(self, monkeypatch):
+        from aspectarg import semantics
+
+        calls = []
+        original = semantics.extensions
+
+        def counted(sub, name):
+            calls.append(name)
+            return original(sub, name)
+
+        monkeypatch.setattr(semantics, "extensions", counted)
+        code, out, _ = invoke(
+            "conclude", path("fear_appeal"), "--themes", "t1", "--semantics", "preferred"
+        )
+        assert code == 0 and "conclusion:" in out
+        assert calls == ["preferred"]
 
 
 class TestClassifyRelations:
@@ -401,6 +424,14 @@ class TestSynthesize:
         code, _, err = invoke("synthesize", str(src))
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize("target", ["directory", "missing/w.json"])
+    def test_unwritable_output_exits_2(self, tmp_path, target):
+        output = tmp_path if target == "directory" else tmp_path / target
+        code, out, err = invoke("synthesize", path("fear_appeal"), "-o", str(output))
+        assert code == 2
+        assert err.startswith("error: cannot write") and str(output) in err
+        assert out == ""
 
     def test_witness_to_stdout(self, tmp_path):
         graph = {

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from aspectarg.algebra import mk_algebra
 from aspectarg.constraints import (
     ALPHA_GROUPS,
     CORE,
+    EXACT_REGION_IDS,
     all_violations,
     check_core,
     check_das,
@@ -632,6 +634,44 @@ class TestNormalForms:
             classify_normal_form(model, interp, [CORE, "bogus"])
 
 
+def candidate_witnesses(model):
+    """Every witness record a semantic checker could report on ``model``."""
+    theme_sets = [
+        tuple(c) for n in range(len(model.themes) + 1) for c in combinations(model.themes, n)
+    ]
+    ids = [s.id for s in model.statements]
+    for t1 in theme_sets:
+        yield Violation("bat", theme_set=t1)
+        for cid in ("i", "vi", "pr", "ss"):
+            for sid in ids:
+                yield Violation(cid, (sid,), theme_set=t1)
+        for r in model.relations:
+            for cid in ("aass", "das", "nwci"):
+                for rel_type in (ATTACK, SUPPORT):
+                    yield Violation(cid, relation=r.pair, theme_set=t1, rel_type=rel_type)
+        for t2 in theme_sets:
+            yield Violation("mat", theme_set=t1, theme_set2=t2)
+            for cid in ("manss", "esr", "ensr", "eos"):
+                for sid in ids:
+                    yield Violation(cid, (sid,), theme_set=t1, theme_set2=t2)
+    for anchor in ids:
+        for first in ids:
+            for second in ids:
+                for t in model.themes:
+                    for cid in ("faW", "faD"):
+                        for rel_type in (ATTACK, SUPPORT):
+                            yield Violation(
+                                cid, (anchor, first, second), theme_set=(t,), rel_type=rel_type
+                            )
+
+
+def witness_key(v, symmetric=False):
+    themes = (v.theme_set, v.theme_set2)
+    if symmetric:
+        themes = tuple(sorted(themes))
+    return (v.constraint, v.statements, v.relation, themes, v.rel_type)
+
+
 class TestWitnessSoundness:
     @pytest.mark.parametrize(
         "name,alpha",
@@ -651,11 +691,33 @@ class TestWitnessSoundness:
         for violation in found:
             assert recheck(doc.model, doc.interpretation, violation), violation
 
-    def test_unknown_relation_does_not_recheck(self):
+    @pytest.mark.parametrize(
+        "ghost",
+        [
+            *(
+                pytest.param(
+                    Violation(cid, relation=("nope", "x"), theme_set=("t1",), rel_type=ATTACK),
+                    id=f"{cid}-relation",
+                )
+                for cid in ("aass", "das", "nwci")
+            ),
+            *(
+                pytest.param(Violation(cid, ("nope",), theme_set=("t1",)), id=f"{cid}-statement")
+                for cid in ("i", "ss")
+            ),
+            *(
+                pytest.param(
+                    Violation(cid, ("nope",), theme_set=("t1",), theme_set2=("t1", "t2")),
+                    id=f"{cid}-statement",
+                )
+                for cid in ("manss", "eos")
+            ),
+            pytest.param(Violation("i", ("s1",), theme_set=("nope",)), id="i-theme"),
+        ],
+    )
+    def test_unknown_relation_does_not_recheck(self, ghost):
         doc = load_path(corpus_path("fear_appeal"))
-        for cid in ("aass", "das", "nwci"):
-            ghost = Violation(cid, relation=("nope", "x"), theme_set=("t1",), rel_type=ATTACK)
-            assert recheck(doc.model, doc.interpretation, ghost) is False
+        assert recheck(doc.model, doc.interpretation, ghost) is False
 
     def test_random_violations_recheck(self):
         rng = random.Random(10)
@@ -671,6 +733,22 @@ class TestWitnessSoundness:
                 checked += 1
                 assert recheck(model, interp, violation), violation
         assert checked > 50
+
+    def test_recheck_accepts_exactly_the_reported_witnesses(self):
+        rng = random.Random(23)
+        algebra = mk_algebra(["p", "q"])
+        instances = [
+            (model, random_total_interpretation(rng, model, algebra))
+            for model in (random_model_any(rng) for _ in range(40))
+        ] + [block_instance(rng) for _ in range(20)]
+        for model, interp in instances:
+            reported = set()
+            for group in ALPHA_GROUPS:
+                for v in all_violations(run_group(model, interp, group)):
+                    reported.add(witness_key(v, symmetric=v.constraint in EXACT_REGION_IDS))
+            for w in candidate_witnesses(model):
+                key = witness_key(w, symmetric=w.constraint in EXACT_REGION_IDS)
+                assert recheck(model, interp, w) == (key in reported), w
 
 
 class TestProperRangeConsequences:
