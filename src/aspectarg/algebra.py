@@ -84,12 +84,12 @@ class Algebra:
             raise AlgebraError(f"unknown proposition {name!r}") from None
         return Element(self, _prop_mask(self.k, i))
 
-    def elements(self, max_carrier: int = MAX_ENUMERABLE_CARRIER) -> Iterator["Element"]:
+    def elements(self) -> Iterator["Element"]:
         """Enumerate the whole carrier (only feasible for small k)."""
-        if self.carrier_size > max_carrier:
+        if self.carrier_size > MAX_ENUMERABLE_CARRIER:
             raise CapExceeded(
                 f"carrier of a {self.k}-proposition algebra has {self.carrier_size} "
-                f"elements, above the enumeration cap {max_carrier}"
+                f"elements, above the enumeration cap {MAX_ENUMERABLE_CARRIER}"
             )
         for mask in range(self.carrier_size):
             yield Element(self, mask)
@@ -308,7 +308,7 @@ class DisjointProduct:
         return Element(self.algebra, mask)
 
 
-def disjoint_product(parts: Sequence[Algebra], *, max_props: int = MAX_PROPS) -> DisjointProduct:
+def disjoint_product(parts: Sequence[Algebra]) -> DisjointProduct:
     """Combine algebras over disjoint proposition names into one product algebra."""
     seen: set[str] = set()
     for part in parts:
@@ -321,5 +321,5 @@ def disjoint_product(parts: Sequence[Algebra], *, max_props: int = MAX_PROPS) ->
     for part in parts:
         offsets.append(len(all_props))
         all_props.extend(part.props)
-    product = mk_algebra(all_props, max_props=max_props)
+    product = mk_algebra(all_props)
     return DisjointProduct(product, tuple(parts), tuple(offsets))

@@ -2,10 +2,11 @@
 
 Commands::
 
-    aspectarg validate FILE
+    aspectarg validate FILE [--format ...]
     aspectarg check FILE [--alpha core,das,...] [--max-themes N] [--format ...]
     aspectarg conclude FILE [--themes t1,t2] [--semantics grounded] [--scan-logical]
-    aspectarg classify-relations FILE [--themes t1,t2]
+                            [--max-themes N] [--format ...]
+    aspectarg classify-relations FILE [--themes t1,t2] [--max-themes N] [--format ...]
     aspectarg synthesize FILE [--output OUT]
 
 Exit codes: 0 = normal / no fallacy found, 1 = fallacy found,
@@ -20,7 +21,7 @@ from typing import Any
 
 from . import constraints, semantics
 from .constraints import ALPHA_GROUPS
-from .errors import AspectArgError, ModelError, ModelFileError
+from .errors import AspectArgError, ModelError, ModelFileError, UnknownIdError
 from .model import MAX_THEMES, theme_subsets, validate_wellformed
 from .modelfile import Document, dumps, load_path, to_dict
 from .report import human_violations, render_aspect, to_json, violations_block
@@ -70,9 +71,7 @@ def cmd_check(args, out, err) -> int:
     doc = _load_wellformed(args.file)
     graphic = constraints.check_graphic(doc.model)
     semantic = {
-        group: constraints.run_group(
-            doc.model, doc.interpretation, group, args.max_themes, doc.formula_index
-        )
+        group: constraints.run_group(doc.model, doc.interpretation, group, args.max_themes)
         for group in ALPHA_GROUPS
         if group in alpha
     }
@@ -142,10 +141,9 @@ def cmd_conclude(args, out, err) -> int:
             )
         else:
             exts = sorted(exts, key=sorted)
-            rendered = None if conclusion is None else render_aspect(conclusion, doc.formula_index)
             report["defined"] = True
             report["extensions"] = [sorted(e) for e in exts]
-            report["conclusion"] = rendered
+            report["conclusion"] = None
             lines.append(f"themes: {{{', '.join(sorted(themes))}}}")
             lines.append(
                 "extensions: " + (", ".join(_format_extension(e) for e in exts) or "(none)")
@@ -153,7 +151,8 @@ def cmd_conclude(args, out, err) -> int:
             if conclusion is None:
                 lines.append("conclusion: none (no non-empty extension)")
             else:
-                lines.append(f"conclusion: {rendered}")
+                report["conclusion"] = render_aspect(conclusion, doc.interpretation.formulas)
+                lines.append(f"conclusion: {report['conclusion']}")
                 if conclusion.is_bottom:
                     lines.append("the conclusion is the inconsistent aspect: logical fallacy")
                     exit_code = FALLACY
@@ -178,6 +177,9 @@ def cmd_classify_relations(args, out, err) -> int:
     only: frozenset[str] | None = None
     if args.themes:
         only = frozenset(t.strip() for t in args.themes.split(",") if t.strip())
+        for t in sorted(only):
+            if t not in doc.model.themes:
+                raise UnknownIdError(f"unknown theme id {t!r}")
 
     entries = []
     lines = [f"classify-relations {args.file}"]
@@ -212,7 +214,7 @@ def cmd_classify_relations(args, out, err) -> int:
 
 def cmd_synthesize(args, out, err) -> int:
     doc = _load_wellformed(args.file)
-    witness = synthesize_core_witness(doc.model, max_props=args.max_props)
+    witness = synthesize_core_witness(doc.model)
     data = to_dict(
         doc.model,
         witness.algebra,
@@ -242,6 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", help="model file (JSON)")
         p.add_argument("--format", choices=("human", "machine"), default="human")
+
+    def add_max_themes(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--max-themes",
             type=int,
@@ -255,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="graphic + chosen semantic constraint checks")
     add_common(p)
+    add_max_themes(p)
     p.add_argument(
         "--alpha",
         default="core",
@@ -264,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conclude", help="extensions and logico-rhetorical conclusion")
     add_common(p)
+    add_max_themes(p)
     p.add_argument("--themes", help="comma-separated theme set")
     p.add_argument("--semantics", choices=semantics.SEMANTICS_IDS, default="grounded")
     p.add_argument(
@@ -275,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify-relations", help="semantic labels per relation")
     add_common(p)
+    add_max_themes(p)
     p.add_argument("--themes", help="restrict to one theme set")
     p.set_defaults(func=cmd_classify_relations)
 
     p = sub.add_parser("synthesize", help="complete a graph with a Core-satisfying interpretation")
-    add_common(p)
+    p.add_argument("file", help="model file (JSON)")
     p.add_argument("--output", "-o", help="write the completed model file here")
-    p.add_argument("--max-props", type=int, default=20, help="cap on synthesized propositions")
     p.set_defaults(func=cmd_synthesize)
     return parser
 

@@ -57,10 +57,11 @@ def _subset_masks(table: AspectTable, max_themes: int) -> list[int]:
     return [table.mask(c) for c in theme_subsets(table.names, max_themes)]
 
 
-def _render(table: AspectTable, mask: int | None, index=None) -> str:
+def _render(table: AspectTable, mask: int | None) -> str:
     if mask is None:
         return "<absent>"
-    return render_element(Element(table.algebra, mask), preferred=index, max_atoms=8)
+    element = Element(table.algebra, mask)
+    return render_element(element, preferred=table.interp.formulas, max_atoms=8)
 
 
 def _comparable(u: int, v: int) -> bool:
@@ -146,7 +147,7 @@ def _relation_cases(
 
 
 def _relation_violations(
-    table: AspectTable, cases: list[tuple[Relation, list[int]]], cid: str, formula_index=None
+    table: AspectTable, cases: list[tuple[Relation, list[int]]], cid: str
 ) -> list[Violation]:
     """Violations of relation constraint ``cid`` on (relation, theme masks) cases."""
     out: list[Violation] = []
@@ -160,8 +161,8 @@ def _relation_violations(
                     detail = text.format(
                         pair=r.pair,
                         themes=t_key,
-                        u=_render(table, u, formula_index),
-                        v=_render(table, v, formula_index),
+                        u=_render(table, u),
+                        v=_render(table, v),
                     )
                     out.append(
                         Violation(
@@ -323,20 +324,18 @@ def check_core(
     model: Model,
     interp: Interpretation,
     max_themes: int = MAX_THEMES,
-    formula_index=None,
 ) -> dict[str, list[Violation]]:
     """Check aass, i, vi, bat, pr, mat, manss and ss."""
     table = AspectTable(interp, model)
     subsets = _subset_masks(table, max_themes)
     cases = _relation_cases(table, "aass", max_themes)
-    return _sorted(_core(table, subsets, cases, formula_index))
+    return _sorted(_core(table, subsets, cases))
 
 
 def _core(
     table: AspectTable,
     subsets: list[int],
     cases: list[tuple[Relation, list[int]]],
-    formula_index=None,
 ) -> dict[str, list[Violation]]:
     """Core at the theme masks ``subsets`` and, for aass, on relation ``cases``.
 
@@ -344,7 +343,7 @@ def _core(
     """
     model, key, row = table.model, table.key, table.row
     out: dict[str, list[Violation]] = {cid: [] for cid in CORE_IDS}
-    out["aass"] = _relation_violations(table, cases, "aass", formula_index)
+    out["aass"] = _relation_violations(table, cases, "aass")
 
     for tmask in subsets:
         omega = row(tmask, OMEGA)
@@ -500,31 +499,29 @@ def check_das(
     model: Model,
     interp: Interpretation,
     max_themes: int = MAX_THEMES,
-    formula_index=None,
 ) -> list[Violation]:
     """Attacks must be incomparable, supports equal, per relation and theme set.
 
     Pairs with an absent effective aspect are skipped here; aass already
     reports those.
     """
-    return _check_relations(model, interp, max_themes, DAS, formula_index)
+    return _check_relations(model, interp, max_themes, DAS)
 
 
 def check_nwci(
     model: Model,
     interp: Interpretation,
     max_themes: int = MAX_THEMES,
-    formula_index=None,
 ) -> list[Violation]:
     """No weakened contradictions and no incomparable alternatives on attacks."""
-    return _check_relations(model, interp, max_themes, NWCI, formula_index)
+    return _check_relations(model, interp, max_themes, NWCI)
 
 
 def _check_relations(
-    model: Model, interp: Interpretation, max_themes: int, cid: str, formula_index
+    model: Model, interp: Interpretation, max_themes: int, cid: str
 ) -> list[Violation]:
     table = AspectTable(interp, model)
-    out = _relation_violations(table, _relation_cases(table, cid, max_themes), cid, formula_index)
+    out = _relation_violations(table, _relation_cases(table, cid, max_themes), cid)
     out.sort(key=Violation.sort_key)
     return out
 
@@ -537,12 +534,12 @@ def _check_relations(
 def check_fresh_aspects(
     model: Model,
     interp: Interpretation,
-    max_themes: int = MAX_THEMES,
-    formula_index=None,
 ) -> dict[str, list[Violation]]:
-    """Check faD and faW: no statements-set may contain redundancy."""
-    del max_themes  # quantification here is over statements and their themes
-    return _sorted(_fresh_aspects(AspectTable(interp, model), _anchors(model), formula_index))
+    """Check faD and faW: no statements-set may contain redundancy.
+
+    They range over statements and their themes, so no theme cap applies.
+    """
+    return _sorted(_fresh_aspects(AspectTable(interp, model), _anchors(model)))
 
 
 def _anchors(model: Model) -> list[tuple[str, str]]:
@@ -552,7 +549,7 @@ def _anchors(model: Model) -> list[tuple[str, str]]:
 
 
 def _fresh_aspects(
-    table: AspectTable, anchors: list[tuple[str, str]], formula_index=None
+    table: AspectTable, anchors: list[tuple[str, str]]
 ) -> dict[str, list[Violation]]:
     """faW and faD on the statements-sets of each (statement, theme) anchor."""
     out: dict[str, list[Violation]] = {cid: [] for cid in FRESH_ASPECT_IDS}
@@ -566,10 +563,7 @@ def _fresh_aspects(
                     if witness is None:
                         continue
                     shared = "{" + ", ".join(
-                        sorted(
-                            render_element(e, preferred=formula_index, max_atoms=8)
-                            for e in witness.shared
-                        )
+                        sorted(_render(table, e.mask) for e in witness.shared)
                     ) + "}"
                     out[cid].append(
                         Violation(
@@ -647,19 +641,18 @@ def run_group(
     interp: Interpretation,
     group: str,
     max_themes: int = MAX_THEMES,
-    formula_index=None,
 ) -> dict[str, list[Violation]]:
     """Violations of one constraint group, keyed by constraint id."""
     if group == CORE:
-        return check_core(model, interp, max_themes, formula_index)
+        return check_core(model, interp, max_themes)
     if group == E:
         return check_exact_region(model, interp, max_themes)
     if group == DAS:
-        return {"das": check_das(model, interp, max_themes, formula_index)}
+        return {"das": check_das(model, interp, max_themes)}
     if group == NWCI:
-        return {"nwci": check_nwci(model, interp, max_themes, formula_index)}
+        return {"nwci": check_nwci(model, interp, max_themes)}
     if group == F:
-        return check_fresh_aspects(model, interp, max_themes, formula_index)
+        return check_fresh_aspects(model, interp)
     raise ValueError(f"unknown constraint group {group!r}")
 
 
@@ -679,14 +672,13 @@ def classify_normal_form(
     interp: Interpretation,
     alpha: Iterable[str],
     max_themes: int = MAX_THEMES,
-    formula_index=None,
 ) -> NormalFormVerdict:
     """Whether the model is alpha-normal with respect to the interpretation."""
     chosen = validate_alpha(alpha)
     violations: list[Violation] = []
     for group in ALPHA_GROUPS:  # fixed order keeps reports deterministic
         if group in chosen:
-            for vs in run_group(model, interp, group, max_themes, formula_index).values():
+            for vs in run_group(model, interp, group, max_themes).values():
                 violations.extend(vs)
     violations.sort(key=Violation.sort_key)
     return NormalFormVerdict(chosen, not violations, tuple(violations))

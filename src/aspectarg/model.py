@@ -228,12 +228,15 @@ class Interpretation:
     ``default_mode='union'``, to the union of the singleton rows, except for
     summary pointers, whose aspects are context-dependent and therefore only
     ever explicit.  The empty theme set defaults to the empty aspect set.
+    ``formulas`` names elements in reports, e.g. by the formulas a model file
+    wrote for them.
     """
 
     algebra: Algebra
     theme_aspects: dict[frozenset[str], AspectSet] = field(default_factory=dict)
     statement_aspects: dict[tuple[frozenset[str], str], AspectSet] = field(default_factory=dict)
     default_mode: str = UNION
+    formulas: dict[Element, str] = field(default_factory=dict)
 
 
 #: A compiled aspect set: ``(full, element masks)``; a full row has no masks.

@@ -30,7 +30,7 @@ set is empty.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -61,9 +61,6 @@ class Document:
     algebra: Algebra
     interpretation: Interpretation
     has_interpretation: bool
-    #: Shortest authored formula per element, for readable reports.
-    formula_index: dict[Element, str] = field(default_factory=dict)
-    path: str | None = None
 
 
 def _expect(cond: bool, where: str, message: str) -> None:
@@ -86,9 +83,7 @@ def load_path(path: str | Path) -> Document:
         raise ModelFileError(f"cannot read {p}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ModelFileError(f"{p} is not UTF-8 text: {exc}") from exc
-    doc = loads(raw)
-    doc.path = str(p)
-    return doc
+    return loads(raw)
 
 
 def loads(text: str) -> Document:
@@ -169,20 +164,20 @@ def from_dict(data: Any) -> Document:
 
     interp_data = data.get("interpretation")
     has_interpretation = interp_data is not None
-    formula_index: dict[Element, str] = {}
+    # the shortest formula written for each element, to name it in reports
+    formulas: dict[Element, str] = {}
 
     def remember(formula: str, element: Element) -> None:
-        prev = formula_index.get(element)
+        prev = formulas.get(element)
         if prev is None or len(formula) < len(prev):
-            formula_index[element] = formula
+            formulas[element] = formula
 
     def parse_aspects(value: Any, where: str, allow_all: bool) -> AspectSet:
         if value == "ALL":
             _expect(allow_all, where, '"ALL" is only valid for theme aspects')
             return AspectSet(algebra, full=True)
-        formulas = _string_list(value, where)
         elements = set()
-        for f in formulas:
+        for f in _string_list(value, where):
             try:
                 element = evaluate(parse(f), algebra)
             except (FormulaError, AspectArgError) as exc:
@@ -228,8 +223,8 @@ def from_dict(data: Any) -> Document:
                 entry.get("aspects"), where + ".aspects", False
             )
 
-    interp = Interpretation(algebra, theme_rows, statement_rows, default_mode)
-    return Document(model, algebra, interp, has_interpretation, formula_index)
+    interp = Interpretation(algebra, theme_rows, statement_rows, default_mode, formulas)
+    return Document(model, algebra, interp, has_interpretation)
 
 
 def to_dict(
@@ -238,7 +233,6 @@ def to_dict(
     *,
     theme_rows_all: list[frozenset[str]] | None = None,
     statement_formulas: dict[tuple[frozenset[str], str], list[str]] | None = None,
-    default_mode: str = UNION,
 ) -> dict:
     """Serialise a model (and, optionally, a synthesized interpretation)."""
     out: dict[str, Any] = {
@@ -263,7 +257,7 @@ def to_dict(
                 "themes": sorted(r.themes),
             }
         )
-    interp: dict[str, Any] = {"default": default_mode, "theme_aspects": [], "statement_aspects": []}
+    interp: dict[str, Any] = {"default": UNION, "theme_aspects": [], "statement_aspects": []}
     for key in sorted(theme_rows_all or [], key=lambda k: (len(k), sorted(k))):
         interp["theme_aspects"].append({"themes": sorted(key), "aspects": "ALL"})
     rows = statement_formulas or {}

@@ -30,10 +30,10 @@ def violation_to_dict(v: Violation) -> dict[str, Any]:
     return out
 
 
-def render_aspect(element: Element | None, formula_index: Mapping[Element, str]) -> str:
+def render_aspect(element: Element | None, formulas: Mapping[Element, str]) -> str:
     if element is None:
         return "<absent>"
-    return render_element(element, preferred=formula_index)
+    return render_element(element, preferred=formulas)
 
 
 def violations_block(groups: Mapping[str, list[Violation]]) -> dict[str, Any]:
@@ -44,11 +44,11 @@ def violations_block(groups: Mapping[str, list[Violation]]) -> dict[str, Any]:
     }
 
 
-def human_violations(groups: Mapping[str, list[Violation]], indent: str = "  ") -> list[str]:
+def human_violations(groups: Mapping[str, list[Violation]]) -> list[str]:
     lines = []
     for cid in sorted(groups):
         for v in groups[cid]:
-            lines.append(f"{indent}[{cid}] {v.detail}")
+            lines.append(f"  [{cid}] {v.detail}")
     return lines
 
 

@@ -37,7 +37,6 @@ class SubModel:
     """Restriction of a model to the statements and relations of a theme set."""
 
     model: Model
-    parent_themes: frozenset[str]
 
 
 def sub_model(model: Model, themes: Iterable[str]) -> SubModel | None:
@@ -66,7 +65,7 @@ def sub_model(model: Model, themes: Iterable[str]) -> SubModel | None:
         {s.id: model.themes_of(s.id) & t for s in kept_statements},
         relations,
     )
-    return SubModel(restricted, t)
+    return SubModel(restricted)
 
 
 # ---------------------------------------------------------------------------
@@ -74,28 +73,23 @@ def sub_model(model: Model, themes: Iterable[str]) -> SubModel | None:
 # ---------------------------------------------------------------------------
 
 
-def attack_graph(model: Model) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
-    args = frozenset(s.id for s in model.statements)
-    attacks = frozenset(r.pair for r in model.relations if ATTACK in r.rel_types)
-    return args, attacks
-
-
 class _AttackIndex:
-    """An attack graph on bit positions.
+    """The attack projection of a model on bit positions.
 
     Statements are numbered in sorted order and sets of them are ``int``
     masks; each statement has a mask of its attackers and one of its targets.
     """
 
-    def __init__(self, args: frozenset[str], attacks: frozenset[tuple[str, str]]):
-        self.order = sorted(args)
+    def __init__(self, model: Model):
+        self.order = sorted(s.id for s in model.statements)
         pos = {a: i for i, a in enumerate(self.order)}
         self.everyone = (1 << len(self.order)) - 1
         self.attackers = [0] * len(self.order)
         self.targets = [0] * len(self.order)
-        for a, b in attacks:
-            self.attackers[pos[b]] |= 1 << pos[a]
-            self.targets[pos[a]] |= 1 << pos[b]
+        for r in model.relations:
+            if ATTACK in r.rel_types:
+                self.attackers[pos[r.target]] |= 1 << pos[r.source]
+                self.targets[pos[r.source]] |= 1 << pos[r.target]
         self.self_attacking = sum(
             1 << i for i, targets in enumerate(self.targets) if targets >> i & 1
         )
@@ -114,6 +108,15 @@ class _AttackIndex:
             if not attackers & ~attacked:
                 out |= 1 << i
         return out
+
+    def grounded(self) -> int:
+        """The least fixed point of the defence operator."""
+        current = 0
+        while True:
+            nxt = self.defended(self.attacked_by(current))
+            if nxt == current:
+                return current
+            current = nxt
 
     def conflict_free_sets(self) -> Iterator[tuple[int, int, int]]:
         """``(S, attacked_by(S), attackers_of(S))`` for every conflict-free S.
@@ -140,32 +143,18 @@ class _AttackIndex:
         return frozenset(a for i, a in enumerate(self.order) if s >> i & 1)
 
 
-def grounded_extension(
-    args: frozenset[str], attacks: frozenset[tuple[str, str]]
-) -> frozenset[str]:
-    """Least fixed point of the defence operator; ``attacks`` are pairs of ``args``."""
-    index = _AttackIndex(args, attacks)
-    current = 0
-    while True:
-        nxt = index.defended(index.attacked_by(current))
-        if nxt == current:
-            return index.members(current)
-        current = nxt
-
-
 def extensions(sub: SubModel, semantics: str) -> frozenset[frozenset[str]]:
     """Extensions of the sub-model's attack projection under a semantics."""
     if semantics not in SEMANTICS_IDS:
         raise ValueError(f"unknown semantics {semantics!r}; choose from {SEMANTICS_IDS}")
-    args, attacks = attack_graph(sub.model)
+    index = _AttackIndex(sub.model)
     if semantics == "grounded":
-        return frozenset([grounded_extension(args, attacks)])
-    if len(args) > MAX_ENUMERATED_STATEMENTS:
+        return frozenset([index.members(index.grounded())])
+    if len(index.order) > MAX_ENUMERATED_STATEMENTS:
         raise CapExceeded(
-            f"{len(args)} statements exceed the subset-enumeration cap "
+            f"{len(index.order)} statements exceed the subset-enumeration cap "
             f"{MAX_ENUMERATED_STATEMENTS} for {semantics} semantics"
         )
-    index = _AttackIndex(args, attacks)
     candidates = index.conflict_free_sets()
     if semantics == "naive":
         found = _maximal_masks(s for s, _, _ in candidates)

@@ -39,9 +39,8 @@ interpretation exist; synthesis reports that instead of looping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .algebra import Algebra, Element, mk_algebra, sup_set
+from .algebra import MAX_PROPS, Algebra, Element, mk_algebra
 from .errors import (
     CapExceeded,
     CoreUnsatisfiableError,
@@ -50,17 +49,15 @@ from .errors import (
     SynthesisError,
 )
 from .model import (
-    MAX_THEMES,
     UNION,
     AspectSet,
     Interpretation,
     Model,
     Statement,
+    theme_subsets,
     validate_wellformed,
 )
 from .constraints import all_violations, check_core, check_graphic
-
-SYNTHESIS_PROP_CAP = 20
 
 
 def aspect_support(model: Model, stmt: Statement) -> frozenset[str]:
@@ -82,10 +79,12 @@ class SynthesizedWitness:
     statement_formulas: dict[tuple[frozenset[str], str], list[str]]
 
 
-def synthesize_core_witness(
-    model: Model, *, max_props: int = SYNTHESIS_PROP_CAP
-) -> SynthesizedWitness:
-    """Build and self-verify a Core-satisfying algebra and interpretation."""
+def synthesize_core_witness(model: Model) -> SynthesizedWitness:
+    """Build and self-verify a Core-satisfying algebra and interpretation.
+
+    Inputs whose witness needs more than :data:`~aspectarg.algebra.MAX_PROPS`
+    propositions are refused, so every witness loads as a model file.
+    """
     graphic = check_graphic(model)
     failed = sorted(cid for cid in ("tr", "nsa", "nnp", "kos") if graphic[cid])
     if failed:
@@ -121,26 +120,26 @@ def synthesize_core_witness(
 
     chain_len = n + n * m + m
     total_props = m * chain_len
-    if total_props > max_props:
+    if total_props > MAX_PROPS:
         raise CapExceeded(
             f"witness needs {total_props} propositions "
-            f"({m} themes x chain length {chain_len}), above the cap {max_props}"
+            f"({m} themes x chain length {chain_len}), above the cap {MAX_PROPS}"
         )
 
     prop_names = [f"w{j}_{i}" for j in range(1, m + 1) for i in range(1, chain_len + 1)]
-    algebra = mk_algebra(prop_names, max_props=max_props)
+    algebra = mk_algebra(prop_names)
 
     # chain[j][i] = w{j}_1 | ... | w{j}_i  (1-based i); strictly increasing in i
     chain: dict[int, dict[int, Element]] = {}
     chain_formula: dict[int, dict[int, str]] = {}
     for j in range(1, m + 1):
         chain[j], chain_formula[j] = {}, {}
-        acc: list[Element] = []
+        joined = algebra.bottom
         names: list[str] = []
         for i in range(1, chain_len + 1):
-            acc.append(algebra.prop(f"w{j}_{i}"))
+            joined = joined | algebra.prop(f"w{j}_{i}")
             names.append(f"w{j}_{i}")
-            chain[j][i] = sup_set(algebra, acc)
+            chain[j][i] = joined
             chain_formula[j][i] = " | ".join(names)
 
     ordinary_index = {sid: i + 1 for i, sid in enumerate(ordinary)}
@@ -171,29 +170,28 @@ def synthesize_core_witness(
             statement_rows[key], statement_formulas[key] = row_for(stmt, t)
         if stmt.is_summary_pointer and eligible:
             # summary pointers never default across theme sets: spell out unions
-            for size in range(2, m + 1):
-                for combo in combinations(themes, size):
-                    chosen = [t for t in combo if t in eligible]
-                    if not chosen:
-                        continue
-                    key = (frozenset(combo), stmt.id)
-                    merged = AspectSet(algebra)
-                    formulas: list[str] = []
-                    for t in chosen:
-                        row, fs = row_for(stmt, t)
-                        merged = merged.union(row)
-                        formulas.extend(fs)
-                    statement_rows[key] = merged
-                    statement_formulas[key] = formulas
+            for combo in theme_subsets(themes, min_size=2):
+                chosen = [t for t in combo if t in eligible]
+                if not chosen:
+                    continue
+                key = (frozenset(combo), stmt.id)
+                merged = AspectSet(algebra)
+                formulas: list[str] = []
+                for t in chosen:
+                    row, fs = row_for(stmt, t)
+                    merged = merged.union(row)
+                    formulas.extend(fs)
+                statement_rows[key] = merged
+                statement_formulas[key] = formulas
 
     theme_rows = {}
-    for size in range(1, m + 1):
-        for combo in combinations(themes, size):
-            theme_rows[frozenset(combo)] = AspectSet(algebra, full=True)
+    for combo in theme_subsets(themes, min_size=1):
+        theme_rows[frozenset(combo)] = AspectSet(algebra, full=True)
 
     interp = Interpretation(algebra, theme_rows, statement_rows, UNION)
 
-    leftover = all_violations(check_core(model, interp, max_themes=max(MAX_THEMES, m)))
+    # m * m <= MAX_PROPS, so m is far below the theme cap of check_core
+    leftover = all_violations(check_core(model, interp))
     if leftover:
         raise SynthesisError(
             "synthesized interpretation failed self-verification: "

@@ -160,8 +160,34 @@ class TestModelFileSchema:
         loaded = loads(json.dumps(doc))
         assert not loaded.has_interpretation
 
+    def test_interpretation_names_each_element_by_its_shortest_formula(self):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["interpretation"]["statement_aspects"][0]["aspects"] = ["p | p & p", "~~p", "~p"]
+        interp = loads(json.dumps(doc)).interpretation
+        p = interp.algebra.prop("p")
+        assert interp.formulas == {p: "~~p", ~p: "~p"}
+
 
 class TestCheck:
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_library_details_match_the_report(self, name):
+        from aspectarg.constraints import ALPHA_GROUPS, classify_normal_form
+        from aspectarg.modelfile import load_path
+
+        doc = load_path(path(name))
+        verdict = classify_normal_form(doc.model, doc.interpretation, ALPHA_GROUPS)
+        code, out, _ = invoke(
+            "check", path(name), "--alpha", ",".join(ALPHA_GROUPS), "--format", "machine"
+        )
+        assert code in (0, 1)
+        reported = [
+            (cid, v["detail"])
+            for group in json.loads(out)["semantic"].values()
+            for cid, vs in group.items()
+            for v in vs
+        ]
+        assert sorted(reported) == sorted((v.constraint, v.detail) for v in verdict.violations)
+
     def test_fear_appeal_core_fallacy(self):
         code, out, _ = invoke("check", path("fear_appeal"), "--alpha", "core")
         assert code == 1
@@ -310,6 +336,12 @@ class TestClassifyRelations:
         report = json.loads(out)
         assert all(entry["theme_set"] == ["t1"] for entry in report["relations"])
 
+    def test_undeclared_theme_is_an_error(self):
+        code, out, err = invoke("classify-relations", path("fear_appeal"), "--themes", "t1,bogus")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown theme id 'bogus'\n"
+
 
     def test_relation_over_the_theme_cap_is_refused_before_classifying(
         self, tmp_path, monkeypatch
@@ -409,6 +441,31 @@ class TestSynthesize:
         assert code == 2
         assert "nnp" in err
 
+    @pytest.mark.parametrize("ordinary, props", [(9, 19), (10, 21)])
+    def test_witness_stays_within_the_proposition_cap(self, tmp_path, ordinary, props):
+        # one theme and n ordinary statements need 2n + 1 propositions
+        graph = {
+            "themes": ["t1"],
+            "props": ["p"],
+            "statements": [
+                {"id": f"a{i}", "kind": "ordinary", "themes": ["t1"]} for i in range(ordinary)
+            ],
+            "relations": [],
+        }
+        src, witness = tmp_path / "graph.json", tmp_path / "witness.json"
+        src.write_text(json.dumps(graph))
+        code, _, err = invoke("synthesize", str(src), "-o", str(witness))
+        if props > 20:
+            assert code == 2
+            assert err == (
+                f"error: witness needs {props} propositions "
+                f"(1 themes x chain length {props}), above the cap 20\n"
+            )
+            assert not witness.exists()
+        else:
+            assert code == 0
+            assert invoke("validate", str(witness))[0] == 0
+
     def test_oversized_graph_reports_cap(self, tmp_path):
         themes = ["t1", "t2", "t3"]
         graph = {
@@ -446,6 +503,21 @@ class TestSynthesize:
         assert code == 0
         witness = loads(out)
         assert witness.has_interpretation
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--max-themes", "5"),
+        ("synthesize", "--max-themes", "5"),
+        ("synthesize", "--format", "machine"),
+        ("synthesize", "--max-props", "30"),
+    ],
+)
+def test_removed_options_are_usage_errors(argv, capsys):
+    command, *options = argv
+    assert invoke(command, path("fear_appeal"), *options)[0] == 2
+    assert "unrecognized arguments: " + " ".join(options) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
