@@ -39,7 +39,7 @@ def _prop_mask(k: int, i: int) -> int:
         width *= 2
     return mask
 
-#: Default cap on the number of propositions (2**20 minterm bits per element).
+#: Cap on the number of propositions (2**20 minterm bits per element).
 MAX_PROPS = 20
 
 #: Largest carrier we are willing to enumerate (2**2**k elements).
@@ -150,9 +150,7 @@ class Element:
         return f"Element({self.mask:#x} over {self.algebra.props})"
 
 
-def mk_algebra(
-    props: Sequence[str], *, max_props: int = MAX_PROPS, allow_trivial: bool = False
-) -> Algebra:
+def mk_algebra(props: Sequence[str], *, allow_trivial: bool = False) -> Algebra:
     """Build the algebra whose atoms are the full conjunctions of literals over ``props``."""
     names = tuple(props)
     if not names and not allow_trivial:
@@ -163,8 +161,8 @@ def mk_algebra(
     for n in names:
         if not n:
             raise AlgebraError("proposition names must be non-empty")
-    if len(names) > max_props:
-        raise CapExceeded(f"{len(names)} propositions exceed the cap of {max_props}")
+    if len(names) > MAX_PROPS:
+        raise CapExceeded(f"{len(names)} propositions exceed the cap of {MAX_PROPS}")
     return Algebra(names)
 
 

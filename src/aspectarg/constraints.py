@@ -34,7 +34,7 @@ from .model import (
     row_subset,
     theme_subsets,
 )
-from .statements_sets import MINREP_CAP, _redundancy, statements_sets
+from .statements_sets import _redundancy, statements_sets
 
 GRAPHIC_IDS = ("tr", "nnp", "nsa", "kos", "nss")
 CORE_IDS = ("aass", "i", "vi", "bat", "pr", "mat", "manss", "ss")
@@ -553,13 +553,12 @@ def _fresh_aspects(
 ) -> dict[str, list[Violation]]:
     """faW and faD on the statements-sets of each (statement, theme) anchor."""
     out: dict[str, list[Violation]] = {cid: [] for cid in FRESH_ASPECT_IDS}
-    memo: dict = {}
     for sid, t in anchors:
         for rel in (ATTACK, SUPPORT):
             widths, depths = statements_sets(table.model, sid, t, rel)
             for cid, sets in (("faW", widths), ("faD", depths)):
                 for sset in sets:
-                    witness = _redundancy(table, t, sset.members, MINREP_CAP, memo)
+                    witness = _redundancy(table, t, sset.members)
                     if witness is None:
                         continue
                     shared = "{" + ", ".join(

@@ -47,7 +47,7 @@ def sub_model(model: Model, themes: Iterable[str]) -> SubModel | None:
     Typing is intersected with T (attack/support types are kept).
     """
     t = frozenset(themes)
-    for th in t:
+    for th in sorted(t):
         if th not in model.themes:
             raise UnknownIdError(f"unknown theme id {th!r}")
     kept_statements = [s for s in model.statements if model.themes_of(s.id) & t]

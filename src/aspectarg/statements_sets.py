@@ -94,71 +94,56 @@ def statements_sets(
     return [width_statements_set(model, s, t, rel)], depth_statements_sets(model, s, t, rel)
 
 
-def minimal_representations_of(
-    algebra, elements: Iterable[Element], cap: int = MINREP_CAP
-) -> list[frozenset[Element]]:
+def minimal_representations_of(algebra, elements: Iterable[Element]) -> list[frozenset[Element]]:
     """All inclusion-minimal subsets with the same infimum as the whole set."""
     masks = {e.mask for e in elements}
     return [
         frozenset(Element(algebra, m) for m in rep)
-        for rep in _minimal_representations(masks, algebra.full_mask, cap)
+        for rep in _minimal_representations(masks, algebra.full_mask)
     ]
 
 
-def _minimal_representations(
-    masks: Iterable[int], full: int, cap: int
-) -> list[frozenset[int]]:
-    """:func:`minimal_representations_of` on element masks."""
-    elems = sorted(masks)
-    if len(elems) > cap:
+def _capped(size: int) -> int:
+    """``size``, if a set that large may be searched for minimal representations."""
+    if size > MINREP_CAP:
         raise CapExceeded(
-            f"aspect set of size {len(elems)} exceeds the minimal-representation cap {cap}"
+            f"aspect set of size {size} exceeds the minimal-representation cap {MINREP_CAP}"
         )
-
-    def meet(bits: int) -> int:
-        out = full
-        for i, m in enumerate(elems):
-            if bits >> i & 1:
-                out &= m
-        return out
-
-    n = len(elems)
-    target = meet((1 << n) - 1)
-    by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for bits in range(1 << n):
-        by_size[bits.bit_count()].append(bits)
-    found: list[frozenset[int]] = []
-    # Breadth-first by subset size: the first hits at each size are minimal
-    # unless they contain a smaller hit.
-    for subsets in by_size:
-        for bits in subsets:
-            if meet(bits) != target:
-                continue
-            fs = frozenset(m for i, m in enumerate(elems) if bits >> i & 1)
-            if not any(prev < fs for prev in found):
-                found.append(fs)
-    return found
+    return size
 
 
-def _row_representations(table: AspectTable, tmask: int, s: str, cap: int) -> list[frozenset[int]]:
-    full, masks = table.row(tmask, s)
-    if full:
-        carrier = table.algebra.carrier_size
-        if carrier > cap:
-            raise CapExceeded(
-                f"aspect set of size {carrier} exceeds the minimal-representation cap {cap}"
-            )
-        masks = range(carrier)
-    return _minimal_representations(masks, table.algebra.full_mask, cap)
+def _minimal_representations(masks: Iterable[int], full: int) -> list[frozenset[int]]:
+    """:func:`minimal_representations_of` on element masks, smallest first."""
+    elems = sorted(masks)
+    n = _capped(len(elems))
+    # meet[b] is the infimum of the elements whose indices are the bits of b
+    meet = [full] * (1 << n)
+    for b in range(1, 1 << n):
+        low = b & -b
+        meet[b] = meet[b ^ low] & elems[low.bit_length() - 1]
+    target = meet[-1]
+    # Dropping an element only raises the meet, so a hit is minimal iff no
+    # one-element-smaller subset hits.
+    hits = [
+        b
+        for b in range(1 << n)
+        if meet[b] == target and all(meet[b ^ 1 << i] != target for i in range(n) if b >> i & 1)
+    ]
+    hits.sort(key=int.bit_count)
+    return [frozenset(m for i, m in enumerate(elems) if b >> i & 1) for b in hits]
 
 
 def minimal_representations(
-    interp: Interpretation, model: Model, themes: Iterable[str], s: str, cap: int = MINREP_CAP
+    interp: Interpretation, model: Model, themes: Iterable[str], s: str
 ) -> list[frozenset[Element]]:
     """Minimal representations of the aspect set of ``s`` for a theme set."""
     table = AspectTable(interp, model)
-    reps = _row_representations(table, table.mask(themes), s, cap)
-    return [frozenset(Element(interp.algebra, m) for m in rep) for rep in reps]
+    full, masks = table.row(table.mask(themes), s)
+    algebra = interp.algebra
+    if full:
+        masks = range(_capped(algebra.carrier_size))
+    reps = _minimal_representations(masks, algebra.full_mask)
+    return [frozenset(Element(algebra, m) for m in rep) for rep in reps]
 
 
 @dataclass(frozen=True)
@@ -169,11 +154,7 @@ class RedundancyWitness:
 
 
 def contains_redundancy(
-    interp: Interpretation,
-    model: Model,
-    t: str,
-    statement_ids: Iterable[str],
-    cap: int = MINREP_CAP,
+    interp: Interpretation, model: Model, t: str, statement_ids: Iterable[str]
 ) -> RedundancyWitness | None:
     """A witness pair sharing a minimal representation for theme ``{t}``, if any.
 
@@ -181,32 +162,38 @@ def contains_redundancy(
     at one theme set; the singleton ``{t}`` of the enclosing statements-set is
     used.
     """
-    return _redundancy(AspectTable(interp, model), t, statement_ids, cap, {})
+    return _redundancy(AspectTable(interp, model), t, statement_ids)
 
 
 def _redundancy(
-    table: AspectTable,
-    t: str,
-    statement_ids: Iterable[str],
-    cap: int,
-    memo: dict[tuple[int, str], set[frozenset[int]]],
+    table: AspectTable, t: str, statement_ids: Iterable[str]
 ) -> RedundancyWitness | None:
-    """:func:`contains_redundancy` over one table; ``memo`` keeps the
-    representations of each (theme mask, statement) row for later calls."""
-    tmask = table.mask([t])
+    """:func:`contains_redundancy` over one table, decided by infima.
+
+    Whether R is a minimal representation depends only on R and the infimum it
+    must reach.  So S1 and S2 share one iff inf S1 = inf S2 = inf(S1 & S2), and
+    the shared ones are the minimal representations of S1 & S2.
+    """
+    tmask, full = table.mask([t]), table.algebra.full_mask
     ids = sorted(set(statement_ids))
-    reps = {}
-    for sid in ids:
-        got = memo.get((tmask, sid))
-        if got is None:
-            got = memo[(tmask, sid)] = set(_row_representations(table, tmask, sid, cap))
-        reps[sid] = got
+    infs = [table.inf(tmask, sid) for sid in ids]
+    infs = [full if m is None else m for m in infs]  # an empty row meets to the top
     for i, s1 in enumerate(ids):
-        for s2 in ids[i + 1 :]:
-            shared = reps[s1] & reps[s2]
-            if shared:
-                first = min(shared, key=sorted)
-                return RedundancyWitness(
-                    s1, s2, frozenset(Element(table.algebra, m) for m in first)
-                )
+        for j in range(i + 1, len(ids)):
+            if infs[i] != infs[j]:
+                continue
+            (full1, row1), (full2, row2) = table.row(tmask, s1), table.row(tmask, ids[j])
+            if full1 and full2:
+                first = frozenset([0])  # both carriers hold the bottom, their infimum
+            else:
+                common = row2 if full1 else row1 if full2 else row1 & row2
+                meet = full
+                for m in common:
+                    meet &= m
+                if meet != infs[i]:
+                    continue
+                first = min(_minimal_representations(common, full), key=sorted)
+            return RedundancyWitness(
+                s1, ids[j], frozenset(Element(table.algebra, m) for m in first)
+            )
     return None

@@ -130,6 +130,53 @@ def oracle_depth_sets(model: Model, s: str, t: str, rel: str) -> list[frozenset[
     return [q for q in qualifying if not any(q < other for other in qualifying)]
 
 
+def oracle_redundancy(
+    algebra: Algebra, rows: dict[str, frozenset[int] | None]
+) -> tuple[str, str, frozenset[int]] | None:
+    """The first pair of statements (in id order) sharing a minimal
+    representation, with the least shared one by sorted masks, else ``None``.
+
+    ``rows`` maps statements to element masks, ``None`` standing for the
+    full carrier.  R is a minimal representation of S when R is a subset of
+    S with inf R = inf S (the empty meet being the top) and no proper subset
+    of R has that infimum.  Candidates are every subset of both rows, taken
+    in lexicographic order of their sorted masks.
+    """
+
+    def members(sid: str) -> set[int]:
+        row = rows[sid]
+        return set(range(algebra.carrier_size)) if row is None else set(row)
+
+    def inf(masks) -> int:
+        out = algebra.full_mask
+        for m in masks:
+            out &= m
+        return out
+
+    def minimal_representation(r: tuple[int, ...], row: set[int]) -> bool:
+        target = inf(row)
+        return (
+            set(r) <= row
+            and inf(r) == target
+            and not any(inf(q) == target for n in range(len(r)) for q in combinations(r, n))
+        )
+
+    def subsets_in_order(elems: list[int]):
+        yield ()
+        for i, e in enumerate(elems):
+            for rest in subsets_in_order(elems[i + 1 :]):
+                yield (e,) + rest
+
+    ids = sorted(rows)
+    for i, s1 in enumerate(ids):
+        for s2 in ids[i + 1 :]:
+            a, b = members(s1), members(s2)
+            for r in subsets_in_order(sorted(a & b)):
+                if minimal_representation(r, a) and minimal_representation(r, b):
+                    return s1, s2, frozenset(r)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Brute-force Dung semantics oracle.
 # ---------------------------------------------------------------------------

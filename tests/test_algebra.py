@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectarg.algebra import (
+    MAX_PROPS,
     Element,
     atoms,
     disjoint_product,
@@ -46,8 +47,8 @@ class TestConstruction:
 
     def test_prop_cap(self):
         with pytest.raises(CapExceeded):
-            mk_algebra([f"p{i}" for i in range(25)])
-        mk_algebra([f"p{i}" for i in range(25)], max_props=30)
+            mk_algebra([f"p{i}" for i in range(MAX_PROPS + 1)])
+        assert mk_algebra([f"p{i}" for i in range(MAX_PROPS)]).k == MAX_PROPS == 20
 
 
 class TestLatticeOps:

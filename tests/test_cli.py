@@ -265,6 +265,51 @@ class TestCheck:
         assert out == ""
 
 
+def minterm_formula(props, mask):
+    """The element ``mask`` (a set of minterms) as a disjunction of minterms."""
+    return " | ".join(
+        "(" + " & ".join(p if m >> i & 1 else "~" + p for i, p in enumerate(props)) + ")"
+        for m in range(1 << len(props))
+        if mask >> m & 1
+    )
+
+
+def supporting_pair(tmp_path, row1, row2):
+    """A file where s2 supports s1 in one theme of a 3-proposition algebra,
+    with the statements' aspects given as element masks."""
+    props = ["a", "b", "c"]
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["props"] = props
+    doc["statements"] = [{"id": s, "kind": "ordinary", "themes": ["t"]} for s in ("s1", "s2")]
+    doc["relations"] = [{"from": "s2", "to": "s1", "types": ["support"], "themes": ["t"]}]
+    doc["interpretation"]["statement_aspects"] = [
+        {"themes": ["t"], "statement": s, "aspects": [minterm_formula(props, m) for m in row]}
+        for s, row in (("s1", row1), ("s2", row2))
+    ]
+    target = tmp_path / "pair.json"
+    target.write_text(json.dumps(doc))
+    return str(target)
+
+
+class TestFreshAspectSizes:
+    def test_a_row_past_the_cap_gets_a_verdict(self, tmp_path):
+        # s1 lists 20 elements whose meet is its own element 0b11, s2's only one
+        wide = [0b11 | x << 2 for x in range(20)]
+        pair = supporting_pair(tmp_path, wide, [0b11])
+        code, out, err = invoke("check", pair, "--alpha", "core,F")
+        assert (code, err) == (1, "")
+        assert "[faW] s1 and s2 share the minimal representation" in out
+        assert "verdict: {core,F}-fallacy" in out
+
+    def test_a_shared_part_past_the_cap_exits_2(self, tmp_path):
+        same = [0b11 | x << 2 for x in range(1, 18)]
+        pair = supporting_pair(tmp_path, same, same)
+        code, out, err = invoke("check", pair, "--alpha", "core,F")
+        assert code == 2
+        assert "aspect set of size 17 exceeds the minimal-representation cap 16" in err
+        assert out == ""
+
+
 class TestConclude:
     def test_fear_appeal_grounded(self):
         code, out, _ = invoke(
@@ -293,6 +338,22 @@ class TestConclude:
         code, out, _ = invoke("conclude", path("straw_man"), "--scan-logical")
         assert code == 0
         assert "none found" in out
+
+    def test_unknown_themes_are_named_in_sorted_order(self):
+        import os
+        import subprocess
+        import sys
+
+        errors = set()
+        for seed in range(1, 7):
+            proc = subprocess.run(
+                [sys.executable, "-m", "aspectarg.cli", "conclude", path("fear_appeal"),
+                 "--themes", "bogus2,bogus1"],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONHASHSEED=str(seed)),
+            )
+            assert proc.returncode == 2
+            errors.add(proc.stderr)
+        assert errors == {"error: unknown theme id 'bogus1'\n"}
 
     def test_needs_themes_or_scan(self):
         code, _, err = invoke("conclude", path("straw_man"))

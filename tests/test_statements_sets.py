@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aspectarg.algebra import mk_algebra
+from aspectarg.algebra import Element, mk_algebra
 from aspectarg.errors import CapExceeded
 from aspectarg.model import (
     ATTACK,
@@ -14,12 +16,13 @@ from aspectarg.model import (
     Statement,
 )
 from aspectarg.statements_sets import (
+    MINREP_CAP,
     contains_redundancy,
     minimal_representations,
     minimal_representations_of,
     statements_sets,
 )
-from helpers import oracle_depth_sets, oracle_width_sets
+from helpers import oracle_depth_sets, oracle_redundancy, oracle_width_sets
 
 
 def remark_graph():
@@ -136,12 +139,19 @@ class TestMinimalRepresentations:
         assert frozenset({bt, imp}) in reps
         assert len(reps) == 2
 
-    def test_cap(self, fig1):
-        from aspectarg.algebra import Element
-
-        big = [Element(fig1, m) for m in range(16)]
+    def test_cap(self):
+        a = mk_algebra(["x", "y", "z"])
         with pytest.raises(CapExceeded):
-            minimal_representations_of(fig1, big, cap=8)
+            minimal_representations_of(a, [Element(a, m) for m in range(MINREP_CAP + 1)])
+        reps = minimal_representations_of(a, [Element(a, m) for m in range(MINREP_CAP)])
+        assert reps[0] == frozenset({a.bottom})
+
+    def test_full_row_is_refused_before_enumerating_its_carrier(self):
+        a = mk_algebra([f"p{i}" for i in range(6)])  # 2**64 elements
+        model = Model.build(["t"], [Statement("s")], {"s": {"t"}}, [])
+        interp = Interpretation(a, {}, {(frozenset(["t"]), "s"): AspectSet(a, full=True)})
+        with pytest.raises(CapExceeded, match=f"size {a.carrier_size} exceeds"):
+            minimal_representations(interp, model, ["t"], "s")
 
     def test_lookup_based_entry_point(self, fig1, ev):
         model = Model.build(["t"], [Statement("s")], {"s": {"t"}}, [])
@@ -153,16 +163,75 @@ class TestMinimalRepresentations:
         assert minimal_representations(interp, model, ["t"], "s") == [frozenset({ev("~x")})]
 
 
+def redundancy_input(algebra, rows):
+    """A one-theme model and interpretation from statement -> element masks,
+    ``None`` standing for the full carrier."""
+    model = Model.build(["t"], [Statement(s) for s in rows], {s: {"t"} for s in rows}, [])
+    interp = Interpretation(
+        algebra,
+        {},
+        {
+            (frozenset(["t"]), sid): AspectSet(algebra, full=True)
+            if row is None
+            else AspectSet(algebra, frozenset(Element(algebra, m) for m in row))
+            for sid, row in rows.items()
+        },
+    )
+    return model, interp
+
+
+@st.composite
+def redundancy_rows(draw):
+    """Rows over a small pool of elements of a 1-3 proposition algebra, so
+    that infima often coincide; empty and full rows included."""
+    algebra = mk_algebra(["x", "y", "z"][: draw(st.integers(1, 3))])
+    pool = draw(
+        st.lists(st.integers(0, algebra.carrier_size - 1), min_size=1, max_size=6, unique=True)
+    )
+    rows = draw(st.lists(st.frozensets(st.sampled_from(pool), max_size=5), min_size=1, max_size=4))
+    full = draw(st.sets(st.integers(0, len(rows) - 1), max_size=2))
+    return algebra, {f"s{i}": None if i in full else row for i, row in enumerate(rows)}
+
+
 class TestRedundancy:
-    def make(self, rows, fig1):
-        ids = sorted({sid for _, sid in rows})
-        model = Model.build(["t"], [Statement(s) for s in ids], {s: {"t"} for s in ids}, [])
-        interp = Interpretation(
-            fig1,
-            {},
-            {(frozenset(["t"]), sid): AspectSet(fig1, frozenset(elems)) for (elems, sid) in rows},
+    def make(self, rows, algebra):
+        return redundancy_input(
+            algebra, {sid: frozenset(e.mask for e in elems) for elems, sid in rows}
         )
-        return model, interp
+
+    @settings(max_examples=400)
+    @given(redundancy_rows())
+    def test_matches_the_brute_force_oracle(self, case):
+        algebra, rows = case
+        model, interp = redundancy_input(algebra, rows)
+        witness = contains_redundancy(interp, model, "t", rows)
+        got = None if witness is None else (
+            witness.first, witness.second, frozenset(e.mask for e in witness.shared)
+        )
+        assert got == oracle_redundancy(algebra, rows)
+
+    def test_full_rows_share_the_bottom_past_the_cap(self):
+        # 256-element carriers: only the infima decide, nothing is enumerated
+        a = mk_algebra(["x", "y", "z"])
+        model, interp = redundancy_input(a, {"s1": None, "s2": None})
+        witness = contains_redundancy(interp, model, "t", ["s1", "s2"])
+        assert witness.shared == frozenset({a.bottom})
+
+    def test_a_full_row_meets_a_wide_row_inside_the_wide_row(self):
+        # the full row is cut down to the other row, so only its size counts
+        a = mk_algebra(["x", "y", "z"])
+        above = frozenset(1 | m << 1 for m in range(20))  # meets to 1, not to 0
+        model, interp = redundancy_input(a, {"s1": None, "s2": above})
+        assert contains_redundancy(interp, model, "t", ["s1", "s2"]) is None
+        wide = frozenset(range(1, 21))  # meets to 0, which it does not hold
+        model, interp = redundancy_input(a, {"s1": None, "s2": wide})
+        with pytest.raises(CapExceeded):
+            contains_redundancy(interp, model, "t", ["s1", "s2"])
+
+    def test_empty_rows_share_the_empty_representation(self, fig1):
+        model, interp = redundancy_input(fig1, {"s1": frozenset(), "s2": {fig1.full_mask}})
+        witness = contains_redundancy(interp, model, "t", ["s1", "s2"])
+        assert witness.shared == frozenset()
 
     def test_shared_singleton_representation(self, fig1, ev):
         a = mk_algebra(["opiumInducingSleep"])
