@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any
+from functools import cache
+from typing import Any, Callable
 
 from . import constraints, semantics
 from .constraints import ALPHA_GROUPS
@@ -38,11 +39,14 @@ def _load_wellformed(path: str) -> Document:
     return doc
 
 
-def _emit(report: dict[str, Any], human_lines: list[str], fmt: str, out) -> None:
+def _emit(
+    report: dict[str, Any], fmt: str, out, human_lines: Callable[[dict[str, Any]], list[str]]
+) -> None:
+    """Write the report as JSON, or as the lines ``human_lines(report)``."""
     if fmt == "machine":
         out.write(to_json(report))
     else:
-        out.write("\n".join(human_lines) + "\n")
+        out.write("\n".join(human_lines(report)) + "\n")
 
 
 def cmd_validate(args, out, err) -> int:
@@ -54,14 +58,19 @@ def cmd_validate(args, out, err) -> int:
         "wellformed": not problems,
         "violations": [v.detail for v in problems],
     }
-    lines = [f"validate {args.file}"]
+    _emit(report, args.format, out, _validate_lines)
+    return OK if not problems else ERROR
+
+
+def _validate_lines(report: dict[str, Any]) -> list[str]:
+    lines = [f"validate {report['file']}"]
+    problems = report["violations"]
     if problems:
         lines.append(f"not well-formed ({len(problems)} problem(s)):")
-        lines.extend(f"  {v.detail}" for v in problems)
+        lines.extend(f"  {detail}" for detail in problems)
     else:
         lines.append("well-formed")
-    _emit(report, lines, args.format, out)
-    return OK if not problems else ERROR
+    return lines
 
 
 def cmd_check(args, out, err) -> int:
@@ -92,26 +101,28 @@ def cmd_check(args, out, err) -> int:
         "graphic_violations": graphic_count,
         "semantic_violations": semantic_count,
     }
-    lines = [f"check {args.file}", f"alpha: {', '.join(g for g in ALPHA_GROUPS if g in alpha)}"]
-    if graphic_count:
-        lines.append(f"graphic constraints: {graphic_count} violation(s)")
-        lines.extend(human_violations(graphic))
-    else:
-        lines.append("graphic constraints: ok")
-    for group, groups in semantic.items():
-        count = sum(len(vs) for vs in groups.values())
-        if count:
-            lines.append(f"{group}: {count} violation(s)")
-            lines.extend(human_violations(groups))
-        else:
-            lines.append(f"{group}: ok")
-    lines.append(f"verdict: {report['verdict']}")
-    _emit(report, lines, args.format, out)
+    _emit(report, args.format, out, _check_lines)
     return OK if normal and graphic_count == 0 else FALLACY
 
 
-def _format_extension(ext: frozenset[str]) -> str:
-    return "{" + ", ".join(sorted(ext)) + "}"
+def _check_lines(report: dict[str, Any]) -> list[str]:
+    groups = [g for g in ALPHA_GROUPS if g in report["semantic"]]
+    lines = [f"check {report['file']}", f"alpha: {', '.join(groups)}"]
+    if report["graphic_violations"]:
+        lines.append(f"graphic constraints: {report['graphic_violations']} violation(s)")
+        lines.extend(human_violations(report["graphic"]))
+    else:
+        lines.append("graphic constraints: ok")
+    for group in groups:
+        block = report["semantic"][group]
+        count = sum(len(vs) for vs in block.values())
+        if count:
+            lines.append(f"{group}: {count} violation(s)")
+            lines.extend(human_violations(block))
+        else:
+            lines.append(f"{group}: ok")
+    lines.append(f"verdict: {report['verdict']}")
+    return lines
 
 
 def cmd_conclude(args, out, err) -> int:
@@ -125,36 +136,22 @@ def cmd_conclude(args, out, err) -> int:
         "file": args.file,
         "semantics": args.semantics,
     }
-    lines = [f"conclude {args.file} ({args.semantics} semantics)"]
     exit_code = OK
+    bottom = False
     if args.themes:
         themes = [t.strip() for t in args.themes.split(",") if t.strip()]
         exts, conclusion = semantics.conclude(
             doc.model, doc.interpretation, themes, args.semantics
         )
         report["themes"] = sorted(themes)
-        if exts is None:
-            report["defined"] = False
-            report["conclusion"] = None
-            lines.append(
-                f"themes {{{', '.join(sorted(themes))}}}: no conclusion (sub-model undefined)"
-            )
-        else:
-            exts = sorted(exts, key=sorted)
-            report["defined"] = True
-            report["extensions"] = [sorted(e) for e in exts]
-            report["conclusion"] = None
-            lines.append(f"themes: {{{', '.join(sorted(themes))}}}")
-            lines.append(
-                "extensions: " + (", ".join(_format_extension(e) for e in exts) or "(none)")
-            )
-            if conclusion is None:
-                lines.append("conclusion: none (no non-empty extension)")
-            else:
+        report["defined"] = exts is not None
+        report["conclusion"] = None
+        if exts is not None:
+            report["extensions"] = [sorted(e) for e in sorted(exts, key=sorted)]
+            if conclusion is not None:
                 report["conclusion"] = render_aspect(conclusion, doc.interpretation.formulas)
-                lines.append(f"conclusion: {report['conclusion']}")
                 if conclusion.is_bottom:
-                    lines.append("the conclusion is the inconsistent aspect: logical fallacy")
+                    bottom = True
                     exit_code = FALLACY
     if args.scan_logical:
         verdict = semantics.detect_logical_fallacy(
@@ -162,14 +159,35 @@ def cmd_conclude(args, out, err) -> int:
         )
         report["logical_fallacy"] = verdict.found
         if verdict.found:
-            witness = sorted(verdict.witness)
-            report["witness_themes"] = witness
-            lines.append(f"logical fallacy: conclusion is 0 at themes {{{', '.join(witness)}}}")
+            report["witness_themes"] = sorted(verdict.witness)
             exit_code = FALLACY
+    _emit(report, args.format, out, lambda r: _conclude_lines(r, bottom))
+    return exit_code
+
+
+def _conclude_lines(report: dict[str, Any], bottom: bool) -> list[str]:
+    lines = [f"conclude {report['file']} ({report['semantics']} semantics)"]
+    if "themes" in report:
+        themes = ", ".join(report["themes"])
+        if not report["defined"]:
+            lines.append(f"themes {{{themes}}}: no conclusion (sub-model undefined)")
+        else:
+            lines.append(f"themes: {{{themes}}}")
+            exts = ", ".join("{" + ", ".join(e) + "}" for e in report["extensions"])
+            lines.append("extensions: " + (exts or "(none)"))
+            if report["conclusion"] is None:
+                lines.append("conclusion: none (no non-empty extension)")
+            else:
+                lines.append(f"conclusion: {report['conclusion']}")
+                if bottom:
+                    lines.append("the conclusion is the inconsistent aspect: logical fallacy")
+    if "logical_fallacy" in report:
+        if report["logical_fallacy"]:
+            witness = ", ".join(report["witness_themes"])
+            lines.append(f"logical fallacy: conclusion is 0 at themes {{{witness}}}")
         else:
             lines.append("logical fallacy: none found")
-    _emit(report, lines, args.format, out)
-    return exit_code
+    return lines
 
 
 def cmd_classify_relations(args, out, err) -> int:
@@ -182,7 +200,6 @@ def cmd_classify_relations(args, out, err) -> int:
                 raise UnknownIdError(f"unknown theme id {t!r}")
 
     entries = []
-    lines = [f"classify-relations {args.file}"]
     # every relation's cap is checked before any relation is classified
     plans = []
     for r in sorted(doc.model.relations, key=lambda r: r.pair):
@@ -203,13 +220,17 @@ def cmd_classify_relations(args, out, err) -> int:
                     "labels": sorted(labels),
                 }
             )
-            lines.append(
-                f"  ({r.source} -> {r.target}) at {{{', '.join(sorted(t_set))}}}: "
-                + ", ".join(sorted(labels))
-            )
     report = {"command": "classify-relations", "file": args.file, "relations": entries}
-    _emit(report, lines, args.format, out)
+    _emit(report, args.format, out, _classify_lines)
     return OK
+
+
+def _classify_lines(report: dict[str, Any]) -> list[str]:
+    return [f"classify-relations {report['file']}"] + [
+        f"  ({e['from']} -> {e['to']}) at {{{', '.join(e['theme_set'])}}}: "
+        + ", ".join(e["labels"])
+        for e in report["relations"]
+    ]
 
 
 def cmd_synthesize(args, out, err) -> int:
@@ -234,7 +255,10 @@ def cmd_synthesize(args, out, err) -> int:
     return OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by later calls;
+    parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="aspectarg",
         description="Constraint-based fallacy checking on theme aspect argumentation models",

@@ -157,7 +157,12 @@ def extensions(sub: SubModel, semantics: str) -> frozenset[frozenset[str]]:
         )
     candidates = index.conflict_free_sets()
     if semantics == "naive":
-        found = _maximal_masks(s for s, _, _ in candidates)
+        # conflict-freeness is closed under subsets, so S is maximal iff
+        # adding any one statement makes a conflict
+        found = [
+            s for s, attacked, attacking in candidates
+            if s | attacked | attacking | index.self_attacking == index.everyone
+        ]
     elif semantics == "stable":
         found = [s for s, attacked, _ in candidates if attacked | s == index.everyone]
     else:

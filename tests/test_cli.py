@@ -310,6 +310,105 @@ class TestFreshAspectSizes:
         assert out == ""
 
 
+def model_file(target, model, interp):
+    """Write a model and its interpretation as a model file, naming each
+    element by its minterms."""
+    from aspectarg.modelfile import to_dict
+
+    props = list(interp.algebra.props)
+
+    def aspects(row):
+        if row.full:
+            return "ALL"
+        masks = sorted(e.mask for e in row.elements)
+        return [minterm_formula(props, mask) or "0" for mask in masks]
+
+    doc = to_dict(model, interp.algebra)
+    doc["interpretation"]["theme_aspects"] = [
+        {"themes": sorted(key), "aspects": aspects(row)}
+        for key, row in interp.theme_aspects.items()
+    ]
+    doc["interpretation"]["statement_aspects"] = [
+        {"themes": sorted(key), "statement": sid, "aspects": aspects(row)}
+        for (key, sid), row in interp.statement_aspects.items()
+    ]
+    target.write_text(json.dumps(doc))
+    return str(target)
+
+
+def random_model_files(tmp_path, count):
+    import random
+
+    from aspectarg import mk_algebra
+    from helpers import random_model_any, random_total_interpretation
+
+    rng = random.Random(29)
+    algebra = mk_algebra(["p", "q"])
+    files = []
+    for i in range(count):
+        model = random_model_any(rng, max_themes=3)
+        interp = random_total_interpretation(rng, model, algebra)
+        files.append(model_file(tmp_path / f"m{i}.json", model, interp))
+    return files
+
+
+class TestMachineReports:
+    """``check`` reports are exactly what ``json.dumps`` writes for them."""
+
+    def assert_canonical(self, file):
+        code, out, err = invoke(
+            "check", file, "--alpha", "core,E,das,nwci,F", "--format", "machine"
+        )
+        assert code in (0, 1) and err == ""
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        return code
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus(self, name):
+        self.assert_canonical(path(name))
+
+    def test_random_models(self, tmp_path):
+        codes = [self.assert_canonical(f) for f in random_model_files(tmp_path, 40)]
+        assert codes.count(1) > 20  # most reports hold violations
+
+
+def test_one_process_runs_each_command_as_if_alone():
+    """The parser is built once per process; no parsed option may carry
+    over from one call to the next."""
+    import subprocess
+    import sys
+
+    calls = [
+        ["conclude", path("fear_appeal"), "--semantics", "bogus"],
+        ["check", path("straw_man"), "--alpha", "core,das", "--format", "machine"],
+        ["conclude", path("fear_appeal"), "--themes", "t1"],
+        ["validate", path("straw_man")],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from aspectarg.cli import run\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = run(argv)\n"
+        "    results.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    together = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(calls)], capture_output=True, text=True
+    )
+    assert together.returncode == 0, together.stderr
+    alone = [
+        subprocess.run(
+            [sys.executable, "-m", "aspectarg.cli", *argv], capture_output=True, text=True
+        )
+        for argv in calls
+    ]
+    assert json.loads(together.stdout) == [[p.returncode, p.stdout, p.stderr] for p in alone]
+    assert [code for code, _, _ in json.loads(together.stdout)] == [2, 1, 0, 0]
+
+
 class TestConclude:
     def test_fear_appeal_grounded(self):
         code, out, _ = invoke(

@@ -147,6 +147,19 @@ class TestExtensions:
         # the only conflict-free set is the empty one, which attacks no one
         assert extensions(sub, "stable") == frozenset()
 
+    def test_sixteen_statements_in_mutually_attacking_pairs(self):
+        # every choice of at most one statement per pair is conflict-free, and
+        # the 2^8 choices of exactly one are the maximal ones
+        args = frozenset(f"{side}{i}" for i in range(8) for side in "ab")
+        attacks = frozenset(
+            edge for i in range(8) for edge in ((f"a{i}", f"b{i}"), (f"b{i}", f"a{i}"))
+        )
+        sub = sub_model(attack_model(args, attacks), ["t"])
+        oracle = oracle_dung(args, attacks)
+        assert len(extensions(sub, "naive")) == 256
+        for sem in SEMANTICS_IDS:
+            assert extensions(sub, sem) == oracle[sem], sem
+
     def test_against_oracle_on_random_graphs(self):
         rng = random.Random(16)
         # pairs are drawn with a == b too, so graphs include self-attacks
