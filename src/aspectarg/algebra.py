@@ -150,10 +150,10 @@ class Element:
         return f"Element({self.mask:#x} over {self.algebra.props})"
 
 
-def mk_algebra(props: Sequence[str], *, allow_trivial: bool = False) -> Algebra:
+def mk_algebra(props: Sequence[str]) -> Algebra:
     """Build the algebra whose atoms are the full conjunctions of literals over ``props``."""
     names = tuple(props)
-    if not names and not allow_trivial:
+    if not names:
         raise AlgebraError("an algebra needs at least one proposition")
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})

@@ -3,10 +3,10 @@
 Commands::
 
     aspectarg validate FILE [--format ...]
-    aspectarg check FILE [--alpha core,das,...] [--max-themes N] [--format ...]
+    aspectarg check FILE [--alpha core,das,...] [--format ...]
     aspectarg conclude FILE [--themes t1,t2] [--semantics grounded] [--scan-logical]
-                            [--max-themes N] [--format ...]
-    aspectarg classify-relations FILE [--themes t1,t2] [--max-themes N] [--format ...]
+                            [--format ...]
+    aspectarg classify-relations FILE [--themes t1,t2] [--format ...]
     aspectarg synthesize FILE [--output OUT]
 
 Exit codes: 0 = normal / no fallacy found, 1 = fallacy found,
@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from typing import Any, Callable
 
 from . import constraints, semantics
 from .constraints import ALPHA_GROUPS
 from .errors import AspectArgError, ModelError, ModelFileError, UnknownIdError
-from .model import MAX_THEMES, theme_subsets, validate_wellformed
+from .formulas import render_element
+from .model import theme_subsets, validate_wellformed
 from .modelfile import Document, dumps, load_path, to_dict
-from .report import human_violations, render_aspect, to_json, violations_block
+from .report import human_violations, to_json, violations_block
 from .synthesis import synthesize_core_witness
 
 OK, FALLACY, ERROR = 0, 1, 2
@@ -80,7 +82,7 @@ def cmd_check(args, out, err) -> int:
     doc = _load_wellformed(args.file)
     graphic = constraints.check_graphic(doc.model)
     semantic = {
-        group: constraints.run_group(doc.model, doc.interpretation, group, args.max_themes)
+        group: constraints.run_group(doc.model, doc.interpretation, group)
         for group in ALPHA_GROUPS
         if group in alpha
     }
@@ -149,14 +151,14 @@ def cmd_conclude(args, out, err) -> int:
         if exts is not None:
             report["extensions"] = [sorted(e) for e in sorted(exts, key=sorted)]
             if conclusion is not None:
-                report["conclusion"] = render_aspect(conclusion, doc.interpretation.formulas)
+                report["conclusion"] = render_element(
+                    conclusion, preferred=doc.interpretation.formulas
+                )
                 if conclusion.is_bottom:
                     bottom = True
                     exit_code = FALLACY
     if args.scan_logical:
-        verdict = semantics.detect_logical_fallacy(
-            doc.model, doc.interpretation, args.semantics, args.max_themes
-        )
+        verdict = semantics.detect_logical_fallacy(doc.model, doc.interpretation, args.semantics)
         report["logical_fallacy"] = verdict.found
         if verdict.found:
             report["witness_themes"] = sorted(verdict.witness)
@@ -205,7 +207,7 @@ def cmd_classify_relations(args, out, err) -> int:
     for r in sorted(doc.model.relations, key=lambda r: r.pair):
         if only is None:
             rel_themes = sorted(r.themes & set(doc.model.themes))
-            plans.append((r, theme_subsets(rel_themes, args.max_themes, min_size=1)))
+            plans.append((r, theme_subsets(rel_themes, min_size=1)))
         elif only <= r.themes:
             plans.append((r, [only]))
     for r, cases in plans:
@@ -269,21 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="model file (JSON)")
         p.add_argument("--format", choices=("human", "machine"), default="human")
 
-    def add_max_themes(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--max-themes",
-            type=int,
-            default=MAX_THEMES,
-            help="cap on themes for subset enumeration",
-        )
-
     p = sub.add_parser("validate", help="schema and well-formedness check")
     add_common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("check", help="graphic + chosen semantic constraint checks")
     add_common(p)
-    add_max_themes(p)
     p.add_argument(
         "--alpha",
         default="core",
@@ -293,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conclude", help="extensions and logico-rhetorical conclusion")
     add_common(p)
-    add_max_themes(p)
     p.add_argument("--themes", help="comma-separated theme set")
     p.add_argument("--semantics", choices=semantics.SEMANTICS_IDS, default="grounded")
     p.add_argument(
@@ -305,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify-relations", help="semantic labels per relation")
     add_common(p)
-    add_max_themes(p)
     p.add_argument("--themes", help="restrict to one theme set")
     p.set_defaults(func=cmd_classify_relations)
 
@@ -321,7 +312,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching our error code
         return int(exc.code or 0)

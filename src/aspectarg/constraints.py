@@ -21,7 +21,6 @@ from .formulas import render_element
 from .model import (
     ATTACK,
     EMPTY_ROW,
-    MAX_THEMES,
     OMEGA,
     SUPPORT,
     AspectTable,
@@ -53,8 +52,8 @@ def _tkey(themes: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(themes))
 
 
-def _subset_masks(table: AspectTable, max_themes: int) -> list[int]:
-    return [table.mask(c) for c in theme_subsets(table.names, max_themes)]
+def _subset_masks(table: AspectTable) -> list[int]:
+    return [table.mask(c) for c in theme_subsets(table.names)]
 
 
 def _render(table: AspectTable, mask: int | None) -> str:
@@ -130,9 +129,7 @@ _RELATION_TESTS = {
 }
 
 
-def _relation_cases(
-    table: AspectTable, cid: str, max_themes: int
-) -> list[tuple[Relation, list[int]]]:
+def _relation_cases(table: AspectTable, cid: str) -> list[tuple[Relation, list[int]]]:
     """The non-empty theme sets of each relation that ``cid`` tests.
 
     Every relation's cap is checked before any case is evaluated.
@@ -140,7 +137,7 @@ def _relation_cases(
     declared = set(table.names)
     wanted = {rel_type for rel_type, _, _ in _RELATION_TESTS[cid]}
     return [
-        (r, [table.mask(c) for c in theme_subsets(sorted(r.themes & declared), max_themes, 1)])
+        (r, [table.mask(c) for c in theme_subsets(sorted(r.themes & declared), min_size=1)])
         for r in table.model.relations
         if r.rel_types & wanted
     ]
@@ -320,15 +317,11 @@ def check_graphic(model: Model) -> dict[str, list[Violation]]:
 # ---------------------------------------------------------------------------
 
 
-def check_core(
-    model: Model,
-    interp: Interpretation,
-    max_themes: int = MAX_THEMES,
-) -> dict[str, list[Violation]]:
+def check_core(model: Model, interp: Interpretation) -> dict[str, list[Violation]]:
     """Check aass, i, vi, bat, pr, mat, manss and ss."""
     table = AspectTable(interp, model)
-    subsets = _subset_masks(table, max_themes)
-    cases = _relation_cases(table, "aass", max_themes)
+    subsets = _subset_masks(table)
+    cases = _relation_cases(table, "aass")
     return _sorted(_core(table, subsets, cases))
 
 
@@ -446,12 +439,10 @@ def _core(
 # ---------------------------------------------------------------------------
 
 
-def check_exact_region(
-    model: Model, interp: Interpretation, max_themes: int = MAX_THEMES
-) -> dict[str, list[Violation]]:
+def check_exact_region(model: Model, interp: Interpretation) -> dict[str, list[Violation]]:
     """Check esr, ensr and eos over every pair of theme sets."""
     table = AspectTable(interp, model)
-    return _sorted(_exact_region(table, _subset_masks(table, max_themes)))
+    return _sorted(_exact_region(table, _subset_masks(table)))
 
 
 def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Violation]]:
@@ -495,33 +486,23 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Viol
 # ---------------------------------------------------------------------------
 
 
-def check_das(
-    model: Model,
-    interp: Interpretation,
-    max_themes: int = MAX_THEMES,
-) -> list[Violation]:
+def check_das(model: Model, interp: Interpretation) -> list[Violation]:
     """Attacks must be incomparable, supports equal, per relation and theme set.
 
     Pairs with an absent effective aspect are skipped here; aass already
     reports those.
     """
-    return _check_relations(model, interp, max_themes, DAS)
+    return _check_relations(model, interp, DAS)
 
 
-def check_nwci(
-    model: Model,
-    interp: Interpretation,
-    max_themes: int = MAX_THEMES,
-) -> list[Violation]:
+def check_nwci(model: Model, interp: Interpretation) -> list[Violation]:
     """No weakened contradictions and no incomparable alternatives on attacks."""
-    return _check_relations(model, interp, max_themes, NWCI)
+    return _check_relations(model, interp, NWCI)
 
 
-def _check_relations(
-    model: Model, interp: Interpretation, max_themes: int, cid: str
-) -> list[Violation]:
+def _check_relations(model: Model, interp: Interpretation, cid: str) -> list[Violation]:
     table = AspectTable(interp, model)
-    out = _relation_violations(table, _relation_cases(table, cid, max_themes), cid)
+    out = _relation_violations(table, _relation_cases(table, cid), cid)
     out.sort(key=Violation.sort_key)
     return out
 
@@ -635,21 +616,16 @@ class NormalFormVerdict:
     violations: tuple[Violation, ...]
 
 
-def run_group(
-    model: Model,
-    interp: Interpretation,
-    group: str,
-    max_themes: int = MAX_THEMES,
-) -> dict[str, list[Violation]]:
+def run_group(model: Model, interp: Interpretation, group: str) -> dict[str, list[Violation]]:
     """Violations of one constraint group, keyed by constraint id."""
     if group == CORE:
-        return check_core(model, interp, max_themes)
+        return check_core(model, interp)
     if group == E:
-        return check_exact_region(model, interp, max_themes)
+        return check_exact_region(model, interp)
     if group == DAS:
-        return {"das": check_das(model, interp, max_themes)}
+        return {"das": check_das(model, interp)}
     if group == NWCI:
-        return {"nwci": check_nwci(model, interp, max_themes)}
+        return {"nwci": check_nwci(model, interp)}
     if group == F:
         return check_fresh_aspects(model, interp)
     raise ValueError(f"unknown constraint group {group!r}")
@@ -667,17 +643,14 @@ def validate_alpha(alpha: Iterable[str]) -> frozenset[str]:
 
 
 def classify_normal_form(
-    model: Model,
-    interp: Interpretation,
-    alpha: Iterable[str],
-    max_themes: int = MAX_THEMES,
+    model: Model, interp: Interpretation, alpha: Iterable[str]
 ) -> NormalFormVerdict:
     """Whether the model is alpha-normal with respect to the interpretation."""
     chosen = validate_alpha(alpha)
     violations: list[Violation] = []
     for group in ALPHA_GROUPS:  # fixed order keeps reports deterministic
         if group in chosen:
-            for vs in run_group(model, interp, group, max_themes).values():
+            for vs in run_group(model, interp, group).values():
                 violations.extend(vs)
     violations.sort(key=Violation.sort_key)
     return NormalFormVerdict(chosen, not violations, tuple(violations))

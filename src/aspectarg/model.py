@@ -29,13 +29,11 @@ SUMMARY = "@summary"
 UNION = "union"
 EMPTY = "empty"
 
-#: Default cap on the themes whose subsets a check enumerates (2**12 theme sets).
+#: Cap on the themes whose subsets a check enumerates (2**12 theme sets).
 MAX_THEMES = 12
 
 
-def theme_subsets(
-    themes: Iterable[str], max_themes: int = MAX_THEMES, min_size: int = 0
-) -> Iterator[tuple[str, ...]]:
+def theme_subsets(themes: Iterable[str], min_size: int = 0) -> Iterator[tuple[str, ...]]:
     """Every subset of ``themes`` with at least ``min_size`` members.
 
     Subsets come by size, then in :func:`itertools.combinations` order over
@@ -44,11 +42,8 @@ def theme_subsets(
     enumerates anything.
     """
     ts = tuple(themes)
-    if len(ts) > max_themes:
-        raise CapExceeded(
-            f"{len(ts)} themes exceed the enumeration cap {max_themes}; "
-            "raise it explicitly if the model really is this large"
-        )
+    if len(ts) > MAX_THEMES:
+        raise CapExceeded(f"{len(ts)} themes exceed the enumeration cap {MAX_THEMES}")
     return (combo for n in range(min_size, len(ts) + 1) for combo in combinations(ts, n))
 
 

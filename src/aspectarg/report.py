@@ -10,15 +10,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
-from .algebra import Element
-from .formulas import render_element
 from .model import Violation
-
-
-def render_aspect(element: Element | None, formulas: Mapping[Element, str]) -> str:
-    if element is None:
-        return "<absent>"
-    return render_element(element, preferred=formulas)
 
 
 def violations_block(groups: Mapping[str, list[Violation]]) -> dict[str, list[Violation]]:

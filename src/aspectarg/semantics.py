@@ -17,7 +17,6 @@ from .algebra import Element
 from .errors import CapExceeded, UnknownIdError
 from .model import (
     ATTACK,
-    MAX_THEMES,
     AspectTable,
     Interpretation,
     Model,
@@ -248,10 +247,7 @@ class LogicalFallacyVerdict:
 
 
 def detect_logical_fallacy(
-    model: Model,
-    interp: Interpretation,
-    semantics: str,
-    max_themes: int = MAX_THEMES,
+    model: Model, interp: Interpretation, semantics: str
 ) -> LogicalFallacyVerdict:
     """Scan theme sets for a logico-rhetorical conclusion equal to bottom.
 
@@ -260,7 +256,7 @@ def detect_logical_fallacy(
     element.  The first hit by size, then lexicographically over the sorted
     used themes, is the witness.
     """
-    cases = theme_subsets(sorted(model.used_themes()), max_themes, min_size=1)
+    cases = theme_subsets(sorted(model.used_themes()), min_size=1)
     table = AspectTable(interp, model)
     for combo in cases:
         t = frozenset(combo)

@@ -37,10 +37,6 @@ class TestConstruction:
         with pytest.raises(AlgebraError):
             mk_algebra([])
 
-    def test_empty_props_allowed_when_trivial_ok(self):
-        a = mk_algebra([], allow_trivial=True)
-        assert a.n_minterms == 1
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(AlgebraError, match="duplicate"):
             mk_algebra(["p", "p"])

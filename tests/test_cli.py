@@ -1,13 +1,18 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aspectarg
 from aspectarg.cli import run
 from aspectarg.corpus import CORPUS_NAMES, corpus_path
 from aspectarg.errors import ModelFileError
@@ -22,6 +27,14 @@ def invoke(*argv):
 
 def path(name):
     return str(corpus_path(name))
+
+
+def child_env(**overrides):
+    """The environment for a child ``python`` that imports the ``aspectarg``
+    under test: its source directory goes first on ``PYTHONPATH``."""
+    src = str(Path(aspectarg.__file__).resolve().parent.parent)
+    pythonpath = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath), **overrides)
 
 
 MINIMAL = {
@@ -233,19 +246,15 @@ class TestCheck:
 
     def test_reports_are_deterministic_across_processes(self):
         # set-iteration order must never leak into output, whatever the hash seed
-        import os
-        import subprocess
-        import sys
-
         outputs = set()
         for seed in ("0", "4242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
             proc = subprocess.run(
                 [sys.executable, "-m", "aspectarg.cli", "check", path("straw_man"),
                  "--alpha", "core,E,das,nwci,F", "--format", "machine"],
-                capture_output=True, text=True, env=env,
+                capture_output=True, text=True, env=child_env(PYTHONHASHSEED=seed),
             )
-            assert proc.returncode == 1
+            assert proc.returncode == 1, proc.stderr
+            assert json.loads(proc.stdout)["verdict"] == "{core,E,das,nwci,F}-fallacy"
             outputs.add(proc.stdout)
         assert len(outputs) == 1
 
@@ -375,9 +384,6 @@ class TestMachineReports:
 def test_one_process_runs_each_command_as_if_alone():
     """The parser is built once per process; no parsed option may carry
     over from one call to the next."""
-    import subprocess
-    import sys
-
     calls = [
         ["conclude", path("fear_appeal"), "--semantics", "bogus"],
         ["check", path("straw_man"), "--alpha", "core,das", "--format", "machine"],
@@ -396,12 +402,14 @@ def test_one_process_runs_each_command_as_if_alone():
         "print(json.dumps(results))\n"
     )
     together = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(calls)], capture_output=True, text=True
+        [sys.executable, "-c", script, json.dumps(calls)],
+        capture_output=True, text=True, env=child_env(),
     )
     assert together.returncode == 0, together.stderr
     alone = [
         subprocess.run(
-            [sys.executable, "-m", "aspectarg.cli", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "aspectarg.cli", *argv],
+            capture_output=True, text=True, env=child_env(),
         )
         for argv in calls
     ]
@@ -439,16 +447,12 @@ class TestConclude:
         assert "none found" in out
 
     def test_unknown_themes_are_named_in_sorted_order(self):
-        import os
-        import subprocess
-        import sys
-
         errors = set()
         for seed in range(1, 7):
             proc = subprocess.run(
                 [sys.executable, "-m", "aspectarg.cli", "conclude", path("fear_appeal"),
                  "--themes", "bogus2,bogus1"],
-                capture_output=True, text=True, env=dict(os.environ, PYTHONHASHSEED=str(seed)),
+                capture_output=True, text=True, env=child_env(PYTHONHASHSEED=str(seed)),
             )
             assert proc.returncode == 2
             errors.add(proc.stderr)
@@ -503,8 +507,13 @@ class TestClassifyRelations:
         assert err == "error: unknown theme id 'bogus'\n"
 
 
+    @pytest.mark.parametrize(
+        "command",
+        [("classify-relations",), ("check",), ("conclude", "--scan-logical")],
+        ids=lambda argv: argv[0],
+    )
     def test_relation_over_the_theme_cap_is_refused_before_classifying(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, command
     ):
         from aspectarg import constraints
 
@@ -528,7 +537,7 @@ class TestClassifyRelations:
         monkeypatch.setattr(
             constraints, "classify_relation", lambda *args: calls.append(args) or frozenset()
         )
-        code, out, err = invoke("classify-relations", str(wide))
+        code, out, err = invoke(command[0], str(wide), *command[1:])
         assert code == 2
         assert out == ""
         assert err.startswith("error: 13 themes exceed the enumeration cap 12")
@@ -672,12 +681,27 @@ class TestSynthesize:
         ("synthesize", "--max-themes", "5"),
         ("synthesize", "--format", "machine"),
         ("synthesize", "--max-props", "30"),
+        ("check", "--max-themes", "5"),
+        ("conclude", "--scan-logical", "--max-themes", "5"),
+        ("classify-relations", "--max-themes", "5"),
     ],
 )
-def test_removed_options_are_usage_errors(argv, capsys):
+def test_removed_options_are_usage_errors(argv):
+    # each input ends in a removed option and its value
     command, *options = argv
-    assert invoke(command, path("fear_appeal"), *options)[0] == 2
-    assert "unrecognized arguments: " + " ".join(options) in capsys.readouterr().err
+    code, out, err = invoke(command, path("fear_appeal"), *options)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: " + " ".join(options[-2:]) in err
+
+
+def test_argparse_writes_to_the_given_streams(capsys):
+    code, out, err = invoke("check")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: aspectarg check")
+    code, out, err = invoke("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: aspectarg")
+    assert capsys.readouterr() == ("", "")
 
 
 # ---------------------------------------------------------------------------

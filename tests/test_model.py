@@ -383,4 +383,4 @@ class TestThemeSubsets:
 
     def test_cap_is_checked_when_the_enumerator_is_made(self):
         with pytest.raises(CapExceeded):
-            theme_subsets(["a", "b", "c"], max_themes=2)
+            theme_subsets([f"t{i}" for i in range(13)])
