@@ -13,16 +13,12 @@ from .algebra import (
     DisjointProduct,
     Element,
     atoms,
-    complement,
     disjoint_product,
     downset,
     eta,
     inf_set,
     is_subalgebra,
-    join,
     join_irreducibles,
-    leq,
-    meet,
     mk_algebra,
     sup_set,
     upset,
@@ -37,7 +33,7 @@ from .constraints import (
     check_graphic,
     check_nwci,
     classify_normal_form,
-    classify_relation,
+    classify_relations,
     recheck,
 )
 from .formulas import evaluate, format_expr, parse, render_element

@@ -166,22 +166,6 @@ def mk_algebra(props: Sequence[str]) -> Algebra:
     return Algebra(names)
 
 
-def meet(a: Element, b: Element) -> Element:
-    return a & b
-
-
-def join(a: Element, b: Element) -> Element:
-    return a | b
-
-
-def complement(a: Element) -> Element:
-    return ~a
-
-
-def leq(a: Element, b: Element) -> bool:
-    return a <= b
-
-
 def inf_set(algebra: Algebra, elements: Iterable[Element]) -> Element:
     """Infimum of a set of elements; the empty infimum is the top element."""
     mask = algebra.full_mask

@@ -23,9 +23,9 @@ from typing import Any, Callable
 
 from . import constraints, semantics
 from .constraints import ALPHA_GROUPS
-from .errors import AspectArgError, ModelError, ModelFileError, UnknownIdError
+from .errors import AspectArgError, ModelError, ModelFileError
 from .formulas import render_element
-from .model import theme_subsets, validate_wellformed
+from .model import validate_wellformed
 from .modelfile import Document, dumps, load_path, to_dict
 from .report import human_violations, to_json, violations_block
 from .synthesis import synthesize_core_witness
@@ -39,6 +39,11 @@ def _load_wellformed(path: str) -> Document:
     if validate_wellformed(doc.model):
         raise ModelError(f"{path} is not well-formed; run `aspectarg validate` for details")
     return doc
+
+
+def _comma_list(text: str) -> list[str]:
+    """The stripped, non-empty items of a comma-separated option value."""
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _emit(
@@ -76,9 +81,7 @@ def _validate_lines(report: dict[str, Any]) -> list[str]:
 
 
 def cmd_check(args, out, err) -> int:
-    alpha = constraints.validate_alpha(
-        part.strip() for part in args.alpha.split(",") if part.strip()
-    )
+    alpha = constraints.validate_alpha(_comma_list(args.alpha))
     doc = _load_wellformed(args.file)
     graphic = constraints.check_graphic(doc.model)
     semantic = {
@@ -141,7 +144,7 @@ def cmd_conclude(args, out, err) -> int:
     exit_code = OK
     bottom = False
     if args.themes:
-        themes = [t.strip() for t in args.themes.split(",") if t.strip()]
+        themes = _comma_list(args.themes)
         exts, conclusion = semantics.conclude(
             doc.model, doc.interpretation, themes, args.semantics
         )
@@ -194,34 +197,19 @@ def _conclude_lines(report: dict[str, Any], bottom: bool) -> list[str]:
 
 def cmd_classify_relations(args, out, err) -> int:
     doc = _load_wellformed(args.file)
-    only: frozenset[str] | None = None
-    if args.themes:
-        only = frozenset(t.strip() for t in args.themes.split(",") if t.strip())
-        for t in sorted(only):
-            if t not in doc.model.themes:
-                raise UnknownIdError(f"unknown theme id {t!r}")
-
-    entries = []
-    # every relation's cap is checked before any relation is classified
-    plans = []
-    for r in sorted(doc.model.relations, key=lambda r: r.pair):
-        if only is None:
-            rel_themes = sorted(r.themes & set(doc.model.themes))
-            plans.append((r, theme_subsets(rel_themes, min_size=1)))
-        elif only <= r.themes:
-            plans.append((r, [only]))
-    for r, cases in plans:
-        for t_set in cases:
-            labels = constraints.classify_relation(doc.interpretation, doc.model, t_set, r)
-            entries.append(
-                {
-                    "from": r.source,
-                    "to": r.target,
-                    "types": sorted(r.rel_types),
-                    "theme_set": sorted(t_set),
-                    "labels": sorted(labels),
-                }
-            )
+    themes = _comma_list(args.themes) if args.themes else None
+    entries = [
+        {
+            "from": r.source,
+            "to": r.target,
+            "types": sorted(r.rel_types),
+            "theme_set": list(t_key),
+            "labels": sorted(labels),
+        }
+        for r, t_key, labels in constraints.classify_relations(
+            doc.model, doc.interpretation, themes
+        )
+    ]
     report = {"command": "classify-relations", "file": args.file, "relations": entries}
     _emit(report, args.format, out, _classify_lines)
     return OK

@@ -3,7 +3,7 @@
 Every checker is a pure function from a model (and, for the semantic
 constraints, an interpretation) to violation witnesses.  Universal
 quantifications over theme sets are exhaustive subset enumerations, guarded
-by a configurable cap.  Each semantic group is one routine over a compiled
+by the one theme cap.  Each semantic group is one routine over a compiled
 table and a domain of instances: the checker runs it on the whole domain,
 and ``recheck`` re-verifies a single violation by running it on the one
 instance the witness record names, which keeps every reported fallacy
@@ -63,34 +63,71 @@ def _render(table: AspectTable, mask: int | None) -> str:
     return render_element(element, preferred=table.interp.formulas, max_atoms=8)
 
 
-def _comparable(u: int, v: int) -> bool:
+#: The paper's relation kinds, as bit flags, of the effective aspect ``u`` of
+#: a relation's source against ``v`` of its target.
+AFFIRMATION = 1  # u = v
+STRENGTHENING = 2  # u < v
+WEAKENING = 4  # v < u
+CONTRARY = 8  # u <= ~v
+WEAKENED_CONTRADICTION = 16  # ~v < u
+INCOMPARABLE_ALTERNATIVE = 32  # u comparable with neither v nor ~v
+COMPARABLE = AFFIRMATION | STRENGTHENING | WEAKENING
+#: The label of each kind; a relation with an absent aspect has none and is "undefined".
+KIND_LABELS = {
+    AFFIRMATION: "affirmation",
+    STRENGTHENING: "strengthening",
+    WEAKENING: "weakening",
+    CONTRARY: "contrary",
+    WEAKENED_CONTRADICTION: "weakened_contradiction",
+    INCOMPARABLE_ALTERNATIVE: "incomparable_alternative",
+}
+ANY_KIND = sum(KIND_LABELS)
+
+
+def _kinds(u: int | None, v: int | None, full: int) -> int:
+    """The relation kinds of effective aspects ``u`` and ``v``; none when one is absent.
+
+    Kinds overlap (bottom below ``v`` strengthens and is contrary at once),
+    and aspects that both exist have at least one.
+    """
+    if u is None or v is None:
+        return 0
     w = u | v
-    return w == u or w == v
+    if u == v:
+        out = AFFIRMATION
+    elif w == v:
+        out = STRENGTHENING
+    elif w == u:
+        out = WEAKENING
+    else:
+        out = 0
+    nv = v ^ full
+    w = u | nv
+    if w == nv:
+        out |= CONTRARY
+    elif w == u:
+        out |= WEAKENED_CONTRADICTION
+    elif not out:
+        out = INCOMPARABLE_ALTERNATIVE
+    return out
 
 
-def _weakened_contradiction(u: int, v: int, full: int) -> bool:
-    nv = v ^ full  # ~v < u
-    return nv | u == u and nv != u
-
-
-def _incomparable_alternative(u: int, v: int, full: int) -> bool:
-    return not _comparable(u, v) and not _comparable(u, v ^ full)
-
-
-#: The relation constraints: per relation type, a test on the effective
-#: aspects ``u`` of the source and ``v`` of the target, and the detail text
-#: of a failure.  aass fails on an absent aspect; das and nwci leave those
-#: to aass.
+#: The relation constraints as rules on relation kinds: per relation type,
+#: the kinds it must avoid, the kinds of which it must show one, and the
+#: detail text of a failure.  An absent effective aspect fails aass only;
+#: das and nwci leave those to aass.
 _RELATION_TESTS = {
     "aass": (
         (
             ATTACK,
-            lambda u, v, full: u is None or v is None or u == v,
+            AFFIRMATION,
+            ANY_KIND,
             "attack {pair} at {themes}: effective aspects {u} vs {v} must both exist and differ",
         ),
         (
             SUPPORT,
-            lambda u, v, full: u is None or v is None or not _comparable(u, v),
+            0,
+            COMPARABLE,
             "support {pair} at {themes}: effective aspects {u} vs {v} must both exist "
             "and be comparable",
         ),
@@ -98,13 +135,15 @@ _RELATION_TESTS = {
     DAS: (
         (
             ATTACK,
-            lambda u, v, full: u is not None and v is not None and _comparable(u, v),
+            COMPARABLE,
+            ANY_KIND,
             "attack {pair} at {themes}: {u} is comparable with {v}, so this is "
             "weakening/strengthening, not a distinct attack",
         ),
         (
             SUPPORT,
-            lambda u, v, full: u is not None and v is not None and u != v,
+            0,
+            AFFIRMATION,
             "support {pair} at {themes}: {u} differs from {v}, so the claimed support "
             "is not an affirmation",
         ),
@@ -112,35 +151,43 @@ _RELATION_TESTS = {
     NWCI: (
         (
             ATTACK,
-            lambda u, v, full: u is not None
-            and v is not None
-            and _weakened_contradiction(u, v, full),
+            WEAKENED_CONTRADICTION,
+            ANY_KIND,
             "attack {pair} at {themes}: {u} strictly above the complement of {v} "
             "is a weakened contradiction",
         ),
         (
             ATTACK,
-            lambda u, v, full: u is not None
-            and v is not None
-            and _incomparable_alternative(u, v, full),
+            INCOMPARABLE_ALTERNATIVE,
+            ANY_KIND,
             "attack {pair} at {themes}: {u} is incomparable with both {v} and its complement",
         ),
     ),
 }
 
 
-def _relation_cases(table: AspectTable, cid: str) -> list[tuple[Relation, list[int]]]:
-    """The non-empty theme sets of each relation that ``cid`` tests.
+def _relation_cases(
+    table: AspectTable, relations: Iterable[Relation], tmask: int | None = None
+) -> list[tuple[Relation, list[int]]]:
+    """The (relation, theme masks) cases of ``relations``, in their order.
 
-    Every relation's cap is checked before any case is evaluated.
+    With no ``tmask``, each relation's non-empty theme subsets, with every
+    relation's cap checked before any case is evaluated; with one, that mask
+    for each relation whose themes include it.
     """
     declared = set(table.names)
-    wanted = {rel_type for rel_type, _, _ in _RELATION_TESTS[cid]}
-    return [
-        (r, [table.mask(c) for c in theme_subsets(sorted(r.themes & declared), min_size=1)])
-        for r in table.model.relations
-        if r.rel_types & wanted
-    ]
+    if tmask is None:
+        return [
+            (r, [table.mask(c) for c in theme_subsets(sorted(r.themes & declared), min_size=1)])
+            for r in relations
+        ]
+    return [(r, [tmask]) for r in relations if not tmask & ~table.mask(r.themes & declared)]
+
+
+def _tested_relations(model: Model, cid: str) -> list[Relation]:
+    """The relations of ``model`` of a type that relation constraint ``cid`` tests."""
+    wanted = {rel_type for rel_type, *_ in _RELATION_TESTS[cid]}
+    return [r for r in model.relations if r.rel_types & wanted]
 
 
 def _relation_violations(
@@ -152,8 +199,11 @@ def _relation_violations(
     for r, masks in cases:
         for tmask in masks:
             u, v = table.inf(tmask, r.source), table.inf(tmask, r.target)
-            for rel_type, fails, text in tests:
-                if rel_type in r.rel_types and fails(u, v, full):
+            kinds = _kinds(u, v, full)
+            for rel_type, avoid, show, text in tests:
+                # an absent aspect has no kind: it fails aass only
+                failed = (kinds & avoid or not kinds & show) if kinds else cid == "aass"
+                if rel_type in r.rel_types and failed:
                     t_key = table.key(tmask)
                     detail = text.format(
                         pair=r.pair,
@@ -321,7 +371,7 @@ def check_core(model: Model, interp: Interpretation) -> dict[str, list[Violation
     """Check aass, i, vi, bat, pr, mat, manss and ss."""
     table = AspectTable(interp, model)
     subsets = _subset_masks(table)
-    cases = _relation_cases(table, "aass")
+    cases = _relation_cases(table, _tested_relations(model, "aass"))
     return _sorted(_core(table, subsets, cases))
 
 
@@ -502,7 +552,8 @@ def check_nwci(model: Model, interp: Interpretation) -> list[Violation]:
 
 def _check_relations(model: Model, interp: Interpretation, cid: str) -> list[Violation]:
     table = AspectTable(interp, model)
-    out = _relation_violations(table, _relation_cases(table, cid), cid)
+    cases = _relation_cases(table, _tested_relations(model, cid))
+    out = _relation_violations(table, cases, cid)
     out.sort(key=Violation.sort_key)
     return out
 
@@ -560,48 +611,31 @@ def _fresh_aspects(
 
 
 # ---------------------------------------------------------------------------
-# Relation-kind taxonomy.
+# Relation classification.
 # ---------------------------------------------------------------------------
 
-AFFIRMATION = "affirmation"
-WEAKENING = "weakening"
-STRENGTHENING = "strengthening"
-CONTRARY = "contrary"
-WEAKENED_CONTRADICTION = "weakened_contradiction"
-INCOMPARABLE_ALTERNATIVE = "incomparable_alternative"
-UNDEFINED = "undefined"
 
+def classify_relations(
+    model: Model, interp: Interpretation, themes: Iterable[str] | None = None
+) -> list[tuple[Relation, tuple[str, ...], frozenset[str]]]:
+    """(relation, sorted theme set, kind labels) for each relation, sorted by pair.
 
-def classify_relation(
-    interp: Interpretation, model: Model, themes: Iterable[str], relation
-) -> frozenset[str]:
-    """Semantic labels for a relation, given the theme set to evaluate under.
-
-    ``u`` is the effective aspect of the source (the attacker/supporter),
-    ``v`` of the target.  Labels overlap by design; the set is never empty,
-    and is exactly ``{"undefined"}`` when either effective aspect is absent.
+    With ``themes`` None, each relation is classified at every non-empty
+    subset of its themes, with every cap checked first; otherwise each
+    relation whose themes include ``themes`` is, at them.  The labels are exactly
+    ``{"undefined"}`` when either effective aspect is absent.
     """
     table = AspectTable(interp, model)
-    tmask = table.mask(themes)
-    u, v = table.inf(tmask, relation.source), table.inf(tmask, relation.target)
-    if u is None or v is None:
-        return frozenset([UNDEFINED])
+    only = None if themes is None else table.mask(sorted(themes))
+    relations = sorted(model.relations, key=lambda r: r.pair)
     full = table.algebra.full_mask
-    nv = v ^ full
-    labels = set()
-    if u == v:
-        labels.add(AFFIRMATION)
-    if u | v == v and u != v:
-        labels.add(STRENGTHENING)
-    if u | v == u and u != v:
-        labels.add(WEAKENING)
-    if u | nv == nv:
-        labels.add(CONTRARY)
-    if _weakened_contradiction(u, v, full):
-        labels.add(WEAKENED_CONTRADICTION)
-    if _incomparable_alternative(u, v, full):
-        labels.add(INCOMPARABLE_ALTERNATIVE)
-    return frozenset(labels)
+    out = []
+    for r, masks in _relation_cases(table, relations, only):
+        for tmask in masks:
+            kinds = _kinds(table.inf(tmask, r.source), table.inf(tmask, r.target), full)
+            labels = frozenset(label for kind, label in KIND_LABELS.items() if kinds & kind)
+            out.append((r, table.key(tmask), labels or frozenset(["undefined"])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +719,8 @@ def _instance_violations(table: AspectTable, w: Violation) -> list[Violation]:
         t1, t2 = table.mask(w.theme_set or ()), table.mask(w.theme_set2 or ())
     except UnknownIdError:
         return []
-    declared = set(model.themes)
-    cases = [
-        (r, [t1])
-        for r in model.relations
-        if r.pair == w.relation and t1 and not t1 & ~table.mask(r.themes & declared)
-    ]
+    named = [r for r in model.relations if r.pair == w.relation]
+    cases = _relation_cases(table, named, t1) if t1 else []
     if cid in CORE_IDS:
         return _core(table, [t2 if cid in ("mat", "manss") else t1], cases)[cid]
     if cid in EXACT_REGION_IDS:

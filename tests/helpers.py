@@ -178,6 +178,33 @@ def oracle_redundancy(
 
 
 # ---------------------------------------------------------------------------
+# Relation-kind oracle.
+# ---------------------------------------------------------------------------
+
+
+def oracle_relation_kinds(u: Element | None, v: Element | None) -> frozenset[str]:
+    """The relation kinds of a source aspect ``u`` against a target aspect
+    ``v``, read off their definitions in the lattice order; exactly
+    ``{"undefined"}`` when either aspect is absent."""
+    if u is None or v is None:
+        return frozenset({"undefined"})
+    kinds = set()
+    if u == v:
+        kinds.add("affirmation")
+    if u < v:
+        kinds.add("strengthening")
+    if v < u:
+        kinds.add("weakening")
+    if u <= ~v:
+        kinds.add("contrary")
+    if ~v < u:
+        kinds.add("weakened_contradiction")
+    if not (u.comparable(v) or u.comparable(~v)):
+        kinds.add("incomparable_alternative")
+    return frozenset(kinds)
+
+
+# ---------------------------------------------------------------------------
 # Brute-force Dung semantics oracle.
 # ---------------------------------------------------------------------------
 

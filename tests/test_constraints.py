@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aspectarg.algebra import mk_algebra
+from aspectarg.algebra import Element, mk_algebra
 from aspectarg.constraints import (
     ALPHA_GROUPS,
     CORE,
@@ -16,7 +18,7 @@ from aspectarg.constraints import (
     check_graphic,
     check_nwci,
     classify_normal_form,
-    classify_relation,
+    classify_relations,
     recheck,
     run_group,
 )
@@ -33,7 +35,12 @@ from aspectarg.model import (
     lookup,
 )
 from aspectarg.modelfile import load_path
-from helpers import block_instance, random_model_any, random_total_interpretation
+from helpers import (
+    block_instance,
+    oracle_relation_kinds,
+    random_model_any,
+    random_total_interpretation,
+)
 
 
 def aspects(algebra, *elements):
@@ -545,7 +552,8 @@ class TestClassifyRelation:
                     (frozenset(["t"]), "dst"): aspects(fig1, v),
                 },
             )
-            return classify_relation(interp, model, ["t"], model.relations[0])
+            [(_, _, labels)] = classify_relations(model, interp, ["t"])
+            return labels
 
         return classify
 
@@ -579,7 +587,7 @@ class TestClassifyRelation:
             relations=[Relation("src", "dst", frozenset({ATTACK}), frozenset({"t"}))],
         )
         interp = Interpretation(fig1, {}, {})
-        got = classify_relation(interp, model, ["t"], model.relations[0])
+        [(_, _, got)] = classify_relations(model, interp, ["t"])
         assert got == {"undefined"}
 
     def test_never_empty_when_defined(self, pair, fig1):
@@ -590,6 +598,59 @@ class TestClassifyRelation:
             u = Element(fig1, rng.randrange(fig1.carrier_size))
             v = Element(fig1, rng.randrange(fig1.carrier_size))
             assert pair(u, v)
+
+
+@st.composite
+def aspect_pairs(draw):
+    """Source and target aspects, each possibly absent, in a 1-3 proposition algebra."""
+    algebra = mk_algebra([f"p{i}" for i in range(draw(st.integers(1, 3)))])
+    element = st.none() | st.integers(0, algebra.full_mask).map(lambda m: Element(algebra, m))
+    return algebra, draw(element), draw(element)
+
+
+class TestRelationKinds:
+    """The six relation kinds against an oracle, and aass, das and nwci as
+    the paper's rules over them."""
+
+    COMPARABLE = {"affirmation", "strengthening", "weakening"}
+
+    @staticmethod
+    def one_relation(algebra, u, v, rel_type):
+        model = single_theme_model(
+            "src", "dst",
+            relations=[Relation("src", "dst", frozenset({rel_type}), frozenset({"t"}))],
+        )
+        rows = {
+            (frozenset(["t"]), sid): aspects(algebra, e)
+            for sid, e in (("src", u), ("dst", v))
+            if e is not None
+        }
+        theme_rows = {frozenset(["t"]): AspectSet(algebra, full=True)}
+        return model, Interpretation(algebra, theme_rows, rows)
+
+    @settings(max_examples=300)
+    @given(aspect_pairs(), st.sampled_from([ATTACK, SUPPORT]))
+    def test_kinds_decide_the_relation_constraints(self, case, rel_type):
+        algebra, u, v = case
+        model, interp = self.one_relation(algebra, u, v, rel_type)
+        kinds = oracle_relation_kinds(u, v)
+        [(_, themes, labels)] = classify_relations(model, interp)
+        assert (themes, labels) == (("t",), kinds)
+
+        aass = check_core(model, interp)["aass"]
+        das, nwci = check_das(model, interp), check_nwci(model, interp)
+        assert {w.rel_type for w in aass + das + nwci} <= {rel_type}
+        absent = kinds == {"undefined"}
+        if rel_type == ATTACK:
+            assert bool(aass) == (absent or "affirmation" in kinds)
+            assert bool(das) == bool(kinds & self.COMPARABLE)
+            assert len(nwci) == len(kinds & {"weakened_contradiction", "incomparable_alternative"})
+            assert (not aass and not das and not nwci) == (kinds == {"contrary"})
+        else:
+            assert bool(aass) == (absent or not kinds & self.COMPARABLE)
+            assert bool(das) == (not absent and "affirmation" not in kinds)
+            assert not nwci
+            assert (not aass and not das) == ("affirmation" in kinds)
 
 
 class TestNormalForms:
