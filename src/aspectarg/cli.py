@@ -25,7 +25,7 @@ from . import constraints, semantics
 from .constraints import ALPHA_GROUPS
 from .errors import AspectArgError, ModelError, ModelFileError
 from .formulas import render_element
-from .model import validate_wellformed
+from .model import AspectTable, validate_wellformed
 from .modelfile import Document, dumps, load_path, to_dict
 from .report import human_violations, to_json, violations_block
 from .synthesis import synthesize_core_witness
@@ -84,8 +84,9 @@ def cmd_check(args, out, err) -> int:
     alpha = constraints.validate_alpha(_comma_list(args.alpha))
     doc = _load_wellformed(args.file)
     graphic = constraints.check_graphic(doc.model)
+    table = AspectTable(doc.interpretation, doc.model)  # one table for every group
     semantic = {
-        group: constraints.run_group(doc.model, doc.interpretation, group)
+        group: constraints.run_group(doc.model, doc.interpretation, group, table)
         for group in ALPHA_GROUPS
         if group in alpha
     }

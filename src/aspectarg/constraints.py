@@ -7,7 +7,8 @@ by the one theme cap.  Each semantic group is one routine over a compiled
 table and a domain of instances: the checker runs it on the whole domain,
 and ``recheck`` re-verifies a single violation by running it on the one
 instance the witness record names, which keeps every reported fallacy
-independently auditable.
+independently auditable.  The semantic checkers accept a compiled
+:class:`AspectTable`, so one check of several groups compiles one.
 """
 
 from __future__ import annotations
@@ -54,6 +55,17 @@ def _tkey(themes: Iterable[str]) -> tuple[str, ...]:
 
 def _subset_masks(table: AspectTable) -> list[int]:
     return [table.mask(c) for c in theme_subsets(table.names)]
+
+
+def _compiled_table(
+    model: Model, interp: Interpretation, table: AspectTable | None
+) -> AspectTable:
+    """``table``, which must be compiled from ``interp`` and ``model``, or a new one."""
+    if table is None:
+        return AspectTable(interp, model)
+    if table.model is not model or table.interp is not interp:
+        raise ValueError("the aspect table was compiled for another model or interpretation")
+    return table
 
 
 def _render(table: AspectTable, mask: int | None) -> str:
@@ -207,7 +219,7 @@ def _relation_violations(
                     t_key = table.key(tmask)
                     detail = text.format(
                         pair=r.pair,
-                        themes=t_key,
+                        themes=table.key_text(tmask),
                         u=_render(table, u),
                         v=_render(table, v),
                     )
@@ -245,6 +257,10 @@ def _exact_region_id(s: Statement) -> str:
     if s.is_statement_pointer:
         return "ensr"
     return "eos"
+
+
+def _statement_id(s: Statement) -> str:
+    return s.id
 
 
 def _sorted(out: dict[str, list[Violation]]) -> dict[str, list[Violation]]:
@@ -367,9 +383,11 @@ def check_graphic(model: Model) -> dict[str, list[Violation]]:
 # ---------------------------------------------------------------------------
 
 
-def check_core(model: Model, interp: Interpretation) -> dict[str, list[Violation]]:
+def check_core(
+    model: Model, interp: Interpretation, table: AspectTable | None = None
+) -> dict[str, list[Violation]]:
     """Check aass, i, vi, bat, pr, mat, manss and ss."""
-    table = AspectTable(interp, model)
+    table = _compiled_table(model, interp, table)
     subsets = _subset_masks(table)
     cases = _relation_cases(table, _tested_relations(model, "aass"))
     return _sorted(_core(table, subsets, cases))
@@ -384,7 +402,7 @@ def _core(
 
     mat and manss compare each mask with every mask one theme smaller.
     """
-    model, key, row = table.model, table.key, table.row
+    model, key, text, row = table.model, table.key, table.key_text, table.row
     out: dict[str, list[Violation]] = {cid: [] for cid in CORE_IDS}
     out["aass"] = _relation_violations(table, cases, "aass")
 
@@ -397,7 +415,7 @@ def _core(
                         "i",
                         (s.id,),
                         theme_set=key(tmask),
-                        detail=f"aspects of {s.id} at {key(tmask)} are not all aspects "
+                        detail=f"aspects of {s.id} at {text(tmask)} are not all aspects "
                         "of the theme set",
                     )
                 )
@@ -406,7 +424,7 @@ def _core(
                 Violation(
                     "bat",
                     theme_set=key(tmask),
-                    detail=f"theme aspects at {key(tmask)} are not a subalgebra "
+                    detail=f"theme aspects at {text(tmask)} are not a subalgebra "
                     "(missing 0/1 or not closed under not/and/or)",
                 )
             )
@@ -435,7 +453,7 @@ def _core(
                         "pr",
                         (s.id,),
                         theme_set=key(tmask),
-                        detail=f"aspects of {s.id} at {key(tmask)} exceed the proper-range "
+                        detail=f"aspects of {s.id} at {text(tmask)} exceed the proper-range "
                         f"bound from its own themes{target}",
                     )
                 )
@@ -450,7 +468,7 @@ def _core(
                         (s.id,),
                         theme_set=key(tmask),
                         detail=f"{s.id} effectively touches upon the {which} aspect "
-                        f"at {key(tmask)}",
+                        f"at {text(tmask)}",
                     )
                 )
 
@@ -467,7 +485,7 @@ def _core(
                         "mat",
                         theme_set=key(t1),
                         theme_set2=key(t2),
-                        detail=f"theme aspects shrink from {key(t1)} to {key(t2)}",
+                        detail=f"theme aspects shrink from {text(t1)} to {text(t2)}",
                     )
                 )
             for sid in monotone:
@@ -478,7 +496,7 @@ def _core(
                             (sid,),
                             theme_set=key(t1),
                             theme_set2=key(t2),
-                            detail=f"aspects of {sid} shrink from {key(t1)} to {key(t2)}",
+                            detail=f"aspects of {sid} shrink from {text(t1)} to {text(t2)}",
                         )
                     )
     return out
@@ -489,45 +507,72 @@ def _core(
 # ---------------------------------------------------------------------------
 
 
-def check_exact_region(model: Model, interp: Interpretation) -> dict[str, list[Violation]]:
+def check_exact_region(
+    model: Model, interp: Interpretation, table: AspectTable | None = None
+) -> dict[str, list[Violation]]:
     """Check esr, ensr and eos over every pair of theme sets."""
-    table = AspectTable(interp, model)
-    return _sorted(_exact_region(table, _subset_masks(table)))
+    table = _compiled_table(model, interp, table)
+    return _exact_region(table, _subset_masks(table))
 
 
 def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Violation]]:
-    """esr, ensr and eos on each pair of ``subsets``, in their order."""
-    out: dict[str, list[Violation]] = {cid: [] for cid in EXACT_REGION_IDS}
-    stmts = [(s.id, _exact_region_id(s)) for s in table.model.statements]
+    """esr, ensr and eos on each pair of ``subsets``, each list in report order.
+
+    A pair is two masks, the first earlier in ``subsets``.  Pairs are walked
+    by their two theme keys and each statement's witnesses go to its own
+    list, so joining those lists by statement id gives the
+    :meth:`Violation.sort_key` order without a sort.
+    """
+    stmts = sorted(table.model.statements, key=_statement_id)
+    sids = [s.id for s in stmts]
+    cids = [_exact_region_id(s) for s in stmts]
+    named = [(sid,) for sid in sids]
+    heads = [f"aspects of {sid} differ between " for sid in sids]
+    found: list[list[Violation]] = [[] for _ in stmts]
+    keys = [table.key(tmask) for tmask in subsets]
     omegas = [table.row(tmask, OMEGA) for tmask in subsets]
     rows: list[list[Row] | None] = [None] * len(subsets)
+    order = sorted(range(len(subsets)), key=keys.__getitem__)
+    indices = range(len(stmts))
 
-    def rows_at(i: int) -> list[Row]:
-        got = rows[i]
-        if got is None:
-            got = rows[i] = [table.row(subsets[i], sid) for sid, _ in stmts]
-        return got
-
-    for i1, omega1 in enumerate(omegas):
+    for i1 in order:
+        omega1 = omegas[i1]
         if omega1 == EMPTY_ROW:
             continue
-        for i2 in range(i1 + 1, len(subsets)):
-            common = _meet(omega1, omegas[i2])
-            if common == EMPTY_ROW:
+        rows1 = rows[i1]
+        for i2 in order:
+            if i2 <= i1:
                 continue
-            for (sid, cid), a, b in zip(stmts, rows_at(i1), rows_at(i2)):
-                if a is not b and _meet(a, common) != _meet(b, common):
-                    t1, t2 = table.key(subsets[i1]), table.key(subsets[i2])
-                    out[cid].append(
-                        Violation(
-                            cid,
-                            (sid,),
-                            theme_set=t1,
-                            theme_set2=t2,
-                            detail=f"aspects of {sid} differ between {t1} and "
-                            f"{t2} inside their common theme region",
-                        )
+            common_full, common = _meet(omega1, omegas[i2])
+            if not common_full and not common:
+                continue
+            if rows1 is None:
+                rows1 = rows[i1] = [table.row(subsets[i1], sid) for sid in sids]
+            rows2 = rows[i2]
+            if rows2 is None:
+                rows2 = rows[i2] = [table.row(subsets[i2], sid) for sid in sids]
+            tail = None
+            for j in indices:
+                a, b = rows1[j], rows2[j]
+                if a is b:
+                    continue
+                if common_full:
+                    if a == b:
+                        continue
+                elif (common if a[0] else a[1] & common) == (common if b[0] else b[1] & common):
+                    continue
+                if tail is None:
+                    t1, t2 = table.key_text(subsets[i1]), table.key_text(subsets[i2])
+                    tail = f"{t1} and {t2} inside their common theme region"
+                found[j].append(
+                    Violation(
+                        cids[j], named[j], None, keys[i1], keys[i2], None, heads[j] + tail
                     )
+                )
+
+    out: dict[str, list[Violation]] = {cid: [] for cid in EXACT_REGION_IDS}
+    for cid, vs in zip(cids, found):
+        out[cid].extend(vs)
     return out
 
 
@@ -536,23 +581,26 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Viol
 # ---------------------------------------------------------------------------
 
 
-def check_das(model: Model, interp: Interpretation) -> list[Violation]:
+def check_das(
+    model: Model, interp: Interpretation, table: AspectTable | None = None
+) -> list[Violation]:
     """Attacks must be incomparable, supports equal, per relation and theme set.
 
     Pairs with an absent effective aspect are skipped here; aass already
     reports those.
     """
-    return _check_relations(model, interp, DAS)
+    return _check_relations(_compiled_table(model, interp, table), DAS)
 
 
-def check_nwci(model: Model, interp: Interpretation) -> list[Violation]:
+def check_nwci(
+    model: Model, interp: Interpretation, table: AspectTable | None = None
+) -> list[Violation]:
     """No weakened contradictions and no incomparable alternatives on attacks."""
-    return _check_relations(model, interp, NWCI)
+    return _check_relations(_compiled_table(model, interp, table), NWCI)
 
 
-def _check_relations(model: Model, interp: Interpretation, cid: str) -> list[Violation]:
-    table = AspectTable(interp, model)
-    cases = _relation_cases(table, _tested_relations(model, cid))
+def _check_relations(table: AspectTable, cid: str) -> list[Violation]:
+    cases = _relation_cases(table, _tested_relations(table.model, cid))
     out = _relation_violations(table, cases, cid)
     out.sort(key=Violation.sort_key)
     return out
@@ -564,14 +612,13 @@ def _check_relations(model: Model, interp: Interpretation, cid: str) -> list[Vio
 
 
 def check_fresh_aspects(
-    model: Model,
-    interp: Interpretation,
+    model: Model, interp: Interpretation, table: AspectTable | None = None
 ) -> dict[str, list[Violation]]:
     """Check faD and faW: no statements-set may contain redundancy.
 
     They range over statements and their themes, so no theme cap applies.
     """
-    return _sorted(_fresh_aspects(AspectTable(interp, model), _anchors(model)))
+    return _sorted(_fresh_aspects(_compiled_table(model, interp, table), _anchors(model)))
 
 
 def _anchors(model: Model) -> list[tuple[str, str]]:
@@ -650,18 +697,23 @@ class NormalFormVerdict:
     violations: tuple[Violation, ...]
 
 
-def run_group(model: Model, interp: Interpretation, group: str) -> dict[str, list[Violation]]:
-    """Violations of one constraint group, keyed by constraint id."""
+def run_group(
+    model: Model, interp: Interpretation, group: str, table: AspectTable | None = None
+) -> dict[str, list[Violation]]:
+    """Violations of one constraint group, keyed by constraint id.
+
+    Pass the ``table`` of ``interp`` and ``model`` to share it across groups.
+    """
     if group == CORE:
-        return check_core(model, interp)
+        return check_core(model, interp, table)
     if group == E:
-        return check_exact_region(model, interp)
+        return check_exact_region(model, interp, table)
     if group == DAS:
-        return {"das": check_das(model, interp)}
+        return {"das": check_das(model, interp, table)}
     if group == NWCI:
-        return {"nwci": check_nwci(model, interp)}
+        return {"nwci": check_nwci(model, interp, table)}
     if group == F:
-        return check_fresh_aspects(model, interp)
+        return check_fresh_aspects(model, interp, table)
     raise ValueError(f"unknown constraint group {group!r}")
 
 
@@ -681,10 +733,11 @@ def classify_normal_form(
 ) -> NormalFormVerdict:
     """Whether the model is alpha-normal with respect to the interpretation."""
     chosen = validate_alpha(alpha)
+    table = AspectTable(interp, model)
     violations: list[Violation] = []
     for group in ALPHA_GROUPS:  # fixed order keeps reports deterministic
         if group in chosen:
-            for vs in run_group(model, interp, group).values():
+            for vs in run_group(model, interp, group, table).values():
                 violations.extend(vs)
     violations.sort(key=Violation.sort_key)
     return NormalFormVerdict(chosen, not violations, tuple(violations))

@@ -259,6 +259,7 @@ class AspectTable:
         self._rows: dict[tuple[int, str], Row] = {}
         self._infs: dict[tuple[int, str], int | None] = {}
         self._keys: dict[int, tuple[str, ...]] = {}
+        self._key_texts: dict[int, str] = {}
 
     def mask(self, themes: Iterable[str]) -> int:
         """The mask of a theme set; every theme must be declared by the model."""
@@ -278,6 +279,13 @@ class AspectTable:
         out = self._keys.get(tmask)
         if out is None:
             out = self._keys[tmask] = tuple(sorted(self.themes(tmask)))
+        return out
+
+    def key_text(self, tmask: int) -> str:
+        """``repr`` of :meth:`key`, as violation details print theme sets."""
+        out = self._key_texts.get(tmask)
+        if out is None:
+            out = self._key_texts[tmask] = repr(self.key(tmask))
         return out
 
     def row(self, tmask: int, s: str) -> Row:
@@ -365,7 +373,10 @@ def effective_aspect(
     return None if mask is None else Element(interp.algebra, mask)
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class Violation:
     """A constraint violation with enough context to re-verify it.
 
@@ -382,6 +393,26 @@ class Violation:
     theme_set2: tuple[str, ...] | None = None
     rel_type: str | None = None
     detail: str = ""
+
+    def __init__(
+        self,
+        constraint: str,
+        statements: tuple[str, ...] = (),
+        relation: tuple[str, str] | None = None,
+        theme_set: tuple[str, ...] | None = None,
+        theme_set2: tuple[str, ...] | None = None,
+        rel_type: str | None = None,
+        detail: str = "",
+    ) -> None:
+        # checkers make tens of thousands of these; the generated frozen
+        # __init__ looks up object.__setattr__ once per field
+        _setattr(self, "constraint", constraint)
+        _setattr(self, "statements", statements)
+        _setattr(self, "relation", relation)
+        _setattr(self, "theme_set", theme_set)
+        _setattr(self, "theme_set2", theme_set2)
+        _setattr(self, "rel_type", rel_type)
+        _setattr(self, "detail", detail)
 
     def sort_key(self) -> tuple:
         return (

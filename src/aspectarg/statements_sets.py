@@ -20,6 +20,8 @@ from .model import AspectTable, Interpretation, Model
 
 #: Largest aspect set we will search for minimal representations (2**cap subsets).
 MINREP_CAP = 16
+#: Most (head, members) states one depth-statements-set search may reach.
+DEPTH_STATE_CAP = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -52,37 +54,64 @@ def width_statements_set(model: Model, s: str, t: str, rel: str) -> StatementsSe
 def depth_statements_sets(model: Model, s: str, t: str, rel: str) -> list[StatementsSet]:
     """All maximal depth-statements-sets of ``s`` for theme ``t`` and type ``rel``.
 
-    Enumerates simple paths ending at ``s`` in the subgraph of ``rel``-typed,
-    ``t``-typed relations between ``t``-typed statements, then keeps the
-    set-maximal ones.
+    Searches simple paths ending at ``s`` in the subgraph of ``rel``-typed,
+    ``t``-typed relations between ``t``-typed statements, growing them at
+    their head.  Whether a path can grow depends only on its head and its
+    members, so each (head, members) state is expanded once.  A path that can
+    grow is not maximal, so the maximal sets are the set-maximal members of
+    the states that cannot; each keeps one path reaching it as its witness.
+    Raises :class:`CapExceeded` past :data:`DEPTH_STATE_CAP` states.
     """
     if t not in model.themes_of(s):
         return [StatementsSet("depth", s, t, rel, frozenset([s]), (s,))]
-    eligible_edges: dict[str, list[str]] = {}
+    preds: dict[str, list[str]] = {}
     for r in model.relations:
         if rel not in r.rel_types or t not in r.themes:
             continue
         if t not in model.themes_of(r.source) or t not in model.themes_of(r.target):
             continue
-        eligible_edges.setdefault(r.target, []).append(r.source)
+        preds.setdefault(r.target, []).append(r.source)
+    ids = sorted({s}.union(*preds.values()))
+    bit = {sid: 1 << i for i, sid in enumerate(ids)}
+    pred_bits = {sid: [(bit[p], p) for p in sorted(set(ps))] for sid, ps in preds.items()}
 
-    paths: list[tuple[str, ...]] = []
+    # parent[(head, members)] is the state the head was prepended to
+    start = (s, bit[s])
+    parent: dict[tuple[str, int], tuple[str, int] | None] = {start: None}
+    stack = [start]
+    ends: dict[int, tuple[str, int]] = {}  # members of a state that cannot grow
+    while stack:
+        state = stack.pop()
+        head, members = state
+        grew = False
+        for b, pred in pred_bits.get(head, ()):
+            if members & b:
+                continue
+            grew = True
+            nxt = (pred, members | b)
+            if nxt not in parent:
+                if len(parent) >= DEPTH_STATE_CAP:
+                    raise CapExceeded(
+                        f"the depth-statements-set search of {s} for theme {t!r} "
+                        f"exceeds the cap of {DEPTH_STATE_CAP} path states"
+                    )
+                parent[nxt] = state
+                stack.append(nxt)
+        if not grew:
+            ends.setdefault(members, state)
 
-    def extend(path: tuple[str, ...]) -> None:
-        paths.append(path)
-        head = path[0]
-        for pred in sorted(eligible_edges.get(head, ())):
-            if pred not in path:
-                extend((pred,) + path)
-
-    extend((s,))
-    sets = {frozenset(p): p for p in paths}  # last witnessing order wins; any is fine
-    maximal = [
-        members
-        for members in sets
-        if not any(members < other for other in sets)
-    ]
-    out = [StatementsSet("depth", s, t, rel, members, sets[members]) for members in maximal]
+    maximal: list[int] = []
+    for members in sorted(ends, key=int.bit_count, reverse=True):
+        if all(members & ~m for m in maximal):
+            maximal.append(members)
+    out = []
+    for members in maximal:
+        path: list[str] = []
+        state = ends[members]
+        while state is not None:
+            path.append(state[0])
+            state = parent[state]
+        out.append(StatementsSet("depth", s, t, rel, frozenset(path), tuple(path)))
     out.sort(key=lambda ss: sorted(ss.members))
     return out
 

@@ -14,12 +14,14 @@ from aspectarg.algebra import Algebra, Element, mk_algebra
 from aspectarg.formulas import And, Atom, Const, Iff, Implies, Not, Or
 from aspectarg.model import (
     ATTACK,
+    OMEGA,
     SUPPORT,
     AspectSet,
     Interpretation,
     Model,
     Relation,
     Statement,
+    lookup,
 )
 
 # ---------------------------------------------------------------------------
@@ -202,6 +204,44 @@ def oracle_relation_kinds(u: Element | None, v: Element | None) -> frozenset[str
     if not (u.comparable(v) or u.comparable(~v)):
         kinds.add("incomparable_alternative")
     return frozenset(kinds)
+
+
+# ---------------------------------------------------------------------------
+# Exact-region oracle.
+# ---------------------------------------------------------------------------
+
+
+def oracle_exact_region(
+    model: Model, interp: Interpretation
+) -> list[tuple[str, str, tuple[str, ...], tuple[str, ...]]]:
+    """(constraint, statement, theme set, theme set 2) for every esr, ensr and
+    eos witness, read off the definition through ``lookup``: a statement's
+    aspects at two theme sets must agree inside the aspects the two theme sets
+    share.  Theme sets come by size, then in ``combinations`` order over the
+    declared themes, and the earlier of a pair is the first theme set."""
+    themes = list(dict.fromkeys(model.themes))
+    theme_sets = [c for n in range(len(themes) + 1) for c in combinations(themes, n)]
+
+    def same(a: AspectSet, b: AspectSet) -> bool:
+        return a.issubset(b) and b.issubset(a)
+
+    out = []
+    for t1, t2 in combinations(theme_sets, 2):
+        common = lookup(interp, model, t1, OMEGA).intersection(lookup(interp, model, t2, OMEGA))
+        if common.is_empty:
+            continue
+        for s in model.statements:
+            if s.ref_theme is None:
+                cid = "eos"
+            elif s.ref_target is None:
+                cid = "esr"
+            else:
+                cid = "ensr"
+            a = lookup(interp, model, t1, s.id).intersection(common)
+            b = lookup(interp, model, t2, s.id).intersection(common)
+            if not same(a, b):
+                out.append((cid, s.id, tuple(sorted(t1)), tuple(sorted(t2))))
+    return out
 
 
 # ---------------------------------------------------------------------------

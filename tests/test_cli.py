@@ -236,6 +236,22 @@ class TestCheck:
         assert report["semantic"]["core"]["i"][0]["statements"] == ["s2"]
         assert report["semantic"]["core"]["i"][0]["theme_set"] == ["t2"]
 
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_one_table_per_check(self, name, monkeypatch):
+        from aspectarg.model import AspectTable
+
+        built = []
+        init = AspectTable.__init__
+
+        def counting(self, interp, model):
+            built.append(model)
+            init(self, interp, model)
+
+        monkeypatch.setattr(AspectTable, "__init__", counting)
+        code, _, _ = invoke("check", path(name), "--alpha", "core,E,das,nwci,F")
+        assert code in (0, 1)
+        assert len(built) == 1
+
     def test_reports_are_deterministic(self):
         runs = {
             invoke("check", path(name), "--alpha", "core,E,das,nwci,F", "--format", "machine")[1]
@@ -309,6 +325,27 @@ class TestFreshAspectSizes:
         assert (code, err) == (1, "")
         assert "[faW] s1 and s2 share the minimal representation" in out
         assert "verdict: {core,F}-fallacy" in out
+
+    def test_a_depth_search_past_the_cap_exits_2(self, tmp_path):
+        from aspectarg.statements_sets import DEPTH_STATE_CAP
+
+        # 17 statements all attacking each other: 16 * 2**15 + 1 path states
+        doc = json.loads(json.dumps(MINIMAL))
+        ids = [f"s{i}" for i in range(17)]
+        doc["statements"] = [{"id": s, "kind": "ordinary", "themes": ["t"]} for s in ids]
+        doc["relations"] = [
+            {"from": a, "to": b, "types": ["attack"], "themes": ["t"]}
+            for a in ids for b in ids if a != b
+        ]
+        doc["interpretation"]["statement_aspects"] = []
+        target = tmp_path / "complete.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = invoke("check", str(target), "--alpha", "core,F")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the depth-statements-set search of s0 for theme 't' exceeds the cap "
+            f"of {DEPTH_STATE_CAP} path states\n"
+        )
 
     def test_a_shared_part_past_the_cap_exits_2(self, tmp_path):
         same = [0b11 | x << 2 for x in range(1, 18)]

@@ -30,6 +30,7 @@ from aspectarg.model import (
     Interpretation,
     Model,
     Relation,
+    AspectTable,
     Statement,
     Violation,
     lookup,
@@ -37,6 +38,7 @@ from aspectarg.model import (
 from aspectarg.modelfile import load_path
 from helpers import (
     block_instance,
+    oracle_exact_region,
     oracle_relation_kinds,
     random_model_any,
     random_total_interpretation,
@@ -448,6 +450,46 @@ class TestExactRegion:
                             )
 
 
+def shuffled(rng, model):
+    """``model`` with its themes and statements declared in a random order."""
+    themes, statements = list(model.themes), list(model.statements)
+    rng.shuffle(themes)
+    rng.shuffle(statements)
+    return Model.build(themes, statements, model.statement_themes, model.relations)
+
+
+class TestExactRegionOracle:
+    """E against a checker written from the definition, and its lists in
+    report order without a sort."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_witnesses_match_the_oracle(self, seed, blocks):
+        rng = random.Random(seed)
+        if blocks:
+            model, interp = block_instance(rng)
+            # break E at one row so block instances report witnesses too
+            (key, sid), row = rng.choice(sorted(interp.statement_aspects.items(), key=repr))
+            interp.statement_aspects[(key, sid)] = row.union(
+                AspectSet(interp.algebra, frozenset([interp.algebra.top]))
+            )
+        else:
+            model = random_model_any(rng, max_themes=3)
+            interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+        model = shuffled(rng, model)
+        out = check_exact_region(model, interp)
+        assert set(out) == set(EXACT_REGION_IDS)
+        found = [
+            (v.constraint, v.statements[0], v.theme_set, v.theme_set2)
+            for vs in out.values()
+            for v in vs
+        ]
+        assert sorted(found) == sorted(oracle_exact_region(model, interp))
+        for vs in out.values():
+            assert all(len(v.statements) == 1 for v in vs)
+            assert vs == sorted(vs, key=Violation.sort_key)
+
+
 class TestDasNwci:
     def test_straw_man_fails_das_on_both_supports(self):
         doc = load_path(corpus_path("straw_man"))
@@ -693,6 +735,32 @@ class TestNormalForms:
         interp = Interpretation(fig1, {}, {})
         with pytest.raises(ValueError):
             classify_normal_form(model, interp, [CORE, "bogus"])
+
+    def test_one_table_serves_every_group(self, monkeypatch):
+        doc = load_path(corpus_path("question_begging_god"))
+        built = []
+        init = AspectTable.__init__
+
+        def counting(self, interp, model):
+            built.append(model)
+            init(self, interp, model)
+
+        monkeypatch.setattr(AspectTable, "__init__", counting)
+        verdict = classify_normal_form(doc.model, doc.interpretation, ALPHA_GROUPS)
+        assert built == [doc.model]
+        monkeypatch.undo()
+        # the shared table changes nothing: each group alone finds the same
+        alone = [
+            v for g in ALPHA_GROUPS for vs in run_group(doc.model, doc.interpretation, g).values()
+            for v in vs
+        ]
+        assert verdict.violations == tuple(sorted(alone, key=Violation.sort_key))
+
+    def test_a_table_of_another_model_is_refused(self, fig1):
+        model, other = single_theme_model("s"), single_theme_model("s")
+        interp = Interpretation(fig1, {}, {})
+        with pytest.raises(ValueError, match="another model"):
+            run_group(model, interp, CORE, AspectTable(interp, other))
 
 
 def candidate_witnesses(model):

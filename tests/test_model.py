@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from collections import Counter
 from itertools import combinations
@@ -19,6 +21,7 @@ from aspectarg.model import (
     Model,
     Relation,
     Statement,
+    Violation,
     effective_aspect,
     lookup,
     theme_subsets,
@@ -384,3 +387,54 @@ class TestThemeSubsets:
     def test_cap_is_checked_when_the_enumerator_is_made(self):
         with pytest.raises(CapExceeded):
             theme_subsets([f"t{i}" for i in range(13)])
+
+
+class TestViolation:
+    """The record every checker returns: frozen, slotted, compared by fields."""
+
+    FULL = Violation("eos", ("s",), ("a", "b"), ("t1",), ("t2",), "attack", "text")
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_keyword = Violation(
+            "eos",
+            statements=("s",),
+            relation=("a", "b"),
+            theme_set=("t1",),
+            theme_set2=("t2",),
+            rel_type="attack",
+            detail="text",
+        )
+        assert by_keyword == self.FULL
+        assert Violation(constraint="wf") == Violation("wf", (), None, None, None, None, "")
+
+    def test_defaults(self):
+        v = Violation("wf")
+        assert (v.statements, v.relation, v.theme_set, v.theme_set2, v.rel_type, v.detail) == (
+            (), None, None, None, None, ""
+        )
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.FULL.detail = "other"
+        # a new attribute has no slot; which error says so varies by Python version
+        with pytest.raises((AttributeError, TypeError)):
+            self.FULL.extra = 1
+
+    def test_equality_and_hash_go_by_fields(self):
+        same = Violation("eos", ("s",), ("a", "b"), ("t1",), ("t2",), "attack", "text")
+        assert same == self.FULL and hash(same) == hash(self.FULL)
+        assert Violation("eos", ("s",), ("a", "b"), ("t1",), ("t2",), "attack", "x") != self.FULL
+        assert len({self.FULL, same, Violation("wf")}) == 2
+
+    def test_repr(self):
+        assert repr(Violation("wf", ("s",), detail="d")) == (
+            "Violation(constraint='wf', statements=('s',), relation=None, theme_set=None, "
+            "theme_set2=None, rel_type=None, detail='d')"
+        )
+
+    def test_pickle_round_trip(self):
+        assert pickle.loads(pickle.dumps(self.FULL)) == self.FULL
+
+    def test_no_instance_dict(self):
+        assert not hasattr(self.FULL, "__dict__")
+        assert [f.name for f in dataclasses.fields(Violation)] == list(Violation.__slots__)

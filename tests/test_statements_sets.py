@@ -16,6 +16,7 @@ from aspectarg.model import (
     Statement,
 )
 from aspectarg.statements_sets import (
+    DEPTH_STATE_CAP,
     MINREP_CAP,
     contains_redundancy,
     minimal_representations,
@@ -112,6 +113,57 @@ class TestOracleEquivalence:
             assert members_of(depths) == sorted(
                 sorted(m) for m in oracle_depth_sets(model, sid, theme, rel)
             )
+
+
+def complete_graph(n, rel=ATTACK):
+    """``n`` statements in one theme, each related to every other."""
+    ids = [f"s{i}" for i in range(n)]
+    relations = [
+        Relation(a, b, frozenset({rel}), frozenset({"t"})) for a in ids for b in ids if a != b
+    ]
+    return Model.build(["t"], [Statement(s) for s in ids], {s: {"t"} for s in ids}, relations)
+
+
+class TestDenseDepthSets:
+    """Depth sets on dense graphs, where simple paths outnumber member sets."""
+
+    def test_dense_graphs_match_the_permutation_oracle(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(3, 7)
+            ids = [f"s{i}" for i in range(n)]
+            density = rng.uniform(0.3, 0.8)
+            relations = [
+                Relation(a, b, frozenset(rng.choice([{ATTACK}, {ATTACK, SUPPORT}])),
+                         frozenset({"t"}))
+                for a in ids for b in ids if rng.random() < density
+            ]
+            themes = {s: {"t"} if rng.random() < 0.85 else {"u"} for s in ids}
+            anchor = rng.choice(ids)
+            themes[anchor] = {"t"}
+            model = Model.build(["t", "u"], [Statement(s) for s in ids], themes, relations)
+            edges = {r.pair for r in model.relations}
+            _, depths = statements_sets(model, anchor, "t", ATTACK)
+            assert members_of(depths) == sorted(
+                sorted(m) for m in oracle_depth_sets(model, anchor, "t", ATTACK)
+            )
+            for ss in depths:
+                assert ss.path[-1] == anchor
+                assert len(ss.path) == len(ss.members) == len(frozenset(ss.path))
+                assert frozenset(ss.path) == ss.members
+                assert all(pair in edges for pair in zip(ss.path, ss.path[1:]))
+
+    def test_a_complete_graph_has_one_maximal_set(self):
+        model = complete_graph(12)
+        _, depths = statements_sets(model, "s0", "t", ATTACK)
+        assert members_of(depths) == [sorted(f"s{i}" for i in range(12))]
+        assert depths[0].path[-1] == "s0"
+
+    def test_the_search_is_capped(self):
+        # 17 statements reach 16 * 2**15 + 1 (head, members) states
+        assert 16 * 2**15 + 1 > DEPTH_STATE_CAP > 15 * 2**14 + 1
+        with pytest.raises(CapExceeded, match=f"exceeds the cap of {DEPTH_STATE_CAP}"):
+            statements_sets(complete_graph(17), "s0", "t", ATTACK)
 
 
 class TestMinimalRepresentations:
