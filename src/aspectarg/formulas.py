@@ -15,13 +15,20 @@ evaluation time only, so printing keeps the arrows.
 A formula may nest at most :data:`MAX_DEPTH` levels, counting each operator
 and each parenthesised group on the way down to a leaf, so that evaluating
 and printing it stay within Python's recursion limit.
+
+One tokenizer (a single regular expression) and one recursive-descent parser
+read every formula.  The parser folds each rule as it goes: :func:`parse`
+folds to the expression tree, and :class:`ElementReader`, which the model-file
+loader uses, folds straight to the masks of algebra elements without building
+a tree.  :func:`evaluate` applies the same mask operations to a tree.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from itertools import islice
+from typing import Callable, Mapping, Union
 
 from .algebra import Algebra, Element
 from .errors import FormulaError
@@ -68,7 +75,12 @@ class Iff:
 
 AspectExpr = Union[Atom, Const, Not, And, Or, Implies, Iff]
 
-_TOKEN = re.compile(r"\s*(<->|->|[&|~()]|[01]|[A-Za-z_][A-Za-z0-9_]*)")
+#: One match per token: group 1 a token, group 2 a character no token starts
+#: with.  Matches are contiguous, so a text tokenizes by one ``findall``.
+_TOKEN = re.compile(r"\s*(?:(<->|->|[&|~()01]|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
+
+#: Tokens that cannot start an operand.
+_NO_OPERAND = frozenset(("<->", "->", "&", "|", ")"))
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -77,155 +89,214 @@ IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 MAX_DEPTH = 100
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise FormulaError(f"unexpected character {stripped[0]!r}", offset=len(text) - len(stripped))
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
+class _Fold:
+    """What the parser makes of each grammar rule.
+
+    ``atom`` may return ``None`` for a name it does not know; the parser then
+    folds on with ``const(False)`` and reports the first such name once the
+    whole text has parsed.
+    """
+
+    __slots__ = ("atom", "const", "neg", "conj", "disj", "implies", "iff")
+
+    def __init__(self, atom: Callable, const: Callable, neg: Callable, conj: Callable,
+                 disj: Callable, implies: Callable, iff: Callable):
+        self.atom, self.const, self.neg = atom, const, neg
+        self.conj, self.disj, self.implies, self.iff = conj, disj, implies, iff
+
+
+#: The fold that builds the expression tree.
+_TREE = _Fold(Atom, Const, Not, And, Or, Implies, Iff)
+
+
+def _mask_fold(algebra: Algebra) -> _Fold:
+    """The fold that computes element masks over ``algebra``."""
+    full = algebra.full_mask
+    masks = {name: algebra.prop(name).mask for name in algebra.props}
+    return _Fold(
+        masks.get,
+        (0, full).__getitem__,  # False -> bottom, True -> top
+        full.__xor__,  # complement
+        int.__and__,
+        int.__or__,
+        lambda left, right: left ^ full | right,  # ~left | right
+        lambda left, right: left ^ right ^ full,  # ~(left xor right)
+    )
 
 
 class _Parser:
-    """Recursive descent; every rule returns its tree and the tree's depth."""
+    """Recursive descent over one text; every rule returns its folded value
+    and the depth of its tree.
 
-    def __init__(self, text: str):
+    Token offsets are found again only for an error message, so the parse
+    itself reads plain strings.
+    """
+
+    __slots__ = ("text", "fold", "tokens", "i", "nesting", "unknown")
+
+    def __init__(self, text: str, fold: _Fold):
+        pairs = _TOKEN.findall(text)
+        if not pairs:
+            raise FormulaError("empty formula", offset=0)
+        tokens, bad = zip(*pairs)
+        if any(bad):
+            m = next(m for m in _TOKEN.finditer(text) if m.group(2))
+            raise FormulaError(f"unexpected character {m.group(2)!r}", offset=m.start(2))
         self.text = text
-        self.tokens = _tokenize(text)
+        self.fold = fold
+        self.tokens = tokens + (None,)  # None marks the end of input
         self.i = 0
         self.nesting = 0  # open "~", "(" and "->" levels, bounded so recursion stays shallow
+        self.unknown: str | None = None  # the first name ``fold.atom`` did not know
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+    def run(self):
+        value, _ = self.parse_iff()
+        tok = self.tokens[self.i]
+        if tok is not None:
+            raise FormulaError(f"trailing input {tok!r}", offset=self.offset(self.i))
+        return value
 
-    def next_offset(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
-
-    def take(self) -> str:
-        tok = self.tokens[self.i][0]
-        self.i += 1
-        return tok
+    def offset(self, i: int) -> int:
+        """Offset of token ``i``, or the text's length past the last token."""
+        if i == len(self.tokens) - 1:
+            return len(self.text)
+        return next(islice(_TOKEN.finditer(self.text), i, None)).start(1)
 
     def expect(self, tok: str) -> None:
-        if self.peek() != tok:
-            raise FormulaError(f"expected {tok!r}", offset=self.next_offset())
-        self.take()
+        if self.tokens[self.i] != tok:
+            raise FormulaError(f"expected {tok!r}", offset=self.offset(self.i))
+        self.i += 1
 
-    def too_deep(self, offset: int) -> FormulaError:
-        return FormulaError(f"formula nests deeper than {MAX_DEPTH} levels", offset=offset)
+    def too_deep(self, at: int) -> FormulaError:
+        return FormulaError(f"formula nests deeper than {MAX_DEPTH} levels", offset=self.offset(at))
 
-    def descend(self, offset: int) -> None:
+    def descend(self, at: int) -> None:
         """Enter a nested rule; recursion stops before it can exhaust the stack."""
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
-            raise self.too_deep(offset)
+            raise self.too_deep(at)
 
-    def joined(self, cls, left, right, offset: int) -> tuple[AspectExpr, int]:
-        depth = max(left[1], right[1]) + 1
+    def joined(self, op, left, right, at: int):
+        depth = (left[1] if left[1] > right[1] else right[1]) + 1
         if depth > MAX_DEPTH:
-            raise self.too_deep(offset)
-        return cls(left[0], right[0]), depth
+            raise self.too_deep(at)
+        return op(left[0], right[0]), depth
 
-    def parse_iff(self) -> tuple[AspectExpr, int]:
+    def parse_iff(self):
         e = self.parse_implies()
-        while self.peek() == "<->":
-            offset = self.next_offset()
-            self.take()
-            e = self.joined(Iff, e, self.parse_implies(), offset)
+        while self.tokens[self.i] == "<->":
+            at = self.i
+            self.i += 1
+            e = self.joined(self.fold.iff, e, self.parse_implies(), at)
         return e
 
-    def parse_implies(self) -> tuple[AspectExpr, int]:
+    def parse_implies(self):
         e = self.parse_or()
-        if self.peek() == "->":
-            offset = self.next_offset()
-            self.take()
-            self.descend(offset)
+        if self.tokens[self.i] == "->":
+            at = self.i
+            self.i += 1
+            self.descend(at)
             right = self.parse_implies()
             self.nesting -= 1
-            return self.joined(Implies, e, right, offset)
+            return self.joined(self.fold.implies, e, right, at)
         return e
 
-    def parse_or(self) -> tuple[AspectExpr, int]:
+    def parse_or(self):
         e = self.parse_and()
-        while self.peek() == "|":
-            offset = self.next_offset()
-            self.take()
-            e = self.joined(Or, e, self.parse_and(), offset)
+        while self.tokens[self.i] == "|":
+            at = self.i
+            self.i += 1
+            e = self.joined(self.fold.disj, e, self.parse_and(), at)
         return e
 
-    def parse_and(self) -> tuple[AspectExpr, int]:
+    def parse_and(self):
         e = self.parse_unary()
-        while self.peek() == "&":
-            offset = self.next_offset()
-            self.take()
-            e = self.joined(And, e, self.parse_unary(), offset)
+        while self.tokens[self.i] == "&":
+            at = self.i
+            self.i += 1
+            e = self.joined(self.fold.conj, e, self.parse_unary(), at)
         return e
 
-    def parse_unary(self) -> tuple[AspectExpr, int]:
-        tok = self.peek()
+    def parse_unary(self):
+        at = self.i
+        tok = self.tokens[at]
         if tok is None:
             raise FormulaError("unexpected end of input", offset=len(self.text))
-        offset = self.next_offset()
+        if tok in _NO_OPERAND:
+            raise FormulaError(f"unexpected token {tok!r}", offset=self.offset(at))
+        self.i = at + 1
         if tok == "~":
-            self.take()
-            self.descend(offset)
+            self.descend(at)
             operand, depth = self.parse_unary()
             self.nesting -= 1
-            e = Not(operand)
+            value = self.fold.neg(operand)
         elif tok == "(":
-            self.take()
-            self.descend(offset)
-            e, depth = self.parse_iff()
+            self.descend(at)
+            value, depth = self.parse_iff()
             self.nesting -= 1
             self.expect(")")
         elif tok == "0" or tok == "1":
-            self.take()
-            return Const(tok == "1"), 0
-        elif IDENT.match(tok):
-            self.take()
-            return Atom(tok), 0
+            return self.fold.const(tok == "1"), 0
         else:
-            raise FormulaError(f"unexpected token {tok!r}", offset=offset)
+            value = self.fold.atom(tok)
+            if value is None:
+                if self.unknown is None:
+                    self.unknown = tok
+                value = self.fold.const(False)
+            return value, 0
         if depth + 1 > MAX_DEPTH:
-            raise self.too_deep(offset)
-        return e, depth + 1
+            raise self.too_deep(at)
+        return value, depth + 1
 
 
 def parse(text: str) -> AspectExpr:
     """Parse a formula; raises :class:`FormulaError` with a byte offset on bad input."""
-    if not text.strip():
-        raise FormulaError("empty formula", offset=0)
-    p = _Parser(text)
-    e, _ = p.parse_iff()
-    if p.peek() is not None:
-        raise FormulaError(f"trailing input {p.peek()!r}", offset=p.next_offset())
-    return e
+    return _Parser(text, _TREE).run()
+
+
+class ElementReader:
+    """Reads formula texts over one algebra straight to elements.
+
+    The grammar is the one :func:`parse` uses, folded to minterm masks through
+    one name-to-mask dict built here, so a formula costs one tokenization and
+    builds no tree.  ``read(text)`` equals ``evaluate(parse(text), algebra)``
+    and raises the same errors: a syntax error anywhere in the text before an
+    unknown proposition, and of those the first in the text.
+    """
+
+    def __init__(self, algebra: Algebra):
+        self.algebra = algebra
+        self.fold = _mask_fold(algebra)
+
+    def read(self, text: str) -> Element:
+        parser = _Parser(text, self.fold)
+        mask = parser.run()
+        if parser.unknown is not None:
+            self.algebra.prop(parser.unknown)  # raises the unknown-proposition error
+        return Element(self.algebra, mask)
+
+
+_BINARY = {And: "conj", Or: "disj", Implies: "implies", Iff: "iff"}
 
 
 def evaluate(expr: AspectExpr, algebra: Algebra) -> Element:
     """The element whose minterms are exactly the satisfying assignments of ``expr``."""
-    if isinstance(expr, Atom):
-        return algebra.prop(expr.name)
-    if isinstance(expr, Const):
-        return algebra.top if expr.value else algebra.bottom
-    if isinstance(expr, Not):
-        return ~evaluate(expr.operand, algebra)
-    if isinstance(expr, And):
-        return evaluate(expr.left, algebra) & evaluate(expr.right, algebra)
-    if isinstance(expr, Or):
-        return evaluate(expr.left, algebra) | evaluate(expr.right, algebra)
-    if isinstance(expr, Implies):
-        return ~evaluate(expr.left, algebra) | evaluate(expr.right, algebra)
-    if isinstance(expr, Iff):
-        left, right = evaluate(expr.left, algebra), evaluate(expr.right, algebra)
-        return (~left | right) & (~right | left)
-    raise TypeError(f"not an aspect expression: {expr!r}")
+    fold = _mask_fold(algebra)
+
+    def mask(e: AspectExpr) -> int:
+        if isinstance(e, Atom):
+            m = fold.atom(e.name)
+            return algebra.prop(e.name).mask if m is None else m
+        if isinstance(e, Const):
+            return fold.const(e.value)
+        if isinstance(e, Not):
+            return fold.neg(mask(e.operand))
+        op = _BINARY.get(type(e))
+        if op is None:
+            raise TypeError(f"not an aspect expression: {e!r}")
+        return getattr(fold, op)(mask(e.left), mask(e.right))
+
+    return Element(algebra, mask(expr))
 
 
 _LEVEL = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}

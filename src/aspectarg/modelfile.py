@@ -35,8 +35,8 @@ from pathlib import Path
 from typing import Any
 
 from .algebra import Algebra, Element, mk_algebra
-from .errors import AspectArgError, FormulaError, ModelFileError
-from .formulas import IDENT, evaluate, parse
+from .errors import AspectArgError, ModelFileError
+from .formulas import IDENT, ElementReader
 from .model import (
     EMPTY,
     OMEGA,
@@ -172,16 +172,24 @@ def from_dict(data: Any) -> Document:
         if prev is None or len(formula) < len(prev):
             formulas[element] = formula
 
+    reader = ElementReader(algebra)
+    # each formula text this document has read, to its element: a text written
+    # in many rows is read once, and nothing outlives the document
+    read: dict[str, Element] = {}
+
     def parse_aspects(value: Any, where: str, allow_all: bool) -> AspectSet:
         if value == "ALL":
             _expect(allow_all, where, '"ALL" is only valid for theme aspects')
             return AspectSet(algebra, full=True)
         elements = set()
         for f in _string_list(value, where):
-            try:
-                element = evaluate(parse(f), algebra)
-            except (FormulaError, AspectArgError) as exc:
-                raise ModelFileError(f"{where}: bad formula {f!r}: {exc}") from exc
+            element = read.get(f)
+            if element is None:
+                try:
+                    element = reader.read(f)
+                except AspectArgError as exc:
+                    raise ModelFileError(f"{where}: bad formula {f!r}: {exc}") from exc
+                read[f] = element
             remember(f, element)
             elements.add(element)
         return AspectSet(algebra, frozenset(elements))

@@ -8,9 +8,11 @@ path with the implementations they check.
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations, permutations
 
 from aspectarg.algebra import Algebra, Element, mk_algebra
+from aspectarg.errors import FormulaError
 from aspectarg.formulas import And, Atom, Const, Iff, Implies, Not, Or
 from aspectarg.model import (
     ATTACK,
@@ -55,6 +57,175 @@ def truth_table_element(expr, algebra: Algebra) -> Element:
         if eval_bool(expr, assignment):
             mask |= 1 << m
     return Element(algebra, mask)
+
+
+# ---------------------------------------------------------------------------
+# Reference formula reader: the tokenizer, parser and evaluator the package
+# used before formulas were folded straight to masks, kept unchanged so the
+# loader's error texts and offsets can be compared with them.
+# ---------------------------------------------------------------------------
+
+_ORACLE_TOKEN = re.compile(r"\s*(<->|->|[&|~()]|[01]|[A-Za-z_][A-Za-z0-9_]*)")
+_ORACLE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_ORACLE_MAX_DEPTH = 100
+
+
+def _oracle_tokenize(text: str) -> list[tuple[str, int]]:
+    tokens: list[tuple[str, int]] = []
+    pos = 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN.match(text, pos)
+        if not m:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise FormulaError(f"unexpected character {stripped[0]!r}", offset=len(text) - len(stripped))
+        tokens.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return tokens
+
+
+class _OracleParser:
+    """Recursive descent; every rule returns its tree and the tree's depth."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _oracle_tokenize(text)
+        self.i = 0
+        self.nesting = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def next_offset(self) -> int:
+        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
+
+    def take(self) -> str:
+        tok = self.tokens[self.i][0]
+        self.i += 1
+        return tok
+
+    def expect(self, tok: str) -> None:
+        if self.peek() != tok:
+            raise FormulaError(f"expected {tok!r}", offset=self.next_offset())
+        self.take()
+
+    def too_deep(self, offset: int) -> FormulaError:
+        return FormulaError(f"formula nests deeper than {_ORACLE_MAX_DEPTH} levels", offset=offset)
+
+    def descend(self, offset: int) -> None:
+        self.nesting += 1
+        if self.nesting > _ORACLE_MAX_DEPTH:
+            raise self.too_deep(offset)
+
+    def joined(self, cls, left, right, offset: int):
+        depth = max(left[1], right[1]) + 1
+        if depth > _ORACLE_MAX_DEPTH:
+            raise self.too_deep(offset)
+        return cls(left[0], right[0]), depth
+
+    def parse_iff(self):
+        e = self.parse_implies()
+        while self.peek() == "<->":
+            offset = self.next_offset()
+            self.take()
+            e = self.joined(Iff, e, self.parse_implies(), offset)
+        return e
+
+    def parse_implies(self):
+        e = self.parse_or()
+        if self.peek() == "->":
+            offset = self.next_offset()
+            self.take()
+            self.descend(offset)
+            right = self.parse_implies()
+            self.nesting -= 1
+            return self.joined(Implies, e, right, offset)
+        return e
+
+    def parse_or(self):
+        e = self.parse_and()
+        while self.peek() == "|":
+            offset = self.next_offset()
+            self.take()
+            e = self.joined(Or, e, self.parse_and(), offset)
+        return e
+
+    def parse_and(self):
+        e = self.parse_unary()
+        while self.peek() == "&":
+            offset = self.next_offset()
+            self.take()
+            e = self.joined(And, e, self.parse_unary(), offset)
+        return e
+
+    def parse_unary(self):
+        tok = self.peek()
+        if tok is None:
+            raise FormulaError("unexpected end of input", offset=len(self.text))
+        offset = self.next_offset()
+        if tok == "~":
+            self.take()
+            self.descend(offset)
+            operand, depth = self.parse_unary()
+            self.nesting -= 1
+            e = Not(operand)
+        elif tok == "(":
+            self.take()
+            self.descend(offset)
+            e, depth = self.parse_iff()
+            self.nesting -= 1
+            self.expect(")")
+        elif tok == "0" or tok == "1":
+            self.take()
+            return Const(tok == "1"), 0
+        elif _ORACLE_IDENT.match(tok):
+            self.take()
+            return Atom(tok), 0
+        else:
+            raise FormulaError(f"unexpected token {tok!r}", offset=offset)
+        if depth + 1 > _ORACLE_MAX_DEPTH:
+            raise self.too_deep(offset)
+        return e, depth + 1
+
+
+def _oracle_evaluate(expr, algebra: Algebra) -> Element:
+    if isinstance(expr, Atom):
+        return algebra.prop(expr.name)
+    if isinstance(expr, Const):
+        return algebra.top if expr.value else algebra.bottom
+    if isinstance(expr, Not):
+        return ~_oracle_evaluate(expr.operand, algebra)
+    if isinstance(expr, And):
+        return _oracle_evaluate(expr.left, algebra) & _oracle_evaluate(expr.right, algebra)
+    if isinstance(expr, Or):
+        return _oracle_evaluate(expr.left, algebra) | _oracle_evaluate(expr.right, algebra)
+    if isinstance(expr, Implies):
+        return ~_oracle_evaluate(expr.left, algebra) | _oracle_evaluate(expr.right, algebra)
+    if isinstance(expr, Iff):
+        left, right = _oracle_evaluate(expr.left, algebra), _oracle_evaluate(expr.right, algebra)
+        return (~left | right) & (~right | left)
+    raise TypeError(f"not an aspect expression: {expr!r}")
+
+
+def oracle_parse(text: str):
+    """The tree of ``text`` by the reference parser; raises its :class:`FormulaError`."""
+    if not text.strip():
+        raise FormulaError("empty formula", offset=0)
+    p = _OracleParser(text)
+    e, _ = p.parse_iff()
+    if p.peek() is not None:
+        raise FormulaError(f"trailing input {p.peek()!r}", offset=p.next_offset())
+    return e
+
+
+def oracle_formula(text: str, algebra: Algebra):
+    """The tree of ``text`` by the reference reader, after evaluating it over
+    ``algebra``; raises the reference's :class:`FormulaError` or
+    :class:`AlgebraError` on bad input."""
+    e = oracle_parse(text)
+    _oracle_evaluate(e, algebra)
+    return e
 
 
 def random_expr(rng: random.Random, names: list[str], depth: int = 3):

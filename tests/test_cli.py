@@ -78,6 +78,18 @@ class TestValidate:
         assert code == 2
         assert "invalid JSON" in err
 
+    def test_a_syntax_error_is_reported_before_an_unknown_proposition(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["interpretation"]["statement_aspects"][0]["aspects"] = ["zz & ("]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = invoke("validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: interpretation.statement_aspects[0].aspects: bad formula 'zz & (': "
+            "unexpected end of input (at offset 6)\n"
+        )
+
 
 #: Every command that loads a model file, with the options it needs.
 FILE_COMMANDS = (

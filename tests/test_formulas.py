@@ -1,16 +1,19 @@
+import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectarg.algebra import mk_algebra
-from aspectarg.errors import FormulaError
+from aspectarg.errors import AspectArgError, FormulaError, ModelFileError
 from aspectarg.formulas import (
     MAX_DEPTH,
     And,
     Atom,
     Const,
+    ElementReader,
     Iff,
     Implies,
     Not,
@@ -20,7 +23,8 @@ from aspectarg.formulas import (
     parse,
     render_element,
 )
-from helpers import random_expr, truth_table_element
+from aspectarg.modelfile import loads
+from helpers import oracle_formula, oracle_parse, random_expr, truth_table_element
 
 
 class TestParse:
@@ -222,3 +226,154 @@ class TestDepthLimit:
         a = mk_algebra([f"w1_{i}" for i in range(1, 21)])
         assert format_expr(parse(chain)) == chain
         assert evaluate(parse(chain), a).mask.bit_count() == a.n_minterms - 1
+
+
+# ---------------------------------------------------------------------------
+# The loader reads formulas straight to masks; the reference reader in
+# ``helpers`` gives the error text or the tree it must agree with.
+# ---------------------------------------------------------------------------
+
+PROPS = ["x", "y", "z"]
+
+#: Characters to scatter into formulas: stray ASCII, non-ASCII letters,
+#: Unicode whitespace, and pieces of tokens.
+STRAY = ["?", "!", "2", "<", ">", "-", "=", "\u00e9", "\u03bb", "\u00a0", "\t", "\u2003",
+         "(", ")", "~", "&", "|", "->", "<->", "0", "1", "zz", " "]
+
+#: Formulas at, just under and just over the depth limit, in the three
+#: shapes that nest: negations, parentheses, and binary operators.
+DEPTH_SHAPES = [
+    shape
+    for n in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1)
+    for shape in ("~" * n + "x", "(" * n + "x" + ")" * n, " | ".join(["x"] * (n + 1)),
+                  " -> ".join(["y"] * (n + 1)))
+]
+
+
+@st.composite
+def formula_texts(draw):
+    """A printed random formula, or a depth shape, with a few mutations."""
+    if draw(st.integers(0, 4)) == 0:
+        text = draw(st.sampled_from(DEPTH_SHAPES))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        text = format_expr(random_expr(rng, PROPS, depth=draw(st.integers(0, 4))))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("insert", "delete", "space", "unknown", "trail")))
+        at = draw(st.integers(0, len(text)))
+        if op == "insert":
+            text = text[:at] + draw(st.sampled_from(STRAY)) + text[at:]
+        elif op == "delete":
+            text = text[:at] + text[at + 1:]
+        elif op == "space":
+            text = text.replace(" ", draw(st.sampled_from(["\u00a0", "\t", "  ", ""])))
+        elif op == "unknown":
+            # an unknown atom before whatever error comes later in the text
+            text = "zz & " + text
+        else:
+            text = text + draw(st.sampled_from([")", "(", " x", " & ", " ~", "y y"]))
+    return text
+
+
+def _document(*rows: list[str]) -> str:
+    """A model file whose statement ``s<i>`` has the aspects ``rows[i]``."""
+    return json.dumps({
+        "themes": ["t"],
+        "props": PROPS,
+        "statements": [{"id": f"s{i}", "kind": "ordinary", "themes": ["t"]}
+                       for i in range(len(rows))],
+        "relations": [],
+        "interpretation": {
+            "default": "union",
+            "theme_aspects": [{"themes": ["t"], "aspects": "ALL"}],
+            "statement_aspects": [
+                {"themes": ["t"], "statement": f"s{i}", "aspects": aspects}
+                for i, aspects in enumerate(rows)
+            ],
+        },
+    })
+
+
+class TestLoaderMatchesTheReferenceReader:
+    @given(formula_texts())
+    @settings(max_examples=400)
+    def test_error_text_or_truth_table(self, text):
+        algebra = mk_algebra(PROPS)
+        doc = _document([text])
+        try:
+            tree = oracle_formula(text, algebra)
+        except AspectArgError as exc:
+            with pytest.raises(ModelFileError) as info:
+                loads(doc)
+            where = "interpretation.statement_aspects[0].aspects"
+            assert str(info.value) == f"{where}: bad formula {text!r}: {exc}"
+            with pytest.raises(AspectArgError) as info:
+                ElementReader(algebra).read(text)
+            assert str(info.value) == str(exc)
+        else:
+            row = loads(doc).interpretation.statement_aspects[(frozenset(["t"]), "s0")]
+            assert row.elements == {truth_table_element(tree, algebra)}
+
+    @given(formula_texts())
+    @settings(max_examples=200)
+    def test_parse_builds_the_reference_tree(self, text):
+        try:
+            tree = oracle_parse(text)
+        except FormulaError as exc:
+            with pytest.raises(FormulaError) as info:
+                parse(text)
+            assert (str(info.value), info.value.offset) == (str(exc), exc.offset)
+        else:
+            assert parse(text) == tree
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("zz & (", "unexpected end of input (at offset 6)"),
+            ("zz & ? & (", "unexpected character '?' (at offset 5)"),
+            ("x &\u00a0\u00e9", "unexpected character '\u00e9' (at offset 4)"),
+            ("zz & x", "unknown proposition 'zz'"),
+            ("x | zz | ww", "unknown proposition 'zz'"),
+            ("(" * 101 + "zz" + ")" * 101, f"formula nests deeper than {MAX_DEPTH} levels (at offset 100)"),
+        ],
+    )
+    def test_syntax_errors_come_before_unknown_propositions(self, text, message):
+        with pytest.raises(AspectArgError) as info:
+            ElementReader(mk_algebra(PROPS)).read(text)
+        assert str(info.value) == message
+
+
+class TestFormulasAreReadOncePerDocument:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        counted: Counter = Counter()
+        read = ElementReader.read
+
+        def counting(self, text):
+            counted[text] += 1
+            return read(self, text)
+
+        monkeypatch.setattr(ElementReader, "read", counting)
+        return counted
+
+    def test_a_repeated_formula_is_read_once(self, reads):
+        interp = loads(_document(*[["x & y", "z"]] * 5)).interpretation
+        assert reads == {"x & y": 1, "z": 1}
+        assert len(interp.statement_aspects) == 5
+
+    def test_a_second_document_reads_again(self, reads):
+        doc = _document(["x & y"], ["x & y"])
+        first, second = loads(doc), loads(doc)
+        assert reads == {"x & y": 2}
+        assert first.interpretation == second.interpretation
+
+    def test_a_bad_formula_after_a_memo_hit_names_its_row(self, reads):
+        with pytest.raises(ModelFileError) as info:
+            loads(_document(["x"], ["x", "x &"]))
+        assert str(info.value).startswith("interpretation.statement_aspects[1].aspects: ")
+
+    def test_names_are_the_shortest_text_first_written(self, reads):
+        algebra = mk_algebra(PROPS)
+        interp = loads(_document(["(x & y)", "y&x"], ["x&y", "y&x", "x & y"])).interpretation
+        assert interp.formulas == {evaluate(parse("x & y"), algebra): "y&x"}
+        assert reads == {"(x & y)": 1, "y&x": 1, "x&y": 1, "x & y": 1}
