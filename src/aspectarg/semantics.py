@@ -94,11 +94,10 @@ class _AttackIndex:
         )
 
     def attacked_by(self, s: int) -> int:
-        out = 0
-        for i, targets in enumerate(self.targets):
-            if s >> i & 1:
-                out |= targets
-        return out
+        return _union(self.targets, s)
+
+    def attackers_of(self, s: int) -> int:
+        return _union(self.attackers, s)
 
     def defended(self, attacked: int) -> int:
         """The statements all of whose attackers lie in ``attacked``."""
@@ -117,20 +116,23 @@ class _AttackIndex:
                 return current
             current = nxt
 
-    def conflict_free_sets(self) -> Iterator[tuple[int, int, int]]:
-        """``(S, attacked_by(S), attackers_of(S))`` for every conflict-free S.
+    def conflict_free_sets(
+        self, s: int = 0, attacked: int = 0, attacking: int = 0
+    ) -> Iterator[tuple[int, int, int]]:
+        """``(S, attacked_by(S), attackers_of(S))`` for every conflict-free S
+        that contains the conflict-free seed ``s`` (with its two masks).
 
         A depth-first search in index order that adds a statement only when
-        it neither attacks nor is attacked by the set so far, itself
-        included, so it visits every conflict-free set once and no other.
+        it is not in the set and neither attacks nor is attacked by it,
+        itself included, so it visits every such set once and no other.
         """
         n = len(self.order)
         attackers, targets = self.attackers, self.targets
-        stack = [(0, 0, 0, 0)]
+        stack = [(0, s, attacked, attacking)]
         while stack:
             start, s, attacked, attacking = stack.pop()
             yield s, attacked, attacking
-            blocked = attacked | attacking | self.self_attacking
+            blocked = s | attacked | attacking | self.self_attacking
             for i in range(start, n):
                 bit = 1 << i
                 if not blocked & bit:
@@ -138,8 +140,53 @@ class _AttackIndex:
                         (i + 1, s | bit, attacked | targets[i], attacking | attackers[i])
                     )
 
+    def maximal_conflict_free(self) -> list[int]:
+        """The maximal conflict-free sets: the maximal cliques of the graph
+        that joins two statements that are not self-attacking when neither
+        attacks the other, found by Bron–Kerbosch with Tomita's pivot (the
+        statement compatible with the most candidates), which reports each
+        maximal set once and no smaller one."""
+        compatible = [
+            self.everyone & ~(attackers | targets | self.self_attacking | 1 << i)
+            for i, (attackers, targets) in enumerate(zip(self.attackers, self.targets))
+        ]
+        found: list[int] = []
+
+        def expand(clique: int, candidates: int, excluded: int) -> None:
+            if not candidates | excluded:
+                found.append(clique)
+                return
+            pivot = max(
+                _bits(candidates | excluded),
+                key=lambda u: (candidates & compatible[u]).bit_count(),
+            )
+            for v in _bits(candidates & ~compatible[pivot]):
+                bit = 1 << v
+                expand(clique | bit, candidates & compatible[v], excluded & compatible[v])
+                candidates &= ~bit
+                excluded |= bit
+
+        expand(0, self.everyone & ~self.self_attacking, 0)
+        return found
+
     def members(self, s: int) -> frozenset[str]:
         return frozenset(a for i, a in enumerate(self.order) if s >> i & 1)
+
+
+def _union(masks: list[int], s: int) -> int:
+    """The union of the masks at the positions in ``s``."""
+    out = 0
+    for i in _bits(s):
+        out |= masks[i]
+    return out
+
+
+def _bits(s: int) -> Iterator[int]:
+    """The positions of the set bits of ``s``, lowest first."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
 
 
 def extensions(sub: SubModel, semantics: str) -> frozenset[frozenset[str]]:
@@ -154,25 +201,27 @@ def extensions(sub: SubModel, semantics: str) -> frozenset[frozenset[str]]:
             f"{len(index.order)} statements exceed the subset-enumeration cap "
             f"{MAX_ENUMERATED_STATEMENTS} for {semantics} semantics"
         )
-    candidates = index.conflict_free_sets()
     if semantics == "naive":
-        # conflict-freeness is closed under subsets, so S is maximal iff
-        # adding any one statement makes a conflict
-        found = [
-            s for s, attacked, attacking in candidates
-            if s | attacked | attacking | index.self_attacking == index.everyone
-        ]
-    elif semantics == "stable":
-        found = [s for s, attacked, _ in candidates if attacked | s == index.everyone]
+        found = index.maximal_conflict_free()
     else:
-        # admissible: every attacker of S is attacked by S
-        admissible = [
-            (s, attacked) for s, attacked, attacking in candidates if not attacking & ~attacked
-        ]
-        if semantics == "preferred":
-            found = _maximal_masks(s for s, _ in admissible)
-        else:  # complete: S is exactly what it defends
-            found = [s for s, attacked in admissible if index.defended(attacked) == s]
+        # complete, preferred and stable extensions are complete, so each
+        # contains the grounded extension G and none of what G attacks or
+        # what attacks G: search only what G leaves undecided
+        grounded = index.grounded()
+        candidates = index.conflict_free_sets(
+            grounded, index.attacked_by(grounded), index.attackers_of(grounded)
+        )
+        if semantics == "stable":
+            found = [s for s, attacked, _ in candidates if attacked | s == index.everyone]
+        else:
+            # admissible: every attacker of S is attacked by S
+            admissible = [
+                (s, attacked) for s, attacked, attacking in candidates if not attacking & ~attacked
+            ]
+            if semantics == "preferred":
+                found = _maximal_masks(s for s, _ in admissible)
+            else:  # complete: S is exactly what it defends
+                found = [s for s, attacked in admissible if index.defended(attacked) == s]
     return frozenset(index.members(s) for s in found)
 
 

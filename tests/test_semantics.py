@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspectarg.corpus import corpus_path
 from aspectarg.errors import CapExceeded, UnknownIdError
@@ -16,12 +18,13 @@ from aspectarg.model import (
 from aspectarg.modelfile import load_path
 from aspectarg.semantics import (
     SEMANTICS_IDS,
+    _AttackIndex,
     detect_logical_fallacy,
     extensions,
     logico_rhetorical_conclusion,
     sub_model,
 )
-from helpers import oracle_dung
+from helpers import oracle_conflict_free_extensions, oracle_dung
 
 
 def attack_model(args, attacks, themes=("t",)):
@@ -31,6 +34,35 @@ def attack_model(args, attacks, themes=("t",)):
         {a: set(themes) for a in args},
         [Relation(a, b, frozenset({ATTACK}), frozenset(themes)) for a, b in attacks],
     )
+
+
+@st.composite
+def chains_feeding_cycles(draw):
+    """An attack graph of 11-16 statements: a chain a0 -> a1 -> ... whose
+    head is unattacked, and cycles of one to five statements (a cycle of one
+    is a self-attack) that the chain feeds only from statements the head's
+    side defeats (a1, a3, ...).  Extra attacks, self-attacks included, run
+    inside the cycles and from cycles back into the chain past its head.  So
+    grounded accepts a0 and decides the chain up to the first statement a
+    cycle attacks, but no cycle statement: its extension is neither empty
+    nor everything."""
+    n = draw(st.integers(11, 16))
+    size = draw(st.integers(2, n - 2))
+    cycles: list[list[str]] = []
+    while sum(map(len, cycles)) < size:
+        length = draw(st.integers(1, min(5, size - sum(map(len, cycles)))))
+        cycles.append([f"c{len(cycles)}_{j}" for j in range(length)])
+    chain = [f"a{i:02d}" for i in range(n - size)]
+    in_cycles = [c for cycle in cycles for c in cycle]
+    attacks = {(chain[i], chain[i + 1]) for i in range(len(chain) - 1)}
+    attacks |= {(cycle[j - 1], cycle[j]) for cycle in cycles for j in range(len(cycle))}
+    defeated = chain[1::2]
+    for cycle in cycles:
+        attacks.add((draw(st.sampled_from(defeated)), draw(st.sampled_from(cycle))))
+    pairs = [(a, b) for a in in_cycles for b in in_cycles]
+    pairs += [(a, b) for a in in_cycles for b in chain[1:]]
+    attacks |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    return frozenset(chain + in_cycles), frozenset(attacks)
 
 
 class TestSubModel:
@@ -174,6 +206,35 @@ class TestExtensions:
                 oracle = oracle_dung(args, attacks)
                 for sem in SEMANTICS_IDS:
                     assert extensions(sub, sem) == oracle[sem], (sem, sorted(attacks))
+
+    @given(chains_feeding_cycles())
+    @settings(max_examples=150, deadline=None)
+    def test_against_full_enumeration_past_ten_statements(self, graph):
+        args, attacks = graph
+        sub = sub_model(attack_model(args, attacks), ["t"])
+        (grounded,) = extensions(sub, "grounded")
+        assert grounded and grounded != args
+        expected = oracle_conflict_free_extensions(args, attacks)
+        for sem, exts in expected.items():
+            assert extensions(sub, sem) == exts, sem
+
+    def test_a_chain_grounded_decides_is_searched_once(self, monkeypatch):
+        visited = []
+        search = _AttackIndex.conflict_free_sets
+
+        def counted(index, *seed):
+            for found in search(index, *seed):
+                visited.append(found[0])
+                yield found
+
+        monkeypatch.setattr(_AttackIndex, "conflict_free_sets", counted)
+        args = [f"s{i:02d}" for i in range(16)]
+        chain = {(args[i], args[i + 1]) for i in range(15)}
+        sub = sub_model(attack_model(set(args), chain), ["t"])
+        for sem in ("complete", "preferred", "stable"):
+            visited.clear()
+            assert extensions(sub, sem) == {frozenset(args[0::2])}, sem
+            assert len(visited) == 1, sem
 
     def test_grounded_inside_every_preferred(self):
         rng = random.Random(17)
