@@ -8,21 +8,7 @@ into logico-rhetorical conclusions whose inconsistency exposes logical
 fallacies.
 """
 
-from .algebra import (
-    Algebra,
-    DisjointProduct,
-    Element,
-    atoms,
-    disjoint_product,
-    downset,
-    eta,
-    inf_set,
-    is_subalgebra,
-    join_irreducibles,
-    mk_algebra,
-    sup_set,
-    upset,
-)
+from .algebra import Algebra, Element, mk_algebra
 from .constraints import (
     ALPHA_GROUPS,
     NormalFormVerdict,

@@ -2,17 +2,15 @@
 
 An algebra over k propositions has 2**k minterms (full truth assignments);
 every element is the set of minterms it covers, stored as an int bitmask.
-Meet, join and complement are then bitwise and/or/negation, and the lattice
-order is bitmask inclusion.  Finite Boolean algebras are complete, so
-arbitrary infima and suprema exist; ``inf_set``/``sup_set`` use the usual
-empty-meet = top / empty-join = bottom convention.
+Meet, join and complement are then bitwise and/or/negation, the lattice
+order is bitmask inclusion, and the atoms are the one-minterm masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import AlgebraError, CapExceeded
 
@@ -166,93 +164,9 @@ def mk_algebra(props: Sequence[str]) -> Algebra:
     return Algebra(names)
 
 
-def inf_set(algebra: Algebra, elements: Iterable[Element]) -> Element:
-    """Infimum of a set of elements; the empty infimum is the top element."""
-    mask = algebra.full_mask
-    for e in elements:
-        if e.algebra != algebra:
-            raise AlgebraError("elements belong to different algebras")
-        mask &= e.mask
-    return Element(algebra, mask)
-
-
-def sup_set(algebra: Algebra, elements: Iterable[Element]) -> Element:
-    """Supremum of a set of elements; the empty supremum is the bottom element."""
-    mask = 0
-    for e in elements:
-        if e.algebra != algebra:
-            raise AlgebraError("elements belong to different algebras")
-        mask |= e.mask
-    return Element(algebra, mask)
-
-
-def downset(algebra: Algebra, elements: Iterable[Element]) -> frozenset[Element]:
-    """Smallest down set containing ``elements`` (materialised; small algebras only)."""
-    seeds = list(elements)
-    if not seeds:
-        return frozenset()
-    return frozenset(x for x in algebra.elements() if any(x <= s for s in seeds))
-
-
-def upset(algebra: Algebra, elements: Iterable[Element]) -> frozenset[Element]:
-    """Smallest up set containing ``elements`` (materialised; small algebras only)."""
-    seeds = list(elements)
-    if not seeds:
-        return frozenset()
-    return frozenset(x for x in algebra.elements() if any(s <= x for s in seeds))
-
-
-def atoms(algebra: Algebra) -> frozenset[Element]:
-    """The minimal non-bottom elements: one per minterm."""
-    return frozenset(Element(algebra, 1 << m) for m in range(algebra.n_minterms))
-
-
-def join_irreducibles(algebra: Algebra) -> frozenset[Element]:
-    """Elements x != 0 such that x = y | z forces x in {y, z}.
-
-    Computed from the definition by scanning candidate decompositions, so
-    tests can compare it against ``atoms`` without circularity.
-    """
-    out = []
-    for x in algebra.elements():
-        if x.is_bottom:
-            continue
-        if not _has_proper_join_decomposition(x):
-            out.append(x)
-    return frozenset(out)
-
-
-def _has_proper_join_decomposition(x: Element) -> bool:
-    parts = x.minterms()
-    # Every y, z <= x is a pair of subsets of x's minterms; scan them.
-    n = len(parts)
-    for ybits in range(1 << n):
-        ymask = sum(1 << parts[i] for i in range(n) if (ybits >> i) & 1)
-        if ymask == x.mask:
-            continue
-        for zbits in range(1 << n):
-            zmask = sum(1 << parts[i] for i in range(n) if (zbits >> i) & 1)
-            if zmask != x.mask and (ymask | zmask) == x.mask:
-                return True
-    return False
-
-
-def eta(a: Element) -> frozenset[Element]:
-    """The atoms below ``a`` (the powerset-of-atoms representation of a)."""
-    return frozenset(Element(a.algebra, 1 << m) for m in a.minterms())
-
-
-def is_subalgebra(elements: Iterable[Element], algebra: Algebra) -> bool:
-    """True iff the set contains 0 and 1 and is closed under not/and/or."""
-    elems = set(elements)
-    for e in elems:
-        if e.algebra != algebra:
-            raise AlgebraError("elements belong to different algebras")
-    return closed_under_boolean_ops(frozenset(e.mask for e in elems), algebra.full_mask)
-
-
 def closed_under_boolean_ops(masks: frozenset[int], full: int) -> bool:
-    """:func:`is_subalgebra` on element masks, ``full`` being the top mask."""
+    """Whether the element masks hold 0 and ``full`` (the top mask) and are
+    closed under complement, meet and join: a subalgebra."""
     if 0 not in masks or full not in masks:
         return False
     for a in masks:
@@ -263,45 +177,3 @@ def closed_under_boolean_ops(masks: frozenset[int], full: int) -> bool:
             if a & b not in masks or a | b not in masks:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class DisjointProduct:
-    """Product of algebras with disjoint proposition names, plus embeddings.
-
-    Embedded non-trivial elements of distinct parts share only 0 and 1 and
-    are never comparable with each other.
-    """
-
-    algebra: Algebra
-    parts: tuple[Algebra, ...]
-    offsets: tuple[int, ...]
-
-    def embed(self, part_index: int, element: Element) -> Element:
-        part = self.parts[part_index]
-        if element.algebra != part:
-            raise AlgebraError("element does not belong to the indicated part")
-        offset = self.offsets[part_index]
-        width = (1 << part.k) - 1
-        mask = 0
-        for m in range(self.algebra.n_minterms):
-            if (element.mask >> ((m >> offset) & width)) & 1:
-                mask |= 1 << m
-        return Element(self.algebra, mask)
-
-
-def disjoint_product(parts: Sequence[Algebra]) -> DisjointProduct:
-    """Combine algebras over disjoint proposition names into one product algebra."""
-    seen: set[str] = set()
-    for part in parts:
-        for name in part.props:
-            if name in seen:
-                raise AlgebraError(f"proposition name {name!r} appears in two parts")
-            seen.add(name)
-    all_props: list[str] = []
-    offsets: list[int] = []
-    for part in parts:
-        offsets.append(len(all_props))
-        all_props.extend(part.props)
-    product = mk_algebra(all_props)
-    return DisjointProduct(product, tuple(parts), tuple(offsets))

@@ -25,7 +25,7 @@ from . import constraints, semantics
 from .constraints import ALPHA_GROUPS
 from .errors import AspectArgError, ModelError, ModelFileError
 from .formulas import render_element
-from .model import AspectTable, validate_wellformed
+from .model import validate_wellformed
 from .modelfile import Document, dumps, load_path, to_dict
 from .report import human_violations, to_json, violations_block
 from .synthesis import synthesize_core_witness
@@ -84,28 +84,22 @@ def cmd_check(args, out, err) -> int:
     alpha = constraints.validate_alpha(_comma_list(args.alpha))
     doc = _load_wellformed(args.file)
     graphic = constraints.check_graphic(doc.model)
-    table = AspectTable(doc.interpretation, doc.model)  # one table for every group
-    semantic = {
-        group: constraints.run_group(doc.model, doc.interpretation, group, table)
-        for group in ALPHA_GROUPS
-        if group in alpha
-    }
+    verdict = constraints.classify_normal_form(doc.model, doc.interpretation, alpha)
 
     graphic_count = sum(len(vs) for vs in graphic.values())
-    semantic_count = sum(len(vs) for g in semantic.values() for vs in g.values())
-    normal = semantic_count == 0
-    alpha_label = "{" + ",".join(g for g in ALPHA_GROUPS if g in alpha) + "}"
+    normal = verdict.normal
+    alpha_label = "{" + ",".join(verdict.groups) + "}"  # groups in ALPHA_GROUPS order
 
     report = {
         "command": "check",
         "file": args.file,
         "alpha": sorted(alpha),
         "graphic": violations_block(graphic),
-        "semantic": {g: violations_block(groups) for g, groups in sorted(semantic.items())},
+        "semantic": {g: violations_block(found) for g, found in verdict.groups.items()},
         "normal": normal,
         "verdict": f"{alpha_label}-normal" if normal else f"{alpha_label}-fallacy",
         "graphic_violations": graphic_count,
-        "semantic_violations": semantic_count,
+        "semantic_violations": len(verdict.violations),
     }
     _emit(report, args.format, out, _check_lines)
     return OK if normal and graphic_count == 0 else FALLACY

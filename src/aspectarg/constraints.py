@@ -13,7 +13,7 @@ independently auditable.  The semantic checkers accept a compiled
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .algebra import Element, closed_under_boolean_ops
@@ -47,6 +47,8 @@ DAS = "das"
 NWCI = "nwci"
 F = "F"
 ALPHA_GROUPS = (CORE, E, DAS, NWCI, F)
+#: Every semantic constraint id, in the order of ``Violation.sort_key``.
+SEMANTIC_IDS = tuple(sorted(CORE_IDS + EXACT_REGION_IDS + (DAS, NWCI) + FRESH_ASPECT_IDS))
 
 
 def _tkey(themes: Iterable[str]) -> tuple[str, ...]:
@@ -373,9 +375,7 @@ def check_graphic(model: Model) -> dict[str, list[Violation]]:
                         f"for shared themes {sorted(dn1 & dn2)}",
                     )
                 )
-    for vs in out.values():
-        vs.sort(key=Violation.sort_key)
-    return out
+    return _sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +692,15 @@ def classify_relations(
 
 @dataclass(frozen=True)
 class NormalFormVerdict:
+    """``groups`` maps each chosen group, in :data:`ALPHA_GROUPS` order, to its
+    violations by constraint id; ``violations`` joins them in id order.  The
+    groups follow from ``alpha`` and ``violations``, so they take no part in
+    equality or the hash."""
+
     alpha: frozenset[str]
     normal: bool
     violations: tuple[Violation, ...]
+    groups: dict[str, dict[str, list[Violation]]] = field(compare=False)
 
 
 def run_group(
@@ -733,14 +739,12 @@ def classify_normal_form(
 ) -> NormalFormVerdict:
     """Whether the model is alpha-normal with respect to the interpretation."""
     chosen = validate_alpha(alpha)
-    table = AspectTable(interp, model)
-    violations: list[Violation] = []
-    for group in ALPHA_GROUPS:  # fixed order keeps reports deterministic
-        if group in chosen:
-            for vs in run_group(model, interp, group, table).values():
-                violations.extend(vs)
-    violations.sort(key=Violation.sort_key)
-    return NormalFormVerdict(chosen, not violations, tuple(violations))
+    table = AspectTable(interp, model)  # one table for every group
+    groups = {g: run_group(model, interp, g, table) for g in ALPHA_GROUPS if g in chosen}
+    by_id = {cid: vs for found in groups.values() for cid, vs in found.items()}
+    # each list is in sort_key order, which leads with the constraint id
+    violations = tuple(v for cid in SEMANTIC_IDS if cid in by_id for v in by_id[cid])
+    return NormalFormVerdict(chosen, not violations, violations, groups)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,17 @@ def theme_subsets(themes: Iterable[str], min_size: int = 0) -> Iterator[tuple[st
     return (combo for n in range(min_size, len(ts) + 1) for combo in combinations(ts, n))
 
 
+def maximal_masks(sets: Iterable[int]) -> list[int]:
+    """The bit sets inside no other, largest first.  Each is compared only
+    with the maximal sets kept so far: a set inside any other is inside a
+    kept one."""
+    kept: list[int] = []
+    for s in sorted(sets, key=int.bit_count, reverse=True):
+        if not any(s & m == s for m in kept):
+            kept.append(s)
+    return kept
+
+
 @dataclass(frozen=True)
 class Statement:
     """An ordinary statement, or a pointer into a theme.

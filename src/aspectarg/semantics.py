@@ -21,6 +21,7 @@ from .model import (
     Interpretation,
     Model,
     Relation,
+    maximal_masks,
     theme_subsets,
 )
 
@@ -219,20 +220,10 @@ def extensions(sub: SubModel, semantics: str) -> frozenset[frozenset[str]]:
                 (s, attacked) for s, attacked, attacking in candidates if not attacking & ~attacked
             ]
             if semantics == "preferred":
-                found = _maximal_masks(s for s, _ in admissible)
+                found = maximal_masks(s for s, _ in admissible)
             else:  # complete: S is exactly what it defends
                 found = [s for s, attacked in admissible if index.defended(attacked) == s]
     return frozenset(index.members(s) for s in found)
-
-
-def _maximal_masks(sets: Iterable[int]) -> list[int]:
-    """The sets inside no other, each (largest first) compared only with the
-    maximal sets kept so far: a set inside any other is inside a kept one."""
-    kept: list[int] = []
-    for s in sorted(sets, key=int.bit_count, reverse=True):
-        if not any(s & m == s for m in kept):
-            kept.append(s)
-    return kept
 
 
 # ---------------------------------------------------------------------------

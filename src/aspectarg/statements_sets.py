@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .algebra import Element
 from .errors import CapExceeded
-from .model import AspectTable, Interpretation, Model
+from .model import AspectTable, Interpretation, Model, maximal_masks
 
 #: Largest aspect set we will search for minimal representations (2**cap subsets).
 MINREP_CAP = 16
@@ -100,12 +100,8 @@ def depth_statements_sets(model: Model, s: str, t: str, rel: str) -> list[Statem
         if not grew:
             ends.setdefault(members, state)
 
-    maximal: list[int] = []
-    for members in sorted(ends, key=int.bit_count, reverse=True):
-        if all(members & ~m for m in maximal):
-            maximal.append(members)
     out = []
-    for members in maximal:
+    for members in maximal_masks(ends):
         path: list[str] = []
         state = ends[members]
         while state is not None:
@@ -123,15 +119,6 @@ def statements_sets(
     return [width_statements_set(model, s, t, rel)], depth_statements_sets(model, s, t, rel)
 
 
-def minimal_representations_of(algebra, elements: Iterable[Element]) -> list[frozenset[Element]]:
-    """All inclusion-minimal subsets with the same infimum as the whole set."""
-    masks = {e.mask for e in elements}
-    return [
-        frozenset(Element(algebra, m) for m in rep)
-        for rep in _minimal_representations(masks, algebra.full_mask)
-    ]
-
-
 def _capped(size: int) -> int:
     """``size``, if a set that large may be searched for minimal representations."""
     if size > MINREP_CAP:
@@ -142,7 +129,8 @@ def _capped(size: int) -> int:
 
 
 def _minimal_representations(masks: Iterable[int], full: int) -> list[frozenset[int]]:
-    """:func:`minimal_representations_of` on element masks, smallest first."""
+    """All inclusion-minimal subsets of the element masks with the same
+    infimum as the whole set, smallest first."""
     elems = sorted(masks)
     n = _capped(len(elems))
     # meet[b] is the infimum of the elements whose indices are the bits of b

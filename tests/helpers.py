@@ -60,6 +60,53 @@ def truth_table_element(expr, algebra: Algebra) -> Element:
 
 
 # ---------------------------------------------------------------------------
+# Atoms, join-irreducibles and the atom representation eta, from their
+# definitions: the paper's algebra preliminaries, which the package itself
+# never needs to compute.
+# ---------------------------------------------------------------------------
+
+
+def atoms(algebra: Algebra) -> frozenset[Element]:
+    """The minimal non-bottom elements: one per minterm."""
+    return frozenset(Element(algebra, 1 << m) for m in range(algebra.n_minterms))
+
+
+def join_irreducibles(algebra: Algebra) -> frozenset[Element]:
+    """Elements x != 0 such that x = y | z forces x in {y, z}.
+
+    Computed from the definition by scanning candidate decompositions, so
+    tests can compare it against ``atoms`` without circularity.
+    """
+    out = []
+    for x in algebra.elements():
+        if x.is_bottom:
+            continue
+        if not _has_proper_join_decomposition(x):
+            out.append(x)
+    return frozenset(out)
+
+
+def _has_proper_join_decomposition(x: Element) -> bool:
+    parts = x.minterms()
+    # Every y, z <= x is a pair of subsets of x's minterms; scan them.
+    n = len(parts)
+    for ybits in range(1 << n):
+        ymask = sum(1 << parts[i] for i in range(n) if (ybits >> i) & 1)
+        if ymask == x.mask:
+            continue
+        for zbits in range(1 << n):
+            zmask = sum(1 << parts[i] for i in range(n) if (zbits >> i) & 1)
+            if zmask != x.mask and (ymask | zmask) == x.mask:
+                return True
+    return False
+
+
+def eta(a: Element) -> frozenset[Element]:
+    """The atoms below ``a`` (the powerset-of-atoms representation of a)."""
+    return frozenset(Element(a.algebra, 1 << m) for m in a.minterms())
+
+
+# ---------------------------------------------------------------------------
 # Reference formula reader: the tokenizer, parser and evaluator the package
 # used before formulas were folded straight to masks, kept unchanged so the
 # loader's error texts and offsets can be compared with them.

