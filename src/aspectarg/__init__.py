@@ -48,6 +48,6 @@ from .statements_sets import (
     minimal_representations,
     statements_sets,
 )
-from .synthesis import SynthesizedWitness, synthesize_core_witness
+from .synthesis import synthesize_core_witness
 
 __version__ = "0.1.0"

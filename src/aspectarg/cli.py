@@ -220,14 +220,7 @@ def _classify_lines(report: dict[str, Any]) -> list[str]:
 
 def cmd_synthesize(args, out, err) -> int:
     doc = _load_wellformed(args.file)
-    witness = synthesize_core_witness(doc.model)
-    data = to_dict(
-        doc.model,
-        witness.algebra,
-        theme_rows_all=list(witness.interpretation.theme_aspects),
-        statement_formulas=witness.statement_formulas,
-    )
-    text = dumps(data)
+    text = dumps(to_dict(doc.model, synthesize_core_witness(doc.model)))
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

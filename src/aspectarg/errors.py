@@ -14,7 +14,7 @@ class ConstraintGroupError(AspectArgError, ValueError):
 
 
 class CapExceeded(AspectArgError):
-    """A configurable size cap (props, themes, enumeration) was exceeded."""
+    """A fixed size cap (props, themes, enumeration) was exceeded."""
 
 
 class FormulaError(AspectArgError):

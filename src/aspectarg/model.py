@@ -152,9 +152,6 @@ class Model:
     def ordinary_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.statements if not s.is_pointer)
 
-    def relations_into(self, sid: str) -> tuple[Relation, ...]:
-        return tuple(r for r in self.relations if r.target == sid)
-
     def used_themes(self) -> frozenset[str]:
         used: set[str] = set()
         for ts in self.statement_themes.values():

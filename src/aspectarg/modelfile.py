@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
-from .algebra import Algebra, Element, mk_algebra
+from .algebra import Element, mk_algebra
 from .errors import AspectArgError, ModelFileError
-from .formulas import IDENT, ElementReader
+from .formulas import IDENT, ElementReader, render_element
 from .model import (
     EMPTY,
     OMEGA,
@@ -58,7 +59,6 @@ class Document:
     """A loaded model file."""
 
     model: Model
-    algebra: Algebra
     interpretation: Interpretation
     has_interpretation: bool
 
@@ -232,17 +232,24 @@ def from_dict(data: Any) -> Document:
             )
 
     interp = Interpretation(algebra, theme_rows, statement_rows, default_mode, formulas)
-    return Document(model, algebra, interp, has_interpretation)
+    return Document(model, interp, has_interpretation)
 
 
-def to_dict(
-    model: Model,
-    algebra: Algebra,
-    *,
-    theme_rows_all: list[frozenset[str]] | None = None,
-    statement_formulas: dict[tuple[frozenset[str], str], list[str]] | None = None,
-) -> dict:
-    """Serialise a model (and, optionally, a synthesized interpretation)."""
+def to_dict(model: Model, interp: Interpretation) -> dict:
+    """Serialise a model and an interpretation; :func:`from_dict` reads it back.
+
+    A full theme row is ``"ALL"``.  Every other row lists its elements in
+    ascending mask order, each named by ``interp.formulas`` or else by a formula
+    :func:`render_element` spells out, so every row parses back to itself.  A
+    full statement row lists its carrier, which has at most 4 propositions when
+    a file listed it.
+    """
+    algebra = interp.algebra
+
+    def aspects(row: AspectSet) -> list[str]:
+        elements = algebra.elements() if row.full else sorted(row.elements, key=attrgetter("mask"))
+        return [render_element(e, interp.formulas, max_atoms=algebra.n_minterms) for e in elements]
+
     out: dict[str, Any] = {
         "themes": list(model.themes),
         "props": list(algebra.props),
@@ -265,15 +272,21 @@ def to_dict(
                 "themes": sorted(r.themes),
             }
         )
-    interp: dict[str, Any] = {"default": UNION, "theme_aspects": [], "statement_aspects": []}
-    for key in sorted(theme_rows_all or [], key=lambda k: (len(k), sorted(k))):
-        interp["theme_aspects"].append({"themes": sorted(key), "aspects": "ALL"})
-    rows = statement_formulas or {}
-    for (key, sid) in sorted(rows, key=lambda ks: (sorted(ks[0]), ks[1])):
-        interp["statement_aspects"].append(
-            {"themes": sorted(key), "statement": sid, "aspects": rows[(key, sid)]}
+    block: dict[str, Any] = {
+        "default": interp.default_mode, "theme_aspects": [], "statement_aspects": []
+    }
+    theme_rows = interp.theme_aspects
+    for key in sorted(theme_rows, key=lambda k: (len(k), sorted(k))):
+        row = theme_rows[key]
+        block["theme_aspects"].append(
+            {"themes": sorted(key), "aspects": "ALL" if row.full else aspects(row)}
         )
-    out["interpretation"] = interp
+    rows = interp.statement_aspects
+    for (key, sid) in sorted(rows, key=lambda ks: (sorted(ks[0]), ks[1])):
+        block["statement_aspects"].append(
+            {"themes": sorted(key), "statement": sid, "aspects": aspects(rows[(key, sid)])}
+        )
+    out["interpretation"] = block
     return out
 
 

@@ -34,43 +34,20 @@ class StatementsSet:
     path: tuple[str, ...] = ()  # witnessing order, depth sets only
 
 
-def width_statements_set(model: Model, s: str, t: str, rel: str) -> StatementsSet:
-    """The unique width-statements-set of ``s`` for theme ``t`` and type ``rel``.
-
-    The anchor itself is a distinguished member; every other member must have
-    a ``rel``-typed, ``t``-typed relation to the anchor, with ``t`` on both
-    endpoints.
-    """
-    members = {s}
-    if t in model.themes_of(s):
-        for r in model.relations_into(s):
-            if r.source == s:
-                continue
-            if rel in r.rel_types and t in r.themes and t in model.themes_of(r.source):
-                members.add(r.source)
-    return StatementsSet("width", s, t, rel, frozenset(members))
-
-
-def depth_statements_sets(model: Model, s: str, t: str, rel: str) -> list[StatementsSet]:
+def depth_statements_sets(
+    preds: dict[str, list[str]], s: str, t: str, rel: str
+) -> list[StatementsSet]:
     """All maximal depth-statements-sets of ``s`` for theme ``t`` and type ``rel``.
 
-    Searches simple paths ending at ``s`` in the subgraph of ``rel``-typed,
-    ``t``-typed relations between ``t``-typed statements, growing them at
+    ``preds`` maps each statement to its predecessors in the subgraph of
+    ``rel``-typed, ``t``-typed relations between ``t``-typed statements.
+    Searches simple paths ending at ``s`` in that subgraph, growing them at
     their head.  Whether a path can grow depends only on its head and its
     members, so each (head, members) state is expanded once.  A path that can
-    grow is not maximal, so the maximal sets are the set-maximal members of
-    the states that cannot; each keeps one path reaching it as its witness.
-    Raises :class:`CapExceeded` past :data:`DEPTH_STATE_CAP` states.
+    grow is not maximal, so the maximal sets are the set-maximal members of the
+    states that cannot; each keeps one path reaching it as its witness.  Raises
+    :class:`CapExceeded` past :data:`DEPTH_STATE_CAP` states.
     """
-    if t not in model.themes_of(s):
-        return [StatementsSet("depth", s, t, rel, frozenset([s]), (s,))]
-    preds: dict[str, list[str]] = {}
-    for r in model.relations:
-        if rel not in r.rel_types or t not in r.themes:
-            continue
-        if t not in model.themes_of(r.source) or t not in model.themes_of(r.target):
-            continue
-        preds.setdefault(r.target, []).append(r.source)
     ids = sorted({s}.union(*preds.values()))
     bit = {sid: 1 << i for i, sid in enumerate(ids)}
     pred_bits = {sid: [(bit[p], p) for p in sorted(set(ps))] for sid, ps in preds.items()}
@@ -115,8 +92,22 @@ def depth_statements_sets(model: Model, s: str, t: str, rel: str) -> list[Statem
 def statements_sets(
     model: Model, s: str, t: str, rel: str
 ) -> tuple[list[StatementsSet], list[StatementsSet]]:
-    """Width- and depth-statements-sets of ``s`` with respect to ``t`` and ``rel``."""
-    return [width_statements_set(model, s, t, rel)], depth_statements_sets(model, s, t, rel)
+    """Width- and depth-statements-sets of ``s`` with respect to ``t`` and ``rel``.
+
+    Both read one predecessor map of the ``rel``-typed, ``t``-typed relations
+    between ``t``-typed statements.  The unique width set is the anchor and
+    its predecessors, so an anchor without theme ``t`` is its own width set
+    and its own only depth set.
+    """
+    preds: dict[str, list[str]] = {}
+    for r in model.relations:
+        if rel not in r.rel_types or t not in r.themes:
+            continue
+        if t not in model.themes_of(r.source) or t not in model.themes_of(r.target):
+            continue
+        preds.setdefault(r.target, []).append(r.source)
+    width = StatementsSet("width", s, t, rel, frozenset([s, *preds.get(s, ())]))
+    return [width], depth_statements_sets(preds, s, t, rel)
 
 
 def _capped(size: int) -> int:

@@ -38,9 +38,7 @@ interpretation exist; synthesis reports that instead of looping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import MAX_PROPS, Algebra, Element, mk_algebra
+from .algebra import MAX_PROPS, Element, mk_algebra
 from .errors import (
     CapExceeded,
     CoreUnsatisfiableError,
@@ -71,16 +69,11 @@ def aspect_support(model: Model, stmt: Statement) -> frozenset[str]:
     return widened & model.themes_of(stmt.ref_target)
 
 
-@dataclass(frozen=True)
-class SynthesizedWitness:
-    algebra: Algebra
-    interpretation: Interpretation
-    #: Formula strings per explicit statement row, for writing model files.
-    statement_formulas: dict[tuple[frozenset[str], str], list[str]]
-
-
-def synthesize_core_witness(model: Model) -> SynthesizedWitness:
+def synthesize_core_witness(model: Model) -> Interpretation:
     """Build and self-verify a Core-satisfying algebra and interpretation.
+
+    Each chain element is named ``w{j}_1 | ... | w{j}_i`` in the
+    interpretation's ``formulas``.
 
     Inputs whose witness needs more than :data:`~aspectarg.algebra.MAX_PROPS`
     propositions are refused, so every witness loads as a model file.
@@ -114,9 +107,7 @@ def synthesize_core_witness(model: Model) -> SynthesizedWitness:
                     )
 
     if m == 0:
-        algebra = mk_algebra(["w1_1"])
-        interp = Interpretation(algebra, {}, {}, UNION)
-        return SynthesizedWitness(algebra, interp, {})
+        return Interpretation(mk_algebra(["w1_1"]), {}, {}, UNION)
 
     chain_len = n + n * m + m
     total_props = m * chain_len
@@ -131,16 +122,14 @@ def synthesize_core_witness(model: Model) -> SynthesizedWitness:
 
     # chain[j][i] = w{j}_1 | ... | w{j}_i  (1-based i); strictly increasing in i
     chain: dict[int, dict[int, Element]] = {}
-    chain_formula: dict[int, dict[int, str]] = {}
+    formulas: dict[Element, str] = {}
     for j in range(1, m + 1):
-        chain[j], chain_formula[j] = {}, {}
+        chain[j] = {}
         joined = algebra.bottom
-        names: list[str] = []
         for i in range(1, chain_len + 1):
             joined = joined | algebra.prop(f"w{j}_{i}")
-            names.append(f"w{j}_{i}")
             chain[j][i] = joined
-            chain_formula[j][i] = " | ".join(names)
+            formulas[joined] = " | ".join(f"w{j}_{h}" for h in range(1, i + 1))
 
     ordinary_index = {sid: i + 1 for i, sid in enumerate(ordinary)}
     theme_index = {t: j + 1 for j, t in enumerate(themes)}
@@ -154,41 +143,30 @@ def synthesize_core_witness(model: Model) -> SynthesizedWitness:
         return n + (l - 1) * n + ordinary_index[stmt.ref_target]
 
     statement_rows: dict[tuple[frozenset[str], str], AspectSet] = {}
-    statement_formulas: dict[tuple[frozenset[str], str], list[str]] = {}
 
-    def row_for(stmt: Statement, theme: str) -> tuple[AspectSet, list[str]]:
+    def row_for(stmt: Statement, theme: str) -> frozenset[Element]:
         j = theme_index[theme]
         start = chain_index(stmt)
-        indices = [start] if stmt.is_summary_pointer else list(range(start, chain_len + 1))
-        elements = frozenset(chain[j][i] for i in indices)
-        return AspectSet(algebra, elements), [chain_formula[j][i] for i in indices]
+        indices = [start] if stmt.is_summary_pointer else range(start, chain_len + 1)
+        return frozenset(chain[j][i] for i in indices)
 
     for stmt in model.statements:
-        eligible = sorted(supports[stmt.id] & set(themes), key=theme_index.get)
+        eligible = [t for t in themes if t in supports[stmt.id]]
         for t in eligible:
-            key = (frozenset([t]), stmt.id)
-            statement_rows[key], statement_formulas[key] = row_for(stmt, t)
+            statement_rows[(frozenset([t]), stmt.id)] = AspectSet(algebra, row_for(stmt, t))
         if stmt.is_summary_pointer and eligible:
             # summary pointers never default across theme sets: spell out unions
             for combo in theme_subsets(themes, min_size=2):
                 chosen = [t for t in combo if t in eligible]
-                if not chosen:
-                    continue
-                key = (frozenset(combo), stmt.id)
-                merged = AspectSet(algebra)
-                formulas: list[str] = []
-                for t in chosen:
-                    row, fs = row_for(stmt, t)
-                    merged = merged.union(row)
-                    formulas.extend(fs)
-                statement_rows[key] = merged
-                statement_formulas[key] = formulas
+                if chosen:
+                    elements = frozenset().union(*(row_for(stmt, t) for t in chosen))
+                    statement_rows[(frozenset(combo), stmt.id)] = AspectSet(algebra, elements)
 
     theme_rows = {}
     for combo in theme_subsets(themes, min_size=1):
         theme_rows[frozenset(combo)] = AspectSet(algebra, full=True)
 
-    interp = Interpretation(algebra, theme_rows, statement_rows, UNION)
+    interp = Interpretation(algebra, theme_rows, statement_rows, UNION, formulas)
 
     # m * m <= MAX_PROPS, so m is far below the theme cap of check_core
     leftover = all_violations(check_core(model, interp))
@@ -197,4 +175,4 @@ def synthesize_core_witness(model: Model) -> SynthesizedWitness:
             "synthesized interpretation failed self-verification: "
             + "; ".join(v.detail for v in leftover[:5])
         )
-    return SynthesizedWitness(algebra, interp, statement_formulas)
+    return interp

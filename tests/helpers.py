@@ -847,3 +847,27 @@ def block_instance(rng: random.Random, m: int | None = None):
     }
     interp = Interpretation(algebra, theme_rows, rows)
     return model, interp
+
+
+def redundant_instance(rng: random.Random):
+    """A one-theme (model, interpretation) pair on which the fresh-aspect
+    constraints find many witnesses: a dense graph of 4-7 statements whose
+    rows repeat a few aspect sets, so that the members of a statements-set
+    often share a minimal representation."""
+    algebra = mk_algebra(["p", "q"])
+    ids = [f"s{i}" for i in range(rng.randint(4, 7))]
+    nonzero = range(1, algebra.carrier_size)
+    pool = [
+        frozenset(Element(algebra, m) for m in rng.sample(nonzero, rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    t = frozenset(["t"])
+    rows = {(t, s): AspectSet(algebra, rng.choice(pool)) for s in ids}
+    relations = [
+        Relation(a, b, frozenset(rng.choice([{ATTACK}, {SUPPORT}, {ATTACK, SUPPORT}])), t)
+        for a in ids
+        for b in ids
+        if a != b and rng.random() < 0.5
+    ]
+    model = Model.build(["t"], [Statement(s) for s in ids], {s: {"t"} for s in ids}, relations)
+    return model, Interpretation(algebra, {t: AspectSet(algebra, full=True)}, rows)

@@ -132,7 +132,7 @@ def test_criterion_03_witness_synthesis_on_random_graphs():
         graphic = check_graphic(model)
         assert not any(graphic[c] for c in ("tr", "nsa", "nnp", "kos"))
         witness = synthesize_core_witness(model)
-        leftover = all_violations(check_core(model, witness.interpretation))
+        leftover = all_violations(check_core(model, witness))
         assert not leftover, leftover
         produced += 1
     elapsed = time.monotonic() - started
@@ -151,7 +151,7 @@ def test_criterion_04_core_satisfaction_forward_direction():
     while pairs < 500:
         if pairs % 5 == 4:
             model = random_graphic_safe_model(rng)
-            interp = synthesize_core_witness(model).interpretation
+            interp = synthesize_core_witness(model)
         else:
             model = random_model_any(rng)
             interp = random_total_interpretation(rng, model, algebra)
@@ -310,7 +310,7 @@ def test_criterion_10_logical_fallacy_detection():
     )
     from aspectarg.formulas import parse
 
-    expected = truth_table_element(parse("aP & (~bP & bCostH)"), fear.algebra)
+    expected = truth_table_element(parse("aP & (~bP & bCostH)"), fear.interpretation.algebra)
     assert conclusion == expected
     assert not conclusion.is_bottom
     assert not detect_logical_fallacy(fear.model, fear.interpretation, "grounded").found

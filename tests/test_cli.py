@@ -193,6 +193,119 @@ class TestModelFileSchema:
         assert interp.formulas == {p: "~~p", ~p: "~p"}
 
 
+class TestWriter:
+    """``to_dict`` writes any interpretation so that it loads back to itself."""
+
+    @staticmethod
+    def rewrite(model, interp):
+        """The file ``to_dict`` writes, checked to load back to the same rows
+        and to be written again byte for byte."""
+        from aspectarg.modelfile import dumps, to_dict
+
+        text = dumps(to_dict(model, interp))
+        again = loads(text)
+        assert dumps(to_dict(again.model, again.interpretation)) == text
+        assert again.interpretation.theme_aspects == interp.theme_aspects
+        assert again.interpretation.statement_aspects == interp.statement_aspects
+        assert again.interpretation.default_mode == interp.default_mode
+        return text
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus_files(self, name, tmp_path, monkeypatch):
+        from aspectarg.modelfile import load_path
+
+        doc = load_path(path(name))
+        files = {"original": Path(path(name)).read_text(encoding="utf-8"),
+                 "rewritten": self.rewrite(doc.model, doc.interpretation)}
+        reports = []
+        for where, text in files.items():
+            (tmp_path / where).mkdir()
+            (tmp_path / where / "model.json").write_text(text, encoding="utf-8")
+            monkeypatch.chdir(tmp_path / where)
+            reports.append(
+                invoke("check", "model.json", "--alpha", "core,E,das,nwci,F", "--format", "machine")
+            )
+        assert reports[0] == reports[1]
+
+    def test_random_interpretations(self):
+        import random
+
+        from aspectarg import mk_algebra
+        from helpers import block_instance, random_model_any, random_total_interpretation
+
+        rng = random.Random(31)
+        algebra = mk_algebra(["p", "q"])
+        for _ in range(40):
+            model = random_model_any(rng, max_themes=3)
+            self.rewrite(model, random_total_interpretation(rng, model, algebra))
+            self.rewrite(*block_instance(rng))
+
+    @staticmethod
+    def one_row(row):
+        from aspectarg import Interpretation, Model, Statement
+
+        model = Model.build(["t"], [Statement("s")], {"s": {"t"}}, [])
+        return model, Interpretation(row.algebra, {}, {(frozenset(["t"]), "s"): row})
+
+    def test_an_unnamed_element(self):
+        from aspectarg import AspectSet, Element, mk_algebra
+
+        algebra = mk_algebra(["p", "q"])
+        xor = Element(algebra, 0b0110)  # no proposition or formula names it
+        text = self.rewrite(*self.one_row(AspectSet(algebra, frozenset([xor]))))
+        written = json.loads(text)["interpretation"]["statement_aspects"]
+        assert written[0]["aspects"] == ["(p & ~q) | (~p & q)"]
+
+    def test_a_full_statement_row(self):
+        from aspectarg import AspectSet, mk_algebra
+
+        algebra = mk_algebra(["p", "q"])
+        text = self.rewrite(*self.one_row(AspectSet(algebra, full=True)))
+        written = json.loads(text)["interpretation"]["statement_aspects"]
+        assert len(written[0]["aspects"]) == algebra.carrier_size
+
+
+def test_a_loaded_interpretation_unpickles_under_another_hash_seed(tmp_path):
+    """``Element`` keeps its mask's hash, never the props' string hashes,
+    which differ from process to process."""
+    dump = (
+        "import pickle, sys\n"
+        "from aspectarg.corpus import CORPUS_NAMES, corpus_path\n"
+        "from aspectarg.modelfile import load_path\n"
+        "interps = [load_path(corpus_path(name)).interpretation for name in CORPUS_NAMES]\n"
+        "with open(sys.argv[1], 'wb') as fh:\n"
+        "    pickle.dump(interps, fh)\n"
+    )
+    check = (
+        "import pickle, sys\n"
+        "from aspectarg.algebra import Element\n"
+        "with open(sys.argv[1], 'rb') as fh:\n"
+        "    interps = pickle.load(fh)\n"
+        "names = 0\n"
+        "for interp in interps:\n"
+        "    for row in interp.statement_aspects.values():\n"
+        "        for e in row.elements:\n"
+        "            assert e in interp.formulas, e\n"
+        "            assert interp.formulas[Element(e.algebra, e.mask)] == interp.formulas[e]\n"
+        "            names += 1\n"
+        "print(names)\n"
+    )
+    target = str(tmp_path / "interps.pickle")
+    for script, seed in ((dump, "1"), (check, "2")):
+        done = subprocess.run(
+            [sys.executable, "-c", script, target],
+            capture_output=True, text=True, env=child_env(PYTHONHASHSEED=seed),
+        )
+        assert done.returncode == 0, done.stderr
+    from aspectarg.modelfile import load_path
+
+    rows = [
+        row for name in CORPUS_NAMES
+        for row in load_path(path(name)).interpretation.statement_aspects.values()
+    ]
+    assert int(done.stdout) == sum(len(row.elements) for row in rows) > 0
+
+
 class TestCheck:
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_library_details_match_the_report(self, name):
@@ -369,28 +482,10 @@ class TestFreshAspectSizes:
 
 
 def model_file(target, model, interp):
-    """Write a model and its interpretation as a model file, naming each
-    element by its minterms."""
-    from aspectarg.modelfile import to_dict
+    """Write a model and its interpretation as a model file."""
+    from aspectarg.modelfile import dumps, to_dict
 
-    props = list(interp.algebra.props)
-
-    def aspects(row):
-        if row.full:
-            return "ALL"
-        masks = sorted(e.mask for e in row.elements)
-        return [minterm_formula(props, mask) or "0" for mask in masks]
-
-    doc = to_dict(model, interp.algebra)
-    doc["interpretation"]["theme_aspects"] = [
-        {"themes": sorted(key), "aspects": aspects(row)}
-        for key, row in interp.theme_aspects.items()
-    ]
-    doc["interpretation"]["statement_aspects"] = [
-        {"themes": sorted(key), "statement": sid, "aspects": aspects(row)}
-        for (key, sid), row in interp.statement_aspects.items()
-    ]
-    target.write_text(json.dumps(doc))
+    target.write_text(dumps(to_dict(model, interp)))
     return str(target)
 
 
@@ -638,6 +733,7 @@ class TestSynthesize:
     def test_random_witness_files_round_trip(self, tmp_path):
         import random
 
+        from aspectarg import Interpretation, mk_algebra
         from aspectarg.modelfile import dumps, to_dict
         from helpers import random_graphic_safe_model
 
@@ -645,9 +741,7 @@ class TestSynthesize:
         for i in range(5):
             model = random_graphic_safe_model(rng)
             src = tmp_path / f"g{i}.json"
-            src.write_text(
-                dumps(to_dict(model, __import__("aspectarg").mk_algebra(["p"])))
-            )
+            src.write_text(dumps(to_dict(model, Interpretation(mk_algebra(["p"])))))
             witness_path = tmp_path / f"w{i}.json"
             assert invoke("synthesize", str(src), "-o", str(witness_path))[0] == 0
             assert invoke("validate", str(witness_path))[0] == 0

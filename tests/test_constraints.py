@@ -42,6 +42,7 @@ from helpers import (
     oracle_relation_kinds,
     random_model_any,
     random_total_interpretation,
+    redundant_instance,
 )
 
 
@@ -575,6 +576,24 @@ class TestDasNwci:
             core_ok = not all_violations(check_core(model, interp))
             das_ok = not check_das(model, interp)
             assert not (core_ok and das_ok)
+
+
+class TestFreshAspectOrder:
+    def test_lists_are_in_report_order(self):
+        # the report and classify_normal_form's join rely on each list
+        # already being in sort_key order
+        rng = random.Random(43)
+        unordered_lists = {"faW": 0, "faD": 0}  # lists that any reordering would break
+        for _ in range(40):
+            model, interp = redundant_instance(rng)
+            found = check_fresh_aspects(model, interp)
+            assert classify_normal_form(model, interp, (CORE, "F")).groups["F"] == found
+            for cid, vs in found.items():
+                keys = [v.sort_key() for v in vs]
+                assert keys == sorted(keys)
+                if len(set(keys)) > 1:
+                    unordered_lists[cid] += 1
+        assert min(unordered_lists.values()) >= 30, unordered_lists
 
 
 class TestClassifyRelation:

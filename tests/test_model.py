@@ -61,7 +61,7 @@ def fear():
 class TestLookup:
     def test_fear_appeal_singleton_row(self, fear):
         got = lookup(fear.interpretation, fear.model, ["t1"], "s1")
-        assert set(got) == {ev("~aP & (aP -> aCostH)", fear.algebra)}
+        assert set(got) == {ev("~aP & (aP -> aCostH)", fear.interpretation.algebra)}
 
     def test_empty_theme_set_is_empty(self, fear):
         assert lookup(fear.interpretation, fear.model, [], "s1").is_empty

@@ -256,7 +256,7 @@ class TestConclusion:
         got = logico_rhetorical_conclusion(doc.model, doc.interpretation, ["t1"], "grounded")
         from aspectarg.formulas import evaluate, parse
 
-        assert got == evaluate(parse("aP & (~bP & bCostH)"), doc.algebra)
+        assert got == evaluate(parse("aP & (~bP & bCostH)"), doc.interpretation.algebra)
 
     def test_undefined_sub_model_yields_absent(self):
         doc = load_path(corpus_path("false_flag"))

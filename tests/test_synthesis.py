@@ -13,6 +13,7 @@ from aspectarg.model import (
     Relation,
     Statement,
 )
+from aspectarg.modelfile import to_dict
 from aspectarg.synthesis import synthesize_core_witness
 from helpers import random_graphic_safe_model, random_total_interpretation
 from aspectarg.algebra import mk_algebra
@@ -71,7 +72,7 @@ class TestWitnesses:
     def test_existence_graph(self):
         model = Model.build(["t1"], [Statement("a1")], {"a1": {"t1"}}, [])
         witness = synthesize_core_witness(model)
-        assert not all_violations(check_core(model, witness.interpretation))
+        assert not all_violations(check_core(model, witness))
 
     def test_attack_support_and_pointers(self):
         model = Model.build(
@@ -90,16 +91,16 @@ class TestWitnesses:
             ],
         )
         witness = synthesize_core_witness(model)
-        assert not all_violations(check_core(model, witness.interpretation))
+        assert not all_violations(check_core(model, witness))
 
     def test_random_graphs(self):
         rng = random.Random(14)
         for _ in range(40):
             model = random_graphic_safe_model(rng)
             witness = synthesize_core_witness(model)
-            assert not all_violations(check_core(model, witness.interpretation))
+            assert not all_violations(check_core(model, witness))
 
-    def test_statement_formulas_cover_all_rows(self):
+    def test_every_row_element_is_named(self):
         model = Model.build(
             ["t1"],
             [Statement("a1"), Statement("c1", ref_theme="t1", ref_target=None)],
@@ -107,9 +108,44 @@ class TestWitnesses:
             [],
         )
         witness = synthesize_core_witness(model)
-        assert set(witness.statement_formulas) == set(
-            witness.interpretation.statement_aspects
-        )
+        rows = witness.statement_aspects.values()
+        assert rows and all(e in witness.formulas for row in rows for e in row.elements)
+
+    def test_written_rows_are_chain_formulas(self):
+        """A written row lists chain formulas ``w{j}_1 | ... | w{j}_i`` of theme
+        j by increasing i; a summary pointer's row has one per theme, in theme
+        order, all at the pointer's one chain index."""
+        rng = random.Random(16)
+        written = 0
+        for _ in range(60):
+            model = random_graphic_safe_model(rng)
+            try:
+                witness = synthesize_core_witness(model)
+            except CapExceeded:
+                continue
+            index = {t: j for j, t in enumerate(model.themes, 1)}
+            chain_len = witness.algebra.k // len(model.themes)
+            for entry in to_dict(model, witness)["interpretation"]["statement_aspects"]:
+                links = [chain_link(f) for f in entry["aspects"]]
+                js = [j for j, _ in links]
+                ids = [i for _, i in links]
+                if model.statement(entry["statement"]).is_summary_pointer:
+                    assert js == sorted(set(js))
+                    assert set(js) <= {index[t] for t in entry["themes"]}
+                    assert len(set(ids)) == 1
+                else:
+                    assert [index[t] for t in entry["themes"]] == js[:1] == sorted(set(js))
+                    assert ids == list(range(ids[0], chain_len + 1))
+                written += 1
+        assert written >= 100
+
+
+def chain_link(formula):
+    """(j, i) of the chain formula ``w{j}_1 | ... | w{j}_i``."""
+    j = formula.split("_", 1)[0][1:]
+    i = formula.count("|") + 1
+    assert formula == " | ".join(f"w{j}_{h}" for h in range(1, i + 1)), formula
+    return int(j), i
 
 
 class TestCoreSatisfactionGap:
