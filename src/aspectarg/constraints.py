@@ -34,7 +34,7 @@ from .model import (
     row_subset,
     theme_subsets,
 )
-from .statements_sets import _redundancy, statements_sets
+from .statements_sets import _redundancy, statements_sets_from, typed_predecessors
 
 GRAPHIC_IDS = ("tr", "nnp", "nsa", "kos", "nss")
 CORE_IDS = ("aass", "i", "vi", "bat", "pr", "mat", "manss", "ss")
@@ -630,11 +630,15 @@ def _anchors(model: Model) -> list[tuple[str, str]]:
 def _fresh_aspects(
     table: AspectTable, anchors: list[tuple[str, str]]
 ) -> dict[str, list[Violation]]:
-    """faW and faD on the statements-sets of each (statement, theme) anchor."""
+    """faW and faD on the statements-sets of each (statement, theme) anchor;
+    the anchors of one theme and type share one predecessor map."""
     out: dict[str, list[Violation]] = {cid: [] for cid in FRESH_ASPECT_IDS}
+    preds: dict[tuple[str, str], dict[str, list[str]]] = {}  # by (theme, type)
     for sid, t in anchors:
         for rel in (ATTACK, SUPPORT):
-            widths, depths = statements_sets(table.model, sid, t, rel)
+            if (t, rel) not in preds:
+                preds[t, rel] = typed_predecessors(table.model, t, rel)
+            widths, depths = statements_sets_from(preds[t, rel], sid, t, rel)
             for cid, sets in (("faW", widths), ("faD", depths)):
                 for sset in sets:
                     witness = _redundancy(table, t, sset.members)

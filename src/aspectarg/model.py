@@ -10,7 +10,7 @@ aspects of the theme set itself.  Checks read it through an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -381,9 +381,6 @@ def effective_aspect(
     return None if mask is None else Element(interp.algebra, mask)
 
 
-_setattr = object.__setattr__
-
-
 @dataclass(frozen=True, slots=True)
 class Violation:
     """A constraint violation with enough context to re-verify it.
@@ -412,15 +409,16 @@ class Violation:
         rel_type: str | None = None,
         detail: str = "",
     ) -> None:
-        # checkers make tens of thousands of these; the generated frozen
-        # __init__ looks up object.__setattr__ once per field
-        _setattr(self, "constraint", constraint)
-        _setattr(self, "statements", statements)
-        _setattr(self, "relation", relation)
-        _setattr(self, "theme_set", theme_set)
-        _setattr(self, "theme_set2", theme_set2)
-        _setattr(self, "rel_type", rel_type)
-        _setattr(self, "detail", detail)
+        # checkers make tens of thousands of these; each slot's own descriptor
+        # writes its field directly, past the frozen class's setattr and with
+        # no lookup of the field by name
+        _set_constraint(self, constraint)
+        _set_statements(self, statements)
+        _set_relation(self, relation)
+        _set_theme_set(self, theme_set)
+        _set_theme_set2(self, theme_set2)
+        _set_rel_type(self, rel_type)
+        _set_detail(self, detail)
 
     def sort_key(self) -> tuple:
         return (
@@ -432,6 +430,17 @@ class Violation:
             self.rel_type or "",
             self.detail,
         )
+
+
+(
+    _set_constraint,
+    _set_statements,
+    _set_relation,
+    _set_theme_set,
+    _set_theme_set2,
+    _set_rel_type,
+    _set_detail,
+) = (Violation.__dict__[f.name].__set__ for f in fields(Violation))
 
 
 WELLFORMED = "wf"

@@ -8,7 +8,7 @@ machine rendering is plain JSON of the same structure.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .model import Violation
 
@@ -35,7 +35,10 @@ def to_json(report: dict[str, Any]) -> str:
     writer escapes strings with the same (C) ``encode_basestring_ascii`` and
     lays out lines the same way.  It accepts what a report holds: ``str``,
     ``int``, ``bool``, ``None``, lists, tuples, dicts with ``str`` keys and
-    ``Violation``s, which are written as the dict of their set fields.
+    ``Violation``s, which are written as the dict of their set fields.  A
+    list of violations, the bulk of a large report, is written by one loop
+    that computes its indents and keys once and writes each distinct string
+    list once per indent.
     """
     chunks: list[str] = []
     _write(report, "\n", chunks, {})
@@ -43,12 +46,12 @@ def to_json(report: dict[str, Any]) -> str:
     return "".join(chunks)
 
 
-def _write(value: Any, nl: str, chunks: list[str], memo: dict) -> None:
+def _write(value: Any, nl: str, chunks: list[str], memos: dict) -> None:
     """Append ``value`` to ``chunks``; ``nl`` is a newline and the indent of
-    the line the value starts on, ``memo`` holds the written string lists of
-    violations."""
+    the line the value starts on, ``memos`` holds the written string lists
+    of violations by indent."""
     if isinstance(value, Violation):
-        _write_violation(value, nl, chunks, memo)
+        _write_records((value,), nl, chunks, memos)
     elif isinstance(value, str):
         chunks.append(_quote(value))
     elif value is None:
@@ -64,11 +67,15 @@ def _write(value: Any, nl: str, chunks: list[str], memo: dict) -> None:
             chunks.append("[]")
             return
         inner = nl + "  "
-        sep = "[" + inner
-        for item in value:
-            chunks.append(sep)
-            _write(item, inner, chunks, memo)
-            sep = "," + inner
+        if all(isinstance(item, Violation) for item in value):
+            chunks.append("[" + inner)
+            _write_records(value, inner, chunks, memos)
+        else:
+            sep = "[" + inner
+            for item in value:
+                chunks.append(sep)
+                _write(item, inner, chunks, memos)
+                sep = "," + inner
         chunks.append(nl + "]")
     elif isinstance(value, dict):
         if not value:
@@ -81,41 +88,65 @@ def _write(value: Any, nl: str, chunks: list[str], memo: dict) -> None:
         sep = "{" + inner
         for key in sorted(value):
             chunks.append(sep + _quote(key) + ": ")
-            _write(value[key], inner, chunks, memo)
+            _write(value[key], inner, chunks, memos)
             sep = "," + inner
         chunks.append(nl + "}")
     else:
         raise TypeError(f"a report cannot hold {type(value).__name__}")
 
 
-def _write_violation(v: Violation, nl: str, chunks: list[str], memo: dict) -> None:
-    """A violation as its record: ``constraint`` and ``detail`` always, each
-    other field when set (``statements`` when non-empty, the rest when not
+class _StringLists(dict):
+    """Written string lists, by their tuple, for fields indented as ``nl``;
+    a report repeats few distinct theme sets and statement lists, so each
+    is written once per indent."""
+
+    def __init__(self, nl: str) -> None:
+        self.nl = nl
+
+    def __missing__(self, items: tuple[str, ...]) -> str:
+        text = "[]"
+        if items:
+            inner = self.nl + "  "
+            text = "[" + inner + ("," + inner).join(map(_quote, items)) + self.nl + "]"
+        self[items] = text
+        return text
+
+
+def _write_records(vs: Sequence[Violation], nl: str, chunks: list[str], memos: dict) -> None:
+    """A non-empty run of violations as records on lines indented as ``nl``,
+    separated by commas: ``constraint`` and ``detail`` always, each other
+    field when set (``statements`` when non-empty, the rest when not
     ``None``), in sorted key order."""
     inner = nl + "  "
-    record = '{%s"constraint": %s,%s"detail": %s' % (
-        inner, _quote(v.constraint), inner, _quote(v.detail)
+    lists = memos.get(inner)
+    if lists is None:
+        lists = memos[inner] = _StringLists(inner)
+    detail, rel_type, relation, statements, theme_set, theme_set2 = (
+        f',{inner}"{key}": '
+        for key in ("detail", "rel_type", "relation", "statements", "theme_set", "theme_set2")
     )
-    if v.rel_type is not None:
-        record += ',%s"rel_type": %s' % (inner, _quote(v.rel_type))
-    if v.relation is not None:
-        record += ',%s"relation": %s' % (inner, _strings(v.relation, inner, memo))
-    if v.statements:
-        record += ',%s"statements": %s' % (inner, _strings(v.statements, inner, memo))
-    if v.theme_set is not None:
-        record += ',%s"theme_set": %s' % (inner, _strings(v.theme_set, inner, memo))
-    if v.theme_set2 is not None:
-        record += ',%s"theme_set2": %s' % (inner, _strings(v.theme_set2, inner, memo))
-    chunks.append(record + nl + "}")
-
-
-def _strings(items: tuple[str, ...], nl: str, memo: dict) -> str:
-    """A list of strings starting on a line indented as ``nl``; a report
-    repeats few distinct theme sets and statement lists, so each is written
-    once per report."""
-    text = memo.get((items, nl))
-    if text is None:
-        inner = nl + "  "
-        text = "[" + inner + ("," + inner).join(map(_quote, items)) + nl + "]" if items else "[]"
-        memo[items, nl] = text
-    return text
+    start, end = "," + nl + "{" + inner + '"constraint": ', nl + "}"
+    append = chunks.append
+    first = len(chunks)
+    for v in vs:
+        append(start)
+        append(_quote(v.constraint))
+        append(detail)
+        append(_quote(v.detail))
+        if v.rel_type is not None:
+            append(rel_type)
+            append(_quote(v.rel_type))
+        if v.relation is not None:
+            append(relation)
+            append(lists[v.relation])
+        if v.statements:
+            append(statements)
+            append(lists[v.statements])
+        if v.theme_set is not None:
+            append(theme_set)
+            append(lists[v.theme_set])
+        if v.theme_set2 is not None:
+            append(theme_set2)
+            append(lists[v.theme_set2])
+        append(end)
+    chunks[first] = start[len(nl) + 1 :]  # the first record follows no comma

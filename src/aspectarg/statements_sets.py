@@ -95,10 +95,15 @@ def statements_sets(
     """Width- and depth-statements-sets of ``s`` with respect to ``t`` and ``rel``.
 
     Both read one predecessor map of the ``rel``-typed, ``t``-typed relations
-    between ``t``-typed statements.  The unique width set is the anchor and
-    its predecessors, so an anchor without theme ``t`` is its own width set
-    and its own only depth set.
+    between ``t``-typed statements (:func:`typed_predecessors`).
     """
+    return statements_sets_from(typed_predecessors(model, t, rel), s, t, rel)
+
+
+def typed_predecessors(model: Model, t: str, rel: str) -> dict[str, list[str]]:
+    """Each statement's predecessors over the ``rel``-typed, ``t``-typed
+    relations between ``t``-typed statements: the one map every anchor of
+    theme ``t`` and type ``rel`` reads."""
     preds: dict[str, list[str]] = {}
     for r in model.relations:
         if rel not in r.rel_types or t not in r.themes:
@@ -106,6 +111,17 @@ def statements_sets(
         if t not in model.themes_of(r.source) or t not in model.themes_of(r.target):
             continue
         preds.setdefault(r.target, []).append(r.source)
+    return preds
+
+
+def statements_sets_from(
+    preds: dict[str, list[str]], s: str, t: str, rel: str
+) -> tuple[list[StatementsSet], list[StatementsSet]]:
+    """:func:`statements_sets` over the map of :func:`typed_predecessors`.
+
+    The unique width set is the anchor and its predecessors, so an anchor
+    without theme ``t`` is its own width set and its own only depth set.
+    """
     width = StatementsSet("width", s, t, rel, frozenset([s, *preds.get(s, ())]))
     return [width], depth_statements_sets(preds, s, t, rel)
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import inspect
 import pickle
 import random
 from collections import Counter
@@ -438,3 +440,46 @@ class TestViolation:
     def test_no_instance_dict(self):
         assert not hasattr(self.FULL, "__dict__")
         assert [f.name for f in dataclasses.fields(Violation)] == list(Violation.__slots__)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, dataclasses.replace],
+        ids=["copy", "deepcopy", "replace"],
+    )
+    def test_copies_are_equal_records(self, duplicate):
+        for v in (self.FULL, Violation("wf")):
+            twin = duplicate(v)
+            assert twin == v and hash(twin) == hash(v) and repr(twin) == repr(v)
+        assert dataclasses.replace(self.FULL, detail="x") == Violation(
+            "eos", ("s",), ("a", "b"), ("t1",), ("t2",), "attack", "x"
+        )
+
+    def test_signature(self):
+        params = inspect.signature(Violation).parameters
+        assert [(p.name, p.default, p.kind) for p in params.values()] == [
+            ("constraint", inspect.Parameter.empty, inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("statements", (), inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("relation", None, inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("theme_set", None, inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("theme_set2", None, inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("rel_type", None, inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("detail", "", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ]
+        assert [(f.name, f.default) for f in dataclasses.fields(Violation)] == [
+            (name, dataclasses.MISSING if p.default is inspect.Parameter.empty else p.default)
+            for name, p in params.items()
+        ]
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            (("eos", ("s",), ("a", "b"), ("t1",), ("t2",), "attack", "text", "extra"), {}),
+            (("eos",), {"witness": ("s",)}),
+            ((), {"detail": "text"}),
+            (("eos",), {"constraint": "eos"}),
+        ],
+        ids=["too many positional", "unknown keyword", "missing constraint", "given twice"],
+    )
+    def test_bad_arguments_are_refused(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Violation(*args, **kwargs)

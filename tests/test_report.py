@@ -137,6 +137,58 @@ class TestViolations:
         )
         assert to_json(report) == dumps(plain(report))
 
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_every_combination_of_optional_fields(self, data):
+        # a few tuple objects shared by fields, records and both blocks, so
+        # one tuple is written as a relation and as statements, at two indents
+        pool = data.draw(st.lists(IDS, min_size=1, max_size=3)) + [()]
+        shared = st.sampled_from(pool)
+        optional = st.none() | shared
+        vs = data.draw(
+            st.lists(
+                st.builds(
+                    Violation,
+                    constraint=TEXT,
+                    statements=shared,
+                    relation=optional,
+                    theme_set=optional,
+                    theme_set2=optional,
+                    rel_type=st.none() | TEXT,
+                    detail=st.text(st.sampled_from(SPECIAL) | CHARS, max_size=8),
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        report = check_report({"nsa": vs}, {"core": {"i": vs[::-1]}, "E": {"eos": vs[:1]}})
+        assert to_json(report) == dumps(plain(report))
+
+    def test_one_tuple_as_relation_and_statements_at_two_indents(self):
+        pair = ("s1", "s\u00e9")
+        vs = [
+            Violation("tr", pair, pair, detail="a"),
+            Violation("tr", pair, pair, pair, pair, "attack", 'q"\n\u20ac'),
+            Violation("i", pair, theme_set=(), theme_set2=pair, detail="\x00"),
+        ]
+        report = check_report({"tr": vs}, {"core": {"i": vs}})
+        assert to_json(report) == dumps(plain(report))
+        assert to_json([vs, [[vs]]]) == dumps(plain([vs, [[vs]]]))
+
+    def test_a_violation_among_other_values(self):
+        v = TestViolations.ALL_SET
+        for value in ([v, "x", 1], ["x", v, 2, v], {"a": [1, v], "b": v}, [[v], v, "y"]):
+            assert to_json(value) == dumps(plain(value))
+
     def test_a_violation_holding_another_type_is_refused(self):
-        with pytest.raises(TypeError):
-            to_json([Violation("i", (1,), detail="x")])
+        for bad in (
+            Violation("i", (1,), detail="x"),
+            Violation("i", ("s",), ("a", 2), detail="x"),
+            Violation("i", theme_set=(None,), detail="x"),
+            Violation("i", rel_type=1, detail="x"),
+            Violation("i", detail=b"x"),
+            Violation(1, detail="x"),
+        ):
+            for value in (bad, [bad], [TestViolations.ALL_SET, bad], ["x", bad]):
+                with pytest.raises(TypeError):
+                    to_json(value)
