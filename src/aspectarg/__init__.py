@@ -45,7 +45,6 @@ from .semantics import (
 from .statements_sets import (
     StatementsSet,
     contains_redundancy,
-    minimal_representations,
     statements_sets,
 )
 from .synthesis import synthesize_core_witness

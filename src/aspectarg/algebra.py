@@ -127,18 +127,18 @@ class Element:
     def __invert__(self) -> "Element":
         return Element(self.algebra, self.mask ^ self.algebra.full_mask)
 
+    # Python reflects a >= b to b <= a and a > b to b < a, so these two give
+    # the whole order; against a non-Element all four raise TypeError
     def __le__(self, other: "Element") -> bool:
+        if not isinstance(other, Element):
+            return NotImplemented
         self._check_same(other)
         return self.mask | other.mask == other.mask
 
     def __lt__(self, other: "Element") -> bool:
+        if not isinstance(other, Element):
+            return NotImplemented
         return self <= other and self.mask != other.mask
-
-    def __ge__(self, other: "Element") -> bool:
-        return other <= self
-
-    def __gt__(self, other: "Element") -> bool:
-        return other < self
 
     def comparable(self, other: "Element") -> bool:
         return self <= other or other <= self

@@ -301,9 +301,5 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         return ERROR
 
 
-def main() -> int:
-    return run()
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -631,19 +631,25 @@ def _fresh_aspects(
     table: AspectTable, anchors: list[tuple[str, str]]
 ) -> dict[str, list[Violation]]:
     """faW and faD on the statements-sets of each (statement, theme) anchor;
-    the anchors of one theme and type share one predecessor map."""
+    the anchors of one theme and type share one predecessor map.
+
+    An anchor can have several depth sets that hold the same redundant pair,
+    so each pair is reported once per anchor, theme and type.
+    """
     out: dict[str, list[Violation]] = {cid: [] for cid in FRESH_ASPECT_IDS}
     preds: dict[tuple[str, str], dict[str, list[str]]] = {}  # by (theme, type)
     for sid, t in anchors:
         for rel in (ATTACK, SUPPORT):
             if (t, rel) not in preds:
                 preds[t, rel] = typed_predecessors(table.model, t, rel)
-            widths, depths = statements_sets_from(preds[t, rel], sid, t, rel)
+            widths, depths = statements_sets_from(preds[t, rel], sid, t)
             for cid, sets in (("faW", widths), ("faD", depths)):
+                pairs: set[tuple[str, str]] = set()
                 for sset in sets:
                     witness = _redundancy(table, t, sset.members)
-                    if witness is None:
+                    if witness is None or (witness.first, witness.second) in pairs:
                         continue
+                    pairs.add((witness.first, witness.second))
                     shared = "{" + ", ".join(
                         sorted(_render(table, e.mask) for e in witness.shared)
                     ) + "}"

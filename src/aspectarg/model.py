@@ -26,9 +26,6 @@ OMEGA = "@omega"
 #: Reserved target marker for pointers to a theme's summary.
 SUMMARY = "@summary"
 
-UNION = "union"
-EMPTY = "empty"
-
 #: Cap on the themes whose subsets a check enumerates (2**12 theme sets).
 MAX_THEMES = 12
 
@@ -189,48 +186,23 @@ class AspectSet:
     def is_empty(self) -> bool:
         return not self.full and not self.elements
 
-    def contains(self, e: Element) -> bool:
-        return self.full or e in self.elements
-
-    def issubset(self, other: "AspectSet") -> bool:
-        if other.full:
-            return True
-        if self.full:
-            return False  # a full carrier never fits in a non-full set
-        return self.elements <= other.elements
-
-    def intersection(self, other: "AspectSet") -> "AspectSet":
-        if self.full:
-            return other
-        if other.full:
-            return self
-        return AspectSet(self.algebra, self.elements & other.elements)
-
-    def union(self, other: "AspectSet") -> "AspectSet":
-        if self.full or other.full:
-            return AspectSet(self.algebra, full=True)
-        return AspectSet(self.algebra, self.elements | other.elements)
-
     def __iter__(self) -> Iterator[Element]:
         if self.full:
             yield from self.algebra.elements()
         else:
             yield from self.elements
 
-    def size(self) -> int:
-        return self.algebra.carrier_size if self.full else len(self.elements)
-
 
 @dataclass
 class Interpretation:
-    """The interpretation function as explicit rows plus a defaulting rule.
+    """The interpretation function as explicit rows plus one defaulting rule.
 
     ``theme_aspects`` holds the omega rows (aspects of a theme set) and is
-    never defaulted across theme sets: a missing row is the empty set.
-    ``statement_aspects`` rows for multi-theme sets default, under
-    ``default_mode='union'``, to the union of the singleton rows, except for
-    summary pointers, whose aspects are context-dependent and therefore only
-    ever explicit.  The empty theme set defaults to the empty aspect set.
+    never defaulted across theme sets: a missing row is the empty set.  A
+    missing ``statement_aspects`` row of a multi-theme set is the union of
+    the statement's singleton rows, except for summary pointers, whose
+    aspects are context-dependent and therefore only ever explicit.  A
+    missing row of the empty or a singleton theme set is the empty set.
     ``formulas`` names elements in reports, e.g. by the formulas a model file
     wrote for them.
     """
@@ -238,7 +210,6 @@ class Interpretation:
     algebra: Algebra
     theme_aspects: dict[frozenset[str], AspectSet] = field(default_factory=dict)
     statement_aspects: dict[tuple[frozenset[str], str], AspectSet] = field(default_factory=dict)
-    default_mode: str = UNION
     formulas: dict[Element, str] = field(default_factory=dict)
 
 
@@ -311,7 +282,7 @@ class AspectTable:
         explicit = interp.statement_aspects.get((themes, s))
         if explicit is not None:
             return _compiled(explicit)
-        if tmask & (tmask - 1) == 0 or interp.default_mode == EMPTY or stmt.is_summary_pointer:
+        if tmask & (tmask - 1) == 0 or stmt.is_summary_pointer:
             return EMPTY_ROW
         # the union default over the singleton rows
         masks: set[int] = set()

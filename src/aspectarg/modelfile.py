@@ -22,8 +22,10 @@ Layout::
 
 Aspects are formula strings in the aspect language; the string ``"ALL"``
 (theme rows only) denotes the full carrier.  ``"@summary"`` marks a pointer
-to a theme's summary; ``"@omega"`` is reserved.  The interpretation block may
-be omitted (e.g. in inputs to witness synthesis), in which case every aspect
+to a theme's summary; ``"@omega"`` is reserved.  ``"default"`` may be left
+out; its one value, ``"union"``, names the defaulting rule of
+:class:`~aspectarg.model.Interpretation`.  The interpretation block may be
+omitted (e.g. in inputs to witness synthesis), in which case every aspect
 set is empty.
 """
 
@@ -39,11 +41,9 @@ from .algebra import Element, mk_algebra
 from .errors import AspectArgError, ModelFileError
 from .formulas import IDENT, ElementReader, render_element
 from .model import (
-    EMPTY,
     OMEGA,
     REL_TYPES,
     SUMMARY,
-    UNION,
     AspectSet,
     Interpretation,
     Model,
@@ -52,6 +52,9 @@ from .model import (
 )
 
 RESERVED_IDS = (OMEGA, SUMMARY)
+#: The one value of ``interpretation.default``: multi-theme statement rows
+#: default to the union of the singleton rows.
+_UNION = "union"
 
 
 @dataclass
@@ -60,7 +63,6 @@ class Document:
 
     model: Model
     interpretation: Interpretation
-    has_interpretation: bool
 
 
 def _expect(cond: bool, where: str, message: str) -> None:
@@ -163,7 +165,6 @@ def from_dict(data: Any) -> Document:
         raise ModelFileError(str(exc)) from exc
 
     interp_data = data.get("interpretation")
-    has_interpretation = interp_data is not None
     # the shortest formula written for each element, to name it in reports
     formulas: dict[Element, str] = {}
 
@@ -202,12 +203,10 @@ def from_dict(data: Any) -> Document:
 
     theme_rows: dict[frozenset[str], AspectSet] = {}
     statement_rows: dict[tuple[frozenset[str], str], AspectSet] = {}
-    default_mode = UNION
-    if has_interpretation:
+    if interp_data is not None:
         _expect(isinstance(interp_data, dict), "interpretation", "expected an object")
-        default_mode = interp_data.get("default", UNION)
-        _expect(default_mode in (UNION, EMPTY), "interpretation.default",
-                f"expected 'union' or 'empty', got {default_mode!r}")
+        default = interp_data.get("default", _UNION)
+        _expect(default == _UNION, "interpretation.default", f"expected 'union', got {default!r}")
         theme_entries = interp_data.get("theme_aspects", [])
         _expect(isinstance(theme_entries, list), "interpretation.theme_aspects", "expected a list")
         for i, entry in enumerate(theme_entries):
@@ -231,8 +230,7 @@ def from_dict(data: Any) -> Document:
                 entry.get("aspects"), where + ".aspects", False
             )
 
-    interp = Interpretation(algebra, theme_rows, statement_rows, default_mode, formulas)
-    return Document(model, interp, has_interpretation)
+    return Document(model, Interpretation(algebra, theme_rows, statement_rows, formulas))
 
 
 def to_dict(model: Model, interp: Interpretation) -> dict:
@@ -272,9 +270,7 @@ def to_dict(model: Model, interp: Interpretation) -> dict:
                 "themes": sorted(r.themes),
             }
         )
-    block: dict[str, Any] = {
-        "default": interp.default_mode, "theme_aspects": [], "statement_aspects": []
-    }
+    block: dict[str, Any] = {"default": _UNION, "theme_aspects": [], "statement_aspects": []}
     theme_rows = interp.theme_aspects
     for key in sorted(theme_rows, key=lambda k: (len(k), sorted(k))):
         row = theme_rows[key]

@@ -27,20 +27,15 @@ DEPTH_STATE_CAP = 1 << 18
 @dataclass(frozen=True)
 class StatementsSet:
     kind: str  # "width" | "depth"
-    anchor: str
-    theme: str
-    rel: str  # "attack" | "support"
     members: frozenset[str]
     path: tuple[str, ...] = ()  # witnessing order, depth sets only
 
 
-def depth_statements_sets(
-    preds: dict[str, list[str]], s: str, t: str, rel: str
-) -> list[StatementsSet]:
-    """All maximal depth-statements-sets of ``s`` for theme ``t`` and type ``rel``.
+def depth_statements_sets(preds: dict[str, list[str]], s: str, t: str) -> list[StatementsSet]:
+    """All maximal depth-statements-sets of ``s`` for theme ``t`` and one type.
 
-    ``preds`` maps each statement to its predecessors in the subgraph of
-    ``rel``-typed, ``t``-typed relations between ``t``-typed statements.
+    ``preds`` maps each statement to its predecessors in the subgraph of that
+    type's ``t``-typed relations between ``t``-typed statements.
     Searches simple paths ending at ``s`` in that subgraph, growing them at
     their head.  Whether a path can grow depends only on its head and its
     members, so each (head, members) state is expanded once.  A path that can
@@ -84,7 +79,7 @@ def depth_statements_sets(
         while state is not None:
             path.append(state[0])
             state = parent[state]
-        out.append(StatementsSet("depth", s, t, rel, frozenset(path), tuple(path)))
+        out.append(StatementsSet("depth", frozenset(path), tuple(path)))
     out.sort(key=lambda ss: sorted(ss.members))
     return out
 
@@ -97,7 +92,7 @@ def statements_sets(
     Both read one predecessor map of the ``rel``-typed, ``t``-typed relations
     between ``t``-typed statements (:func:`typed_predecessors`).
     """
-    return statements_sets_from(typed_predecessors(model, t, rel), s, t, rel)
+    return statements_sets_from(typed_predecessors(model, t, rel), s, t)
 
 
 def typed_predecessors(model: Model, t: str, rel: str) -> dict[str, list[str]]:
@@ -115,31 +110,26 @@ def typed_predecessors(model: Model, t: str, rel: str) -> dict[str, list[str]]:
 
 
 def statements_sets_from(
-    preds: dict[str, list[str]], s: str, t: str, rel: str
+    preds: dict[str, list[str]], s: str, t: str
 ) -> tuple[list[StatementsSet], list[StatementsSet]]:
     """:func:`statements_sets` over the map of :func:`typed_predecessors`.
 
     The unique width set is the anchor and its predecessors, so an anchor
     without theme ``t`` is its own width set and its own only depth set.
     """
-    width = StatementsSet("width", s, t, rel, frozenset([s, *preds.get(s, ())]))
-    return [width], depth_statements_sets(preds, s, t, rel)
-
-
-def _capped(size: int) -> int:
-    """``size``, if a set that large may be searched for minimal representations."""
-    if size > MINREP_CAP:
-        raise CapExceeded(
-            f"aspect set of size {size} exceeds the minimal-representation cap {MINREP_CAP}"
-        )
-    return size
+    width = StatementsSet("width", frozenset([s, *preds.get(s, ())]))
+    return [width], depth_statements_sets(preds, s, t)
 
 
 def _minimal_representations(masks: Iterable[int], full: int) -> list[frozenset[int]]:
     """All inclusion-minimal subsets of the element masks with the same
     infimum as the whole set, smallest first."""
     elems = sorted(masks)
-    n = _capped(len(elems))
+    n = len(elems)
+    if n > MINREP_CAP:
+        raise CapExceeded(
+            f"aspect set of size {n} exceeds the minimal-representation cap {MINREP_CAP}"
+        )
     # meet[b] is the infimum of the elements whose indices are the bits of b
     meet = [full] * (1 << n)
     for b in range(1, 1 << n):
@@ -155,19 +145,6 @@ def _minimal_representations(masks: Iterable[int], full: int) -> list[frozenset[
     ]
     hits.sort(key=int.bit_count)
     return [frozenset(m for i, m in enumerate(elems) if b >> i & 1) for b in hits]
-
-
-def minimal_representations(
-    interp: Interpretation, model: Model, themes: Iterable[str], s: str
-) -> list[frozenset[Element]]:
-    """Minimal representations of the aspect set of ``s`` for a theme set."""
-    table = AspectTable(interp, model)
-    full, masks = table.row(table.mask(themes), s)
-    algebra = interp.algebra
-    if full:
-        masks = range(_capped(algebra.carrier_size))
-    reps = _minimal_representations(masks, algebra.full_mask)
-    return [frozenset(Element(algebra, m) for m in rep) for rep in reps]
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ from .errors import (
     SynthesisError,
 )
 from .model import (
-    UNION,
     AspectSet,
     Interpretation,
     Model,
@@ -107,7 +106,7 @@ def synthesize_core_witness(model: Model) -> Interpretation:
                     )
 
     if m == 0:
-        return Interpretation(mk_algebra(["w1_1"]), {}, {}, UNION)
+        return Interpretation(mk_algebra(["w1_1"]))
 
     chain_len = n + n * m + m
     total_props = m * chain_len
@@ -166,7 +165,7 @@ def synthesize_core_witness(model: Model) -> Interpretation:
     for combo in theme_subsets(themes, min_size=1):
         theme_rows[frozenset(combo)] = AspectSet(algebra, full=True)
 
-    interp = Interpretation(algebra, theme_rows, statement_rows, UNION, formulas)
+    interp = Interpretation(algebra, theme_rows, statement_rows, formulas)
 
     # m * m <= MAX_PROPS, so m is far below the theme cap of check_core
     leftover = all_violations(check_core(model, interp))

@@ -425,6 +425,33 @@ def oracle_relation_kinds(u: Element | None, v: Element | None) -> frozenset[str
 
 
 # ---------------------------------------------------------------------------
+# Set operations on aspect sets, where a full row stands for the carrier.
+# ---------------------------------------------------------------------------
+
+
+def issubset(a: AspectSet, b: AspectSet) -> bool:
+    if b.full:
+        return True
+    if a.full:
+        return False  # a full carrier never fits in a non-full set
+    return a.elements <= b.elements
+
+
+def intersection(a: AspectSet, b: AspectSet) -> AspectSet:
+    if a.full:
+        return b
+    if b.full:
+        return a
+    return AspectSet(a.algebra, a.elements & b.elements)
+
+
+def union(a: AspectSet, b: AspectSet) -> AspectSet:
+    if a.full or b.full:
+        return AspectSet(a.algebra, full=True)
+    return AspectSet(a.algebra, a.elements | b.elements)
+
+
+# ---------------------------------------------------------------------------
 # Exact-region oracle.
 # ---------------------------------------------------------------------------
 
@@ -441,11 +468,11 @@ def oracle_exact_region(
     theme_sets = [c for n in range(len(themes) + 1) for c in combinations(themes, n)]
 
     def same(a: AspectSet, b: AspectSet) -> bool:
-        return a.issubset(b) and b.issubset(a)
+        return issubset(a, b) and issubset(b, a)
 
     out = []
     for t1, t2 in combinations(theme_sets, 2):
-        common = lookup(interp, model, t1, OMEGA).intersection(lookup(interp, model, t2, OMEGA))
+        common = intersection(lookup(interp, model, t1, OMEGA), lookup(interp, model, t2, OMEGA))
         if common.is_empty:
             continue
         for s in model.statements:
@@ -455,8 +482,8 @@ def oracle_exact_region(
                 cid = "esr"
             else:
                 cid = "ensr"
-            a = lookup(interp, model, t1, s.id).intersection(common)
-            b = lookup(interp, model, t2, s.id).intersection(common)
+            a = intersection(lookup(interp, model, t1, s.id), common)
+            b = intersection(lookup(interp, model, t2, s.id), common)
             if not same(a, b):
                 out.append((cid, s.id, tuple(sorted(t1)), tuple(sorted(t2))))
     return out
@@ -837,7 +864,7 @@ def block_instance(rng: random.Random, m: int | None = None):
                     continue
                 merged = AspectSet(algebra)
                 for t in chosen:
-                    merged = merged.union(rows[(frozenset([t]), s.id)])
+                    merged = union(merged, rows[(frozenset([t]), s.id)])
                 rows[(t_set, s.id)] = merged
 
     theme_rows = {

@@ -39,6 +39,7 @@ from helpers import (
     atoms,
     block_instance,
     eta,
+    intersection,
     join_irreducibles,
     oracle_depth_sets,
     oracle_dung,
@@ -47,6 +48,7 @@ from helpers import (
     random_model_any,
     random_total_interpretation,
     truth_table_element,
+    union,
 )
 from test_semantics import attack_model
 from test_statements_sets import members_of, random_graph, remark_graph
@@ -186,8 +188,8 @@ def test_criterion_05_distribution_under_core_and_exact_region():
                 for s in model.statements:
                     left = lookup(interp, model, t1, s.id)
                     right = lookup(interp, model, t2, s.id)
-                    assert lookup(interp, model, t1 | t2, s.id) == left.union(right)
-                    assert lookup(interp, model, t1 & t2, s.id) == left.intersection(right)
+                    assert lookup(interp, model, t1 | t2, s.id) == union(left, right)
+                    assert lookup(interp, model, t1 & t2, s.id) == intersection(left, right)
         instances += 1
     report(f"ACCEPTANCE 5 (distribution laws on {instances} Core+E instances): PASS")
 

@@ -60,6 +60,26 @@ class TestLatticeOps:
         with pytest.raises(AlgebraError):
             fig1.top & other.top
 
+    def test_reflected_order(self, ev):
+        assert ev("x") >= ev("x & y") and ev("x | y") > ev("x")
+        assert not ev("x") > ev("x") and ev("x") >= ev("x")
+        assert not ev("x") >= ev("~x") and not ev("~x") >= ev("x")
+
+    @pytest.mark.parametrize("compare", ["<", "<=", ">", ">="])
+    def test_order_with_a_non_element_is_a_type_error(self, fig1, compare):
+        e = fig1.prop("x")
+        for other in (5, None, fig1.top.mask):
+            with pytest.raises(TypeError):
+                eval(f"e {compare} other")
+            with pytest.raises(TypeError):
+                eval(f"other {compare} e")
+
+    @pytest.mark.parametrize("compare", ["<", "<=", ">", ">="])
+    def test_order_across_algebras_is_refused(self, fig1, compare):
+        e, other = fig1.top, mk_algebra(["p"]).top
+        with pytest.raises(AlgebraError):
+            eval(f"e {compare} other")
+
 
 class TestAtomsAndJoinIrreducibles:
     def test_fig1_join_irreducibles_are_the_atoms(self, fig1, ev):

@@ -78,6 +78,17 @@ class TestValidate:
         assert code == 2
         assert "invalid JSON" in err
 
+    def test_the_empty_default_is_refused(self, tmp_path):
+        # "empty" said what a "union" file says with an explicit [] row for
+        # each multi-theme set it leaves out
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["interpretation"]["default"] = "empty"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = invoke("validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: interpretation.default: expected 'union', got 'empty'\n"
+
     def test_a_syntax_error_is_reported_before_an_unknown_proposition(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["interpretation"]["statement_aspects"][0]["aspects"] = ["zz & ("]
@@ -182,8 +193,27 @@ class TestModelFileSchema:
     def test_interpretation_may_be_omitted(self):
         doc = json.loads(json.dumps(MINIMAL))
         del doc["interpretation"]
-        loaded = loads(json.dumps(doc))
-        assert not loaded.has_interpretation
+        interp = loads(json.dumps(doc)).interpretation
+        assert interp.theme_aspects == {} and interp.statement_aspects == {}
+
+    def test_the_default_may_be_omitted(self):
+        from aspectarg.model import lookup
+
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["themes"] = ["t1", "t2"]
+        doc["statements"][0]["themes"] = ["t1", "t2"]
+        doc["interpretation"]["theme_aspects"] = []
+        doc["interpretation"]["statement_aspects"] = [
+            {"themes": ["t1"], "statement": "s", "aspects": ["p"]},
+            {"themes": ["t2"], "statement": "s", "aspects": ["~p"]},
+        ]
+        union = loads(json.dumps(doc))
+        del doc["interpretation"]["default"]
+        omitted = loads(json.dumps(doc))
+        assert omitted.interpretation == union.interpretation
+        row = lookup(omitted.interpretation, omitted.model, ["t1", "t2"], "s")
+        p = omitted.interpretation.algebra.prop("p")
+        assert set(row) == {p, ~p}
 
     def test_interpretation_names_each_element_by_its_shortest_formula(self):
         doc = json.loads(json.dumps(MINIMAL))
@@ -207,7 +237,6 @@ class TestWriter:
         assert dumps(to_dict(again.model, again.interpretation)) == text
         assert again.interpretation.theme_aspects == interp.theme_aspects
         assert again.interpretation.statement_aspects == interp.statement_aspects
-        assert again.interpretation.default_mode == interp.default_mode
         return text
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -812,8 +841,8 @@ class TestSynthesize:
         src.write_text(json.dumps(graph))
         code, out, _ = invoke("synthesize", str(src))
         assert code == 0
-        witness = loads(out)
-        assert witness.has_interpretation
+        witness = loads(out).interpretation
+        assert witness.theme_aspects and witness.statement_aspects
 
 
 @pytest.mark.parametrize(

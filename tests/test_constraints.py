@@ -38,11 +38,13 @@ from aspectarg.model import (
 from aspectarg.modelfile import load_path
 from helpers import (
     block_instance,
+    issubset,
     oracle_exact_region,
     oracle_relation_kinds,
     random_model_any,
     random_total_interpretation,
     redundant_instance,
+    union,
 )
 
 
@@ -233,6 +235,29 @@ class TestCore:
         )
         out = check_core(model, interp)
         assert [v.theme_set for v in out["bat"]] == [("t",)]
+
+    @pytest.mark.parametrize("formula", ["x", "1"])
+    def test_bat_rejects_a_one_element_row(self, fig1, ev, formula):
+        # a one-element row lacks 0 or 1, so it is no subalgebra
+        model = single_theme_model("s")
+        interp = Interpretation(fig1, {frozenset(["t"]): aspects(fig1, ev(formula))}, {})
+        assert [v.theme_set for v in check_core(model, interp)["bat"]] == [("t",)]
+
+    def test_ss_ranges_over_the_statements_own_themes(self, fig1):
+        # s carries only t1, so its inconsistent row at {t1, t2} breaks pr, not ss
+        model = Model.build(["t1", "t2"], [Statement("s")], {"s": {"t1"}}, [])
+        x = fig1.prop("x")
+        interp = Interpretation(
+            fig1,
+            {},
+            {
+                (frozenset(["t1"]), "s"): aspects(fig1, x),
+                (frozenset(["t1", "t2"]), "s"): aspects(fig1, x, ~x),
+            },
+        )
+        out = check_core(model, interp)
+        assert out["ss"] == []
+        assert [v.theme_set for v in out["pr"]] == [("t1", "t2")]
 
     def test_bat_accepts_subalgebra_and_full(self, fig1):
         model = single_theme_model("s")
@@ -446,8 +471,8 @@ class TestExactRegion:
                 for t1 in subsets:
                     for t2 in subsets:
                         if t1 <= t2:
-                            assert lookup(interp, model, t1, s.id).issubset(
-                                lookup(interp, model, t2, s.id)
+                            assert issubset(
+                                lookup(interp, model, t1, s.id), lookup(interp, model, t2, s.id)
                             )
 
 
@@ -471,8 +496,8 @@ class TestExactRegionOracle:
             model, interp = block_instance(rng)
             # break E at one row so block instances report witnesses too
             (key, sid), row = rng.choice(sorted(interp.statement_aspects.items(), key=repr))
-            interp.statement_aspects[(key, sid)] = row.union(
-                AspectSet(interp.algebra, frozenset([interp.algebra.top]))
+            interp.statement_aspects[(key, sid)] = union(
+                row, AspectSet(interp.algebra, frozenset([interp.algebra.top]))
             )
         else:
             model = random_model_any(rng, max_themes=3)
@@ -576,6 +601,39 @@ class TestDasNwci:
             core_ok = not all_violations(check_core(model, interp))
             das_ok = not check_das(model, interp)
             assert not (core_ok and das_ok)
+
+
+class TestFreshAspectRecords:
+    def test_one_record_per_redundant_pair(self, ev):
+        # c -> a -> b -> s and d -> a, all supports: b has the depth sets
+        # {c, a, b} and {d, a, b}, and s the same two with s, so the one
+        # redundant pair a, b lies in two depth sets of each anchor
+        algebra = mk_algebra(["p", "q"])
+        pq = aspects(algebra, ev("p", algebra), ev("q", algebra))
+        rows = {
+            "a": pq,
+            "b": pq,
+            "c": aspects(algebra, ev("~p", algebra)),
+            "d": aspects(algebra, ev("~q", algebra)),
+            "s": aspects(algebra, ev("p | q", algebra)),
+        }
+        model = single_theme_model(
+            *rows,
+            relations=[
+                Relation(a, b, frozenset({SUPPORT}), frozenset({"t"}))
+                for a, b in (("a", "b"), ("b", "s"), ("c", "a"), ("d", "a"))
+            ],
+        )
+        interp = Interpretation(
+            algebra,
+            {frozenset(["t"]): AspectSet(algebra, full=True)},
+            {(frozenset(["t"]), sid): row for sid, row in rows.items()},
+        )
+        found = check_fresh_aspects(model, interp)
+        assert [v.statements for v in found["faD"]] == [("b", "a", "b"), ("s", "a", "b")]
+        assert [v.statements for v in found["faW"]] == [("b", "a", "b")]
+        for v in found["faD"] + found["faW"]:
+            assert recheck(model, interp, v)
 
 
 class TestFreshAspectOrder:

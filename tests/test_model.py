@@ -30,7 +30,13 @@ from aspectarg.model import (
     validate_wellformed,
 )
 from aspectarg.modelfile import load_path
-from helpers import random_model_any, random_total_interpretation
+from helpers import (
+    intersection,
+    issubset,
+    random_model_any,
+    random_total_interpretation,
+    union,
+)
 
 
 def ev(text, algebra):
@@ -45,13 +51,13 @@ class TestAspectSet:
     def test_subset_and_intersection_with_full(self, fig1, ev):
         full = AspectSet(fig1, full=True)
         small = AspectSet(fig1, frozenset({ev("x")}))
-        assert small.issubset(full)
-        assert not full.issubset(small)
-        assert full.intersection(small) == small
-        assert small.union(full).full
+        assert issubset(small, full)
+        assert not issubset(full, small)
+        assert intersection(full, small) == small
+        assert union(small, full).full
 
     def test_size(self, fig1):
-        assert AspectSet(fig1, full=True).size() == 16
+        assert len(list(AspectSet(fig1, full=True))) == 16
         assert AspectSet(fig1).is_empty
 
 
@@ -111,16 +117,6 @@ class TestLookup:
         assert lookup(interp, model, ["t1", "t2"], "c").is_empty
         assert set(lookup(interp, model, ["t1"], "c")) == {fig1.prop("x")}
 
-    def test_empty_mode_disables_default(self, fig1):
-        model = Model.build(["t1", "t2"], [Statement("s")], {"s": {"t1", "t2"}}, [])
-        interp = Interpretation(
-            fig1,
-            {},
-            {(frozenset(["t1"]), "s"): AspectSet(fig1, frozenset({fig1.prop("x")}))},
-            default_mode="empty",
-        )
-        assert lookup(interp, model, ["t1", "t2"], "s").is_empty
-
     def test_theme_order_insensitive(self, fear):
         a = lookup(fear.interpretation, fear.model, ["t1", "t2"], "s1")
         b = lookup(fear.interpretation, fear.model, ["t2", "t1", "t1"], "s1")
@@ -135,7 +131,7 @@ class TestLookup:
     def test_monotone_in_theme_set_for_non_summary(self, fear):
         small = lookup(fear.interpretation, fear.model, ["t1"], "s2")
         big = lookup(fear.interpretation, fear.model, ["t1", "t2"], "s2")
-        assert small.issubset(big)
+        assert issubset(small, big)
 
 
 class TestEffectiveAspect:
@@ -275,7 +271,7 @@ def oracle_aspects(interp: Interpretation, model: Model, themes, s: str) -> tupl
 
     An explicit row wins.  Otherwise the empty and singleton theme sets read
     empty, summary pointers read empty (they are explicit only), and larger
-    sets under the union default read the union of the singleton rows.
+    sets read the union of the singleton rows.
     """
     t = frozenset(themes)
     if s == OMEGA:
@@ -285,7 +281,7 @@ def oracle_aspects(interp: Interpretation, model: Model, themes, s: str) -> tupl
     if row is not None:
         return row.full, {e.mask for e in row.elements}
     summary = any(x.id == s and x.ref_theme and x.ref_target is None for x in model.statements)
-    if s == OMEGA or len(t) < 2 or interp.default_mode != "union" or summary:
+    if s == OMEGA or len(t) < 2 or summary:
         return False, set()
     full, masks = False, set()
     for th in t:
@@ -310,7 +306,7 @@ def oracle_effective(interp: Interpretation, full: bool, masks: set) -> int | No
 
 
 def with_extra_rows(rng: random.Random, model: Model, interp: Interpretation) -> Interpretation:
-    """Add explicit multi-theme, empty-set and full rows, and maybe the empty default."""
+    """Add explicit multi-theme, empty-set and full rows."""
     algebra = interp.algebra
     rows = dict(interp.statement_aspects)
     theme_sets = [frozenset(c) for n in range(len(model.themes) + 1)
@@ -322,8 +318,7 @@ def with_extra_rows(rng: random.Random, model: Model, interp: Interpretation) ->
             else:
                 masks = rng.sample(range(algebra.carrier_size), rng.randint(0, 3))
                 rows[(t, s.id)] = AspectSet(algebra, frozenset(Element(algebra, m) for m in masks))
-    mode = rng.choice(["union", "union", "empty"])
-    return Interpretation(algebra, interp.theme_aspects, rows, mode)
+    return Interpretation(algebra, interp.theme_aspects, rows)
 
 
 class TestTableAgainstDefaultingRule:

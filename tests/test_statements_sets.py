@@ -20,7 +20,6 @@ from aspectarg.statements_sets import (
     MINREP_CAP,
     _minimal_representations,
     contains_redundancy,
-    minimal_representations,
     statements_sets,
 )
 from helpers import oracle_depth_sets, oracle_redundancy, oracle_width_sets
@@ -167,8 +166,7 @@ class TestDenseDepthSets:
 
 
 class TestMinimalRepresentations:
-    """``_minimal_representations`` on element masks, and its public entry
-    point over a row, ``minimal_representations``."""
+    """``_minimal_representations`` on element masks."""
 
     @staticmethod
     def reps(algebra, *elements):
@@ -206,22 +204,6 @@ class TestMinimalRepresentations:
             _minimal_representations(range(MINREP_CAP + 1), a.full_mask)
         reps = _minimal_representations(range(MINREP_CAP), a.full_mask)
         assert reps[0] == frozenset({a.bottom.mask})
-
-    def test_full_row_is_refused_before_enumerating_its_carrier(self):
-        a = mk_algebra([f"p{i}" for i in range(6)])  # 2**64 elements
-        model = Model.build(["t"], [Statement("s")], {"s": {"t"}}, [])
-        interp = Interpretation(a, {}, {(frozenset(["t"]), "s"): AspectSet(a, full=True)})
-        with pytest.raises(CapExceeded, match=f"size {a.carrier_size} exceeds"):
-            minimal_representations(interp, model, ["t"], "s")
-
-    def test_lookup_based_entry_point(self, fig1, ev):
-        model = Model.build(["t"], [Statement("s")], {"s": {"t"}}, [])
-        interp = Interpretation(
-            fig1,
-            {},
-            {(frozenset(["t"]), "s"): AspectSet(fig1, frozenset({ev("x -> y"), ev("~x")}))},
-        )
-        assert minimal_representations(interp, model, ["t"], "s") == [frozenset({ev("~x")})]
 
 
 def redundancy_input(algebra, rows):
