@@ -100,18 +100,6 @@ class Element:
     algebra: Algebra
     mask: int
 
-    def __hash__(self) -> int:
-        # Python does not cache an int's hash, and a 2**k-bit mask takes time
-        # linear in its width to hash, so the mask's hash is kept on first use,
-        # outside the fields.  The props' strings hash differently in each
-        # process, so the tuple's hash is not kept: it would be wrong after
-        # unpickling.  hash(int) is below the hash modulus and so hashes to
-        # itself, which makes this equal the generated (algebra, mask) hash.
-        h = self.__dict__.get("_mask_hash")
-        if h is None:
-            h = self.__dict__["_mask_hash"] = hash(self.mask)
-        return hash((self.algebra, h))
-
     def _check_same(self, other: "Element") -> None:
         if self.algebra != other.algebra:
             raise AlgebraError("elements belong to different algebras")

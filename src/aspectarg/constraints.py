@@ -647,19 +647,20 @@ def _fresh_aspects(
                 pairs: set[tuple[str, str]] = set()
                 for sset in sets:
                     witness = _redundancy(table, t, sset.members)
-                    if witness is None or (witness.first, witness.second) in pairs:
+                    if witness is None:
                         continue
-                    pairs.add((witness.first, witness.second))
-                    shared = "{" + ", ".join(
-                        sorted(_render(table, e.mask) for e in witness.shared)
-                    ) + "}"
+                    first, second, masks = witness
+                    if (first, second) in pairs:
+                        continue
+                    pairs.add((first, second))
+                    shared = "{" + ", ".join(sorted(_render(table, m) for m in masks)) + "}"
                     out[cid].append(
                         Violation(
                             cid,
-                            (sid, witness.first, witness.second),
+                            (sid, first, second),
                             theme_set=(t,),
                             rel_type=rel,
-                            detail=f"{witness.first} and {witness.second} share the minimal "
+                            detail=f"{first} and {second} share the minimal "
                             f"representation {shared} in the {sset.kind}-statements-set "
                             f"of {sid} for theme {t}",
                         )

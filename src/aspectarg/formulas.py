@@ -255,25 +255,26 @@ def parse(text: str) -> AspectExpr:
 
 
 class ElementReader:
-    """Reads formula texts over one algebra straight to elements.
+    """Reads formula texts over one algebra straight to element masks.
 
     The grammar is the one :func:`parse` uses, folded to minterm masks through
     one name-to-mask dict built here, so a formula costs one tokenization and
-    builds no tree.  ``read(text)`` equals ``evaluate(parse(text), algebra)``
-    and raises the same errors: a syntax error anywhere in the text before an
-    unknown proposition, and of those the first in the text.
+    builds no tree.  ``read(text)`` is the mask of
+    ``evaluate(parse(text), algebra)`` and raises the same errors: a syntax
+    error anywhere in the text before an unknown proposition, and of those the
+    first in the text.
     """
 
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
         self.fold = _mask_fold(algebra)
 
-    def read(self, text: str) -> Element:
+    def read(self, text: str) -> int:
         parser = _Parser(text, self.fold)
         mask = parser.run()
         if parser.unknown is not None:
             self.algebra.prop(parser.unknown)  # raises the unknown-proposition error
-        return Element(self.algebra, mask)
+        return mask
 
 
 _BINARY = {And: "conj", Or: "disj", Implies: "implies", Iff: "iff"}
@@ -326,17 +327,19 @@ def format_expr(expr: AspectExpr) -> str:
 
 def render_element(
     element: Element,
-    preferred: Mapping[Element, str] | None = None,
+    preferred: Mapping[int, str] | None = None,
     max_atoms: int = 64,
 ) -> str:
     """Readable formula for an element.
 
-    Prefers a formula from ``preferred`` (e.g. the formulas authored in a model
-    file) when one denotes the same element; otherwise falls back to a
-    disjunctive normal form over the algebra's atoms.
+    Prefers the formula ``preferred`` holds for the element's mask (e.g.
+    ``Interpretation.formulas``, the formulas authored in a model file);
+    otherwise falls back to a disjunctive normal form over the algebra's atoms.
     """
-    if preferred and element in preferred:
-        return preferred[element]
+    if preferred:
+        name = preferred.get(element.mask)
+        if name is not None:
+            return name
     if element.is_bottom:
         return "0"
     if element.is_top:

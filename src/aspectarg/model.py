@@ -4,15 +4,18 @@ A model is a finite statement graph where every statement carries one or more
 themes and every relation carries attack/support types plus themes drawn from
 its endpoints.  The interpretation maps (theme set, statement) and
 (theme set, omega) to sets of algebra elements; omega rows describe the
-aspects of the theme set itself.  Checks read it through an
-:class:`AspectTable`, which compiles theme sets and aspect sets to ints.
+aspects of the theme set itself, each held as a :data:`Row` of element
+masks.  Checks read it through an :class:`AspectTable`, which turns theme sets
+into ints and applies the defaulting rule.  Models and interpretations are
+read-only after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from itertools import combinations
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .algebra import Algebra, Element
 from .errors import CapExceeded, ModelError, UnknownIdError
@@ -94,17 +97,24 @@ class Relation:
         return (self.source, self.target)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
-    """The typed argumentation graph.  Treated as immutable after construction."""
+    """The typed argumentation graph; ``statement_themes`` is read-only."""
 
     themes: tuple[str, ...]
     statements: tuple[Statement, ...]
-    statement_themes: dict[str, frozenset[str]]
+    statement_themes: Mapping[str, frozenset[str]]
     relations: tuple[Relation, ...]
 
+    __hash__ = None  # type: ignore[assignment]
+
     def __post_init__(self) -> None:
-        self._by_id = {s.id: s for s in self.statements}
+        object.__setattr__(self, "statement_themes", MappingProxyType(dict(self.statement_themes)))
+        object.__setattr__(self, "_by_id", {s.id: s for s in self.statements})
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle
+        return (Model, (self.themes, self.statements, dict(self.statement_themes), self.relations))
 
     @classmethod
     def build(
@@ -193,7 +203,13 @@ class AspectSet:
             yield from self.elements
 
 
-@dataclass
+#: A compiled aspect set: ``(full, element masks)``; a full row has no masks.
+Row = tuple[bool, frozenset[int]]
+EMPTY_ROW: Row = (False, frozenset())
+FULL_ROW: Row = (True, frozenset())
+
+
+@dataclass(frozen=True)
 class Interpretation:
     """The interpretation function as explicit rows plus one defaulting rule.
 
@@ -203,20 +219,65 @@ class Interpretation:
     the statement's singleton rows, except for summary pointers, whose
     aspects are context-dependent and therefore only ever explicit.  A
     missing row of the empty or a singleton theme set is the empty set.
-    ``formulas`` names elements in reports, e.g. by the formulas a model file
-    wrote for them.
+    ``formulas`` names elements in reports by their masks, e.g. by the
+    formulas a model file wrote for them.
+
+    Each row is held as a :data:`Row`.  A row may be given as an
+    :class:`AspectSet`, which is compiled here, once; a listed row that holds
+    a whole carrier of at most 4 propositions becomes the full row, as in
+    :class:`AspectSet`.  Statement rows have no ``"ALL"`` in a model file, so
+    a full statement row over more than 4 propositions could not be written
+    and is refused.  The row mappings are read-only.
     """
 
     algebra: Algebra
-    theme_aspects: dict[frozenset[str], AspectSet] = field(default_factory=dict)
-    statement_aspects: dict[tuple[frozenset[str], str], AspectSet] = field(default_factory=dict)
-    formulas: dict[Element, str] = field(default_factory=dict)
+    theme_aspects: Mapping[frozenset[str], Row] = field(default_factory=dict)
+    statement_aspects: Mapping[tuple[frozenset[str], str], Row] = field(default_factory=dict)
+    formulas: Mapping[int, str] = field(default_factory=dict)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        algebra = self.algebra
+        theme_rows = _compiled_rows(algebra, self.theme_aspects)
+        statement_rows = _compiled_rows(algebra, self.statement_aspects)
+        if algebra.k > 4:
+            for (themes, sid), (full, _) in statement_rows.items():
+                if full:
+                    raise ModelError(
+                        f"statement row ({sorted(themes)}, {sid!r}) is the full carrier of a "
+                        f"{algebra.k}-proposition algebra, which a model file cannot list"
+                    )
+        set_field = object.__setattr__
+        set_field(self, "theme_aspects", MappingProxyType(theme_rows))
+        set_field(self, "statement_aspects", MappingProxyType(statement_rows))
+        set_field(self, "formulas", MappingProxyType(dict(self.formulas)))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle; the rows rebuild from plain dicts
+        return (
+            Interpretation,
+            (
+                self.algebra,
+                dict(self.theme_aspects),
+                dict(self.statement_aspects),
+                dict(self.formulas),
+            ),
+        )
 
 
-#: A compiled aspect set: ``(full, element masks)``; a full row has no masks.
-Row = tuple[bool, frozenset[int]]
-EMPTY_ROW: Row = (False, frozenset())
-FULL_ROW: Row = (True, frozenset())
+def _compiled_rows(algebra: Algebra, rows: Mapping) -> dict:
+    """A copy of ``rows`` with every value a :data:`Row`."""
+    # only a carrier of at most 4 propositions can be listed in full
+    listable = algebra.carrier_size if algebra.k <= 4 else -1
+    out = {}
+    for key, row in rows.items():
+        if type(row) is not tuple:
+            row = (row.full, frozenset(e.mask for e in row.elements))
+        if row[0] or len(row[1]) == listable:
+            row = FULL_ROW
+        out[key] = row
+    return out
 
 
 class AspectTable:
@@ -225,8 +286,8 @@ class AspectTable:
     Themes are bit positions in ``model.themes`` order, so a theme set is an
     int mask, and a row is a :data:`Row` of element masks.  Each
     (theme mask, statement) row, and each row's infimum, is computed on its
-    first read and kept for the life of the table.  The table reads the
-    interpretation as it is then, so make one per check, not one per process.
+    first read and kept for the life of the table, which is one check: no
+    cache outlives a call.
     """
 
     def __init__(self, interp: Interpretation, model: Model):
@@ -277,11 +338,11 @@ class AspectTable:
     def _build(self, tmask: int, s: str) -> Row:
         interp, themes = self.interp, self.themes(tmask)
         if s == OMEGA:
-            return _compiled(interp.theme_aspects.get(themes))
+            return interp.theme_aspects.get(themes, EMPTY_ROW)
         stmt = self.model.statement(s)
         explicit = interp.statement_aspects.get((themes, s))
         if explicit is not None:
-            return _compiled(explicit)
+            return explicit
         if tmask & (tmask - 1) == 0 or stmt.is_summary_pointer:
             return EMPTY_ROW
         # the union default over the singleton rows
@@ -315,14 +376,6 @@ class AspectTable:
                 out &= m
         self._infs[key] = out
         return out
-
-
-def _compiled(aspects: AspectSet | None) -> Row:
-    if aspects is None:
-        return EMPTY_ROW
-    if aspects.full:
-        return FULL_ROW
-    return (False, frozenset(e.mask for e in aspects.elements))
 
 
 def row_subset(a: Row, b: Row) -> bool:

@@ -33,21 +33,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from .algebra import Element, mk_algebra
 from .errors import AspectArgError, ModelFileError
 from .formulas import IDENT, ElementReader, render_element
 from .model import (
+    FULL_ROW,
     OMEGA,
     REL_TYPES,
     SUMMARY,
-    AspectSet,
     Interpretation,
     Model,
     Relation,
+    Row,
     Statement,
 )
 
@@ -65,16 +65,18 @@ class Document:
     interpretation: Interpretation
 
 
-def _expect(cond: bool, where: str, message: str) -> None:
-    if not cond:
-        raise ModelFileError(f"{where}: {message}")
+def _fail(where: str, message: str) -> NoReturn:
+    raise ModelFileError(f"{where}: {message}")
 
 
-def _string_list(value: Any, where: str) -> list[str]:
-    _expect(isinstance(value, list), where, "expected a list of strings")
+def _is_strings(value: Any) -> bool:
+    """Whether ``value`` is a list of strings."""
+    if not isinstance(value, list):
+        return False
     for x in value:
-        _expect(isinstance(x, str), where, "expected a list of strings")
-    return list(value)
+        if not isinstance(x, str):
+            return False
+    return True
 
 
 def load_path(path: str | Path) -> Document:
@@ -99,23 +101,32 @@ def loads(text: str) -> Document:
 
 
 def from_dict(data: Any) -> Document:
-    _expect(isinstance(data, dict), "document", "expected a JSON object")
+    """Read a parsed model file.  The first problem in document order raises a
+    :class:`ModelFileError`, whose text is built only then."""
+    if not isinstance(data, dict):
+        _fail("document", "expected a JSON object")
     for key in ("themes", "props", "statements", "relations"):
-        _expect(key in data, "document", f"missing required key {key!r}")
+        if key not in data:
+            _fail("document", f"missing required key {key!r}")
 
-    themes = _string_list(data["themes"], "themes")
-    _expect(len(set(themes)) == len(themes), "themes", "duplicate theme ids")
+    themes = data["themes"]
+    if not _is_strings(themes):
+        _fail("themes", "expected a list of strings")
+    declared = set(themes)
+    if len(declared) != len(themes):
+        _fail("themes", "duplicate theme ids")
     for t in themes:
-        _expect(t not in RESERVED_IDS, "themes", f"{t!r} is reserved")
-        _expect(bool(t), "themes", "theme ids must be non-empty")
+        if t in RESERVED_IDS:
+            _fail("themes", f"{t!r} is reserved")
+        if not t:
+            _fail("themes", "theme ids must be non-empty")
 
-    props = _string_list(data["props"], "props")
+    props = data["props"]
+    if not _is_strings(props):
+        _fail("props", "expected a list of strings")
     for name in props:
-        _expect(
-            bool(IDENT.match(name)),
-            "props",
-            f"proposition {name!r} is not a valid identifier",
-        )
+        if not IDENT.match(name):
+            _fail("props", f"proposition {name!r} is not a valid identifier")
     try:
         algebra = mk_algebra(props)
     except AspectArgError as exc:
@@ -123,40 +134,60 @@ def from_dict(data: Any) -> Document:
 
     statements: list[Statement] = []
     statement_themes: dict[str, list[str]] = {}
-    _expect(isinstance(data["statements"], list), "statements", "expected a list")
-    for i, entry in enumerate(data["statements"]):
-        where = f"statements[{i}]"
-        _expect(isinstance(entry, dict), where, "expected an object")
+    entries = data["statements"]
+    if not isinstance(entries, list):
+        _fail("statements", "expected a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            _fail(f"statements[{i}]", "expected an object")
         sid = entry.get("id")
-        _expect(isinstance(sid, str) and sid != "", where, "missing or empty id")
-        _expect(sid not in RESERVED_IDS, where, f"statement id {sid!r} is reserved")
-        _expect(sid not in statement_themes, where, f"duplicate statement id {sid!r}")
+        if not isinstance(sid, str) or sid == "":
+            _fail(f"statements[{i}]", "missing or empty id")
+        if sid in RESERVED_IDS:
+            _fail(f"statements[{i}]", f"statement id {sid!r} is reserved")
+        if sid in statement_themes:
+            _fail(f"statements[{i}]", f"duplicate statement id {sid!r}")
         kind = entry.get("kind", "ordinary")
-        _expect(kind in ("ordinary", "pointer"), where, f"unknown kind {kind!r}")
-        if kind == "pointer":
+        if kind == "ordinary":
+            if "theme" in entry or "target" in entry:
+                _fail(f"statements[{i}]", "ordinary statements take no 'theme'/'target'")
+            statements.append(Statement(sid))
+        elif kind == "pointer":
             theme, target = entry.get("theme"), entry.get("target")
-            _expect(isinstance(theme, str), where, "pointer needs a 'theme'")
-            _expect(isinstance(target, str), where, "pointer needs a 'target'")
-            _expect(target != OMEGA, where, f"{OMEGA!r} cannot be a pointer target")
+            if not isinstance(theme, str):
+                _fail(f"statements[{i}]", "pointer needs a 'theme'")
+            if not isinstance(target, str):
+                _fail(f"statements[{i}]", "pointer needs a 'target'")
+            if target == OMEGA:
+                _fail(f"statements[{i}]", f"{OMEGA!r} cannot be a pointer target")
             ref_target = None if target == SUMMARY else target
             statements.append(Statement(sid, ref_theme=theme, ref_target=ref_target))
         else:
-            _expect("theme" not in entry and "target" not in entry, where,
-                    "ordinary statements take no 'theme'/'target'")
-            statements.append(Statement(sid))
-        statement_themes[sid] = _string_list(entry.get("themes", []), where + ".themes")
+            _fail(f"statements[{i}]", f"unknown kind {kind!r}")
+        typed = entry.get("themes", [])
+        if not _is_strings(typed):
+            _fail(f"statements[{i}].themes", "expected a list of strings")
+        statement_themes[sid] = typed
 
     relations: list[Relation] = []
-    _expect(isinstance(data["relations"], list), "relations", "expected a list")
-    for i, entry in enumerate(data["relations"]):
-        where = f"relations[{i}]"
-        _expect(isinstance(entry, dict), where, "expected an object")
+    entries = data["relations"]
+    if not isinstance(entries, list):
+        _fail("relations", "expected a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            _fail(f"relations[{i}]", "expected an object")
         src, dst = entry.get("from"), entry.get("to")
-        _expect(isinstance(src, str) and isinstance(dst, str), where, "needs 'from' and 'to'")
-        types = _string_list(entry.get("types", []), where + ".types")
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            _fail(f"relations[{i}]", "needs 'from' and 'to'")
+        types = entry.get("types", [])
+        if not _is_strings(types):
+            _fail(f"relations[{i}].types", "expected a list of strings")
         for ty in types:
-            _expect(ty in REL_TYPES, where, f"unknown relation type {ty!r}")
-        rel_themes = _string_list(entry.get("themes", []), where + ".themes")
+            if ty not in REL_TYPES:
+                _fail(f"relations[{i}]", f"unknown relation type {ty!r}")
+        rel_themes = entry.get("themes", [])
+        if not _is_strings(rel_themes):
+            _fail(f"relations[{i}].themes", "expected a list of strings")
         relations.append(Relation(src, dst, frozenset(types), frozenset(rel_themes)))
 
     try:
@@ -164,71 +195,84 @@ def from_dict(data: Any) -> Document:
     except AspectArgError as exc:
         raise ModelFileError(str(exc)) from exc
 
-    interp_data = data.get("interpretation")
-    # the shortest formula written for each element, to name it in reports
-    formulas: dict[Element, str] = {}
-
-    def remember(formula: str, element: Element) -> None:
-        prev = formulas.get(element)
-        if prev is None or len(formula) < len(prev):
-            formulas[element] = formula
-
+    # the shortest formula written for each element mask, to name it in reports
+    formulas: dict[int, str] = {}
     reader = ElementReader(algebra)
-    # each formula text this document has read, to its element: a text written
-    # in many rows is read once, and nothing outlives the document
-    read: dict[str, Element] = {}
+    # each formula text this document has read, to the one-mask set of its
+    # element: a text written in many rows is read once, a row is the union of
+    # such sets, which keeps each mask's hash, and nothing outlives the document
+    read: dict[str, frozenset[int]] = {}
 
-    def parse_aspects(value: Any, where: str, allow_all: bool) -> AspectSet:
+    def aspects(value: Any, block: str, i: int) -> Row:
+        """The row that ``interpretation.<block>[i].aspects`` lists."""
         if value == "ALL":
-            _expect(allow_all, where, '"ALL" is only valid for theme aspects')
-            return AspectSet(algebra, full=True)
-        elements = set()
-        for f in _string_list(value, where):
-            element = read.get(f)
-            if element is None:
+            if block == "theme_aspects":
+                return FULL_ROW
+            _fail(f"interpretation.{block}[{i}].aspects", '"ALL" is only valid for theme aspects')
+        if not _is_strings(value):
+            _fail(f"interpretation.{block}[{i}].aspects", "expected a list of strings")
+        singles = []
+        for f in value:
+            single = read.get(f)
+            if single is None:
                 try:
-                    element = reader.read(f)
+                    mask = reader.read(f)
                 except AspectArgError as exc:
-                    raise ModelFileError(f"{where}: bad formula {f!r}: {exc}") from exc
-                read[f] = element
-            remember(f, element)
-            elements.add(element)
-        return AspectSet(algebra, frozenset(elements))
+                    raise ModelFileError(
+                        f"interpretation.{block}[{i}].aspects: bad formula {f!r}: {exc}"
+                    ) from exc
+                single = read[f] = frozenset((mask,))
+                if len(formulas.setdefault(mask, f)) > len(f):
+                    formulas[mask] = f
+            singles.append(single)
+        if len(singles) == 1:
+            return (False, singles[0])
+        return (False, frozenset().union(*singles))
 
-    def parse_theme_key(value: Any, where: str) -> frozenset[str]:
-        key_themes = _string_list(value, where)
-        for t in key_themes:
-            _expect(t in themes, where, f"unknown theme {t!r}")
-        return frozenset(key_themes)
+    def theme_key(value: Any, block: str, i: int) -> frozenset[str]:
+        if not _is_strings(value):
+            _fail(f"interpretation.{block}[{i}].themes", "expected a list of strings")
+        for t in value:
+            if t not in declared:
+                _fail(f"interpretation.{block}[{i}].themes", f"unknown theme {t!r}")
+        return frozenset(value)
 
-    theme_rows: dict[frozenset[str], AspectSet] = {}
-    statement_rows: dict[tuple[frozenset[str], str], AspectSet] = {}
+    theme_rows: dict[frozenset[str], Row] = {}
+    statement_rows: dict[tuple[frozenset[str], str], Row] = {}
+    interp_data = data.get("interpretation")
     if interp_data is not None:
-        _expect(isinstance(interp_data, dict), "interpretation", "expected an object")
+        if not isinstance(interp_data, dict):
+            _fail("interpretation", "expected an object")
         default = interp_data.get("default", _UNION)
-        _expect(default == _UNION, "interpretation.default", f"expected 'union', got {default!r}")
-        theme_entries = interp_data.get("theme_aspects", [])
-        _expect(isinstance(theme_entries, list), "interpretation.theme_aspects", "expected a list")
-        for i, entry in enumerate(theme_entries):
-            where = f"interpretation.theme_aspects[{i}]"
-            _expect(isinstance(entry, dict), where, "expected an object")
-            key = parse_theme_key(entry.get("themes"), where + ".themes")
-            _expect(key not in theme_rows, where, "duplicate theme-aspect row")
-            theme_rows[key] = parse_aspects(entry.get("aspects"), where + ".aspects", True)
-        statement_entries = interp_data.get("statement_aspects", [])
-        _expect(isinstance(statement_entries, list), "interpretation.statement_aspects",
-                "expected a list")
-        for i, entry in enumerate(statement_entries):
-            where = f"interpretation.statement_aspects[{i}]"
-            _expect(isinstance(entry, dict), where, "expected an object")
-            key = parse_theme_key(entry.get("themes"), where + ".themes")
+        if default != _UNION:
+            _fail("interpretation.default", f"expected 'union', got {default!r}")
+        block = "theme_aspects"
+        entries = interp_data.get(block, [])
+        if not isinstance(entries, list):
+            _fail(f"interpretation.{block}", "expected a list")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                _fail(f"interpretation.{block}[{i}]", "expected an object")
+            key = theme_key(entry.get("themes"), block, i)
+            if key in theme_rows:
+                _fail(f"interpretation.{block}[{i}]", "duplicate theme-aspect row")
+            theme_rows[key] = aspects(entry.get("aspects"), block, i)
+        block = "statement_aspects"
+        entries = interp_data.get(block, [])
+        if not isinstance(entries, list):
+            _fail(f"interpretation.{block}", "expected a list")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                _fail(f"interpretation.{block}[{i}]", "expected an object")
+            key = theme_key(entry.get("themes"), block, i)
             sid = entry.get("statement")
-            _expect(isinstance(sid, str), where, "needs a 'statement' id")
-            _expect(model.has_statement(sid), where, f"unknown statement {sid!r}")
-            _expect((key, sid) not in statement_rows, where, "duplicate statement-aspect row")
-            statement_rows[(key, sid)] = parse_aspects(
-                entry.get("aspects"), where + ".aspects", False
-            )
+            if not isinstance(sid, str):
+                _fail(f"interpretation.{block}[{i}]", "needs a 'statement' id")
+            if not model.has_statement(sid):
+                _fail(f"interpretation.{block}[{i}]", f"unknown statement {sid!r}")
+            if (key, sid) in statement_rows:
+                _fail(f"interpretation.{block}[{i}]", "duplicate statement-aspect row")
+            statement_rows[(key, sid)] = aspects(entry.get("aspects"), block, i)
 
     return Document(model, Interpretation(algebra, theme_rows, statement_rows, formulas))
 
@@ -239,14 +283,21 @@ def to_dict(model: Model, interp: Interpretation) -> dict:
     A full theme row is ``"ALL"``.  Every other row lists its elements in
     ascending mask order, each named by ``interp.formulas`` or else by a formula
     :func:`render_element` spells out, so every row parses back to itself.  A
-    full statement row lists its carrier, which has at most 4 propositions when
-    a file listed it.
+    full statement row lists its carrier, which has at most 4 propositions:
+    :class:`Interpretation` refuses any larger one.
     """
     algebra = interp.algebra
+    formulas = interp.formulas
 
-    def aspects(row: AspectSet) -> list[str]:
-        elements = algebra.elements() if row.full else sorted(row.elements, key=attrgetter("mask"))
-        return [render_element(e, interp.formulas, max_atoms=algebra.n_minterms) for e in elements]
+    def aspects(row: Row) -> list[str]:
+        full, masks = row
+        out = []
+        for mask in range(algebra.carrier_size) if full else sorted(masks):
+            name = formulas.get(mask)
+            if name is None:
+                name = render_element(Element(algebra, mask), max_atoms=algebra.n_minterms)
+            out.append(name)
+        return out
 
     out: dict[str, Any] = {
         "themes": list(model.themes),
@@ -275,7 +326,7 @@ def to_dict(model: Model, interp: Interpretation) -> dict:
     for key in sorted(theme_rows, key=lambda k: (len(k), sorted(k))):
         row = theme_rows[key]
         block["theme_aspects"].append(
-            {"themes": sorted(key), "aspects": "ALL" if row.full else aspects(row)}
+            {"themes": sorted(key), "aspects": "ALL" if row[0] else aspects(row)}
         )
     rows = interp.statement_aspects
     for (key, sid) in sorted(rows, key=lambda ks: (sorted(ks[0]), ks[1])):

@@ -163,13 +163,19 @@ def contains_redundancy(
     at one theme set; the singleton ``{t}`` of the enclosing statements-set is
     used.
     """
-    return _redundancy(AspectTable(interp, model), t, statement_ids)
+    found = _redundancy(AspectTable(interp, model), t, statement_ids)
+    if found is None:
+        return None
+    first, second, shared = found
+    algebra = interp.algebra
+    return RedundancyWitness(first, second, frozenset(Element(algebra, m) for m in shared))
 
 
 def _redundancy(
     table: AspectTable, t: str, statement_ids: Iterable[str]
-) -> RedundancyWitness | None:
-    """:func:`contains_redundancy` over one table, decided by infima.
+) -> tuple[str, str, frozenset[int]] | None:
+    """:func:`contains_redundancy` over one table, decided by infima, with the
+    shared representation as element masks.
 
     Whether R is a minimal representation depends only on R and the infimum it
     must reach.  So S1 and S2 share one iff inf S1 = inf S2 = inf(S1 & S2), and
@@ -194,7 +200,5 @@ def _redundancy(
                 if meet != infs[i]:
                     continue
                 first = min(_minimal_representations(common, full), key=sorted)
-            return RedundancyWitness(
-                s1, ids[j], frozenset(Element(table.algebra, m) for m in first)
-            )
+            return s1, ids[j], first
     return None

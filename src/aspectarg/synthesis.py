@@ -38,7 +38,7 @@ interpretation exist; synthesis reports that instead of looping.
 
 from __future__ import annotations
 
-from .algebra import MAX_PROPS, Element, mk_algebra
+from .algebra import MAX_PROPS, mk_algebra
 from .errors import (
     CapExceeded,
     CoreUnsatisfiableError,
@@ -47,9 +47,10 @@ from .errors import (
     SynthesisError,
 )
 from .model import (
-    AspectSet,
+    FULL_ROW,
     Interpretation,
     Model,
+    Row,
     Statement,
     theme_subsets,
     validate_wellformed,
@@ -119,16 +120,23 @@ def synthesize_core_witness(model: Model) -> Interpretation:
     prop_names = [f"w{j}_{i}" for j in range(1, m + 1) for i in range(1, chain_len + 1)]
     algebra = mk_algebra(prop_names)
 
-    # chain[j][i] = w{j}_1 | ... | w{j}_i  (1-based i); strictly increasing in i
-    chain: dict[int, dict[int, Element]] = {}
-    formulas: dict[Element, str] = {}
+    # chain element i of block j is w{j}_1 | ... | w{j}_i (1-based i), strictly
+    # increasing in i; a row is a set of chain masks, built by unions of the
+    # one-mask sets below, so each mask is hashed once, not once per row
+    singles: dict[int, list[frozenset[int]]] = {}
+    tails: dict[int, list[frozenset[int]]] = {}
+    formulas: dict[int, str] = {}
     for j in range(1, m + 1):
-        chain[j] = {}
-        joined = algebra.bottom
+        joined = 0
+        singles[j] = [frozenset()]
         for i in range(1, chain_len + 1):
-            joined = joined | algebra.prop(f"w{j}_{i}")
-            chain[j][i] = joined
+            joined |= algebra.prop(f"w{j}_{i}").mask
+            singles[j].append(frozenset((joined,)))
             formulas[joined] = " | ".join(f"w{j}_{h}" for h in range(1, i + 1))
+        # tails[j][i] = {chain element h of block j : h >= i}
+        tails[j] = [frozenset()] * (chain_len + 2)
+        for i in range(chain_len, 0, -1):
+            tails[j][i] = tails[j][i + 1] | singles[j][i]
 
     ordinary_index = {sid: i + 1 for i, sid in enumerate(ordinary)}
     theme_index = {t: j + 1 for j, t in enumerate(themes)}
@@ -141,29 +149,26 @@ def synthesize_core_witness(model: Model) -> Interpretation:
             return n + n * m + l
         return n + (l - 1) * n + ordinary_index[stmt.ref_target]
 
-    statement_rows: dict[tuple[frozenset[str], str], AspectSet] = {}
+    statement_rows: dict[tuple[frozenset[str], str], Row] = {}
 
-    def row_for(stmt: Statement, theme: str) -> frozenset[Element]:
+    def row_for(stmt: Statement, theme: str) -> frozenset[int]:
         j = theme_index[theme]
         start = chain_index(stmt)
-        indices = [start] if stmt.is_summary_pointer else range(start, chain_len + 1)
-        return frozenset(chain[j][i] for i in indices)
+        return singles[j][start] if stmt.is_summary_pointer else tails[j][start]
 
     for stmt in model.statements:
         eligible = [t for t in themes if t in supports[stmt.id]]
         for t in eligible:
-            statement_rows[(frozenset([t]), stmt.id)] = AspectSet(algebra, row_for(stmt, t))
+            statement_rows[(frozenset([t]), stmt.id)] = (False, row_for(stmt, t))
         if stmt.is_summary_pointer and eligible:
             # summary pointers never default across theme sets: spell out unions
             for combo in theme_subsets(themes, min_size=2):
                 chosen = [t for t in combo if t in eligible]
                 if chosen:
-                    elements = frozenset().union(*(row_for(stmt, t) for t in chosen))
-                    statement_rows[(frozenset(combo), stmt.id)] = AspectSet(algebra, elements)
+                    masks = frozenset().union(*(row_for(stmt, t) for t in chosen))
+                    statement_rows[(frozenset(combo), stmt.id)] = (False, masks)
 
-    theme_rows = {}
-    for combo in theme_subsets(themes, min_size=1):
-        theme_rows[frozenset(combo)] = AspectSet(algebra, full=True)
+    theme_rows = {frozenset(combo): FULL_ROW for combo in theme_subsets(themes, min_size=1)}
 
     interp = Interpretation(algebra, theme_rows, statement_rows, formulas)
 

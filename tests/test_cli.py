@@ -220,7 +220,7 @@ class TestModelFileSchema:
         doc["interpretation"]["statement_aspects"][0]["aspects"] = ["p | p & p", "~~p", "~p"]
         interp = loads(json.dumps(doc)).interpretation
         p = interp.algebra.prop("p")
-        assert interp.formulas == {p: "~~p", ~p: "~p"}
+        assert interp.formulas == {p.mask: "~~p", (~p).mask: "~p"}
 
 
 class TestWriter:
@@ -295,8 +295,8 @@ class TestWriter:
 
 
 def test_a_loaded_interpretation_unpickles_under_another_hash_seed(tmp_path):
-    """``Element`` keeps its mask's hash, never the props' string hashes,
-    which differ from process to process."""
+    """An interpretation pickles its rows and names as plain dicts, which are
+    hashed again on load: theme names hash differently in each process."""
     dump = (
         "import pickle, sys\n"
         "from aspectarg.corpus import CORPUS_NAMES, corpus_path\n"
@@ -307,15 +307,14 @@ def test_a_loaded_interpretation_unpickles_under_another_hash_seed(tmp_path):
     )
     check = (
         "import pickle, sys\n"
-        "from aspectarg.algebra import Element\n"
         "with open(sys.argv[1], 'rb') as fh:\n"
         "    interps = pickle.load(fh)\n"
         "names = 0\n"
         "for interp in interps:\n"
-        "    for row in interp.statement_aspects.values():\n"
-        "        for e in row.elements:\n"
-        "            assert e in interp.formulas, e\n"
-        "            assert interp.formulas[Element(e.algebra, e.mask)] == interp.formulas[e]\n"
+        "    for (key, sid), row in interp.statement_aspects.items():\n"
+        "        assert interp.statement_aspects[(frozenset(sorted(key)), sid)] == row\n"
+        "        for mask in row[1]:\n"
+        "            assert interp.formulas[mask], mask\n"
         "            names += 1\n"
         "print(names)\n"
     )
@@ -332,7 +331,7 @@ def test_a_loaded_interpretation_unpickles_under_another_hash_seed(tmp_path):
         row for name in CORPUS_NAMES
         for row in load_path(path(name)).interpretation.statement_aspects.values()
     ]
-    assert int(done.stdout) == sum(len(row.elements) for row in rows) > 0
+    assert int(done.stdout) == sum(len(masks) for _, masks in rows) > 0
 
 
 class TestCheck:
@@ -443,6 +442,25 @@ class TestCheck:
         assert err.startswith("error:") and "not well-formed" in err
         assert out == ""
 
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["check", path("straw_man"), "--alpha", "core,das"], 1),
+        (["check", path("straw_man"), "--no-such-option"], 2),
+    ],
+    ids=["help", "fallacy", "usage-error"],
+)
+def test_python_dash_m_runs_the_command(argv, code):
+    """``python -m aspectarg`` keeps the exit codes of the ``aspectarg`` script."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "aspectarg", *argv],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 1:
+        assert "fallacy" in proc.stdout
 
 def minterm_formula(props, mask):
     """The element ``mask`` (a set of minterms) as a disjunction of minterms."""

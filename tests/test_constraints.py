@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -33,6 +34,7 @@ from aspectarg.model import (
     AspectTable,
     Statement,
     Violation,
+    effective_aspect,
     lookup,
 )
 from aspectarg.modelfile import load_path
@@ -44,7 +46,6 @@ from helpers import (
     random_model_any,
     random_total_interpretation,
     redundant_instance,
-    union,
 )
 
 
@@ -236,11 +237,14 @@ class TestCore:
         out = check_core(model, interp)
         assert [v.theme_set for v in out["bat"]] == [("t",)]
 
-    @pytest.mark.parametrize("formula", ["x", "1"])
-    def test_bat_rejects_a_one_element_row(self, fig1, ev, formula):
+    @pytest.mark.parametrize(
+        "props, formula", [("xy", "x"), ("xy", "1"), ("p", "p")], ids=["x", "1", "p"]
+    )
+    def test_bat_rejects_a_one_element_row(self, ev, props, formula):
         # a one-element row lacks 0 or 1, so it is no subalgebra
+        algebra = mk_algebra(list(props))
         model = single_theme_model("s")
-        interp = Interpretation(fig1, {frozenset(["t"]): aspects(fig1, ev(formula))}, {})
+        interp = Interpretation(algebra, {frozenset(["t"]): aspects(algebra, ev(formula, algebra))}, {})
         assert [v.theme_set for v in check_core(model, interp)["bat"]] == [("t",)]
 
     def test_ss_ranges_over_the_statements_own_themes(self, fig1):
@@ -258,6 +262,24 @@ class TestCore:
         out = check_core(model, interp)
         assert out["ss"] == []
         assert [v.theme_set for v in out["pr"]] == [("t1", "t2")]
+
+    def test_ss_lists_only_the_statements_own_theme_sets(self, fig1):
+        # s carries only t1; its effective aspect is 1 at {t1} and 0 at {t2}
+        # and, by the union default, at {t1, t2}: only {t1} is an ss witness
+        model = Model.build(["t1", "t2"], [Statement("s")], {"s": {"t1"}}, [])
+        x = fig1.prop("x")
+        interp = Interpretation(
+            fig1,
+            {},
+            {
+                (frozenset(["t1"]), "s"): aspects(fig1, fig1.top),
+                (frozenset(["t2"]), "s"): aspects(fig1, x, ~x),
+            },
+        )
+        assert effective_aspect(interp, model, ["t1", "t2"], "s") == fig1.bottom
+        out = check_core(model, interp)
+        assert [v.theme_set for v in out["ss"]] == [("t1",)]
+        assert "trivial (1)" in out["ss"][0].detail
 
     def test_bat_accepts_subalgebra_and_full(self, fig1):
         model = single_theme_model("s")
@@ -495,10 +517,10 @@ class TestExactRegionOracle:
         if blocks:
             model, interp = block_instance(rng)
             # break E at one row so block instances report witnesses too
-            (key, sid), row = rng.choice(sorted(interp.statement_aspects.items(), key=repr))
-            interp.statement_aspects[(key, sid)] = union(
-                row, AspectSet(interp.algebra, frozenset([interp.algebra.top]))
-            )
+            key, (full, masks) = rng.choice(sorted(interp.statement_aspects.items(), key=repr))
+            if not full:
+                rows = {**interp.statement_aspects, key: (False, masks | {interp.algebra.full_mask})}
+                interp = dataclasses.replace(interp, statement_aspects=rows)
         else:
             model = random_model_any(rng, max_themes=3)
             interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))

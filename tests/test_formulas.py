@@ -171,7 +171,7 @@ class TestRenderElement:
 
     def test_prefers_authored_formula(self, fig1, ev):
         e = ev("x <-> y")
-        assert render_element(e, preferred={e: "x <-> y"}) == "x <-> y"
+        assert render_element(e, preferred={e.mask: "x <-> y"}) == "x <-> y"
 
     def test_dnf_round_trip(self, fig1, ev):
         e = ev("x <-> y")
@@ -312,7 +312,7 @@ class TestLoaderMatchesTheReferenceReader:
             assert str(info.value) == str(exc)
         else:
             row = loads(doc).interpretation.statement_aspects[(frozenset(["t"]), "s0")]
-            assert row.elements == {truth_table_element(tree, algebra)}
+            assert row == (False, frozenset([truth_table_element(tree, algebra).mask]))
 
     @given(formula_texts())
     @settings(max_examples=200)
@@ -341,6 +341,26 @@ class TestLoaderMatchesTheReferenceReader:
         with pytest.raises(AspectArgError) as info:
             ElementReader(mk_algebra(PROPS)).read(text)
         assert str(info.value) == message
+
+
+class TestLoaderCheckOrder:
+    """The first problem in document order is the one reported."""
+
+    WHERE = "interpretation.statement_aspects[0]"
+
+    def load_error(self, doc: dict) -> str:
+        with pytest.raises(ModelFileError) as info:
+            loads(json.dumps(doc))
+        return str(info.value)
+
+    def test_a_later_non_string_comes_before_an_earlier_bad_formula(self):
+        doc = json.loads(_document(["x &", "y", 5]))
+        assert self.load_error(doc) == f"{self.WHERE}.aspects: expected a list of strings"
+
+    def test_an_unknown_theme_comes_before_a_bad_formula_in_its_row(self):
+        doc = json.loads(_document(["x &"]))
+        doc["interpretation"]["statement_aspects"][0]["themes"] = ["t", "nope"]
+        assert self.load_error(doc) == f"{self.WHERE}.themes: unknown theme 'nope'"
 
 
 class TestFormulasAreReadOncePerDocument:
@@ -372,8 +392,14 @@ class TestFormulasAreReadOncePerDocument:
             loads(_document(["x"], ["x", "x &"]))
         assert str(info.value).startswith("interpretation.statement_aspects[1].aspects: ")
 
+    def test_a_shorter_text_in_a_later_row_renames_the_element(self, reads):
+        algebra = mk_algebra(PROPS)
+        interp = loads(_document(["x & y"], ["x & y", "x&y"], ["y & x"])).interpretation
+        assert interp.formulas == {evaluate(parse("x & y"), algebra).mask: "x&y"}
+        assert reads == {"x & y": 1, "x&y": 1, "y & x": 1}
+
     def test_names_are_the_shortest_text_first_written(self, reads):
         algebra = mk_algebra(PROPS)
         interp = loads(_document(["(x & y)", "y&x"], ["x&y", "y&x", "x & y"])).interpretation
-        assert interp.formulas == {evaluate(parse("x & y"), algebra): "y&x"}
+        assert interp.formulas == {evaluate(parse("x & y"), algebra).mask: "y&x"}
         assert reads == {"(x & y)": 1, "y&x": 1, "x&y": 1, "x & y": 1}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from aspectarg.algebra import Element, mk_algebra
 from aspectarg.constraints import check_exact_region
 from aspectarg.corpus import corpus_path
-from aspectarg.errors import CapExceeded, UnknownIdError
+from aspectarg.errors import CapExceeded, ModelError, UnknownIdError
 from aspectarg.formulas import evaluate, parse
 from aspectarg.model import (
     OMEGA,
@@ -59,6 +59,68 @@ class TestAspectSet:
     def test_size(self, fig1):
         assert len(list(AspectSet(fig1, full=True))) == 16
         assert AspectSet(fig1).is_empty
+
+
+class TestInterpretationRows:
+    """Rows are held compiled, as ``(full, element masks)``, and are read-only."""
+
+    KEY = (frozenset(["t"]), "s")
+
+    def test_aspect_sets_are_compiled_once(self, fig1, ev):
+        x = ev("x")
+        interp = Interpretation(
+            fig1,
+            {frozenset(["t"]): AspectSet(fig1, full=True)},
+            {self.KEY: AspectSet(fig1, frozenset({x}))},
+            {x.mask: "x"},
+        )
+        assert interp.theme_aspects == {frozenset(["t"]): (True, frozenset())}
+        assert interp.statement_aspects == {self.KEY: (False, frozenset({x.mask}))}
+        assert interp == Interpretation(
+            fig1, {frozenset(["t"]): (True, frozenset())},
+            {self.KEY: (False, frozenset({x.mask}))}, {x.mask: "x"},
+        )
+
+    def test_a_listed_small_carrier_is_the_full_row(self, fig1):
+        listed = (False, frozenset(range(fig1.carrier_size)))
+        assert Interpretation(fig1, {}, {self.KEY: listed}).statement_aspects == {
+            self.KEY: (True, frozenset())
+        }
+
+    def test_rows_and_names_are_read_only(self, fig1, ev):
+        x = ev("x")
+        rows = {self.KEY: (False, frozenset({x.mask}))}
+        interp = Interpretation(fig1, {}, rows, {x.mask: "x"})
+        with pytest.raises(TypeError):
+            interp.statement_aspects[self.KEY] = (True, frozenset())
+        with pytest.raises(TypeError):
+            interp.theme_aspects[frozenset(["t"])] = (True, frozenset())
+        with pytest.raises(TypeError):
+            interp.formulas[x.mask] = "y"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            interp.statement_aspects = {}
+        # the interpretation holds its own copy of the rows it was given
+        rows[self.KEY] = (True, frozenset())
+        assert interp.statement_aspects[self.KEY] == (False, frozenset({x.mask}))
+
+    @pytest.mark.parametrize("row", ["aspect set", "compiled"])
+    def test_a_full_statement_row_past_four_propositions_is_refused(self, row):
+        """A model file has no ``"ALL"`` for statement rows, and a carrier of
+        more than 4 propositions cannot be listed, so no file holds this row."""
+        algebra = mk_algebra(list("abcde"))
+        full = AspectSet(algebra, full=True) if row == "aspect set" else (True, frozenset())
+        with pytest.raises(ModelError, match=r"^statement row \(\['t'\], 's'\) is the full carrier"):
+            Interpretation(algebra, {}, {self.KEY: full})
+        # a full theme row is written as "ALL", and a 4-proposition carrier can be listed
+        assert Interpretation(algebra, {frozenset(["t"]): full}).theme_aspects
+        small = mk_algebra(list("abcd"))
+        assert Interpretation(small, {}, {self.KEY: (True, frozenset())}).statement_aspects
+
+    def test_a_copy_and_a_pickle_are_equal(self, fear):
+        interp = fear.interpretation
+        assert pickle.loads(pickle.dumps(interp)) == interp
+        assert copy.deepcopy(interp) == interp
+        assert pickle.loads(pickle.dumps(fear.model)) == fear.model
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +341,8 @@ def oracle_aspects(interp: Interpretation, model: Model, themes, s: str) -> tupl
     else:
         row = interp.statement_aspects.get((t, s))
     if row is not None:
-        return row.full, {e.mask for e in row.elements}
+        full, masks = row
+        return full, set(masks)
     summary = any(x.id == s and x.ref_theme and x.ref_target is None for x in model.statements)
     if s == OMEGA or len(t) < 2 or summary:
         return False, set()
@@ -287,8 +350,8 @@ def oracle_aspects(interp: Interpretation, model: Model, themes, s: str) -> tupl
     for th in t:
         single = interp.statement_aspects.get((frozenset([th]), s))
         if single is not None:
-            full = full or single.full
-            masks |= {e.mask for e in single.elements}
+            full = full or single[0]
+            masks |= single[1]
     if full or len(masks) == 1 << interp.algebra.n_minterms:
         return True, set()
     return False, masks

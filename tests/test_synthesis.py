@@ -109,7 +109,7 @@ class TestWitnesses:
         )
         witness = synthesize_core_witness(model)
         rows = witness.statement_aspects.values()
-        assert rows and all(e in witness.formulas for row in rows for e in row.elements)
+        assert rows and all(m in witness.formulas for _, masks in rows for m in masks)
 
     def test_written_rows_are_chain_formulas(self):
         """A written row lists chain formulas ``w{j}_1 | ... | w{j}_i`` of theme
