@@ -14,7 +14,7 @@ independently auditable.  The semantic checkers accept a compiled
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import Element, closed_under_boolean_ops
 from .errors import ConstraintGroupError, UnknownIdError
@@ -211,8 +211,9 @@ def _relation_violations(
     out: list[Violation] = []
     tests, full = _RELATION_TESTS[cid], table.algebra.full_mask
     for r, masks in cases:
+        us, vs = table.inf_column(r.source), table.inf_column(r.target)
         for tmask in masks:
-            u, v = table.inf(tmask, r.source), table.inf(tmask, r.target)
+            u, v = us[tmask], vs[tmask]
             kinds = _kinds(u, v, full)
             for rel_type, avoid, show, text in tests:
                 # an absent aspect has no kind: it fails aass only
@@ -241,16 +242,18 @@ def _meet(a: Row, b: Row) -> Row:
     return (False, a[1] & b[1])
 
 
-def _pr_bound(table: AspectTable, tmask: int, s: Statement, own: int) -> Row:
-    """The proper-range bound of ``s``, whose own themes are ``own``, at a theme mask."""
+def _pr_bound(table: AspectTable, s: Statement, own: int) -> tuple[Sequence[Row], int]:
+    """The proper-range bound of ``s``, whose own themes are ``own``: the
+    column that holds it, and the mask that, ANDed with a theme mask, indexes
+    the bound there."""
     if not s.is_pointer:
-        return table.row(tmask & own, s.id)
-    widened = tmask & (own | table.bits.get(s.ref_theme, 0))
+        return table.column(s.id), own
+    widened = own | table.bits.get(s.ref_theme, 0)
     if s.is_summary_pointer:
-        return table.row(widened, s.id)
+        return table.column(s.id), widened
     if not table.model.has_statement(s.ref_target):
-        return EMPTY_ROW  # a dangling target carries no aspects
-    return table.row(widened, s.ref_target)
+        return (EMPTY_ROW,), 0  # a dangling target carries no aspects
+    return table.column(s.ref_target), widened
 
 
 def _exact_region_id(s: Statement) -> str:
@@ -400,26 +403,25 @@ def _core(
 ) -> dict[str, list[Violation]]:
     """Core at the theme masks ``subsets`` and, for aass, on relation ``cases``.
 
-    mat and manss compare each mask with every mask one theme smaller.
+    mat and manss compare each mask with every mask one theme smaller.  Each
+    list is in no particular order.
     """
-    model, key, text, row = table.model, table.key, table.key_text, table.row
+    model, key, text, column = table.model, table.key, table.key_text, table.column
     out: dict[str, list[Violation]] = {cid: [] for cid in CORE_IDS}
     out["aass"] = _relation_violations(table, cases, "aass")
+    omega = column(OMEGA)
+    # each mask with every mask one theme smaller, as (smaller, larger)
+    steps = []
+    for t2 in subsets:
+        rest = t2
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            steps.append((t2 ^ bit, t2))
 
     for tmask in subsets:
-        omega = row(tmask, OMEGA)
-        for s in model.statements:
-            if not row_subset(row(tmask, s.id), omega):
-                out["i"].append(
-                    Violation(
-                        "i",
-                        (s.id,),
-                        theme_set=key(tmask),
-                        detail=f"aspects of {s.id} at {text(tmask)} are not all aspects "
-                        "of the theme set",
-                    )
-                )
-        if omega[1] and not closed_under_boolean_ops(omega[1], table.algebra.full_mask):
+        masks = omega[tmask][1]
+        if masks and not closed_under_boolean_ops(masks, table.algebra.full_mask):
             out["bat"].append(
                 Violation(
                     "bat",
@@ -428,77 +430,80 @@ def _core(
                     "(missing 0/1 or not closed under not/and/or)",
                 )
             )
+    for t1, t2 in steps:
+        if not row_subset(omega[t1], omega[t2]):
+            out["mat"].append(
+                Violation(
+                    "mat",
+                    theme_set=key(t1),
+                    theme_set2=key(t2),
+                    detail=f"theme aspects shrink from {text(t1)} to {text(t2)}",
+                )
+            )
 
-    if 0 in subsets:
-        for s in model.statements:
-            if row(0, s.id) != EMPTY_ROW:
-                out["vi"].append(
+    full, vacuous = table.algebra.full_mask, 0 in subsets
+    for s in model.statements:
+        sid = s.id
+        rows, infs = column(sid), table.inf_column(sid)
+        own = table.mask(t for t in model.themes_of(sid) if t in table.bits)
+        bounds, widened = _pr_bound(table, s, own)
+        target = f" and target {s.ref_target}" if s.is_statement_pointer else ""
+        if vacuous and rows[0] != EMPTY_ROW:
+            out["vi"].append(
+                Violation(
+                    "vi", (sid,), theme_set=(), detail=f"{sid} has aspects for the empty theme set"
+                )
+            )
+        for tmask in subsets:
+            aspects = rows[tmask]
+            if not row_subset(aspects, omega[tmask]):
+                out["i"].append(
                     Violation(
-                        "vi",
-                        (s.id,),
-                        theme_set=(),
-                        detail=f"{s.id} has aspects for the empty theme set",
+                        "i",
+                        (sid,),
+                        theme_set=key(tmask),
+                        detail=f"aspects of {sid} at {text(tmask)} are not all aspects "
+                        "of the theme set",
                     )
                 )
-
-    full = table.algebra.full_mask
-    for s in model.statements:
-        own = table.mask(t for t in model.themes_of(s.id) if t in table.bits)
-        target = f" and target {s.ref_target}" if s.is_statement_pointer else ""
-        for tmask in subsets:
-            aspects = row(tmask, s.id)
-            if aspects != EMPTY_ROW and not row_subset(aspects, _pr_bound(table, tmask, s, own)):
+            if aspects != EMPTY_ROW and not row_subset(aspects, bounds[tmask & widened]):
                 out["pr"].append(
                     Violation(
                         "pr",
-                        (s.id,),
+                        (sid,),
                         theme_set=key(tmask),
-                        detail=f"aspects of {s.id} at {text(tmask)} exceed the proper-range "
+                        detail=f"aspects of {sid} at {text(tmask)} exceed the proper-range "
                         f"bound from its own themes{target}",
                     )
                 )
             if tmask & ~own:
                 continue  # ss ranges over the statement's own themes
-            eff = table.inf(tmask, s.id)
+            eff = infs[tmask]
             if eff == 0 or eff == full:
                 which = "inconsistent (0)" if eff == 0 else "trivial (1)"
                 out["ss"].append(
                     Violation(
                         "ss",
-                        (s.id,),
+                        (sid,),
                         theme_set=key(tmask),
-                        detail=f"{s.id} effectively touches upon the {which} aspect "
+                        detail=f"{sid} effectively touches upon the {which} aspect "
                         f"at {text(tmask)}",
                     )
                 )
-
-    monotone = [s.id for s in model.statements if not s.is_summary_pointer]
-    for t2 in subsets:
-        rest = t2
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            t1 = t2 ^ bit
-            if not row_subset(row(t1, OMEGA), row(t2, OMEGA)):
-                out["mat"].append(
+        if s.is_summary_pointer:
+            continue  # summary pointers are not monotone
+        for t1, t2 in steps:
+            a, b = rows[t1], rows[t2]
+            if a is not b and not row_subset(a, b):
+                out["manss"].append(
                     Violation(
-                        "mat",
+                        "manss",
+                        (sid,),
                         theme_set=key(t1),
                         theme_set2=key(t2),
-                        detail=f"theme aspects shrink from {text(t1)} to {text(t2)}",
+                        detail=f"aspects of {sid} shrink from {text(t1)} to {text(t2)}",
                     )
                 )
-            for sid in monotone:
-                if not row_subset(row(t1, sid), row(t2, sid)):
-                    out["manss"].append(
-                        Violation(
-                            "manss",
-                            (sid,),
-                            theme_set=key(t1),
-                            theme_set2=key(t2),
-                            detail=f"aspects of {sid} shrink from {text(t1)} to {text(t2)}",
-                        )
-                    )
     return out
 
 
@@ -530,7 +535,9 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Viol
     heads = [f"aspects of {sid} differ between " for sid in sids]
     found: list[list[Violation]] = [[] for _ in stmts]
     keys = [table.key(tmask) for tmask in subsets]
-    omegas = [table.row(tmask, OMEGA) for tmask in subsets]
+    omega = table.column(OMEGA)
+    omegas = [omega[tmask] for tmask in subsets]
+    columns = [table.column(sid) for sid in sids]
     rows: list[list[Row] | None] = [None] * len(subsets)
     order = sorted(range(len(subsets)), key=keys.__getitem__)
     indices = range(len(stmts))
@@ -547,10 +554,12 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Viol
             if not common_full and not common:
                 continue
             if rows1 is None:
-                rows1 = rows[i1] = [table.row(subsets[i1], sid) for sid in sids]
+                t1 = subsets[i1]
+                rows1 = rows[i1] = [col[t1] for col in columns]
             rows2 = rows[i2]
             if rows2 is None:
-                rows2 = rows[i2] = [table.row(subsets[i2], sid) for sid in sids]
+                t2 = subsets[i2]
+                rows2 = rows[i2] = [col[t2] for col in columns]
             tail = None
             for j in indices:
                 a, b = rows1[j], rows2[j]

@@ -284,10 +284,12 @@ class AspectTable:
     """One interpretation compiled against one model for integer reads.
 
     Themes are bit positions in ``model.themes`` order, so a theme set is an
-    int mask, and a row is a :data:`Row` of element masks.  Each
-    (theme mask, statement) row, and each row's infimum, is computed on its
-    first read and kept for the life of the table, which is one check: no
-    cache outlives a call.
+    int mask, and a row is a :data:`Row` of element masks.  Each statement,
+    and :data:`OMEGA`, has a *column*: its rows as a list indexed by theme
+    mask.  A column is built in one pass over the masks on its first read,
+    and its rows' infima form a parallel column, also built on first read.
+    Columns are kept for the life of the table, which is one check: no cache
+    outlives a call.
     """
 
     def __init__(self, interp: Interpretation, model: Model):
@@ -296,8 +298,29 @@ class AspectTable:
         self.algebra = interp.algebra
         self.names = tuple(dict.fromkeys(model.themes))
         self.bits = {t: 1 << i for i, t in enumerate(self.names)}
-        self._rows: dict[tuple[int, str], Row] = {}
-        self._infs: dict[tuple[int, str], int | None] = {}
+        self.size = 1 << len(self.names)
+        # explicit rows by theme mask; a key with an undeclared theme can
+        # never be read, so it is dropped
+        key_masks: dict[frozenset[str], int | None] = {}
+
+        def key_mask(themes: frozenset[str]) -> int | None:
+            if themes not in key_masks:
+                bits = [self.bits.get(t) for t in themes]
+                key_masks[themes] = None if None in bits else sum(bits)
+            return key_masks[themes]
+
+        self._omega_rows = {}
+        for themes, row in interp.theme_aspects.items():
+            tmask = key_mask(themes)
+            if tmask is not None:
+                self._omega_rows[tmask] = row
+        self._explicit: dict[str, dict[int, Row]] = {}
+        for (themes, s), row in interp.statement_aspects.items():
+            tmask = key_mask(themes)
+            if tmask is not None:
+                self._explicit.setdefault(s, {})[tmask] = row
+        self._columns: dict[str, list[Row]] = {}
+        self._inf_columns: dict[str, list[int | None]] = {}
         self._keys: dict[int, tuple[str, ...]] = {}
         self._key_texts: dict[int, str] = {}
 
@@ -330,51 +353,93 @@ class AspectTable:
 
     def row(self, tmask: int, s: str) -> Row:
         """The aspects of statement ``s`` (or :data:`OMEGA`) at a theme mask."""
-        out = self._rows.get((tmask, s))
-        if out is None:
-            out = self._rows[(tmask, s)] = self._build(tmask, s)
-        return out
-
-    def _build(self, tmask: int, s: str) -> Row:
-        interp, themes = self.interp, self.themes(tmask)
-        if s == OMEGA:
-            return interp.theme_aspects.get(themes, EMPTY_ROW)
-        stmt = self.model.statement(s)
-        explicit = interp.statement_aspects.get((themes, s))
-        if explicit is not None:
-            return explicit
-        if tmask & (tmask - 1) == 0 or stmt.is_summary_pointer:
-            return EMPTY_ROW
-        # the union default over the singleton rows
-        masks: set[int] = set()
-        rest = tmask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            full, elements = self.row(bit, s)
-            if full:
-                return FULL_ROW
-            masks |= elements
-        algebra = self.algebra
-        if algebra.k <= 4 and len(masks) == algebra.carrier_size:
-            return FULL_ROW  # as in AspectSet: a small carrier listed in full is full
-        return (False, frozenset(masks))
+        return self.column(s)[tmask]
 
     def inf(self, tmask: int, s: str) -> int | None:
         """Mask of the row's infimum (its effective aspect), ``None`` when empty."""
-        key = (tmask, s)
-        if key in self._infs:
-            return self._infs[key]
-        full, masks = self.row(tmask, s)
-        if full:
-            out: int | None = 0  # the carrier contains the bottom element
-        elif not masks:
-            out = None
-        else:
-            out = self.algebra.full_mask
-            for m in masks:
-                out &= m
-        self._infs[key] = out
+        return self.inf_column(s)[tmask]
+
+    def column(self, s: str) -> list[Row]:
+        """The rows of statement ``s`` (or :data:`OMEGA`), indexed by theme mask."""
+        out = self._columns.get(s)
+        if out is None:
+            out = self._columns[s] = self._column(s)
+        return out
+
+    def inf_column(self, s: str) -> list[int | None]:
+        """The infima of :meth:`column`, indexed by theme mask."""
+        out = self._inf_columns.get(s)
+        if out is None:
+            out = self._inf_columns[s] = self._inf_column(s)
+        return out
+
+    def _explicit_rows(self, s: str) -> tuple[dict[int, Row], bool]:
+        """The explicit rows of ``s`` by mask, and whether a missing one defaults."""
+        if s == OMEGA:
+            return self._omega_rows, False
+        stmt = self.model.statement(s)
+        return self._explicit.get(s, {}), not stmt.is_summary_pointer
+
+    def _column(self, s: str) -> list[Row]:
+        explicit, defaults = self._explicit_rows(s)
+        size = self.size
+        out = [EMPTY_ROW] * size
+        if defaults:
+            # the union default over the singleton rows, by the lowest theme
+            # bit: union[t] = union[t ^ low] | union[low]
+            algebra = self.algebra
+            # as in AspectSet: a small carrier listed in full is full
+            listable = algebra.carrier_size if algebra.k <= 4 else -1
+            union = [EMPTY_ROW] * size
+            for t in range(1, size):
+                low = t & -t
+                if t == low:
+                    union[t] = explicit.get(t, EMPTY_ROW)
+                    continue
+                a, b = union[t ^ low], union[low]
+                if b[0]:
+                    u = FULL_ROW
+                elif a[0] or b[1] <= a[1]:
+                    u = a
+                elif a[1] <= b[1]:
+                    u = b
+                else:
+                    u = (False, a[1] | b[1])
+                union[t] = u
+                out[t] = FULL_ROW if len(u[1]) == listable else u
+        for t, row in explicit.items():
+            out[t] = row
+        return out
+
+    def _inf_column(self, s: str) -> list[int | None]:
+        explicit, defaults = self._explicit_rows(s)
+        full = self.algebra.full_mask
+        infs: dict[int, int | None] = {}
+        for t, (is_full, masks) in explicit.items():
+            if is_full:
+                infs[t] = 0  # the carrier contains the bottom element
+            elif not masks:
+                infs[t] = None
+            else:
+                meet = full
+                for m in masks:
+                    meet &= m
+                infs[t] = meet
+        size = self.size
+        out: list[int | None] = [None] * size
+        if defaults:
+            # the infimum of a union is the meet of its halves' infima; an
+            # empty half has none
+            union: list[int | None] = [None] * size
+            for t in range(1, size):
+                low = t & -t
+                if t == low:
+                    union[t] = infs.get(t)
+                    continue
+                a, b = union[t ^ low], union[low]
+                union[t] = out[t] = b if a is None else a if b is None else a & b
+        for t, meet in infs.items():
+            out[t] = meet
         return out
 
 

@@ -23,7 +23,6 @@ from aspectarg.model import (
     Model,
     Relation,
     Statement,
-    lookup,
 )
 
 # ---------------------------------------------------------------------------
@@ -452,6 +451,88 @@ def union(a: AspectSet, b: AspectSet) -> AspectSet:
 
 
 # ---------------------------------------------------------------------------
+# Rows under the defaulting rule, read off the raw rows.
+# ---------------------------------------------------------------------------
+
+
+def oracle_aspects(interp: Interpretation, model: Model, themes, s: str) -> tuple[bool, set]:
+    """(full, element masks) of a lookup, from the paper's defaulting rule.
+
+    An explicit row wins.  Otherwise the empty and singleton theme sets read
+    empty, summary pointers read empty (they are explicit only), and larger
+    sets read the union of the singleton rows.
+    """
+    t = frozenset(themes)
+    if s == OMEGA:
+        row = interp.theme_aspects.get(t)
+    else:
+        row = interp.statement_aspects.get((t, s))
+    if row is not None:
+        full, masks = row
+        return full, set(masks)
+    summary = any(x.id == s and x.ref_theme and x.ref_target is None for x in model.statements)
+    if s == OMEGA or len(t) < 2 or summary:
+        return False, set()
+    full, masks = False, set()
+    for th in t:
+        single = interp.statement_aspects.get((frozenset([th]), s))
+        if single is not None:
+            full = full or single[0]
+            masks |= single[1]
+    if full or len(masks) == 1 << interp.algebra.n_minterms:
+        return True, set()
+    return False, masks
+
+
+def oracle_effective(interp: Interpretation, full: bool, masks: set) -> int | None:
+    if full:
+        return 0  # the whole carrier contains the bottom element
+    if not masks:
+        return None
+    out = (1 << interp.algebra.n_minterms) - 1
+    for m in masks:
+        out &= m
+    return out
+
+
+def with_extra_rows(rng: random.Random, model: Model, interp: Interpretation) -> Interpretation:
+    """Add explicit multi-theme, empty-set and full rows."""
+    algebra = interp.algebra
+    rows = dict(interp.statement_aspects)
+    theme_sets = [frozenset(c) for n in range(len(model.themes) + 1)
+                  for c in combinations(model.themes, n)]
+    for s in model.statements:
+        for t in rng.sample(theme_sets, min(2, len(theme_sets))):
+            if rng.random() < 0.2:
+                rows[(t, s.id)] = AspectSet(algebra, full=True)
+            else:
+                masks = rng.sample(range(algebra.carrier_size), rng.randint(0, 3))
+                rows[(t, s.id)] = AspectSet(algebra, frozenset(Element(algebra, m) for m in masks))
+    return Interpretation(algebra, interp.theme_aspects, rows)
+
+
+def with_odd_omega_rows(rng: random.Random, model: Model, interp: Interpretation) -> Interpretation:
+    """Replace some omega rows, the empty theme set's included, with one to
+    three random elements: rows that are seldom subalgebras, some of one
+    element only."""
+    algebra = interp.algebra
+    omega = dict(interp.theme_aspects)
+    theme_sets = [frozenset(c) for n in range(len(model.themes) + 1)
+                  for c in combinations(model.themes, n)]
+    for t in rng.sample(theme_sets, rng.randint(1, len(theme_sets))):
+        masks = rng.sample(range(algebra.carrier_size), rng.randint(1, 3))
+        omega[t] = AspectSet(algebra, frozenset(Element(algebra, m) for m in masks))
+    return Interpretation(algebra, omega, interp.statement_aspects)
+
+
+def oracle_lookup(interp: Interpretation, model: Model, themes, s: str) -> AspectSet:
+    """:func:`oracle_aspects` as an :class:`AspectSet`."""
+    full, masks = oracle_aspects(interp, model, themes, s)
+    algebra = interp.algebra
+    return AspectSet(algebra, frozenset(Element(algebra, m) for m in masks), full)
+
+
+# ---------------------------------------------------------------------------
 # Exact-region oracle.
 # ---------------------------------------------------------------------------
 
@@ -460,10 +541,11 @@ def oracle_exact_region(
     model: Model, interp: Interpretation
 ) -> list[tuple[str, str, tuple[str, ...], tuple[str, ...]]]:
     """(constraint, statement, theme set, theme set 2) for every esr, ensr and
-    eos witness, read off the definition through ``lookup``: a statement's
-    aspects at two theme sets must agree inside the aspects the two theme sets
-    share.  Theme sets come by size, then in ``combinations`` order over the
-    declared themes, and the earlier of a pair is the first theme set."""
+    eos witness, read off the definition through :func:`oracle_lookup`: a
+    statement's aspects at two theme sets must agree inside the aspects the
+    two theme sets share.  Theme sets come by size, then in ``combinations``
+    order over the declared themes, and the earlier of a pair is the first
+    theme set."""
     themes = list(dict.fromkeys(model.themes))
     theme_sets = [c for n in range(len(themes) + 1) for c in combinations(themes, n)]
 
@@ -472,7 +554,9 @@ def oracle_exact_region(
 
     out = []
     for t1, t2 in combinations(theme_sets, 2):
-        common = intersection(lookup(interp, model, t1, OMEGA), lookup(interp, model, t2, OMEGA))
+        common = intersection(
+            oracle_lookup(interp, model, t1, OMEGA), oracle_lookup(interp, model, t2, OMEGA)
+        )
         if common.is_empty:
             continue
         for s in model.statements:
@@ -482,10 +566,105 @@ def oracle_exact_region(
                 cid = "esr"
             else:
                 cid = "ensr"
-            a = intersection(lookup(interp, model, t1, s.id), common)
-            b = intersection(lookup(interp, model, t2, s.id), common)
+            a = intersection(oracle_lookup(interp, model, t1, s.id), common)
+            b = intersection(oracle_lookup(interp, model, t2, s.id), common)
             if not same(a, b):
                 out.append((cid, s.id, tuple(sorted(t1)), tuple(sorted(t2))))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Core oracle.
+# ---------------------------------------------------------------------------
+
+
+def _is_subalgebra(elements: set[Element], algebra: Algebra) -> bool:
+    return (
+        algebra.bottom in elements
+        and algebra.top in elements
+        and all(~a in elements for a in elements)
+        and all(a & b in elements and a | b in elements for a in elements for b in elements)
+    )
+
+
+def oracle_core(
+    model: Model, interp: Interpretation
+) -> list[tuple[str, tuple[str, ...], tuple[str, str] | None, tuple, tuple | None, str | None]]:
+    """(constraint, statements, relation, theme set, theme set 2, relation type)
+    for every core witness, read off the definitions over ``frozenset`` theme
+    sets, with rows from :func:`oracle_aspects`.
+
+    - aass: at each non-empty set of a relation's themes, an attack's
+      effective aspects must both exist and differ, a support's must both
+      exist and be comparable;
+    - i: a statement's aspects at a theme set are aspects of the theme set;
+    - vi: no statement has aspects at the empty theme set;
+    - bat: a listed omega row is a subalgebra;
+    - pr: a statement with aspects has them inside its proper range, its row
+      at the theme set cut down to its own themes; a pointer's own themes
+      take in its reference theme, and a statement pointer's range is read
+      from its target's row (a missing target has none);
+    - mat and manss: omega rows, and the rows of statements other than
+      summary pointers, do not shrink when a theme is added;
+    - ss: at each set of a statement's own themes, its effective aspect is
+      neither 0 nor 1.
+    """
+    algebra = interp.algebra
+    themes = list(dict.fromkeys(model.themes))
+    declared = frozenset(themes)
+    theme_sets = [frozenset(c) for n in range(len(themes) + 1) for c in combinations(themes, n)]
+
+    def key(t: frozenset[str]) -> tuple[str, ...]:
+        return tuple(sorted(t))
+
+    def aspects(t: frozenset[str], s: str) -> AspectSet:
+        return oracle_lookup(interp, model, t, s)
+
+    def effective(t: frozenset[str], s: str) -> Element | None:
+        mask = oracle_effective(interp, *oracle_aspects(interp, model, t, s))
+        return None if mask is None else Element(algebra, mask)
+
+    out = []
+    for r in model.relations:
+        for t in [frozenset(c) for n in range(1, len(themes) + 1)
+                  for c in combinations(sorted(r.themes & declared), n)]:
+            kinds = oracle_relation_kinds(effective(t, r.source), effective(t, r.target))
+            if ATTACK in r.rel_types and kinds & {"undefined", "affirmation"}:
+                out.append(("aass", (), r.pair, key(t), None, ATTACK))
+            comparable = {"affirmation", "strengthening", "weakening"}
+            if SUPPORT in r.rel_types and not kinds & comparable:
+                out.append(("aass", (), r.pair, key(t), None, SUPPORT))
+    for t in theme_sets:
+        omega = aspects(t, OMEGA)
+        if omega.elements and not _is_subalgebra(set(omega.elements), algebra):
+            out.append(("bat", (), None, key(t), None, None))
+        for th in t:
+            if not issubset(aspects(t - {th}, OMEGA), omega):
+                out.append(("mat", (), None, key(t - {th}), key(t), None))
+    for s in model.statements:
+        reach = model.themes_of(s.id) & declared
+        if s.ref_theme is not None:
+            reach = reach | ({s.ref_theme} & declared)
+        ranged = s.id if s.ref_theme is None or s.ref_target is None else s.ref_target
+        for t in theme_sets:
+            row = aspects(t, s.id)
+            if not issubset(row, aspects(t, OMEGA)):
+                out.append(("i", (s.id,), None, key(t), None, None))
+            if not t and not row.is_empty:
+                out.append(("vi", (s.id,), None, (), None, None))
+            if model.has_statement(ranged):
+                bound = aspects(t & reach, ranged)
+            else:
+                bound = AspectSet(algebra)
+            if not row.is_empty and not issubset(row, bound):
+                out.append(("pr", (s.id,), None, key(t), None, None))
+            eff = effective(t, s.id)
+            if t <= model.themes_of(s.id) and eff is not None and (eff.is_bottom or eff.is_top):
+                out.append(("ss", (s.id,), None, key(t), None, None))
+            if s.ref_theme is None or s.ref_target is not None:
+                for th in t:
+                    if not issubset(aspects(t - {th}, s.id), row):
+                        out.append(("manss", (s.id,), None, key(t - {th}), key(t), None))
     return out
 
 

@@ -41,11 +41,14 @@ from aspectarg.modelfile import load_path
 from helpers import (
     block_instance,
     issubset,
+    oracle_core,
     oracle_exact_region,
     oracle_relation_kinds,
     random_model_any,
     random_total_interpretation,
     redundant_instance,
+    with_extra_rows,
+    with_odd_omega_rows,
 )
 
 
@@ -536,6 +539,36 @@ class TestExactRegionOracle:
         for vs in out.values():
             assert all(len(v.statements) == 1 for v in vs)
             assert vs == sorted(vs, key=Violation.sort_key)
+
+
+class TestCoreOracle:
+    """Core against a checker written from the definitions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["any", "blocks", "redundant"]))
+    def test_witnesses_match_the_oracle(self, seed, source):
+        rng = random.Random(seed)
+        if source == "any":
+            model = random_model_any(rng, max_themes=3)
+            interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+            if rng.random() < 0.5:
+                interp = with_extra_rows(rng, model, interp)
+            if rng.random() < 0.5:
+                interp = with_odd_omega_rows(rng, model, interp)
+        else:
+            make = block_instance if source == "blocks" else redundant_instance
+            model, interp = make(rng)
+            # add 0 or 1 to one row, so core reports witnesses here too
+            key, (full, masks) = rng.choice(sorted(interp.statement_aspects.items(), key=repr))
+            extra = rng.choice([0, interp.algebra.full_mask])
+            rows = {**interp.statement_aspects, key: (full, masks | {extra})}
+            interp = dataclasses.replace(interp, statement_aspects=rows)
+        model = shuffled(rng, model)
+        found = [
+            (v.constraint, v.statements, v.relation, v.theme_set, v.theme_set2, v.rel_type)
+            for v in classify_normal_form(model, interp, {"core"}).violations
+        ]
+        assert sorted(found, key=repr) == sorted(oracle_core(model, interp), key=repr)
 
 
 class TestDasNwci:

@@ -16,6 +16,7 @@ from aspectarg.corpus import corpus_path
 from aspectarg.errors import CapExceeded, ModelError, UnknownIdError
 from aspectarg.formulas import evaluate, parse
 from aspectarg.model import (
+    FULL_ROW,
     OMEGA,
     AspectSet,
     AspectTable,
@@ -33,9 +34,12 @@ from aspectarg.modelfile import load_path
 from helpers import (
     intersection,
     issubset,
+    oracle_aspects,
+    oracle_effective,
     random_model_any,
     random_total_interpretation,
     union,
+    with_extra_rows,
 )
 
 
@@ -328,78 +332,28 @@ class TestWellformedness:
 # ---------------------------------------------------------------------------
 
 
-def oracle_aspects(interp: Interpretation, model: Model, themes, s: str) -> tuple[bool, set]:
-    """(full, element masks) of a lookup, from the paper's defaulting rule.
-
-    An explicit row wins.  Otherwise the empty and singleton theme sets read
-    empty, summary pointers read empty (they are explicit only), and larger
-    sets read the union of the singleton rows.
-    """
-    t = frozenset(themes)
-    if s == OMEGA:
-        row = interp.theme_aspects.get(t)
-    else:
-        row = interp.statement_aspects.get((t, s))
-    if row is not None:
-        full, masks = row
-        return full, set(masks)
-    summary = any(x.id == s and x.ref_theme and x.ref_target is None for x in model.statements)
-    if s == OMEGA or len(t) < 2 or summary:
-        return False, set()
-    full, masks = False, set()
-    for th in t:
-        single = interp.statement_aspects.get((frozenset([th]), s))
-        if single is not None:
-            full = full or single[0]
-            masks |= single[1]
-    if full or len(masks) == 1 << interp.algebra.n_minterms:
-        return True, set()
-    return False, masks
-
-
-def oracle_effective(interp: Interpretation, full: bool, masks: set) -> int | None:
-    if full:
-        return 0  # the whole carrier contains the bottom element
-    if not masks:
-        return None
-    out = (1 << interp.algebra.n_minterms) - 1
-    for m in masks:
-        out &= m
-    return out
-
-
-def with_extra_rows(rng: random.Random, model: Model, interp: Interpretation) -> Interpretation:
-    """Add explicit multi-theme, empty-set and full rows."""
-    algebra = interp.algebra
-    rows = dict(interp.statement_aspects)
-    theme_sets = [frozenset(c) for n in range(len(model.themes) + 1)
-                  for c in combinations(model.themes, n)]
-    for s in model.statements:
-        for t in rng.sample(theme_sets, min(2, len(theme_sets))):
-            if rng.random() < 0.2:
-                rows[(t, s.id)] = AspectSet(algebra, full=True)
-            else:
-                masks = rng.sample(range(algebra.carrier_size), rng.randint(0, 3))
-                rows[(t, s.id)] = AspectSet(algebra, frozenset(Element(algebra, m) for m in masks))
-    return Interpretation(algebra, interp.theme_aspects, rows)
-
-
 class TestTableAgainstDefaultingRule:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
     def test_lookup_and_effective_aspect(self, seed):
         rng = random.Random(seed)
-        algebra = mk_algebra(["p", "q"])
-        model = random_model_any(rng, max_themes=3)
+        # one proposition lists its carrier of 4 often, which the small-carrier
+        # rule turns into the full row; three give rows of a 256-element one
+        algebra = mk_algebra(rng.choice([["p"], ["p", "q"], ["p", "q", "r"]]))
+        model = random_model_any(rng, max_themes=5)
         interp = random_total_interpretation(rng, model, algebra)
         if rng.random() < 0.7:
             interp = with_extra_rows(rng, model, interp)
+        table = AspectTable(interp, model)
         for n in range(len(model.themes) + 1):
             for combo in combinations(model.themes, n):
                 themes = list(combo)
                 rng.shuffle(themes)
                 for s in [x.id for x in model.statements] + [OMEGA]:
                     full, masks = oracle_aspects(interp, model, combo, s)
+                    # the table's own row: an AspectSet would make a listed
+                    # small carrier full by itself
+                    assert table.row(table.mask(themes), s) == (full, masks)
                     got = lookup(interp, model, themes, s)
                     assert (got.full, {e.mask for e in got.elements}) == (full, masks)
                     eff = effective_aspect(interp, model, themes, s)
@@ -411,6 +365,59 @@ class TestTableAgainstDefaultingRule:
             effective_aspect(fear.interpretation, fear.model, ["nope"], "s1")
         with pytest.raises(UnknownIdError):
             effective_aspect(fear.interpretation, fear.model, ["t1"], "nope")
+
+    def test_a_union_that_lists_a_small_carrier_is_full(self):
+        algebra = mk_algebra(["p"])  # the carrier is the masks 0 to 3
+        model = Model.build(["t1", "t2", "t3"], [Statement("s")], {"s": {"t1", "t2"}}, [])
+        rows = {
+            (frozenset([t]), "s"): AspectSet(
+                algebra, frozenset(Element(algebra, m) for m in masks)
+            )
+            for t, masks in (("t1", (1, 2)), ("t2", (0, 3)), ("t3", (2,)))
+        }
+        interp = Interpretation(algebra, {}, rows)
+        table = AspectTable(interp, model)
+        for themes in (["t1", "t2"], ["t1", "t2", "t3"]):
+            assert table.row(table.mask(themes), "s") == FULL_ROW
+            assert lookup(interp, model, themes, "s") == AspectSet(algebra, full=True)
+            assert effective_aspect(interp, model, themes, "s") == algebra.bottom
+        assert not lookup(interp, model, ["t1", "t3"], "s").full
+        assert effective_aspect(interp, model, ["t2", "t3"], "s") == algebra.bottom
+
+    def test_a_row_keyed_by_an_undeclared_theme_is_ignored(self, fig1, ev):
+        model = Model.build(["t1", "t2"], [Statement("s")], {"s": {"t1", "t2"}}, [])
+        row = AspectSet(fig1, frozenset({ev("x")}))
+        ghost = AspectSet(fig1, frozenset({ev("y")}))
+        interp = Interpretation(
+            fig1,
+            {frozenset(["t1", "ghost"]): AspectSet(fig1, full=True)},
+            {
+                (frozenset(["t1"]), "s"): row,
+                (frozenset(["ghost"]), "s"): ghost,
+                (frozenset(["t1", "ghost"]), "s"): ghost,
+            },
+        )
+        empty = AspectSet(fig1)
+        for themes in ([], ["t1"], ["t2"], ["t1", "t2"]):
+            want = row if "t1" in themes else empty
+            assert lookup(interp, model, themes, "s") == want
+            assert lookup(interp, model, themes, OMEGA) == empty
+        with pytest.raises(UnknownIdError):
+            lookup(interp, model, ["t1", "ghost"], "s")
+
+    @pytest.mark.parametrize("read", ["row", "inf", "lookup"])
+    def test_an_unknown_statement_raises_even_with_rows(self, fig1, ev, read):
+        model = Model.build(["t1"], [Statement("s")], {"s": {"t1"}}, [])
+        rows = {(frozenset(["t1"]), sid): AspectSet(fig1, frozenset({ev("x")})) for sid in "sn"}
+        interp = Interpretation(fig1, {}, rows)
+        table = AspectTable(interp, model)
+        reads = {
+            "row": lambda: table.row(1, "n"),
+            "inf": lambda: table.inf(1, "n"),
+            "lookup": lambda: lookup(interp, model, ["t1"], "n"),
+        }
+        with pytest.raises(UnknownIdError):
+            reads[read]()
 
 
 class TestTableRowsAreBuiltOnce:
@@ -424,17 +431,16 @@ class TestTableRowsAreBuiltOnce:
         interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
 
         built: Counter = Counter()
-        build = AspectTable._build
+        build = AspectTable._column
 
-        def counting(self, tmask, s):
-            built[(tmask, s)] += 1
-            return build(self, tmask, s)
+        def counting(self, s):
+            built[s] += 1
+            return build(self, s)
 
-        monkeypatch.setattr(AspectTable, "_build", counting)
+        monkeypatch.setattr(AspectTable, "_column", counting)
         check_exact_region(model, interp)
-        assert max(built.values()) == 1
-        # every non-empty theme set is read for every statement and for omega
-        assert len(built) >= 63 * (len(statements) + 1)
+        # every statement's column is built, and omega's, each exactly once
+        assert built == Counter([s.id for s in statements] + [OMEGA])
 
 
 class TestThemeSubsets:
