@@ -14,7 +14,7 @@ independently auditable.  The semantic checkers accept a compiled
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import Element, closed_under_boolean_ops
 from .errors import ConstraintGroupError, UnknownIdError
@@ -35,6 +35,10 @@ from .model import (
     theme_subsets,
 )
 from .statements_sets import _redundancy, statements_sets_from, typed_predecessors
+
+#: How a check reads a statement's rows and infima by theme mask:
+#: :meth:`AspectTable.columns` or :meth:`AspectTable.reads`.
+_Columns = Callable[[str], tuple[Sequence[Row], Sequence[int | None]]]
 
 GRAPHIC_IDS = ("tr", "nnp", "nsa", "kos", "nss")
 CORE_IDS = ("aass", "i", "vi", "bat", "pr", "mat", "manss", "ss")
@@ -211,9 +215,8 @@ def _relation_violations(
     out: list[Violation] = []
     tests, full = _RELATION_TESTS[cid], table.algebra.full_mask
     for r, masks in cases:
-        us, vs = table.inf_column(r.source), table.inf_column(r.target)
         for tmask in masks:
-            u, v = us[tmask], vs[tmask]
+            u, v = table.inf(tmask, r.source), table.inf(tmask, r.target)
             kinds = _kinds(u, v, full)
             for rel_type, avoid, show, text in tests:
                 # an absent aspect has no kind: it fails aass only
@@ -242,18 +245,20 @@ def _meet(a: Row, b: Row) -> Row:
     return (False, a[1] & b[1])
 
 
-def _pr_bound(table: AspectTable, s: Statement, own: int) -> tuple[Sequence[Row], int]:
+def _pr_bound(
+    table: AspectTable, columns: _Columns, s: Statement, own: int
+) -> tuple[Sequence[Row], int]:
     """The proper-range bound of ``s``, whose own themes are ``own``: the
-    column that holds it, and the mask that, ANDed with a theme mask, indexes
-    the bound there."""
+    rows, from ``columns``, that hold it, and the mask that, ANDed with a
+    theme mask, indexes the bound there."""
     if not s.is_pointer:
-        return table.column(s.id), own
+        return columns(s.id)[0], own
     widened = own | table.bits.get(s.ref_theme, 0)
     if s.is_summary_pointer:
-        return table.column(s.id), widened
+        return columns(s.id)[0], widened
     if not table.model.has_statement(s.ref_target):
         return (EMPTY_ROW,), 0  # a dangling target carries no aspects
-    return table.column(s.ref_target), widened
+    return columns(s.ref_target)[0], widened
 
 
 def _exact_region_id(s: Statement) -> str:
@@ -393,23 +398,27 @@ def check_core(
     table = _compiled_table(model, interp, table)
     subsets = _subset_masks(table)
     cases = _relation_cases(table, _tested_relations(model, "aass"))
-    return _sorted(_core(table, subsets, cases))
+    return _sorted(_core(table, subsets, cases, model.statements, table.columns))
 
 
 def _core(
     table: AspectTable,
     subsets: list[int],
     cases: list[tuple[Relation, list[int]]],
+    statements: Iterable[Statement],
+    columns: _Columns,
 ) -> dict[str, list[Violation]]:
-    """Core at the theme masks ``subsets`` and, for aass, on relation ``cases``.
+    """Core at the theme masks ``subsets``, for the statement constraints on
+    ``statements``, and, for aass, on relation ``cases``.
 
-    mat and manss compare each mask with every mask one theme smaller.  Each
-    list is in no particular order.
+    Rows are read from ``columns``: :meth:`AspectTable.columns` for a sweep
+    over every mask, :meth:`AspectTable.reads` for a few.  mat and manss
+    compare each mask with every mask one theme smaller.  Each list is in no
+    particular order.
     """
-    model, key, text, column = table.model, table.key, table.key_text, table.column
+    model, key, text = table.model, table.key, table.key_text
     out: dict[str, list[Violation]] = {cid: [] for cid in CORE_IDS}
-    out["aass"] = _relation_violations(table, cases, "aass")
-    omega = column(OMEGA)
+    omega = columns(OMEGA)[0]
     # each mask with every mask one theme smaller, as (smaller, larger)
     steps = []
     for t2 in subsets:
@@ -442,11 +451,11 @@ def _core(
             )
 
     full, vacuous = table.algebra.full_mask, 0 in subsets
-    for s in model.statements:
+    for s in statements:
         sid = s.id
-        rows, infs = column(sid), table.inf_column(sid)
+        rows, infs = columns(sid)
         own = table.mask(t for t in model.themes_of(sid) if t in table.bits)
-        bounds, widened = _pr_bound(table, s, own)
+        bounds, widened = _pr_bound(table, columns, s, own)
         target = f" and target {s.ref_target}" if s.is_statement_pointer else ""
         if vacuous and rows[0] != EMPTY_ROW:
             out["vi"].append(
@@ -504,6 +513,8 @@ def _core(
                         detail=f"aspects of {sid} shrink from {text(t1)} to {text(t2)}",
                     )
                 )
+    # after the sweep, so that aass reads the columns it built
+    out["aass"] = _relation_violations(table, cases, "aass")
     return out
 
 
@@ -517,11 +528,14 @@ def check_exact_region(
 ) -> dict[str, list[Violation]]:
     """Check esr, ensr and eos over every pair of theme sets."""
     table = _compiled_table(model, interp, table)
-    return _exact_region(table, _subset_masks(table))
+    return _exact_region(table, _subset_masks(table), table.columns)
 
 
-def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Violation]]:
-    """esr, ensr and eos on each pair of ``subsets``, each list in report order.
+def _exact_region(
+    table: AspectTable, subsets: list[int], columns: _Columns
+) -> dict[str, list[Violation]]:
+    """esr, ensr and eos on each pair of ``subsets``, with rows read from
+    ``columns`` as :func:`_core` reads them, each list in report order.
 
     A pair is two masks, the first earlier in ``subsets``.  Pairs are walked
     by their two theme keys and each statement's witnesses go to its own
@@ -535,9 +549,9 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Viol
     heads = [f"aspects of {sid} differ between " for sid in sids]
     found: list[list[Violation]] = [[] for _ in stmts]
     keys = [table.key(tmask) for tmask in subsets]
-    omega = table.column(OMEGA)
+    omega = columns(OMEGA)[0]
     omegas = [omega[tmask] for tmask in subsets]
-    columns = [table.column(sid) for sid in sids]
+    statement_rows = [columns(sid)[0] for sid in sids]
     rows: list[list[Row] | None] = [None] * len(subsets)
     order = sorted(range(len(subsets)), key=keys.__getitem__)
     indices = range(len(stmts))
@@ -555,11 +569,11 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Viol
                 continue
             if rows1 is None:
                 t1 = subsets[i1]
-                rows1 = rows[i1] = [col[t1] for col in columns]
+                rows1 = rows[i1] = [col[t1] for col in statement_rows]
             rows2 = rows[i2]
             if rows2 is None:
                 t2 = subsets[i2]
-                rows2 = rows[i2] = [col[t2] for col in columns]
+                rows2 = rows[i2] = [col[t2] for col in statement_rows]
             tail = None
             for j in indices:
                 a, b = rows1[j], rows2[j]
@@ -798,10 +812,13 @@ def _instance_violations(table: AspectTable, w: Violation) -> list[Violation]:
         return []
     named = [r for r in model.relations if r.pair == w.relation]
     cases = _relation_cases(table, named, t1) if t1 else []
+    # point reads: an instance reads a few rows, where a column has 2 ** m
     if cid in CORE_IDS:
-        return _core(table, [t2 if cid in ("mat", "manss") else t1], cases)[cid]
+        named_statements = [s for s in model.statements if (s.id,) == w.statements]
+        subsets = [t2 if cid in ("mat", "manss") else t1]
+        return _core(table, subsets, cases, named_statements, table.reads)[cid]
     if cid in EXACT_REGION_IDS:
-        return _exact_region(table, [t1, t2])[cid]
+        return _exact_region(table, [t1, t2], table.reads)[cid]
     if cid in (DAS, NWCI):
         return _relation_violations(table, cases, cid)
     if cid in FRESH_ASPECT_IDS:

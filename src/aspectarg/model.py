@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Algebra, Element
 from .errors import CapExceeded, ModelError, UnknownIdError
@@ -268,8 +268,7 @@ class Interpretation:
 
 def _compiled_rows(algebra: Algebra, rows: Mapping) -> dict:
     """A copy of ``rows`` with every value a :data:`Row`."""
-    # only a carrier of at most 4 propositions can be listed in full
-    listable = algebra.carrier_size if algebra.k <= 4 else -1
+    listable = _listable(algebra)
     out = {}
     for key, row in rows.items():
         if type(row) is not tuple:
@@ -280,16 +279,24 @@ def _compiled_rows(algebra: Algebra, rows: Mapping) -> dict:
     return out
 
 
+def _listable(algebra: Algebra) -> int:
+    """The length of a listed row that holds the whole carrier, or -1: only a
+    carrier of at most 4 propositions can be listed in full."""
+    return algebra.carrier_size if algebra.k <= 4 else -1
+
+
 class AspectTable:
     """One interpretation compiled against one model for integer reads.
 
     Themes are bit positions in ``model.themes`` order, so a theme set is an
-    int mask, and a row is a :data:`Row` of element masks.  Each statement,
-    and :data:`OMEGA`, has a *column*: its rows as a list indexed by theme
-    mask.  A column is built in one pass over the masks on its first read,
-    and its rows' infima form a parallel column, also built on first read.
-    Columns are kept for the life of the table, which is one check: no cache
-    outlives a call.
+    int mask, and a row is a :data:`Row` of element masks.  :meth:`row` and
+    :meth:`inf` are point reads, which read a few rows however many themes
+    the model declares, and no cap limits that number.  A sweep over every
+    theme mask, which only runs under the theme cap, asks instead for a
+    statement's (or :data:`OMEGA`'s) *columns*: its rows and their infima as
+    lists indexed by theme mask, built together in one pass over the masks.
+    Point reads index columns once they are built.  Columns are kept for the
+    life of the table, which is one check: no cache outlives a call.
     """
 
     def __init__(self, interp: Interpretation, model: Model):
@@ -299,28 +306,13 @@ class AspectTable:
         self.names = tuple(dict.fromkeys(model.themes))
         self.bits = {t: 1 << i for i, t in enumerate(self.names)}
         self.size = 1 << len(self.names)
-        # explicit rows by theme mask; a key with an undeclared theme can
-        # never be read, so it is dropped
-        key_masks: dict[frozenset[str], int | None] = {}
-
-        def key_mask(themes: frozenset[str]) -> int | None:
-            if themes not in key_masks:
-                bits = [self.bits.get(t) for t in themes]
-                key_masks[themes] = None if None in bits else sum(bits)
-            return key_masks[themes]
-
-        self._omega_rows = {}
-        for themes, row in interp.theme_aspects.items():
-            tmask = key_mask(themes)
-            if tmask is not None:
-                self._omega_rows[tmask] = row
+        # as in AspectSet: a small carrier listed in full is full
+        self._listable = _listable(self.algebra)
+        # the explicit rows by theme mask, made with the first column
+        self._omega_rows: dict[int, Row] | None = None
         self._explicit: dict[str, dict[int, Row]] = {}
-        for (themes, s), row in interp.statement_aspects.items():
-            tmask = key_mask(themes)
-            if tmask is not None:
-                self._explicit.setdefault(s, {})[tmask] = row
-        self._columns: dict[str, list[Row]] = {}
-        self._inf_columns: dict[str, list[int | None]] = {}
+        self._columns: dict[str, tuple[list[Row], list[int | None]]] = {}
+        self._theme_sets: dict[int, frozenset[str]] = {}
         self._keys: dict[int, tuple[str, ...]] = {}
         self._key_texts: dict[int, str] = {}
 
@@ -335,7 +327,13 @@ class AspectTable:
         return out
 
     def themes(self, tmask: int) -> frozenset[str]:
-        return frozenset(t for i, t in enumerate(self.names) if tmask >> i & 1)
+        out = self._theme_sets.get(tmask)
+        if out is None:
+            names = self.names
+            out = self._theme_sets[tmask] = frozenset(
+                t for i, t in enumerate(names) if tmask >> i & 1
+            )
+        return out
 
     def key(self, tmask: int) -> tuple[str, ...]:
         """The sorted theme names of a mask, as violation records carry them."""
@@ -352,95 +350,152 @@ class AspectTable:
         return out
 
     def row(self, tmask: int, s: str) -> Row:
-        """The aspects of statement ``s`` (or :data:`OMEGA`) at a theme mask."""
-        return self.column(s)[tmask]
+        """The aspects of statement ``s`` (or :data:`OMEGA`) at a theme mask.
+
+        A point read: it indexes the built column of ``s`` when there is one
+        and otherwise looks up at most one interpretation row for each theme
+        of the mask, where a column has ``2 ** len(names)`` rows.
+        """
+        built = self._columns.get(s)
+        if built is not None:
+            return built[0][tmask]
+        if s == OMEGA:
+            return self.interp.theme_aspects.get(self.themes(tmask), EMPTY_ROW)
+        stmt = self.model.statement(s)
+        rows = self.interp.statement_aspects
+        out = rows.get((self.themes(tmask), s))
+        if out is not None:
+            return out
+        if stmt.is_summary_pointer or tmask & (tmask - 1) == 0:
+            return EMPTY_ROW
+        # the union default over the singleton rows
+        out = EMPTY_ROW
+        rest = tmask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            out = _union(out, rows.get((self.themes(bit), s), EMPTY_ROW))
+        return FULL_ROW if len(out[1]) == self._listable else out
 
     def inf(self, tmask: int, s: str) -> int | None:
-        """Mask of the row's infimum (its effective aspect), ``None`` when empty."""
-        return self.inf_column(s)[tmask]
+        """Mask of the row's infimum (its effective aspect), ``None`` when empty.
 
-    def column(self, s: str) -> list[Row]:
-        """The rows of statement ``s`` (or :data:`OMEGA`), indexed by theme mask."""
+        A point read, as :meth:`row` is.
+        """
+        built = self._columns.get(s)
+        if built is not None:
+            return built[1][tmask]
+        return self._meet(self.row(tmask, s))
+
+    def columns(self, s: str) -> tuple[list[Row], list[int | None]]:
+        """The rows of statement ``s`` (or :data:`OMEGA`) at every theme mask,
+        and their infima, each a list indexed by mask.
+
+        They have ``2 ** len(names)`` entries, so only a sweep that has passed
+        the theme cap builds them.
+        """
         out = self._columns.get(s)
         if out is None:
-            out = self._columns[s] = self._column(s)
+            out = self._columns[s] = self._build_columns(s)
         return out
 
-    def inf_column(self, s: str) -> list[int | None]:
-        """The infima of :meth:`column`, indexed by theme mask."""
-        out = self._inf_columns.get(s)
+    def reads(self, s: str) -> tuple[Sequence[Row], Sequence[int | None]]:
+        """The rows and infima of ``s`` indexed by mask, as :meth:`columns`
+        gives them, but building nothing: the built columns, or else point
+        reads through :meth:`row` and :meth:`inf`."""
+        out = self._columns.get(s)
         if out is None:
-            out = self._inf_columns[s] = self._inf_column(s)
+            return _PointReads(self.row, s), _PointReads(self.inf, s)
         return out
 
-    def _explicit_rows(self, s: str) -> tuple[dict[int, Row], bool]:
-        """The explicit rows of ``s`` by mask, and whether a missing one defaults."""
-        if s == OMEGA:
-            return self._omega_rows, False
-        stmt = self.model.statement(s)
-        return self._explicit.get(s, {}), not stmt.is_summary_pointer
+    def _index(self) -> None:
+        """Index every explicit row by theme mask, omega's and each statement's.
 
-    def _column(self, s: str) -> list[Row]:
-        explicit, defaults = self._explicit_rows(s)
-        size = self.size
-        out = [EMPTY_ROW] * size
+        A key with an undeclared theme can never be read, so it is dropped.
+        """
+        key_masks: dict[frozenset[str], int | None] = {}
+
+        def key_mask(themes: frozenset[str]) -> int | None:
+            if themes not in key_masks:
+                bits = [self.bits.get(t) for t in themes]
+                key_masks[themes] = None if None in bits else sum(bits)
+            return key_masks[themes]
+
+        self._omega_rows = {}
+        for themes, row in self.interp.theme_aspects.items():
+            tmask = key_mask(themes)
+            if tmask is not None:
+                self._omega_rows[tmask] = row
+        for (themes, s), row in self.interp.statement_aspects.items():
+            tmask = key_mask(themes)
+            if tmask is not None:
+                self._explicit.setdefault(s, {})[tmask] = row
+
+    def _meet(self, row: Row) -> int | None:
+        full, masks = row
+        if full:
+            return 0  # the carrier contains the bottom element
+        if not masks:
+            return None
+        out = self.algebra.full_mask
+        for m in masks:
+            out &= m
+        return out
+
+    def _build_columns(self, s: str) -> tuple[list[Row], list[int | None]]:
+        if self._omega_rows is None:
+            self._index()
+        if s == OMEGA:
+            explicit, defaults = self._omega_rows, False
+        else:
+            defaults = not self.model.statement(s).is_summary_pointer
+            explicit = self._explicit.get(s, {})
+        size, meet = self.size, self._meet
+        rows = [EMPTY_ROW] * size
+        infs: list[int | None] = [None] * size
         if defaults:
             # the union default over the singleton rows, by the lowest theme
-            # bit: union[t] = union[t ^ low] | union[low]
-            algebra = self.algebra
-            # as in AspectSet: a small carrier listed in full is full
-            listable = algebra.carrier_size if algebra.k <= 4 else -1
+            # bit: union[t] = union[t ^ low] | union[low]; its infimum is the
+            # meet of the halves' infima, where an empty half has none
+            listable = self._listable
             union = [EMPTY_ROW] * size
+            union_infs: list[int | None] = [None] * size
             for t in range(1, size):
                 low = t & -t
                 if t == low:
-                    union[t] = explicit.get(t, EMPTY_ROW)
+                    union[t] = single = explicit.get(t, EMPTY_ROW)
+                    union_infs[t] = meet(single)
                     continue
-                a, b = union[t ^ low], union[low]
-                if b[0]:
-                    u = FULL_ROW
-                elif a[0] or b[1] <= a[1]:
-                    u = a
-                elif a[1] <= b[1]:
-                    u = b
-                else:
-                    u = (False, a[1] | b[1])
-                union[t] = u
-                out[t] = FULL_ROW if len(u[1]) == listable else u
+                u = union[t] = _union(union[t ^ low], union[low])
+                rows[t] = FULL_ROW if len(u[1]) == listable else u
+                a, b = union_infs[t ^ low], union_infs[low]
+                union_infs[t] = infs[t] = b if a is None else a if b is None else a & b
         for t, row in explicit.items():
-            out[t] = row
-        return out
+            rows[t], infs[t] = row, meet(row)
+        return rows, infs
 
-    def _inf_column(self, s: str) -> list[int | None]:
-        explicit, defaults = self._explicit_rows(s)
-        full = self.algebra.full_mask
-        infs: dict[int, int | None] = {}
-        for t, (is_full, masks) in explicit.items():
-            if is_full:
-                infs[t] = 0  # the carrier contains the bottom element
-            elif not masks:
-                infs[t] = None
-            else:
-                meet = full
-                for m in masks:
-                    meet &= m
-                infs[t] = meet
-        size = self.size
-        out: list[int | None] = [None] * size
-        if defaults:
-            # the infimum of a union is the meet of its halves' infima; an
-            # empty half has none
-            union: list[int | None] = [None] * size
-            for t in range(1, size):
-                low = t & -t
-                if t == low:
-                    union[t] = infs.get(t)
-                    continue
-                a, b = union[t ^ low], union[low]
-                union[t] = out[t] = b if a is None else a if b is None else a & b
-        for t, meet in infs.items():
-            out[t] = meet
-        return out
+
+class _PointReads:
+    """One statement's point reads, indexed by theme mask like a column."""
+
+    __slots__ = ("read", "s")
+
+    def __init__(self, read: Callable[[int, str], object], s: str):
+        self.read, self.s = read, s
+
+    def __getitem__(self, tmask: int):
+        return self.read(tmask, self.s)
+
+
+def _union(a: Row, b: Row) -> Row:
+    """The union of two rows; one of them when it holds the other."""
+    if b[0]:
+        return FULL_ROW
+    if a[0] or b[1] <= a[1]:
+        return a
+    if a[1] <= b[1]:
+        return b
+    return (False, a[1] | b[1])
 
 
 def row_subset(a: Row, b: Row) -> bool:

@@ -268,11 +268,13 @@ def _conclude(
         return exts, None
     tmask = table.mask(t)
     full = table.algebra.full_mask
+    # one point read per statement: extensions share members
+    infs = {sid: table.inf(tmask, sid) for sid in frozenset().union(*exts)}
     joined = 0
     for ext in exts:
         met = full
         for sid in ext:
-            eff = table.inf(tmask, sid)
+            eff = infs[sid]
             if eff is not None:
                 met &= eff
         joined |= met

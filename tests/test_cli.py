@@ -734,6 +734,36 @@ class TestClassifyRelations:
         assert calls == []
 
 
+class TestManyDeclaredThemes:
+    """A model may declare far more themes than the theme cap as long as no
+    command enumerates them; reads at a few theme sets stay point reads."""
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    @pytest.mark.parametrize(
+        "command",
+        [("conclude", "--themes"), ("conclude", "--scan-logical"), ("classify-relations",)],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_unused_themes_change_no_output(self, tmp_path, monkeypatch, name, command):
+        from aspectarg.model import AspectTable
+
+        doc = json.loads(Path(path(name)).read_text())
+        if command[-1] == "--themes":
+            command += (",".join(doc["themes"]),)
+        model = tmp_path / "model.json"  # one path, as reports name the file
+        argv = (command[0], str(model), *command[1:], "--format", "machine")
+        model.write_text(json.dumps(doc))
+        narrow = invoke(*argv)
+        doc["themes"] += [f"unused{i}" for i in range(30 - len(doc["themes"]))]
+        model.write_text(json.dumps(doc))
+
+        def refuse(self, s):
+            raise AssertionError(f"built a column of {s} over 30 themes")
+
+        monkeypatch.setattr(AspectTable, "_build_columns", refuse)
+        assert invoke(*argv) == narrow
+
+
 class TestDeepFormulas:
     @pytest.mark.parametrize(
         "formula",

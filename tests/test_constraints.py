@@ -26,6 +26,7 @@ from aspectarg.constraints import (
 from aspectarg.corpus import corpus_path
 from aspectarg.model import (
     ATTACK,
+    OMEGA,
     SUPPORT,
     AspectSet,
     Interpretation,
@@ -580,6 +581,19 @@ class TestDasNwci:
             (("s2", "s3"), ("t",)),
         ]
 
+    @pytest.mark.parametrize("check", [check_das, check_nwci, check_core])
+    def test_a_relation_over_undeclared_themes_only_is_not_read(self, fig1, check):
+        # not well-formed: only the API builds it; the relation has no theme
+        # set to be checked at, so its unknown target is never looked up
+        model = single_theme_model(
+            "a",
+            relations=[
+                Relation("a", "ghost", frozenset({ATTACK, SUPPORT}), frozenset({"elsewhere"}))
+            ],
+        )
+        found = check(model, Interpretation(fig1))
+        assert not (found if isinstance(found, list) else found["aass"])
+
     def test_das_attack_must_be_incomparable(self, fig1):
         model = single_theme_model(
             "a", "b",
@@ -1029,6 +1043,45 @@ class TestWitnessSoundness:
             for w in candidate_witnesses(model):
                 key = witness_key(w, symmetric=w.constraint in EXACT_REGION_IDS)
                 assert recheck(model, interp, w) == (key in reported), w
+
+
+class TestManyDeclaredThemes:
+    """A check that reads a few theme sets makes point reads, so a model may
+    declare more themes than the theme cap where nothing enumerates them."""
+
+    def test_point_reads_agree_with_the_columns_of_the_narrow_model(self, monkeypatch):
+        rng = random.Random(41)
+        algebra = mk_algebra(["p", "q"])
+        cases = []
+        for _ in range(30):
+            narrow = random_model_any(rng, max_themes=3)
+            interp = random_total_interpretation(rng, narrow, algebra)
+            if rng.random() < 0.5:
+                interp = with_extra_rows(rng, narrow, interp)
+            unused = tuple(f"unused{i}" for i in range(30 - len(narrow.themes)))
+            wide = dataclasses.replace(narrow, themes=narrow.themes + unused)
+            # the sweeps build every column of the narrow model
+            verdict = classify_normal_form(narrow, interp, ALPHA_GROUPS)
+            cases.append((narrow, wide, interp, verdict))
+
+        def refuse(self, s):
+            raise AssertionError(f"built a column of {s} over 30 themes")
+
+        monkeypatch.setattr(AspectTable, "_build_columns", refuse)
+        for narrow, wide, interp, verdict in cases:
+            for group in ("das", "nwci", "F"):
+                assert run_group(wide, interp, group) == verdict.groups[group]
+            assert classify_relations(wide, interp) == classify_relations(narrow, interp)
+            for violation in verdict.violations:
+                assert recheck(wide, interp, violation), violation
+            ids = [s.id for s in narrow.statements] + [OMEGA]
+            for n in range(len(narrow.themes) + 1):
+                for themes in combinations(narrow.themes, n):
+                    for s in ids:
+                        assert lookup(interp, wide, themes, s) == lookup(interp, narrow, themes, s)
+                        assert effective_aspect(interp, wide, themes, s) == effective_aspect(
+                            interp, narrow, themes, s
+                        )
 
 
 class TestProperRangeConsequences:

@@ -344,21 +344,27 @@ class TestTableAgainstDefaultingRule:
         interp = random_total_interpretation(rng, model, algebra)
         if rng.random() < 0.7:
             interp = with_extra_rows(rng, model, interp)
-        table = AspectTable(interp, model)
+        # point reads from one table, whole columns from the other
+        table, swept = AspectTable(interp, model), AspectTable(interp, model)
         for n in range(len(model.themes) + 1):
             for combo in combinations(model.themes, n):
                 themes = list(combo)
                 rng.shuffle(themes)
+                tmask = table.mask(themes)
                 for s in [x.id for x in model.statements] + [OMEGA]:
                     full, masks = oracle_aspects(interp, model, combo, s)
-                    # the table's own row: an AspectSet would make a listed
+                    want = oracle_effective(interp, full, masks)
+                    # the table's own rows: an AspectSet would make a listed
                     # small carrier full by itself
-                    assert table.row(table.mask(themes), s) == (full, masks)
+                    assert table.row(tmask, s) == (full, masks)
+                    assert table.inf(tmask, s) == want
+                    rows, infs = swept.columns(s)
+                    assert (rows[tmask], infs[tmask]) == ((full, masks), want)
                     got = lookup(interp, model, themes, s)
                     assert (got.full, {e.mask for e in got.elements}) == (full, masks)
                     eff = effective_aspect(interp, model, themes, s)
-                    want = oracle_effective(interp, full, masks)
                     assert (None if eff is None else eff.mask) == want
+        assert not table._columns  # every read of ``table`` was a point read
 
     def test_unknown_ids_still_raise(self, fear):
         with pytest.raises(UnknownIdError):
@@ -405,7 +411,7 @@ class TestTableAgainstDefaultingRule:
         with pytest.raises(UnknownIdError):
             lookup(interp, model, ["t1", "ghost"], "s")
 
-    @pytest.mark.parametrize("read", ["row", "inf", "lookup"])
+    @pytest.mark.parametrize("read", ["row", "inf", "columns", "lookup"])
     def test_an_unknown_statement_raises_even_with_rows(self, fig1, ev, read):
         model = Model.build(["t1"], [Statement("s")], {"s": {"t1"}}, [])
         rows = {(frozenset(["t1"]), sid): AspectSet(fig1, frozenset({ev("x")})) for sid in "sn"}
@@ -414,6 +420,7 @@ class TestTableAgainstDefaultingRule:
         reads = {
             "row": lambda: table.row(1, "n"),
             "inf": lambda: table.inf(1, "n"),
+            "columns": lambda: table.columns("n"),
             "lookup": lambda: lookup(interp, model, ["t1"], "n"),
         }
         with pytest.raises(UnknownIdError):
@@ -431,13 +438,13 @@ class TestTableRowsAreBuiltOnce:
         interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
 
         built: Counter = Counter()
-        build = AspectTable._column
+        build = AspectTable._build_columns
 
         def counting(self, s):
             built[s] += 1
             return build(self, s)
 
-        monkeypatch.setattr(AspectTable, "_column", counting)
+        monkeypatch.setattr(AspectTable, "_build_columns", counting)
         check_exact_region(model, interp)
         # every statement's column is built, and omega's, each exactly once
         assert built == Counter([s.id for s in statements] + [OMEGA])
