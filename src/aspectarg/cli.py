@@ -19,6 +19,7 @@ import argparse
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
+from gettext import gettext
 from typing import Any, Callable
 
 from . import constraints, semantics
@@ -233,10 +234,15 @@ def cmd_synthesize(args, out, err) -> int:
     return OK
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on first use and shared by later calls;
     parsing reads it and never changes it."""
+    return _parsers()[0]
+
+
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command line parser and its subparser for each command name."""
     parser = argparse.ArgumentParser(
         prog="aspectarg",
         description="Constraint-based fallacy checking on theme aspect argumentation models",
@@ -280,16 +286,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="model file (JSON)")
     p.add_argument("--output", "-o", help="write the completed model file here")
     p.set_defaults(func=cmd_synthesize)
-    return parser
+    return parser, dict(sub.choices)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` gives, parsing ``argv`` once.
+
+    The top-level parser hands everything after a command name to that
+    command's subparser, so a line that starts with one goes straight there;
+    what the subparser leaves over is refused by the top-level parser, as
+    ``parse_args`` refuses it.  Any other line, help and unknown commands
+    included, goes through the top-level parser.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return argparse.Namespace(command=argv[0], **vars(args))
 
 
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching our error code
         return int(exc.code or 0)

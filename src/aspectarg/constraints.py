@@ -34,7 +34,7 @@ from .model import (
     row_subset,
     theme_subsets,
 )
-from .statements_sets import _redundancy, statements_sets_from, typed_predecessors
+from .statements_sets import PairTable, statements_sets_from, typed_predecessors
 
 #: How a check reads a statement's rows and infima by theme mask:
 #: :meth:`AspectTable.columns` or :meth:`AspectTable.reads`.
@@ -213,7 +213,7 @@ def _relation_violations(
 ) -> list[Violation]:
     """Violations of relation constraint ``cid`` on (relation, theme masks) cases."""
     out: list[Violation] = []
-    tests, full = _RELATION_TESTS[cid], table.algebra.full_mask
+    tests, full = _RELATION_TESTS[cid], table.full_mask
     for r, masks in cases:
         for tmask in masks:
             u, v = table.inf(tmask, r.source), table.inf(tmask, r.target)
@@ -430,7 +430,7 @@ def _core(
 
     for tmask in subsets:
         masks = omega[tmask][1]
-        if masks and not closed_under_boolean_ops(masks, table.algebra.full_mask):
+        if masks and not closed_under_boolean_ops(masks, table.full_mask):
             out["bat"].append(
                 Violation(
                     "bat",
@@ -450,7 +450,7 @@ def _core(
                 )
             )
 
-    full, vacuous = table.algebra.full_mask, 0 in subsets
+    full, vacuous = table.full_mask, 0 in subsets
     for s in statements:
         sid = s.id
         rows, infs = columns(sid)
@@ -654,22 +654,30 @@ def _fresh_aspects(
     table: AspectTable, anchors: list[tuple[str, str]]
 ) -> dict[str, list[Violation]]:
     """faW and faD on the statements-sets of each (statement, theme) anchor;
-    the anchors of one theme and type share one predecessor map.
+    the anchors of one theme and type share one predecessor map, and those
+    of one theme one :class:`PairTable`.
 
-    An anchor can have several depth sets that hold the same redundant pair,
-    so each pair is reported once per anchor, theme and type.
+    An anchor with no predecessor in its map is its own only width and depth
+    set, which holds no pair, so it is not searched.  An anchor can have
+    several depth sets that hold the same redundant pair, so each pair is
+    reported once per anchor, theme and type.
     """
     out: dict[str, list[Violation]] = {cid: [] for cid in FRESH_ASPECT_IDS}
     preds: dict[tuple[str, str], dict[str, list[str]]] = {}  # by (theme, type)
+    pair_tables: dict[str, PairTable] = {}  # by theme
     for sid, t in anchors:
         for rel in (ATTACK, SUPPORT):
             if (t, rel) not in preds:
                 preds[t, rel] = typed_predecessors(table.model, t, rel)
+            if sid not in preds[t, rel]:
+                continue
+            if t not in pair_tables:
+                pair_tables[t] = PairTable(table, t)
             widths, depths = statements_sets_from(preds[t, rel], sid, t)
             for cid, sets in (("faW", widths), ("faD", depths)):
                 pairs: set[tuple[str, str]] = set()
                 for sset in sets:
-                    witness = _redundancy(table, t, sset.members)
+                    witness = pair_tables[t].redundancy(sset.members)
                     if witness is None:
                         continue
                     first, second, masks = witness
@@ -709,7 +717,7 @@ def classify_relations(
     table = AspectTable(interp, model)
     only = None if themes is None else table.mask(sorted(themes))
     relations = sorted(model.relations, key=lambda r: r.pair)
-    full = table.algebra.full_mask
+    full = table.full_mask
     out = []
     for r, masks in _relation_cases(table, relations, only):
         for tmask in masks:

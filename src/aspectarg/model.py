@@ -303,6 +303,7 @@ class AspectTable:
         self.interp = interp
         self.model = model
         self.algebra = interp.algebra
+        self.full_mask = interp.algebra.full_mask
         self.names = tuple(dict.fromkeys(model.themes))
         self.bits = {t: 1 << i for i, t in enumerate(self.names)}
         self.size = 1 << len(self.names)
@@ -437,7 +438,7 @@ class AspectTable:
             return 0  # the carrier contains the bottom element
         if not masks:
             return None
-        out = self.algebra.full_mask
+        out = self.full_mask
         for m in masks:
             out &= m
         return out

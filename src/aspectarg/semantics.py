@@ -267,7 +267,7 @@ def _conclude(
     if not any(ext for ext in exts):
         return exts, None
     tmask = table.mask(t)
-    full = table.algebra.full_mask
+    full = table.full_mask
     # one point read per statement: extensions share members
     infs = {sid: table.inf(tmask, sid) for sid in frozenset().union(*exts)}
     joined = 0

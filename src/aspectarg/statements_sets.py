@@ -163,7 +163,7 @@ def contains_redundancy(
     at one theme set; the singleton ``{t}`` of the enclosing statements-set is
     used.
     """
-    found = _redundancy(AspectTable(interp, model), t, statement_ids)
+    found = PairTable(AspectTable(interp, model), t).redundancy(statement_ids)
     if found is None:
         return None
     first, second, shared = found
@@ -171,34 +171,67 @@ def contains_redundancy(
     return RedundancyWitness(first, second, frozenset(Element(algebra, m) for m in shared))
 
 
-def _redundancy(
-    table: AspectTable, t: str, statement_ids: Iterable[str]
-) -> tuple[str, str, frozenset[int]] | None:
-    """:func:`contains_redundancy` over one table, decided by infima, with the
-    shared representation as element masks.
+class PairTable:
+    """:func:`contains_redundancy` over one table at one theme ``{t}``,
+    decided by infima, with the shared representation as element masks.
+
+    Each statement's infimum is read once and each pair is decided once, so
+    the statements-sets of every anchor of the theme share the work.
 
     Whether R is a minimal representation depends only on R and the infimum it
     must reach.  So S1 and S2 share one iff inf S1 = inf S2 = inf(S1 & S2), and
     the shared ones are the minimal representations of S1 & S2.
     """
-    tmask, full = table.mask([t]), table.algebra.full_mask
-    ids = sorted(set(statement_ids))
-    infs = [table.inf(tmask, sid) for sid in ids]
-    infs = [full if m is None else m for m in infs]  # an empty row meets to the top
-    for i, s1 in enumerate(ids):
-        for j in range(i + 1, len(ids)):
-            if infs[i] != infs[j]:
-                continue
-            (full1, row1), (full2, row2) = table.row(tmask, s1), table.row(tmask, ids[j])
-            if full1 and full2:
-                first = frozenset([0])  # both carriers hold the bottom, their infimum
-            else:
-                common = row2 if full1 else row1 if full2 else row1 & row2
-                meet = full
-                for m in common:
-                    meet &= m
-                if meet != infs[i]:
-                    continue
-                first = min(_minimal_representations(common, full), key=sorted)
-            return s1, ids[j], first
-    return None
+
+    def __init__(self, table: AspectTable, t: str):
+        self.table = table
+        self.tmask = table.mask([t])
+        self._infs: dict[str, int] = {}
+        self._pairs: dict[tuple[str, str], frozenset[int] | None] = {}
+        self._sets: dict[frozenset[str], tuple[str, str, frozenset[int]] | None] = {}
+
+    def redundancy(
+        self, statement_ids: Iterable[str]
+    ) -> tuple[str, str, frozenset[int]] | None:
+        """The first pair of the statements, in id order, that shares a
+        minimal representation, with the least one it shares."""
+        members = frozenset(statement_ids)
+        if members not in self._sets:
+            self._sets[members] = self._first_shared_pair(sorted(members))
+        return self._sets[members]
+
+    def _first_shared_pair(self, ids: list[str]) -> tuple[str, str, frozenset[int]] | None:
+        infs = [self._inf(sid) for sid in ids]
+        for i, s1 in enumerate(ids):
+            for j in range(i + 1, len(ids)):
+                if infs[i] == infs[j]:
+                    shared = self._shared(s1, ids[j], infs[i])
+                    if shared is not None:
+                        return s1, ids[j], shared
+        return None
+
+    def _inf(self, sid: str) -> int:
+        out = self._infs.get(sid)
+        if out is None:
+            m = self.table.inf(self.tmask, sid)
+            # an empty row meets to the top
+            out = self._infs[sid] = self.table.full_mask if m is None else m
+        return out
+
+    def _shared(self, s1: str, s2: str, inf: int) -> frozenset[int] | None:
+        """The least minimal representation ``s1`` and ``s2``, whose
+        infima are both ``inf``, share; ``None`` when they share none."""
+        if (s1, s2) in self._pairs:
+            return self._pairs[s1, s2]
+        table, full = self.table, self.table.full_mask
+        (full1, row1), (full2, row2) = table.row(self.tmask, s1), table.row(self.tmask, s2)
+        if full1 and full2:
+            out = frozenset([0])  # both carriers hold the bottom, their infimum
+        else:
+            common = row2 if full1 else row1 if full2 else row1 & row2
+            meet = full
+            for m in common:
+                meet &= m
+            out = min(_minimal_representations(common, full), key=sorted) if meet == inf else None
+        self._pairs[s1, s2] = out
+        return out

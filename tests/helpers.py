@@ -396,6 +396,37 @@ def oracle_redundancy(
     return None
 
 
+def oracle_fresh_aspects(
+    model: Model, interp: Interpretation
+) -> list[tuple[str, tuple[str, str, str], tuple[str], str]]:
+    """(constraint, statements, theme set, type) of each faW and faD record,
+    in report order, from the statements-set and redundancy oracles alone.
+
+    For each statement, each of its declared themes t and each relation
+    type, every width (faW) or depth (faD) statements-set with a redundant
+    pair, its rows read at {t} by the defaulting rule, gives one record
+    (anchor, first, second) per distinct pair.
+    """
+    out = set()
+    for s in model.statements:
+        for t in sorted(model.themes_of(s.id) & set(model.themes)):
+
+            def row(sid: str) -> frozenset[int] | None:
+                full, masks = oracle_aspects(interp, model, {t}, sid)
+                return None if full else frozenset(masks)
+
+            for rel in (ATTACK, SUPPORT):
+                for cid, sets in (
+                    ("faW", oracle_width_sets(model, s.id, t, rel)),
+                    ("faD", oracle_depth_sets(model, s.id, t, rel)),
+                ):
+                    for members in sets:
+                        found = oracle_redundancy(interp.algebra, {m: row(m) for m in members})
+                        if found is not None:
+                            out.add((cid, (s.id, found[0], found[1]), (t,), rel))
+    return sorted(out)
+
+
 # ---------------------------------------------------------------------------
 # Relation-kind oracle.
 # ---------------------------------------------------------------------------
@@ -448,6 +479,69 @@ def union(a: AspectSet, b: AspectSet) -> AspectSet:
     if a.full or b.full:
         return AspectSet(a.algebra, full=True)
     return AspectSet(a.algebra, a.elements | b.elements)
+
+
+# ---------------------------------------------------------------------------
+# Graphic-constraint oracle.
+# ---------------------------------------------------------------------------
+
+
+def oracle_graphic(
+    model: Model,
+) -> list[tuple[str, tuple[str, ...], tuple[str, str] | None, tuple[str, ...] | None]]:
+    """(constraint, statements, relation, theme set) of each graphic
+    violation, read off the definitions over the raw graph, sorted:
+
+    * tr: a relation has a theme that both its endpoints have;
+    * nsa: no statement attacks itself under a theme;
+    * nnp: a pointer to a statement names an ordinary statement of the graph
+      that has the pointer's theme, and a pointer to a theme's summary names
+      a theme some statement has;
+    * kos: a pointer to an ordinary statement of the graph has only themes
+      of that statement;
+    * nss: no relation is both an attack and a support, and no statement
+      supports both ends of an attack, or is supported by both, under a
+      shared theme.
+    """
+    by_id = {s.id: s for s in model.statements}
+
+    def themes(sid: str) -> frozenset[str]:
+        return frozenset(model.statement_themes.get(sid, ()))
+
+    def ordinary(sid: str) -> bool:
+        return sid in by_id and by_id[sid].ref_theme is None
+
+    supports = {r.pair: r.themes for r in model.relations if SUPPORT in r.rel_types}
+    out = []
+    for r in model.relations:
+        if not r.themes & themes(r.source) & themes(r.target):
+            out.append(("tr", (), r.pair, None))
+        if r.source == r.target and ATTACK in r.rel_types and r.themes:
+            out.append(("nsa", (), r.pair, None))
+        if ATTACK not in r.rel_types:
+            continue
+        if SUPPORT in r.rel_types:
+            out.append(("nss", (), r.pair, None))
+        for s in by_id:
+            for a, b in (
+                ((s, r.source), (s, r.target)),  # s supports both ends
+                ((r.source, s), (r.target, s)),  # both ends support s
+            ):
+                if a in supports and b in supports and supports[a] & supports[b]:
+                    shared = tuple(sorted(supports[a] & supports[b]))
+                    out.append(("nss", (s,), r.pair, shared))
+    for p in model.statements:
+        if p.ref_theme is None:
+            continue
+        if p.ref_target is None:
+            if not any(p.ref_theme in themes(s) for s in by_id):
+                out.append(("nnp", (p.id,), None, None))
+            continue
+        if not (ordinary(p.ref_target) and p.ref_theme in themes(p.ref_target)):
+            out.append(("nnp", (p.id,), None, None))
+        if ordinary(p.ref_target) and not themes(p.id) <= themes(p.ref_target):
+            out.append(("kos", (p.id,), None, None))
+    return sorted(out, key=repr)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aspectarg
-from aspectarg.cli import run
+from aspectarg import cli
+from aspectarg.cli import build_parser, run
 from aspectarg.corpus import CORPUS_NAMES, corpus_path
-from aspectarg.errors import ModelFileError
+from aspectarg.errors import AspectArgError, ModelFileError
 from aspectarg.modelfile import loads
 
 
@@ -921,6 +923,98 @@ def test_argparse_writes_to_the_given_streams(capsys):
     assert (code, err) == (0, "")
     assert out.startswith("usage: aspectarg")
     assert capsys.readouterr() == ("", "")
+
+
+# ---------------------------------------------------------------------------
+# One parse per command line.
+# ---------------------------------------------------------------------------
+
+STRAW = path("straw_man")
+
+#: Command lines, usage errors included, that ``run`` must treat exactly as
+#: the top-level parser does.
+DISPATCH_LINES = [
+    [],
+    ["-h"],
+    ["--bogus"],
+    ["-h", "check"],
+    ["frobnicate", STRAW],
+    ["check"],
+    ["check", STRAW, "--bogus"],
+    ["check", STRAW, "extra"],
+    ["check", STRAW, "extra", "--bogus", "more"],
+    ["check", STRAW, "--format", "xml"],
+    ["conclude", STRAW, "--semantics", "bogus", "--scan-logical"],
+    ["check", "--", STRAW],
+    ["check", STRAW, "--al", "core"],
+    ["check", STRAW, "--form=machine"],
+    ["check", STRAW, "-h", "--alpha", "core"],
+    ["check", "--format", "machine", STRAW],
+    ["check", STRAW, "--alpha", "E"],
+    ["synthesize", STRAW, "-o"],
+    ["validate", STRAW],
+    ["conclude", STRAW, "--scan-logical", "--format", "machine"],
+    ["conclude", STRAW],
+    ["classify-relations", STRAW, "--themes", "t1"],
+]
+
+
+def line_id(argv):
+    return " ".join("FILE" if arg == STRAW else arg for arg in argv) or "(empty)"
+
+
+def top_level(argv):
+    """(exit code, stdout, stderr) of ``argv`` parsed by the top-level parser,
+    which hands the tail to the command's subparser, and run as ``run`` runs
+    a command."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0), out.getvalue(), err.getvalue()
+    try:
+        code = args.func(args, out, err)
+    except AspectArgError as exc:
+        err.write(f"error: {exc}\n")
+        code = 2
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """A line that starts with a command goes straight to its subparser,
+    with the top-level parser's output, exit code and namespace."""
+
+    @pytest.mark.parametrize("argv", DISPATCH_LINES, ids=line_id)
+    def test_run_matches_the_top_level_parser(self, argv):
+        assert invoke(*argv) == top_level(argv)
+
+    @pytest.mark.parametrize("argv", DISPATCH_LINES, ids=line_id)
+    def test_commands_get_the_top_level_namespace(self, argv):
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                expected = build_parser().parse_args(argv)
+        except SystemExit:
+            return
+        assert cli._parse(argv) == expected
+
+    def test_the_top_level_parser_skips_lines_that_start_with_a_command(self, monkeypatch):
+        commands = cli._parsers()[1]
+        lines = [argv for argv in DISPATCH_LINES if argv and argv[0] in commands]
+        expected = [top_level(argv) for argv in lines]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a command line")
+
+        monkeypatch.setattr(build_parser(), "parse_args", refuse)
+        monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+        assert [invoke(*argv) for argv in lines] == expected
+        # with no argv, the process's own arguments
+        monkeypatch.setattr(sys, "argv", ["aspectarg", *lines[-1]])
+        out, err = io.StringIO(), io.StringIO()
+        assert (run(None, out, err), out.getvalue(), err.getvalue()) == expected[-1]
+        with pytest.raises(AssertionError):
+            invoke("--bogus")
 
 
 # ---------------------------------------------------------------------------

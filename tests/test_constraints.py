@@ -44,7 +44,10 @@ from helpers import (
     issubset,
     oracle_core,
     oracle_exact_region,
+    oracle_fresh_aspects,
+    oracle_graphic,
     oracle_relation_kinds,
+    random_graphic_safe_model,
     random_model_any,
     random_total_interpretation,
     redundant_instance,
@@ -721,6 +724,58 @@ class TestFreshAspectOrder:
                 if len(set(keys)) > 1:
                     unordered_lists[cid] += 1
         assert min(unordered_lists.values()) >= 30, unordered_lists
+
+
+def with_isolated_statements(rng, model):
+    """``model`` with every relation of one or two of its statements dropped:
+    anchors with no predecessor, whose rows may equal other statements'."""
+    isolated = set(rng.sample([s.id for s in model.statements], min(2, len(model.statements))))
+    kept = [r for r in model.relations if not {r.source, r.target} & isolated]
+    return Model.build(model.themes, model.statements, model.statement_themes, kept)
+
+
+class TestFreshAspectOracle:
+    """F against the statements-set and redundancy oracles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans(), st.booleans())
+    def test_witnesses_match_the_oracle(self, seed, redundant, isolated):
+        rng = random.Random(seed)
+        if redundant:
+            model, interp = redundant_instance(rng)
+        else:
+            model = random_model_any(rng, max_themes=3)
+            interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+        if isolated:
+            model = with_isolated_statements(rng, model)
+        model = shuffled(rng, model)
+        found = check_fresh_aspects(model, interp)
+        got = [
+            (v.constraint, v.statements, v.theme_set, v.rel_type)
+            for vs in found.values()
+            for v in vs
+        ]
+        assert got == oracle_fresh_aspects(model, interp)
+
+
+class TestGraphicOracle:
+    """The graphic constraints against a checker written from the definitions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_witnesses_match_the_oracle(self, seed, safe):
+        rng = random.Random(seed)
+        if safe:
+            model = random_graphic_safe_model(rng, max_themes=3, max_relations=5)
+        else:
+            model = random_model_any(rng, max_themes=3)
+        model = shuffled(rng, model)
+        found = [
+            (v.constraint, v.statements, v.relation, v.theme_set)
+            for vs in check_graphic(model).values()
+            for v in vs
+        ]
+        assert sorted(found, key=repr) == oracle_graphic(model)
 
 
 class TestClassifyRelation:
