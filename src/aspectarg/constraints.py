@@ -222,10 +222,10 @@ def _relation_violations(
                 # an absent aspect has no kind: it fails aass only
                 failed = (kinds & avoid or not kinds & show) if kinds else cid == "aass"
                 if rel_type in r.rel_types and failed:
-                    t_key = table.key(tmask)
+                    t_key = table.keys[tmask]
                     detail = text.format(
                         pair=r.pair,
-                        themes=table.key_text(tmask),
+                        themes=table.key_texts[tmask],
                         u=_render(table, u),
                         v=_render(table, v),
                     )
@@ -416,7 +416,7 @@ def _core(
     compare each mask with every mask one theme smaller.  Each list is in no
     particular order.
     """
-    model, key, text = table.model, table.key, table.key_text
+    model, keys, texts = table.model, table.keys, table.key_texts
     out: dict[str, list[Violation]] = {cid: [] for cid in CORE_IDS}
     omega = columns(OMEGA)[0]
     # each mask with every mask one theme smaller, as (smaller, larger)
@@ -434,8 +434,8 @@ def _core(
             out["bat"].append(
                 Violation(
                     "bat",
-                    theme_set=key(tmask),
-                    detail=f"theme aspects at {text(tmask)} are not a subalgebra "
+                    theme_set=keys[tmask],
+                    detail=f"theme aspects at {texts[tmask]} are not a subalgebra "
                     "(missing 0/1 or not closed under not/and/or)",
                 )
             )
@@ -444,9 +444,9 @@ def _core(
             out["mat"].append(
                 Violation(
                     "mat",
-                    theme_set=key(t1),
-                    theme_set2=key(t2),
-                    detail=f"theme aspects shrink from {text(t1)} to {text(t2)}",
+                    theme_set=keys[t1],
+                    theme_set2=keys[t2],
+                    detail=f"theme aspects shrink from {texts[t1]} to {texts[t2]}",
                 )
             )
 
@@ -470,8 +470,8 @@ def _core(
                     Violation(
                         "i",
                         (sid,),
-                        theme_set=key(tmask),
-                        detail=f"aspects of {sid} at {text(tmask)} are not all aspects "
+                        theme_set=keys[tmask],
+                        detail=f"aspects of {sid} at {texts[tmask]} are not all aspects "
                         "of the theme set",
                     )
                 )
@@ -480,8 +480,8 @@ def _core(
                     Violation(
                         "pr",
                         (sid,),
-                        theme_set=key(tmask),
-                        detail=f"aspects of {sid} at {text(tmask)} exceed the proper-range "
+                        theme_set=keys[tmask],
+                        detail=f"aspects of {sid} at {texts[tmask]} exceed the proper-range "
                         f"bound from its own themes{target}",
                     )
                 )
@@ -494,9 +494,9 @@ def _core(
                     Violation(
                         "ss",
                         (sid,),
-                        theme_set=key(tmask),
+                        theme_set=keys[tmask],
                         detail=f"{sid} effectively touches upon the {which} aspect "
-                        f"at {text(tmask)}",
+                        f"at {texts[tmask]}",
                     )
                 )
         if s.is_summary_pointer:
@@ -508,9 +508,9 @@ def _core(
                     Violation(
                         "manss",
                         (sid,),
-                        theme_set=key(t1),
-                        theme_set2=key(t2),
-                        detail=f"aspects of {sid} shrink from {text(t1)} to {text(t2)}",
+                        theme_set=keys[t1],
+                        theme_set2=keys[t2],
+                        detail=f"aspects of {sid} shrink from {texts[t1]} to {texts[t2]}",
                     )
                 )
     # after the sweep, so that aass reads the columns it built
@@ -548,7 +548,7 @@ def _exact_region(
     named = [(sid,) for sid in sids]
     heads = [f"aspects of {sid} differ between " for sid in sids]
     found: list[list[Violation]] = [[] for _ in stmts]
-    keys = [table.key(tmask) for tmask in subsets]
+    keys = [table.keys[tmask] for tmask in subsets]
     omega = columns(OMEGA)[0]
     omegas = [omega[tmask] for tmask in subsets]
     statement_rows = [columns(sid)[0] for sid in sids]
@@ -585,7 +585,7 @@ def _exact_region(
                 elif (common if a[0] else a[1] & common) == (common if b[0] else b[1] & common):
                     continue
                 if tail is None:
-                    t1, t2 = table.key_text(subsets[i1]), table.key_text(subsets[i2])
+                    t1, t2 = table.key_texts[subsets[i1]], table.key_texts[subsets[i2]]
                     tail = f"{t1} and {t2} inside their common theme region"
                 found[j].append(
                     Violation(
@@ -723,7 +723,7 @@ def classify_relations(
         for tmask in masks:
             kinds = _kinds(table.inf(tmask, r.source), table.inf(tmask, r.target), full)
             labels = frozenset(label for kind, label in KIND_LABELS.items() if kinds & kind)
-            out.append((r, table.key(tmask), labels or frozenset(["undefined"])))
+            out.append((r, table.keys[tmask], labels or frozenset(["undefined"])))
     return out
 
 

@@ -16,11 +16,12 @@ A formula may nest at most :data:`MAX_DEPTH` levels, counting each operator
 and each parenthesised group on the way down to a leaf, so that evaluating
 and printing it stay within Python's recursion limit.
 
-One tokenizer (a single regular expression) and one recursive-descent parser
-read every formula.  The parser folds each rule as it goes: :func:`parse`
-folds to the expression tree, and :class:`ElementReader`, which the model-file
-loader uses, folds straight to the masks of algebra elements without building
-a tree.  :func:`evaluate` applies the same mask operations to a tree.
+One tokenizer (a single regular expression) and one precedence-climbing loop
+over the operator table ``_OPERATORS``, which encodes the four binary rules,
+read every formula; :func:`evaluate` and :func:`format_expr` read the same
+table.  The parser folds each operator as it goes: :func:`parse` folds to the
+expression tree, and :class:`ElementReader`, which the model-file loader uses,
+folds straight to the masks of algebra elements without building a tree.
 """
 
 from __future__ import annotations
@@ -79,8 +80,16 @@ AspectExpr = Union[Atom, Const, Not, And, Or, Implies, Iff]
 #: with.  Matches are contiguous, so a text tokenizes by one ``findall``.
 _TOKEN = re.compile(r"\s*(?:(<->|->|[&|~()01]|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
 
+#: The binary operators: token -> (precedence, right-associative, tree node).
+#: A higher precedence binds tighter; ``~`` binds tighter than all of them.
+_OPERATORS = {"<->": (1, False, Iff), "->": (2, True, Implies),
+              "|": (3, False, Or), "&": (4, False, And)}
+
+#: Each binary node's token and the precedence and associativity it prints with.
+_SYNTAX = {node: (tok, prec, right) for tok, (prec, right, node) in _OPERATORS.items()}
+
 #: Tokens that cannot start an operand.
-_NO_OPERAND = frozenset(("<->", "->", "&", "|", ")"))
+_NO_OPERAND = frozenset(_OPERATORS) | {")"}
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -90,23 +99,23 @@ MAX_DEPTH = 100
 
 
 class _Fold:
-    """What the parser makes of each grammar rule.
+    """What the parser makes of each leaf and operator; ``binary`` maps each
+    binary tree node to the fold of its two operands.
 
     ``atom`` may return ``None`` for a name it does not know; the parser then
     folds on with ``const(False)`` and reports the first such name once the
     whole text has parsed.
     """
 
-    __slots__ = ("atom", "const", "neg", "conj", "disj", "implies", "iff")
+    __slots__ = ("atom", "const", "neg", "binary")
 
-    def __init__(self, atom: Callable, const: Callable, neg: Callable, conj: Callable,
-                 disj: Callable, implies: Callable, iff: Callable):
-        self.atom, self.const, self.neg = atom, const, neg
-        self.conj, self.disj, self.implies, self.iff = conj, disj, implies, iff
+    def __init__(self, atom: Callable, const: Callable, neg: Callable,
+                 binary: Mapping[type, Callable]):
+        self.atom, self.const, self.neg, self.binary = atom, const, neg, binary
 
 
 #: The fold that builds the expression tree.
-_TREE = _Fold(Atom, Const, Not, And, Or, Implies, Iff)
+_TREE = _Fold(Atom, Const, Not, {node: node for node in _SYNTAX})
 
 
 def _mask_fold(algebra: Algebra) -> _Fold:
@@ -117,15 +126,17 @@ def _mask_fold(algebra: Algebra) -> _Fold:
         masks.get,
         (0, full).__getitem__,  # False -> bottom, True -> top
         full.__xor__,  # complement
-        int.__and__,
-        int.__or__,
-        lambda left, right: left ^ full | right,  # ~left | right
-        lambda left, right: left ^ right ^ full,  # ~(left xor right)
+        {
+            And: int.__and__,
+            Or: int.__or__,
+            Implies: lambda left, right: left ^ full | right,  # ~left | right
+            Iff: lambda left, right: left ^ right ^ full,  # ~(left xor right)
+        },
     )
 
 
 class _Parser:
-    """Recursive descent over one text; every rule returns its folded value
+    """Precedence climbing over one text; every rule returns its folded value
     and the depth of its tree.
 
     Token offsets are found again only for an error message, so the parse
@@ -150,7 +161,7 @@ class _Parser:
         self.unknown: str | None = None  # the first name ``fold.atom`` did not know
 
     def run(self):
-        value, _ = self.parse_iff()
+        value, _ = self.parse_binary(1)
         tok = self.tokens[self.i]
         if tok is not None:
             raise FormulaError(f"trailing input {tok!r}", offset=self.offset(self.i))
@@ -161,11 +172,6 @@ class _Parser:
         if i == len(self.tokens) - 1:
             return len(self.text)
         return next(islice(_TOKEN.finditer(self.text), i, None)).start(1)
-
-    def expect(self, tok: str) -> None:
-        if self.tokens[self.i] != tok:
-            raise FormulaError(f"expected {tok!r}", offset=self.offset(self.i))
-        self.i += 1
 
     def too_deep(self, at: int) -> FormulaError:
         return FormulaError(f"formula nests deeper than {MAX_DEPTH} levels", offset=self.offset(at))
@@ -182,40 +188,24 @@ class _Parser:
             raise self.too_deep(at)
         return op(left[0], right[0]), depth
 
-    def parse_iff(self):
-        e = self.parse_implies()
-        while self.tokens[self.i] == "<->":
-            at = self.i
-            self.i += 1
-            e = self.joined(self.fold.iff, e, self.parse_implies(), at)
-        return e
-
-    def parse_implies(self):
-        e = self.parse_or()
-        if self.tokens[self.i] == "->":
-            at = self.i
-            self.i += 1
-            self.descend(at)
-            right = self.parse_implies()
-            self.nesting -= 1
-            return self.joined(self.fold.implies, e, right, at)
-        return e
-
-    def parse_or(self):
-        e = self.parse_and()
-        while self.tokens[self.i] == "|":
-            at = self.i
-            self.i += 1
-            e = self.joined(self.fold.disj, e, self.parse_and(), at)
-        return e
-
-    def parse_and(self):
+    def parse_binary(self, least: int):
+        """An operand and every binary operator after it of precedence at
+        least ``least``; a right-associative one nests, and its level counts."""
         e = self.parse_unary()
-        while self.tokens[self.i] == "&":
+        while True:
+            op = _OPERATORS.get(self.tokens[self.i])
+            if op is None or op[0] < least:
+                return e
+            prec, right, node = op
             at = self.i
             self.i += 1
-            e = self.joined(self.fold.conj, e, self.parse_unary(), at)
-        return e
+            if right:
+                self.descend(at)
+                operand = self.parse_binary(prec)
+                self.nesting -= 1
+            else:
+                operand = self.parse_binary(prec + 1)
+            e = self.joined(self.fold.binary[node], e, operand, at)
 
     def parse_unary(self):
         at = self.i
@@ -232,9 +222,11 @@ class _Parser:
             value = self.fold.neg(operand)
         elif tok == "(":
             self.descend(at)
-            value, depth = self.parse_iff()
+            value, depth = self.parse_binary(1)
             self.nesting -= 1
-            self.expect(")")
+            if self.tokens[self.i] != ")":
+                raise FormulaError("expected ')'", offset=self.offset(self.i))
+            self.i += 1
         elif tok == "0" or tok == "1":
             return self.fold.const(tok == "1"), 0
         else:
@@ -277,9 +269,6 @@ class ElementReader:
         return mask
 
 
-_BINARY = {And: "conj", Or: "disj", Implies: "implies", Iff: "iff"}
-
-
 def evaluate(expr: AspectExpr, algebra: Algebra) -> Element:
     """The element whose minterms are exactly the satisfying assignments of ``expr``."""
     fold = _mask_fold(algebra)
@@ -292,15 +281,12 @@ def evaluate(expr: AspectExpr, algebra: Algebra) -> Element:
             return fold.const(e.value)
         if isinstance(e, Not):
             return fold.neg(mask(e.operand))
-        op = _BINARY.get(type(e))
+        op = fold.binary.get(type(e))
         if op is None:
             raise TypeError(f"not an aspect expression: {e!r}")
-        return getattr(fold, op)(mask(e.left), mask(e.right))
+        return op(mask(e.left), mask(e.right))
 
     return Element(algebra, mask(expr))
-
-
-_LEVEL = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
 
 
 def _fmt(expr: AspectExpr, parent_level: int) -> str:
@@ -308,15 +294,13 @@ def _fmt(expr: AspectExpr, parent_level: int) -> str:
         return expr.name
     if isinstance(expr, Const):
         return "1" if expr.value else "0"
-    level = _LEVEL[type(expr)]
     if isinstance(expr, Not):
+        level = len(_OPERATORS) + 1  # tighter than every binary operator
         body = f"~{_fmt(expr.operand, level)}"
-    elif isinstance(expr, Implies):
-        # right-associative: only the right child may be another bare implies
-        body = f"{_fmt(expr.left, level + 1)} -> {_fmt(expr.right, level)}"
     else:
-        op = {And: "&", Or: "|", Iff: "<->"}[type(expr)]
-        body = f"{_fmt(expr.left, level)} {op} {_fmt(expr.right, level + 1)}"
+        tok, level, right = _SYNTAX[type(expr)]
+        # only the child on the associative side may be a bare operator of this level
+        body = f"{_fmt(expr.left, level + right)} {tok} {_fmt(expr.right, level + (not right))}"
     return f"({body})" if level < parent_level else body
 
 

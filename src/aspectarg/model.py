@@ -285,6 +285,17 @@ def _listable(algebra: Algebra) -> int:
     return algebra.carrier_size if algebra.k <= 4 else -1
 
 
+class _Memo(dict):
+    """Values of ``make`` by key, each computed on its first read."""
+
+    def __init__(self, make: Callable) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class AspectTable:
     """One interpretation compiled against one model for integer reads.
 
@@ -313,9 +324,14 @@ class AspectTable:
         self._omega_rows: dict[int, Row] | None = None
         self._explicit: dict[str, dict[int, Row]] = {}
         self._columns: dict[str, tuple[list[Row], list[int | None]]] = {}
-        self._theme_sets: dict[int, frozenset[str]] = {}
-        self._keys: dict[int, tuple[str, ...]] = {}
-        self._key_texts: dict[int, str] = {}
+        # each mask's theme set, its sorted names as violation records carry
+        # them, and their ``repr`` as violation details print theme sets
+        names = self.names
+        self.themes = themes = _Memo(
+            lambda tmask: frozenset(t for i, t in enumerate(names) if tmask >> i & 1)
+        )
+        self.keys = keys = _Memo(lambda tmask: tuple(sorted(themes[tmask])))
+        self.key_texts = _Memo(lambda tmask: repr(keys[tmask]))
 
     def mask(self, themes: Iterable[str]) -> int:
         """The mask of a theme set; every theme must be declared by the model."""
@@ -325,29 +341,6 @@ class AspectTable:
             if bit is None:
                 raise UnknownIdError(f"unknown theme id {th!r}")
             out |= bit
-        return out
-
-    def themes(self, tmask: int) -> frozenset[str]:
-        out = self._theme_sets.get(tmask)
-        if out is None:
-            names = self.names
-            out = self._theme_sets[tmask] = frozenset(
-                t for i, t in enumerate(names) if tmask >> i & 1
-            )
-        return out
-
-    def key(self, tmask: int) -> tuple[str, ...]:
-        """The sorted theme names of a mask, as violation records carry them."""
-        out = self._keys.get(tmask)
-        if out is None:
-            out = self._keys[tmask] = tuple(sorted(self.themes(tmask)))
-        return out
-
-    def key_text(self, tmask: int) -> str:
-        """``repr`` of :meth:`key`, as violation details print theme sets."""
-        out = self._key_texts.get(tmask)
-        if out is None:
-            out = self._key_texts[tmask] = repr(self.key(tmask))
         return out
 
     def row(self, tmask: int, s: str) -> Row:
@@ -361,10 +354,10 @@ class AspectTable:
         if built is not None:
             return built[0][tmask]
         if s == OMEGA:
-            return self.interp.theme_aspects.get(self.themes(tmask), EMPTY_ROW)
+            return self.interp.theme_aspects.get(self.themes[tmask], EMPTY_ROW)
         stmt = self.model.statement(s)
         rows = self.interp.statement_aspects
-        out = rows.get((self.themes(tmask), s))
+        out = rows.get((self.themes[tmask], s))
         if out is not None:
             return out
         if stmt.is_summary_pointer or tmask & (tmask - 1) == 0:
@@ -375,7 +368,7 @@ class AspectTable:
         while rest:
             bit = rest & -rest
             rest ^= bit
-            out = _union(out, rows.get((self.themes(bit), s), EMPTY_ROW))
+            out = _union(out, rows.get((self.themes[bit], s), EMPTY_ROW))
         return FULL_ROW if len(out[1]) == self._listable else out
 
     def inf(self, tmask: int, s: str) -> int | None:

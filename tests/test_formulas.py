@@ -1,6 +1,9 @@
+import inspect
 import json
 import random
+import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +224,26 @@ class TestDepthLimit:
         with pytest.raises(FormulaError):
             parse(make(MAX_DEPTH + 1))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH,
+            "~" * MAX_DEPTH + "p",
+            " -> ".join(["p"] * (MAX_DEPTH + 1)),
+            "(~" * (MAX_DEPTH // 2) + "p" + ")" * (MAX_DEPTH // 2),
+        ],
+        ids=["parentheses", "negations", "implications", "negated_groups"],
+    )
+    def test_limit_needs_few_frames_per_level(self, text):
+        """A formula at the depth limit parses in under three frames a level."""
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 3 * MAX_DEPTH)
+        try:
+            tree = parse(text)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tree == oracle_parse(text)
+
     def test_synthesized_chains_parse(self):
         chain = " | ".join(f"w1_{i}" for i in range(1, 21))
         a = mk_algebra([f"w1_{i}" for i in range(1, 21)])
@@ -341,6 +364,32 @@ class TestLoaderMatchesTheReferenceReader:
         with pytest.raises(AspectArgError) as info:
             ElementReader(mk_algebra(PROPS)).read(text)
         assert str(info.value) == message
+
+
+BINARY_TOKENS = ["&", "|", "->", "<->"]
+
+
+def _error(parser, text: str) -> tuple[str, int | None]:
+    with pytest.raises(FormulaError) as info:
+        parser(text)
+    return str(info.value), info.value.offset
+
+
+class TestOperatorPairs:
+    """Every ordered pair of binary operators, against the reference parser."""
+
+    @pytest.mark.parametrize("op1, op2", list(product(BINARY_TOKENS, repeat=2)))
+    def test_precedence_and_associativity(self, op1, op2):
+        for text in (f"a {op1} b {op2} c", f"~a {op1} b {op2} c",
+                     f"a {op1} (b {op2} c)", f"(a {op1} b) {op2} c"):
+            tree = parse(text)
+            assert tree == oracle_parse(text), text
+            assert parse(format_expr(tree)) == tree, text
+
+    @pytest.mark.parametrize("op1, op2", list(product(BINARY_TOKENS, repeat=2)))
+    def test_missing_operands(self, op1, op2):
+        for text in (f"a {op1} {op2} b", f"{op1} a", f"a {op1}"):
+            assert _error(parse, text) == _error(oracle_parse, text), text
 
 
 class TestLoaderCheckOrder:
