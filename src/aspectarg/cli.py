@@ -9,6 +9,10 @@ Commands::
     aspectarg classify-relations FILE [--themes t1,t2] [--format ...]
     aspectarg synthesize FILE [--output OUT]
 
+``COMMANDS`` declares each command once.  The argparse parser is built from
+it, and ``run`` reads a plain command line from the table alone, leaving
+help and usage errors to argparse.
+
 Exit codes: 0 = normal / no fallacy found, 1 = fallacy found,
 2 = usage, format, well-formedness or cap error.
 """
@@ -19,8 +23,7 @@ import argparse
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
-from gettext import gettext
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import constraints, semantics
 from .constraints import ALPHA_GROUPS
@@ -234,90 +237,102 @@ def cmd_synthesize(args, out, err) -> int:
     return OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use and shared by later calls;
-    parsing reads it and never changes it."""
-    return _parsers()[0]
+class Option(NamedTuple):
+    """A command's option; its first string is long and names its attribute."""
+
+    strings: tuple[str, ...]
+    help: str | None = None
+    default: Any = None
+    choices: tuple[str, ...] | None = None
+    flag: bool = False  # takes no value; its default is False
+
+    @property
+    def dest(self) -> str:
+        return self.strings[0][2:].replace("-", "_")
+
+
+FORMAT = Option(("--format",), default="human", choices=("human", "machine"))
+
+#: Each command's handler, help and options in help order; each takes the file first.
+COMMANDS: dict[str, tuple[Callable[..., int], str, tuple[Option, ...]]] = {
+    "validate": (cmd_validate, "schema and well-formedness check", (FORMAT,)),
+    "check": (cmd_check, "graphic + chosen semantic constraint checks", (FORMAT, Option(
+        ("--alpha",), "comma-separated constraint groups (core,E,das,nwci,F); must include core",
+        default="core"))),
+    "conclude": (cmd_conclude, "extensions and logico-rhetorical conclusion", (
+        FORMAT,
+        Option(("--themes",), "comma-separated theme set"),
+        Option(("--semantics",), default="grounded", choices=semantics.SEMANTICS_IDS),
+        Option(("--scan-logical",), "scan all used theme subsets for a bottom conclusion",
+               default=False, flag=True))),
+    "classify-relations": (cmd_classify_relations, "semantic labels per relation",
+                           (FORMAT, Option(("--themes",), "restrict to one theme set"))),
+    "synthesize": (cmd_synthesize, "complete a graph with a Core-satisfying interpretation",
+                   (Option(("--output", "-o"), "write the completed model file here"),)),
+}
 
 
 @cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command line parser and its subparser for each command name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``COMMANDS``, built on first use and shared by
+    later calls; parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="aspectarg",
         description="Constraint-based fallacy checking on theme aspect argumentation models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, (func, summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("file", help="model file (JSON)")
-        p.add_argument("--format", choices=("human", "machine"), default="human")
-
-    p = sub.add_parser("validate", help="schema and well-formedness check")
-    add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("check", help="graphic + chosen semantic constraint checks")
-    add_common(p)
-    p.add_argument(
-        "--alpha",
-        default="core",
-        help="comma-separated constraint groups (core,E,das,nwci,F); must include core",
-    )
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("conclude", help="extensions and logico-rhetorical conclusion")
-    add_common(p)
-    p.add_argument("--themes", help="comma-separated theme set")
-    p.add_argument("--semantics", choices=semantics.SEMANTICS_IDS, default="grounded")
-    p.add_argument(
-        "--scan-logical",
-        action="store_true",
-        help="scan all used theme subsets for a bottom conclusion",
-    )
-    p.set_defaults(func=cmd_conclude)
-
-    p = sub.add_parser("classify-relations", help="semantic labels per relation")
-    add_common(p)
-    p.add_argument("--themes", help="restrict to one theme set")
-    p.set_defaults(func=cmd_classify_relations)
-
-    p = sub.add_parser("synthesize", help="complete a graph with a Core-satisfying interpretation")
-    p.add_argument("file", help="model file (JSON)")
-    p.add_argument("--output", "-o", help="write the completed model file here")
-    p.set_defaults(func=cmd_synthesize)
-    return parser, dict(sub.choices)
+        for opt in options:
+            kind = {"action": "store_true"} if opt.flag else {"choices": opt.choices}
+            p.add_argument(*opt.strings, help=opt.help, default=opt.default, **kind)
+        p.set_defaults(func=func)
+    return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """What ``build_parser().parse_args(argv)`` gives, parsing ``argv`` once.
-
-    The top-level parser hands everything after a command name to that
-    command's subparser, so a line that starts with one goes straight there;
-    what the subparser leaves over is refused by the top-level parser, as
-    ``parse_args`` refuses it.  Any other line, help and unknown commands
-    included, goes through the top-level parser.
-    """
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
-    return argparse.Namespace(command=argv[0], **vars(args))
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` gives, read from ``COMMANDS``
+    for a plain line: a command, one file, flags and exact option strings,
+    each value after ``--long=`` or in the next token, among its choices; no
+    file or value starts with ``-``, and a repeated option keeps its last
+    value.  None for any other line, which argparse parses: help and usage
+    errors keep argparse's text and exit code."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    given = dict(((opt.dest, opt.default) for opt in options), command=argv[0], func=func, file=None)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if given["file"] is not None:
+                return None
+            given["file"] = token
+            continue
+        name, eq, value = token.partition("=")
+        opt = next((o for o in options if name in o.strings), None)
+        if opt is None or eq and (opt.flag or not name.startswith("--")):
+            return None
+        if not (opt.flag or eq):
+            value = next(tokens, "-")
+        if not opt.flag and (value.startswith("-") or opt.choices and value not in opt.choices):
+            return None
+        given[opt.dest] = opt.flag or value
+    return argparse.Namespace(**given) if given["file"] is not None else None
 
 
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            args = _parse(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, matching our error code
-        return int(exc.code or 0)
+    args = _read(argv)
+    if args is None:
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors, matching our error code
+            return int(exc.code or 0)
     try:
         return args.func(args, out, err)
     except AspectArgError as exc:

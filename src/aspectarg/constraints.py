@@ -14,6 +14,7 @@ independently auditable.  The semantic checkers accept a compiled
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import Element, closed_under_boolean_ops
@@ -785,7 +786,7 @@ def classify_normal_form(
     groups = {g: run_group(model, interp, g, table) for g in ALPHA_GROUPS if g in chosen}
     by_id = {cid: vs for found in groups.values() for cid, vs in found.items()}
     # each list is in sort_key order, which leads with the constraint id
-    violations = tuple(v for cid in SEMANTIC_IDS if cid in by_id for v in by_id[cid])
+    violations = tuple(chain.from_iterable(by_id[cid] for cid in SEMANTIC_IDS if cid in by_id))
     return NormalFormVerdict(chosen, not violations, violations, groups)
 
 

@@ -7,6 +7,7 @@ machine rendering is plain JSON of the same structure.
 
 from __future__ import annotations
 
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping, Sequence
 
@@ -67,7 +68,7 @@ def _write(value: Any, nl: str, chunks: list[str], memos: dict) -> None:
             chunks.append("[]")
             return
         inner = nl + "  "
-        if all(isinstance(item, Violation) for item in value):
+        if all(map(isinstance, value, repeat(Violation))):
             chunks.append("[" + inner)
             _write_records(value, inner, chunks, memos)
         else:

@@ -1,7 +1,12 @@
+import argparse
 import copy
 import io
 import json
 import os
+import re
+import runpy
+import shlex
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -956,6 +961,17 @@ DISPATCH_LINES = [
     ["conclude", STRAW, "--scan-logical", "--format", "machine"],
     ["conclude", STRAW],
     ["classify-relations", STRAW, "--themes", "t1"],
+    ["check", STRAW, "--format=machine", "--alpha=core,das"],
+    ["conclude", STRAW, "--themes", "t1", "--scan-logical", "--themes", "t", "--scan-logical"],
+    ["validate", STRAW, "--format", "machine", "--format", "human"],
+    ["synthesize", STRAW, "--output="],
+    ["check", ""],
+    ["conclude", STRAW, "--themes", "-1"],
+    ["conclude", STRAW, "--themes", "-a b"],
+    ["conclude", STRAW, "--scan-logical=yes"],
+    ["check", STRAW, "--alpha="],
+    ["check", STRAW, "--format="],
+    ["synthesize", STRAW, "-o=", "-o", "--format"],
 ]
 
 
@@ -981,9 +997,18 @@ def top_level(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def parsed(argv):
+    """``build_parser().parse_args(argv)``, or None where argparse exits."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
 class TestDispatch:
-    """A line that starts with a command goes straight to its subparser,
-    with the top-level parser's output, exit code and namespace."""
+    """A plain line is read from the command table without argparse, with
+    argparse's output, exit code and namespace; argparse parses the rest."""
 
     @pytest.mark.parametrize("argv", DISPATCH_LINES, ids=line_id)
     def test_run_matches_the_top_level_parser(self, argv):
@@ -991,30 +1016,117 @@ class TestDispatch:
 
     @pytest.mark.parametrize("argv", DISPATCH_LINES, ids=line_id)
     def test_commands_get_the_top_level_namespace(self, argv):
-        try:
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                expected = build_parser().parse_args(argv)
-        except SystemExit:
-            return
-        assert cli._parse(argv) == expected
+        args = cli._read(argv)
+        if args is not None:
+            assert args == parsed(argv)
 
-    def test_the_top_level_parser_skips_lines_that_start_with_a_command(self, monkeypatch):
-        commands = cli._parsers()[1]
-        lines = [argv for argv in DISPATCH_LINES if argv and argv[0] in commands]
+    def test_a_line_the_reader_accepts_calls_no_parser(self, monkeypatch):
+        lines = [argv for argv in DISPATCH_LINES if cli._read(argv) is not None]
+        assert len(lines) >= 8
         expected = [top_level(argv) for argv in lines]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the top-level parser parsed a command line")
+            raise AssertionError("argparse parsed a command line")
 
-        monkeypatch.setattr(build_parser(), "parse_args", refuse)
-        monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+        # every parser, the top-level one and each command's, is an ArgumentParser
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
         assert [invoke(*argv) for argv in lines] == expected
         # with no argv, the process's own arguments
         monkeypatch.setattr(sys, "argv", ["aspectarg", *lines[-1]])
         out, err = io.StringIO(), io.StringIO()
         assert (run(None, out, err), out.getvalue(), err.getvalue()) == expected[-1]
         with pytest.raises(AssertionError):
-            invoke("--bogus")
+            invoke("check", STRAW, "--al", "core")
+
+    def test_the_reader_accepts_every_documented_and_benchmarked_line(self):
+        root = Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", readme, re.S | re.M)
+        documented = [
+            shlex.split(line, comments=True)[1:]
+            for line in block.group(1).splitlines()
+            if line.startswith("aspectarg ")
+        ]
+        assert len(documented) == 7
+        workloads = runpy.run_path(str(root / "bench" / "workloads.py"))
+        benchmarked = {
+            step
+            for workload in workloads["WORKLOADS"]
+            for request in workloads["plan"](workload, 1, root).requests
+            for step in request.steps
+        }
+        refused = [argv for argv in documented + sorted(benchmarked) if cli._read(list(argv)) is None]
+        assert not refused
+
+
+#: The words of the differential's command lines: the table's commands and
+#: option strings, abbreviations, help, ``--``, values inside and outside the
+#: choices, values that start with ``-``, empty strings and ``=``-joined forms.
+OPTION_STRINGS = sorted(
+    {s for _, _, options in cli.COMMANDS.values() for opt in options for s in opt.strings}
+)
+VALUES = ["human", "machine", "xml", "core", "core,das", "E", "t", "t1,t2", "grounded",
+          "stable", "bogus", "out.json", "", "-1", "-a b", "straw.json"]
+WORDS = [*cli.COMMANDS, *OPTION_STRINGS, "--al", "--form", "--", "-h", *VALUES] + [
+    f"{opt}={value}" for opt in [*OPTION_STRINGS, "--al", "--form"]
+    for value in ("machine", "core", "t", "", "a=b", "-1")
+]
+
+
+def plain_option(opt):
+    """An exact option string of ``opt`` with a value it takes, or the flag."""
+    if opt.flag:
+        return st.just([opt.strings[0]])
+    value = st.sampled_from(opt.choices or ("t", "core,das", "out.json", ""))
+    return st.tuples(st.sampled_from(opt.strings), value).map(list) | value.map(
+        lambda v: [f"{opt.strings[0]}={v}"]
+    )
+
+
+@st.composite
+def command_lines(draw):
+    """A command, the file and its options, in any order, often with words
+    drawn from the whole vocabulary anywhere, or in place of the command."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    chunks = draw(st.lists(st.sampled_from(cli.COMMANDS[command][2]).flatmap(plain_option),
+                           max_size=4))
+    if draw(st.integers(0, 4)):
+        chunks.append(["straw.json"])
+    if draw(st.booleans()):
+        chunks += draw(st.lists(
+            st.tuples(st.sampled_from(OPTION_STRINGS), st.sampled_from(VALUES)).map(list)
+            | st.sampled_from(WORDS).map(lambda word: [word]),
+            min_size=1, max_size=3,
+        ))
+    chunks = draw(st.permutations(chunks))
+    head = command if draw(st.integers(0, 4)) else draw(st.sampled_from(WORDS))
+    return [head] + [word for chunk in chunks for word in chunk]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("lines")
+
+
+class TestReaderDifferential:
+    @settings(max_examples=400)
+    @given(argv=command_lines())
+    def test_run_matches_argparse(self, workdir, argv):
+        # in a scratch directory, from a fresh copy of the file each time,
+        # since a drawn line may write a witness over any value
+        here = os.getcwd()
+        os.chdir(workdir)
+        try:
+            shutil.copyfile(STRAW, "straw.json")
+            got = invoke(*argv)
+            shutil.copyfile(STRAW, "straw.json")
+            assert got == top_level(argv)
+            args = cli._read(argv)
+            if args is not None:
+                assert args == parsed(argv)
+        finally:
+            os.chdir(here)
 
 
 # ---------------------------------------------------------------------------
