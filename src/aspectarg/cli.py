@@ -244,7 +244,7 @@ class Option(NamedTuple):
     help: str | None = None
     default: Any = None
     choices: tuple[str, ...] | None = None
-    flag: bool = False  # takes no value; its default is False
+    flag: bool = False  # takes no value; its default is False, as for store_true
 
     @property
     def dest(self) -> str:
@@ -264,7 +264,7 @@ COMMANDS: dict[str, tuple[Callable[..., int], str, tuple[Option, ...]]] = {
         Option(("--themes",), "comma-separated theme set"),
         Option(("--semantics",), default="grounded", choices=semantics.SEMANTICS_IDS),
         Option(("--scan-logical",), "scan all used theme subsets for a bottom conclusion",
-               default=False, flag=True))),
+               flag=True))),
     "classify-relations": (cmd_classify_relations, "semantic labels per relation",
                            (FORMAT, Option(("--themes",), "restrict to one theme set"))),
     "synthesize": (cmd_synthesize, "complete a graph with a Core-satisfying interpretation",
@@ -274,8 +274,7 @@ COMMANDS: dict[str, tuple[Callable[..., int], str, tuple[Option, ...]]] = {
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of ``COMMANDS``, built on first use and shared by
-    later calls; parsing reads it and never changes it."""
+    """The argparse parser of ``COMMANDS``, built once, shared and never changed."""
     parser = argparse.ArgumentParser(
         prog="aspectarg",
         description="Constraint-based fallacy checking on theme aspect argumentation models",
@@ -285,23 +284,24 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("file", help="model file (JSON)")
         for opt in options:
-            kind = {"action": "store_true"} if opt.flag else {"choices": opt.choices}
-            p.add_argument(*opt.strings, help=opt.help, default=opt.default, **kind)
+            kind = {"action": "store_true"} if opt.flag else {
+                "choices": opt.choices, "default": opt.default}
+            p.add_argument(*opt.strings, help=opt.help, **kind)
         p.set_defaults(func=func)
     return parser
 
 
 def _read(argv: list[str]) -> argparse.Namespace | None:
     """What ``build_parser().parse_args(argv)`` gives, read from ``COMMANDS``
-    for a plain line: a command, one file, flags and exact option strings,
-    each value after ``--long=`` or in the next token, among its choices; no
-    file or value starts with ``-``, and a repeated option keeps its last
-    value.  None for any other line, which argparse parses: help and usage
-    errors keep argparse's text and exit code."""
+    for a plain line: a command, one file, flags and exact option strings, each
+    value after ``--long=`` or in the next token, among its choices; no file or
+    value starts with ``-``, and a repeated option keeps its last value.  None
+    for any other line, whose help and usage errors argparse gives."""
     if not argv or argv[0] not in COMMANDS:
         return None
     func, _, options = COMMANDS[argv[0]]
-    given = dict(((opt.dest, opt.default) for opt in options), command=argv[0], func=func, file=None)
+    given = dict(((opt.dest, False if opt.flag else opt.default) for opt in options),
+                 command=argv[0], func=func, file=None)
     tokens = iter(argv[1:])
     for token in tokens:
         if not token.startswith("-"):

@@ -447,8 +447,7 @@ class AspectTable:
         size, meet = self.size, self._meet
         rows = [EMPTY_ROW] * size
         infs: list[int | None] = [None] * size
-        # an explicit row at every non-empty mask leaves no default to read
-        if defaults and len(explicit) - (0 in explicit) < size - 1:
+        if defaults:
             # the union default over the singleton rows, by the lowest theme
             # bit: union[t] = union[t ^ low] | union[low]; its infimum is the
             # meet of the halves' infima, where an empty half has none

@@ -366,33 +366,6 @@ class TestTableAgainstDefaultingRule:
                     assert (None if eff is None else eff.mask) == want
         assert not table._columns  # every read of ``table`` was a point read
 
-    def test_columns_of_statements_that_list_every_theme_set(self):
-        # "a" lists every non-empty theme set, so no read sees a union
-        # default; "b" lists the empty set and every other one but {t1, t2},
-        # which reads the union of its t1 and t2 rows
-        rng = random.Random(7)
-        algebra = mk_algebra(["p", "q"])
-        themes = ["t1", "t2", "t3"]
-        model = Model.build(themes, [Statement("a"), Statement("b")], dict.fromkeys("ab", themes), [])
-        sets = [frozenset(c) for n in range(4) for c in combinations(themes, n)]
-
-        def row():
-            masks = rng.sample(range(1 << algebra.n_minterms), 2)
-            return AspectSet(algebra, frozenset(Element(algebra, m) for m in masks))
-
-        rows = {(ts, "a"): row() for ts in sets if ts}
-        rows.update({(ts, "b"): row() for ts in sets if ts != {"t1", "t2"}})
-        interp = Interpretation(algebra, {frozenset(themes): AspectSet(algebra, full=True)}, rows)
-        table, swept = AspectTable(interp, model), AspectTable(interp, model)
-        for s in "ab":
-            column, infs = swept.columns(s)
-            for ts in sets:
-                tmask = table.mask(ts)
-                full, masks = oracle_aspects(interp, model, ts, s)
-                assert column[tmask] == table.row(tmask, s) == (full, masks)
-                assert infs[tmask] == table.inf(tmask, s) == oracle_effective(interp, full, masks)
-        assert swept.columns("b")[0][table.mask(["t1", "t2"])][1]  # a non-empty default
-
     def test_unknown_ids_still_raise(self, fear):
         with pytest.raises(UnknownIdError):
             effective_aspect(fear.interpretation, fear.model, ["nope"], "s1")
