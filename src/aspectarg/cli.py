@@ -27,7 +27,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import constraints, semantics
 from .constraints import ALPHA_GROUPS
-from .errors import AspectArgError, ModelError, ModelFileError
+from .errors import AspectArgError, ModelError, ModelFileError, UsageError
 from .formulas import render_element
 from .model import validate_wellformed
 from .modelfile import Document, dumps, load_path, to_dict
@@ -48,6 +48,17 @@ def _load_wellformed(path: str) -> Document:
 def _comma_list(text: str) -> list[str]:
     """The stripped, non-empty items of a comma-separated option value."""
     return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _themes(text: str | None) -> list[str] | None:
+    """The themes a ``--themes`` value names, which must name one at least;
+    ``None`` when the option is not given."""
+    if text is None:
+        return None
+    themes = _comma_list(text)
+    if not themes:
+        raise UsageError("--themes names no theme")
+    return themes
 
 
 def _emit(
@@ -131,9 +142,9 @@ def _check_lines(report: dict[str, Any]) -> list[str]:
 
 def cmd_conclude(args, out, err) -> int:
     doc = _load_wellformed(args.file)
-    if not args.themes and not args.scan_logical:
-        err.write("error: give --themes, --scan-logical, or both\n")
-        return ERROR
+    themes = _themes(args.themes)
+    if themes is None and not args.scan_logical:
+        raise UsageError("give --themes, --scan-logical, or both")
 
     report: dict[str, Any] = {
         "command": "conclude",
@@ -142,8 +153,7 @@ def cmd_conclude(args, out, err) -> int:
     }
     exit_code = OK
     bottom = False
-    if args.themes:
-        themes = _comma_list(args.themes)
+    if themes is not None:
         exts, conclusion = semantics.conclude(
             doc.model, doc.interpretation, themes, args.semantics
         )
@@ -196,7 +206,7 @@ def _conclude_lines(report: dict[str, Any], bottom: bool) -> list[str]:
 
 def cmd_classify_relations(args, out, err) -> int:
     doc = _load_wellformed(args.file)
-    themes = _comma_list(args.themes) if args.themes else None
+    themes = _themes(args.themes)
     entries = [
         {
             "from": r.source,
@@ -224,8 +234,10 @@ def _classify_lines(report: dict[str, Any]) -> list[str]:
 
 def cmd_synthesize(args, out, err) -> int:
     doc = _load_wellformed(args.file)
+    if args.output == "":
+        raise UsageError("--output names no file")
     text = dumps(to_dict(doc.model, synthesize_core_witness(doc.model)))
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)

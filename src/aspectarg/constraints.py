@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .algebra import Element, closed_under_boolean_ops
 from .errors import ConstraintGroupError, UnknownIdError
@@ -36,10 +36,6 @@ from .model import (
     theme_subsets,
 )
 from .statements_sets import PairTable, statements_sets_from, typed_predecessors
-
-#: How a check reads a statement's rows and infima by theme mask:
-#: :meth:`AspectTable.columns` or :meth:`AspectTable.reads`.
-_Columns = Callable[[str], tuple[Sequence[Row], Sequence[int | None]]]
 
 GRAPHIC_IDS = ("tr", "nnp", "nsa", "kos", "nss")
 CORE_IDS = ("aass", "i", "vi", "bat", "pr", "mat", "manss", "ss")
@@ -214,10 +210,10 @@ def _relation_violations(
 ) -> list[Violation]:
     """Violations of relation constraint ``cid`` on (relation, theme masks) cases."""
     out: list[Violation] = []
-    tests, full = _RELATION_TESTS[cid], table.full_mask
+    tests, full, infs = _RELATION_TESTS[cid], table.full_mask, table.infs
     for r, masks in cases:
         for tmask in masks:
-            u, v = table.inf(tmask, r.source), table.inf(tmask, r.target)
+            u, v = infs(r.source)[tmask], infs(r.target)[tmask]
             kinds = _kinds(u, v, full)
             for rel_type, avoid, show, text in tests:
                 # an absent aspect has no kind: it fails aass only
@@ -246,20 +242,18 @@ def _meet(a: Row, b: Row) -> Row:
     return (False, a[1] & b[1])
 
 
-def _pr_bound(
-    table: AspectTable, columns: _Columns, s: Statement, own: int
-) -> tuple[Sequence[Row], int]:
+def _pr_bound(table: AspectTable, s: Statement, own: int) -> tuple[Mapping[int, Row], int]:
     """The proper-range bound of ``s``, whose own themes are ``own``: the
-    rows, from ``columns``, that hold it, and the mask that, ANDed with a
-    theme mask, indexes the bound there."""
+    rows that hold it, and the mask that, ANDed with a theme mask, indexes
+    the bound there."""
     if not s.is_pointer:
-        return columns(s.id)[0], own
+        return table.rows(s.id), own
     widened = own | table.bits.get(s.ref_theme, 0)
     if s.is_summary_pointer:
-        return columns(s.id)[0], widened
+        return table.rows(s.id), widened
     if not table.model.has_statement(s.ref_target):
-        return (EMPTY_ROW,), 0  # a dangling target carries no aspects
-    return columns(s.ref_target)[0], widened
+        return {0: EMPTY_ROW}, 0  # a dangling target carries no aspects
+    return table.rows(s.ref_target), widened
 
 
 def _exact_region_id(s: Statement) -> str:
@@ -399,7 +393,7 @@ def check_core(
     table = _compiled_table(model, interp, table)
     subsets = _subset_masks(table)
     cases = _relation_cases(table, _tested_relations(model, "aass"))
-    return _sorted(_core(table, subsets, cases, model.statements, table.columns))
+    return _sorted(_core(table, subsets, cases, model.statements))
 
 
 def _core(
@@ -407,19 +401,17 @@ def _core(
     subsets: list[int],
     cases: list[tuple[Relation, list[int]]],
     statements: Iterable[Statement],
-    columns: _Columns,
 ) -> dict[str, list[Violation]]:
     """Core at the theme masks ``subsets``, for the statement constraints on
     ``statements``, and, for aass, on relation ``cases``.
 
-    Rows are read from ``columns``: :meth:`AspectTable.columns` for a sweep
-    over every mask, :meth:`AspectTable.reads` for a few.  mat and manss
-    compare each mask with every mask one theme smaller.  Each list is in no
-    particular order.
+    A sweep passes every mask and ``recheck`` one instance's; both read the
+    table's rows at just those masks.  mat and manss compare each mask with
+    every mask one theme smaller.  Each list is in no particular order.
     """
     model, keys, texts = table.model, table.keys, table.key_texts
     out: dict[str, list[Violation]] = {cid: [] for cid in CORE_IDS}
-    omega = columns(OMEGA)[0]
+    omega = table.rows(OMEGA)
     # each mask with every mask one theme smaller, as (smaller, larger)
     steps = []
     for t2 in subsets:
@@ -454,9 +446,9 @@ def _core(
     full, vacuous = table.full_mask, 0 in subsets
     for s in statements:
         sid = s.id
-        rows, infs = columns(sid)
+        rows, infs = table.rows(sid), table.infs(sid)
         own = table.mask(t for t in model.themes_of(sid) if t in table.bits)
-        bounds, widened = _pr_bound(table, columns, s, own)
+        bounds, widened = _pr_bound(table, s, own)
         target = f" and target {s.ref_target}" if s.is_statement_pointer else ""
         if vacuous and rows[0] != EMPTY_ROW:
             out["vi"].append(
@@ -514,7 +506,6 @@ def _core(
                         detail=f"aspects of {sid} shrink from {texts[t1]} to {texts[t2]}",
                     )
                 )
-    # after the sweep, so that aass reads the columns it built
     out["aass"] = _relation_violations(table, cases, "aass")
     return out
 
@@ -529,14 +520,12 @@ def check_exact_region(
 ) -> dict[str, list[Violation]]:
     """Check esr, ensr and eos over every pair of theme sets."""
     table = _compiled_table(model, interp, table)
-    return _exact_region(table, _subset_masks(table), table.columns)
+    return _exact_region(table, _subset_masks(table))
 
 
-def _exact_region(
-    table: AspectTable, subsets: list[int], columns: _Columns
-) -> dict[str, list[Violation]]:
-    """esr, ensr and eos on each pair of ``subsets``, with rows read from
-    ``columns`` as :func:`_core` reads them, each list in report order.
+def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Violation]]:
+    """esr, ensr and eos on each pair of ``subsets``, each list in report
+    order; as in :func:`_core`, rows are read at just those masks.
 
     A pair is two masks, the first earlier in ``subsets``.  Pairs are walked
     by their two theme keys and each statement's witnesses go to its own
@@ -550,9 +539,9 @@ def _exact_region(
     heads = [f"aspects of {sid} differ between " for sid in sids]
     found: list[list[Violation]] = [[] for _ in stmts]
     keys = [table.keys[tmask] for tmask in subsets]
-    omega = columns(OMEGA)[0]
+    omega = table.rows(OMEGA)
     omegas = [omega[tmask] for tmask in subsets]
-    statement_rows = [columns(sid)[0] for sid in sids]
+    statement_rows = [table.rows(sid) for sid in sids]
     rows: list[list[Row] | None] = [None] * len(subsets)
     order = sorted(range(len(subsets)), key=keys.__getitem__)
     indices = range(len(stmts))
@@ -722,7 +711,7 @@ def classify_relations(
     out = []
     for r, masks in _relation_cases(table, relations, only):
         for tmask in masks:
-            kinds = _kinds(table.inf(tmask, r.source), table.inf(tmask, r.target), full)
+            kinds = _kinds(table.infs(r.source)[tmask], table.infs(r.target)[tmask], full)
             labels = frozenset(label for kind, label in KIND_LABELS.items() if kinds & kind)
             out.append((r, table.keys[tmask], labels or frozenset(["undefined"])))
     return out
@@ -821,13 +810,12 @@ def _instance_violations(table: AspectTable, w: Violation) -> list[Violation]:
         return []
     named = [r for r in model.relations if r.pair == w.relation]
     cases = _relation_cases(table, named, t1) if t1 else []
-    # point reads: an instance reads a few rows, where a column has 2 ** m
     if cid in CORE_IDS:
         named_statements = [s for s in model.statements if (s.id,) == w.statements]
         subsets = [t2 if cid in ("mat", "manss") else t1]
-        return _core(table, subsets, cases, named_statements, table.reads)[cid]
+        return _core(table, subsets, cases, named_statements)[cid]
     if cid in EXACT_REGION_IDS:
-        return _exact_region(table, [t1, t2], table.reads)[cid]
+        return _exact_region(table, [t1, t2])[cid]
     if cid in (DAS, NWCI):
         return _relation_violations(table, cases, cid)
     if cid in FRESH_ASPECT_IDS:

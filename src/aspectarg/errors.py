@@ -40,6 +40,10 @@ class ModelFileError(AspectArgError):
     """A model file does not conform to the file schema."""
 
 
+class UsageError(AspectArgError):
+    """A command line's options ask for nothing the command can do."""
+
+
 class SynthesisError(AspectArgError):
     """Witness synthesis cannot proceed on this input."""
 

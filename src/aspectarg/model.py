@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from itertools import combinations
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .algebra import Algebra, Element
 from .errors import CapExceeded, ModelError, UnknownIdError
@@ -288,6 +288,8 @@ def _listable(algebra: Algebra) -> int:
 class _Memo(dict):
     """Values of ``make`` by key, each computed on its first read."""
 
+    __slots__ = ("make",)
+
     def __init__(self, make: Callable) -> None:
         self.make = make
 
@@ -300,14 +302,14 @@ class AspectTable:
     """One interpretation compiled against one model for integer reads.
 
     Themes are bit positions in ``model.themes`` order, so a theme set is an
-    int mask, and a row is a :data:`Row` of element masks.  :meth:`row` and
-    :meth:`inf` are point reads, which read a few rows however many themes
-    the model declares, and no cap limits that number.  A sweep over every
-    theme mask, which only runs under the theme cap, asks instead for a
-    statement's (or :data:`OMEGA`'s) *columns*: its rows and their infima as
-    lists indexed by theme mask, built together in one pass over the masks.
-    Point reads index columns once they are built.  Columns are kept for the
-    life of the table, which is one check: no cache outlives a call.
+    int mask, and a row is a :data:`Row` of element masks.  Every check reads
+    the interpretation one way: :meth:`rows` and :meth:`infs` map a theme
+    mask to a statement's (or :data:`OMEGA`'s) row and its infimum, and each
+    entry is computed on its first read.  So a sweep over every theme mask,
+    which runs only under the theme cap, and a read at a few theme sets make
+    the same reads, and the latter read a few rows however many themes the
+    model declares, which no cap limits.  Entries are kept for the life of
+    the table, which is one check: no cache outlives a call.
     """
 
     def __init__(self, interp: Interpretation, model: Model):
@@ -317,13 +319,13 @@ class AspectTable:
         self.full_mask = interp.algebra.full_mask
         self.names = tuple(dict.fromkeys(model.themes))
         self.bits = {t: 1 << i for i, t in enumerate(self.names)}
-        self.size = 1 << len(self.names)
         # as in AspectSet: a small carrier listed in full is full
         self._listable = _listable(self.algebra)
-        # the explicit rows by theme mask, made with the first column
-        self._omega_rows: dict[int, Row] | None = None
-        self._explicit: dict[str, dict[int, Row]] = {}
-        self._columns: dict[str, tuple[list[Row], list[int | None]]] = {}
+        self._singletons = [(frozenset([t]), bit) for t, bit in self.bits.items()]
+        # by statement; no entry refers back to the table, so a table is
+        # freed as soon as its check drops it, with no cyclic collection
+        self._rows: dict[str, _Memo] = {}
+        self._infs: dict[str, _Memo] = {}
         # each mask's theme set, its sorted names as violation records carry
         # them, and their ``repr`` as violation details print theme sets
         names = self.names
@@ -343,142 +345,66 @@ class AspectTable:
             out |= bit
         return out
 
-    def row(self, tmask: int, s: str) -> Row:
-        """The aspects of statement ``s`` (or :data:`OMEGA`) at a theme mask.
-
-        A point read: it indexes the built column of ``s`` when there is one
-        and otherwise looks up at most one interpretation row for each theme
-        of the mask, where a column has ``2 ** len(names)`` rows.
-        """
-        built = self._columns.get(s)
-        if built is not None:
-            return built[0][tmask]
-        if s == OMEGA:
-            return self.interp.theme_aspects.get(self.themes[tmask], EMPTY_ROW)
-        stmt = self.model.statement(s)
-        rows = self.interp.statement_aspects
-        out = rows.get((self.themes[tmask], s))
-        if out is not None:
-            return out
-        if stmt.is_summary_pointer or tmask & (tmask - 1) == 0:
-            return EMPTY_ROW
-        # the union default over the singleton rows
-        out = EMPTY_ROW
-        rest = tmask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            out = _union(out, rows.get((self.themes[bit], s), EMPTY_ROW))
-        return FULL_ROW if len(out[1]) == self._listable else out
-
-    def inf(self, tmask: int, s: str) -> int | None:
-        """Mask of the row's infimum (its effective aspect), ``None`` when empty.
-
-        A point read, as :meth:`row` is.
-        """
-        built = self._columns.get(s)
-        if built is not None:
-            return built[1][tmask]
-        return self._meet(self.row(tmask, s))
-
-    def columns(self, s: str) -> tuple[list[Row], list[int | None]]:
-        """The rows of statement ``s`` (or :data:`OMEGA`) at every theme mask,
-        and their infima, each a list indexed by mask.
-
-        They have ``2 ** len(names)`` entries, so only a sweep that has passed
-        the theme cap builds them.
-        """
-        out = self._columns.get(s)
+    def rows(self, s: str) -> Mapping[int, Row]:
+        """The aspects of statement ``s`` (or :data:`OMEGA`) by theme mask."""
+        out = self._rows.get(s)
         if out is None:
-            out = self._columns[s] = self._build_columns(s)
+            out = self._rows[s] = self._statement_rows(s)
         return out
 
-    def reads(self, s: str) -> tuple[Sequence[Row], Sequence[int | None]]:
-        """The rows and infima of ``s`` indexed by mask, as :meth:`columns`
-        gives them, but building nothing: the built columns, or else point
-        reads through :meth:`row` and :meth:`inf`."""
-        out = self._columns.get(s)
+    def infs(self, s: str) -> Mapping[int, int | None]:
+        """The masks of the infima (effective aspects) of :meth:`rows`, ``None``
+        for an empty row."""
+        out = self._infs.get(s)
         if out is None:
-            return _PointReads(self.row, s), _PointReads(self.inf, s)
+            rows, full_mask = self.rows(s), self.full_mask
+
+            def infimum(tmask: int) -> int | None:
+                full, masks = rows[tmask]
+                if full:
+                    return 0  # the carrier contains the bottom element
+                if not masks:
+                    return None
+                out = full_mask
+                for m in masks:
+                    out &= m
+                return out
+
+            out = self._infs[s] = _Memo(infimum)
         return out
 
-    def _index(self) -> None:
-        """Index every explicit row by theme mask, omega's and each statement's.
+    def _statement_rows(self, s: str) -> _Memo:
+        """The rows of ``s``: each explicit row, and else the union default.
 
-        A key with an undeclared theme can never be read, so it is dropped.
+        The default at a mask is the union of the singleton rows at its
+        themes, so it depends only on the mask's bits among the themes of
+        those rows, ``singles``; each of those projections is unioned once.
+        Omega and summary pointers have no ``singles``, so they never default.
         """
-        key_masks: dict[frozenset[str], int | None] = {}
+        themes, omega = self.themes, s == OMEGA
+        given = self.interp.theme_aspects if omega else self.interp.statement_aspects
+        singles = 0
+        if not omega and not self.model.statement(s).is_summary_pointer:
+            for theme, bit in self._singletons:
+                if (theme, s) in given:
+                    singles |= bit
+        listable = self._listable
 
-        def key_mask(themes: frozenset[str]) -> int | None:
-            if themes not in key_masks:
-                bits = [self.bits.get(t) for t in themes]
-                key_masks[themes] = None if None in bits else sum(bits)
-            return key_masks[themes]
+        def union(tmask: int) -> Row:
+            out = EMPTY_ROW
+            while tmask:
+                bit = tmask & -tmask
+                tmask ^= bit
+                out = _union(out, given[themes[bit], s])
+            return FULL_ROW if len(out[1]) == listable else out
 
-        self._omega_rows = {}
-        for themes, row in self.interp.theme_aspects.items():
-            tmask = key_mask(themes)
-            if tmask is not None:
-                self._omega_rows[tmask] = row
-        for (themes, s), row in self.interp.statement_aspects.items():
-            tmask = key_mask(themes)
-            if tmask is not None:
-                self._explicit.setdefault(s, {})[tmask] = row
+        unions = _Memo(union)
 
-    def _meet(self, row: Row) -> int | None:
-        full, masks = row
-        if full:
-            return 0  # the carrier contains the bottom element
-        if not masks:
-            return None
-        out = self.full_mask
-        for m in masks:
-            out &= m
-        return out
+        def row(tmask: int) -> Row:
+            out = given.get(themes[tmask] if omega else (themes[tmask], s))
+            return unions[tmask & singles] if out is None else out
 
-    def _build_columns(self, s: str) -> tuple[list[Row], list[int | None]]:
-        if self._omega_rows is None:
-            self._index()
-        if s == OMEGA:
-            explicit, defaults = self._omega_rows, False
-        else:
-            defaults = not self.model.statement(s).is_summary_pointer
-            explicit = self._explicit.get(s, {})
-        size, meet = self.size, self._meet
-        rows = [EMPTY_ROW] * size
-        infs: list[int | None] = [None] * size
-        if defaults:
-            # the union default over the singleton rows, by the lowest theme
-            # bit: union[t] = union[t ^ low] | union[low]; its infimum is the
-            # meet of the halves' infima, where an empty half has none
-            listable = self._listable
-            union = [EMPTY_ROW] * size
-            union_infs: list[int | None] = [None] * size
-            for t in range(1, size):
-                low = t & -t
-                if t == low:
-                    union[t] = single = explicit.get(t, EMPTY_ROW)
-                    union_infs[t] = meet(single)
-                    continue
-                u = union[t] = _union(union[t ^ low], union[low])
-                rows[t] = FULL_ROW if len(u[1]) == listable else u
-                a, b = union_infs[t ^ low], union_infs[low]
-                union_infs[t] = infs[t] = b if a is None else a if b is None else a & b
-        for t, row in explicit.items():
-            rows[t], infs[t] = row, meet(row)
-        return rows, infs
-
-
-class _PointReads:
-    """One statement's point reads, indexed by theme mask like a column."""
-
-    __slots__ = ("read", "s")
-
-    def __init__(self, read: Callable[[int, str], object], s: str):
-        self.read, self.s = read, s
-
-    def __getitem__(self, tmask: int):
-        return self.read(tmask, self.s)
+        return _Memo(row)
 
 
 def _union(a: Row, b: Row) -> Row:
@@ -505,7 +431,7 @@ def lookup(
 ) -> AspectSet:
     """The aspect set of statement ``s`` (or :data:`OMEGA`) for a theme set."""
     table = AspectTable(interp, model)
-    full, masks = table.row(table.mask(themes), s)
+    full, masks = table.rows(s)[table.mask(themes)]
     algebra = interp.algebra
     return AspectSet(algebra, frozenset(Element(algebra, m) for m in masks), full)
 
@@ -515,7 +441,7 @@ def effective_aspect(
 ) -> Element | None:
     """Infimum of the looked-up aspect set, or ``None`` when the set is empty."""
     table = AspectTable(interp, model)
-    mask = table.inf(table.mask(themes), s)
+    mask = table.infs(s)[table.mask(themes)]
     return None if mask is None else Element(interp.algebra, mask)
 
 

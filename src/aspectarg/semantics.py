@@ -268,8 +268,8 @@ def _conclude(
         return exts, None
     tmask = table.mask(t)
     full = table.full_mask
-    # one point read per statement: extensions share members
-    infs = {sid: table.inf(tmask, sid) for sid in frozenset().union(*exts)}
+    # one read per statement: extensions share members
+    infs = {sid: table.infs(sid)[tmask] for sid in frozenset().union(*exts)}
     joined = 0
     for ext in exts:
         met = full

@@ -186,7 +186,6 @@ class PairTable:
     def __init__(self, table: AspectTable, t: str):
         self.table = table
         self.tmask = table.mask([t])
-        self._infs: dict[str, int] = {}
         self._pairs: dict[tuple[str, str], frozenset[int] | None] = {}
         self._sets: dict[frozenset[str], tuple[str, str, frozenset[int]] | None] = {}
 
@@ -211,12 +210,8 @@ class PairTable:
         return None
 
     def _inf(self, sid: str) -> int:
-        out = self._infs.get(sid)
-        if out is None:
-            m = self.table.inf(self.tmask, sid)
-            # an empty row meets to the top
-            out = self._infs[sid] = self.table.full_mask if m is None else m
-        return out
+        out = self.table.infs(sid)[self.tmask]
+        return self.table.full_mask if out is None else out  # an empty row meets to the top
 
     def _shared(self, s1: str, s2: str, inf: int) -> frozenset[int] | None:
         """The least minimal representation ``s1`` and ``s2``, whose
@@ -224,7 +219,7 @@ class PairTable:
         if (s1, s2) in self._pairs:
             return self._pairs[s1, s2]
         table, full = self.table, self.table.full_mask
-        (full1, row1), (full2, row2) = table.row(self.tmask, s1), table.row(self.tmask, s2)
+        (full1, row1), (full2, row2) = table.rows(s1)[self.tmask], table.rows(s2)[self.tmask]
         if full1 and full2:
             out = frozenset([0])  # both carriers hold the bottom, their infimum
         else:

@@ -743,7 +743,7 @@ class TestClassifyRelations:
 
 class TestManyDeclaredThemes:
     """A model may declare far more themes than the theme cap as long as no
-    command enumerates them; reads at a few theme sets stay point reads."""
+    command enumerates them: the table reads only the theme sets asked for."""
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     @pytest.mark.parametrize(
@@ -752,7 +752,7 @@ class TestManyDeclaredThemes:
         ids=lambda argv: "-".join(argv),
     )
     def test_unused_themes_change_no_output(self, tmp_path, monkeypatch, name, command):
-        from aspectarg.model import AspectTable
+        from aspectarg.model import _Memo
 
         doc = json.loads(Path(path(name)).read_text())
         if command[-1] == "--themes":
@@ -761,13 +761,20 @@ class TestManyDeclaredThemes:
         argv = (command[0], str(model), *command[1:], "--format", "machine")
         model.write_text(json.dumps(doc))
         narrow = invoke(*argv)
-        doc["themes"] += [f"unused{i}" for i in range(30 - len(doc["themes"]))]
+        used = len(doc["themes"])
+        doc["themes"] += [f"unused{i}" for i in range(30 - used)]
         model.write_text(json.dumps(doc))
+        # a memo gains an entry only when it is read at a missing key, so
+        # each holds only theme masks that were read, and those read hold no
+        # unused theme: no read made anything over the 2 ** 30 masks
+        miss = _Memo.__missing__
 
-        def refuse(self, s):
-            raise AssertionError(f"built a column of {s} over 30 themes")
+        def read(self, key):
+            if type(key) is int and key >> used:
+                raise AssertionError(f"read theme mask {key:#x}, which holds an unused theme")
+            return miss(self, key)
 
-        monkeypatch.setattr(AspectTable, "_build_columns", refuse)
+        monkeypatch.setattr(_Memo, "__missing__", read)
         assert invoke(*argv) == narrow
 
 
@@ -936,6 +943,15 @@ def test_argparse_writes_to_the_given_streams(capsys):
 
 STRAW = path("straw_man")
 
+#: Command lines that give ``--output`` or ``--themes`` a value naming nothing.
+EMPTY_VALUE_LINES = [
+    ["synthesize", STRAW, "--output="],
+    ["synthesize", STRAW, "-o", ""],
+    ["conclude", STRAW, "--themes", ""],
+    ["conclude", STRAW, "--themes=,", "--scan-logical"],
+    ["classify-relations", STRAW, "--themes="],
+]
+
 #: Command lines, usage errors included, that ``run`` must treat exactly as
 #: the top-level parser does.
 DISPATCH_LINES = [
@@ -964,7 +980,7 @@ DISPATCH_LINES = [
     ["check", STRAW, "--format=machine", "--alpha=core,das"],
     ["conclude", STRAW, "--themes", "t1", "--scan-logical", "--themes", "t", "--scan-logical"],
     ["validate", STRAW, "--format", "machine", "--format", "human"],
-    ["synthesize", STRAW, "--output="],
+    *EMPTY_VALUE_LINES,
     ["check", ""],
     ["conclude", STRAW, "--themes", "-1"],
     ["conclude", STRAW, "--themes", "-a b"],
@@ -1019,6 +1035,11 @@ class TestDispatch:
         args = cli._read(argv)
         if args is not None:
             assert args == parsed(argv)
+
+    @pytest.mark.parametrize("argv", EMPTY_VALUE_LINES, ids=line_id)
+    def test_an_option_value_naming_nothing_is_refused(self, argv):
+        option, what = ("output", "file") if argv[0] == "synthesize" else ("themes", "theme")
+        assert invoke(*argv) == (2, "", f"error: --{option} names no {what}\n")
 
     def test_a_line_the_reader_accepts_calls_no_parser(self, monkeypatch):
         lines = [argv for argv in DISPATCH_LINES if cli._read(argv) is not None]

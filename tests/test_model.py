@@ -3,15 +3,18 @@ import dataclasses
 import inspect
 import pickle
 import random
+import runpy
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspectarg import model as model_module
 from aspectarg.algebra import Element, mk_algebra
-from aspectarg.constraints import check_exact_region
+from aspectarg.constraints import check_core, check_exact_region
 from aspectarg.corpus import corpus_path
 from aspectarg.errors import CapExceeded, ModelError, UnknownIdError
 from aspectarg.formulas import evaluate, parse
@@ -30,7 +33,7 @@ from aspectarg.model import (
     theme_subsets,
     validate_wellformed,
 )
-from aspectarg.modelfile import load_path
+from aspectarg.modelfile import from_dict, load_path
 from helpers import (
     intersection,
     issubset,
@@ -340,31 +343,36 @@ class TestTableAgainstDefaultingRule:
         # one proposition lists its carrier of 4 often, which the small-carrier
         # rule turns into the full row; three give rows of a 256-element one
         algebra = mk_algebra(rng.choice([["p"], ["p", "q"], ["p", "q", "r"]]))
-        model = random_model_any(rng, max_themes=5)
+        model = random_model_any(rng, max_themes=6)
         interp = random_total_interpretation(rng, model, algebra)
         if rng.random() < 0.7:
             interp = with_extra_rows(rng, model, interp)
-        # point reads from one table, whole columns from the other
-        table, swept = AspectTable(interp, model), AspectTable(interp, model)
-        for n in range(len(model.themes) + 1):
-            for combo in combinations(model.themes, n):
-                themes = list(combo)
-                rng.shuffle(themes)
-                tmask = table.mask(themes)
-                for s in [x.id for x in model.statements] + [OMEGA]:
-                    full, masks = oracle_aspects(interp, model, combo, s)
-                    want = oracle_effective(interp, full, masks)
-                    # the table's own rows: an AspectSet would make a listed
-                    # small carrier full by itself
-                    assert table.row(tmask, s) == (full, masks)
-                    assert table.inf(tmask, s) == want
-                    rows, infs = swept.columns(s)
-                    assert (rows[tmask], infs[tmask]) == ((full, masks), want)
-                    got = lookup(interp, model, themes, s)
-                    assert (got.full, {e.mask for e in got.elements}) == (full, masks)
-                    eff = effective_aspect(interp, model, themes, s)
-                    assert (None if eff is None else eff.mask) == want
-        assert not table._columns  # every read of ``table`` was a point read
+        # one table read in mask order, as a sweep reads, the other in a
+        # shuffled order, so their memos fill in different orders
+        table, shuffled = AspectTable(interp, model), AspectTable(interp, model)
+        ids = [x.id for x in model.statements] + [OMEGA]
+        cases = [combo for n in range(len(model.themes) + 1)
+                 for combo in combinations(model.themes, n)]
+        for combo in cases:
+            themes = list(combo)
+            rng.shuffle(themes)
+            tmask = table.mask(themes)
+            for s in ids:
+                full, masks = oracle_aspects(interp, model, combo, s)
+                want = oracle_effective(interp, full, masks)
+                # the table's own rows: an AspectSet would make a listed
+                # small carrier full by itself
+                assert (table.rows(s)[tmask], table.infs(s)[tmask]) == ((full, masks), want)
+                got = lookup(interp, model, themes, s)
+                assert (got.full, {e.mask for e in got.elements}) == (full, masks)
+                eff = effective_aspect(interp, model, themes, s)
+                assert (None if eff is None else eff.mask) == want
+        rng.shuffle(cases)
+        for combo in cases:
+            tmask = table.mask(combo)
+            for s in ids:
+                assert shuffled.infs(s)[tmask] == table.infs(s)[tmask]
+                assert shuffled.rows(s)[tmask] == table.rows(s)[tmask]
 
     def test_unknown_ids_still_raise(self, fear):
         with pytest.raises(UnknownIdError):
@@ -384,7 +392,7 @@ class TestTableAgainstDefaultingRule:
         interp = Interpretation(algebra, {}, rows)
         table = AspectTable(interp, model)
         for themes in (["t1", "t2"], ["t1", "t2", "t3"]):
-            assert table.row(table.mask(themes), "s") == FULL_ROW
+            assert table.rows("s")[table.mask(themes)] == FULL_ROW
             assert lookup(interp, model, themes, "s") == AspectSet(algebra, full=True)
             assert effective_aspect(interp, model, themes, "s") == algebra.bottom
         assert not lookup(interp, model, ["t1", "t3"], "s").full
@@ -411,17 +419,17 @@ class TestTableAgainstDefaultingRule:
         with pytest.raises(UnknownIdError):
             lookup(interp, model, ["t1", "ghost"], "s")
 
-    @pytest.mark.parametrize("read", ["row", "inf", "columns", "lookup"])
+    @pytest.mark.parametrize("read", ["rows", "infs", "lookup", "effective_aspect"])
     def test_an_unknown_statement_raises_even_with_rows(self, fig1, ev, read):
         model = Model.build(["t1"], [Statement("s")], {"s": {"t1"}}, [])
         rows = {(frozenset(["t1"]), sid): AspectSet(fig1, frozenset({ev("x")})) for sid in "sn"}
         interp = Interpretation(fig1, {}, rows)
         table = AspectTable(interp, model)
         reads = {
-            "row": lambda: table.row(1, "n"),
-            "inf": lambda: table.inf(1, "n"),
-            "columns": lambda: table.columns("n"),
+            "rows": lambda: table.rows("n"),
+            "infs": lambda: table.infs("n"),
             "lookup": lambda: lookup(interp, model, ["t1"], "n"),
+            "effective_aspect": lambda: effective_aspect(interp, model, ["t1"], "n"),
         }
         with pytest.raises(UnknownIdError):
             reads[read]()
@@ -438,16 +446,35 @@ class TestTableRowsAreBuiltOnce:
         interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
 
         built: Counter = Counter()
-        build = AspectTable._build_columns
+        build = AspectTable._statement_rows
 
         def counting(self, s):
             built[s] += 1
             return build(self, s)
 
-        monkeypatch.setattr(AspectTable, "_build_columns", counting)
+        monkeypatch.setattr(AspectTable, "_statement_rows", counting)
         check_exact_region(model, interp)
-        # every statement's column is built, and omega's, each exactly once
+        # every statement's rows are made, and omega's, each exactly once
         assert built == Counter([s.id for s in statements] + [OMEGA])
+
+    def test_core_unions_each_projection_of_the_singleton_rows_once(self, monkeypatch):
+        # twelve themes, twelve statements, each with 1-3 rows, all singleton
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        doc = runpy.run_path(str(bench / "workloads.py"))["random_total_doc"](
+            random.Random("12/12"), 12, 12
+        )
+        loaded = from_dict(doc)
+        singles = Counter(
+            s for themes, s in loaded.interpretation.statement_aspects if len(themes) == 1
+        )
+        unions, original = [], model_module._union
+        monkeypatch.setattr(model_module, "_union", lambda a, b: unions.append(1) or original(a, b))
+        found = check_core(loaded.model, loaded.interpretation)
+        # a default reads only its mask's bits among the statement's k
+        # singleton rows: at most k unions for each of their 2**k projections
+        assert 0 < len(unions) <= sum(k << k for k in singles.values())
+        counts = {cid: len(vs) for cid, vs in found.items() if vs}
+        assert counts == {"aass": 17, "pr": 10240, "ss": 3}
 
 
 class TestThemeSubsets:
