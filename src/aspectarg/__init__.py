@@ -42,11 +42,7 @@ from .semantics import (
     logico_rhetorical_conclusion,
     sub_model,
 )
-from .statements_sets import (
-    StatementsSet,
-    contains_redundancy,
-    statements_sets,
-)
+from .statements_sets import StatementsSet, contains_redundancy
 from .synthesis import synthesize_core_witness
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .model import (
     row_subset,
     theme_subsets,
 )
-from .statements_sets import PairTable, statements_sets_from, typed_predecessors
+from .statements_sets import first_shared_pair, statements_sets_from, typed_predecessors
 
 GRAPHIC_IDS = ("tr", "nnp", "nsa", "kos", "nss")
 CORE_IDS = ("aass", "i", "vi", "bat", "pr", "mat", "manss", "ss")
@@ -542,7 +542,7 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Viol
     omega = table.rows(OMEGA)
     omegas = [omega[tmask] for tmask in subsets]
     statement_rows = [table.rows(sid) for sid in sids]
-    rows: list[list[Row] | None] = [None] * len(subsets)
+    rows = [[col[t] for col in statement_rows] for t in subsets]
     order = sorted(range(len(subsets)), key=keys.__getitem__)
     indices = range(len(stmts))
 
@@ -557,13 +557,7 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Viol
             common_full, common = _meet(omega1, omegas[i2])
             if not common_full and not common:
                 continue
-            if rows1 is None:
-                t1 = subsets[i1]
-                rows1 = rows[i1] = [col[t1] for col in statement_rows]
             rows2 = rows[i2]
-            if rows2 is None:
-                t2 = subsets[i2]
-                rows2 = rows[i2] = [col[t2] for col in statement_rows]
             tail = None
             for j in indices:
                 a, b = rows1[j], rows2[j]
@@ -644,8 +638,9 @@ def _fresh_aspects(
     table: AspectTable, anchors: list[tuple[str, str]]
 ) -> dict[str, list[Violation]]:
     """faW and faD on the statements-sets of each (statement, theme) anchor;
-    the anchors of one theme and type share one predecessor map, and those
-    of one theme one :class:`PairTable`.
+    the anchors of one theme and type share one predecessor map.  Each
+    statements-set is decided by :func:`first_shared_pair` on ``table``, and
+    identical member sets of one theme's anchors are decided once.
 
     An anchor with no predecessor in its map is its own only width and depth
     set, which holds no pair, so it is not searched.  An anchor can have
@@ -654,20 +649,21 @@ def _fresh_aspects(
     """
     out: dict[str, list[Violation]] = {cid: [] for cid in FRESH_ASPECT_IDS}
     preds: dict[tuple[str, str], dict[str, list[str]]] = {}  # by (theme, type)
-    pair_tables: dict[str, PairTable] = {}  # by theme
+    decided: dict[tuple[str, frozenset[str]], tuple[str, str, frozenset[int]] | None] = {}
     for sid, t in anchors:
         for rel in (ATTACK, SUPPORT):
             if (t, rel) not in preds:
                 preds[t, rel] = typed_predecessors(table.model, t, rel)
             if sid not in preds[t, rel]:
                 continue
-            if t not in pair_tables:
-                pair_tables[t] = PairTable(table, t)
             widths, depths = statements_sets_from(preds[t, rel], sid, t)
             for cid, sets in (("faW", widths), ("faD", depths)):
                 pairs: set[tuple[str, str]] = set()
                 for sset in sets:
-                    witness = pair_tables[t].redundancy(sset.members)
+                    key = (t, sset.members)
+                    if key not in decided:
+                        decided[key] = first_shared_pair(table, table.bits[t], sset.members)
+                    witness = decided[key]
                     if witness is None:
                         continue
                     first, second, masks = witness
@@ -834,11 +830,3 @@ def _same_witness(a: Violation, b: Violation) -> bool:
         and a.theme_set2 == b.theme_set2
         and a.rel_type == b.rel_type
     )
-
-
-def all_violations(groups: Mapping[str, list[Violation]]) -> list[Violation]:
-    out: list[Violation] = []
-    for vs in groups.values():
-        out.extend(vs)
-    out.sort(key=Violation.sort_key)
-    return out

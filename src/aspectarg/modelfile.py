@@ -190,10 +190,7 @@ def from_dict(data: Any) -> Document:
             _fail(f"relations[{i}].themes", "expected a list of strings")
         relations.append(Relation(src, dst, frozenset(types), frozenset(rel_themes)))
 
-    try:
-        model = Model.build(themes, statements, statement_themes, relations)
-    except AspectArgError as exc:
-        raise ModelFileError(str(exc)) from exc
+    model = Model.build(themes, statements, statement_themes, relations)
 
     # the shortest formula written for each element mask, to name it in reports
     formulas: dict[int, str] = {}
@@ -246,33 +243,26 @@ def from_dict(data: Any) -> Document:
         default = interp_data.get("default", _UNION)
         if default != _UNION:
             _fail("interpretation.default", f"expected 'union', got {default!r}")
-        block = "theme_aspects"
-        entries = interp_data.get(block, [])
-        if not isinstance(entries, list):
-            _fail(f"interpretation.{block}", "expected a list")
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                _fail(f"interpretation.{block}[{i}]", "expected an object")
-            key = theme_key(entry.get("themes"), block, i)
-            if key in theme_rows:
-                _fail(f"interpretation.{block}[{i}]", "duplicate theme-aspect row")
-            theme_rows[key] = aspects(entry.get("aspects"), block, i)
-        block = "statement_aspects"
-        entries = interp_data.get(block, [])
-        if not isinstance(entries, list):
-            _fail(f"interpretation.{block}", "expected a list")
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                _fail(f"interpretation.{block}[{i}]", "expected an object")
-            key = theme_key(entry.get("themes"), block, i)
-            sid = entry.get("statement")
-            if not isinstance(sid, str):
-                _fail(f"interpretation.{block}[{i}]", "needs a 'statement' id")
-            if not model.has_statement(sid):
-                _fail(f"interpretation.{block}[{i}]", f"unknown statement {sid!r}")
-            if (key, sid) in statement_rows:
-                _fail(f"interpretation.{block}[{i}]", "duplicate statement-aspect row")
-            statement_rows[(key, sid)] = aspects(entry.get("aspects"), block, i)
+        for block, rows in (("theme_aspects", theme_rows), ("statement_aspects", statement_rows)):
+            by_statement = rows is statement_rows
+            entries = interp_data.get(block, [])
+            if not isinstance(entries, list):
+                _fail(f"interpretation.{block}", "expected a list")
+            for i, entry in enumerate(entries):
+                if not isinstance(entry, dict):
+                    _fail(f"interpretation.{block}[{i}]", "expected an object")
+                key = theme_key(entry.get("themes"), block, i)
+                if by_statement:
+                    sid = entry.get("statement")
+                    if not isinstance(sid, str):
+                        _fail(f"interpretation.{block}[{i}]", "needs a 'statement' id")
+                    if not model.has_statement(sid):
+                        _fail(f"interpretation.{block}[{i}]", f"unknown statement {sid!r}")
+                    key = (key, sid)
+                if key in rows:
+                    kind = block[:-1].replace("_", "-")
+                    _fail(f"interpretation.{block}[{i}]", f"duplicate {kind} row")
+                rows[key] = aspects(entry.get("aspects"), block, i)
 
     return Document(model, Interpretation(algebra, theme_rows, statement_rows, formulas))
 

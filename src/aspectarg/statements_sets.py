@@ -161,9 +161,10 @@ def contains_redundancy(
 
     The defining order compares representations of the statements' aspect sets
     at one theme set; the singleton ``{t}`` of the enclosing statements-set is
-    used.
+    used.  Decided by :func:`first_shared_pair` on a fresh table.
     """
-    found = PairTable(AspectTable(interp, model), t).redundancy(statement_ids)
+    table = AspectTable(interp, model)
+    found = first_shared_pair(table, table.mask([t]), statement_ids)
     if found is None:
         return None
     first, second, shared = found
@@ -171,62 +172,35 @@ def contains_redundancy(
     return RedundancyWitness(first, second, frozenset(Element(algebra, m) for m in shared))
 
 
-class PairTable:
-    """:func:`contains_redundancy` over one table at one theme ``{t}``,
-    decided by infima, with the shared representation as element masks.
-
-    Each statement's infimum is read once and each pair is decided once, so
-    the statements-sets of every anchor of the theme share the work.
+def first_shared_pair(
+    table: AspectTable, tmask: int, statement_ids: Iterable[str]
+) -> tuple[str, str, frozenset[int]] | None:
+    """The first pair of the statements, in sorted-id order, that shares a
+    minimal representation at theme mask ``tmask``, with the least one it
+    shares as element masks.
 
     Whether R is a minimal representation depends only on R and the infimum it
     must reach.  So S1 and S2 share one iff inf S1 = inf S2 = inf(S1 & S2), and
-    the shared ones are the minimal representations of S1 & S2.
+    the shared ones are the minimal representations of S1 & S2.  Pairs are
+    therefore compared by their infima, and only a pair whose infima agree
+    meets its intersection.
     """
-
-    def __init__(self, table: AspectTable, t: str):
-        self.table = table
-        self.tmask = table.mask([t])
-        self._pairs: dict[tuple[str, str], frozenset[int] | None] = {}
-        self._sets: dict[frozenset[str], tuple[str, str, frozenset[int]] | None] = {}
-
-    def redundancy(
-        self, statement_ids: Iterable[str]
-    ) -> tuple[str, str, frozenset[int]] | None:
-        """The first pair of the statements, in id order, that shares a
-        minimal representation, with the least one it shares."""
-        members = frozenset(statement_ids)
-        if members not in self._sets:
-            self._sets[members] = self._first_shared_pair(sorted(members))
-        return self._sets[members]
-
-    def _first_shared_pair(self, ids: list[str]) -> tuple[str, str, frozenset[int]] | None:
-        infs = [self._inf(sid) for sid in ids]
-        for i, s1 in enumerate(ids):
-            for j in range(i + 1, len(ids)):
-                if infs[i] == infs[j]:
-                    shared = self._shared(s1, ids[j], infs[i])
-                    if shared is not None:
-                        return s1, ids[j], shared
-        return None
-
-    def _inf(self, sid: str) -> int:
-        out = self.table.infs(sid)[self.tmask]
-        return self.table.full_mask if out is None else out  # an empty row meets to the top
-
-    def _shared(self, s1: str, s2: str, inf: int) -> frozenset[int] | None:
-        """The least minimal representation ``s1`` and ``s2``, whose
-        infima are both ``inf``, share; ``None`` when they share none."""
-        if (s1, s2) in self._pairs:
-            return self._pairs[s1, s2]
-        table, full = self.table, self.table.full_mask
-        (full1, row1), (full2, row2) = table.rows(s1)[self.tmask], table.rows(s2)[self.tmask]
-        if full1 and full2:
-            out = frozenset([0])  # both carriers hold the bottom, their infimum
-        else:
+    ids = sorted(set(statement_ids))
+    full = table.full_mask
+    infs = [table.infs(sid)[tmask] for sid in ids]
+    infs = [full if m is None else m for m in infs]  # an empty row meets to the top
+    for i, s1 in enumerate(ids):
+        for j in range(i + 1, len(ids)):
+            if infs[i] != infs[j]:
+                continue
+            s2 = ids[j]
+            (full1, row1), (full2, row2) = table.rows(s1)[tmask], table.rows(s2)[tmask]
+            if full1 and full2:
+                return s1, s2, frozenset([0])  # both carriers hold the bottom, their infimum
             common = row2 if full1 else row1 if full2 else row1 & row2
             meet = full
             for m in common:
                 meet &= m
-            out = min(_minimal_representations(common, full), key=sorted) if meet == inf else None
-        self._pairs[s1, s2] = out
-        return out
+            if meet == infs[i]:
+                return s1, s2, min(_minimal_representations(common, full), key=sorted)
+    return None

@@ -55,7 +55,7 @@ from .model import (
     theme_subsets,
     validate_wellformed,
 )
-from .constraints import all_violations, check_core, check_graphic
+from .constraints import check_core, check_graphic
 
 
 def aspect_support(model: Model, stmt: Statement) -> frozenset[str]:
@@ -173,7 +173,9 @@ def synthesize_core_witness(model: Model) -> Interpretation:
     interp = Interpretation(algebra, theme_rows, statement_rows, formulas)
 
     # m * m <= MAX_PROPS, so m is far below the theme cap of check_core
-    leftover = all_violations(check_core(model, interp))
+    found = check_core(model, interp)
+    # each list is in sort_key order, which leads with the constraint id
+    leftover = [v for cid in sorted(found) for v in found[cid]]
     if leftover:
         raise SynthesisError(
             "synthesized interpretation failed self-verification: "

@@ -23,7 +23,19 @@ from aspectarg.model import (
     Model,
     Relation,
     Statement,
+    Violation,
 )
+
+
+def all_violations(groups) -> list[Violation]:
+    """Every violation of a checker's ``{constraint id: violations}`` result,
+    in :meth:`Violation.sort_key` order."""
+    out: list[Violation] = []
+    for vs in groups.values():
+        out.extend(vs)
+    out.sort(key=Violation.sort_key)
+    return out
+
 
 # ---------------------------------------------------------------------------
 # Truth-table oracle for the formula language.

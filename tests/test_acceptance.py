@@ -17,7 +17,6 @@ from aspectarg.cli import run
 from aspectarg.constraints import (
     ALPHA_GROUPS,
     CORE,
-    all_violations,
     check_core,
     check_exact_region,
     check_graphic,
@@ -36,6 +35,7 @@ from aspectarg.semantics import (
 from aspectarg.statements_sets import statements_sets
 from aspectarg.synthesis import synthesize_core_witness
 from helpers import (
+    all_violations,
     atoms,
     block_instance,
     eta,

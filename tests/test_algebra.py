@@ -121,6 +121,11 @@ class TestSubalgebra:
     def test_missing_bounds(self, fig1, ev):
         assert not self.closed(fig1, {ev("x"), ev("~x")})
 
+    def test_missing_meet(self, fig1, ev):
+        # closed under complement, but x & y and x | y are missing
+        row = {fig1.bottom, fig1.top, ev("x"), ev("~x"), ev("y"), ev("~y")}
+        assert not self.closed(fig1, row)
+
 
 class TestAlgebraLaws:
     @pytest.mark.parametrize("k", [1, 2])

@@ -11,7 +11,6 @@ from aspectarg.constraints import (
     ALPHA_GROUPS,
     CORE,
     EXACT_REGION_IDS,
-    all_violations,
     check_core,
     check_das,
     check_exact_region,
@@ -41,6 +40,7 @@ from aspectarg.model import (
 )
 from aspectarg.modelfile import load_path
 from helpers import (
+    all_violations,
     block_instance,
     issubset,
     oracle_core,
@@ -253,6 +253,13 @@ class TestCore:
         algebra = mk_algebra(list(props))
         model = single_theme_model("s")
         interp = Interpretation(algebra, {frozenset(["t"]): aspects(algebra, ev(formula, algebra))}, {})
+        assert [v.theme_set for v in check_core(model, interp)["bat"]] == [("t",)]
+
+    def test_bat_requires_meets(self, fig1, ev):
+        # the row holds 0, 1 and every complement, but not x & y
+        model = single_theme_model("s")
+        row = aspects(fig1, fig1.bottom, fig1.top, ev("x"), ev("~x"), ev("y"), ev("~y"))
+        interp = Interpretation(fig1, {frozenset(["t"]): row}, {})
         assert [v.theme_set for v in check_core(model, interp)["bat"]] == [("t",)]
 
     def test_ss_ranges_over_the_statements_own_themes(self, fig1):

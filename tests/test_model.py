@@ -335,6 +335,31 @@ class TestWellformedness:
 # ---------------------------------------------------------------------------
 
 
+def with_covering_singleton_rows(rng: random.Random, model: Model, interp: Interpretation):
+    """Give about half the statements of two or more themes singleton rows
+    that together list the whole carrier, so their union at all their themes
+    lists it too."""
+    rows = dict(interp.statement_aspects)
+    carrier = list(range(interp.algebra.carrier_size))
+    for s in model.statements:
+        themes = sorted(model.themes_of(s.id))
+        if len(themes) < 2 or rng.random() < 0.5:
+            continue
+        rng.shuffle(carrier)
+        parts: dict[str, set[int]] = {t: set() for t in themes}
+        for i, m in enumerate(carrier):
+            parts[themes[i] if i < len(themes) else rng.choice(themes)].add(m)
+        for t, masks in parts.items():
+            rows[(frozenset([t]), s.id)] = (False, frozenset(masks))
+    return Interpretation(interp.algebra, interp.theme_aspects, rows)
+
+
+def without_some_omega_rows(rng: random.Random, interp: Interpretation):
+    """Drop about half the omega rows, which never default."""
+    omega = {t: row for t, row in interp.theme_aspects.items() if rng.random() < 0.5}
+    return Interpretation(interp.algebra, omega, interp.statement_aspects)
+
+
 class TestTableAgainstDefaultingRule:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -347,6 +372,11 @@ class TestTableAgainstDefaultingRule:
         interp = random_total_interpretation(rng, model, algebra)
         if rng.random() < 0.7:
             interp = with_extra_rows(rng, model, interp)
+        # a small carrier listed in full by a union is the full row
+        if algebra.k == 1 and rng.random() < 0.7:
+            interp = with_covering_singleton_rows(rng, model, interp)
+        if rng.random() < 0.5:
+            interp = without_some_omega_rows(rng, interp)
         # one table read in mask order, as a sweep reads, the other in a
         # shuffled order, so their memos fill in different orders
         table, shuffled = AspectTable(interp, model), AspectTable(interp, model)

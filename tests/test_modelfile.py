@@ -1,0 +1,259 @@
+"""Every refusal of the model-file loader and every well-formedness rule,
+one bad input per message.
+
+Loader refusals are pinned as the exact ``error:`` line of ``validate``; the
+well-formedness rules a file can break as the exact machine report of
+``validate``; the rules only code can break (the loader refuses such files
+first) as the records ``validate_wellformed`` returns.
+"""
+
+import copy
+import io
+import json
+import re
+
+import pytest
+
+from aspectarg.cli import run
+from aspectarg.model import (
+    WELLFORMED,
+    Model,
+    Relation,
+    Statement,
+    Violation,
+    validate_wellformed,
+)
+
+MINIMAL = {
+    "themes": ["t"],
+    "props": ["p"],
+    "statements": [{"id": "s", "kind": "ordinary", "themes": ["t"]}],
+    "relations": [],
+    "interpretation": {
+        "default": "union",
+        "theme_aspects": [{"themes": ["t"], "aspects": "ALL"}],
+        "statement_aspects": [{"themes": ["t"], "statement": "s", "aspects": ["p"]}],
+    },
+}
+
+#: Marks a key to delete.
+DROP = object()
+
+
+def edited(path, value):
+    """``MINIMAL`` with the value at ``path`` (keys and list indices) set to
+    ``value``, appended when the index is one past the end, or deleted for
+    :data:`DROP`; the empty path replaces the whole document."""
+    if not path:
+        return value
+    doc = copy.deepcopy(MINIMAL)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is DROP:
+        del node[last]
+    elif isinstance(node, list) and last == len(node):
+        node.append(value)
+    else:
+        node[last] = value
+    return doc
+
+
+def pointer(sid, **fields):
+    return {"id": sid, "kind": "pointer", "themes": ["t"], **fields}
+
+
+def rows_cases(block, row):
+    """The refusals both interpretation blocks share, for rows like ``row``."""
+    where = f"interpretation.{block}"
+    kind = block[:-1].replace("_", "-")
+    return [
+        (f"{where}: expected a list", ("interpretation", block), {}),
+        (f"{where}[0]: expected an object", ("interpretation", block, 0), "row"),
+        (
+            f"{where}[0].themes: expected a list of strings",
+            ("interpretation", block, 0),
+            {**row, "themes": "t"},
+        ),
+        (f"{where}[0].themes: unknown theme 'u'", ("interpretation", block, 0), {**row, "themes": ["u"]}),
+        (
+            f"{where}[0].aspects: expected a list of strings",
+            ("interpretation", block, 0),
+            {**row, "aspects": "p"},
+        ),
+        (
+            f"{where}[0].aspects: bad formula 'p &': unexpected end of input (at offset 3)",
+            ("interpretation", block, 0),
+            {**row, "aspects": ["p &"]},
+        ),
+        (f"{where}[1]: duplicate {kind} row", ("interpretation", block, 1), row),
+    ]
+
+
+#: (the message, the path of the edit to MINIMAL, the value put there)
+LOADER_REFUSALS = [
+    ("document: expected a JSON object", (), []),
+    ("document: missing required key 'themes'", ("themes",), DROP),
+    ("document: missing required key 'relations'", ("relations",), DROP),
+    ("themes: expected a list of strings", ("themes",), "t"),
+    ("themes: duplicate theme ids", ("themes",), ["t", "t"]),
+    ("themes: '@omega' is reserved", ("themes",), ["t", "@omega"]),
+    ("themes: theme ids must be non-empty", ("themes",), ["t", ""]),
+    ("props: expected a list of strings", ("props",), ["p", 1]),
+    ("props: proposition '1p' is not a valid identifier", ("props",), ["p", "1p"]),
+    ("props: an algebra needs at least one proposition", ("props",), []),
+    ("props: duplicate proposition names: p", ("props",), ["p", "p"]),
+    ("props: 21 propositions exceed the cap of 20", ("props",), [f"p{i}" for i in range(21)]),
+    ("statements: expected a list", ("statements",), {}),
+    ("statements[1]: expected an object", ("statements", 1), "s2"),
+    ("statements[0]: missing or empty id", ("statements", 0, "id"), ""),
+    ("statements[0]: statement id '@summary' is reserved", ("statements", 0, "id"), "@summary"),
+    ("statements[1]: duplicate statement id 's'", ("statements", 1), {"id": "s", "themes": ["t"]}),
+    ("statements[0]: ordinary statements take no 'theme'/'target'", ("statements", 0, "target"), "s"),
+    ("statements[1]: pointer needs a 'theme'", ("statements", 1), pointer("q", target="s")),
+    ("statements[1]: pointer needs a 'target'", ("statements", 1), pointer("q", theme="t")),
+    (
+        "statements[1]: '@omega' cannot be a pointer target",
+        ("statements", 1),
+        pointer("q", theme="t", target="@omega"),
+    ),
+    ("statements[0]: unknown kind 'claim'", ("statements", 0, "kind"), "claim"),
+    ("statements[0].themes: expected a list of strings", ("statements", 0, "themes"), "t"),
+    ("relations: expected a list", ("relations",), None),
+    ("relations[0]: expected an object", ("relations", 0), ["s", "s"]),
+    ("relations[0]: needs 'from' and 'to'", ("relations", 0), {"from": "s"}),
+    (
+        "relations[0].types: expected a list of strings",
+        ("relations", 0),
+        {"from": "s", "to": "s", "types": "attack"},
+    ),
+    (
+        "relations[0]: unknown relation type 'attak'",
+        ("relations", 0),
+        {"from": "s", "to": "s", "types": ["attak"]},
+    ),
+    (
+        "relations[0].themes: expected a list of strings",
+        ("relations", 0),
+        {"from": "s", "to": "s", "themes": "t"},
+    ),
+    ("interpretation: expected an object", ("interpretation",), []),
+    ("interpretation.default: expected 'union', got 'empty'", ("interpretation", "default"), "empty"),
+    *rows_cases("theme_aspects", MINIMAL["interpretation"]["theme_aspects"][0]),
+    *rows_cases("statement_aspects", MINIMAL["interpretation"]["statement_aspects"][0]),
+    (
+        'interpretation.statement_aspects[0].aspects: "ALL" is only valid for theme aspects',
+        ("interpretation", "statement_aspects", 0, "aspects"),
+        "ALL",
+    ),
+    (
+        "interpretation.statement_aspects[0]: needs a 'statement' id",
+        ("interpretation", "statement_aspects", 0, "statement"),
+        DROP,
+    ),
+    (
+        "interpretation.statement_aspects[0]: unknown statement 'ghost'",
+        ("interpretation", "statement_aspects", 0, "statement"),
+        "ghost",
+    ),
+]
+
+#: (the one violation's detail, the path of the edit to MINIMAL, the value put there)
+FILE_WF_RULES = [
+    ("statement s untyped (no themes)", ("statements", 0, "themes"), []),
+    ("statement s typed with undeclared themes ['u']", ("statements", 0, "themes"), ["t", "u"]),
+    ("pointer q references undeclared theme 'u'", ("statements", 1), pointer("q", theme="u", target="s")),
+    (
+        "pointer q targets pointer r; pointers must reference ordinary statements",
+        ("statements",),
+        [MINIMAL["statements"][0], pointer("q", theme="t", target="r"), pointer("r", theme="t", target="s")],
+    ),
+    (
+        "q and r both point to statement 's' of theme 't'; a pointer statement is "
+        "identified by its reference",
+        ("statements",),
+        [MINIMAL["statements"][0], pointer("q", theme="t", target="s"), pointer("r", theme="t", target="s")],
+    ),
+    (
+        "relation ('s', 'x') endpoint missing",
+        ("relations", 0),
+        {"from": "s", "to": "x", "types": ["attack"], "themes": ["t"]},
+    ),
+    (
+        "relation ('s', 's') has no attack/support type",
+        ("relations", 0),
+        {"from": "s", "to": "s", "types": [], "themes": ["t"]},
+    ),
+    (
+        "relation ('s', 's') has no themes",
+        ("relations", 0),
+        {"from": "s", "to": "s", "types": ["attack"], "themes": []},
+    ),
+    (
+        "relation ('s', 's') typed with themes ['u'] outside the themes of its endpoints",
+        ("relations", 0),
+        {"from": "s", "to": "s", "types": ["attack"], "themes": ["u"]},
+    ),
+]
+
+S = Statement("s")
+SELF = ("s", "s")
+
+#: (the one violation, the model that breaks its rule)
+CODE_WF_RULES = [
+    (Violation(WELLFORMED, detail="duplicate theme ids"), (["t", "t"], [S], {"s": {"t"}}, [])),
+    (Violation(WELLFORMED, detail="empty theme id"), (["t", ""], [S], {"s": {"t"}}, [])),
+    (Violation(WELLFORMED, detail="empty statement id"), (["t"], [Statement("")], {"": {"t"}}, [])),
+    (
+        Violation(WELLFORMED, ("x",), detail="typing for unknown statement x"),
+        (["t"], [S], {"s": {"t"}, "x": {"t"}}, []),
+    ),
+    (
+        Violation(WELLFORMED, relation=SELF, detail="relation ('s', 's') has unknown types ['attak']"),
+        (["t"], [S], {"s": {"t"}}, [Relation("s", "s", frozenset({"attak"}), frozenset({"t"}))]),
+    ),
+]
+
+
+def case_id(text):
+    return "-".join(re.findall(r"[a-z0-9]+", text.lower()))
+
+
+def validate(tmp_path, doc, *options):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["validate", str(path), *options], out=out, err=err)
+    return str(path), code, out.getvalue(), err.getvalue()
+
+
+def test_every_case_is_one_message():
+    messages = [m for m, *_ in LOADER_REFUSALS + FILE_WF_RULES]
+    messages += [v.detail for v, _ in CODE_WF_RULES]
+    assert len(set(messages)) == len(messages)
+    assert len({case_id(m) for m in messages}) == len(messages)
+
+
+@pytest.mark.parametrize(
+    "message, edit, value", LOADER_REFUSALS, ids=[case_id(m) for m, *_ in LOADER_REFUSALS]
+)
+def test_the_loader_refuses_with_one_error_line(tmp_path, message, edit, value):
+    _, code, out, err = validate(tmp_path, edited(edit, value))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "detail, edit, value", FILE_WF_RULES, ids=[case_id(d) for d, *_ in FILE_WF_RULES]
+)
+def test_a_file_breaking_one_rule_gets_one_violation(tmp_path, detail, edit, value):
+    path, code, out, err = validate(tmp_path, edited(edit, value), "--format", "machine")
+    report = {"command": "validate", "file": path, "violations": [detail], "wellformed": False}
+    assert (code, out, err) == (2, json.dumps(report, indent=2, sort_keys=True) + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "violation, build", CODE_WF_RULES, ids=[case_id(v.detail) for v, _ in CODE_WF_RULES]
+)
+def test_a_model_breaking_one_rule_gets_one_violation(violation, build):
+    assert validate_wellformed(Model.build(*build)) == [violation]

@@ -1,7 +1,11 @@
-"""The README's library example runs as shown."""
+"""The README's library example runs as shown, and its modules exist."""
 
+import importlib
 import re
 from pathlib import Path
+from types import ModuleType
+
+import aspectarg
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,3 +46,17 @@ def test_library_example_prints_what_it_shows(capsys):
         "('s2', 's1') ('t',) ['strengthening']",
         "('s2', 's3') ('t',) ['strengthening']",
     ]
+
+
+def test_every_listed_module_imports_as_a_module():
+    text = README.read_text(encoding="utf-8")
+    table = re.search(r"^## Modules\n\n(.*?)\n\n", text, re.S | re.M).group(1)
+    names = re.findall(r"^\| `(aspectarg\.\w+)`(?: / `(aspectarg\.\w+)`)? \|", table, re.M)
+    listed = [name for row in names for name in row if name]
+    assert len(listed) == 11
+    for name in listed:
+        module = importlib.import_module(name)
+        assert isinstance(module, ModuleType), name
+        # ``import aspectarg.x as m`` binds the package attribute, which a
+        # re-export of the same name would shadow
+        assert getattr(aspectarg, name.split(".")[1]) is module, name

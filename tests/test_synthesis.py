@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from aspectarg.constraints import all_violations, check_core, check_graphic
+from aspectarg.constraints import check_core, check_graphic
 from aspectarg.errors import CapExceeded, CoreUnsatisfiableError, GraphicPreconditionError
 from aspectarg.model import (
     ATTACK,
@@ -15,7 +15,7 @@ from aspectarg.model import (
 )
 from aspectarg.modelfile import to_dict
 from aspectarg.synthesis import synthesize_core_witness
-from helpers import random_graphic_safe_model, random_total_interpretation
+from helpers import all_violations, random_graphic_safe_model, random_total_interpretation
 from aspectarg.algebra import mk_algebra
 
 
