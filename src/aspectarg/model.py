@@ -58,7 +58,7 @@ def maximal_masks(sets: Iterable[int]) -> list[int]:
     return kept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """An ordinary statement, or a pointer into a theme.
 
@@ -71,6 +71,15 @@ class Statement:
     id: str
     ref_theme: str | None = None
     ref_target: str | None = None
+
+    def __init__(
+        self, id: str, ref_theme: str | None = None, ref_target: str | None = None
+    ) -> None:
+        # the loader makes one per statement; as in Violation, each slot's
+        # descriptor writes its field past the frozen class's setattr
+        _set_id(self, id)
+        _set_ref_theme(self, ref_theme)
+        _set_ref_target(self, ref_target)
 
     @property
     def is_pointer(self) -> bool:
@@ -85,16 +94,36 @@ class Statement:
         return self.ref_theme is not None and self.ref_target is not None
 
 
-@dataclass(frozen=True)
+_set_id, _set_ref_theme, _set_ref_target = (
+    Statement.__dict__[f.name].__set__ for f in fields(Statement)
+)
+
+
+@dataclass(frozen=True, slots=True)
 class Relation:
     source: str
     target: str
     rel_types: frozenset[str]
     themes: frozenset[str]
 
+    def __init__(
+        self, source: str, target: str, rel_types: frozenset[str], themes: frozenset[str]
+    ) -> None:
+        # the loader makes one per relation and each theme sub-model one per
+        # relation it narrows; set as Statement's fields are
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_rel_types(self, rel_types)
+        _set_themes(self, themes)
+
     @property
     def pair(self) -> tuple[str, str]:
         return (self.source, self.target)
+
+
+_set_source, _set_target, _set_rel_types, _set_themes = (
+    Relation.__dict__[f.name].__set__ for f in fields(Relation)
+)
 
 
 @dataclass(frozen=True)
@@ -298,6 +327,68 @@ class _Memo(dict):
         return value
 
 
+class _Rows(dict):
+    """The rows of one statement, or of :data:`OMEGA`, by theme mask, each
+    made on its first read.
+
+    A mask's row is the explicit row at its theme set, and else the union of
+    the statement's singleton rows at the mask's themes.  That default depends
+    only on the mask's bits among the themes of those rows, ``singles``, so
+    each projection is unioned once, in ``unions``.  Omega and summary
+    pointers have no ``singles`` and never default.  No field refers back to
+    the table, so a table is freed as soon as its check drops it, with no
+    cyclic collection.
+    """
+
+    __slots__ = ("themes", "given", "s", "singles", "unions", "listable")
+
+    def __missing__(self, tmask: int) -> Row:
+        themes = self.themes[tmask]
+        if self.s is OMEGA:
+            out = self[tmask] = self.given.get(themes, EMPTY_ROW)
+            return out
+        out = self.given.get((themes, self.s))
+        if out is None:
+            projection = tmask & self.singles
+            if not projection:
+                out = EMPTY_ROW
+            else:
+                out = self.unions.get(projection)
+                if out is None:
+                    out = self.unions[projection] = self._default(projection)
+        self[tmask] = out
+        return out
+
+    def _default(self, projection: int) -> Row:
+        """The union of the singleton rows at the themes of ``projection``."""
+        out = EMPTY_ROW
+        while projection:
+            bit = projection & -projection
+            projection ^= bit
+            out = _union(out, self.given[self.themes[bit], self.s])
+        return FULL_ROW if len(out[1]) == self.listable else out
+
+
+class _Infs(dict):
+    """The masks of the infima of one statement's rows by theme mask, each
+    made on its first read; ``None`` for an empty row."""
+
+    __slots__ = ("rows", "full_mask")
+
+    def __missing__(self, tmask: int) -> int | None:
+        full, masks = self.rows[tmask]
+        if full:
+            out = 0  # the carrier contains the bottom element
+        elif not masks:
+            out = None
+        else:
+            out = self.full_mask
+            for m in masks:
+                out &= m
+        self[tmask] = out
+        return out
+
+
 class AspectTable:
     """One interpretation compiled against one model for integer reads.
 
@@ -321,11 +412,11 @@ class AspectTable:
         self.bits = {t: 1 << i for i, t in enumerate(self.names)}
         # as in AspectSet: a small carrier listed in full is full
         self._listable = _listable(self.algebra)
-        self._singletons = [(frozenset([t]), bit) for t, bit in self.bits.items()]
-        # by statement; no entry refers back to the table, so a table is
-        # freed as soon as its check drops it, with no cyclic collection
-        self._rows: dict[str, _Memo] = {}
-        self._infs: dict[str, _Memo] = {}
+        # by statement, each made on its first read
+        self._rows: dict[str, _Rows] = {}
+        self._infs: dict[str, _Infs] = {}
+        # each statement's singleton-row bits, found in one pass on first need
+        self._singles: dict[str, int] | None = None
         # each mask's theme set, its sorted names as violation records carry
         # them, and their ``repr`` as violation details print theme sets
         names = self.names
@@ -357,54 +448,39 @@ class AspectTable:
         for an empty row."""
         out = self._infs.get(s)
         if out is None:
-            rows, full_mask = self.rows(s), self.full_mask
-
-            def infimum(tmask: int) -> int | None:
-                full, masks = rows[tmask]
-                if full:
-                    return 0  # the carrier contains the bottom element
-                if not masks:
-                    return None
-                out = full_mask
-                for m in masks:
-                    out &= m
-                return out
-
-            out = self._infs[s] = _Memo(infimum)
+            out = self._infs[s] = _Infs()
+            out.rows, out.full_mask = self.rows(s), self.full_mask
         return out
 
-    def _statement_rows(self, s: str) -> _Memo:
-        """The rows of ``s``: each explicit row, and else the union default.
+    def _statement_rows(self, s: str) -> _Rows:
+        """The empty row map of ``s``; an unknown statement raises."""
+        out = _Rows()
+        out.themes, out.unions, out.listable = self.themes, {}, self._listable
+        if s == OMEGA:
+            out.s, out.given, out.singles = OMEGA, self.interp.theme_aspects, 0
+            return out
+        out.s, out.given = s, self.interp.statement_aspects
+        if self.model.statement(s).is_summary_pointer:
+            out.singles = 0
+        else:
+            singles = self._singles
+            if singles is None:
+                singles = self._singles = self._singleton_bits()
+            out.singles = singles.get(s, 0)
+        return out
 
-        The default at a mask is the union of the singleton rows at its
-        themes, so it depends only on the mask's bits among the themes of
-        those rows, ``singles``; each of those projections is unioned once.
-        Omega and summary pointers have no ``singles``, so they never default.
-        """
-        themes, omega = self.themes, s == OMEGA
-        given = self.interp.theme_aspects if omega else self.interp.statement_aspects
-        singles = 0
-        if not omega and not self.model.statement(s).is_summary_pointer:
-            for theme, bit in self._singletons:
-                if (theme, s) in given:
-                    singles |= bit
-        listable = self._listable
-
-        def union(tmask: int) -> Row:
-            out = EMPTY_ROW
-            while tmask:
-                bit = tmask & -tmask
-                tmask ^= bit
-                out = _union(out, given[themes[bit], s])
-            return FULL_ROW if len(out[1]) == listable else out
-
-        unions = _Memo(union)
-
-        def row(tmask: int) -> Row:
-            out = given.get(themes[tmask] if omega else (themes[tmask], s))
-            return unions[tmask & singles] if out is None else out
-
-        return _Memo(row)
+    def _singleton_bits(self) -> dict[str, int]:
+        """The bits of the themes of each statement's singleton rows, from one
+        pass over the statement rows; a row keyed by an undeclared theme has
+        no bit and is never read."""
+        bits, out = self.bits, {}
+        for themes, s in self.interp.statement_aspects:
+            if len(themes) == 1:
+                (theme,) = themes
+                bit = bits.get(theme)
+                if bit is not None:
+                    out[s] = out.get(s, 0) | bit
+        return out
 
 
 def _union(a: Row, b: Row) -> Row:
@@ -508,6 +584,8 @@ class Violation:
 
 
 WELLFORMED = "wf"
+_REL_TYPE_SET = frozenset(REL_TYPES)
+_NO_THEMES: frozenset[str] = frozenset()
 
 
 def validate_wellformed(model: Model) -> list[Violation]:
@@ -519,85 +597,87 @@ def validate_wellformed(model: Model) -> list[Violation]:
     for th in model.themes:
         if not th:
             out.append(Violation(WELLFORMED, detail="empty theme id"))
-    ids = {s.id for s in model.statements}
+    typing, by_id = model.statement_themes, model._by_id
+    seen_refs: dict[tuple[str, str | None], str] = {}
     for s in model.statements:
-        if not s.id:
+        sid = s.id
+        if not sid:
             out.append(Violation(WELLFORMED, detail="empty statement id"))
-        ts = model.themes_of(s.id)
+        ts = typing.get(sid, _NO_THEMES)
         if not ts:
-            out.append(Violation(WELLFORMED, (s.id,), detail=f"statement {s.id} untyped (no themes)"))
-        unknown = ts - declared
-        if unknown:
+            out.append(Violation(WELLFORMED, (sid,), detail=f"statement {sid} untyped (no themes)"))
+        elif not ts <= declared:
             out.append(
                 Violation(
                     WELLFORMED,
-                    (s.id,),
-                    detail=f"statement {s.id} typed with undeclared themes {sorted(unknown)}",
+                    (sid,),
+                    detail=f"statement {sid} typed with undeclared themes {sorted(ts - declared)}",
                 )
             )
-        if s.is_pointer:
-            if s.ref_theme not in declared:
-                out.append(
-                    Violation(
-                        WELLFORMED,
-                        (s.id,),
-                        detail=f"pointer {s.id} references undeclared theme {s.ref_theme!r}",
-                    )
-                )
-            if s.is_statement_pointer and s.ref_target in ids:
-                target = model.statement(s.ref_target)
-                if target.is_pointer:
-                    out.append(
-                        Violation(
-                            WELLFORMED,
-                            (s.id,),
-                            detail=f"pointer {s.id} targets pointer {s.ref_target}; "
-                            "pointers must reference ordinary statements",
-                        )
-                    )
-    seen_refs: dict[tuple[str, str | None], str] = {}
-    for s in model.statements:
-        if not s.is_pointer:
+        if s.ref_theme is None:
             continue
+        if s.ref_theme not in declared:
+            out.append(
+                Violation(
+                    WELLFORMED,
+                    (sid,),
+                    detail=f"pointer {sid} references undeclared theme {s.ref_theme!r}",
+                )
+            )
+        target = s.ref_target
+        if target is not None and target in by_id and by_id[target].ref_theme is not None:
+            out.append(
+                Violation(
+                    WELLFORMED,
+                    (sid,),
+                    detail=f"pointer {sid} targets pointer {target}; "
+                    "pointers must reference ordinary statements",
+                )
+            )
         ref = (s.ref_theme, s.ref_target)
-        if ref in seen_refs:
+        first = seen_refs.get(ref)
+        if first is None:
+            seen_refs[ref] = sid
+        else:
             what = "summary" if s.ref_target is None else f"statement {s.ref_target!r}"
             out.append(
                 Violation(
                     WELLFORMED,
-                    (seen_refs[ref], s.id),
-                    detail=f"{seen_refs[ref]} and {s.id} both point to {what} of theme "
+                    (first, sid),
+                    detail=f"{first} and {sid} both point to {what} of theme "
                     f"{s.ref_theme!r}; a pointer statement is identified by its reference",
                 )
             )
-        else:
-            seen_refs[ref] = s.id
-    for sid in model.statement_themes:
-        if sid not in ids:
+    for sid in typing:
+        if sid not in by_id:
             out.append(Violation(WELLFORMED, (sid,), detail=f"typing for unknown statement {sid}"))
     for r in model.relations:
-        pair = r.pair
-        if r.source not in ids or r.target not in ids:
+        source, target, types, themes = r.source, r.target, r.rel_types, r.themes
+        pair = (source, target)
+        if source not in by_id or target not in by_id:
             out.append(
                 Violation(WELLFORMED, relation=pair, detail=f"relation {pair} endpoint missing")
             )
             continue
-        if not r.rel_types:
+        if not types:
             out.append(
                 Violation(WELLFORMED, relation=pair, detail=f"relation {pair} has no attack/support type")
             )
-        if not r.rel_types <= set(REL_TYPES):
+        elif not types <= _REL_TYPE_SET:
             out.append(
                 Violation(
                     WELLFORMED,
                     relation=pair,
-                    detail=f"relation {pair} has unknown types {sorted(r.rel_types - set(REL_TYPES))}",
+                    detail=f"relation {pair} has unknown types {sorted(types - _REL_TYPE_SET)}",
                 )
             )
-        if not r.themes:
+        if not themes:
             out.append(Violation(WELLFORMED, relation=pair, detail=f"relation {pair} has no themes"))
-        endpoint_themes = model.themes_of(r.source) | model.themes_of(r.target)
-        stray = r.themes - endpoint_themes
+            continue
+        at_source, at_target = typing.get(source, _NO_THEMES), typing.get(target, _NO_THEMES)
+        if themes <= at_source or themes <= at_target:
+            continue
+        stray = themes - at_source - at_target
         if stray:
             out.append(
                 Violation(

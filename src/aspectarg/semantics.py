@@ -44,26 +44,38 @@ def sub_model(model: Model, themes: Iterable[str]) -> SubModel | None:
 
     Relations survive when they carry a theme of T and both endpoints do too;
     an edge whose endpoint drops out cannot be part of a statement graph.
-    Typing is intersected with T (attack/support types are kept).
+    Typing is intersected with T (attack/support types are kept).  A
+    relation, or a statement's theme set, that lies inside T is the model's
+    own object; only the rest are intersected.
     """
     t = frozenset(themes)
-    for th in sorted(t):
-        if th not in model.themes:
-            raise UnknownIdError(f"unknown theme id {th!r}")
-    kept_statements = [s for s in model.statements if model.themes_of(s.id) & t]
-    if not kept_statements:
+    if not t.issubset(model.themes):
+        for th in sorted(t):
+            if th not in model.themes:
+                raise UnknownIdError(f"unknown theme id {th!r}")
+    typing, kept, kept_typing = model.statement_themes, [], {}
+    for s in model.statements:
+        ts = typing.get(s.id)
+        if ts and not ts <= t:
+            ts &= t
+        if ts:
+            kept.append(s)
+            kept_typing[s.id] = ts
+    if not kept:
         return None
-    kept_ids = {s.id for s in kept_statements}
-    relations = tuple(
-        Relation(r.source, r.target, r.rel_types, r.themes & t)
-        for r in model.relations
-        if r.themes & t and r.source in kept_ids and r.target in kept_ids
-    )
+    relations = []
+    for r in model.relations:
+        if r.source in kept_typing and r.target in kept_typing:
+            rt = r.themes
+            if rt <= t:
+                if rt:
+                    relations.append(r)
+            else:
+                rt &= t
+                if rt:
+                    relations.append(Relation(r.source, r.target, r.rel_types, rt))
     restricted = Model(
-        tuple(th for th in model.themes if th in t),
-        tuple(kept_statements),
-        {s.id: model.themes_of(s.id) & t for s in kept_statements},
-        relations,
+        tuple(th for th in model.themes if th in t), tuple(kept), kept_typing, tuple(relations)
     )
     return SubModel(restricted)
 

@@ -5,6 +5,7 @@ import pickle
 import random
 import runpy
 from collections import Counter
+from collections.abc import Mapping
 from itertools import combinations
 from pathlib import Path
 
@@ -505,6 +506,47 @@ class TestTableRowsAreBuiltOnce:
         assert 0 < len(unions) <= sum(k << k for k in singles.values())
         counts = {cid: len(vs) for cid, vs in found.items() if vs}
         assert counts == {"aass": 17, "pr": 10240, "ss": 3}
+
+    def test_the_singleton_rows_are_found_in_one_pass(self):
+        # thirty declared themes; each statement is read once, at one mask
+        themes = [f"t{i}" for i in range(30)]
+        statements = [Statement(f"s{i}") for i in range(12)]
+        typing = {s.id: {themes[i], themes[i + 1]} for i, s in enumerate(statements)}
+        model = Model.build(themes, statements, typing, [])
+        algebra = mk_algebra(["p"])
+        interp = Interpretation(
+            algebra,
+            {},
+            {
+                (frozenset([t]), sid): (False, frozenset({algebra.full_mask}))
+                for sid, ts in typing.items()
+                for t in ts
+            },
+        )
+        given, reads = interp.statement_aspects, Counter()
+
+        class Counted(Mapping):
+            """The rows, counting passes over them and reads of a key."""
+
+            def __getitem__(self, key):
+                reads["key"] += 1
+                return given[key]
+
+            def __iter__(self):
+                reads["pass"] += 1
+                return iter(given)
+
+            def __len__(self):
+                return len(given)
+
+        object.__setattr__(interp, "statement_aspects", Counted())
+        table = AspectTable(interp, model)
+        tmask = table.mask(["t1"])
+        infs = [table.infs(s.id)[tmask] for s in statements]
+        assert infs == [algebra.full_mask, algebra.full_mask] + [None] * 10
+        # one pass finds every statement's singleton bits, and each read
+        # looks up one key: no statement probes the declared themes
+        assert reads == {"pass": 1, "key": len(statements)}
 
 
 class TestThemeSubsets:

@@ -109,6 +109,7 @@ LOADER_REFUSALS = [
     ("statements[1]: expected an object", ("statements", 1), "s2"),
     ("statements[0]: missing or empty id", ("statements", 0, "id"), ""),
     ("statements[0]: statement id '@summary' is reserved", ("statements", 0, "id"), "@summary"),
+    ("statements[0]: statement id '@omega' is reserved", ("statements", 0, "id"), "@omega"),
     ("statements[1]: duplicate statement id 's'", ("statements", 1), {"id": "s", "themes": ["t"]}),
     ("statements[0]: ordinary statements take no 'theme'/'target'", ("statements", 0, "target"), "s"),
     ("statements[1]: pointer needs a 'theme'", ("statements", 1), pointer("q", target="s")),
@@ -249,6 +250,45 @@ def test_the_loader_refuses_with_one_error_line(tmp_path, message, edit, value):
 def test_a_file_breaking_one_rule_gets_one_violation(tmp_path, detail, edit, value):
     path, code, out, err = validate(tmp_path, edited(edit, value), "--format", "machine")
     report = {"command": "validate", "file": path, "violations": [detail], "wellformed": False}
+    assert (code, out, err) == (2, json.dumps(report, indent=2, sort_keys=True) + "\n", "")
+
+
+def test_a_file_breaking_every_rule_gets_each_violation_in_order(tmp_path):
+    # each rule of FILE_WF_RULES is broken once, by its own statement,
+    # pointer or relation
+    statements = [
+        MINIMAL["statements"][0],
+        {"id": "e", "kind": "ordinary", "themes": []},
+        {"id": "w", "kind": "ordinary", "themes": ["t", "u"]},
+        pointer("q", theme="u", target="s"),
+        pointer("r", theme="t", target="q"),
+        pointer("a", theme="t", target="s"),
+        pointer("b", theme="t", target="s"),
+    ]
+    relations = [
+        {"from": "s", "to": "x", "types": ["attack"], "themes": ["t"]},
+        {"from": "s", "to": "a", "types": [], "themes": ["t"]},
+        {"from": "s", "to": "b", "types": ["attack"], "themes": []},
+        {"from": "s", "to": "r", "types": ["attack"], "themes": ["u"]},
+    ]
+    doc = {**MINIMAL, "statements": statements, "relations": relations}
+    path, code, out, err = validate(tmp_path, doc, "--format", "machine")
+    # in Violation.sort_key order: relation records (no statements) first,
+    # by pair, then the statement records by their ids
+    details = [
+        "relation ('s', 'a') has no attack/support type",
+        "relation ('s', 'b') has no themes",
+        "relation ('s', 'r') typed with themes ['u'] outside the themes of its endpoints",
+        "relation ('s', 'x') endpoint missing",
+        "a and b both point to statement 's' of theme 't'; a pointer statement is "
+        "identified by its reference",
+        "statement e untyped (no themes)",
+        "pointer q references undeclared theme 'u'",
+        "pointer r targets pointer q; pointers must reference ordinary statements",
+        "statement w typed with undeclared themes ['u']",
+    ]
+    assert len(details) == len(FILE_WF_RULES)
+    report = {"command": "validate", "file": path, "violations": details, "wellformed": False}
     assert (code, out, err) == (2, json.dumps(report, indent=2, sort_keys=True) + "\n", "")
 
 

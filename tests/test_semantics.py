@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,12 @@ from aspectarg.semantics import (
     logico_rhetorical_conclusion,
     sub_model,
 )
-from helpers import oracle_conflict_free_extensions, oracle_dung
+from helpers import (
+    oracle_conflict_free_extensions,
+    oracle_dung,
+    random_graphic_safe_model,
+    random_model_any,
+)
 
 
 def attack_model(args, attacks, themes=("t",)):
@@ -107,6 +113,49 @@ class TestSubModel:
         sub = sub_model(model, ["t2"])
         assert [s.id for s in sub.model.statements] == ["b"]
         assert sub.model.relations == ()
+
+    def test_random_models_restrict_to_every_theme_subset(self):
+        rng = random.Random(53)
+        for i in range(150):
+            if i % 2:
+                model = random_model_any(rng, max_themes=3)
+            else:
+                model = random_graphic_safe_model(rng, max_themes=3)
+            for n in range(len(model.themes) + 1):
+                for t in map(frozenset, combinations(model.themes, n)):
+                    kept = [s for s in model.statements if model.themes_of(s.id) & t]
+                    sub = sub_model(model, t)
+                    if not kept:
+                        assert sub is None
+                        continue
+                    ids = {s.id for s in kept}
+                    assert sub.model.statements == tuple(kept)
+                    assert dict(sub.model.statement_themes) == {
+                        sid: model.themes_of(sid) & t for sid in ids
+                    }
+                    assert list(sub.model.relations) == [
+                        Relation(r.source, r.target, r.rel_types, r.themes & t)
+                        for r in model.relations
+                        if r.themes & t and r.source in ids and r.target in ids
+                    ]
+                    assert sub.model.themes == tuple(th for th in model.themes if th in t)
+
+    def test_what_lies_inside_the_theme_set_is_the_models_own(self):
+        model = Model.build(
+            ["t1", "t2", "t3"],
+            [Statement("a"), Statement("b")],
+            {"a": {"t1", "t2"}, "b": {"t1", "t2", "t3"}},
+            [
+                Relation("a", "b", frozenset({ATTACK}), frozenset({"t1"})),
+                Relation("b", "a", frozenset({SUPPORT}), frozenset({"t1", "t3"})),
+            ],
+        )
+        inside, narrowed = sub_model(model, ["t1", "t2"]).model.relations
+        assert inside is model.relations[0]
+        assert narrowed == Relation("b", "a", frozenset({SUPPORT}), frozenset({"t1"}))
+        typing = sub_model(model, ["t1", "t2"]).model.statement_themes
+        assert typing["a"] is model.statement_themes["a"]
+        assert typing["b"] == {"t1", "t2"}
 
 
 class TestExtensions:
