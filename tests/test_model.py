@@ -330,6 +330,66 @@ class TestWellformedness:
         assert model.relations[0].rel_types == {"attack", "support"}
         assert model.relations[0].themes == {"t1", "t2"}
 
+    def test_a_model_breaking_every_rule_gets_each_violation_in_order(self):
+        # each of the fourteen rules is broken once; the records come back
+        # whole and in Violation.sort_key order
+        attack = frozenset({"attack"})
+        model = Model.build(
+            ["t", "t", "", "u"],
+            [
+                Statement("s"),
+                Statement(""),
+                Statement("e"),
+                Statement("w"),
+                Statement("q", ref_theme="v", ref_target="s"),
+                Statement("r", ref_theme="t", ref_target="q"),
+                Statement("a", ref_theme="t", ref_target="s"),
+                Statement("b", ref_theme="t", ref_target="s"),
+            ],
+            {
+                **{sid: {"t"} for sid in ["s", "", "q", "r", "a", "b", "ghost"]},
+                "e": set(),
+                "w": {"t", "x"},
+            },
+            [
+                Relation("s", "x", attack, frozenset({"t"})),
+                Relation("s", "a", frozenset(), frozenset({"t"})),
+                Relation("s", "b", attack, frozenset()),
+                Relation("s", "r", attack, frozenset({"u"})),
+                Relation("s", "e", frozenset({"attak"}), frozenset({"t"})),
+            ],
+        )
+        wf = model_module.WELLFORMED
+        assert validate_wellformed(model) == [
+            Violation(wf, detail="duplicate theme ids"),
+            Violation(wf, detail="empty statement id"),
+            Violation(wf, detail="empty theme id"),
+            Violation(wf, relation=("s", "a"), detail="relation ('s', 'a') has no attack/support type"),
+            Violation(wf, relation=("s", "b"), detail="relation ('s', 'b') has no themes"),
+            Violation(wf, relation=("s", "e"), detail="relation ('s', 'e') has unknown types ['attak']"),
+            Violation(
+                wf,
+                relation=("s", "r"),
+                detail="relation ('s', 'r') typed with themes ['u'] outside the themes of its endpoints",
+            ),
+            Violation(wf, relation=("s", "x"), detail="relation ('s', 'x') endpoint missing"),
+            Violation(
+                wf,
+                ("a", "b"),
+                detail="a and b both point to statement 's' of theme 't'; a pointer statement "
+                "is identified by its reference",
+            ),
+            Violation(wf, ("e",), detail="statement e untyped (no themes)"),
+            Violation(wf, ("ghost",), detail="typing for unknown statement ghost"),
+            Violation(wf, ("q",), detail="pointer q references undeclared theme 'v'"),
+            Violation(
+                wf,
+                ("r",),
+                detail="pointer r targets pointer q; pointers must reference ordinary statements",
+            ),
+            Violation(wf, ("w",), detail="statement w typed with undeclared themes ['x']"),
+        ]
+
 
 # ---------------------------------------------------------------------------
 # The compiled table against the defaulting rule, read off the raw rows.
@@ -653,3 +713,41 @@ class TestViolation:
     def test_bad_arguments_are_refused(self, args, kwargs):
         with pytest.raises(TypeError):
             Violation(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "record, by_keyword",
+    [
+        (Statement("p", "t", "s"), Statement(id="p", ref_theme="t", ref_target="s")),
+        (
+            Relation("a", "b", frozenset({"attack"}), frozenset({"t"})),
+            Relation(source="a", target="b", rel_types=frozenset({"attack"}), themes=frozenset({"t"})),
+        ),
+    ],
+    ids=["statement", "relation"],
+)
+def test_a_graph_record_is_a_frozen_slotted_value(record, by_keyword):
+    """Statement and Relation set their slots in their own ``__init__``, past
+    the frozen setattr; they stay values compared by their fields."""
+    cls = type(record)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert names == list(cls.__slots__) and not hasattr(record, "__dict__")
+    params = inspect.signature(cls).parameters
+    assert [(p.name, p.default) for p in params.values()] == [
+        (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(cls)
+    ]
+    assert by_keyword == record and hash(by_keyword) == hash(record)
+    assert dataclasses.replace(record, **{names[0]: "z"}) != record
+    for twin in (
+        copy.copy(record),
+        copy.deepcopy(record),
+        pickle.loads(pickle.dumps(record)),
+        dataclasses.replace(record),
+    ):
+        assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, names[0], "z")
+    with pytest.raises((AttributeError, TypeError)):
+        record.extra = 1
+    assert Statement("s") == Statement("s", None, None)
