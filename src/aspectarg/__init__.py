@@ -42,7 +42,7 @@ from .semantics import (
     logico_rhetorical_conclusion,
     sub_model,
 )
-from .statements_sets import StatementsSet, contains_redundancy
+from .statements_sets import contains_redundancy
 from .synthesis import synthesize_core_witness
 
 __version__ = "0.1.0"

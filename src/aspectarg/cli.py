@@ -157,7 +157,7 @@ def cmd_conclude(args, out, err) -> int:
         exts, conclusion = semantics.conclude(
             doc.model, doc.interpretation, themes, args.semantics
         )
-        report["themes"] = sorted(themes)
+        report["themes"] = sorted(set(themes))
         report["defined"] = exts is not None
         report["conclusion"] = None
         if exts is not None:

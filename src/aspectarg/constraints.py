@@ -35,7 +35,7 @@ from .model import (
     row_subset,
     theme_subsets,
 )
-from .statements_sets import first_shared_pair, statements_sets_from, typed_predecessors
+from .statements_sets import ThemeGraph, first_shared_pair
 
 GRAPHIC_IDS = ("tr", "nnp", "nsa", "kos", "nss")
 CORE_IDS = ("aass", "i", "vi", "bat", "pr", "mat", "manss", "ss")
@@ -638,31 +638,31 @@ def _fresh_aspects(
     table: AspectTable, anchors: list[tuple[str, str]]
 ) -> dict[str, list[Violation]]:
     """faW and faD on the statements-sets of each (statement, theme) anchor;
-    the anchors of one theme and type share one predecessor map.  Each
-    statements-set is decided by :func:`first_shared_pair` on ``table``, and
-    identical member sets of one theme's anchors are decided once.
+    the anchors of one theme share one :class:`ThemeGraph`, so a
+    statements-set is a mask of it.  Each is decided by
+    :func:`first_shared_pair` on ``table``, and identical member sets of one
+    theme's anchors are decided once.
 
-    An anchor with no predecessor in its map is its own only width and depth
+    An anchor with no predecessor of a type is its own only width and depth
     set, which holds no pair, so it is not searched.  An anchor can have
     several depth sets that hold the same redundant pair, so each pair is
     reported once per anchor, theme and type.
     """
     out: dict[str, list[Violation]] = {cid: [] for cid in FRESH_ASPECT_IDS}
-    preds: dict[tuple[str, str], dict[str, list[str]]] = {}  # by (theme, type)
-    decided: dict[tuple[str, frozenset[str]], tuple[str, str, frozenset[int]] | None] = {}
+    graphs = {t: ThemeGraph(table.model, t) for t in {t for _, t in anchors}}
+    decided: dict[tuple[str, int], tuple[str, str, frozenset[int]] | None] = {}
     for sid, t in anchors:
+        graph = graphs[t]
         for rel in (ATTACK, SUPPORT):
-            if (t, rel) not in preds:
-                preds[t, rel] = typed_predecessors(table.model, t, rel)
-            if sid not in preds[t, rel]:
+            width = graph.width_set(sid, rel)
+            if width == graph.bit[sid]:
                 continue
-            widths, depths = statements_sets_from(preds[t, rel], sid, t)
-            for cid, sets in (("faW", widths), ("faD", depths)):
+            for cid, sets in (("faW", [width]), ("faD", graph.depth_sets(sid, rel))):
                 pairs: set[tuple[str, str]] = set()
-                for sset in sets:
-                    key = (t, sset.members)
+                for mask in sets:
+                    key = (t, mask)
                     if key not in decided:
-                        decided[key] = first_shared_pair(table, table.bits[t], sset.members)
+                        decided[key] = first_shared_pair(table, table.bits[t], graph.members(mask))
                     witness = decided[key]
                     if witness is None:
                         continue
@@ -678,7 +678,8 @@ def _fresh_aspects(
                             theme_set=(t,),
                             rel_type=rel,
                             detail=f"{first} and {second} share the minimal "
-                            f"representation {shared} in the {sset.kind}-statements-set "
+                            f"representation {shared} in the "
+                            f"{'width' if cid == 'faW' else 'depth'}-statements-set "
                             f"of {sid} for theme {t}",
                         )
                     )

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .algebra import Element
 from .errors import CapExceeded
-from .model import AspectTable, Interpretation, Model, maximal_masks
+from .model import REL_TYPES, AspectTable, Interpretation, Model, maximal_masks
 
 #: Largest aspect set we will search for minimal representations (2**cap subsets).
 MINREP_CAP = 16
@@ -24,101 +24,93 @@ MINREP_CAP = 16
 DEPTH_STATE_CAP = 1 << 18
 
 
-@dataclass(frozen=True)
-class StatementsSet:
-    kind: str  # "width" | "depth"
-    members: frozenset[str]
-    path: tuple[str, ...] = ()  # witnessing order, depth sets only
+class ThemeGraph:
+    """The statements of theme ``t`` as bits, and each relation type's
+    ``t``-typed relations between them as predecessor masks.
 
-
-def depth_statements_sets(preds: dict[str, list[str]], s: str, t: str) -> list[StatementsSet]:
-    """All maximal depth-statements-sets of ``s`` for theme ``t`` and one type.
-
-    ``preds`` maps each statement to its predecessors in the subgraph of that
-    type's ``t``-typed relations between ``t``-typed statements.
-    Searches simple paths ending at ``s`` in that subgraph, growing them at
-    their head.  Whether a path can grow depends only on its head and its
-    members, so each (head, members) state is expanded once.  A path that can
-    grow is not maximal, so the maximal sets are the set-maximal members of the
-    states that cannot; each keeps one path reaching it as its witness.  Raises
-    :class:`CapExceeded` past :data:`DEPTH_STATE_CAP` states.
+    Statement ``ids[i]`` has bit ``1 << i``, in sorted-id order, and
+    ``preds[rel][b]`` holds the ``rel``-predecessors of the statement with bit
+    ``b``.  Every anchor of theme ``t`` reads this one numbering, so a
+    statements-set is a mask.  A relation type outside :data:`REL_TYPES` is
+    ignored.
     """
-    ids = sorted({s}.union(*preds.values()))
-    bit = {sid: 1 << i for i, sid in enumerate(ids)}
-    pred_bits = {sid: [(bit[p], p) for p in sorted(set(ps))] for sid, ps in preds.items()}
 
-    # parent[(head, members)] is the state the head was prepended to
-    start = (s, bit[s])
-    parent: dict[tuple[str, int], tuple[str, int] | None] = {start: None}
-    stack = [start]
-    ends: dict[int, tuple[str, int]] = {}  # members of a state that cannot grow
-    while stack:
-        state = stack.pop()
-        head, members = state
-        grew = False
-        for b, pred in pred_bits.get(head, ()):
-            if members & b:
+    __slots__ = ("theme", "ids", "bit", "preds")
+
+    def __init__(self, model: Model, t: str):
+        self.theme = t
+        self.ids = sorted(sid for sid, ts in model.statement_themes.items() if t in ts)
+        self.bit = bit = {sid: 1 << i for i, sid in enumerate(self.ids)}
+        self.preds = preds = {rel: dict.fromkeys(bit.values(), 0) for rel in REL_TYPES}
+        for r in model.relations:
+            source, target = bit.get(r.source), bit.get(r.target)
+            if t not in r.themes or source is None or target is None:
                 continue
-            grew = True
-            nxt = (pred, members | b)
-            if nxt not in parent:
-                if len(parent) >= DEPTH_STATE_CAP:
-                    raise CapExceeded(
-                        f"the depth-statements-set search of {s} for theme {t!r} "
-                        f"exceeds the cap of {DEPTH_STATE_CAP} path states"
-                    )
-                parent[nxt] = state
-                stack.append(nxt)
-        if not grew:
-            ends.setdefault(members, state)
+            for rel in r.rel_types & preds.keys():
+                preds[rel][target] |= source
 
-    out = []
-    for members in maximal_masks(ends):
-        path: list[str] = []
-        state = ends[members]
-        while state is not None:
-            path.append(state[0])
-            state = parent[state]
-        out.append(StatementsSet("depth", frozenset(path), tuple(path)))
-    out.sort(key=lambda ss: sorted(ss.members))
-    return out
+    def members(self, mask: int) -> list[str]:
+        """The sorted ids of the statements of ``mask``."""
+        return [sid for i, sid in enumerate(self.ids) if mask >> i & 1]
+
+    def width_set(self, s: str, rel: str) -> int:
+        """The unique width-statements-set of ``s``: it and its predecessors."""
+        return self.bit[s] | self.preds[rel][self.bit[s]]
+
+    def depth_sets(self, s: str, rel: str) -> list[int]:
+        """All maximal depth-statements-sets of ``s``, largest first.
+
+        Searches simple paths ending at ``s``, growing them at their head.
+        Whether a path can grow depends only on its head and its members, so
+        each (head bit, members mask) state is expanded once; the states
+        reached are kept as each head's set of member masks, and no path is
+        kept.  A path that can grow is not maximal, so the maximal sets are the
+        set-maximal members of the states that cannot.  Raises
+        :class:`CapExceeded` past :data:`DEPTH_STATE_CAP` states, the start
+        included.
+        """
+        preds = self.preds[rel]
+        start = self.bit[s]
+        seen = {head: set() for head in preds}
+        seen[start].add(start)
+        count = 1
+        stack = [(start, start)]
+        ends = set()  # members of a state that cannot grow
+        while stack:
+            head, members = stack.pop()
+            free = preds[head] & ~members
+            if not free:
+                ends.add(members)
+            while free:
+                bit = free & -free
+                free ^= bit
+                grown = members | bit
+                if grown not in seen[bit]:
+                    if count >= DEPTH_STATE_CAP:
+                        raise CapExceeded(
+                            f"the depth-statements-set search of {s} for theme {self.theme!r} "
+                            f"exceeds the cap of {DEPTH_STATE_CAP} path states"
+                        )
+                    count += 1
+                    seen[bit].add(grown)
+                    stack.append((bit, grown))
+        return maximal_masks(ends)
 
 
 def statements_sets(
     model: Model, s: str, t: str, rel: str
-) -> tuple[list[StatementsSet], list[StatementsSet]]:
-    """Width- and depth-statements-sets of ``s`` with respect to ``t`` and ``rel``.
+) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
+    """Width- and depth-statements-sets of ``s`` with respect to ``t`` and ``rel``,
+    the depth sets in order of their sorted members.
 
-    Both read one predecessor map of the ``rel``-typed, ``t``-typed relations
-    between ``t``-typed statements (:func:`typed_predecessors`).
+    Both are read from the :class:`ThemeGraph` of ``t``.  An anchor without
+    theme ``t`` is its own width set and its own only depth set.
     """
-    return statements_sets_from(typed_predecessors(model, t, rel), s, t)
-
-
-def typed_predecessors(model: Model, t: str, rel: str) -> dict[str, list[str]]:
-    """Each statement's predecessors over the ``rel``-typed, ``t``-typed
-    relations between ``t``-typed statements: the one map every anchor of
-    theme ``t`` and type ``rel`` reads."""
-    preds: dict[str, list[str]] = {}
-    for r in model.relations:
-        if rel not in r.rel_types or t not in r.themes:
-            continue
-        if t not in model.themes_of(r.source) or t not in model.themes_of(r.target):
-            continue
-        preds.setdefault(r.target, []).append(r.source)
-    return preds
-
-
-def statements_sets_from(
-    preds: dict[str, list[str]], s: str, t: str
-) -> tuple[list[StatementsSet], list[StatementsSet]]:
-    """:func:`statements_sets` over the map of :func:`typed_predecessors`.
-
-    The unique width set is the anchor and its predecessors, so an anchor
-    without theme ``t`` is its own width set and its own only depth set.
-    """
-    width = StatementsSet("width", frozenset([s, *preds.get(s, ())]))
-    return [width], depth_statements_sets(preds, s, t)
+    graph = ThemeGraph(model, t)
+    if s not in graph.bit or rel not in graph.preds:
+        return [frozenset([s])], [frozenset([s])]
+    depths = sorted(graph.members(m) for m in graph.depth_sets(s, rel))
+    return [frozenset(graph.members(graph.width_set(s, rel)))], [frozenset(d) for d in depths]
 
 
 def _minimal_representations(masks: Iterable[int], full: int) -> list[frozenset[int]]:

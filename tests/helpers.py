@@ -361,6 +361,44 @@ def oracle_depth_sets(model: Model, s: str, t: str, rel: str) -> list[frozenset[
     return [q for q in qualifying if not any(q < other for other in qualifying)]
 
 
+def oracle_depth_sets_dp(model: Model, s: str, t: str, rel: str) -> list[frozenset[str]]:
+    """Maximal sets per the depth definition, by a table over statement subsets
+    (Held and Karp's subset recursion), not a search.
+
+    ``reach[S]`` holds, as bits, the heads from which a simple path of
+    ``t``-typed statements over ``rel``-typed, ``t``-typed relations covers
+    exactly S and ends at ``s``.  It is filled by subset size: h is a head of S
+    when some such relation h -> x has x a head of S without h.  The sets are
+    the S with a head inside no larger S with a head.
+    """
+    edges = {r.pair: r for r in model.relations}
+    ids = [s] + [st.id for st in model.statements if st.id != s]  # the anchor is bit 0
+    typed = [t in model.themes_of(x) for x in ids]
+
+    def related(a: str, b: str) -> bool:
+        r = edges.get((a, b))
+        return r is not None and rel in r.rel_types and t in r.themes
+
+    succ = [sum(1 << j for j, b in enumerate(ids) if related(a, b)) for a in ids]
+    reach = {1: int(typed[0])}
+    for size in range(1, len(ids)):
+        for combo in combinations(range(1, len(ids)), size):
+            subset = 1 | sum(1 << h for h in combo)
+            reach[subset] = sum(
+                1 << h for h in combo if typed[h] and succ[h] & reach[subset ^ 1 << h]
+            )
+    # above[S]: some proper superset of S has a head
+    above: dict[int, bool] = {}
+    for subset in sorted(reach, key=int.bit_count, reverse=True):
+        larger = [subset | 1 << j for j in range(len(ids)) if not subset >> j & 1]
+        above[subset] = any(reach[b] or above[b] for b in larger)
+    return [
+        frozenset(x for j, x in enumerate(ids) if subset >> j & 1)
+        for subset, heads in reach.items()
+        if heads and not above[subset]
+    ]
+
+
 def oracle_redundancy(
     algebra: Algebra, rows: dict[str, frozenset[int] | None]
 ) -> tuple[str, str, frozenset[int]] | None:
@@ -430,7 +468,7 @@ def oracle_fresh_aspects(
             for rel in (ATTACK, SUPPORT):
                 for cid, sets in (
                     ("faW", oracle_width_sets(model, s.id, t, rel)),
-                    ("faD", oracle_depth_sets(model, s.id, t, rel)),
+                    ("faD", oracle_depth_sets_dp(model, s.id, t, rel)),
                 ):
                     for members in sets:
                         found = oracle_redundancy(interp.algebra, {m: row(m) for m in members})
@@ -1161,13 +1199,14 @@ def block_instance(rng: random.Random, m: int | None = None):
     return model, interp
 
 
-def redundant_instance(rng: random.Random):
+def redundant_instance(rng: random.Random, statements: tuple[int, int] = (4, 7), density=0.5):
     """A one-theme (model, interpretation) pair on which the fresh-aspect
-    constraints find many witnesses: a dense graph of 4-7 statements whose
-    rows repeat a few aspect sets, so that the members of a statements-set
-    often share a minimal representation."""
+    constraints find many witnesses: a graph of 4-7 statements (by default)
+    relating half the ordered pairs, whose rows repeat a few aspect sets, so
+    that the members of a statements-set often share a minimal
+    representation."""
     algebra = mk_algebra(["p", "q"])
-    ids = [f"s{i}" for i in range(rng.randint(4, 7))]
+    ids = [f"s{i}" for i in range(rng.randint(*statements))]
     nonzero = range(1, algebra.carrier_size)
     pool = [
         frozenset(Element(algebra, m) for m in rng.sample(nonzero, rng.randint(1, 2)))
@@ -1179,7 +1218,7 @@ def redundant_instance(rng: random.Random):
         Relation(a, b, frozenset(rng.choice([{ATTACK}, {SUPPORT}, {ATTACK, SUPPORT}])), t)
         for a in ids
         for b in ids
-        if a != b and rng.random() < 0.5
+        if a != b and rng.random() < density
     ]
     model = Model.build(["t"], [Statement(s) for s in ids], {s: {"t"} for s in ids}, relations)
     return model, Interpretation(algebra, {t: AspectSet(algebra, full=True)}, rows)

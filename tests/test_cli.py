@@ -619,6 +619,15 @@ class TestConclude:
             errors.add(proc.stderr)
         assert errors == {"error: unknown theme id 'bogus1'\n"}
 
+    def test_a_repeated_theme_is_echoed_once(self):
+        once = invoke("conclude", path("fear_appeal"), "--themes", "t1", "--format", "machine")
+        twice = invoke("conclude", path("fear_appeal"), "--themes", "t1,t1", "--format", "machine")
+        assert twice == once
+        assert json.loads(once[1])["themes"] == ["t1"]
+        code, out, _ = invoke("conclude", path("fear_appeal"), "--themes", "t1,t1")
+        assert (code, out) == invoke("conclude", path("fear_appeal"), "--themes", "t1")[:2]
+        assert "themes: {t1}\n" in out
+
     def test_needs_themes_or_scan(self):
         code, _, err = invoke("conclude", path("straw_man"))
         assert code == 2

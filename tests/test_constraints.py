@@ -684,6 +684,29 @@ class TestDasNwci:
 
 
 class TestFreshAspectRecords:
+    def test_equal_masks_of_two_themes_are_decided_apart(self, fig1, ev):
+        # a -> b in both themes numbers {a, b} alike; only at t1 do they share
+        t1, t2 = frozenset(["t1"]), frozenset(["t2"])
+        model = Model.build(
+            ["t1", "t2"],
+            [Statement("a"), Statement("b")],
+            {"a": {"t1", "t2"}, "b": {"t1", "t2"}},
+            [Relation("a", "b", frozenset({SUPPORT}), t1 | t2)],
+        )
+        rows = {"a": ("x", "x"), "b": ("x", "y")}
+        interp = Interpretation(
+            fig1,
+            {t: AspectSet(fig1, full=True) for t in (t1, t2, t1 | t2)},
+            {
+                (t, sid): aspects(fig1, ev(row[i]))
+                for sid, row in rows.items()
+                for i, t in enumerate((t1, t2))
+            },
+        )
+        found = check_fresh_aspects(model, interp)
+        assert [(v.statements, v.theme_set) for v in found["faW"]] == [(("b", "a", "b"), ("t1",))]
+        assert [(v.statements, v.theme_set) for v in found["faD"]] == [(("b", "a", "b"), ("t1",))]
+
     def test_one_record_per_redundant_pair(self, ev):
         # c -> a -> b -> s and d -> a, all supports: b has the depth sets
         # {c, a, b} and {d, a, b}, and s the same two with s, so the one
@@ -758,6 +781,20 @@ class TestFreshAspectOracle:
             model = with_isolated_statements(rng, model)
         model = shuffled(rng, model)
         found = check_fresh_aspects(model, interp)
+        got = [
+            (v.constraint, v.statements, v.theme_set, v.rel_type)
+            for vs in found.values()
+            for v in vs
+        ]
+        assert got == oracle_fresh_aspects(model, interp)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_ten_to_twelve_statements_match_the_oracle(self, seed):
+        # sparse enough that an anchor has several depth sets
+        rng = random.Random(seed)
+        model, interp = redundant_instance(rng, statements=(10, 12), density=0.25)
+        found = check_fresh_aspects(shuffled(rng, model), interp)
         got = [
             (v.constraint, v.statements, v.theme_set, v.rel_type)
             for vs in found.values()
@@ -1174,3 +1211,103 @@ class TestProperRangeConsequences:
                         assert lookup(interp, model, t_set, s.id) == lookup(
                             interp, model, t_set | extra, s.id
                         )
+
+
+def renamed(model, interp):
+    """``model`` and ``interp`` with their themes and statements renamed by
+    bijections that reverse the sort order of each, and the inverse of each;
+    reserved ids (``@...``) keep their names."""
+    pointers = [s for s in model.statements if s.is_pointer]
+    themes = sorted(
+        set(model.themes).union(
+            *model.statement_themes.values(),
+            *(r.themes for r in model.relations),
+            *interp.theme_aspects,
+            *(ts for ts, _ in interp.statement_aspects),
+        )
+        | {s.ref_theme for s in pointers}
+    )
+    ids = sorted(
+        {s.id for s in model.statements}.union(
+            model.statement_themes,
+            *(r.pair for r in model.relations),
+            (sid for _, sid in interp.statement_aspects),
+        )
+        | {s.ref_target for s in pointers if s.ref_target is not None}
+    )
+    reserved = [OMEGA] + [sid for sid in ids if sid.startswith("@")]
+    ids = [sid for sid in ids if sid not in reserved]
+    to_t = {t: f"T{len(themes) - i:03d}" for i, t in enumerate(themes)}
+    to_s = {sid: f"S{len(ids) - i:03d}" for i, sid in enumerate(ids)}
+    to_s.update(zip(reserved, reserved))
+
+    def ts(group):
+        return frozenset(to_t[t] for t in group)
+
+    def statement(s):
+        ref_target = s.ref_target and to_s[s.ref_target]
+        return Statement(to_s[s.id], s.ref_theme and to_t[s.ref_theme], ref_target)
+
+    model = Model.build(
+        [to_t[t] for t in model.themes],
+        [statement(s) for s in model.statements],
+        {to_s[sid]: ts(group) for sid, group in model.statement_themes.items()},
+        [Relation(*map(to_s.get, r.pair), r.rel_types, ts(r.themes)) for r in model.relations],
+    )
+    interp = Interpretation(
+        interp.algebra,
+        {ts(key): row for key, row in interp.theme_aspects.items()},
+        {(ts(key), to_s[sid]): row for (key, sid), row in interp.statement_aspects.items()},
+        interp.formulas,
+    )
+    return model, interp, {v: k for k, v in to_t.items()}, {v: k for k, v in to_s.items()}
+
+
+class TestRenaming:
+    """Names choose only the order of the walks, never what they find."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["any", "blocks", "redundant"]))
+    def test_reversing_the_order_of_the_names_finds_the_same_violations(self, seed, source):
+        rng = random.Random(seed)
+        if source == "any":
+            model = random_model_any(rng, max_themes=3)
+            interp = with_odd_omega_rows(
+                rng, model, random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+            )
+        else:
+            model, interp = (block_instance if source == "blocks" else redundant_instance)(rng)
+        other, other_interp, back_t, back_s = renamed(model, interp)
+
+        def fields(v):
+            # every field but the detail
+            return (v.constraint, v.statements, v.relation, v.theme_set, v.theme_set2, v.rel_type)
+
+        def mapped(v):
+            def themes(group):
+                return group and tuple(sorted(back_t[t] for t in group))
+
+            pair = v.relation and tuple(map(back_s.get, v.relation))
+            statements = tuple(map(back_s.get, v.statements))
+            theme_sets = themes(v.theme_set), themes(v.theme_set2)
+            return (v.constraint, statements, pair, *theme_sets, v.rel_type)
+
+        def groups(model, interp):
+            verdict = classify_normal_form(model, interp, ALPHA_GROUPS)
+            return {"graphic": check_graphic(model), **verdict.groups}
+
+        found, again = groups(model, interp), groups(other, other_interp)
+        for group, by_id in found.items():
+            assert by_id.keys() == again[group].keys()
+            for cid, vs in by_id.items():
+                if group == "F":
+                    # F names the first shared pair in sorted-id order, so
+                    # only which (anchor, theme, type) have a witness compares
+                    def instance(f):
+                        return f[0], f[1][0], f[3], f[5]
+
+                    assert {instance(fields(v)) for v in vs} == {
+                        instance(mapped(v)) for v in again[group][cid]
+                    }
+                else:
+                    assert [fields(v) for v in vs] == sorted(map(mapped, again[group][cid]))

@@ -22,7 +22,7 @@ from aspectarg.statements_sets import (
     contains_redundancy,
     statements_sets,
 )
-from helpers import oracle_depth_sets, oracle_redundancy, oracle_width_sets
+from helpers import oracle_depth_sets, oracle_depth_sets_dp, oracle_redundancy, oracle_width_sets
 
 
 def remark_graph():
@@ -40,7 +40,7 @@ def remark_graph():
 
 
 def members_of(sets):
-    return sorted(sorted(s.members) for s in sets)
+    return sorted(sorted(s) for s in sets)
 
 
 class TestRemarkGraph:
@@ -60,12 +60,6 @@ class TestRemarkGraph:
         _, depths = statements_sets(remark_graph(), "s6", "t1", SUPPORT)
         assert members_of(depths) == [["s2", "s5", "s6"], ["s3", "s6"]]
 
-    def test_depth_sets_store_a_witnessing_path(self):
-        _, depths = statements_sets(remark_graph(), "s6", "t1", SUPPORT)
-        for ss in depths:
-            assert ss.path[-1] == "s6"
-            assert frozenset(ss.path) == ss.members
-
     def test_width_set_is_unique(self):
         model = remark_graph()
         for s in ("s6", "s5", "s4"):
@@ -78,9 +72,10 @@ class TestRemarkGraph:
 class TestIsolatedStatement:
     def test_both_sets_are_the_singleton(self):
         model = Model.build(["t"], [Statement("s")], {"s": {"t"}}, [])
-        widths, depths = statements_sets(model, "s", "t", ATTACK)
-        assert members_of(widths) == [["s"]]
-        assert members_of(depths) == [["s"]]
+        for theme in ("t", "u"):  # an anchor without the theme is its own sets too
+            widths, depths = statements_sets(model, "s", theme, ATTACK)
+            assert members_of(widths) == [["s"]]
+            assert members_of(depths) == [["s"]]
 
 
 def random_graph(rng, max_nodes=7):
@@ -123,40 +118,63 @@ def complete_graph(n, rel=ATTACK):
     return Model.build(["t"], [Statement(s) for s in ids], {s: {"t"} for s in ids}, relations)
 
 
+def dense_graph(rng, n, density=(0.3, 0.8)):
+    """A graph of ``n`` statements, most of theme ``t``, with attacks on a
+    random share of the ordered pairs, some also supports; and an anchor of
+    theme ``t``."""
+    ids = [f"s{i}" for i in range(n)]
+    density = rng.uniform(*density)
+    relations = [
+        Relation(a, b, frozenset(rng.choice([{ATTACK}, {ATTACK, SUPPORT}])), frozenset({"t"}))
+        for a in ids for b in ids if rng.random() < density
+    ]
+    themes = {s: {"t"} if rng.random() < 0.85 else {"u"} for s in ids}
+    anchor = rng.choice(ids)
+    themes[anchor] = {"t"}
+    return Model.build(["t", "u"], [Statement(s) for s in ids], themes, relations), anchor
+
+
+class TestDepthSetOracles:
+    def test_the_subset_table_matches_the_permutation_search(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            model = random_graph(rng, max_nodes=6) if rng.random() < 0.5 else (
+                dense_graph(rng, rng.randint(1, 6))[0]
+            )
+            sid = rng.choice([s.id for s in model.statements])
+            theme = rng.choice(sorted(model.themes_of(sid)) + ["t"])
+            rel = rng.choice([ATTACK, SUPPORT])
+            assert sorted(map(sorted, oracle_depth_sets_dp(model, sid, theme, rel))) == sorted(
+                map(sorted, oracle_depth_sets(model, sid, theme, rel))
+            )
+
+
 class TestDenseDepthSets:
     """Depth sets on dense graphs, where simple paths outnumber member sets."""
 
     def test_dense_graphs_match_the_permutation_oracle(self):
         rng = random.Random(41)
         for _ in range(60):
-            n = rng.randint(3, 7)
-            ids = [f"s{i}" for i in range(n)]
-            density = rng.uniform(0.3, 0.8)
-            relations = [
-                Relation(a, b, frozenset(rng.choice([{ATTACK}, {ATTACK, SUPPORT}])),
-                         frozenset({"t"}))
-                for a in ids for b in ids if rng.random() < density
-            ]
-            themes = {s: {"t"} if rng.random() < 0.85 else {"u"} for s in ids}
-            anchor = rng.choice(ids)
-            themes[anchor] = {"t"}
-            model = Model.build(["t", "u"], [Statement(s) for s in ids], themes, relations)
-            edges = {r.pair for r in model.relations}
+            model, anchor = dense_graph(rng, rng.randint(3, 7))
             _, depths = statements_sets(model, anchor, "t", ATTACK)
             assert members_of(depths) == sorted(
                 sorted(m) for m in oracle_depth_sets(model, anchor, "t", ATTACK)
             )
-            for ss in depths:
-                assert ss.path[-1] == anchor
-                assert len(ss.path) == len(ss.members) == len(frozenset(ss.path))
-                assert frozenset(ss.path) == ss.members
-                assert all(pair in edges for pair in zip(ss.path, ss.path[1:]))
+
+    def test_dense_graphs_of_ten_to_twelve_statements_match_the_subset_table(self):
+        # sparser than the small graphs, so that an anchor has several sets
+        rng = random.Random(43)
+        for _ in range(40):
+            model, anchor = dense_graph(rng, rng.randint(10, 12), density=(0.1, 0.35))
+            _, depths = statements_sets(model, anchor, "t", ATTACK)
+            assert members_of(depths) == sorted(
+                sorted(m) for m in oracle_depth_sets_dp(model, anchor, "t", ATTACK)
+            )
 
     def test_a_complete_graph_has_one_maximal_set(self):
         model = complete_graph(12)
         _, depths = statements_sets(model, "s0", "t", ATTACK)
         assert members_of(depths) == [sorted(f"s{i}" for i in range(12))]
-        assert depths[0].path[-1] == "s0"
 
     def test_the_search_is_capped(self):
         # 17 statements reach 16 * 2**15 + 1 (head, members) states
