@@ -99,22 +99,24 @@ def cmd_check(args, out, err) -> int:
     alpha = constraints.validate_alpha(_comma_list(args.alpha))
     doc = _load_wellformed(args.file)
     graphic = constraints.check_graphic(doc.model)
-    verdict = constraints.classify_normal_form(doc.model, doc.interpretation, alpha)
+    # classify_normal_form's groups step: counting needs no joined list
+    groups = constraints.check_groups(doc.model, doc.interpretation, alpha)
 
     graphic_count = sum(len(vs) for vs in graphic.values())
-    normal = verdict.normal
-    alpha_label = "{" + ",".join(verdict.groups) + "}"  # groups in ALPHA_GROUPS order
+    semantic_count = sum(len(vs) for found in groups.values() for vs in found.values())
+    normal = semantic_count == 0
+    alpha_label = "{" + ",".join(groups) + "}"  # groups in ALPHA_GROUPS order
 
     report = {
         "command": "check",
         "file": args.file,
         "alpha": sorted(alpha),
         "graphic": violations_block(graphic),
-        "semantic": {g: violations_block(found) for g, found in verdict.groups.items()},
+        "semantic": {g: violations_block(found) for g, found in groups.items()},
         "normal": normal,
         "verdict": f"{alpha_label}-normal" if normal else f"{alpha_label}-fallacy",
         "graphic_violations": graphic_count,
-        "semantic_violations": len(verdict.violations),
+        "semantic_violations": semantic_count,
     }
     _emit(report, args.format, out, _check_lines)
     return OK if normal and graphic_count == 0 else FALLACY

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Element, closed_under_boolean_ops
 from .errors import ConstraintGroupError, UnknownIdError
@@ -517,27 +517,102 @@ def _core(
 
 def check_exact_region(
     model: Model, interp: Interpretation, table: AspectTable | None = None
-) -> dict[str, list[Violation]]:
-    """Check esr, ensr and eos over every pair of theme sets."""
+) -> dict[str, ExactRegionWitnesses]:
+    """Check esr, ensr and eos over every pair of theme sets.
+
+    Each constraint's witnesses are an :class:`ExactRegionWitnesses`, a
+    read-only sequence in :meth:`Violation.sort_key` order that builds each
+    ``Violation`` when it is read; the three share one text context.
+    """
     table = _compiled_table(model, interp, table)
     return _exact_region(table, _subset_masks(table))
 
 
-def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Violation]]:
-    """esr, ensr and eos on each pair of ``subsets``, each list in report
-    order; as in :func:`_core`, rows are read at just those masks.
+class RegionContext:
+    """What E's witness rows of one check index, as plain lists: by
+    statement index, its constraint id (``cids``), its one-id statement
+    list (``named``) and detail head (``heads``); by subset index, the theme
+    key (``keys``) and its text (``texts``).  A detail is
+    ``heads[j] + tail(i1, i2)``."""
 
-    A pair is two masks, the first earlier in ``subsets``.  Pairs are walked
-    by their two theme keys and each statement's witnesses go to its own
-    list, so joining those lists by statement id gives the
+    __slots__ = ("cids", "named", "heads", "keys", "texts")
+
+    def __init__(
+        self,
+        cids: list[str],
+        named: list[tuple[str]],
+        heads: list[str],
+        keys: list[tuple[str, ...]],
+        texts: list[str],
+    ) -> None:
+        self.cids, self.named, self.heads, self.keys, self.texts = cids, named, heads, keys, texts
+
+    def tail(self, i1: int, i2: int) -> str:
+        return f"{self.texts[i1]} and {self.texts[i2]} inside their common theme region"
+
+
+class ExactRegionWitnesses(Sequence[Violation]):
+    """One E constraint's witnesses: rows ``(statement index, first subset
+    index, second subset index)`` into a :class:`RegionContext`.
+
+    A read-only sequence of :class:`Violation`: its length is the number of
+    rows, and indexing or iterating builds each ``Violation`` when it is
+    read.  It equals any sequence of the same violations in the same order.
+    """
+
+    __slots__ = ("context", "rows")
+
+    def __init__(self, context: RegionContext, rows: list[tuple[int, int, int]]) -> None:
+        self.context, self.rows = context, rows
+
+    def _violation(self, row: tuple[int, int, int]) -> Violation:
+        c, (j, i1, i2) = self.context, row
+        return Violation(
+            c.cids[j], c.named[j], None, c.keys[i1], c.keys[i2], None, c.heads[j] + c.tail(i1, i2)
+        )
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._violation(row) for row in self.rows[index]]
+        return self._violation(self.rows[index])
+
+    def __iter__(self) -> Iterator[Violation]:
+        return map(self._violation, self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ExactRegionWitnesses) and other.context is self.context:
+            return self.rows == other.rows
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+    def details(self) -> Iterator[str]:
+        """Each witness's detail, in order, built without its ``Violation``."""
+        c = self.context
+        return (c.heads[j] + c.tail(i1, i2) for j, i1, i2 in self.rows)
+
+
+def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, ExactRegionWitnesses]:
+    """esr, ensr and eos on each pair of ``subsets``, each in report order;
+    as in :func:`_core`, rows are read at just those masks.
+
+    A pair is two subset indices, the first earlier in ``subsets``.  Pairs
+    are walked by their two theme keys and each statement's witness rows go
+    to its own list, so joining those lists by statement id gives the
     :meth:`Violation.sort_key` order without a sort.
     """
     stmts = sorted(table.model.statements, key=_statement_id)
     sids = [s.id for s in stmts]
     cids = [_exact_region_id(s) for s in stmts]
-    named = [(sid,) for sid in sids]
-    heads = [f"aspects of {sid} differ between " for sid in sids]
-    found: list[list[Violation]] = [[] for _ in stmts]
+    found: list[list[tuple[int, int, int]]] = [[] for _ in stmts]
     keys = [table.keys[tmask] for tmask in subsets]
     omega = table.rows(OMEGA)
     omegas = [omega[tmask] for tmask in subsets]
@@ -558,7 +633,6 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Viol
             if not common_full and not common:
                 continue
             rows2 = rows[i2]
-            tail = None
             for j in indices:
                 a, b = rows1[j], rows2[j]
                 if a is b:
@@ -568,19 +642,19 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, list[Viol
                         continue
                 elif (common if a[0] else a[1] & common) == (common if b[0] else b[1] & common):
                     continue
-                if tail is None:
-                    t1, t2 = table.key_texts[subsets[i1]], table.key_texts[subsets[i2]]
-                    tail = f"{t1} and {t2} inside their common theme region"
-                found[j].append(
-                    Violation(
-                        cids[j], named[j], None, keys[i1], keys[i2], None, heads[j] + tail
-                    )
-                )
+                found[j].append((j, i1, i2))
 
-    out: dict[str, list[Violation]] = {cid: [] for cid in EXACT_REGION_IDS}
-    for cid, vs in zip(cids, found):
-        out[cid].extend(vs)
-    return out
+    context = RegionContext(
+        cids,
+        [(sid,) for sid in sids],
+        [f"aspects of {sid} differ between " for sid in sids],
+        keys,
+        [table.key_texts[tmask] for tmask in subsets],
+    )
+    by_id: dict[str, list[tuple[int, int, int]]] = {cid: [] for cid in EXACT_REGION_IDS}
+    for cid, witnesses in zip(cids, found):
+        by_id[cid].extend(witnesses)
+    return {cid: ExactRegionWitnesses(context, witnesses) for cid, witnesses in by_id.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -729,12 +803,12 @@ class NormalFormVerdict:
     alpha: frozenset[str]
     normal: bool
     violations: tuple[Violation, ...]
-    groups: dict[str, dict[str, list[Violation]]] = field(compare=False)
+    groups: dict[str, dict[str, Sequence[Violation]]] = field(compare=False)
 
 
 def run_group(
     model: Model, interp: Interpretation, group: str, table: AspectTable | None = None
-) -> dict[str, list[Violation]]:
+) -> dict[str, Sequence[Violation]]:
     """Violations of one constraint group, keyed by constraint id.
 
     Pass the ``table`` of ``interp`` and ``model`` to share it across groups.
@@ -763,17 +837,25 @@ def validate_alpha(alpha: Iterable[str]) -> frozenset[str]:
     return chosen
 
 
+def check_groups(
+    model: Model, interp: Interpretation, alpha: Iterable[str]
+) -> dict[str, dict[str, Sequence[Violation]]]:
+    """Each group of ``alpha``, in :data:`ALPHA_GROUPS` order, to its
+    violations by constraint id, from one table shared by every group."""
+    chosen = validate_alpha(alpha)
+    table = AspectTable(interp, model)
+    return {g: run_group(model, interp, g, table) for g in ALPHA_GROUPS if g in chosen}
+
+
 def classify_normal_form(
     model: Model, interp: Interpretation, alpha: Iterable[str]
 ) -> NormalFormVerdict:
     """Whether the model is alpha-normal with respect to the interpretation."""
-    chosen = validate_alpha(alpha)
-    table = AspectTable(interp, model)  # one table for every group
-    groups = {g: run_group(model, interp, g, table) for g in ALPHA_GROUPS if g in chosen}
+    groups = check_groups(model, interp, alpha)
     by_id = {cid: vs for found in groups.values() for cid, vs in found.items()}
     # each list is in sort_key order, which leads with the constraint id
     violations = tuple(chain.from_iterable(by_id[cid] for cid in SEMANTIC_IDS if cid in by_id))
-    return NormalFormVerdict(chosen, not violations, violations, groups)
+    return NormalFormVerdict(frozenset(groups), not violations, violations, groups)
 
 
 # ---------------------------------------------------------------------------

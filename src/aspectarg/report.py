@@ -11,20 +11,24 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping, Sequence
 
+from .constraints import ExactRegionWitnesses, RegionContext
 from .model import Violation
 
 
-def violations_block(groups: Mapping[str, list[Violation]]) -> dict[str, list[Violation]]:
+def violations_block(
+    groups: Mapping[str, Sequence[Violation]]
+) -> dict[str, Sequence[Violation]]:
     """The non-empty violation lists by constraint id; ``to_json`` writes each
     ``Violation`` as the record of its set fields."""
     return {cid: vs for cid, vs in sorted(groups.items()) if vs}
 
 
-def human_violations(groups: Mapping[str, list[Violation]]) -> list[str]:
+def human_violations(groups: Mapping[str, Sequence[Violation]]) -> list[str]:
     lines = []
     for cid in sorted(groups):
-        for v in groups[cid]:
-            lines.append(f"  [{cid}] {v.detail}")
+        vs = groups[cid]
+        details = vs.details() if isinstance(vs, ExactRegionWitnesses) else (v.detail for v in vs)
+        lines.extend(f"  [{cid}] {detail}" for detail in details)
     return lines
 
 
@@ -35,9 +39,10 @@ def to_json(report: dict[str, Any]) -> str:
     ``indent`` is set, which dominated the time of large reports.  This
     writer escapes strings with the same (C) ``encode_basestring_ascii`` and
     lays out lines the same way.  It accepts what a report holds: ``str``,
-    ``int``, ``bool``, ``None``, lists, tuples, dicts with ``str`` keys and
-    ``Violation``s, which are written as the dict of their set fields.  A
-    list of violations, the bulk of a large report, is written by one loop
+    ``int``, ``bool``, ``None``, lists, tuples, dicts with ``str`` keys,
+    ``Violation``s, which are written as the dict of their set fields, and
+    E's ``ExactRegionWitnesses``, written as the list of their violations.
+    A list of violations, the bulk of a large report, is written by one loop
     that computes its indents and keys once and writes each distinct string
     list once per indent.
     """
@@ -50,7 +55,8 @@ def to_json(report: dict[str, Any]) -> str:
 def _write(value: Any, nl: str, chunks: list[str], memos: dict) -> None:
     """Append ``value`` to ``chunks``; ``nl`` is a newline and the indent of
     the line the value starts on, ``memos`` holds the written string lists
-    of violations by indent."""
+    of violations by indent and E's record pieces by text context and
+    indent."""
     if isinstance(value, Violation):
         _write_records((value,), nl, chunks, memos)
     elif isinstance(value, str):
@@ -63,12 +69,15 @@ def _write(value: Any, nl: str, chunks: list[str], memos: dict) -> None:
         chunks.append("false")
     elif isinstance(value, int):
         chunks.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, ExactRegionWitnesses)):
         if not value:
             chunks.append("[]")
             return
         inner = nl + "  "
-        if all(map(isinstance, value, repeat(Violation))):
+        if isinstance(value, ExactRegionWitnesses):
+            chunks.append("[" + inner)
+            _write_region_records(value, inner, chunks, memos)
+        elif all(map(isinstance, value, repeat(Violation))):
             chunks.append("[" + inner)
             _write_records(value, inner, chunks, memos)
         else:
@@ -113,15 +122,20 @@ class _StringLists(dict):
         return text
 
 
+def _string_lists(inner: str, memos: dict) -> _StringLists:
+    lists = memos.get(inner)
+    if lists is None:
+        lists = memos[inner] = _StringLists(inner)
+    return lists
+
+
 def _write_records(vs: Sequence[Violation], nl: str, chunks: list[str], memos: dict) -> None:
     """A non-empty run of violations as records on lines indented as ``nl``,
     separated by commas: ``constraint`` and ``detail`` always, each other
     field when set (``statements`` when non-empty, the rest when not
     ``None``), in sorted key order."""
     inner = nl + "  "
-    lists = memos.get(inner)
-    if lists is None:
-        lists = memos[inner] = _StringLists(inner)
+    lists = _string_lists(inner, memos)
     detail, rel_type, relation, statements, theme_set, theme_set2 = (
         f',{inner}"{key}": '
         for key in ("detail", "rel_type", "relation", "statements", "theme_set", "theme_set2")
@@ -151,3 +165,57 @@ def _write_records(vs: Sequence[Violation], nl: str, chunks: list[str], memos: d
             append(lists[v.theme_set2])
         append(end)
     chunks[first] = start[len(nl) + 1 :]  # the first record follows no comma
+
+
+class _RegionPieces(dict):
+    """The pieces of E's records of one text context, written at indent
+    ``nl``: ``statements[j]`` is statement ``j``'s record up to its detail
+    head, then its ``statements`` list; ``self[i1, i2]``, made on first
+    lookup, is a pair's detail tail, then its two theme sets and the
+    closing brace.  ``encode_basestring_ascii`` escapes code point by code
+    point, so ``quote(head + tail) == quote(head)[:-1] + quote(tail)[1:]``."""
+
+    def __init__(self, context: RegionContext, nl: str, lists: _StringLists) -> None:
+        inner = nl + "  "
+        start = "," + nl + "{" + inner + '"constraint": '
+        detail, statements = f',{inner}"detail": ', f',{inner}"statements": '
+        self.statements = [
+            (start + _quote(cid) + detail + _quote(head)[:-1], statements + lists[named])
+            for cid, named, head in zip(context.cids, context.named, context.heads)
+        ]
+        self.context, self.lists = context, lists
+        self.theme_set, self.theme_set2 = f',{inner}"theme_set": ', f',{inner}"theme_set2": '
+        self.end = nl + "}"
+
+    def __missing__(self, pair: tuple[int, int]) -> tuple[str, str]:
+        i1, i2 = pair
+        keys, lists = self.context.keys, self.lists
+        pieces = self[pair] = (
+            _quote(self.context.tail(i1, i2))[1:],
+            self.theme_set + lists[keys[i1]] + self.theme_set2 + lists[keys[i2]] + self.end,
+        )
+        return pieces
+
+
+def _write_region_records(
+    vs: ExactRegionWitnesses, nl: str, chunks: list[str], memos: dict
+) -> None:
+    """E's non-empty witness rows as the records :func:`_write_records`
+    writes for their violations, each from two pieces of its statement and
+    two of its theme-set pair.  The pieces are kept per text context and
+    indent, which the three lists of one check share."""
+    key = (vs.context, nl)
+    pieces = memos.get(key)
+    if pieces is None:
+        pieces = memos[key] = _RegionPieces(vs.context, nl, _string_lists(nl + "  ", memos))
+    by_statement = pieces.statements
+    append = chunks.append
+    first = len(chunks)
+    for j, i1, i2 in vs.rows:
+        head, named = by_statement[j]
+        tail, themes = pieces[i1, i2]
+        append(head)
+        append(tail)
+        append(named)
+        append(themes)
+    chunks[first] = chunks[first][len(nl) + 1 :]  # the first record follows no comma

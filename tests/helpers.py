@@ -983,14 +983,14 @@ def random_graphic_safe_model(
     return Model.build(themes, statements, st_themes, relations)
 
 
-def random_model_any(rng: random.Random, max_themes: int = 2) -> Model:
+def random_model_any(rng: random.Random, max_themes: int = 2, min_themes: int = 1) -> Model:
     """A well-formed model that may violate tr, nsa, nnp or kos.
 
     Summary pointers always reference inhabited themes; the degenerate
     uninhabited-summary corner is covered by a dedicated test instead
     (see test_synthesis.py).
     """
-    themes = [f"t{i + 1}" for i in range(rng.randint(1, max_themes))]
+    themes = [f"t{i + 1}" for i in range(rng.randint(min_themes, max_themes))]
     statements: list[Statement] = []
     st_themes: dict[str, set[str]] = {}
     for i in range(rng.randint(1, 2)):
@@ -1069,6 +1069,74 @@ def random_total_interpretation(
                 [AspectSet(algebra, full=True), AspectSet(algebra, small)]
             )
     return Interpretation(algebra, theme_rows, rows)
+
+
+def reversed_name(kind: str, i: int, n: int) -> str:
+    """The name of the ``i``-th of ``n`` sorted themes (``kind`` "T") or
+    statements ("S") that reverses their sort order."""
+    return f"{kind}{n - i:03d}"
+
+
+#: Characters an id may hold that a report must escape: a quote, a
+#: backslash, a control character, and non-ASCII inside and beyond the
+#: basic plane.
+HOSTILE = '"\\\x07\u00e9\U0001d11e'
+
+
+def hostile_name(kind: str, i: int, n: int) -> str:
+    """A name that holds every :data:`HOSTILE` character, led by a
+    different one as ``i`` grows, so the sort order changes too."""
+    return f"{kind}{HOSTILE[i % len(HOSTILE)]}{HOSTILE}{i}"
+
+
+def renamed(model: Model, interp: Interpretation, name=reversed_name):
+    """``model`` and ``interp`` with their themes and statements renamed by
+    the bijections ``name`` gives, and the inverse of each; reserved ids
+    (``@...``) keep their names."""
+    pointers = [s for s in model.statements if s.is_pointer]
+    themes = sorted(
+        set(model.themes).union(
+            *model.statement_themes.values(),
+            *(r.themes for r in model.relations),
+            *interp.theme_aspects,
+            *(ts for ts, _ in interp.statement_aspects),
+        )
+        | {s.ref_theme for s in pointers}
+    )
+    ids = sorted(
+        {s.id for s in model.statements}.union(
+            model.statement_themes,
+            *(r.pair for r in model.relations),
+            (sid for _, sid in interp.statement_aspects),
+        )
+        | {s.ref_target for s in pointers if s.ref_target is not None}
+    )
+    reserved = [OMEGA] + [sid for sid in ids if sid.startswith("@")]
+    ids = [sid for sid in ids if sid not in reserved]
+    to_t = {t: name("T", i, len(themes)) for i, t in enumerate(themes)}
+    to_s = {sid: name("S", i, len(ids)) for i, sid in enumerate(ids)}
+    to_s.update(zip(reserved, reserved))
+
+    def ts(group):
+        return frozenset(to_t[t] for t in group)
+
+    def statement(s):
+        ref_target = s.ref_target and to_s[s.ref_target]
+        return Statement(to_s[s.id], s.ref_theme and to_t[s.ref_theme], ref_target)
+
+    model = Model.build(
+        [to_t[t] for t in model.themes],
+        [statement(s) for s in model.statements],
+        {to_s[sid]: ts(group) for sid, group in model.statement_themes.items()},
+        [Relation(*map(to_s.get, r.pair), r.rel_types, ts(r.themes)) for r in model.relations],
+    )
+    interp = Interpretation(
+        interp.algebra,
+        {ts(key): row for key, row in interp.theme_aspects.items()},
+        {(ts(key), to_s[sid]): row for (key, sid), row in interp.statement_aspects.items()},
+        interp.formulas,
+    )
+    return model, interp, {v: k for k, v in to_t.items()}, {v: k for k, v in to_s.items()}
 
 
 # ---------------------------------------------------------------------------

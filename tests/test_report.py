@@ -1,11 +1,24 @@
+import io
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspectarg.algebra import mk_algebra
+from aspectarg.cli import run
+from aspectarg.constraints import CORE, E, ExactRegionWitnesses, classify_normal_form
 from aspectarg.model import Violation
+from aspectarg.modelfile import dumps as dump_model
+from aspectarg.modelfile import load_path, to_dict
 from aspectarg.report import to_json, violations_block
+from helpers import (
+    HOSTILE,
+    hostile_name,
+    random_model_any,
+    random_total_interpretation,
+    renamed,
+)
 
 
 def dumps(value):
@@ -81,7 +94,7 @@ def plain(value):
         return as_dict(value)
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, ExactRegionWitnesses)):
         return [plain(v) for v in value]
     return value
 
@@ -192,3 +205,103 @@ class TestViolations:
             for value in (bad, [bad], [TestViolations.ALL_SET, bad], ["x", bad]):
                 with pytest.raises(TypeError):
                     to_json(value)
+
+
+# Theme and statement ids hold what the writer must escape: quotes,
+# backslashes, control characters, non-ASCII in and beyond the basic plane.
+T1, T2, T3 = 't"1', "t\\2", "t\x01\u00e9\U0001d11e"
+A, P, C = "a" + HOSTILE, "p\u00e9\U0001d11e", 'c"\x1f'
+
+
+def region_doc(themes, theme_sets, statements, rows):
+    """A model file over props x and y with full theme rows at ``theme_sets``
+    and statement rows ``(statement, theme, formula)``."""
+    return {
+        "themes": themes,
+        "props": ["x", "y"],
+        "statements": statements,
+        "relations": [],
+        "interpretation": {
+            "theme_aspects": [{"themes": ts, "aspects": "ALL"} for ts in theme_sets],
+            "statement_aspects": [
+                {"themes": [t], "statement": sid, "aspects": [f]} for sid, t, f in rows
+            ],
+        },
+    }
+
+
+def ordinary(sid, themes):
+    return {"id": sid, "kind": "ordinary", "themes": themes}
+
+
+#: Model files with 0, 1 and 50 E witnesses: the last has all three E
+#: constraints, and first theme sets paired with several second ones.
+REGION_DOCS = {
+    0: region_doc(
+        [T1, T2], [[T1], [T2], [T1, T2]], [ordinary(A, [T1, T2])], [(A, T1, "x"), (A, T2, "x")]
+    ),
+    1: region_doc([T1, T2], [[T1], [T2]], [ordinary(A, [T1, T2])], [(A, T1, "x"), (A, T2, "y")]),
+    50: region_doc(
+        [T1, T2, T3],
+        [[T1], [T2], [T3], [T1, T2], [T1, T3], [T2, T3], [T1, T2, T3]],
+        [
+            ordinary(A, [T1, T2, T3]),
+            {"id": P, "kind": "pointer", "theme": T1, "target": A, "themes": [T1, T2]},
+            {"id": C, "kind": "pointer", "theme": T1, "target": "@summary", "themes": [T1, T2]},
+        ],
+        [
+            (A, T1, "x"), (A, T2, "y"), (A, T3, "x & y"),
+            (P, T1, "x"), (P, T2, "y"),
+            (C, T1, "x"), (C, T2, "~x"),
+        ],
+    ),
+}
+
+
+def check_against_violations(path) -> int:
+    """Check ``path`` for core and E in both formats, and compare the
+    reports with the ones built from ``Violation`` records; the number of E
+    witnesses."""
+    doc = load_path(path)
+    verdict = classify_normal_form(doc.model, doc.interpretation, (CORE, E))
+    outputs = {}
+    for fmt in ("machine", "human"):
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["check", str(path), "--alpha", "core,E", "--format", fmt], out, err) in (0, 1)
+        assert err.getvalue() == ""
+        outputs[fmt] = out.getvalue()
+    # the machine report, with its semantic block written from the records
+    report = json.loads(outputs["machine"])
+    assert report["semantic_violations"] == len(verdict.violations)
+    report["semantic"] = {
+        g: {cid: list(vs) for cid, vs in sorted(found.items()) if vs}
+        for g, found in verdict.groups.items()
+    }
+    assert outputs["machine"] == dumps(plain(report))
+    # the human E block, from each record's detail
+    region = verdict.groups[E]
+    lines = [f"  [{cid}] {v.detail}" for cid in sorted(region) for v in region[cid]]
+    human = outputs["human"].split("\n")
+    header = human.index(f"E: {len(lines)} violation(s)" if lines else "E: ok")
+    assert human[header + 1 : -2] == lines  # then the verdict and the final newline
+    return len(lines)
+
+
+class TestExactRegionRecords:
+    """E's witness rows are written as the records of their violations."""
+
+    @pytest.mark.parametrize("witnesses", sorted(REGION_DOCS))
+    def test_hostile_ids(self, tmp_path, witnesses):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(REGION_DOCS[witnesses]), encoding="utf-8")
+        assert check_against_violations(path) == witnesses
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_models_with_hostile_ids(self, tmp_path_factory, rng):
+        model = random_model_any(rng, max_themes=4)
+        interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+        model, interp, _, _ = renamed(model, interp, hostile_name)
+        path = tmp_path_factory.mktemp("hostile") / "model.json"
+        path.write_text(dump_model(to_dict(model, interp)), encoding="utf-8")
+        check_against_violations(path)
