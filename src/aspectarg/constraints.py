@@ -583,8 +583,6 @@ class ExactRegionWitnesses(Sequence[Violation]):
         return map(self._violation, self.rows)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, ExactRegionWitnesses) and other.context is self.context:
-            return self.rows == other.rows
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))

@@ -12,7 +12,7 @@ read-only after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
@@ -72,15 +72,6 @@ class Statement:
     ref_theme: str | None = None
     ref_target: str | None = None
 
-    def __init__(
-        self, id: str, ref_theme: str | None = None, ref_target: str | None = None
-    ) -> None:
-        # the loader makes one per statement; as in Violation, each slot's
-        # descriptor writes its field past the frozen class's setattr
-        _set_id(self, id)
-        _set_ref_theme(self, ref_theme)
-        _set_ref_target(self, ref_target)
-
     @property
     def is_pointer(self) -> bool:
         return self.ref_theme is not None
@@ -94,11 +85,6 @@ class Statement:
         return self.ref_theme is not None and self.ref_target is not None
 
 
-_set_id, _set_ref_theme, _set_ref_target = (
-    Statement.__dict__[f.name].__set__ for f in fields(Statement)
-)
-
-
 @dataclass(frozen=True, slots=True)
 class Relation:
     source: str
@@ -106,24 +92,9 @@ class Relation:
     rel_types: frozenset[str]
     themes: frozenset[str]
 
-    def __init__(
-        self, source: str, target: str, rel_types: frozenset[str], themes: frozenset[str]
-    ) -> None:
-        # the loader makes one per relation and each theme sub-model one per
-        # relation it narrows; set as Statement's fields are
-        _set_source(self, source)
-        _set_target(self, target)
-        _set_rel_types(self, rel_types)
-        _set_themes(self, themes)
-
     @property
     def pair(self) -> tuple[str, str]:
         return (self.source, self.target)
-
-
-_set_source, _set_target, _set_rel_types, _set_themes = (
-    Relation.__dict__[f.name].__set__ for f in fields(Relation)
-)
 
 
 @dataclass(frozen=True)
@@ -539,27 +510,6 @@ class Violation:
     rel_type: str | None = None
     detail: str = ""
 
-    def __init__(
-        self,
-        constraint: str,
-        statements: tuple[str, ...] = (),
-        relation: tuple[str, str] | None = None,
-        theme_set: tuple[str, ...] | None = None,
-        theme_set2: tuple[str, ...] | None = None,
-        rel_type: str | None = None,
-        detail: str = "",
-    ) -> None:
-        # checkers make tens of thousands of these; each slot's own descriptor
-        # writes its field directly, past the frozen class's setattr and with
-        # no lookup of the field by name
-        _set_constraint(self, constraint)
-        _set_statements(self, statements)
-        _set_relation(self, relation)
-        _set_theme_set(self, theme_set)
-        _set_theme_set2(self, theme_set2)
-        _set_rel_type(self, rel_type)
-        _set_detail(self, detail)
-
     def sort_key(self) -> tuple:
         return (
             self.constraint,
@@ -570,17 +520,6 @@ class Violation:
             self.rel_type or "",
             self.detail,
         )
-
-
-(
-    _set_constraint,
-    _set_statements,
-    _set_relation,
-    _set_theme_set,
-    _set_theme_set2,
-    _set_rel_type,
-    _set_detail,
-) = (Violation.__dict__[f.name].__set__ for f in fields(Violation))
 
 
 WELLFORMED = "wf"

@@ -592,6 +592,20 @@ class TestConclude:
         assert code == 0
         assert "no conclusion (sub-model undefined)" in out
 
+    def test_only_empty_extensions_have_no_conclusion(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["statements"] = [{"id": s, "kind": "ordinary", "themes": ["t"]} for s in "abc"]
+        doc["relations"] = [
+            {"from": u, "to": v, "types": ["attack"], "themes": ["t"]}
+            for u, v in ("ab", "bc", "ca")
+        ]
+        doc["interpretation"]["statement_aspects"] = []
+        cycle = tmp_path / "cycle.json"
+        cycle.write_text(json.dumps(doc))
+        code, out, _ = invoke("conclude", str(cycle), "--themes", "t", "--semantics", "grounded")
+        assert code == 0
+        assert "extensions: {}\nconclusion: none (no non-empty extension)\n" in out
+
     def test_scan_finds_contradiction(self):
         code, out, _ = invoke("conclude", path("contradictory_conclusion"), "--scan-logical")
         assert code == 1
@@ -792,6 +806,19 @@ class TestSynthesize:
         code, out, _ = invoke("check", str(witness_path), "--alpha", "core")
         assert code == 0
         assert "{core}-normal" in out
+
+    def test_a_graph_with_no_themes_gets_the_one_proposition_witness(self, tmp_path):
+        src, witness_path = tmp_path / "empty.json", tmp_path / "witness.json"
+        src.write_text(json.dumps({"themes": [], "props": ["p"], "statements": [], "relations": []}))
+        assert invoke("synthesize", str(src), "-o", str(witness_path))[0] == 0
+        witness = json.loads(witness_path.read_text())
+        assert witness["props"] == ["w1_1"] and witness["interpretation"] == {
+            "default": "union", "theme_aspects": [], "statement_aspects": []
+        }
+        assert invoke("validate", str(witness_path))[0] == 0
+        code, out, _ = invoke("check", str(witness_path), "--alpha", "core,E,das,nwci,F")
+        assert code == 0
+        assert "verdict: {core,E,das,nwci,F}-normal" in out
 
     def test_random_witness_files_round_trip(self, tmp_path):
         import random

@@ -3,7 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from aspectarg.algebra import Element, mk_algebra
@@ -581,6 +581,18 @@ class TestExactRegionWitnesses:
         joined = [v for g in (CORE, E) for vs in run_group(model, interp, g).values() for v in vs]
         assert list(verdict.violations) == sorted(joined, key=Violation.sort_key)
 
+    def test_a_list_equals_itself_and_shows_its_violations(self):
+        rng = random.Random(9)
+        model = random_model_any(rng, max_themes=3)
+        interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+        found = check_exact_region(model, interp)
+        assert all(found.values())
+        for vs in found.values():
+            assert vs == vs and not vs != vs and vs == list(vs)
+            assert repr(vs) == f"ExactRegionWitnesses({list(vs)!r})"
+        esr, ensr = found["esr"], found["ensr"]
+        assert esr.context is ensr.context and esr != ensr
+
 
 class TestCoreOracle:
     """Core against a checker written from the definitions."""
@@ -815,7 +827,13 @@ class TestFreshAspectOracle:
         ]
         assert got == oracle_fresh_aspects(model, interp)
 
-    @settings(max_examples=10, deadline=None)
+    # shrinking a seed does not make the instance smaller, so a failure is
+    # reported as found rather than after minutes of redrawing
+    @settings(
+        max_examples=10,
+        deadline=None,
+        phases=[p for p in Phase if p is not Phase.shrink],
+    )
     @given(st.randoms(use_true_random=False))
     def test_ten_to_twelve_statements_match_the_oracle(self, rng):
         # sparse enough that an anchor has several depth sets
@@ -1109,6 +1127,12 @@ class TestWitnessSoundness:
             found.extend(all_violations(run_group(doc.model, doc.interpretation, group)))
         for violation in found:
             assert recheck(doc.model, doc.interpretation, violation), violation
+
+    def test_a_core_witness_needs_the_interpretation(self):
+        doc = load_path(corpus_path("fear_appeal"))
+        (witness,) = check_core(doc.model, doc.interpretation)["i"]
+        assert recheck(doc.model, doc.interpretation, witness)
+        assert recheck(doc.model, None, witness) is False
 
     @pytest.mark.parametrize(
         "ghost",

@@ -216,6 +216,7 @@ class TestDepthLimit:
             lambda n: "(" * n + "p" + ")" * n,
             lambda n: " | ".join(["p"] * (n + 1)),
             lambda n: " -> ".join(["p"] * (n + 1)),
+            lambda n: "(" + " | ".join(["p"] * n) + ")",
         ],
     )
     def test_limit_is_exact(self, make):
@@ -263,13 +264,14 @@ PROPS = ["x", "y", "z"]
 STRAY = ["?", "!", "2", "<", ">", "-", "=", "\u00e9", "\u03bb", "\u00a0", "\t", "\u2003",
          "(", ")", "~", "&", "|", "->", "<->", "0", "1", "zz", " "]
 
-#: Formulas at, just under and just over the depth limit, in the three
-#: shapes that nest: negations, parentheses, and binary operators.
+#: Formulas at, just under and just over the depth limit, in the shapes
+#: that nest: negations, parentheses, binary operators, and a group around
+#: a binary chain, whose depth is checked only as the group closes.
 DEPTH_SHAPES = [
     shape
     for n in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1)
     for shape in ("~" * n + "x", "(" * n + "x" + ")" * n, " | ".join(["x"] * (n + 1)),
-                  " -> ".join(["y"] * (n + 1)))
+                  " -> ".join(["y"] * (n + 1)), "(" + " | ".join(["x"] * n) + ")")
 ]
 
 

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from aspectarg import model as model_module
 from aspectarg.algebra import Element, mk_algebra
-from aspectarg.constraints import check_core, check_exact_region
+from aspectarg.constraints import check_core, check_exact_region, run_group
 from aspectarg.corpus import corpus_path
-from aspectarg.errors import CapExceeded, ModelError, UnknownIdError
+from aspectarg.errors import AlgebraError, CapExceeded, ModelError, UnknownIdError
 from aspectarg.formulas import evaluate, parse
 from aspectarg.model import (
     FULL_ROW,
@@ -726,8 +726,8 @@ class TestViolation:
     ids=["statement", "relation"],
 )
 def test_a_graph_record_is_a_frozen_slotted_value(record, by_keyword):
-    """Statement and Relation set their slots in their own ``__init__``, past
-    the frozen setattr; they stay values compared by their fields."""
+    """Statement and Relation are built by their generated constructors and
+    stay frozen, slotted values compared by their fields."""
     cls = type(record)
     names = [f.name for f in dataclasses.fields(cls)]
     assert names == list(cls.__slots__) and not hasattr(record, "__dict__")
@@ -750,3 +750,24 @@ def test_a_graph_record_is_a_frozen_slotted_value(record, by_keyword):
     with pytest.raises((AttributeError, TypeError)):
         record.extra = 1
     assert Statement("s") == Statement("s", None, None)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Model.build(["t"], [Statement("s"), Statement("s")], {"s": ["t"]}, []), ModelError),
+        (lambda: mk_algebra(["p", ""]), AlgebraError),
+        (lambda: next(mk_algebra(["p1", "p2", "p3", "p4", "p5"]).elements()), CapExceeded),
+        (lambda: corpus_path("nope"), KeyError),
+        (
+            lambda: run_group(Model.build([], [], {}, []), Interpretation(mk_algebra(["p"])), "bogus"),
+            ValueError,
+        ),
+        (lambda: evaluate(object(), mk_algebra(["p"])), TypeError),
+    ],
+    ids=["duplicate statement", "empty proposition", "carrier cap", "corpus name",
+         "constraint group", "not an expression"],
+)
+def test_library_refusals(call, error):
+    with pytest.raises(error):
+        call()
