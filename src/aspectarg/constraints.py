@@ -14,7 +14,9 @@ independently auditable.  The semantic checkers accept a compiled
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from bisect import bisect_right
+from itertools import accumulate, chain, count
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Element, closed_under_boolean_ops
@@ -529,11 +531,11 @@ def check_exact_region(
 
 
 class RegionContext:
-    """What E's witness rows of one check index, as plain lists: by
+    """What E's witness runs of one check index, as plain lists: by
     statement index, its constraint id (``cids``), its one-id statement
     list (``named``) and detail head (``heads``); by subset index, the theme
     key (``keys``) and its text (``texts``).  A detail is
-    ``heads[j] + tail(i1, i2)``."""
+    ``heads[j] + first(i1) + second(i2)``."""
 
     __slots__ = ("cids", "named", "heads", "keys", "texts")
 
@@ -547,40 +549,51 @@ class RegionContext:
     ) -> None:
         self.cids, self.named, self.heads, self.keys, self.texts = cids, named, heads, keys, texts
 
-    def tail(self, i1: int, i2: int) -> str:
-        return f"{self.texts[i1]} and {self.texts[i2]} inside their common theme region"
+    def first(self, i1: int) -> str:
+        return self.texts[i1] + " and "
+
+    def second(self, i2: int) -> str:
+        return self.texts[i2] + " inside their common theme region"
 
 
 class ExactRegionWitnesses(Sequence[Violation]):
-    """One E constraint's witnesses: rows ``(statement index, first subset
-    index, second subset index)`` into a :class:`RegionContext`.
+    """One E constraint's witnesses as runs ``(statement index, first
+    subset index, [second subset indices])`` into a :class:`RegionContext`:
+    a run holds one statement's witnesses at one first theme set, its
+    second sets in key order, and the runs come in
+    :meth:`Violation.sort_key` order.
 
     A read-only sequence of :class:`Violation`: its length is the number of
-    rows, and indexing or iterating builds each ``Violation`` when it is
-    read.  It equals any sequence of the same violations in the same order.
+    witnesses, and indexing or iterating builds each ``Violation`` when it
+    is read.  It equals any sequence of the same violations in the same
+    order.
     """
 
-    __slots__ = ("context", "rows")
+    __slots__ = ("context", "runs", "starts")
 
-    def __init__(self, context: RegionContext, rows: list[tuple[int, int, int]]) -> None:
-        self.context, self.rows = context, rows
+    def __init__(self, context: RegionContext, runs: list[tuple[int, int, list[int]]]) -> None:
+        self.context, self.runs = context, runs
+        # the index of each run's first witness, then the witness count
+        self.starts = list(accumulate(map(len, map(itemgetter(2), runs)), initial=0))
 
-    def _violation(self, row: tuple[int, int, int]) -> Violation:
-        c, (j, i1, i2) = self.context, row
-        return Violation(
-            c.cids[j], c.named[j], None, c.keys[i1], c.keys[i2], None, c.heads[j] + c.tail(i1, i2)
-        )
+    def _violation(self, j: int, i1: int, i2: int) -> Violation:
+        c = self.context
+        detail = c.heads[j] + c.first(i1) + c.second(i2)
+        return Violation(c.cids[j], c.named[j], None, c.keys[i1], c.keys[i2], None, detail)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.starts[-1]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._violation(row) for row in self.rows[index]]
-        return self._violation(self.rows[index])
+            return [self[i] for i in range(len(self))[index]]
+        index = range(len(self))[index]
+        k = bisect_right(self.starts, index) - 1
+        j, i1, seconds = self.runs[k]
+        return self._violation(j, i1, seconds[index - self.starts[k]])
 
     def __iter__(self) -> Iterator[Violation]:
-        return map(self._violation, self.rows)
+        return (self._violation(j, i1, i2) for j, i1, seconds in self.runs for i2 in seconds)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
@@ -595,52 +608,99 @@ class ExactRegionWitnesses(Sequence[Violation]):
     def details(self) -> Iterator[str]:
         """Each witness's detail, in order, built without its ``Violation``."""
         c = self.context
-        return (c.heads[j] + c.tail(i1, i2) for j, i1, i2 in self.rows)
+        ends = list(map(c.second, range(len(c.texts))))
+        for j, i1, seconds in self.runs:
+            yield from map((c.heads[j] + c.first(i1)).__add__, map(ends.__getitem__, seconds))
 
 
 def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, ExactRegionWitnesses]:
-    """esr, ensr and eos on each pair of ``subsets``, each in report order;
-    as in :func:`_core`, rows are read at just those masks.
+    """esr, ensr and eos on each pair of ``subsets``, decided and listed by
+    row classes, each in report order; as in :func:`_core`, rows are read at
+    just those masks.
 
-    A pair is two subset indices, the first earlier in ``subsets``.  Pairs
-    are walked by their two theme keys and each statement's witness rows go
-    to its own list, so joining those lists by statement id gives the
-    :meth:`Violation.sort_key` order without a sort.
+    A pair is two subset indices, the first earlier in ``subsets``.  The
+    theme sets with a non-empty omega row are grouped by that row.  For each
+    two of these omega classes whose rows meet, each statement's rows at
+    their sets, cut to that common region unless it is full, get small class
+    ids.  A statement whose rows there fall into one class is skipped;
+    otherwise each first set is listed with the second sets outside its
+    class.  So E costs about 2^m·n per pair of omega classes plus its
+    witnesses, not 4^m·n.  Each statement's runs come by first theme key,
+    with their second sets in key order, so joining the statements' runs by
+    statement id gives the :meth:`Violation.sort_key` order.
     """
     stmts = sorted(table.model.statements, key=_statement_id)
     sids = [s.id for s in stmts]
     cids = [_exact_region_id(s) for s in stmts]
-    found: list[list[tuple[int, int, int]]] = [[] for _ in stmts]
     keys = [table.keys[tmask] for tmask in subsets]
-    omega = table.rows(OMEGA)
-    omegas = [omega[tmask] for tmask in subsets]
-    statement_rows = [table.rows(sid) for sid in sids]
-    rows = [[col[t] for col in statement_rows] for t in subsets]
     order = sorted(range(len(subsets)), key=keys.__getitem__)
-    indices = range(len(stmts))
+    omega = table.rows(OMEGA)
+    classes: dict[Row, list[int]] = {}
+    for i in order:
+        row = omega[subsets[i]]
+        if row != EMPTY_ROW:
+            classes.setdefault(row, []).append(i)
+    members = list(classes.values())
+    masks = [[subsets[i] for i in ms] for ms in members]
+    # each two omega classes that meet and hold a pair of sets, once, and
+    # their common region, or None where it is full
+    omegas = list(classes)
+    regions = []
+    for a, row_a in enumerate(omegas):
+        for b in range(a, len(omegas)):
+            full, common = _meet(row_a, omegas[b])
+            if (full or common) and (a < b or len(members[a]) > 1):
+                regions.append((a, b, None if full else common))
 
-    for i1 in order:
-        omega1 = omegas[i1]
-        if omega1 == EMPTY_ROW:
-            continue
-        rows1 = rows[i1]
-        for i2 in order:
-            if i2 <= i1:
-                continue
-            common_full, common = _meet(omega1, omegas[i2])
-            if not common_full and not common:
-                continue
-            rows2 = rows[i2]
-            for j in indices:
-                a, b = rows1[j], rows2[j]
-                if a is b:
+    by_id: dict[str, list[tuple[int, int, list[int]]]] = {cid: [] for cid in EXACT_REGION_IDS}
+    for j, sid in enumerate(sids if regions else ()):
+        read = table.rows(sid).__getitem__
+        rows = [list(map(read, ms)) for ms in masks]
+        distinct = list(map(dict.fromkeys, rows))
+        pieces: list[list[tuple[int, int, list[int]]]] = []
+        for a, b, common in regions:
+            rows_a, rows_b = distinct[a], distinct[b]
+            if len(rows_a) == 1 == len(rows_b):
+                # one row in each class: one comparison decides, and rows
+                # that are one object are equal however they are cut
+                (row_a,), (row_b,) = rows_a, rows_b
+                if row_a is row_b:
                     continue
-                if common_full:
-                    if a == b:
-                        continue
-                elif (common if a[0] else a[1] & common) == (common if b[0] else b[1] & common):
+                # two omega classes, so their common region is not full
+                if (common if row_a[0] else row_a[1] & common) == (
+                    common if row_b[0] else row_b[1] & common
+                ):
                     continue
-                found[j].append((j, i1, i2))
+            if common is None:
+                ids = dict(zip(rows_a, count()))
+            else:
+                cut: dict[Row, int] = {}
+                ids = {
+                    row: cut.setdefault(common if row[0] else row[1] & common, len(cut))
+                    for row in chain(rows_a, rows_b)
+                }
+                if len(cut) == 1:
+                    continue
+            ids_a = list(map(ids.__getitem__, rows[a]))
+            if a == b:
+                pieces.append(_outside(j, members[a], ids_a, members[a], ids_a))
+            else:
+                ids_b = list(map(ids.__getitem__, rows[b]))
+                pieces.append(_outside(j, members[a], ids_a, members[b], ids_b))
+                pieces.append(_outside(j, members[b], ids_b, members[a], ids_a))
+        runs = by_id[cids[j]]
+        if len(pieces) == 1:
+            runs += pieces[0]
+        elif pieces:
+            # a first set may have second sets in several pairs of classes
+            parts: dict[int, list[list[int]]] = {}
+            for _, i1, seconds in chain.from_iterable(pieces):
+                parts.setdefault(i1, []).append(seconds)
+            for i1 in sorted(parts, key=keys.__getitem__):
+                seconds, *more = parts[i1]
+                if more:
+                    seconds = sorted(chain(seconds, *more), key=keys.__getitem__)
+                runs.append((j, i1, seconds))
 
     context = RegionContext(
         cids,
@@ -649,10 +709,26 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, ExactRegi
         keys,
         [table.key_texts[tmask] for tmask in subsets],
     )
-    by_id: dict[str, list[tuple[int, int, int]]] = {cid: [] for cid in EXACT_REGION_IDS}
-    for cid, witnesses in zip(cids, found):
-        by_id[cid].extend(witnesses)
-    return {cid: ExactRegionWitnesses(context, witnesses) for cid, witnesses in by_id.items()}
+    return {cid: ExactRegionWitnesses(context, runs) for cid, runs in by_id.items()}
+
+
+def _outside(
+    j: int, firsts: list[int], first_ids: list[int], seconds: list[int], second_ids: list[int]
+) -> list[tuple[int, int, list[int]]]:
+    """Statement ``j``'s runs from ``firsts`` to ``seconds``, whose row
+    classes are ``first_ids`` and ``second_ids``: for each first set, in the
+    order of ``firsts``, the second sets outside its class and later in the
+    subset order, in the order of ``seconds``."""
+    outside: dict[int, list[int]] = {}  # by class, the second sets outside it
+    runs = []
+    for i1, k in zip(firsts, first_ids):
+        out = outside.get(k)
+        if out is None:
+            out = outside[k] = [i2 for i2, k2 in zip(seconds, second_ids) if k2 != k]
+        later = [i2 for i2 in out if i2 > i1]
+        if later:
+            runs.append((j, i1, later))
+    return runs
 
 
 # ---------------------------------------------------------------------------

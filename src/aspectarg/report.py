@@ -28,7 +28,7 @@ def human_violations(groups: Mapping[str, Sequence[Violation]]) -> list[str]:
     for cid in sorted(groups):
         vs = groups[cid]
         details = vs.details() if isinstance(vs, ExactRegionWitnesses) else (v.detail for v in vs)
-        lines.extend(f"  [{cid}] {detail}" for detail in details)
+        lines += map(f"  [{cid}] ".__add__, details)
     return lines
 
 
@@ -167,55 +167,63 @@ def _write_records(vs: Sequence[Violation], nl: str, chunks: list[str], memos: d
     chunks[first] = start[len(nl) + 1 :]  # the first record follows no comma
 
 
-class _RegionPieces(dict):
+def _region_pieces(context: RegionContext, nl: str, lists: _StringLists) -> tuple[list, ...]:
     """The pieces of E's records of one text context, written at indent
-    ``nl``: ``statements[j]`` is statement ``j``'s record up to its detail
-    head, then its ``statements`` list; ``self[i1, i2]``, made on first
-    lookup, is a pair's detail tail, then its two theme sets and the
-    closing brace.  ``encode_basestring_ascii`` escapes code point by code
-    point, so ``quote(head + tail) == quote(head)[:-1] + quote(tail)[1:]``."""
-
-    def __init__(self, context: RegionContext, nl: str, lists: _StringLists) -> None:
-        inner = nl + "  "
-        start = "," + nl + "{" + inner + '"constraint": '
-        detail, statements = f',{inner}"detail": ', f',{inner}"statements": '
-        self.statements = [
-            (start + _quote(cid) + detail + _quote(head)[:-1], statements + lists[named])
-            for cid, named, head in zip(context.cids, context.named, context.heads)
-        ]
-        self.context, self.lists = context, lists
-        self.theme_set, self.theme_set2 = f',{inner}"theme_set": ', f',{inner}"theme_set2": '
-        self.end = nl + "}"
-
-    def __missing__(self, pair: tuple[int, int]) -> tuple[str, str]:
-        i1, i2 = pair
-        keys, lists = self.context.keys, self.lists
-        pieces = self[pair] = (
-            _quote(self.context.tail(i1, i2))[1:],
-            self.theme_set + lists[keys[i1]] + self.theme_set2 + lists[keys[i2]] + self.end,
-        )
-        return pieces
+    ``nl``.  By statement index: the record up to its quoted detail head
+    without the closing quote, and its ``statements`` field.  By subset
+    index: as a first set, its detail text without quotes and its
+    ``theme_set`` field; as a second set, its detail text without the
+    opening quote, and its ``theme_set2`` field with the closing brace.
+    ``encode_basestring_ascii`` escapes code point by code point, so
+    ``quote(a + b) == quote(a)[:-1] + quote(b)[1:]``."""
+    inner = nl + "  "
+    start = "," + nl + "{" + inner + '"constraint": '
+    detail, statements = f',{inner}"detail": ', f',{inner}"statements": '
+    theme_set, theme_set2 = f',{inner}"theme_set": ', f',{inner}"theme_set2": '
+    end = nl + "}"
+    subsets = range(len(context.keys))
+    theme_lists = [lists[key] for key in context.keys]
+    return (
+        [
+            start + _quote(cid) + detail + _quote(head)[:-1]
+            for cid, head in zip(context.cids, context.heads)
+        ],
+        [statements + lists[named] for named in context.named],
+        [_quote(context.first(i))[1:-1] for i in subsets],
+        [theme_set + text for text in theme_lists],
+        [_quote(context.second(i))[1:] for i in subsets],
+        [theme_set2 + text + end for text in theme_lists],
+    )
 
 
 def _write_region_records(
     vs: ExactRegionWitnesses, nl: str, chunks: list[str], memos: dict
 ) -> None:
-    """E's non-empty witness rows as the records :func:`_write_records`
-    writes for their violations, each from two pieces of its statement and
-    two of its theme-set pair.  The pieces are kept per text context and
-    indent, which the three lists of one check share."""
+    """E's non-empty witness runs as the records :func:`_write_records`
+    writes for their violations.  A record is four chunks: its statement's
+    head and its first set's text, its second set's text, its statement's
+    ``statements`` field and its first set's ``theme_set`` field, and its
+    second set's ``theme_set2`` field.  A run joins its two leading pieces
+    once and repeats them for each of its witnesses; the list's chunks are
+    then laid out by slice assignment, with no work per witness in Python.
+    The pieces are kept per text context and indent, which the three lists
+    of one check share."""
     key = (vs.context, nl)
     pieces = memos.get(key)
     if pieces is None:
-        pieces = memos[key] = _RegionPieces(vs.context, nl, _string_lists(nl + "  ", memos))
-    by_statement = pieces.statements
-    append = chunks.append
-    first = len(chunks)
-    for j, i1, i2 in vs.rows:
-        head, named = by_statement[j]
-        tail, themes = pieces[i1, i2]
-        append(head)
-        append(tail)
-        append(named)
-        append(themes)
-    chunks[first] = chunks[first][len(nl) + 1 :]  # the first record follows no comma
+        pieces = memos[key] = _region_pieces(vs.context, nl, _string_lists(nl + "  ", memos))
+    heads, named, first_texts, theme_sets, second_texts, theme_sets2 = pieces
+    leads: list[str] = []
+    middles: list[str] = []
+    seconds: list[int] = []
+    for j, i1, run in vs.runs:
+        leads += repeat(heads[j] + first_texts[i1], len(run))
+        middles += repeat(named[j] + theme_sets[i1], len(run))
+        seconds += run
+    block: list[str] = [""] * (4 * len(leads))
+    block[0::4] = leads
+    block[1::4] = map(second_texts.__getitem__, seconds)
+    block[2::4] = middles
+    block[3::4] = map(theme_sets2.__getitem__, seconds)
+    block[0] = block[0][len(nl) + 1 :]  # the first record follows no comma
+    chunks += block

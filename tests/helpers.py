@@ -669,6 +669,44 @@ def with_odd_omega_rows(rng: random.Random, model: Model, interp: Interpretation
     return Interpretation(algebra, omega, interp.statement_aspects)
 
 
+def with_mixed_omega_rows(
+    rng: random.Random, model: Model, interp: Interpretation
+) -> Interpretation:
+    """Draw each omega row, the empty theme set's included, from the empty
+    row, the full one and small subalgebras: ``{0, 1}`` and those generated
+    by one of two random elements.  So the theme sets fall into several
+    omega classes, and two classes may share all, part or none of their
+    rows."""
+    algebra = interp.algebra
+    bottom, top = algebra.bottom, algebra.top
+    small = [frozenset({bottom, top})]
+    for _ in range(2):
+        e = Element(algebra, rng.randrange(algebra.carrier_size))
+        small.append(frozenset({bottom, top, e, ~e}))
+    choices = [AspectSet(algebra, frozenset()), AspectSet(algebra, full=True)]
+    choices += [AspectSet(algebra, elements) for elements in small]
+    omega = {
+        frozenset(c): rng.choice(choices)
+        for n in range(len(model.themes) + 1)
+        for c in combinations(model.themes, n)
+    }
+    return Interpretation(algebra, omega, interp.statement_aspects)
+
+
+def region_instance(rng: random.Random) -> tuple[Model, Interpretation]:
+    """A model of 4-5 themes for E, its omega rows mostly mixed by
+    :func:`with_mixed_omega_rows`, so that E meets several omega classes and
+    common regions that are not full, and half the time with the explicit
+    rows of :func:`with_extra_rows`."""
+    model = random_model_any(rng, max_themes=5, min_themes=4)
+    interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+    if rng.random() < 0.5:
+        interp = with_extra_rows(rng, model, interp)
+    if rng.random() < 0.75:
+        interp = with_mixed_omega_rows(rng, model, interp)
+    return model, interp
+
+
 def oracle_lookup(interp: Interpretation, model: Model, themes, s: str) -> AspectSet:
     """:func:`oracle_aspects` as an :class:`AspectSet`."""
     full, masks = oracle_aspects(interp, model, themes, s)

@@ -1,6 +1,8 @@
 import dataclasses
 import random
+import runpy
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -39,7 +41,7 @@ from aspectarg.model import (
     effective_aspect,
     lookup,
 )
-from aspectarg.modelfile import load_path
+from aspectarg.modelfile import from_dict, load_path
 from helpers import (
     all_violations,
     block_instance,
@@ -53,6 +55,7 @@ from helpers import (
     random_model_any,
     random_total_interpretation,
     redundant_instance,
+    region_instance,
     renamed,
     with_extra_rows,
     with_odd_omega_rows,
@@ -515,6 +518,44 @@ class TestExactRegion:
                             )
 
 
+def bench_block_doc(m: int, n: int) -> dict:
+    """The benchmark's Core+E-normal ``block_doc`` of ``m`` themes and ``n``
+    statements, from the seed ``f"{m}/{n}"``."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    block_doc = runpy.run_path(str(bench / "workloads.py"))["block_doc"]
+    return block_doc(random.Random(f"{m}/{n}"), m, n)
+
+
+class TestExactRegionAtScale:
+    """E by row classes on block models, which have one omega class per
+    set of owning themes and meet in regions that are not full."""
+
+    def test_a_normal_model_at_the_theme_cap_lists_nothing(self):
+        doc = from_dict(bench_block_doc(12, 12))
+        found = check_exact_region(doc.model, doc.interpretation)
+        assert set(found) == set(EXACT_REGION_IDS) and not any(found.values())
+
+    def test_one_broken_row_at_six_themes_matches_the_oracle(self):
+        raw = bench_block_doc(6, 8)
+        # an ordinary statement has only singleton rows; give it the top
+        # element alone at two themes, which every common region holds
+        sid, themes = "a1", raw["themes"][:2]
+        raw["interpretation"]["statement_aspects"].append(
+            {"themes": themes, "statement": sid, "aspects": ["1"]}
+        )
+        doc = from_dict(raw)
+        model, interp = doc.model, doc.interpretation
+        out = check_exact_region(model, interp)
+        found = [
+            (v.constraint, v.statements[0], v.theme_set, v.theme_set2)
+            for vs in out.values()
+            for v in vs
+        ]
+        assert found and sorted(found) == sorted(oracle_exact_region(model, interp))
+        for vs in out.values():
+            assert vs == sorted(vs, key=Violation.sort_key)
+
+
 def shuffled(rng, model):
     """``model`` with its themes and statements declared in a random order."""
     themes, statements = list(model.themes), list(model.statements)
@@ -538,8 +579,7 @@ class TestExactRegionOracle:
                 rows = {**interp.statement_aspects, key: (False, masks | {interp.algebra.full_mask})}
                 interp = dataclasses.replace(interp, statement_aspects=rows)
         else:
-            model = random_model_any(rng, max_themes=3)
-            interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+            model, interp = region_instance(rng)
         model = shuffled(rng, model)
         out = check_exact_region(model, interp)
         assert set(out) == set(EXACT_REGION_IDS)
@@ -561,14 +601,14 @@ class TestExactRegionWitnesses:
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_the_lists_read_as_lists_of_violations(self, rng):
-        model = random_model_any(rng, max_themes=3)
-        interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+        model, interp = region_instance(rng)
         for vs in check_exact_region(model, interp).values():
             listed = list(vs)
             assert vs == listed and listed == vs and not vs != listed
             assert len(vs) == len(listed) and list(vs) == listed  # iterated twice
             assert [vs[i] for i in range(-len(vs), 0)] == listed
-            assert vs[::-1] == listed[::-1]
+            assert vs[::-1] == listed[::-1] and vs[1::3] == listed[1::3]
+            assert vs[-2:] == listed[-2:] and vs[len(vs) :] == []
             assert all(recheck(model, interp, v) for v in vs)
             if vs:
                 assert vs != listed[1:] and vs != listed[:-1] + [Violation("eos")]

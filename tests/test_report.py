@@ -5,20 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspectarg.algebra import mk_algebra
 from aspectarg.cli import run
 from aspectarg.constraints import CORE, E, ExactRegionWitnesses, classify_normal_form
 from aspectarg.model import Violation
 from aspectarg.modelfile import dumps as dump_model
 from aspectarg.modelfile import load_path, to_dict
-from aspectarg.report import to_json, violations_block
-from helpers import (
-    HOSTILE,
-    hostile_name,
-    random_model_any,
-    random_total_interpretation,
-    renamed,
-)
+from aspectarg.report import human_violations, to_json, violations_block
+from helpers import HOSTILE, hostile_name, region_instance, renamed
 
 
 def dumps(value):
@@ -278,8 +271,12 @@ def check_against_violations(path) -> int:
         for g, found in verdict.groups.items()
     }
     assert outputs["machine"] == dumps(plain(report))
-    # the human E block, from each record's detail
+    # E's lists, written from their runs and from their violations
     region = verdict.groups[E]
+    listed = {cid: list(vs) for cid, vs in region.items()}
+    assert to_json(region) == to_json(listed)
+    assert human_violations(region) == human_violations(listed)
+    # the human E block, from each record's detail
     lines = [f"  [{cid}] {v.detail}" for cid in sorted(region) for v in region[cid]]
     human = outputs["human"].split("\n")
     header = human.index(f"E: {len(lines)} violation(s)" if lines else "E: ok")
@@ -299,8 +296,7 @@ class TestExactRegionRecords:
     @settings(max_examples=30, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_random_models_with_hostile_ids(self, tmp_path_factory, rng):
-        model = random_model_any(rng, max_themes=4)
-        interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+        model, interp = region_instance(rng)
         model, interp, _, _ = renamed(model, interp, hostile_name)
         path = tmp_path_factory.mktemp("hostile") / "model.json"
         path.write_text(dump_model(to_dict(model, interp)), encoding="utf-8")
