@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from bisect import bisect_right
 from itertools import accumulate, chain, count
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Element, closed_under_boolean_ops
@@ -264,10 +264,6 @@ def _exact_region_id(s: Statement) -> str:
     if s.is_statement_pointer:
         return "ensr"
     return "eos"
-
-
-def _statement_id(s: Statement) -> str:
-    return s.id
 
 
 def _sorted(out: dict[str, list[Violation]]) -> dict[str, list[Violation]]:
@@ -531,13 +527,14 @@ def check_exact_region(
 
 
 class RegionContext:
-    """What E's witness runs of one check index, as plain lists: by
-    statement index, its constraint id (``cids``), its one-id statement
-    list (``named``) and detail head (``heads``); by subset index, the theme
-    key (``keys``) and its text (``texts``).  A detail is
-    ``heads[j] + first(i1) + second(i2)``."""
+    """What E's witness runs of one check index, as plain lists built once
+    per check: by statement index, its constraint id (``cids``), its one-id
+    statement list (``named``) and detail head (``heads``); by subset index,
+    the theme key (``keys``) and the detail text of its set as first set
+    (``firsts``) and as second set (``seconds``).  A detail is
+    ``heads[j] + firsts[i1] + seconds[i2]``."""
 
-    __slots__ = ("cids", "named", "heads", "keys", "texts")
+    __slots__ = ("cids", "named", "heads", "keys", "firsts", "seconds")
 
     def __init__(
         self,
@@ -545,15 +542,11 @@ class RegionContext:
         named: list[tuple[str]],
         heads: list[str],
         keys: list[tuple[str, ...]],
-        texts: list[str],
+        firsts: list[str],
+        seconds: list[str],
     ) -> None:
-        self.cids, self.named, self.heads, self.keys, self.texts = cids, named, heads, keys, texts
-
-    def first(self, i1: int) -> str:
-        return self.texts[i1] + " and "
-
-    def second(self, i2: int) -> str:
-        return self.texts[i2] + " inside their common theme region"
+        self.cids, self.named, self.heads, self.keys = cids, named, heads, keys
+        self.firsts, self.seconds = firsts, seconds
 
 
 class ExactRegionWitnesses(Sequence[Violation]):
@@ -565,8 +558,8 @@ class ExactRegionWitnesses(Sequence[Violation]):
 
     A read-only sequence of :class:`Violation`: its length is the number of
     witnesses, and indexing or iterating builds each ``Violation`` when it
-    is read.  It equals any sequence of the same violations in the same
-    order.
+    is read.  It equals a list, a tuple or another E list of the same
+    violations in the same order, and no other sequence.
     """
 
     __slots__ = ("context", "runs", "starts")
@@ -578,7 +571,7 @@ class ExactRegionWitnesses(Sequence[Violation]):
 
     def _violation(self, j: int, i1: int, i2: int) -> Violation:
         c = self.context
-        detail = c.heads[j] + c.first(i1) + c.second(i2)
+        detail = c.heads[j] + c.firsts[i1] + c.seconds[i2]
         return Violation(c.cids[j], c.named[j], None, c.keys[i1], c.keys[i2], None, detail)
 
     def __len__(self) -> int:
@@ -596,7 +589,7 @@ class ExactRegionWitnesses(Sequence[Violation]):
         return (self._violation(j, i1, i2) for j, i1, seconds in self.runs for i2 in seconds)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
+        if not isinstance(other, (list, tuple, ExactRegionWitnesses)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
@@ -606,11 +599,12 @@ class ExactRegionWitnesses(Sequence[Violation]):
         return f"{type(self).__name__}({list(self)!r})"
 
     def details(self) -> Iterator[str]:
-        """Each witness's detail, in order, built without its ``Violation``."""
+        """Each witness's detail, in order, built without its ``Violation``:
+        a run joins its head and first-set text once, then each second-set
+        text of the context's table."""
         c = self.context
-        ends = list(map(c.second, range(len(c.texts))))
         for j, i1, seconds in self.runs:
-            yield from map((c.heads[j] + c.first(i1)).__add__, map(ends.__getitem__, seconds))
+            yield from map((c.heads[j] + c.firsts[i1]).__add__, map(c.seconds.__getitem__, seconds))
 
 
 def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, ExactRegionWitnesses]:
@@ -629,7 +623,7 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, ExactRegi
     with their second sets in key order, so joining the statements' runs by
     statement id gives the :meth:`Violation.sort_key` order.
     """
-    stmts = sorted(table.model.statements, key=_statement_id)
+    stmts = sorted(table.model.statements, key=attrgetter("id"))
     sids = [s.id for s in stmts]
     cids = [_exact_region_id(s) for s in stmts]
     keys = [table.keys[tmask] for tmask in subsets]
@@ -702,12 +696,14 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, ExactRegi
                     seconds = sorted(chain(seconds, *more), key=keys.__getitem__)
                 runs.append((j, i1, seconds))
 
+    texts = [table.key_texts[tmask] for tmask in subsets]
     context = RegionContext(
         cids,
         [(sid,) for sid in sids],
         [f"aspects of {sid} differ between " for sid in sids],
         keys,
-        [table.key_texts[tmask] for tmask in subsets],
+        [text + " and " for text in texts],
+        [text + " inside their common theme region" for text in texts],
     )
     return {cid: ExactRegionWitnesses(context, runs) for cid, runs in by_id.items()}
 

@@ -42,9 +42,10 @@ def to_json(report: dict[str, Any]) -> str:
     ``int``, ``bool``, ``None``, lists, tuples, dicts with ``str`` keys,
     ``Violation``s, which are written as the dict of their set fields, and
     E's ``ExactRegionWitnesses``, written as the list of their violations.
-    A list of violations, the bulk of a large report, is written by one loop
-    that computes its indents and keys once and writes each distinct string
-    list once per indent.
+    Violation records, the bulk of a large report, are written from one
+    :class:`_Layout` per indent, which both record writers read: its record
+    start, end and field prefixes are built once, and each distinct string
+    list is written once.
     """
     chunks: list[str] = []
     _write(report, "\n", chunks, {})
@@ -52,13 +53,12 @@ def to_json(report: dict[str, Any]) -> str:
     return "".join(chunks)
 
 
-def _write(value: Any, nl: str, chunks: list[str], memos: dict) -> None:
+def _write(value: Any, nl: str, chunks: list[str], layouts: dict[str, _Layout]) -> None:
     """Append ``value`` to ``chunks``; ``nl`` is a newline and the indent of
-    the line the value starts on, ``memos`` holds the written string lists
-    of violations by indent and E's record pieces by text context and
-    indent."""
+    the line the value starts on, ``layouts`` holds the record layout of
+    each indent that records were written at."""
     if isinstance(value, Violation):
-        _write_records((value,), nl, chunks, memos)
+        _write_records((value,), _layout(nl, layouts), chunks)
     elif isinstance(value, str):
         chunks.append(_quote(value))
     elif value is None:
@@ -76,15 +76,15 @@ def _write(value: Any, nl: str, chunks: list[str], memos: dict) -> None:
         inner = nl + "  "
         if isinstance(value, ExactRegionWitnesses):
             chunks.append("[" + inner)
-            _write_region_records(value, inner, chunks, memos)
+            _write_region_records(value, _layout(inner, layouts), chunks)
         elif all(map(isinstance, value, repeat(Violation))):
             chunks.append("[" + inner)
-            _write_records(value, inner, chunks, memos)
+            _write_records(value, _layout(inner, layouts), chunks)
         else:
             sep = "[" + inner
             for item in value:
                 chunks.append(sep)
-                _write(item, inner, chunks, memos)
+                _write(item, inner, chunks, layouts)
                 sep = "," + inner
         chunks.append(nl + "]")
     elif isinstance(value, dict):
@@ -98,49 +98,59 @@ def _write(value: Any, nl: str, chunks: list[str], memos: dict) -> None:
         sep = "{" + inner
         for key in sorted(value):
             chunks.append(sep + _quote(key) + ": ")
-            _write(value[key], inner, chunks, memos)
+            _write(value[key], inner, chunks, layouts)
             sep = "," + inner
         chunks.append(nl + "}")
     else:
         raise TypeError(f"a report cannot hold {type(value).__name__}")
 
 
-class _StringLists(dict):
-    """Written string lists, by their tuple, for fields indented as ``nl``;
-    a report repeats few distinct theme sets and statement lists, so each
-    is written once per indent."""
+#: A record's fields after ``constraint``, in sorted key order.
+_FIELDS = ("detail", "rel_type", "relation", "statements", "theme_set", "theme_set2")
+
+
+class _Layout(dict):
+    """How violation records on lines indented as ``nl`` are written: the
+    record ``start``, from the comma after the record before up to the
+    ``"constraint": `` prefix, the record ``end``, and each other field's
+    ``"key": `` prefix, after its comma.  As a dict, it maps each tuple of
+    strings to its written string list, and each of E's text contexts to its
+    record pieces (:func:`_region_pieces`).  A report repeats few distinct
+    theme sets and statement lists, so each is written once per indent."""
+
+    __slots__ = ("nl", "start", "end", *_FIELDS)
 
     def __init__(self, nl: str) -> None:
-        self.nl = nl
+        inner = nl + "  "
+        self.nl, self.start, self.end = nl, "," + nl + "{" + inner + '"constraint": ', nl + "}"
+        for key in _FIELDS:
+            setattr(self, key, f',{inner}"{key}": ')
 
     def __missing__(self, items: tuple[str, ...]) -> str:
         text = "[]"
         if items:
-            inner = self.nl + "  "
-            text = "[" + inner + ("," + inner).join(map(_quote, items)) + self.nl + "]"
+            nl = self.nl + "  "
+            inner = nl + "  "
+            text = "[" + inner + ("," + inner).join(map(_quote, items)) + nl + "]"
         self[items] = text
         return text
 
 
-def _string_lists(inner: str, memos: dict) -> _StringLists:
-    lists = memos.get(inner)
-    if lists is None:
-        lists = memos[inner] = _StringLists(inner)
-    return lists
+def _layout(nl: str, layouts: dict[str, _Layout]) -> _Layout:
+    layout = layouts.get(nl)
+    if layout is None:
+        layout = layouts[nl] = _Layout(nl)
+    return layout
 
 
-def _write_records(vs: Sequence[Violation], nl: str, chunks: list[str], memos: dict) -> None:
-    """A non-empty run of violations as records on lines indented as ``nl``,
+def _write_records(vs: Sequence[Violation], layout: _Layout, chunks: list[str]) -> None:
+    """A non-empty run of violations as records laid out by ``layout``,
     separated by commas: ``constraint`` and ``detail`` always, each other
     field when set (``statements`` when non-empty, the rest when not
     ``None``), in sorted key order."""
-    inner = nl + "  "
-    lists = _string_lists(inner, memos)
-    detail, rel_type, relation, statements, theme_set, theme_set2 = (
-        f',{inner}"{key}": '
-        for key in ("detail", "rel_type", "relation", "statements", "theme_set", "theme_set2")
-    )
-    start, end = "," + nl + "{" + inner + '"constraint": ', nl + "}"
+    start, end = layout.start, layout.end
+    detail, rel_type, relation = layout.detail, layout.rel_type, layout.relation
+    statements, theme_set, theme_set2 = layout.statements, layout.theme_set, layout.theme_set2
     append = chunks.append
     first = len(chunks)
     for v in vs:
@@ -153,52 +163,42 @@ def _write_records(vs: Sequence[Violation], nl: str, chunks: list[str], memos: d
             append(_quote(v.rel_type))
         if v.relation is not None:
             append(relation)
-            append(lists[v.relation])
+            append(layout[v.relation])
         if v.statements:
             append(statements)
-            append(lists[v.statements])
+            append(layout[v.statements])
         if v.theme_set is not None:
             append(theme_set)
-            append(lists[v.theme_set])
+            append(layout[v.theme_set])
         if v.theme_set2 is not None:
             append(theme_set2)
-            append(lists[v.theme_set2])
+            append(layout[v.theme_set2])
         append(end)
-    chunks[first] = start[len(nl) + 1 :]  # the first record follows no comma
+    chunks[first] = start[len(layout.nl) + 1 :]  # the first record follows no comma
 
 
-def _region_pieces(context: RegionContext, nl: str, lists: _StringLists) -> tuple[list, ...]:
-    """The pieces of E's records of one text context, written at indent
-    ``nl``.  By statement index: the record up to its quoted detail head
+def _region_pieces(context: RegionContext, layout: _Layout) -> tuple[list, ...]:
+    """The pieces of E's records of one text context, laid out by
+    ``layout``.  By statement index: the record up to its quoted detail head
     without the closing quote, and its ``statements`` field.  By subset
-    index: as a first set, its detail text without quotes and its
-    ``theme_set`` field; as a second set, its detail text without the
-    opening quote, and its ``theme_set2`` field with the closing brace.
-    ``encode_basestring_ascii`` escapes code point by code point, so
-    ``quote(a + b) == quote(a)[:-1] + quote(b)[1:]``."""
-    inner = nl + "  "
-    start = "," + nl + "{" + inner + '"constraint": '
-    detail, statements = f',{inner}"detail": ', f',{inner}"statements": '
-    theme_set, theme_set2 = f',{inner}"theme_set": ', f',{inner}"theme_set2": '
-    end = nl + "}"
-    subsets = range(len(context.keys))
-    theme_lists = [lists[key] for key in context.keys]
+    index: its first-set text without quotes and its ``theme_set`` field;
+    its second-set text without the opening quote, and its ``theme_set2``
+    field with the closing brace.  ``encode_basestring_ascii`` escapes code
+    point by code point, so ``quote(a + b) == quote(a)[:-1] + quote(b)[1:]``."""
     return (
         [
-            start + _quote(cid) + detail + _quote(head)[:-1]
+            layout.start + _quote(cid) + layout.detail + _quote(head)[:-1]
             for cid, head in zip(context.cids, context.heads)
         ],
-        [statements + lists[named] for named in context.named],
-        [_quote(context.first(i))[1:-1] for i in subsets],
-        [theme_set + text for text in theme_lists],
-        [_quote(context.second(i))[1:] for i in subsets],
-        [theme_set2 + text + end for text in theme_lists],
+        [layout.statements + layout[named] for named in context.named],
+        [_quote(text)[1:-1] for text in context.firsts],
+        [layout.theme_set + layout[key] for key in context.keys],
+        [_quote(text)[1:] for text in context.seconds],
+        [layout.theme_set2 + layout[key] + layout.end for key in context.keys],
     )
 
 
-def _write_region_records(
-    vs: ExactRegionWitnesses, nl: str, chunks: list[str], memos: dict
-) -> None:
+def _write_region_records(vs: ExactRegionWitnesses, layout: _Layout, chunks: list[str]) -> None:
     """E's non-empty witness runs as the records :func:`_write_records`
     writes for their violations.  A record is four chunks: its statement's
     head and its first set's text, its second set's text, its statement's
@@ -206,12 +206,11 @@ def _write_region_records(
     second set's ``theme_set2`` field.  A run joins its two leading pieces
     once and repeats them for each of its witnesses; the list's chunks are
     then laid out by slice assignment, with no work per witness in Python.
-    The pieces are kept per text context and indent, which the three lists
-    of one check share."""
-    key = (vs.context, nl)
-    pieces = memos.get(key)
+    The layout keeps the pieces by text context, which the three lists of
+    one check share."""
+    pieces = layout.get(vs.context)
     if pieces is None:
-        pieces = memos[key] = _region_pieces(vs.context, nl, _string_lists(nl + "  ", memos))
+        pieces = layout[vs.context] = _region_pieces(vs.context, layout)
     heads, named, first_texts, theme_sets, second_texts, theme_sets2 = pieces
     leads: list[str] = []
     middles: list[str] = []
@@ -225,5 +224,5 @@ def _write_region_records(
     block[1::4] = map(second_texts.__getitem__, seconds)
     block[2::4] = middles
     block[3::4] = map(theme_sets2.__getitem__, seconds)
-    block[0] = block[0][len(nl) + 1 :]  # the first record follows no comma
+    block[0] = block[0][len(layout.nl) + 1 :]  # the first record follows no comma
     chunks += block

@@ -592,6 +592,12 @@ class TestExactRegionOracle:
         for vs in out.values():
             assert all(len(v.statements) == 1 for v in vs)
             assert vs == sorted(vs, key=Violation.sort_key)
+            # the detail names the statement and both theme sets
+            assert [v.detail for v in vs] == [
+                f"aspects of {v.statements[0]} differ between {v.theme_set!r} and"
+                f" {v.theme_set2!r} inside their common theme region"
+                for v in vs
+            ]
 
 
 class TestExactRegionWitnesses:
@@ -632,6 +638,17 @@ class TestExactRegionWitnesses:
             assert repr(vs) == f"ExactRegionWitnesses({list(vs)!r})"
         esr, ensr = found["esr"], found["ensr"]
         assert esr.context is ensr.context and esr != ensr
+        again = check_exact_region(model, interp)["esr"]
+        assert again.context is not esr.context and again == esr and esr == tuple(esr)
+
+    def test_a_list_equals_only_lists_tuples_and_exact_region_lists(self):
+        doc = load_path(corpus_path("straw_man"))
+        found = check_exact_region(doc.model, doc.interpretation)
+        empty = found["eos"]
+        assert len(empty) == 0 and empty == found["esr"]
+        assert empty == [] and [] == empty and empty == () and () == empty
+        for other in ("", b"", range(0), bytearray(), [None]):
+            assert empty != other and other != empty and not empty == other
 
 
 class TestCoreOracle:

@@ -6,10 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectarg.cli import run
-from aspectarg.constraints import CORE, E, ExactRegionWitnesses, classify_normal_form
+from aspectarg.constraints import (
+    ALPHA_GROUPS,
+    E,
+    ExactRegionWitnesses,
+    check_exact_region,
+    classify_normal_form,
+)
 from aspectarg.model import Violation
 from aspectarg.modelfile import dumps as dump_model
-from aspectarg.modelfile import load_path, to_dict
+from aspectarg.modelfile import from_dict, load_path, to_dict
 from aspectarg.report import human_violations, to_json, violations_block
 from helpers import HOSTILE, hostile_name, region_instance, renamed
 
@@ -181,6 +187,13 @@ class TestViolations:
         assert to_json(report) == dumps(plain(report))
         assert to_json([vs, [[vs]]]) == dumps(plain([vs, [[vs]]]))
 
+    def test_one_context_of_exact_region_lists_at_two_indents(self):
+        doc = from_dict(REGION_DOCS[50])
+        lists = check_exact_region(doc.model, doc.interpretation)
+        assert all(lists.values())
+        value = [lists, [[lists]]]
+        assert to_json(value) == dumps(plain(value))
+
     def test_a_violation_among_other_values(self):
         v = TestViolations.ALL_SET
         for value in ([v, "x", 1], ["x", v, 2, v], {"a": [1, v], "b": v}, [[v], v, "y"]):
@@ -252,15 +265,16 @@ REGION_DOCS = {
 
 
 def check_against_violations(path) -> int:
-    """Check ``path`` for core and E in both formats, and compare the
+    """Check ``path`` for all five groups in both formats, and compare the
     reports with the ones built from ``Violation`` records; the number of E
     witnesses."""
     doc = load_path(path)
-    verdict = classify_normal_form(doc.model, doc.interpretation, (CORE, E))
+    verdict = classify_normal_form(doc.model, doc.interpretation, ALPHA_GROUPS)
     outputs = {}
     for fmt in ("machine", "human"):
         out, err = io.StringIO(), io.StringIO()
-        assert run(["check", str(path), "--alpha", "core,E", "--format", fmt], out, err) in (0, 1)
+        line = ["check", str(path), "--alpha", ",".join(ALPHA_GROUPS), "--format", fmt]
+        assert run(line, out, err) in (0, 1)
         assert err.getvalue() == ""
         outputs[fmt] = out.getvalue()
     # the machine report, with its semantic block written from the records
@@ -280,7 +294,8 @@ def check_against_violations(path) -> int:
     lines = [f"  [{cid}] {v.detail}" for cid in sorted(region) for v in region[cid]]
     human = outputs["human"].split("\n")
     header = human.index(f"E: {len(lines)} violation(s)" if lines else "E: ok")
-    assert human[header + 1 : -2] == lines  # then the verdict and the final newline
+    end = header + 1 + len(lines)
+    assert human[header + 1 : end] == lines and human[end].startswith("das: ")
     return len(lines)
 
 
