@@ -28,7 +28,9 @@ from .model import (
 SEMANTICS_IDS = ("grounded", "complete", "preferred", "stable", "naive")
 
 #: Semantics other than grounded enumerate conflict-free statement sets, of
-#: which an attack-free graph has 2^n; cap the graph size.
+#: which an attack-free graph has 2^n; cap the graph size.  The logical-fallacy
+#: scan checks the cap at every theme set with a defined sub-model, also where
+#: its bound decides the set without a search.
 MAX_ENUMERATED_STATEMENTS = 16
 
 
@@ -202,18 +204,24 @@ def _bits(s: int) -> Iterator[int]:
         s ^= low
 
 
-def extensions(sub: SubModel, semantics: str) -> frozenset[frozenset[str]]:
-    """Extensions of the sub-model's attack projection under a semantics."""
+def _check_enumerable(semantics: str, n: int) -> None:
+    """Refuse an unknown semantics, and ``n`` statements past the cap for a
+    semantics that enumerates."""
     if semantics not in SEMANTICS_IDS:
         raise ValueError(f"unknown semantics {semantics!r}; choose from {SEMANTICS_IDS}")
+    if semantics != "grounded" and n > MAX_ENUMERATED_STATEMENTS:
+        raise CapExceeded(
+            f"{n} statements exceed the subset-enumeration cap "
+            f"{MAX_ENUMERATED_STATEMENTS} for {semantics} semantics"
+        )
+
+
+def extensions(sub: SubModel, semantics: str) -> frozenset[frozenset[str]]:
+    """Extensions of the sub-model's attack projection under a semantics."""
+    _check_enumerable(semantics, len(sub.model.statements))
     index = _AttackIndex(sub.model)
     if semantics == "grounded":
         return frozenset([index.members(index.grounded())])
-    if len(index.order) > MAX_ENUMERATED_STATEMENTS:
-        raise CapExceeded(
-            f"{len(index.order)} statements exceed the subset-enumeration cap "
-            f"{MAX_ENUMERATED_STATEMENTS} for {semantics} semantics"
-        )
     if semantics == "naive":
         found = index.maximal_conflict_free()
     else:
@@ -309,10 +317,34 @@ def detect_logical_fallacy(
     undefined sub-models and an absent conclusion, which is not the bottom
     element.  The first hit by size, then lexicographically over the sorted
     used themes, is the witness.
+
+    Extensions are searched only at theme sets whose sub-model's statements
+    meet at bottom.  Every extension lies inside the sub-model, and a meet
+    over fewer effective aspects is no smaller, so where all of them meet
+    above bottom no extension's meet, nor their join, is bottom.  The
+    semantics and the statement cap are still checked at every set with a
+    defined sub-model, so errors come from the same set as with a search.
     """
     cases = theme_subsets(sorted(model.used_themes()), min_size=1)
     table = AspectTable(interp, model)
+    # each statement with the mask of its declared themes
+    typed = [
+        (s.id, table.mask(th for th in model.themes_of(s.id) if th in table.bits))
+        for s in model.statements
+    ]
     for combo in cases:
+        tmask = table.mask(combo)
+        kept = [sid for sid, smask in typed if smask & tmask]
+        if not kept:
+            continue  # the sub-model is undefined
+        _check_enumerable(semantics, len(kept))
+        met = table.full_mask
+        for sid in kept:
+            eff = table.infs(sid)[tmask]
+            if eff is not None:  # an absent aspect is top
+                met &= eff
+        if met:
+            continue
         t = frozenset(combo)
         conclusion = _conclude(table, t, semantics)[1]
         if conclusion is not None and conclusion.is_bottom:

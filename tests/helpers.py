@@ -885,6 +885,54 @@ def oracle_dung(args: frozenset[str], attacks: frozenset[tuple[str, str]]) -> di
     }
 
 
+def oracle_logical_fallacy(
+    model: Model, interp: Interpretation, semantics: str
+) -> frozenset[str] | None:
+    """The first theme set whose logico-rhetorical conclusion is 0, or ``None``.
+
+    Theme sets are the non-empty subsets of the themes that a statement or a
+    relation carries, by size and then in order over their sorted names.  At
+    each, the sub-model keeps the statements carrying a theme of it and the
+    attacks that carry one between two kept statements; its extensions come
+    from ``oracle_dung``.  Each member's effective aspect at the theme set
+    comes from the defaulting rule, an absent one counting as top, and the
+    conclusion joins the meets of the extensions.  A set with no statement,
+    or with no non-empty extension, has no conclusion.
+    """
+    used = set()
+    for s in model.statements:
+        used |= model.themes_of(s.id)
+    for r in model.relations:
+        used |= r.themes
+    used = sorted(used & set(model.themes))
+    top = (1 << interp.algebra.n_minterms) - 1
+    for size in range(1, len(used) + 1):
+        for combo in combinations(used, size):
+            t = frozenset(combo)
+            args = frozenset(s.id for s in model.statements if model.themes_of(s.id) & t)
+            if not args:
+                continue
+            attacks = frozenset(
+                (r.source, r.target)
+                for r in model.relations
+                if ATTACK in r.rel_types and r.source in args and r.target in args and r.themes & t
+            )
+            exts = oracle_dung(args, attacks)[semantics]
+            if not any(exts):
+                continue
+            joined = 0
+            for ext in exts:
+                met = top
+                for s in ext:
+                    eff = oracle_effective(interp, *oracle_aspects(interp, model, t, s))
+                    if eff is not None:
+                        met &= eff
+                joined |= met
+            if joined == 0:
+                return t
+    return None
+
+
 def oracle_conflict_free_extensions(
     args: frozenset[str], attacks: frozenset[tuple[str, str]]
 ) -> dict:

@@ -663,6 +663,31 @@ class TestConclude:
         assert code == 0 and "conclusion:" in out
         assert calls == ["preferred"]
 
+    def test_the_scan_checks_the_cap_where_no_search_is_needed(self, tmp_path):
+        # 8 statements at t1 and 9 at t2, all with aspect x: {t1, t2} holds 17
+        # statements that meet at x, so no search is needed there
+        ids = [f"s{i:02d}" for i in range(17)]
+        typing = {sid: ["t1"] if i < 8 else ["t2"] for i, sid in enumerate(ids)}
+        doc = {
+            "themes": ["t1", "t2"],
+            "props": ["x"],
+            "statements": [{"id": sid, "kind": "ordinary", "themes": typing[sid]} for sid in ids],
+            "relations": [],
+            "interpretation": {
+                "statement_aspects": [
+                    {"themes": typing[sid], "statement": sid, "aspects": ["x"]} for sid in ids
+                ],
+            },
+        }
+        consistent = tmp_path / "consistent.json"
+        consistent.write_text(json.dumps(doc))
+        scan = ("conclude", str(consistent), "--scan-logical", "--semantics")
+        assert invoke(*scan, "preferred") == (
+            2, "", "error: 17 statements exceed the subset-enumeration cap 16 for preferred semantics\n"
+        )
+        code, out, err = invoke(*scan, "grounded")
+        assert (code, err) == (0, "") and "none found" in out
+
 
 class TestClassifyRelations:
     def test_straw_man_strengthening(self):

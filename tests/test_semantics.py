@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspectarg import semantics
+from aspectarg.algebra import Element, mk_algebra
 from aspectarg.corpus import corpus_path
 from aspectarg.errors import CapExceeded, UnknownIdError
 from aspectarg.model import (
@@ -28,8 +30,11 @@ from aspectarg.semantics import (
 from helpers import (
     oracle_conflict_free_extensions,
     oracle_dung,
+    oracle_logical_fallacy,
     random_graphic_safe_model,
     random_model_any,
+    random_total_interpretation,
+    with_extra_rows,
 )
 
 
@@ -424,3 +429,159 @@ class TestLogicalFallacy:
         doc = load_path(corpus_path("false_flag"))
         verdict = detect_logical_fallacy(doc.model, doc.interpretation, "grounded")
         assert not verdict.found
+
+    def test_against_oracle_on_random_models(self, monkeypatch):
+        searched = self.searched_theme_sets(monkeypatch)
+        rng = random.Random(30)
+        found = in_vain = 0
+        for i in range(400):
+            if i % 4:
+                model, interp = scan_instance(rng)
+            else:
+                model = random_model_any(rng, max_themes=3)
+                interp = random_total_interpretation(rng, model, mk_algebra(["x", "y"]))
+                interp = with_extra_rows(rng, model, interp)
+            for sem in SEMANTICS_IDS:
+                searched.clear()
+                expected = oracle_logical_fallacy(model, interp, sem)
+                verdict = detect_logical_fallacy(model, interp, sem)
+                assert verdict.witness == expected, (sem, model, interp)
+                assert verdict.found == (expected is not None)
+                if verdict.found:
+                    assert verdict.conclusion.is_bottom
+                found += verdict.found
+                # a search without a fallacy: a sub-model met at 0, no extension did
+                in_vain += len(searched) - verdict.found
+        assert found > 500 and in_vain > 500, (found, in_vain)
+
+    @staticmethod
+    def layered_model(ev, planted):
+        """Themes t1-t3, whose sub-models all meet above 0 unless ``planted``.
+
+        c3 has no aspect, and c2 holds the full row (infimum 0) at {t1, t3},
+        a set it does not carry.  The plant gives t2 an attacked contradiction
+        of p1, ``p2``, so every set holding t2 meets at 0, and ``p4`` (~y at
+        t3), which contradicts c2 (y at t2), so {t2, t3} and {t1, t2, t3}
+        conclude 0 and {t2, t3} is the witness under every semantics.
+        """
+        typing = {"c1": {"t1"}, "c2": {"t2"}, "c3": {"t1"}, "c4": {"t1", "t2"},
+                  "c5": {"t3"}, "p1": {"t2"}}
+        rows = {("t1", "c1"): "x | y", ("t2", "c2"): "y", ("t1", "c4"): "x",
+                ("t2", "c4"): "x", ("t3", "c5"): "x | y", ("t2", "p1"): "x"}
+        relations = []
+        if planted:
+            typing |= {"p2": {"t2"}, "p4": {"t3"}}
+            rows |= {("t2", "p2"): "~x", ("t3", "p4"): "~y"}
+            relations.append(Relation("p1", "p2", frozenset({ATTACK}), frozenset({"t2"})))
+        model = Model.build(
+            ["t1", "t2", "t3"], [Statement(s) for s in typing], typing, relations
+        )
+        algebra = ev("x").algebra
+        aspects = {
+            (frozenset([t]), s): AspectSet(algebra, frozenset({ev(text)}))
+            for (t, s), text in rows.items()
+        }
+        aspects[frozenset({"t1", "t3"}), "c2"] = AspectSet(algebra, full=True)
+        return model, Interpretation(algebra, {}, aspects)
+
+    @staticmethod
+    def searched_theme_sets(monkeypatch):
+        """The theme sets of the sub-models searched from now on, in order."""
+        searched = []
+        search = semantics.extensions
+
+        def counted(sub, name):
+            searched.append(frozenset(sub.model.themes))
+            return search(sub, name)
+
+        monkeypatch.setattr(semantics, "extensions", counted)
+        return searched
+
+    def test_a_consistent_model_is_scanned_without_a_search(self, ev, monkeypatch):
+        model, interp = self.layered_model(ev, planted=False)
+        searched = self.searched_theme_sets(monkeypatch)
+        for sem in SEMANTICS_IDS:
+            assert not detect_logical_fallacy(model, interp, sem).found, sem
+            assert oracle_logical_fallacy(model, interp, sem) is None, sem
+        assert searched == []
+
+    def test_a_planted_model_is_searched_only_where_it_meets_at_0(self, ev, monkeypatch):
+        model, interp = self.layered_model(ev, planted=True)
+        searched = self.searched_theme_sets(monkeypatch)
+        for sem in SEMANTICS_IDS:
+            searched.clear()
+            verdict = detect_logical_fallacy(model, interp, sem)
+            assert verdict.witness == oracle_logical_fallacy(model, interp, sem) == {"t2", "t3"}
+            # the sets holding t2, in scan order, up to the witness
+            assert searched == [{"t2"}, {"t1", "t2"}, {"t2", "t3"}], sem
+
+    def test_an_unknown_semantics_is_refused_at_the_first_defined_sub_model(self, monkeypatch):
+        searched = self.searched_theme_sets(monkeypatch)
+        # {t1} has no statement, {t2} has one, and every sub-model meets above 0
+        model = Model.build(
+            ["t1", "t2"],
+            [Statement("s0"), Statement("s1")],
+            {"s1": {"t2"}},
+            [Relation("s0", "s0", frozenset({ATTACK}), frozenset({"t1"}))],
+        )
+        interp = Interpretation(mk_algebra(["x"]), {}, {})
+        with pytest.raises(ValueError, match="unknown semantics 'sceptical'; choose from"):
+            detect_logical_fallacy(model, interp, "sceptical")
+        undefined = Model.build(
+            ["t1"], [Statement("s0")], {},
+            [Relation("s0", "s0", frozenset({ATTACK}), frozenset({"t1"}))],
+        )
+        assert not detect_logical_fallacy(undefined, interp, "sceptical").found
+        assert searched == []
+
+
+def scan_instance(rng: random.Random) -> tuple[Model, Interpretation]:
+    """A model of 1-3 themes and 1-6 ordinary statements for the fallacy scan.
+
+    Most aspects hold where x and y both do, so most theme sets meet above 0;
+    the others are absent, empty, full (infimum 0) or any element.  Half the
+    models give two statements that share a theme contradicting aspects
+    there, and half of those let one attack the other, so a sub-model meets
+    at 0 where an extension may not.
+    """
+    algebra = mk_algebra(["x", "y"])
+    both = (algebra.prop("x") & algebra.prop("y")).mask
+    consistent = [m for m in range(algebra.carrier_size) if m & both]
+    themes = [f"t{i + 1}" for i in range(rng.randint(1, 3))]
+    ids = [f"s{i}" for i in range(rng.randint(1, 6))]
+    typing = {s: set(rng.sample(themes, rng.randint(1, len(themes)))) for s in ids}
+    rows = {}
+    for s in ids:
+        for t in typing[s]:
+            roll = rng.random()
+            if roll < 0.15:
+                continue  # absent
+            if roll < 0.2:
+                rows[frozenset([t]), s] = AspectSet(algebra, frozenset())
+            elif roll < 0.3:
+                rows[frozenset([t]), s] = AspectSet(algebra, full=True)
+            else:
+                pool = consistent if rng.random() < 0.85 else range(1, algebra.carrier_size)
+                masks = rng.sample(pool, rng.randint(1, 2))
+                rows[frozenset([t]), s] = AspectSet(
+                    algebra, frozenset(Element(algebra, m) for m in masks)
+                )
+    density = rng.choice([0, 0.15, 0.35])
+    relations = []
+    for a in ids:
+        for b in ids:
+            shared = sorted(typing[a] & typing[b])
+            if shared and rng.random() < density:
+                kind = ATTACK if rng.random() < 0.8 else SUPPORT
+                relations.append(Relation(a, b, frozenset({kind}), frozenset(shared)))
+    if len(ids) > 1 and rng.random() < 0.5:
+        a, b = rng.sample(ids, 2)
+        t = rng.choice(sorted(typing[a]))
+        typing[b].add(t)
+        e = Element(algebra, rng.randrange(1, algebra.carrier_size - 1))
+        rows[frozenset([t]), a] = AspectSet(algebra, frozenset({e}))
+        rows[frozenset([t]), b] = AspectSet(algebra, frozenset({~e}))
+        if rng.random() < 0.5:
+            relations.append(Relation(a, b, frozenset({ATTACK}), frozenset({t})))
+    model = Model.build(themes, [Statement(s) for s in ids], typing, relations)
+    return model, Interpretation(algebra, {}, rows)
