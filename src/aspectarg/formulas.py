@@ -16,22 +16,23 @@ A formula may nest at most :data:`MAX_DEPTH` levels, counting each operator
 and each parenthesised group on the way down to a leaf, so that evaluating
 and printing it stay within Python's recursion limit.
 
-One tokenizer (a single regular expression) and one precedence-climbing loop
-over the operator table ``_OPERATORS``, which encodes the four binary rules,
-read every formula; :func:`evaluate` and :func:`format_expr` read the same
-table.  The parser folds each operator as it goes: :func:`parse` folds to the
-expression tree, and :class:`ElementReader`, which the model-file loader uses,
-folds straight to the masks of algebra elements without building a tree.
+One tokenizer (a single regular expression whose groups name each token's
+kind) and one loop with an operator stack over the operator table
+``_OPERATORS``, which encodes the four binary rules, read every formula;
+:func:`evaluate` and :func:`format_expr` read the same table.  The loop keeps
+no token and does not recurse, so a text of any length reads in memory
+bounded by :data:`MAX_DEPTH`.  It folds each operator as it reduces it:
+:func:`parse` folds to the expression tree, and :class:`ElementReader`, which
+the model-file loader uses, folds straight to the masks of algebra elements.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NoReturn, Union
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, _prop_mask
 from .errors import FormulaError
 
 
@@ -76,9 +77,12 @@ class Iff:
 
 AspectExpr = Union[Atom, Const, Not, And, Or, Implies, Iff]
 
-#: One match per token: group 1 a token, group 2 a character no token starts
-#: with.  Matches are contiguous, so a text tokenizes by one ``findall``.
-_TOKEN = re.compile(r"\s*(?:(<->|->|[&|~()01]|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
+#: One match per token, the group that matched naming its kind.  Matches are
+#: contiguous; a text's last is the empty _END token at the text's length.
+_TOKEN = re.compile(
+    r"\s*(?:(\()|(~)|([A-Za-z_][A-Za-z0-9_]*)|(\))|(<->|->|[&|])|([01])|(\S)|(\Z))")
+#: ``Match.lastindex`` of each kind: _BAD is a character no token starts with.
+_OPEN, _NOT, _NAME, _CLOSE, _BINARY, _CONST, _BAD, _END = range(1, 9)
 
 #: The binary operators: token -> (precedence, right-associative, tree node).
 #: A higher precedence binds tighter; ``~`` binds tighter than all of them.
@@ -87,9 +91,6 @@ _OPERATORS = {"<->": (1, False, Iff), "->": (2, True, Implies),
 
 #: Each binary node's token and the precedence and associativity it prints with.
 _SYNTAX = {node: (tok, prec, right) for tok, (prec, right, node) in _OPERATORS.items()}
-
-#: Tokens that cannot start an operand.
-_NO_OPERAND = frozenset(_OPERATORS) | {")"}
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -104,14 +105,17 @@ class _Fold:
 
     ``atom`` may return ``None`` for a name it does not know; the parser then
     folds on with ``const(False)`` and reports the first such name once the
-    whole text has parsed.
+    whole text has parsed.  ``ops`` holds each binary token's precedence, the
+    least precedence it reduces, whether it opens a level, and its fold.
     """
 
-    __slots__ = ("atom", "const", "neg", "binary")
+    __slots__ = ("atom", "const", "neg", "binary", "ops")
 
     def __init__(self, atom: Callable, const: Callable, neg: Callable,
                  binary: Mapping[type, Callable]):
         self.atom, self.const, self.neg, self.binary = atom, const, neg, binary
+        self.ops = {tok: (prec, prec + right, right, binary[node])
+                    for tok, (prec, right, node) in _OPERATORS.items()}
 
 
 #: The fold that builds the expression tree.
@@ -120,8 +124,8 @@ _TREE = _Fold(Atom, Const, Not, {node: node for node in _SYNTAX})
 
 def _mask_fold(algebra: Algebra) -> _Fold:
     """The fold that computes element masks over ``algebra``."""
-    full = algebra.full_mask
-    masks = {name: algebra.prop(name).mask for name in algebra.props}
+    k, full = algebra.k, algebra.full_mask
+    masks = {name: _prop_mask(k, i) for i, name in enumerate(algebra.props)}
     return _Fold(
         masks.get,
         (0, full).__getitem__,  # False -> bottom, True -> top
@@ -135,115 +139,107 @@ def _mask_fold(algebra: Algebra) -> _Fold:
     )
 
 
-class _Parser:
-    """Precedence climbing over one text; every rule returns its folded value
-    and the depth of its tree.
+def _fail(m: re.Match, match: Callable, message: str, offset: int) -> NoReturn:
+    """Raise ``message`` at ``offset``, unless token ``m`` or one ``match``
+    walks to after it is a character no token starts with, which wins."""
+    while m is not None:
+        if m.lastindex == _BAD:
+            raise FormulaError(f"unexpected character {m[_BAD]!r}", offset=m.start(_BAD))
+        m = match()
+    raise FormulaError(message, offset=offset)
 
-    Token offsets are found again only for an error message, so the parse
-    itself reads plain strings.
-    """
 
-    __slots__ = ("text", "fold", "tokens", "i", "nesting", "unknown")
+def _too_deep(m: re.Match, match: Callable, at: re.Match) -> NoReturn:
+    _fail(m, match, f"formula nests deeper than {MAX_DEPTH} levels", at.start(at.lastindex))
 
-    def __init__(self, text: str, fold: _Fold):
-        pairs = _TOKEN.findall(text)
-        if not pairs:
-            raise FormulaError("empty formula", offset=0)
-        tokens, bad = zip(*pairs)
-        if any(bad):
-            m = next(m for m in _TOKEN.finditer(text) if m.group(2))
-            raise FormulaError(f"unexpected character {m.group(2)!r}", offset=m.start(2))
-        self.text = text
-        self.fold = fold
-        self.tokens = tokens + (None,)  # None marks the end of input
-        self.i = 0
-        self.nesting = 0  # open "~", "(" and "->" levels, bounded so recursion stays shallow
-        self.unknown: str | None = None  # the first name ``fold.atom`` did not know
 
-    def run(self):
-        value, _ = self.parse_binary(1)
-        tok = self.tokens[self.i]
-        if tok is not None:
-            raise FormulaError(f"trailing input {tok!r}", offset=self.offset(self.i))
-        return value
+#: Precedence of ``~`` on the parser's stack: whatever follows its operand reduces it.
+_NOT_PREC = len(_OPERATORS) + 1
 
-    def offset(self, i: int) -> int:
-        """Offset of token ``i``, or the text's length past the last token."""
-        if i == len(self.tokens) - 1:
-            return len(self.text)
-        return next(islice(_TOKEN.finditer(self.text), i, None)).start(1)
 
-    def too_deep(self, at: int) -> FormulaError:
-        return FormulaError(f"formula nests deeper than {MAX_DEPTH} levels", offset=self.offset(at))
+def _read(text: str, fold: _Fold):
+    """The folded value of ``text`` and the first name ``fold.atom`` did not
+    know, or ``None``.
 
-    def descend(self, at: int) -> None:
-        """Enter a nested rule; recursion stops before it can exhaust the stack."""
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            raise self.too_deep(at)
-
-    def joined(self, op, left, right, at: int):
-        depth = (left[1] if left[1] > right[1] else right[1]) + 1
-        if depth > MAX_DEPTH:
-            raise self.too_deep(at)
-        return op(left[0], right[0]), depth
-
-    def parse_binary(self, least: int):
-        """An operand and every binary operator after it of precedence at
-        least ``least``; a right-associative one nests, and its level counts."""
-        e = self.parse_unary()
-        while True:
-            op = _OPERATORS.get(self.tokens[self.i])
-            if op is None or op[0] < least:
-                return e
-            prec, right, node = op
-            at = self.i
-            self.i += 1
-            if right:
-                self.descend(at)
-                operand = self.parse_binary(prec)
-                self.nesting -= 1
-            else:
-                operand = self.parse_binary(prec + 1)
-            e = self.joined(self.fold.binary[node], e, operand, at)
-
-    def parse_unary(self):
-        at = self.i
-        tok = self.tokens[at]
-        if tok is None:
-            raise FormulaError("unexpected end of input", offset=len(self.text))
-        if tok in _NO_OPERAND:
-            raise FormulaError(f"unexpected token {tok!r}", offset=self.offset(at))
-        self.i = at + 1
-        if tok == "~":
-            self.descend(at)
-            operand, depth = self.parse_unary()
-            self.nesting -= 1
-            value = self.fold.neg(operand)
-        elif tok == "(":
-            self.descend(at)
-            value, depth = self.parse_binary(1)
-            self.nesting -= 1
-            if self.tokens[self.i] != ")":
-                raise FormulaError("expected ')'", offset=self.offset(self.i))
-            self.i += 1
-        elif tok == "0" or tok == "1":
-            return self.fold.const(tok == "1"), 0
-        else:
-            value = self.fold.atom(tok)
+    The stack holds each pending ``(`` as ``(0, None, match)`` and each
+    pending operator as ``(precedence, fold or None for ~, match, left value,
+    left depth, opens a level)``.  A binary operator, ``)`` or the end first
+    reduces every pending operator that binds at least as tight (for ``->``:
+    tighter).  ``nesting`` counts the pending ``~``, ``(`` and ``->``, each
+    operand carries its tree's depth, and either past :data:`MAX_DEPTH` is an
+    error at the token that opened the level."""
+    match = _TOKEN.scanner(text).match
+    m = match()
+    if m.lastindex == _END:
+        raise FormulaError("empty formula", offset=0)
+    atom, const, neg, ops = fold.atom, fold.const, fold.neg, fold.ops
+    stack: list[tuple] = []
+    nesting = 0
+    unknown = None
+    while True:
+        # an operand: a ``~`` or ``(`` opens a level, a leaf completes it
+        kind = m.lastindex
+        if kind <= _NOT:  # "(" or "~"
+            nesting += 1
+            if nesting > MAX_DEPTH:
+                _too_deep(m, match, m)
+            stack.append((_NOT_PREC, None, m, None, 0, 1) if kind == _NOT else (0, None, m))
+            m = match()
+            continue
+        if kind == _NAME:
+            value = atom(m[_NAME])
             if value is None:
-                if self.unknown is None:
-                    self.unknown = tok
-                value = self.fold.const(False)
-            return value, 0
-        if depth + 1 > MAX_DEPTH:
-            raise self.too_deep(at)
-        return value, depth + 1
+                unknown = unknown or m[_NAME]
+                value = const(False)
+        elif kind == _CONST:
+            value = const(m[_CONST] == "1")
+        else:
+            _fail(m, match, "unexpected end of input" if kind == _END
+                  else f"unexpected token {m[kind]!r}", m.start(kind))
+        depth = 0
+        m = match()
+        # after an operand: reduce, then a binary operator, a ")" or the end
+        while True:
+            kind = m.lastindex
+            if kind == _BINARY:
+                prec, least, right, join = ops[m[_BINARY]]
+            else:
+                least = 1
+            while stack and stack[-1][0] >= least:
+                _, fold_pending, at, left, left_depth, opened = stack.pop()
+                nesting -= opened
+                if left_depth > depth:
+                    depth = left_depth
+                depth += 1
+                if depth > MAX_DEPTH:
+                    _too_deep(m, match, at)
+                value = neg(value) if fold_pending is None else fold_pending(left, value)
+            if kind == _BINARY:
+                if right:
+                    nesting += 1
+                    if nesting > MAX_DEPTH:
+                        _too_deep(m, match, m)
+                stack.append((prec, join, m, value, depth, right))
+                m = match()
+                break
+            if kind == _CLOSE and stack:  # the top is the "(" this closes
+                at = stack.pop()[2]
+                nesting -= 1
+                depth += 1
+                if depth > MAX_DEPTH:
+                    _too_deep(m, match, at)
+                m = match()
+                continue
+            if stack:
+                _fail(m, match, "expected ')'", m.start(kind))
+            if kind != _END:
+                _fail(m, match, f"trailing input {m[kind]!r}", m.start(kind))
+            return value, unknown
 
 
 def parse(text: str) -> AspectExpr:
     """Parse a formula; raises :class:`FormulaError` with a byte offset on bad input."""
-    return _Parser(text, _TREE).run()
+    return _read(text, _TREE)[0]
 
 
 class ElementReader:
@@ -262,10 +258,9 @@ class ElementReader:
         self.fold = _mask_fold(algebra)
 
     def read(self, text: str) -> int:
-        parser = _Parser(text, self.fold)
-        mask = parser.run()
-        if parser.unknown is not None:
-            self.algebra.prop(parser.unknown)  # raises the unknown-proposition error
+        mask, unknown = _read(text, self.fold)
+        if unknown is not None:
+            self.algebra.prop(unknown)  # raises the unknown-proposition error
         return mask
 
 

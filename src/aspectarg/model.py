@@ -130,11 +130,10 @@ class Model:
             raise ModelError("duplicate statement ids")
         merged: dict[tuple[str, str], Relation] = {}
         for r in relations:
-            prev = merged.get(r.pair)
-            if prev is None:
-                merged[r.pair] = r
-            else:
-                merged[r.pair] = Relation(
+            pair = (r.source, r.target)
+            prev = merged.setdefault(pair, r)
+            if prev is not r:
+                merged[pair] = Relation(
                     r.source, r.target, prev.rel_types | r.rel_types, prev.themes | r.themes
                 )
         return cls(

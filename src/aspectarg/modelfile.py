@@ -52,6 +52,7 @@ from .model import (
 )
 
 RESERVED_IDS = (OMEGA, SUMMARY)
+_REL_TYPES = frozenset(REL_TYPES)
 #: The one value of ``interpretation.default``: multi-theme statement rows
 #: default to the union of the singleton rows.
 _UNION = "union"
@@ -77,6 +78,15 @@ def _is_strings(value: Any) -> bool:
         if not isinstance(x, str):
             return False
     return True
+
+
+def _within(value: Any, known: frozenset[str]) -> bool:
+    """Whether ``value`` is a list whose members all lie in ``known``: one
+    C-level test that passes a well-formed list without walking it here."""
+    try:
+        return isinstance(value, list) and known.issuperset(value)
+    except TypeError:  # an unhashable member
+        return False
 
 
 def load_path(path: str | Path) -> Document:
@@ -112,7 +122,7 @@ def from_dict(data: Any) -> Document:
     themes = data["themes"]
     if not _is_strings(themes):
         _fail("themes", "expected a list of strings")
-    declared = set(themes)
+    declared = frozenset(themes)
     if len(declared) != len(themes):
         _fail("themes", "duplicate theme ids")
     for t in themes:
@@ -165,7 +175,7 @@ def from_dict(data: Any) -> Document:
         else:
             _fail(f"statements[{i}]", f"unknown kind {kind!r}")
         typed = entry.get("themes", [])
-        if not _is_strings(typed):
+        if not _within(typed, declared) and not _is_strings(typed):
             _fail(f"statements[{i}].themes", "expected a list of strings")
         statement_themes[sid] = typed
 
@@ -179,15 +189,15 @@ def from_dict(data: Any) -> Document:
         src, dst = entry.get("from"), entry.get("to")
         if not (isinstance(src, str) and isinstance(dst, str)):
             _fail(f"relations[{i}]", "needs 'from' and 'to'")
-        types = entry.get("types", [])
-        if not _is_strings(types):
-            _fail(f"relations[{i}].types", "expected a list of strings")
-        for ty in types:
-            if ty not in REL_TYPES:
-                _fail(f"relations[{i}]", f"unknown relation type {ty!r}")
-        rel_themes = entry.get("themes", [])
-        if not _is_strings(rel_themes):
-            _fail(f"relations[{i}].themes", "expected a list of strings")
+        types, rel_themes = entry.get("types", []), entry.get("themes", [])
+        if not (_within(types, _REL_TYPES) and _within(rel_themes, declared)):
+            if not _is_strings(types):
+                _fail(f"relations[{i}].types", "expected a list of strings")
+            for ty in types:
+                if ty not in _REL_TYPES:
+                    _fail(f"relations[{i}]", f"unknown relation type {ty!r}")
+            if not _is_strings(rel_themes):
+                _fail(f"relations[{i}].themes", "expected a list of strings")
         relations.append(Relation(src, dst, frozenset(types), frozenset(rel_themes)))
 
     model = Model.build(themes, statements, statement_themes, relations)
@@ -199,41 +209,6 @@ def from_dict(data: Any) -> Document:
     # element: a text written in many rows is read once, a row is the union of
     # such sets, which keeps each mask's hash, and nothing outlives the document
     read: dict[str, frozenset[int]] = {}
-
-    def aspects(value: Any, block: str, i: int) -> Row:
-        """The row that ``interpretation.<block>[i].aspects`` lists."""
-        if value == "ALL":
-            if block == "theme_aspects":
-                return FULL_ROW
-            _fail(f"interpretation.{block}[{i}].aspects", '"ALL" is only valid for theme aspects')
-        if not _is_strings(value):
-            _fail(f"interpretation.{block}[{i}].aspects", "expected a list of strings")
-        singles = []
-        for f in value:
-            single = read.get(f)
-            if single is None:
-                try:
-                    mask = reader.read(f)
-                except AspectArgError as exc:
-                    raise ModelFileError(
-                        f"interpretation.{block}[{i}].aspects: bad formula {f!r}: {exc}"
-                    ) from exc
-                single = read[f] = frozenset((mask,))
-                if len(formulas.setdefault(mask, f)) > len(f):
-                    formulas[mask] = f
-            singles.append(single)
-        if len(singles) == 1:
-            return (False, singles[0])
-        return (False, frozenset().union(*singles))
-
-    def theme_key(value: Any, block: str, i: int) -> frozenset[str]:
-        if not _is_strings(value):
-            _fail(f"interpretation.{block}[{i}].themes", "expected a list of strings")
-        for t in value:
-            if t not in declared:
-                _fail(f"interpretation.{block}[{i}].themes", f"unknown theme {t!r}")
-        return frozenset(value)
-
     theme_rows: dict[frozenset[str], Row] = {}
     statement_rows: dict[tuple[frozenset[str], str], Row] = {}
     interp_data = data.get("interpretation")
@@ -251,18 +226,48 @@ def from_dict(data: Any) -> Document:
             for i, entry in enumerate(entries):
                 if not isinstance(entry, dict):
                     _fail(f"interpretation.{block}[{i}]", "expected an object")
-                key = theme_key(entry.get("themes"), block, i)
+                value = entry.get("themes")
+                if not _within(value, declared):
+                    if not _is_strings(value):
+                        _fail(f"interpretation.{block}[{i}].themes", "expected a list of strings")
+                    unknown = next(t for t in value if t not in declared)
+                    _fail(f"interpretation.{block}[{i}].themes", f"unknown theme {unknown!r}")
+                key = frozenset(value)
                 if by_statement:
                     sid = entry.get("statement")
                     if not isinstance(sid, str):
                         _fail(f"interpretation.{block}[{i}]", "needs a 'statement' id")
-                    if not model.has_statement(sid):
+                    if sid not in statement_themes:
                         _fail(f"interpretation.{block}[{i}]", f"unknown statement {sid!r}")
                     key = (key, sid)
                 if key in rows:
                     kind = block[:-1].replace("_", "-")
                     _fail(f"interpretation.{block}[{i}]", f"duplicate {kind} row")
-                rows[key] = aspects(entry.get("aspects"), block, i)
+                value = entry.get("aspects")
+                if value == "ALL":
+                    if by_statement:
+                        _fail(f"interpretation.{block}[{i}].aspects",
+                              '"ALL" is only valid for theme aspects')
+                    rows[key] = FULL_ROW
+                    continue
+                if not _is_strings(value):
+                    _fail(f"interpretation.{block}[{i}].aspects", "expected a list of strings")
+                singles = []
+                for f in value:
+                    single = read.get(f)
+                    if single is None:
+                        try:
+                            mask = reader.read(f)
+                        except AspectArgError as exc:
+                            raise ModelFileError(
+                                f"interpretation.{block}[{i}].aspects: bad formula {f!r}: {exc}"
+                            ) from exc
+                        single = read[f] = frozenset((mask,))
+                        if len(formulas.setdefault(mask, f)) > len(f):
+                            formulas[mask] = f
+                    singles.append(single)
+                rows[key] = (False, singles[0] if len(singles) == 1
+                             else frozenset().union(*singles))
 
     return Document(model, Interpretation(algebra, theme_rows, statement_rows, formulas))
 

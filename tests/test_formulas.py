@@ -2,6 +2,8 @@ import inspect
 import json
 import random
 import sys
+import threading
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -368,6 +370,89 @@ class TestLoaderMatchesTheReferenceReader:
         assert str(info.value) == message
 
 
+def _outcome(read, text: str):
+    """The value ``read(text)`` returns, or its error's text and offset."""
+    try:
+        return read(text)
+    except FormulaError as exc:
+        return str(exc), exc.offset
+
+
+def _balanced(levels: int) -> str:
+    """A valid formula of 2**levels leaves, nested about two levels per level."""
+    return "x" if levels == 0 else f"({_balanced(levels - 1)}) | ~({_balanced(levels - 1)})"
+
+
+class TestReaderIsFlat:
+    """One loop reads a formula: it needs no recursion, and its memory is
+    bounded by the depth limit, not by the length of the text."""
+
+    @pytest.mark.parametrize("text", DEPTH_SHAPES)
+    def test_no_recursion(self, text):
+        """Each depth shape reads within ten frames of the stack it starts on.
+
+        The reads run on a thread of their own: under a test runner, calls
+        made through C count towards the limit without showing in
+        ``inspect.stack()``, and a fresh thread has none of them.
+        """
+        expected = _outcome(oracle_parse, text)
+        reader = ElementReader(mk_algebra(PROPS))
+        got: list = []
+
+        def read():
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(len(inspect.stack()) + 10)
+            try:
+                got.extend((_outcome(parse, text), _outcome(reader.read, text)))
+            except RecursionError as exc:
+                got.append(exc)
+            finally:
+                sys.setrecursionlimit(limit)
+
+        thread = threading.Thread(target=read)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(got) == 2, got  # no RecursionError
+        tree, mask = got
+        assert tree == expected
+        if isinstance(expected, tuple):
+            assert mask == expected
+        else:
+            assert mask == truth_table_element(expected, reader.algebra).mask
+
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            # the depth error at offset 201 gives way to the character at the end
+            ("x|" * 500_000 + "x ?", ("unexpected character '?' (at offset 1000002)", 1000002)),
+            (_balanced(15), mk_algebra(PROPS).full_mask),  # (B) | ~(B) is 1 at every level
+        ],
+        ids=["chain_of_1MB", "balanced_of_300kB"],
+    )
+    def test_memory_does_not_grow_with_the_text(self, text, outcome):
+        reader = ElementReader(mk_algebra(PROPS))
+        tracemalloc.start()
+        try:
+            got = _outcome(reader.read, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == outcome
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x ) ?", "x & & ?", "(x y ?", "~" * (MAX_DEPTH + 1) + "x ?",
+         " | ".join(["x"] * (MAX_DEPTH + 2)) + " ?",
+         "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1) + "?"],
+    )
+    def test_a_bad_character_after_a_syntax_error_wins(self, text):
+        got = _outcome(parse, text)
+        assert got == _outcome(oracle_parse, text)
+        assert got[0].startswith("unexpected character '?'")
+
+
 BINARY_TOKENS = ["&", "|", "->", "<->"]
 
 
@@ -412,6 +497,40 @@ class TestLoaderCheckOrder:
         doc = json.loads(_document(["x &"]))
         doc["interpretation"]["statement_aspects"][0]["themes"] = ["t", "nope"]
         assert self.load_error(doc) == f"{self.WHERE}.themes: unknown theme 'nope'"
+
+
+    def test_a_non_string_statement_theme_comes_before_an_unknown_relation_type(self):
+        doc = json.loads(_document(["x"], ["y"]))
+        doc["statements"][1]["themes"] = ["t", 5]
+        doc["relations"] = [{"from": "s0", "to": "s1", "types": ["bogus"], "themes": ["t"]}]
+        assert self.load_error(doc) == "statements[1].themes: expected a list of strings"
+
+    def test_an_unknown_statement_comes_before_a_bad_formula_in_its_row(self):
+        doc = json.loads(_document(["x &"]))
+        doc["interpretation"]["statement_aspects"][0]["statement"] = "nope"
+        assert self.load_error(doc) == f"{self.WHERE}: unknown statement 'nope'"
+
+    def test_a_duplicate_row_comes_before_its_bad_formula(self):
+        doc = json.loads(_document(["x"]))
+        rows = doc["interpretation"]["statement_aspects"]
+        rows.append(dict(rows[0], aspects=["x &"]))
+        assert self.load_error(doc) == (
+            "interpretation.statement_aspects[1]: duplicate statement-aspect row"
+        )
+
+    def test_an_unknown_theme_comes_before_all_in_a_statement_row(self):
+        doc = json.loads(_document(["x"]))
+        doc["interpretation"]["statement_aspects"][0].update(themes=["nope"], aspects="ALL")
+        assert self.load_error(doc) == f"{self.WHERE}.themes: unknown theme 'nope'"
+
+    def test_a_bad_theme_row_formula_comes_before_an_unknown_statement_row_theme(self):
+        doc = json.loads(_document(["x"]))
+        doc["interpretation"]["theme_aspects"].append({"themes": [], "aspects": ["x &"]})
+        doc["interpretation"]["statement_aspects"][0]["themes"] = ["nope"]
+        assert self.load_error(doc) == (
+            "interpretation.theme_aspects[1].aspects: bad formula 'x &': "
+            "unexpected end of input (at offset 3)"
+        )
 
 
 class TestFormulasAreReadOncePerDocument:
