@@ -103,7 +103,9 @@ def cmd_check(args, out, err) -> int:
     groups = constraints.check_groups(doc.model, doc.interpretation, alpha)
 
     graphic_count = sum(len(vs) for vs in graphic.values())
-    semantic_count = sum(len(vs) for found in groups.values() for vs in found.values())
+    # the blocks hold the non-empty lists, so only those are counted
+    semantic = {g: violations_block(found) for g, found in groups.items()}
+    semantic_count = sum(len(vs) for block in semantic.values() for vs in block.values())
     normal = semantic_count == 0
     alpha_label = "{" + ",".join(groups) + "}"  # groups in ALPHA_GROUPS order
 
@@ -112,7 +114,7 @@ def cmd_check(args, out, err) -> int:
         "file": args.file,
         "alpha": sorted(alpha),
         "graphic": violations_block(graphic),
-        "semantic": {g: violations_block(found) for g, found in groups.items()},
+        "semantic": semantic,
         "normal": normal,
         "verdict": f"{alpha_label}-normal" if normal else f"{alpha_label}-fallacy",
         "graphic_violations": graphic_count,

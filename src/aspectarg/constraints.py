@@ -13,10 +13,10 @@ independently auditable.  The semantic checkers accept a compiled
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from bisect import bisect_right
-from itertools import accumulate, chain, count
-from operator import attrgetter, itemgetter
+from itertools import accumulate, chain, count, starmap
+from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Element, closed_under_boolean_ops
@@ -209,9 +209,10 @@ def _tested_relations(model: Model, cid: str) -> list[Relation]:
 
 def _relation_violations(
     table: AspectTable, cases: list[tuple[Relation, list[int]]], cid: str
-) -> list[Violation]:
-    """Violations of relation constraint ``cid`` on (relation, theme masks) cases."""
-    out: list[Violation] = []
+) -> list[tuple]:
+    """The witness rows of relation constraint ``cid`` on (relation, theme
+    masks) cases."""
+    out: list[tuple] = []
     tests, full, infs = _RELATION_TESTS[cid], table.full_mask, table.infs
     for r, masks in cases:
         for tmask in masks:
@@ -221,18 +222,13 @@ def _relation_violations(
                 # an absent aspect has no kind: it fails aass only
                 failed = (kinds & avoid or not kinds & show) if kinds else cid == "aass"
                 if rel_type in r.rel_types and failed:
-                    t_key = table.keys[tmask]
                     detail = text.format(
                         pair=r.pair,
                         themes=table.key_texts[tmask],
                         u=_render(table, u),
                         v=_render(table, v),
                     )
-                    out.append(
-                        Violation(
-                            cid, relation=r.pair, theme_set=t_key, rel_type=rel_type, detail=detail
-                        )
-                    )
+                    out.append((cid, (), r.pair, table.keys[tmask], None, rel_type, detail))
     return out
 
 
@@ -270,6 +266,78 @@ def _sorted(out: dict[str, list[Violation]]) -> dict[str, list[Violation]]:
     for vs in out.values():
         vs.sort(key=Violation.sort_key)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Witness sequences: violations built when they are read.
+# ---------------------------------------------------------------------------
+
+#: A violation's fields as a row, ``Violation(*row)``; the fields come in the
+#: order :meth:`Violation.sort_key` reads them.
+violation_row = attrgetter(*(f.name for f in fields(Violation)))
+
+
+class Witnesses(Sequence[Violation]):
+    """A read-only sequence of :class:`Violation` that builds each one when
+    it is read.  It equals a list, a tuple or another such sequence of the
+    same violations in the same order, and no other sequence; like a list,
+    it has no hash."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, tuple, Witnesses)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class WitnessRows(Witnesses):
+    """The witnesses of core, das, nwci or F: one constraint's violations as
+    rows of their fields (:data:`violation_row`), in
+    :meth:`Violation.sort_key` order.  Indexing or iterating builds each
+    ``Violation`` when it is read."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[tuple]) -> None:
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(starmap(Violation, self.rows[index]))
+        return Violation(*self.rows[index])
+
+    def __iter__(self) -> Iterator[Violation]:
+        return starmap(Violation, self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, WitnessRows):
+            return self.rows == other.rows
+        return super().__eq__(other)
+
+    def details(self) -> Iterator[str]:
+        """Each witness's detail, in order, read without its ``Violation``."""
+        return map(itemgetter(-1), self.rows)
+
+
+#: The witnesses of a constraint that holds, shared by every such constraint.
+NO_WITNESSES = WitnessRows([])
+
+
+def _witnesses(out: dict[str, list[tuple]]) -> dict[str, WitnessRows]:
+    """Each constraint's witness rows, sorted, as :class:`WitnessRows`.  The
+    rows of one constraint set the same fields, and a row's fields come in
+    ``sort_key``'s order, so tuple order is ``sort_key`` order (an unset
+    field met beside a set one would raise, not misorder)."""
+    return {cid: WitnessRows(sorted(rows)) if rows else NO_WITNESSES for cid, rows in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +454,12 @@ def check_graphic(model: Model) -> dict[str, list[Violation]]:
 
 def check_core(
     model: Model, interp: Interpretation, table: AspectTable | None = None
-) -> dict[str, list[Violation]]:
+) -> dict[str, WitnessRows]:
     """Check aass, i, vi, bat, pr, mat, manss and ss."""
     table = _compiled_table(model, interp, table)
     subsets = _subset_masks(table)
     cases = _relation_cases(table, _tested_relations(model, "aass"))
-    return _sorted(_core(table, subsets, cases, model.statements))
+    return _witnesses(_core(table, subsets, cases, model.statements))
 
 
 def _core(
@@ -399,111 +467,106 @@ def _core(
     subsets: list[int],
     cases: list[tuple[Relation, list[int]]],
     statements: Iterable[Statement],
-) -> dict[str, list[Violation]]:
-    """Core at the theme masks ``subsets``, for the statement constraints on
-    ``statements``, and, for aass, on relation ``cases``.
+) -> dict[str, list[tuple]]:
+    """Core's witness rows at the theme masks ``subsets``, for the statement
+    constraints on ``statements``, and, for aass, on relation ``cases``.
 
     A sweep passes every mask and ``recheck`` one instance's; both read the
-    table's rows at just those masks.  mat and manss compare each mask with
-    every mask one theme smaller.  Each list is in no particular order.
+    table's rows at just those masks.  mat and manss compare a mask with a
+    mask one theme smaller.  Each list is in no particular order.
+
+    Tests that cannot fail are skipped.  Any row is inside a full omega
+    row, so i reads only the masks whose omega row is not full.  Where a
+    statement that defaults has no explicit row, its row is the union of
+    its singleton rows at the mask's themes, which grows with the mask.  So
+    manss compares only the steps with an explicit row of other than one
+    theme at one end, and an ordinary statement whose only explicit rows
+    are singleton rows at its own themes has the same row at a mask as at
+    the mask's own themes, its proper-range bound, so it skips pr.
     """
     model, keys, texts = table.model, table.keys, table.key_texts
-    out: dict[str, list[Violation]] = {cid: [] for cid in CORE_IDS}
+    out: dict[str, list[tuple]] = {cid: [] for cid in CORE_IDS}
     omega = table.rows(OMEGA)
-    # each mask with every mask one theme smaller, as (smaller, larger)
-    steps = []
-    for t2 in subsets:
-        rest = t2
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            steps.append((t2 ^ bit, t2))
 
     for tmask in subsets:
         masks = omega[tmask][1]
         if masks and not closed_under_boolean_ops(masks, table.full_mask):
-            out["bat"].append(
-                Violation(
-                    "bat",
-                    theme_set=keys[tmask],
-                    detail=f"theme aspects at {texts[tmask]} are not a subalgebra "
-                    "(missing 0/1 or not closed under not/and/or)",
-                )
+            detail = (
+                f"theme aspects at {texts[tmask]} are not a subalgebra "
+                "(missing 0/1 or not closed under not/and/or)"
             )
-    for t1, t2 in steps:
-        if not row_subset(omega[t1], omega[t2]):
-            out["mat"].append(
-                Violation(
-                    "mat",
-                    theme_set=keys[t1],
-                    theme_set2=keys[t2],
-                    detail=f"theme aspects shrink from {texts[t1]} to {texts[t2]}",
-                )
-            )
+            out["bat"].append(("bat", (), None, keys[tmask], None, None, detail))
+        rest = tmask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            t1 = tmask ^ bit
+            if not row_subset(omega[t1], omega[tmask]):
+                detail = f"theme aspects shrink from {texts[t1]} to {texts[tmask]}"
+                out["mat"].append(("mat", (), None, keys[t1], keys[tmask], None, detail))
 
-    full, vacuous = table.full_mask, 0 in subsets
+    full, vacuous, every = table.full_mask, 0 in subsets, (1 << len(table.names)) - 1
+    partial = [tmask for tmask in subsets if not omega[tmask][0]]
+    by_own: dict[int, list[int]] = {}  # the masks inside each statement's own themes
+    singles_of, others_of = table.explicit()
+    upper: set[int] = set()  # the masks of ``subsets``, once a statement needs them
     for s in statements:
         sid = s.id
+        named = (sid,)
         rows, infs = table.rows(sid), table.infs(sid)
         own = table.mask(t for t in model.themes_of(sid) if t in table.bits)
-        bounds, widened = _pr_bound(table, s, own)
-        target = f" and target {s.ref_target}" if s.is_statement_pointer else ""
+        singles, others = singles_of.get(sid, 0), others_of.get(sid, ())
         if vacuous and rows[0] != EMPTY_ROW:
-            out["vi"].append(
-                Violation(
-                    "vi", (sid,), theme_set=(), detail=f"{sid} has aspects for the empty theme set"
-                )
-            )
-        for tmask in subsets:
-            aspects = rows[tmask]
-            if not row_subset(aspects, omega[tmask]):
-                out["i"].append(
-                    Violation(
-                        "i",
-                        (sid,),
-                        theme_set=keys[tmask],
-                        detail=f"aspects of {sid} at {texts[tmask]} are not all aspects "
-                        "of the theme set",
+            detail = f"{sid} has aspects for the empty theme set"
+            out["vi"].append(("vi", named, None, (), None, None, detail))
+        for tmask in partial:
+            if not row_subset(rows[tmask], omega[tmask]):
+                detail = f"aspects of {sid} at {texts[tmask]} are not all aspects of the theme set"
+                out["i"].append(("i", named, None, keys[tmask], None, None, detail))
+        if s.is_pointer or others or singles & ~own:
+            bounds, widened = _pr_bound(table, s, own)
+            target = f" and target {s.ref_target}" if s.is_statement_pointer else ""
+            for tmask in subsets:
+                aspects = rows[tmask]
+                if aspects != EMPTY_ROW and not row_subset(aspects, bounds[tmask & widened]):
+                    detail = (
+                        f"aspects of {sid} at {texts[tmask]} exceed the proper-range "
+                        f"bound from its own themes{target}"
                     )
-                )
-            if aspects != EMPTY_ROW and not row_subset(aspects, bounds[tmask & widened]):
-                out["pr"].append(
-                    Violation(
-                        "pr",
-                        (sid,),
-                        theme_set=keys[tmask],
-                        detail=f"aspects of {sid} at {texts[tmask]} exceed the proper-range "
-                        f"bound from its own themes{target}",
-                    )
-                )
-            if tmask & ~own:
-                continue  # ss ranges over the statement's own themes
+                    out["pr"].append(("pr", named, None, keys[tmask], None, None, detail))
+        inside = by_own.get(own)
+        if inside is None:
+            inside = by_own[own] = [tmask for tmask in subsets if not tmask & ~own]
+        for tmask in inside:  # ss ranges over the statement's own themes
             eff = infs[tmask]
             if eff == 0 or eff == full:
                 which = "inconsistent (0)" if eff == 0 else "trivial (1)"
-                out["ss"].append(
-                    Violation(
-                        "ss",
-                        (sid,),
-                        theme_set=keys[tmask],
-                        detail=f"{sid} effectively touches upon the {which} aspect "
-                        f"at {texts[tmask]}",
-                    )
-                )
-        if s.is_summary_pointer:
-            continue  # summary pointers are not monotone
+                detail = f"{sid} effectively touches upon the {which} aspect at {texts[tmask]}"
+                out["ss"].append(("ss", named, None, keys[tmask], None, None, detail))
+        if s.is_summary_pointer or not others:
+            continue  # summary pointers are not monotone; union defaults are
+        # the steps, as (smaller, larger), with an explicit row at one end
+        upper = upper or set(subsets)
+        steps = []
+        explicit = set(others)
+        for t in others:
+            if t in upper:
+                rest = t
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    steps.append((t ^ bit, t))
+            rest = every & ~t
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if t | bit in upper and t | bit not in explicit:
+                    steps.append((t, t | bit))
         for t1, t2 in steps:
             a, b = rows[t1], rows[t2]
             if a is not b and not row_subset(a, b):
-                out["manss"].append(
-                    Violation(
-                        "manss",
-                        (sid,),
-                        theme_set=keys[t1],
-                        theme_set2=keys[t2],
-                        detail=f"aspects of {sid} shrink from {texts[t1]} to {texts[t2]}",
-                    )
-                )
+                detail = f"aspects of {sid} shrink from {texts[t1]} to {texts[t2]}"
+                out["manss"].append(("manss", named, None, keys[t1], keys[t2], None, detail))
     out["aass"] = _relation_violations(table, cases, "aass")
     return out
 
@@ -549,17 +612,15 @@ class RegionContext:
         self.firsts, self.seconds = firsts, seconds
 
 
-class ExactRegionWitnesses(Sequence[Violation]):
+class ExactRegionWitnesses(Witnesses):
     """One E constraint's witnesses as runs ``(statement index, first
     subset index, [second subset indices])`` into a :class:`RegionContext`:
     a run holds one statement's witnesses at one first theme set, its
     second sets in key order, and the runs come in
     :meth:`Violation.sort_key` order.
 
-    A read-only sequence of :class:`Violation`: its length is the number of
-    witnesses, and indexing or iterating builds each ``Violation`` when it
-    is read.  It equals a list, a tuple or another E list of the same
-    violations in the same order, and no other sequence.
+    Its length is the number of witnesses, and indexing or iterating
+    builds each ``Violation`` when it is read.
     """
 
     __slots__ = ("context", "runs", "starts")
@@ -587,16 +648,6 @@ class ExactRegionWitnesses(Sequence[Violation]):
 
     def __iter__(self) -> Iterator[Violation]:
         return (self._violation(j, i1, i2) for j, i1, seconds in self.runs for i2 in seconds)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (list, tuple, ExactRegionWitnesses)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
 
     def details(self) -> Iterator[str]:
         """Each witness's detail, in order, built without its ``Violation``:
@@ -734,7 +785,7 @@ def _outside(
 
 def check_das(
     model: Model, interp: Interpretation, table: AspectTable | None = None
-) -> list[Violation]:
+) -> WitnessRows:
     """Attacks must be incomparable, supports equal, per relation and theme set.
 
     Pairs with an absent effective aspect are skipped here; aass already
@@ -745,16 +796,14 @@ def check_das(
 
 def check_nwci(
     model: Model, interp: Interpretation, table: AspectTable | None = None
-) -> list[Violation]:
+) -> WitnessRows:
     """No weakened contradictions and no incomparable alternatives on attacks."""
     return _check_relations(_compiled_table(model, interp, table), NWCI)
 
 
-def _check_relations(table: AspectTable, cid: str) -> list[Violation]:
+def _check_relations(table: AspectTable, cid: str) -> WitnessRows:
     cases = _relation_cases(table, _tested_relations(table.model, cid))
-    out = _relation_violations(table, cases, cid)
-    out.sort(key=Violation.sort_key)
-    return out
+    return _witnesses({cid: _relation_violations(table, cases, cid)})[cid]
 
 
 # ---------------------------------------------------------------------------
@@ -764,12 +813,12 @@ def _check_relations(table: AspectTable, cid: str) -> list[Violation]:
 
 def check_fresh_aspects(
     model: Model, interp: Interpretation, table: AspectTable | None = None
-) -> dict[str, list[Violation]]:
+) -> dict[str, WitnessRows]:
     """Check faD and faW: no statements-set may contain redundancy.
 
     They range over statements and their themes, so no theme cap applies.
     """
-    return _sorted(_fresh_aspects(_compiled_table(model, interp, table), _anchors(model)))
+    return _witnesses(_fresh_aspects(_compiled_table(model, interp, table), _anchors(model)))
 
 
 def _anchors(model: Model) -> list[tuple[str, str]]:
@@ -780,8 +829,8 @@ def _anchors(model: Model) -> list[tuple[str, str]]:
 
 def _fresh_aspects(
     table: AspectTable, anchors: list[tuple[str, str]]
-) -> dict[str, list[Violation]]:
-    """faW and faD on the statements-sets of each (statement, theme) anchor;
+) -> dict[str, list[tuple]]:
+    """The witness rows of faW and faD on the statements-sets of each (statement, theme) anchor;
     the anchors of one theme share one :class:`ThemeGraph`, so a
     statements-set is a mask of it.  Each is decided by
     :func:`first_shared_pair` on ``table``, and identical member sets of one
@@ -792,7 +841,7 @@ def _fresh_aspects(
     several depth sets that hold the same redundant pair, so each pair is
     reported once per anchor, theme and type.
     """
-    out: dict[str, list[Violation]] = {cid: [] for cid in FRESH_ASPECT_IDS}
+    out: dict[str, list[tuple]] = {cid: [] for cid in FRESH_ASPECT_IDS}
     graphs = {t: ThemeGraph(table.model, t) for t in {t for _, t in anchors}}
     decided: dict[tuple[str, int], tuple[str, str, frozenset[int]] | None] = {}
     for sid, t in anchors:
@@ -815,18 +864,12 @@ def _fresh_aspects(
                         continue
                     pairs.add((first, second))
                     shared = "{" + ", ".join(sorted(_render(table, m) for m in masks)) + "}"
-                    out[cid].append(
-                        Violation(
-                            cid,
-                            (sid, first, second),
-                            theme_set=(t,),
-                            rel_type=rel,
-                            detail=f"{first} and {second} share the minimal "
-                            f"representation {shared} in the "
-                            f"{'width' if cid == 'faW' else 'depth'}-statements-set "
-                            f"of {sid} for theme {t}",
-                        )
+                    detail = (
+                        f"{first} and {second} share the minimal representation {shared} "
+                        f"in the {'width' if cid == 'faW' else 'depth'}-statements-set "
+                        f"of {sid} for theme {t}"
                     )
+                    out[cid].append((cid, (sid, first, second), None, (t,), None, rel, detail))
     return out
 
 
@@ -942,16 +985,18 @@ def recheck(model: Model, interp: Interpretation | None, violation: Violation) -
     """
     cid = violation.constraint
     if cid in GRAPHIC_IDS:
-        found = check_graphic(model)[cid]
+        found: Iterable[tuple] = map(violation_row, check_graphic(model)[cid])
     elif interp is None:
         return False
     else:
-        found = _instance_violations(AspectTable(interp, model), violation)
-    return any(_same_witness(v, violation) for v in found)
+        found = _instance_rows(AspectTable(interp, model), violation)
+    # the witness is its fields other than the detail
+    witness = violation_row(violation)[:-1]
+    return any(row[:-1] == witness for row in found)
 
 
-def _instance_violations(table: AspectTable, w: Violation) -> list[Violation]:
-    """The violations of ``w``'s constraint on the one instance ``w`` names."""
+def _instance_rows(table: AspectTable, w: Violation) -> Iterable[tuple]:
+    """The witness rows of ``w``'s constraint on the one instance ``w`` names."""
     model, cid = table.model, w.constraint
     try:
         t1, t2 = table.mask(w.theme_set or ()), table.mask(w.theme_set2 or ())
@@ -964,7 +1009,7 @@ def _instance_violations(table: AspectTable, w: Violation) -> list[Violation]:
         subsets = [t2 if cid in ("mat", "manss") else t1]
         return _core(table, subsets, cases, named_statements)[cid]
     if cid in EXACT_REGION_IDS:
-        return _exact_region(table, [t1, t2])[cid]
+        return map(violation_row, _exact_region(table, [t1, t2])[cid])
     if cid in (DAS, NWCI):
         return _relation_violations(table, cases, cid)
     if cid in FRESH_ASPECT_IDS:
@@ -972,14 +1017,3 @@ def _instance_violations(table: AspectTable, w: Violation) -> list[Violation]:
         anchors = [(s, t) for s, t in _anchors(model) if ((s,), (t,)) == instance]
         return _fresh_aspects(table, anchors)[cid]
     raise ValueError(f"cannot recheck constraint {cid!r}")
-
-
-def _same_witness(a: Violation, b: Violation) -> bool:
-    return (
-        a.constraint == b.constraint
-        and a.statements == b.statements
-        and a.relation == b.relation
-        and a.theme_set == b.theme_set
-        and a.theme_set2 == b.theme_set2
-        and a.rel_type == b.rel_type
-    )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Algebra, Element
 from .errors import CapExceeded, ModelError, UnknownIdError
@@ -385,8 +385,10 @@ class AspectTable:
         # by statement, each made on its first read
         self._rows: dict[str, _Rows] = {}
         self._infs: dict[str, _Infs] = {}
-        # each statement's singleton-row bits, found in one pass on first need
+        # each statement's singleton-row bits and the masks of its other
+        # explicit rows, found in one pass on first need
         self._singles: dict[str, int] | None = None
+        self._others: dict[str, list[int]] = {}
         # each mask's theme set, its sorted names as violation records carry
         # them, and their ``repr`` as violation details print theme sets
         names = self.names
@@ -433,23 +435,42 @@ class AspectTable:
         if self.model.statement(s).is_summary_pointer:
             out.singles = 0
         else:
-            singles = self._singles
-            if singles is None:
-                singles = self._singles = self._singleton_bits()
-            out.singles = singles.get(s, 0)
+            out.singles = self._singleton_bits().get(s, 0)
         return out
+
+    def explicit(self) -> tuple[Mapping[str, int], Mapping[str, Sequence[int]]]:
+        """By statement, the bits of the themes of its singleton rows, and the
+        masks of its explicit rows of other than one theme; a statement with
+        none is not a key.  Where a statement defaults and has none of the
+        latter, its row at every mask is the union of its singleton rows at
+        the mask's themes."""
+        return self._singleton_bits(), self._others
 
     def _singleton_bits(self) -> dict[str, int]:
         """The bits of the themes of each statement's singleton rows, from one
-        pass over the statement rows; a row keyed by an undeclared theme has
-        no bit and is never read."""
-        bits, out = self.bits, {}
+        pass over the statement rows, which also keeps the masks of the
+        other explicit rows; a row keyed by an undeclared theme has no mask
+        and is never read."""
+        out = self._singles
+        if out is not None:
+            return out
+        bits, out, others = self.bits, {}, self._others
         for themes, s in self.interp.statement_aspects:
             if len(themes) == 1:
                 (theme,) = themes
                 bit = bits.get(theme)
                 if bit is not None:
                     out[s] = out.get(s, 0) | bit
+                continue
+            mask = 0
+            for theme in themes:
+                bit = bits.get(theme)
+                if bit is None:
+                    break
+                mask |= bit
+            else:
+                others.setdefault(s, []).append(mask)
+        self._singles = out
         return out
 
 

@@ -56,6 +56,10 @@ _REL_TYPES = frozenset(REL_TYPES)
 #: The one value of ``interpretation.default``: multi-theme statement rows
 #: default to the union of the singleton rows.
 _UNION = "union"
+#: The longest formula an error line quotes whole; a longer one is quoted
+#: as an excerpt of twice ``_EXCERPT`` characters.
+MAX_QUOTED = 1000
+_EXCERPT = 100
 
 
 @dataclass
@@ -68,6 +72,19 @@ class Document:
 
 def _fail(where: str, message: str) -> NoReturn:
     raise ModelFileError(f"{where}: {message}")
+
+
+def _bad_formula(where: str, text: str, exc: AspectArgError) -> ModelFileError:
+    """The error of formula ``text``: quoted whole up to :data:`MAX_QUOTED`
+    characters, else by its length and an excerpt around the error's offset,
+    so the line stays short however long the text is."""
+    if len(text) <= MAX_QUOTED:
+        return ModelFileError(f"{where}: bad formula {text!r}: {exc}")
+    start = max(0, (getattr(exc, "offset", None) or 0) - _EXCERPT)
+    excerpt = text[start : start + 2 * _EXCERPT]
+    return ModelFileError(
+        f"{where}: bad formula of {len(text)} characters, {excerpt!r} from offset {start}: {exc}"
+    )
 
 
 def _is_strings(value: Any) -> bool:
@@ -259,9 +276,8 @@ def from_dict(data: Any) -> Document:
                         try:
                             mask = reader.read(f)
                         except AspectArgError as exc:
-                            raise ModelFileError(
-                                f"interpretation.{block}[{i}].aspects: bad formula {f!r}: {exc}"
-                            ) from exc
+                            where = f"interpretation.{block}[{i}].aspects"
+                            raise _bad_formula(where, f, exc) from exc
                         single = read[f] = frozenset((mask,))
                         if len(formulas.setdefault(mask, f)) > len(f):
                             formulas[mask] = f

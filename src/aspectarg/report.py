@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from .constraints import ExactRegionWitnesses, RegionContext
+from .constraints import ExactRegionWitnesses, RegionContext, Witnesses, WitnessRows, violation_row
 from .model import Violation
 
 
@@ -27,7 +27,7 @@ def human_violations(groups: Mapping[str, Sequence[Violation]]) -> list[str]:
     lines = []
     for cid in sorted(groups):
         vs = groups[cid]
-        details = vs.details() if isinstance(vs, ExactRegionWitnesses) else (v.detail for v in vs)
+        details = vs.details() if isinstance(vs, Witnesses) else (v.detail for v in vs)
         lines += map(f"  [{cid}] ".__add__, details)
     return lines
 
@@ -41,11 +41,13 @@ def to_json(report: dict[str, Any]) -> str:
     lays out lines the same way.  It accepts what a report holds: ``str``,
     ``int``, ``bool``, ``None``, lists, tuples, dicts with ``str`` keys,
     ``Violation``s, which are written as the dict of their set fields, and
-    E's ``ExactRegionWitnesses``, written as the list of their violations.
+    the checkers' ``Witnesses``, written as the list of their violations.
     Violation records, the bulk of a large report, are written from one
     :class:`_Layout` per indent, which both record writers read: its record
     start, end and field prefixes are built once, and each distinct string
-    list is written once.
+    list is written once.  Neither builds a ``Violation``: one writes the
+    field rows of ``WitnessRows`` (and of a list of ``Violation``s), the
+    other E's witness runs.
     """
     chunks: list[str] = []
     _write(report, "\n", chunks, {})
@@ -58,7 +60,7 @@ def _write(value: Any, nl: str, chunks: list[str], layouts: dict[str, _Layout]) 
     the line the value starts on, ``layouts`` holds the record layout of
     each indent that records were written at."""
     if isinstance(value, Violation):
-        _write_records((value,), _layout(nl, layouts), chunks)
+        _write_records((violation_row(value),), _layout(nl, layouts), chunks)
     elif isinstance(value, str):
         chunks.append(_quote(value))
     elif value is None:
@@ -69,17 +71,20 @@ def _write(value: Any, nl: str, chunks: list[str], layouts: dict[str, _Layout]) 
         chunks.append("false")
     elif isinstance(value, int):
         chunks.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple, ExactRegionWitnesses)):
+    elif isinstance(value, (list, tuple, Witnesses)):
         if not value:
             chunks.append("[]")
             return
         inner = nl + "  "
-        if isinstance(value, ExactRegionWitnesses):
+        if isinstance(value, WitnessRows):
+            chunks.append("[" + inner)
+            _write_records(value.rows, _layout(inner, layouts), chunks)
+        elif isinstance(value, ExactRegionWitnesses):
             chunks.append("[" + inner)
             _write_region_records(value, _layout(inner, layouts), chunks)
         elif all(map(isinstance, value, repeat(Violation))):
             chunks.append("[" + inner)
-            _write_records(value, _layout(inner, layouts), chunks)
+            _write_records(map(violation_row, value), _layout(inner, layouts), chunks)
         else:
             sep = "[" + inner
             for item in value:
@@ -143,36 +148,36 @@ def _layout(nl: str, layouts: dict[str, _Layout]) -> _Layout:
     return layout
 
 
-def _write_records(vs: Sequence[Violation], layout: _Layout, chunks: list[str]) -> None:
-    """A non-empty run of violations as records laid out by ``layout``,
-    separated by commas: ``constraint`` and ``detail`` always, each other
-    field when set (``statements`` when non-empty, the rest when not
-    ``None``), in sorted key order."""
+def _write_records(rows: Iterable[tuple], layout: _Layout, chunks: list[str]) -> None:
+    """A non-empty run of violations, as their field rows, as records laid
+    out by ``layout``, separated by commas: ``constraint`` and ``detail``
+    always, each other field when set (``statements`` when non-empty, the
+    rest when not ``None``), in sorted key order."""
     start, end = layout.start, layout.end
     detail, rel_type, relation = layout.detail, layout.rel_type, layout.relation
     statements, theme_set, theme_set2 = layout.statements, layout.theme_set, layout.theme_set2
     append = chunks.append
     first = len(chunks)
-    for v in vs:
+    for cid, named, pair, themes, themes2, kind, text in rows:
         append(start)
-        append(_quote(v.constraint))
+        append(_quote(cid))
         append(detail)
-        append(_quote(v.detail))
-        if v.rel_type is not None:
+        append(_quote(text))
+        if kind is not None:
             append(rel_type)
-            append(_quote(v.rel_type))
-        if v.relation is not None:
+            append(_quote(kind))
+        if pair is not None:
             append(relation)
-            append(layout[v.relation])
-        if v.statements:
+            append(layout[pair])
+        if named:
             append(statements)
-            append(layout[v.statements])
-        if v.theme_set is not None:
+            append(layout[named])
+        if themes is not None:
             append(theme_set)
-            append(layout[v.theme_set])
-        if v.theme_set2 is not None:
+            append(layout[themes])
+        if themes2 is not None:
             append(theme_set2)
-            append(layout[v.theme_set2])
+            append(layout[themes2])
         append(end)
     chunks[first] = start[len(layout.nl) + 1 :]  # the first record follows no comma
 

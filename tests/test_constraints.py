@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from aspectarg import constraints
 from aspectarg.algebra import Element, mk_algebra
 from aspectarg.constraints import (
     ALPHA_GROUPS,
@@ -24,6 +25,8 @@ from aspectarg.constraints import (
     classify_relations,
     recheck,
     run_group,
+    violation_row,
+    WitnessRows,
 )
 from aspectarg.corpus import corpus_path
 from aspectarg.model import (
@@ -40,6 +43,7 @@ from aspectarg.model import (
     _Memo,
     effective_aspect,
     lookup,
+    row_subset,
 )
 from aspectarg.modelfile import from_dict, load_path
 from helpers import (
@@ -58,6 +62,7 @@ from helpers import (
     region_instance,
     renamed,
     with_extra_rows,
+    with_mixed_omega_rows,
     with_odd_omega_rows,
 )
 
@@ -651,6 +656,129 @@ class TestExactRegionWitnesses:
             assert empty != other and other != empty and not empty == other
 
 
+def witness_instance(rng: random.Random) -> tuple[Model, Interpretation]:
+    """A model of 1-4 themes with :func:`random_total_interpretation`, half
+    the time with explicit multi-theme, empty-set and full rows
+    (:func:`with_extra_rows`), and half the time with omega rows drawn by
+    :func:`with_mixed_omega_rows`."""
+    model = random_model_any(rng, max_themes=4)
+    interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+    if rng.random() < 0.5:
+        interp = with_extra_rows(rng, model, interp)
+    if rng.random() < 0.5:
+        interp = with_mixed_omega_rows(rng, model, interp)
+    return model, interp
+
+
+def row_lists(model, interp) -> list:
+    """Every witness list of core, das, nwci and F."""
+    return [
+        *check_core(model, interp).values(),
+        check_das(model, interp),
+        check_nwci(model, interp),
+        *check_fresh_aspects(model, interp).values(),
+    ]
+
+
+class TestWitnessRows:
+    """Core's, das's, nwci's and F's lists keep the contract of a list of
+    violations: read-only sequences of ``Violation`` in ``sort_key`` order,
+    built when read."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_the_lists_read_as_lists_of_violations(self, rng):
+        model, interp = witness_instance(rng)
+        for vs in row_lists(model, interp):
+            assert isinstance(vs, WitnessRows)
+            listed = list(vs)
+            assert listed == sorted(listed, key=Violation.sort_key)
+            assert vs == listed and listed == vs and not vs != listed
+            assert vs == tuple(listed) and tuple(listed) == vs
+            assert len(vs) == len(listed) and list(vs) == listed  # iterated twice
+            assert [vs[i] for i in range(len(vs))] == listed
+            assert [vs[i] for i in range(-len(vs), 0)] == listed
+            assert vs[::-1] == listed[::-1] and vs[1::3] == listed[1::3]
+            assert vs[-2:] == listed[-2:] and vs[len(vs) :] == []
+            assert all(recheck(model, interp, v) for v in vs)
+            assert type(vs).__hash__ is None
+            with pytest.raises(TypeError):
+                hash(vs)
+            for index in (len(vs), -len(vs) - 1):
+                with pytest.raises(IndexError):
+                    vs[index]
+            if vs:
+                assert vs != listed[1:] and vs != listed[:-1] + [Violation("i")]
+                assert vs.index(listed[-1]) == listed.index(listed[-1]) and listed[0] in vs
+                with pytest.raises(TypeError):
+                    vs[0] = listed[0]
+        verdict = classify_normal_form(model, interp, ALPHA_GROUPS)
+        joined = [
+            v for g in ALPHA_GROUPS for vs in run_group(model, interp, g).values() for v in vs
+        ]
+        assert list(verdict.violations) == sorted(joined, key=Violation.sort_key)
+
+    def test_explicit_multi_theme_and_empty_set_rows(self):
+        # a row at the empty set (vi) and one at two themes that holds
+        # neither the empty set's row nor one singleton row (manss)
+        algebra = mk_algebra(["p", "q"])
+        model = Model.build(["t1", "t2"], [Statement("a")], {"a": {"t1", "t2"}}, [])
+        p, q = (Element(algebra, m) for m in (0b1100, 0b1010))
+        rows = {
+            (frozenset(), "a"): aspects(algebra, p),
+            (frozenset(["t1"]), "a"): aspects(algebra, p),
+            (frozenset(["t2"]), "a"): aspects(algebra, q),
+            (frozenset(["t1", "t2"]), "a"): aspects(algebra, q, ~q),
+        }
+        omega = {frozenset(["t1"]): AspectSet(algebra, full=True)}
+        interp = Interpretation(algebra, omega, rows)
+        found = check_core(model, interp)
+        assert [(v.theme_set, v.theme_set2) for v in found["manss"]] == [
+            ((), ("t2",)),
+            (("t1",), ("t1", "t2")),
+        ]
+        assert [v.theme_set for v in found["vi"]] == [()]
+        witnesses = [
+            (v.constraint, v.statements, v.relation, v.theme_set, v.theme_set2, v.rel_type)
+            for vs in found.values()
+            for v in vs
+        ]
+        assert sorted(witnesses, key=repr) == sorted(oracle_core(model, interp), key=repr)
+        for vs in found.values():
+            assert all(recheck(model, interp, v) for v in vs)
+            assert list(vs) == sorted(vs, key=Violation.sort_key)
+
+    def test_equality_with_other_sequences(self):
+        rng = random.Random(9)
+        model = random_model_any(rng, max_themes=3)
+        interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+        interp = with_extra_rows(rng, model, interp)
+        found, again = check_core(model, interp), check_core(model, interp)
+        assert any(found.values())
+        for cid, vs in found.items():
+            assert vs == again[cid] and not vs != again[cid]
+            assert repr(vs) == f"WitnessRows({list(vs)!r})"
+        # an E list and a list of rows of the same violations are equal
+        region = check_exact_region(model, interp)
+        for vs in region.values():
+            rows = WitnessRows([violation_row(v) for v in vs])
+            assert rows == vs and vs == rows and rows == list(vs)
+        nonempty = [vs for vs in found.values() if vs]
+        assert nonempty[0] != nonempty[0][:-1] and nonempty[0] != region["esr"][:1] + [None]
+
+    def test_an_empty_list_equals_only_empty_lists_tuples_and_sequences(self):
+        doc = load_path(corpus_path("straw_man"))
+        lists = row_lists(doc.model, doc.interpretation)
+        empty = [vs for vs in lists if not vs]
+        assert empty and len({id(vs) for vs in empty}) == 1  # one shared empty sequence
+        vs = empty[0]
+        assert len(vs) == 0 and list(vs) == [] and vs[:] == [] and vs[::-1] == []
+        assert vs == [] and [] == vs and vs == () and () == vs
+        assert vs == check_exact_region(doc.model, doc.interpretation)["eos"]
+        for other in ("", b"", range(0), bytearray(), [None], (None,)):
+            assert vs != other and other != vs and not vs == other
+
+
 class TestCoreOracle:
     """Core against a checker written from the definitions."""
 
@@ -680,6 +808,133 @@ class TestCoreOracle:
         assert sorted(found, key=repr) == sorted(oracle_core(model, interp), key=repr)
 
 
+def singleton_instance(rng: random.Random, m: int) -> tuple[Model, Interpretation]:
+    """Six ordinary statements over ``m`` themes, each typed with at least
+    half of them, a statement pointer and a summary pointer, all with
+    one-theme rows at their own themes only, and a full omega row at every
+    non-empty theme set (the empty set's is missing, so empty)."""
+    themes = [f"t{j + 1}" for j in range(m)]
+    typing = {f"a{i}": set(rng.sample(themes, rng.randint(m // 2, m))) for i in range(1, 7)}
+    statements = [Statement(sid) for sid in typing]
+    ref = rng.choice(sorted(typing["a1"]))
+    statements += [Statement("p1", ref_theme=ref, ref_target="a1"), Statement("c1", ref_theme=ref)]
+    typing["p1"] = {ref} | set(rng.sample(sorted(typing["a1"]), 1))
+    typing["c1"] = set(rng.sample(themes, rng.randint(1, m)))
+    model = Model.build(themes, statements, typing, [])
+    algebra = mk_algebra(["p", "q"])
+    rows = random_total_interpretation(rng, model, algebra).statement_aspects
+    full = AspectSet(algebra, full=True)
+    omega = {frozenset(c): full for n in range(1, m + 1) for c in combinations(themes, n)}
+    return model, Interpretation(algebra, omega, rows)
+
+
+class TestCoreWork:
+    """Core's row tests (``row_subset`` calls) are bounded by omega's mat
+    walk plus terms linear in 2^m·n, where the walk over every
+    one-theme-smaller step of every statement made up to m·2^(m-1)·n.
+
+    The bound is what the union default lets core skip.  With m themes and n
+    statements, P of which do not take pr's skip (pointers, and statements
+    with an explicit row other than a one-theme row at an own theme), and E
+    explicit rows of other than one theme at statements other than summary
+    pointers:
+
+    - mat compares omega at every step: m·2^(m-1);
+    - i reads only the masks whose omega row is not full: at most that
+      count per statement;
+    - pr reads every mask of each of the P statements: at most 2^m each;
+    - manss compares only the steps at an explicit row of other than one
+      theme: at most m per such row.
+
+    Its headroom is the pr tests of empty rows and the manss steps between
+    rows that are one object, which are skipped.  At m = 8, core makes
+    3,072 tests on the benchmark's ``block_doc`` (8 statements, 2 of them
+    pointers) against a bound of 3,328, and 1,226 to 1,231 on
+    :func:`singleton_instance` models against 1,544; the walk over every
+    step made 5,120 and 9,472 to 9,843.
+    """
+
+    @staticmethod
+    def row_tests(model, interp) -> int:
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return row_subset(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(constraints, "row_subset", counted)
+            check_core(model, interp)
+        return len(calls)
+
+    @staticmethod
+    def bound(model, interp) -> int:
+        themes = list(dict.fromkeys(model.themes))
+        m, declared = len(themes), set(themes)
+        theme_sets = [frozenset(c) for n in range(m + 1) for c in combinations(themes, n)]
+        partial = sum(
+            not interp.theme_aspects.get(t, (False,))[0] for t in theme_sets
+        )
+        read = [(t, sid) for t, sid in interp.statement_aspects if t <= declared]
+        ranged = sum(
+            s.is_pointer
+            or any(
+                sid == s.id and not (len(t) == 1 and t <= model.themes_of(s.id))
+                for t, sid in read
+            )
+            for s in model.statements
+        )
+        summary = {s.id for s in model.statements if s.is_summary_pointer}
+        others = sum(len(t) != 1 and sid not in summary for t, sid in read)
+        n = len(model.statements)
+        return m * 2 ** (m - 1) + partial * n + 2**m * ranged + m * others
+
+    def test_block_instances(self):
+        rng = random.Random(19)
+        for m in (3, 4):
+            for _ in range(4):
+                model, interp = block_instance(rng, m)
+                assert self.row_tests(model, interp) <= self.bound(model, interp)
+
+    @pytest.mark.parametrize("m", range(4, 9))
+    def test_block_documents(self, m):
+        doc = from_dict(bench_block_doc(m, 8))
+        model, interp = doc.model, doc.interpretation
+        count = self.row_tests(model, interp)
+        assert count <= self.bound(model, interp) <= m * 2 ** (m - 1) + 2**m * 2 * 8
+
+    @pytest.mark.parametrize("m", range(4, 9))
+    def test_singleton_rows_under_full_omega_rows(self, m):
+        rng = random.Random(m)
+        for _ in range(3):
+            model, interp = singleton_instance(rng, m)
+            count = self.row_tests(model, interp)
+            # i reads the empty set alone, and only the two pointers read pr
+            assert count <= self.bound(model, interp) <= m * 2 ** (m - 1) + 2**m * 2 + 8
+
+    def test_without_pointers_the_bound_is_exact(self):
+        # mat's walk and i at the empty set, once per statement, and nothing else
+        rng = random.Random(5)
+        for m in range(4, 9):
+            model, interp = singleton_instance(rng, m)
+            ordinary = [s for s in model.statements if not s.is_pointer]
+            model = Model.build(model.themes, ordinary, model.statement_themes, [])
+            rows = {k: row for k, row in interp.statement_aspects.items() if k[1][0] == "a"}
+            interp = dataclasses.replace(interp, statement_aspects=rows)
+            count = self.row_tests(model, interp)
+            assert count == self.bound(model, interp) == m * 2 ** (m - 1) + 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(4, 6))
+    def test_explicit_rows_and_mixed_omega_rows(self, rng, m):
+        model, interp = singleton_instance(rng, m)
+        for _ in range(rng.randint(1, 3)):
+            interp = with_extra_rows(rng, model, interp)
+        if rng.random() < 0.5:
+            interp = with_mixed_omega_rows(rng, model, interp)
+        assert self.row_tests(model, interp) <= self.bound(model, interp)
+
+
 class TestDasNwci:
     def test_straw_man_fails_das_on_both_supports(self):
         doc = load_path(corpus_path("straw_man"))
@@ -700,7 +955,7 @@ class TestDasNwci:
             ],
         )
         found = check(model, Interpretation(fig1))
-        assert not (found if isinstance(found, list) else found["aass"])
+        assert not (found["aass"] if isinstance(found, dict) else found)
 
     def test_das_attack_must_be_incomparable(self, fig1):
         model = single_theme_model(
@@ -832,7 +1087,7 @@ class TestFreshAspectRecords:
         found = check_fresh_aspects(model, interp)
         assert [v.statements for v in found["faD"]] == [("b", "a", "b"), ("s", "a", "b")]
         assert [v.statements for v in found["faW"]] == [("b", "a", "b")]
-        for v in found["faD"] + found["faW"]:
+        for v in [*found["faD"], *found["faW"]]:
             assert recheck(model, interp, v)
 
 
@@ -1027,7 +1282,7 @@ class TestRelationKinds:
 
         aass = check_core(model, interp)["aass"]
         das, nwci = check_das(model, interp), check_nwci(model, interp)
-        assert {w.rel_type for w in aass + das + nwci} <= {rel_type}
+        assert {w.rel_type for w in [*aass, *das, *nwci]} <= {rel_type}
         absent = kinds == {"undefined"}
         if rel_type == ATTACK:
             assert bool(aass) == (absent or "affirmation" in kinds)

@@ -14,7 +14,10 @@ import re
 
 import pytest
 
+from aspectarg.algebra import mk_algebra
 from aspectarg.cli import run
+from aspectarg.errors import AspectArgError
+from aspectarg.formulas import ElementReader
 from aspectarg.model import (
     WELLFORMED,
     Model,
@@ -23,6 +26,7 @@ from aspectarg.model import (
     Violation,
     validate_wellformed,
 )
+from aspectarg.modelfile import MAX_QUOTED
 
 MINIMAL = {
     "themes": ["t"],
@@ -297,3 +301,42 @@ def test_a_file_breaking_every_rule_gets_each_violation_in_order(tmp_path):
 )
 def test_a_model_breaking_one_rule_gets_one_violation(violation, build):
     assert validate_wellformed(Model.build(*build)) == [violation]
+
+
+def formula_error(tmp_path, text):
+    """The ``error:`` line of ``validate`` on MINIMAL with the one formula ``text``."""
+    rows = [{"themes": ["t"], "statement": "s", "aspects": [text]}]
+    _, code, out, err = validate(tmp_path, edited(("interpretation", "statement_aspects"), rows))
+    assert (code, out) == (2, "")
+    return err
+
+
+@pytest.mark.parametrize("length", [MAX_QUOTED - 1, MAX_QUOTED])
+def test_a_formula_of_up_to_the_quote_limit_is_quoted_whole(tmp_path, length):
+    text = "p" + " " * (length - 2) + "&"  # unexpected end of input
+    with pytest.raises(AspectArgError) as info:
+        ElementReader(mk_algebra(["p"])).read(text)
+    where = "interpretation.statement_aspects[0].aspects"
+    assert formula_error(tmp_path, text) == f"error: {where}: bad formula {text!r}: {info.value}\n"
+
+
+@pytest.mark.parametrize(
+    "text, start",
+    [
+        ("p" + " " * 1100 + ")", 1001),  # an unexpected token at offset 1101
+        ("|".join(["p"] * 50_001), 101),  # too deep at offset 201
+        ("?" + " " * 1200 + "p", 0),  # a bad character at offset 0
+    ],
+    ids=["token", "depth", "character"],
+)
+def test_a_longer_formula_is_quoted_as_an_excerpt(tmp_path, text, start):
+    with pytest.raises(AspectArgError) as info:
+        ElementReader(mk_algebra(["p"])).read(text)
+    assert info.value.offset - start == min(info.value.offset, 100)
+    where = "interpretation.statement_aspects[0].aspects"
+    excerpt = text[start : start + 200]
+    assert formula_error(tmp_path, text) == (
+        f"error: {where}: bad formula of {len(text)} characters, {excerpt!r} from offset "
+        f"{start}: {info.value}\n"
+    )
+    assert len(formula_error(tmp_path, text)) < 2048

@@ -3,21 +3,36 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from aspectarg.algebra import mk_algebra
 from hypothesis import strategies as st
 
 from aspectarg.cli import run
 from aspectarg.constraints import (
     ALPHA_GROUPS,
     E,
-    ExactRegionWitnesses,
+    Witnesses,
+    check_core,
+    check_das,
     check_exact_region,
+    check_fresh_aspects,
+    check_graphic,
+    check_nwci,
     classify_normal_form,
 )
 from aspectarg.model import Violation
 from aspectarg.modelfile import dumps as dump_model
 from aspectarg.modelfile import from_dict, load_path, to_dict
 from aspectarg.report import human_violations, to_json, violations_block
-from helpers import HOSTILE, hostile_name, region_instance, renamed
+from helpers import (
+    HOSTILE,
+    hostile_name,
+    random_model_any,
+    random_total_interpretation,
+    region_instance,
+    renamed,
+    with_extra_rows,
+    with_mixed_omega_rows,
+)
 
 
 def dumps(value):
@@ -93,7 +108,7 @@ def plain(value):
         return as_dict(value)
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, ExactRegionWitnesses)):
+    if isinstance(value, (list, tuple, Witnesses)):
         return [plain(v) for v in value]
     return value
 
@@ -193,6 +208,30 @@ class TestViolations:
         assert all(lists.values())
         value = [lists, [[lists]]]
         assert to_json(value) == dumps(plain(value))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_witness_rows_are_written_as_their_violations(self, rng):
+        # core, das, nwci and F on models with explicit multi-theme and
+        # empty-set rows and mixed omega rows, beside graphic's lists
+        model = random_model_any(rng, max_themes=4)
+        interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+        if rng.random() < 0.5:
+            interp = with_extra_rows(rng, model, interp)
+        if rng.random() < 0.5:
+            interp = with_mixed_omega_rows(rng, model, interp)
+        semantic = {
+            "core": check_core(model, interp),
+            "das": {"das": check_das(model, interp)},
+            "nwci": {"nwci": check_nwci(model, interp)},
+            "F": check_fresh_aspects(model, interp),
+        }
+        report = check_report(check_graphic(model), semantic)
+        assert to_json(report) == dumps(plain(report))
+        assert to_json([semantic, [[semantic]]]) == dumps(plain([semantic, [[semantic]]]))
+        for found in semantic.values():
+            listed = {cid: list(vs) for cid, vs in found.items()}
+            assert human_violations(found) == human_violations(listed)
 
     def test_a_violation_among_other_values(self):
         v = TestViolations.ALL_SET
