@@ -22,7 +22,7 @@ from .constraints import (
     classify_relations,
     recheck,
 )
-from .formulas import evaluate, format_expr, parse, render_element
+from .formulas import parse, render_element
 from .model import (
     AspectSet,
     Interpretation,

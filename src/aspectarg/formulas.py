@@ -1,4 +1,4 @@
-"""Textual aspect formulas: parsing, evaluation to algebra elements, printing.
+"""Textual aspect formulas: reading them to algebra elements, and printing elements.
 
 Grammar, lowest to highest precedence::
 
@@ -8,22 +8,24 @@ Grammar, lowest to highest precedence::
     and     := unary ('&' unary)*
     unary   := '~' unary | '0' | '1' | name | '(' iff ')'
 
-Whitespace is insignificant.  ``a -> b`` abbreviates ``~a | b`` and
-``a <-> b`` abbreviates ``(a -> b) & (b -> a)``; both are desugared at
-evaluation time only, so printing keeps the arrows.
+Whitespace is insignificant.  ``a -> b`` means ``~a | b`` and ``a <-> b``
+means ``(a -> b) & (b -> a)``.
 
 A formula may nest at most :data:`MAX_DEPTH` levels, counting each operator
-and each parenthesised group on the way down to a leaf, so that evaluating
-and printing it stay within Python's recursion limit.
+and each parenthesised group on the way down to a leaf, so that the trees
+:func:`parse` builds compare and print within Python's recursion limit.
 
 One tokenizer (a single regular expression whose groups name each token's
 kind) and one loop with an operator stack over the operator table
-``_OPERATORS``, which encodes the four binary rules, read every formula;
-:func:`evaluate` and :func:`format_expr` read the same table.  The loop keeps
-no token and does not recurse, so a text of any length reads in memory
-bounded by :data:`MAX_DEPTH`.  It folds each operator as it reduces it:
-:func:`parse` folds to the expression tree, and :class:`ElementReader`, which
-the model-file loader uses, folds straight to the masks of algebra elements.
+``_OPERATORS``, which encodes the four binary rules, read every formula.  The
+loop keeps no token and does not recurse, so a text of any length reads in
+memory bounded by :data:`MAX_DEPTH`.  It folds each operator as it reduces
+it.  :class:`ElementReader`, which the model-file loader uses, folds straight
+to the masks of algebra elements; it is the one evaluator.  :func:`parse`
+folds to a tree of the seven node classes; no command uses it, but the traced
+benchmark counts its calls and the tests' reference parser builds the same
+nodes.  :func:`render_element` is the one printer: it writes an element, not
+a tree.
 """
 
 from __future__ import annotations
@@ -77,22 +79,21 @@ class Iff:
 
 AspectExpr = Union[Atom, Const, Not, And, Or, Implies, Iff]
 
+#: A proposition name.
+_NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
+
 #: One match per token, the group that matched naming its kind.  Matches are
 #: contiguous; a text's last is the empty _END token at the text's length.
 _TOKEN = re.compile(
-    r"\s*(?:(\()|(~)|([A-Za-z_][A-Za-z0-9_]*)|(\))|(<->|->|[&|])|([01])|(\S)|(\Z))")
+    rf"\s*(?:(\()|(~)|({_NAME_PATTERN})|(\))|(<->|->|[&|])|([01])|(\S)|(\Z))")
 #: ``Match.lastindex`` of each kind: _BAD is a character no token starts with.
 _OPEN, _NOT, _NAME, _CLOSE, _BINARY, _CONST, _BAD, _END = range(1, 9)
 
-#: The binary operators: token -> (precedence, right-associative, tree node).
-#: A higher precedence binds tighter; ``~`` binds tighter than all of them.
-_OPERATORS = {"<->": (1, False, Iff), "->": (2, True, Implies),
-              "|": (3, False, Or), "&": (4, False, And)}
+#: The binary operators: token -> (precedence, right-associative).  A higher
+#: precedence binds tighter; ``~`` binds tighter than all of them.
+_OPERATORS = {"<->": (1, False), "->": (2, True), "|": (3, False), "&": (4, False)}
 
-#: Each binary node's token and the precedence and associativity it prints with.
-_SYNTAX = {node: (tok, prec, right) for tok, (prec, right, node) in _OPERATORS.items()}
-
-IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+IDENT = re.compile(rf"{_NAME_PATTERN}\Z")
 
 #: Deepest formula tree the parser accepts.  Model files nest a few levels;
 #: synthesized witnesses write flat disjunctions of up to 20 propositions.
@@ -101,7 +102,7 @@ MAX_DEPTH = 100
 
 class _Fold:
     """What the parser makes of each leaf and operator; ``binary`` maps each
-    binary tree node to the fold of its two operands.
+    binary operator's token to the fold of its two operands.
 
     ``atom`` may return ``None`` for a name it does not know; the parser then
     folds on with ``const(False)`` and reports the first such name once the
@@ -109,17 +110,17 @@ class _Fold:
     least precedence it reduces, whether it opens a level, and its fold.
     """
 
-    __slots__ = ("atom", "const", "neg", "binary", "ops")
+    __slots__ = ("atom", "const", "neg", "ops")
 
     def __init__(self, atom: Callable, const: Callable, neg: Callable,
-                 binary: Mapping[type, Callable]):
-        self.atom, self.const, self.neg, self.binary = atom, const, neg, binary
-        self.ops = {tok: (prec, prec + right, right, binary[node])
-                    for tok, (prec, right, node) in _OPERATORS.items()}
+                 binary: Mapping[str, Callable]):
+        self.atom, self.const, self.neg = atom, const, neg
+        self.ops = {tok: (prec, prec + right, right, binary[tok])
+                    for tok, (prec, right) in _OPERATORS.items()}
 
 
 #: The fold that builds the expression tree.
-_TREE = _Fold(Atom, Const, Not, {node: node for node in _SYNTAX})
+_TREE = _Fold(Atom, Const, Not, {"<->": Iff, "->": Implies, "|": Or, "&": And})
 
 
 def _mask_fold(algebra: Algebra) -> _Fold:
@@ -131,10 +132,10 @@ def _mask_fold(algebra: Algebra) -> _Fold:
         (0, full).__getitem__,  # False -> bottom, True -> top
         full.__xor__,  # complement
         {
-            And: int.__and__,
-            Or: int.__or__,
-            Implies: lambda left, right: left ^ full | right,  # ~left | right
-            Iff: lambda left, right: left ^ right ^ full,  # ~(left xor right)
+            "&": int.__and__,
+            "|": int.__or__,
+            "->": lambda left, right: left ^ full | right,  # ~left | right
+            "<->": lambda left, right: left ^ right ^ full,  # ~(left xor right)
         },
     )
 
@@ -247,9 +248,10 @@ class ElementReader:
 
     The grammar is the one :func:`parse` uses, folded to minterm masks through
     one name-to-mask dict built here, so a formula costs one tokenization and
-    builds no tree.  ``read(text)`` is the mask of
-    ``evaluate(parse(text), algebra)`` and raises the same errors: a syntax
-    error anywhere in the text before an unknown proposition, and of those the
+    builds no tree.  ``read(text)`` is the mask of the element whose minterms
+    are exactly the assignments that satisfy ``text``.  It raises the
+    :class:`FormulaError` :func:`parse` raises, so a syntax error anywhere in
+    the text comes before an unknown proposition, and of those it names the
     first in the text.
     """
 
@@ -262,46 +264,6 @@ class ElementReader:
         if unknown is not None:
             self.algebra.prop(unknown)  # raises the unknown-proposition error
         return mask
-
-
-def evaluate(expr: AspectExpr, algebra: Algebra) -> Element:
-    """The element whose minterms are exactly the satisfying assignments of ``expr``."""
-    fold = _mask_fold(algebra)
-
-    def mask(e: AspectExpr) -> int:
-        if isinstance(e, Atom):
-            m = fold.atom(e.name)
-            return algebra.prop(e.name).mask if m is None else m
-        if isinstance(e, Const):
-            return fold.const(e.value)
-        if isinstance(e, Not):
-            return fold.neg(mask(e.operand))
-        op = fold.binary.get(type(e))
-        if op is None:
-            raise TypeError(f"not an aspect expression: {e!r}")
-        return op(mask(e.left), mask(e.right))
-
-    return Element(algebra, mask(expr))
-
-
-def _fmt(expr: AspectExpr, parent_level: int) -> str:
-    if isinstance(expr, Atom):
-        return expr.name
-    if isinstance(expr, Const):
-        return "1" if expr.value else "0"
-    if isinstance(expr, Not):
-        level = len(_OPERATORS) + 1  # tighter than every binary operator
-        body = f"~{_fmt(expr.operand, level)}"
-    else:
-        tok, level, right = _SYNTAX[type(expr)]
-        # only the child on the associative side may be a bare operator of this level
-        body = f"{_fmt(expr.left, level + right)} {tok} {_fmt(expr.right, level + (not right))}"
-    return f"({body})" if level < parent_level else body
-
-
-def format_expr(expr: AspectExpr) -> str:
-    """Canonical text for an expression; re-parsing evaluates to the same element."""
-    return _fmt(expr, 0)
 
 
 def render_element(

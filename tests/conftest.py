@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from aspectarg.algebra import mk_algebra
-from aspectarg.formulas import evaluate, parse
+from aspectarg.algebra import Element, mk_algebra
+from aspectarg.formulas import ElementReader
 
 # Property tests draw the same examples on every run, and a slow spell of a
 # shared machine cannot fail them on a deadline.
@@ -18,9 +18,10 @@ def fig1():
 
 @pytest.fixture
 def ev(fig1):
-    """Evaluate a formula string in the two-proposition algebra."""
+    """The element a formula string reads to, in the two-proposition algebra."""
 
     def _ev(text, algebra=None):
-        return evaluate(parse(text), algebra or fig1)
+        algebra = algebra or fig1
+        return Element(algebra, ElementReader(algebra).read(text))
 
     return _ev

@@ -286,6 +286,33 @@ def oracle_formula(text: str, algebra: Algebra):
     return e
 
 
+#: Each binary node's token, precedence and right-associativity, as the
+#: grammar in ``aspectarg.formulas`` gives them; a higher precedence binds tighter.
+_PRINTED = {Iff: ("<->", 1, False), Implies: ("->", 2, True), Or: ("|", 3, False),
+            And: ("&", 4, False)}
+
+
+def _fmt(expr, parent_level: int) -> str:
+    if isinstance(expr, Atom):
+        return expr.name
+    if isinstance(expr, Const):
+        return "1" if expr.value else "0"
+    if isinstance(expr, Not):
+        level = len(_PRINTED) + 1  # tighter than every binary operator
+        body = f"~{_fmt(expr.operand, level)}"
+    else:
+        tok, level, right = _PRINTED[type(expr)]
+        # only the child on the associative side may be a bare operator of this level
+        body = f"{_fmt(expr.left, level + right)} {tok} {_fmt(expr.right, level + (not right))}"
+    return f"({body})" if level < parent_level else body
+
+
+def format_tree(expr) -> str:
+    """Text for a formula tree with no more parentheses than the grammar
+    needs, so that ``parse(format_tree(expr)) == expr``."""
+    return _fmt(expr, 0)
+
+
 def random_expr(rng: random.Random, names: list[str], depth: int = 3):
     if depth == 0 or rng.random() < 0.3:
         roll = rng.random()
@@ -760,13 +787,23 @@ def oracle_exact_region(
 # ---------------------------------------------------------------------------
 
 
+def oracle_closed_under_boolean_ops(masks: frozenset[int], full: int) -> bool:
+    """Whether the element masks hold 0 and ``full`` (the top mask) and are
+    closed under complement, meet and join: a subalgebra, by every pair."""
+    if 0 not in masks or full not in masks:
+        return False
+    for a in masks:
+        if a ^ full not in masks:
+            return False
+    for a in masks:
+        for b in masks:
+            if a & b not in masks or a | b not in masks:
+                return False
+    return True
+
+
 def _is_subalgebra(elements: set[Element], algebra: Algebra) -> bool:
-    return (
-        algebra.bottom in elements
-        and algebra.top in elements
-        and all(~a in elements for a in elements)
-        and all(a & b in elements and a | b in elements for a in elements for b in elements)
-    )
+    return oracle_closed_under_boolean_ops(frozenset(e.mask for e in elements), algebra.full_mask)
 
 
 def oracle_core(
@@ -1133,7 +1170,7 @@ def random_total_interpretation(
     nonzero = list(range(1, algebra.carrier_size))
     rows: dict[tuple[frozenset[str], str], AspectSet] = {}
     for s in model.statements:
-        for t in model.themes_of(s.id):
+        for t in sorted(model.themes_of(s.id)):  # a frozenset: its order follows the hash seed
             masks = rng.sample(nonzero, rng.randint(1, 2))
             rows[(frozenset([t]), s.id)] = AspectSet(
                 algebra, frozenset(Element(algebra, m) for m in masks)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,14 @@ from hypothesis import strategies as st
 
 from aspectarg.algebra import MAX_PROPS, Element, closed_under_boolean_ops, mk_algebra
 from aspectarg.errors import AlgebraError, CapExceeded
-from helpers import atoms, eta, join_irreducibles, truth_table_element
+from helpers import (
+    atoms,
+    eta,
+    join_irreducibles,
+    oracle_closed_under_boolean_ops,
+    oracle_parse,
+    truth_table_element,
+)
 
 
 class TestConstruction:
@@ -126,6 +134,29 @@ class TestSubalgebra:
         row = {fig1.bottom, fig1.top, ev("x"), ev("~x"), ev("y"), ev("~y")}
         assert not self.closed(fig1, row)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_set_agrees_with_the_pairwise_oracle(self, k):
+        """All 2^(2^(2^k)) sets of masks of a k-proposition carrier."""
+        full = mk_algebra([f"p{i}" for i in range(k)]).full_mask
+        carrier = range(full + 1)
+        found = 0
+        for bits in range(1 << len(carrier)):
+            masks = frozenset(m for m in carrier if bits >> m & 1)
+            expected = oracle_closed_under_boolean_ops(masks, full)
+            assert closed_under_boolean_ops(masks, full) == expected, sorted(masks)
+            found += expected
+        assert found == {1: 2, 2: 15}[k]  # the subalgebras: one per partition of the atoms
+
+    def test_a_row_of_65536_elements_is_decided_in_under_a_second(self):
+        """The carrier of four propositions is a subalgebra; without one of
+        its masks it is not.  A test by every pair would take minutes."""
+        a = mk_algebra(["p", "q", "r", "s"])
+        carrier = frozenset(range(a.carrier_size))
+        for row, expected in ((carrier, True), (carrier - {a.prop("p").mask}, False)):
+            start = time.perf_counter()
+            assert closed_under_boolean_ops(row, a.full_mask) is expected
+            assert time.perf_counter() - start < 1.0
+
 
 class TestAlgebraLaws:
     @pytest.mark.parametrize("k", [1, 2])
@@ -151,16 +182,11 @@ class TestAlgebraLaws:
         assert ~(x & y) == ~x | ~y
         assert ~~x == x
 
-    def test_eval_matches_truth_tables(self):
+    def test_eval_matches_truth_tables(self, ev):
         # ties the bitmask representation to an independent semantics
-        from aspectarg.formulas import parse
-
         a = mk_algebra(["x", "y"])
-        from aspectarg.formulas import evaluate
-
         for text in ("x & y", "x | ~y", "~x", "0", "1"):
-            expr = parse(text)
-            assert evaluate(expr, a) == truth_table_element(expr, a)
+            assert ev(text, a) == truth_table_element(oracle_parse(text), a)
 
 
 class TestMinterms:

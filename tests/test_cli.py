@@ -264,6 +264,34 @@ class TestWriter:
         assert len(written[0]["aspects"]) == algebra.carrier_size
 
 
+def test_random_documents_do_not_depend_on_the_hash_seed():
+    """The random models and interpretations of ``helpers`` draw the same
+    documents in every process, as the hash-seed check's documents need."""
+    script = (
+        "import random\n"
+        "from helpers import (hostile_name, random_model_any, random_total_interpretation,\n"
+        "                     renamed, with_mixed_omega_rows)\n"
+        "from aspectarg.algebra import mk_algebra\n"
+        "from aspectarg.modelfile import dumps, to_dict\n"
+        "rng = random.Random(5)\n"
+        "model = random_model_any(rng, max_themes=5, min_themes=5)\n"
+        "interp = random_total_interpretation(rng, model, mk_algebra(['p', 'q']))\n"
+        "print(dumps(to_dict(model, with_mixed_omega_rows(rng, model, interp))))\n"
+        "rng = random.Random(0)\n"
+        "model = random_model_any(rng, max_themes=5, min_themes=4)\n"
+        "interp = random_total_interpretation(rng, model, mk_algebra(['p', 'q']))\n"
+        "print(dumps(to_dict(*renamed(model, interp, hostile_name)[:2])))\n"
+    )
+    outputs = set()
+    for seed in ("1", "2"):
+        env = child_env(PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+
+
 def test_a_loaded_interpretation_unpickles_under_another_hash_seed(tmp_path):
     """An interpretation pickles its rows and names as plain dicts, which are
     hashed again on load: theme names hash differently in each process."""

@@ -896,6 +896,13 @@ class TestCoreWork:
                 model, interp = block_instance(rng, m)
                 assert self.row_tests(model, interp) <= self.bound(model, interp)
 
+    def test_omega_rows_of_65536_elements(self):
+        """At m = 5 each 4-theme omega row lists the 65,536 elements of its
+        subalgebra.  ``bat`` decides such a row without testing every pair
+        of its elements, which ran past 100 s, and finds it a subalgebra."""
+        model, interp = block_instance(random.Random(19), 5)
+        assert not all_violations(check_core(model, interp))
+
     @pytest.mark.parametrize("m", range(4, 9))
     def test_block_documents(self, m):
         doc = from_dict(bench_block_doc(m, 8))

@@ -23,13 +23,11 @@ from aspectarg.formulas import (
     Implies,
     Not,
     Or,
-    evaluate,
-    format_expr,
     parse,
     render_element,
 )
 from aspectarg.modelfile import loads
-from helpers import oracle_formula, oracle_parse, random_expr, truth_table_element
+from helpers import format_tree, oracle_formula, oracle_parse, random_expr, truth_table_element
 
 
 class TestParse:
@@ -42,8 +40,8 @@ class TestParse:
         assert parse("1") == Const(True)
 
     def test_negated_disjunction_equals_implication(self):
-        a = mk_algebra(["x", "y"])
-        assert evaluate(parse("~x | ~y"), a) == evaluate(parse("x -> ~y"), a)
+        read = ElementReader(mk_algebra(["x", "y"])).read
+        assert read("~x | ~y") == read("x -> ~y")
 
     def test_parens_and_whitespace(self):
         assert parse(" ( x &y ) ") == And(Atom("x"), Atom("y"))
@@ -65,63 +63,6 @@ class TestParse:
         with pytest.raises(FormulaError, match="expected"):
             parse("(x | y")
 
-
-class TestEvaluate:
-    def test_straw_man_iff_aspect(self):
-        a = mk_algebra(["plltn", "hmns", "extrm", "clmtchng"])
-        got = evaluate(parse("hmns <-> clmtchng"), a)
-        h, c = a.prop("hmns"), a.prop("clmtchng")
-        assert got == (h & c) | (~h & ~c)
-
-    def test_tautology(self):
-        a = mk_algebra(["x", "y"])
-        assert evaluate(parse("x | ~x"), a) == a.top
-
-    def test_unknown_atom(self):
-        a = mk_algebra(["x"])
-        with pytest.raises(Exception, match="unknown proposition"):
-            evaluate(parse("z"), a)
-
-    def test_against_truth_table_oracle(self):
-        rng = random.Random(3)
-        a = mk_algebra(["x", "y", "z"])
-        for _ in range(200):
-            expr = random_expr(rng, ["x", "y", "z"])
-            assert evaluate(expr, a) == truth_table_element(expr, a)
-
-    def test_homomorphism(self):
-        a = mk_algebra(["x", "y"])
-        rng = random.Random(4)
-        for _ in range(50):
-            e1 = random_expr(rng, ["x", "y"], depth=2)
-            e2 = random_expr(rng, ["x", "y"], depth=2)
-            assert evaluate(And(e1, e2), a) == evaluate(e1, a) & evaluate(e2, a)
-            assert evaluate(Or(e1, e2), a) == evaluate(e1, a) | evaluate(e2, a)
-            assert evaluate(Not(e1), a) == ~evaluate(e1, a)
-
-    def test_precedence(self):
-        a = mk_algebra(["a", "b", "c"])
-        assert evaluate(parse("a | b & c"), a) == evaluate(parse("a | (b & c)"), a)
-        assert evaluate(parse("a -> b -> c"), a) == evaluate(parse("a -> (b -> c)"), a)
-        assert evaluate(parse("a <-> b -> c"), a) == evaluate(parse("a <-> (b -> c)"), a)
-
-
-class TestFormat:
-    def test_canonical_spacing(self):
-        assert format_expr(parse("x&y")) == "x & y"
-
-    def test_implication_not_desugared(self):
-        assert "->" in format_expr(parse("x -> y"))
-        assert format_expr(parse("x -> y")) == "x -> y"
-
-    def test_round_trip_semantics(self):
-        rng = random.Random(5)
-        a = mk_algebra(["x", "y", "z"])
-        for _ in range(200):
-            expr = random_expr(rng, ["x", "y", "z"])
-            text = format_expr(expr)
-            assert evaluate(parse(text), a) == evaluate(expr, a), text
-
     def test_structural_cases(self):
         cases = {
             "(x -> y) -> z": Implies(Implies(Atom("x"), Atom("y")), Atom("z")),
@@ -131,8 +72,52 @@ class TestFormat:
             "x <-> y": Iff(Atom("x"), Atom("y")),
         }
         for text, tree in cases.items():
-            assert format_expr(tree) == text
             assert parse(text) == tree
+
+
+class TestRead:
+    """``ElementReader.read``, the one evaluator, against the truth table of
+    the reference parser's tree."""
+
+    def test_straw_man_iff_aspect(self):
+        a = mk_algebra(["plltn", "hmns", "extrm", "clmtchng"])
+        got = ElementReader(a).read("hmns <-> clmtchng")
+        h, c = a.prop("hmns"), a.prop("clmtchng")
+        assert got == ((h & c) | (~h & ~c)).mask
+
+    def test_tautology(self):
+        a = mk_algebra(["x", "y"])
+        assert ElementReader(a).read("x | ~x") == a.full_mask
+
+    def test_unknown_atom(self):
+        a = mk_algebra(["x"])
+        with pytest.raises(Exception, match="unknown proposition"):
+            ElementReader(a).read("z")
+
+    def test_against_truth_table_oracle(self):
+        rng = random.Random(3)
+        a = mk_algebra(["x", "y", "z"])
+        reader = ElementReader(a)
+        for _ in range(200):
+            expr = random_expr(rng, ["x", "y", "z"])
+            assert reader.read(format_tree(expr)) == truth_table_element(expr, a).mask
+
+    def test_homomorphism(self):
+        a = mk_algebra(["x", "y"])
+        read = ElementReader(a).read
+        rng = random.Random(4)
+        for _ in range(50):
+            t1 = format_tree(random_expr(rng, ["x", "y"], depth=2))
+            t2 = format_tree(random_expr(rng, ["x", "y"], depth=2))
+            assert read(f"({t1}) & ({t2})") == read(t1) & read(t2)
+            assert read(f"({t1}) | ({t2})") == read(t1) | read(t2)
+            assert read(f"~({t1})") == read(t1) ^ a.full_mask
+
+    def test_precedence(self):
+        read = ElementReader(mk_algebra(["a", "b", "c"])).read
+        assert read("a | b & c") == read("a | (b & c)")
+        assert read("a -> b -> c") == read("a -> (b -> c)")
+        assert read("a <-> b -> c") == read("a <-> (b -> c)")
 
 
 _exprs = st.recursive(
@@ -151,18 +136,14 @@ _exprs = st.recursive(
 )
 
 
-class TestFormatProperties:
-    @given(_exprs)
-    @settings(max_examples=300)
-    def test_round_trip_preserves_semantics(self, expr):
-        algebra = mk_algebra(["x", "y", "z"])
-        assert evaluate(parse(format_expr(expr)), algebra) == evaluate(expr, algebra)
-
+class TestReadProperties:
     @given(_exprs)
     @settings(max_examples=150)
-    def test_evaluate_agrees_with_truth_table(self, expr):
+    def test_read_agrees_with_truth_table(self, expr):
         algebra = mk_algebra(["x", "y", "z"])
-        assert evaluate(expr, algebra) == truth_table_element(expr, algebra)
+        text = format_tree(expr)
+        assert ElementReader(algebra).read(text) == truth_table_element(expr, algebra).mask
+        assert parse(text) == expr
 
 
 class TestRenderElement:
@@ -223,9 +204,11 @@ class TestDepthLimit:
     )
     def test_limit_is_exact(self, make):
         a = mk_algebra(["p"])
-        assert evaluate(parse(make(MAX_DEPTH)), a) in (a.prop("p"), ~a.prop("p"), a.top)
-        with pytest.raises(FormulaError):
-            parse(make(MAX_DEPTH + 1))
+        read = ElementReader(a).read
+        assert read(make(MAX_DEPTH)) in (a.prop("p").mask, (~a.prop("p")).mask, a.full_mask)
+        for reader in (parse, read):
+            with pytest.raises(FormulaError):
+                reader(make(MAX_DEPTH + 1))
 
     @pytest.mark.parametrize(
         "text",
@@ -250,8 +233,8 @@ class TestDepthLimit:
     def test_synthesized_chains_parse(self):
         chain = " | ".join(f"w1_{i}" for i in range(1, 21))
         a = mk_algebra([f"w1_{i}" for i in range(1, 21)])
-        assert format_expr(parse(chain)) == chain
-        assert evaluate(parse(chain), a).mask.bit_count() == a.n_minterms - 1
+        assert parse(chain) == oracle_parse(chain)
+        assert ElementReader(a).read(chain).bit_count() == a.n_minterms - 1
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +267,7 @@ def formula_texts(draw):
         text = draw(st.sampled_from(DEPTH_SHAPES))
     else:
         rng = random.Random(draw(st.integers(0, 2**32)))
-        text = format_expr(random_expr(rng, PROPS, depth=draw(st.integers(0, 4))))
+        text = format_tree(random_expr(rng, PROPS, depth=draw(st.integers(0, 4))))
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(("insert", "delete", "space", "unknown", "trail")))
         at = draw(st.integers(0, len(text)))
@@ -471,7 +454,7 @@ class TestOperatorPairs:
                      f"a {op1} (b {op2} c)", f"(a {op1} b) {op2} c"):
             tree = parse(text)
             assert tree == oracle_parse(text), text
-            assert parse(format_expr(tree)) == tree, text
+            assert parse(format_tree(tree)) == tree, text
 
     @pytest.mark.parametrize("op1, op2", list(product(BINARY_TOKENS, repeat=2)))
     def test_missing_operands(self, op1, op2):
@@ -565,11 +548,11 @@ class TestFormulasAreReadOncePerDocument:
     def test_a_shorter_text_in_a_later_row_renames_the_element(self, reads):
         algebra = mk_algebra(PROPS)
         interp = loads(_document(["x & y"], ["x & y", "x&y"], ["y & x"])).interpretation
-        assert interp.formulas == {evaluate(parse("x & y"), algebra).mask: "x&y"}
+        assert interp.formulas == {(algebra.prop("x") & algebra.prop("y")).mask: "x&y"}
         assert reads == {"x & y": 1, "x&y": 1, "y & x": 1}
 
     def test_names_are_the_shortest_text_first_written(self, reads):
         algebra = mk_algebra(PROPS)
         interp = loads(_document(["(x & y)", "y&x"], ["x&y", "y&x", "x & y"])).interpretation
-        assert interp.formulas == {evaluate(parse("x & y"), algebra).mask: "y&x"}
+        assert interp.formulas == {(algebra.prop("x") & algebra.prop("y")).mask: "y&x"}
         assert reads == {"(x & y)": 1, "y&x": 1, "x&y": 1, "x & y": 1}

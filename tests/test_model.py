@@ -18,7 +18,7 @@ from aspectarg.algebra import Element, mk_algebra
 from aspectarg.constraints import check_core, check_exact_region, run_group
 from aspectarg.corpus import corpus_path
 from aspectarg.errors import AlgebraError, CapExceeded, ModelError, UnknownIdError
-from aspectarg.formulas import evaluate, parse
+from aspectarg.formulas import ElementReader
 from aspectarg.model import (
     FULL_ROW,
     OMEGA,
@@ -48,7 +48,7 @@ from helpers import (
 
 
 def ev(text, algebra):
-    return evaluate(parse(text), algebra)
+    return Element(algebra, ElementReader(algebra).read(text))
 
 
 class TestAspectSet:
@@ -763,10 +763,9 @@ def test_a_graph_record_is_a_frozen_slotted_value(record, by_keyword):
             lambda: run_group(Model.build([], [], {}, []), Interpretation(mk_algebra(["p"])), "bogus"),
             ValueError,
         ),
-        (lambda: evaluate(object(), mk_algebra(["p"])), TypeError),
     ],
     ids=["duplicate statement", "empty proposition", "carrier cap", "corpus name",
-         "constraint group", "not an expression"],
+         "constraint group"],
 )
 def test_library_refusals(call, error):
     with pytest.raises(error):

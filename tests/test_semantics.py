@@ -31,9 +31,11 @@ from helpers import (
     oracle_conflict_free_extensions,
     oracle_dung,
     oracle_logical_fallacy,
+    oracle_parse,
     random_graphic_safe_model,
     random_model_any,
     random_total_interpretation,
+    truth_table_element,
     with_extra_rows,
 )
 
@@ -308,9 +310,8 @@ class TestConclusion:
     def test_fear_appeal_grounded_conclusion(self):
         doc = load_path(corpus_path("fear_appeal"))
         got = logico_rhetorical_conclusion(doc.model, doc.interpretation, ["t1"], "grounded")
-        from aspectarg.formulas import evaluate, parse
-
-        assert got == evaluate(parse("aP & (~bP & bCostH)"), doc.interpretation.algebra)
+        expected = oracle_parse("aP & (~bP & bCostH)")
+        assert got == truth_table_element(expected, doc.interpretation.algebra)
 
     def test_undefined_sub_model_yields_absent(self):
         doc = load_path(corpus_path("false_flag"))

@@ -208,9 +208,7 @@ class TestMinimalRepresentations:
     def test_multiple_minimal_representations(self, fig1, ev):
         # {ge, bt, bt -> ge} admits both {ge, bt} and {bt, bt -> ge}
         a = mk_algebra(["ge", "bt"])
-        from aspectarg.formulas import evaluate, parse
-
-        ge, bt, imp = (evaluate(parse(f), a) for f in ("ge", "bt", "bt -> ge"))
+        ge, bt, imp = (ev(f, a) for f in ("ge", "bt", "bt -> ge"))
         reps = self.reps(a, ge, bt, imp)
         assert self.masks(ge, bt) in reps
         assert self.masks(bt, imp) in reps
