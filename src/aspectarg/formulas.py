@@ -286,11 +286,13 @@ def render_element(
     if element.is_top:
         return "1"
     algebra = element.algebra
-    for name in algebra.props:
-        prop = algebra.prop(name)
-        if element == prop:
+    mask, k = element.mask, algebra.k
+    complement = mask ^ algebra.full_mask
+    for i, name in enumerate(algebra.props):
+        prop = _prop_mask(k, i)
+        if mask == prop:
             return name
-        if element == ~prop:
+        if complement == prop:
             return f"~{name}"
     count = element.mask.bit_count()
     if count > max_atoms:

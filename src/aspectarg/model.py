@@ -12,6 +12,7 @@ read-only after construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
@@ -208,6 +209,55 @@ EMPTY_ROW: Row = (False, frozenset())
 FULL_ROW: Row = (True, frozenset())
 
 
+class ElementNames(Mapping[int, str]):
+    """Element names by mask, read-only, from ``(mask, name)`` pairs; a mask
+    given several names keeps the shortest, the first given on ties.
+
+    A 16-proposition mask has 65,536 bits, and Python hashes an ``int`` in
+    full on every dict lookup.  So the pairs are sorted by mask on the first
+    lookup, and ``get``, ``[]`` and ``in`` bisect them: naming an element
+    compares masks and never hashes one, and names that are never read cost
+    nothing.  Iteration is in ascending mask order.
+    """
+
+    __slots__ = ("_pairs", "_index")
+
+    def __init__(self, pairs: Iterable[tuple[int, str]] = ()) -> None:
+        self._pairs = list(pairs)
+        self._index: tuple[list[int], list[str]] | None = None
+
+    def _sorted(self) -> tuple[list[int], list[str]]:
+        """The masks in ascending order and the name of each."""
+        index = self._index
+        if index is None:
+            masks: list[int] = []
+            names: list[str] = []
+            # a stable sort: the shortest name of a mask first, then the first given
+            for mask, name in sorted(self._pairs, key=lambda p: (p[0], len(p[1]))):
+                if not masks or masks[-1] != mask:
+                    masks.append(mask)
+                    names.append(name)
+            index = self._index = (masks, names)
+        return index
+
+    def get(self, mask, default=None):
+        masks, names = self._sorted()
+        i = bisect_left(masks, mask)
+        return names[i] if i < len(masks) and masks[i] == mask else default
+
+    def __getitem__(self, mask) -> str:
+        name = self.get(mask)
+        if name is None:
+            raise KeyError(mask)
+        return name
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._sorted()[0])
+
+    def __len__(self) -> int:
+        return len(self._sorted()[0])
+
+
 @dataclass(frozen=True)
 class Interpretation:
     """The interpretation function as explicit rows plus one defaulting rule.
@@ -219,7 +269,9 @@ class Interpretation:
     aspects are context-dependent and therefore only ever explicit.  A
     missing row of the empty or a singleton theme set is the empty set.
     ``formulas`` names elements in reports by their masks, e.g. by the
-    formulas a model file wrote for them.
+    formulas a model file wrote for them.  It may be given as any mapping and
+    is held as a read-only :class:`ElementNames`, which is looked up by mask
+    order, so naming an element hashes no mask.
 
     Each row is held as a :data:`Row`.  A row may be given as an
     :class:`AspectSet`, which is compiled here, once; a listed row that holds
@@ -250,7 +302,8 @@ class Interpretation:
         set_field = object.__setattr__
         set_field(self, "theme_aspects", MappingProxyType(theme_rows))
         set_field(self, "statement_aspects", MappingProxyType(statement_rows))
-        set_field(self, "formulas", MappingProxyType(dict(self.formulas)))
+        if not isinstance(self.formulas, ElementNames):
+            set_field(self, "formulas", ElementNames(self.formulas.items()))
 
     def __reduce__(self):
         # a mapping proxy does not pickle; the rows rebuild from plain dicts

@@ -27,12 +27,21 @@ out; its one value, ``"union"``, names the defaulting rule of
 :class:`~aspectarg.model.Interpretation`.  The interpretation block may be
 omitted (e.g. in inputs to witness synthesis), in which case every aspect
 set is empty.
+
+The loader, :func:`from_dict`, reads each distinct formula text once and
+names each element in :class:`~aspectarg.model.ElementNames` pairs, so a
+mask is hashed only for its one-mask row set.  The writer, :func:`to_dict`
+and :func:`dumps`, is its inverse; :func:`dumps` writes the bytes of
+``json.dumps(data, indent=2)`` without the standard library's pure-Python
+encoder.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, NoReturn
 
@@ -44,6 +53,7 @@ from .model import (
     OMEGA,
     REL_TYPES,
     SUMMARY,
+    ElementNames,
     Interpretation,
     Model,
     Relation,
@@ -219,8 +229,8 @@ def from_dict(data: Any) -> Document:
 
     model = Model.build(themes, statements, statement_themes, relations)
 
-    # the shortest formula written for each element mask, to name it in reports
-    formulas: dict[int, str] = {}
+    # each element mask with each formula written for it, to name it in reports
+    formulas: list[tuple[int, str]] = []
     reader = ElementReader(algebra)
     # each formula text this document has read, to the one-mask set of its
     # element: a text written in many rows is read once, a row is the union of
@@ -279,13 +289,14 @@ def from_dict(data: Any) -> Document:
                             where = f"interpretation.{block}[{i}].aspects"
                             raise _bad_formula(where, f, exc) from exc
                         single = read[f] = frozenset((mask,))
-                        if len(formulas.setdefault(mask, f)) > len(f):
-                            formulas[mask] = f
+                        formulas.append((mask, f))
                     singles.append(single)
                 rows[key] = (False, singles[0] if len(singles) == 1
                              else frozenset().union(*singles))
 
-    return Document(model, Interpretation(algebra, theme_rows, statement_rows, formulas))
+    return Document(
+        model, Interpretation(algebra, theme_rows, statement_rows, ElementNames(formulas))
+    )
 
 
 def to_dict(model: Model, interp: Interpretation) -> dict:
@@ -349,4 +360,61 @@ def to_dict(model: Model, interp: Interpretation) -> dict:
 
 
 def dumps(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """Exactly ``json.dumps(data, indent=2) + "\\n"``, the text of a model file.
+
+    With ``indent`` set, the standard library runs its pure-Python encoder.
+    This writer escapes strings with the same C ``encode_basestring_ascii``,
+    writes dicts in insertion order and lists item by item, each line at its
+    indent, and a list of strings in one join.  It accepts what
+    :func:`to_dict` emits and ``int``, ``bool`` and ``None``: dicts with
+    ``str`` keys, lists, tuples and strings.  Any other type raises
+    ``TypeError``.
+    """
+    chunks: list[str] = []
+    _write(data, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value: Any, nl: str, chunks: list[str]) -> None:
+    """Append ``value`` to ``chunks``; ``nl`` is a newline and the indent of
+    the line the value starts on."""
+    if isinstance(value, str):
+        chunks.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"model file keys must be str, not {type(key).__name__}")
+            chunks.append(sep + _quote(key) + ": ")
+            _write(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = nl + "  "
+        if all(map(isinstance, value, repeat(str))):
+            chunks.append("[" + inner + ("," + inner).join(map(_quote, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            chunks.append(sep)
+            _write(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(nl + "]")
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    else:
+        raise TypeError(f"a model file cannot hold {type(value).__name__}")

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .model import (
     FULL_ROW,
+    ElementNames,
     Interpretation,
     Model,
     Row,
@@ -125,14 +126,14 @@ def synthesize_core_witness(model: Model) -> Interpretation:
     # one-mask sets below, so each mask is hashed once, not once per row
     singles: dict[int, list[frozenset[int]]] = {}
     tails: dict[int, list[frozenset[int]]] = {}
-    formulas: dict[int, str] = {}
+    formulas: list[tuple[int, str]] = []
     for j in range(1, m + 1):
         joined = 0
         singles[j] = [frozenset()]
         for i in range(1, chain_len + 1):
             joined |= algebra.prop(f"w{j}_{i}").mask
             singles[j].append(frozenset((joined,)))
-            formulas[joined] = " | ".join(f"w{j}_{h}" for h in range(1, i + 1))
+            formulas.append((joined, " | ".join(f"w{j}_{h}" for h in range(1, i + 1))))
         # tails[j][i] = {chain element h of block j : h >= i}
         tails[j] = [frozenset()] * (chain_len + 2)
         for i in range(chain_len, 0, -1):
@@ -170,7 +171,7 @@ def synthesize_core_witness(model: Model) -> Interpretation:
 
     theme_rows = {frozenset(combo): FULL_ROW for combo in theme_subsets(themes, min_size=1)}
 
-    interp = Interpretation(algebra, theme_rows, statement_rows, formulas)
+    interp = Interpretation(algebra, theme_rows, statement_rows, ElementNames(formulas))
 
     # m * m <= MAX_PROPS, so m is far below the theme cap of check_core
     found = check_core(model, interp)

@@ -155,6 +155,12 @@ class TestRenderElement:
         assert render_element(fig1.prop("x")) == "x"
         assert render_element(~fig1.prop("x")) == "~x"
 
+    def test_each_of_16_propositions_and_its_complement_by_name(self):
+        a = mk_algebra([f"p{i}" for i in range(16)])
+        for name in a.props:
+            assert render_element(a.prop(name)) == name
+            assert render_element(~a.prop(name)) == f"~{name}"
+
     def test_prefers_authored_formula(self, fig1, ev):
         e = ev("x <-> y")
         assert render_element(e, preferred={e.mask: "x <-> y"}) == "x <-> y"

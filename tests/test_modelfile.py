@@ -1,23 +1,29 @@
 """Every refusal of the model-file loader and every well-formedness rule,
-one bad input per message.
+one bad input per message, and the writer.
 
 Loader refusals are pinned as the exact ``error:`` line of ``validate``; the
 well-formedness rules a file can break as the exact machine report of
 ``validate``; the rules only code can break (the loader refuses such files
-first) as the records ``validate_wellformed`` returns.
+first) as the records ``validate_wellformed`` returns.  The writer, ``dumps``,
+is pinned to the bytes of ``json.dumps(data, indent=2)``.
 """
 
 import copy
 import io
 import json
+import random
 import re
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aspectarg.algebra import mk_algebra
+from aspectarg.algebra import Element, mk_algebra
 from aspectarg.cli import run
+from aspectarg.corpus import CORPUS_NAMES, corpus_path
 from aspectarg.errors import AspectArgError
-from aspectarg.formulas import ElementReader
+from aspectarg.formulas import ElementReader, render_element
 from aspectarg.model import (
     WELLFORMED,
     Model,
@@ -26,7 +32,9 @@ from aspectarg.model import (
     Violation,
     validate_wellformed,
 )
-from aspectarg.modelfile import MAX_QUOTED
+from aspectarg.modelfile import MAX_QUOTED, dumps, from_dict, load_path, to_dict
+from aspectarg.synthesis import synthesize_core_witness
+from helpers import random_graphic_safe_model
 
 MINIMAL = {
     "themes": ["t"],
@@ -340,3 +348,119 @@ def test_a_longer_formula_is_quoted_as_an_excerpt(tmp_path, text, start):
         f"{start}: {info.value}\n"
     )
     assert len(formula_error(tmp_path, text)) < 2048
+
+
+# ---------------------------------------------------------------------------
+# The writer: ``dumps`` is ``json.dumps(data, indent=2)`` plus a newline.
+# ---------------------------------------------------------------------------
+
+
+def json_dumps(value):
+    return json.dumps(value, indent=2) + "\n"
+
+
+def witness_documents():
+    """Model files of synthesized witnesses, of up to 16 propositions."""
+    rng = random.Random(34)
+    for _ in range(12):
+        model = random_graphic_safe_model(rng)
+        yield to_dict(model, synthesize_core_witness(model))
+
+
+# Characters the escaper treats specially: quotes, backslashes, control
+# characters, DEL, non-ASCII in and beyond the basic plane, lone surrogates.
+SPECIAL = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u20ac\u2028\U0001f600\U0010ffff\ud800\udfff'
+TEXT = st.text(st.sampled_from(SPECIAL) | st.characters(exclude_categories=()), max_size=6)
+
+#: Trees of what a model file can hold; a drawn dict keeps its keys in the
+#: order drawn, which the writer must keep.
+TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestDumps:
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus_files(self, name):
+        data = json.loads(corpus_path(name).read_text(encoding="utf-8"))
+        assert dumps(data) == json_dumps(data)
+        doc = load_path(corpus_path(name))
+        written = to_dict(doc.model, doc.interpretation)
+        assert dumps(written) == json_dumps(written)
+
+    def test_synthesized_witnesses(self):
+        for data in witness_documents():
+            assert dumps(data) == json_dumps(data)
+
+    @settings(max_examples=300)
+    @given(TREES)
+    def test_drawn_trees(self, value):
+        assert dumps(value) == json_dumps(value)
+
+    @pytest.mark.parametrize("text", [*SPECIAL, SPECIAL, 'a "quoted" \\ path\n', "été"])
+    def test_strings_as_keys_values_and_list_items(self, text):
+        value = {text: text, "list": [text, text], "nested": [{text: [text]}]}
+        assert dumps(value) == json_dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [[]], "d": [{}]},
+            [[[]], [{}], {"": {"": []}}],
+            {"a": [{"b": [{"c": {}}, []]}, {}], "e": []},
+            {"b": 1, "a": 2, "B": 3, "é": 4, "": 5},
+            {"t": True, "f": False, "none": None, "ints": [0, -1, 10**30]},
+            {"tuples": ("x", "y"), "nested": ((), ["z", ()], (1, None))},
+        ],
+    )
+    def test_edge_values(self, value):
+        assert dumps(value) == json_dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, {"a": [0.0]}, {1: "x"}, {"a": {None: 1}}, [{"x"}], b"x"],
+        ids=["float", "nested float", "int key", "None key", "set", "bytes"],
+    )
+    def test_refuses_other_types(self, value):
+        with pytest.raises(TypeError):
+            dumps(value)
+
+
+def test_each_written_element_mask_is_hashed_once(monkeypatch):
+    """A 16-proposition mask has 65,536 bits, and Python hashes an ``int`` in
+    full each time.  Loading a written file hashes each mask once, for its
+    one-mask row set; naming it in the interpretation, writing it back and
+    rendering it compare masks and hash none."""
+    texts = [dumps(data) for data in witness_documents()]
+    for name in CORPUS_NAMES:
+        doc = load_path(corpus_path(name))
+        texts.append(dumps(to_dict(doc.model, doc.interpretation)))
+    hashes = Counter()
+
+    class CountedMask(int):
+        __slots__ = ()
+
+        def __hash__(self):
+            hashes[int(self)] += 1
+            return int.__hash__(self)
+
+    read = ElementReader.read
+    monkeypatch.setattr(ElementReader, "read", lambda self, text: CountedMask(read(self, text)))
+    written = 0
+    for text in texts:
+        hashes.clear()
+        doc = from_dict(json.loads(text))
+        interp = doc.interpretation
+        assert dumps(to_dict(doc.model, interp)) == text
+        rows = [*interp.theme_aspects.values(), *interp.statement_aspects.values()]
+        masks = sorted(m for _, row in rows for m in row)
+        for mask in masks:
+            rendered = render_element(Element(interp.algebra, mask), preferred=interp.formulas)
+            assert rendered == interp.formulas[mask]
+        assert hashes == dict.fromkeys({int(m) for m in masks}, 1)
+        written += len(hashes)
+    assert written >= 100
