@@ -15,16 +15,17 @@ A formula may nest at most :data:`MAX_DEPTH` levels, counting each operator
 and each parenthesised group on the way down to a leaf, so that the trees
 :func:`parse` builds compare and print within Python's recursion limit.
 
-One tokenizer (a single regular expression whose groups name each token's
-kind) and one loop with an operator stack over the operator table
-``_OPERATORS``, which encodes the four binary rules, read every formula.  The
-loop keeps no token and does not recurse, so a text of any length reads in
-memory bounded by :data:`MAX_DEPTH`.  It folds each operator as it reduces
-it.  :class:`ElementReader`, which the model-file loader uses, folds straight
-to the masks of algebra elements; it is the one evaluator.  :func:`parse`
-folds to a tree of the seven node classes; no command uses it, but the traced
-benchmark counts its calls and the tests' reference parser builds the same
-nodes.  :func:`render_element` is the one printer: it writes an element, not
+One regular expression tokenizes every formula, by one ``findall`` per
+window of the text (at most 4 KB bar one longer name, ending where a token
+does), and one loop with an operator stack reads the tokens.  The loop keeps
+one window and does not recurse, so a text of any length reads in memory
+bounded by the window, its longest name and :data:`MAX_DEPTH`; an error's
+offset is found only when it is raised.  The loop folds each operator as it
+reduces it.  :class:`ElementReader`, which the model-file loader uses, folds
+straight to the masks of algebra elements; it is the one evaluator.
+:func:`parse` folds to a tree of the seven node classes; no command uses it,
+but the traced benchmark counts its calls and the tests' reference parser
+builds the same nodes.  :func:`render_element` is the one printer: it writes an element, not
 a tree.
 """
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Mapping, NoReturn, Union
 
 from .algebra import Algebra, Element, _prop_mask
@@ -82,128 +84,183 @@ AspectExpr = Union[Atom, Const, Not, And, Or, Implies, Iff]
 #: A proposition name.
 _NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
 
-#: One match per token, the group that matched naming its kind.  Matches are
-#: contiguous; a text's last is the empty _END token at the text's length.
-_TOKEN = re.compile(
-    rf"\s*(?:(\()|(~)|({_NAME_PATTERN})|(\))|(<->|->|[&|])|([01])|(\S)|(\Z))")
-#: ``Match.lastindex`` of each kind: _BAD is a character no token starts with.
-_OPEN, _NOT, _NAME, _CLOSE, _BINARY, _CONST, _BAD, _END = range(1, 9)
-
-#: The binary operators: token -> (precedence, right-associative).  A higher
-#: precedence binds tighter; ``~`` binds tighter than all of them.
-_OPERATORS = {"<->": (1, False), "->": (2, True), "|": (3, False), "&": (4, False)}
+#: Every token but a name.  Any other character that no name starts with is
+#: read as a token of its own, which the grammar never accepts.
+_SIGNS = frozenset(("(", ")", "~", "&", "|", "->", "<->", "0", "1"))
+#: One match per token, the signs of more than one character first: what
+#: lies between matches is whitespace.
+_TOKEN = re.compile(rf"<->|->|{_NAME_PATTERN}|\S")
+#: A match ends after the last character that no token runs on past (any but
+#: a name's and a sign's but its last), where a window of the text may end.
+_CUT = re.compile(r"(?s).*[^A-Za-z0-9_<-]")
+#: The characters a window of the text holds at most, bar one long name.
+_WINDOW = 4096
+#: The constants, by their truth values, and the empty token that ends a
+#: window of the text.
+_LEAF_OR_END = {"0": False, "1": True, "": None}
 
 IDENT = re.compile(rf"{_NAME_PATTERN}\Z")
 
 #: Deepest formula tree the parser accepts.  Model files nest a few levels;
 #: synthesized witnesses write flat disjunctions of up to 20 propositions.
 MAX_DEPTH = 100
+_TOO_DEEP = f"formula nests deeper than {MAX_DEPTH} levels"
 
 
 class _Fold:
-    """What the parser makes of each leaf and operator; ``binary`` maps each
-    binary operator's token to the fold of its two operands.
+    """What the parser makes of each leaf and operator.
 
-    ``atom`` may return ``None`` for a name it does not know; the parser then
-    folds on with ``const(False)`` and reports the first such name once the
-    whole text has parsed.  ``ops`` holds each binary token's precedence, the
-    least precedence it reduces, whether it opens a level, and its fold.
+    ``atom`` returns ``None`` for a token that is no name, and may for a
+    name it does not know; the parser then folds on with
+    ``const(False)`` and reports the first such name once the whole text has
+    parsed.  ``ops`` maps each binary operator to its precedence (a higher
+    one binds tighter, and ``~`` tighter than all), the least precedence it
+    reduces (above its own for the right-associative ``->``), whether it
+    opens a level, and the fold of its two operands.
     """
 
     __slots__ = ("atom", "const", "neg", "ops")
 
     def __init__(self, atom: Callable, const: Callable, neg: Callable,
-                 binary: Mapping[str, Callable]):
+                 iff: Callable, implies: Callable, or_: Callable, and_: Callable):
         self.atom, self.const, self.neg = atom, const, neg
-        self.ops = {tok: (prec, prec + right, right, binary[tok])
-                    for tok, (prec, right) in _OPERATORS.items()}
+        self.ops = {"<->": (1, 1, False, iff), "->": (2, 3, True, implies),
+                    "|": (3, 3, False, or_), "&": (4, 4, False, and_)}
 
 
 #: The fold that builds the expression tree.
-_TREE = _Fold(Atom, Const, Not, {"<->": Iff, "->": Implies, "|": Or, "&": And})
+_TREE = _Fold(lambda name: Atom(name) if IDENT.match(name) else None, Const, Not,
+              Iff, Implies, Or, And)
 
 
 def _mask_fold(algebra: Algebra) -> _Fold:
     """The fold that computes element masks over ``algebra``."""
     k, full = algebra.k, algebra.full_mask
-    masks = {name: _prop_mask(k, i) for i, name in enumerate(algebra.props)}
+    # a name no token reads as stays unknown
+    masks = {name: _prop_mask(k, i) for i, name in enumerate(algebra.props) if IDENT.match(name)}
     return _Fold(
         masks.get,
         (0, full).__getitem__,  # False -> bottom, True -> top
         full.__xor__,  # complement
-        {
-            "&": int.__and__,
-            "|": int.__or__,
-            "->": lambda left, right: left ^ full | right,  # ~left | right
-            "<->": lambda left, right: left ^ right ^ full,  # ~(left xor right)
-        },
+        lambda left, right: left ^ right ^ full,  # <->: ~(left xor right)
+        lambda left, right: left ^ full | right,  # ->: ~left | right
+        int.__or__,
+        int.__and__,
     )
 
 
-def _fail(m: re.Match, match: Callable, message: str, offset: int) -> NoReturn:
-    """Raise ``message`` at ``offset``, unless token ``m`` or one ``match``
-    walks to after it is a character no token starts with, which wins."""
-    while m is not None:
-        if m.lastindex == _BAD:
-            raise FormulaError(f"unexpected character {m[_BAD]!r}", offset=m.start(_BAD))
-        m = match()
-    raise FormulaError(message, offset=offset)
+def _window(text: str, start: int) -> tuple[list[str], int]:
+    """The tokens of ``text`` from ``start`` to a token's end at most
+    :data:`_WINDOW` characters on, or just past one longer name, then the
+    empty token; and where the next window starts, or 0 after the last."""
+    end = start + _WINDOW
+    while end < len(text):
+        cut = _CUT.match(text, start, end)
+        if cut is not None:
+            end = cut.end()
+            break
+        # no space in the window, and its last two tokens may begin one token
+        tokens = _TOKEN.findall(text, start, end)
+        if len(tokens) > 2:
+            end -= len(tokens.pop()) + len(tokens.pop())
+            tokens.append("")
+            return tokens, end
+        # a name runs on past the window: hold the whole of it
+        end = _TOKEN.match(text, end - len(tokens[-1])).end() + _WINDOW
+    tokens = _TOKEN.findall(text, start, end)
+    tokens.append("")
+    return tokens, end if end < len(text) else 0
 
 
-def _too_deep(m: re.Match, match: Callable, at: re.Match) -> NoReturn:
-    _fail(m, match, f"formula nests deeper than {MAX_DEPTH} levels", at.start(at.lastindex))
+def _offset(text: str, number: int, start: int = 0) -> int:
+    """Where token ``number``, counted from 0 at ``start``, starts: the end
+    of the text for the empty token after the last."""
+    m = next(islice(_TOKEN.finditer(text, start), number, None), None)
+    return len(text) if m is None else m.start()
+
+
+def _fail(text: str, number: int, message: str, at: int | None = None) -> NoReturn:
+    """Raise ``message`` at token number ``at``, by default ``number``, unless
+    that token or a later one is a character no token starts with, which
+    wins."""
+    start = _offset(text, number)
+    while True:
+        tokens, more = _window(text, start)
+        bad = [tok for tok in set(tokens).difference(_SIGNS, [""]) if not IDENT.match(tok)]
+        if bad:
+            first = min(map(tokens.index, bad))
+            raise FormulaError(f"unexpected character {tokens[first]!r}",
+                               offset=_offset(text, first, start))
+        if not more:
+            raise FormulaError(message, offset=_offset(text, number if at is None else at))
+        start = more
 
 
 #: Precedence of ``~`` on the parser's stack: whatever follows its operand reduces it.
-_NOT_PREC = len(_OPERATORS) + 1
+_NOT_PREC = 5
 
 
 def _read(text: str, fold: _Fold):
     """The folded value of ``text`` and the first name ``fold.atom`` did not
     know, or ``None``.
 
-    The stack holds each pending ``(`` as ``(0, None, match)`` and each
-    pending operator as ``(precedence, fold or None for ~, match, left value,
-    left depth, opens a level)``.  A binary operator, ``)`` or the end first
+    ``tok`` is ``tokens[i]``, the text's token number ``base + i``; a window
+    but the last ends in an empty token that stands for the next.  The stack
+    holds each pending ``(`` as ``(0, None, number)`` and each pending
+    operator as ``(precedence, fold or None for ~, number, left value, left
+    depth, opens a level)``.  A binary operator, ``)`` or the end first
     reduces every pending operator that binds at least as tight (for ``->``:
     tighter).  ``nesting`` counts the pending ``~``, ``(`` and ``->``, each
     operand carries its tree's depth, and either past :data:`MAX_DEPTH` is an
     error at the token that opened the level."""
-    match = _TOKEN.scanner(text).match
-    m = match()
-    if m.lastindex == _END:
+    if not text or text.isspace():
         raise FormulaError("empty formula", offset=0)
     atom, const, neg, ops = fold.atom, fold.const, fold.neg, fold.ops
+    tokens, more = _window(text, 0)
+    tok, i, base = tokens[0], 0, 0
     stack: list[tuple] = []
     nesting = 0
     unknown = None
     while True:
         # an operand: a ``~`` or ``(`` opens a level, a leaf completes it
-        kind = m.lastindex
-        if kind <= _NOT:  # "(" or "~"
+        if tok == "(" or tok == "~":
             nesting += 1
             if nesting > MAX_DEPTH:
-                _too_deep(m, match, m)
-            stack.append((_NOT_PREC, None, m, None, 0, 1) if kind == _NOT else (0, None, m))
-            m = match()
+                _fail(text, base + i, _TOO_DEEP)
+            stack.append((0, None, base + i) if tok == "("
+                         else (_NOT_PREC, None, base + i, None, 0, 1))
+            i += 1
+            tok = tokens[i]
             continue
-        if kind == _NAME:
-            value = atom(m[_NAME])
+        if tok not in _LEAF_OR_END:
+            value = atom(tok)
             if value is None:
-                unknown = unknown or m[_NAME]
+                if not IDENT.match(tok):  # ")", an operator or a character no token starts with
+                    _fail(text, base + i, f"unexpected token {tok!r}")
+                unknown = unknown or tok
                 value = const(False)
-        elif kind == _CONST:
-            value = const(m[_CONST] == "1")
+        elif tok:
+            value = const(_LEAF_OR_END[tok])
+        elif more:  # the end of a window
+            base += i
+            tokens, more = _window(text, more)
+            tok, i = tokens[0], 0
+            continue
         else:
-            _fail(m, match, "unexpected end of input" if kind == _END
-                  else f"unexpected token {m[kind]!r}", m.start(kind))
+            _fail(text, base + i, "unexpected end of input")
         depth = 0
-        m = match()
+        i += 1
+        tok = tokens[i]
         # after an operand: reduce, then a binary operator, a ")" or the end
         while True:
-            kind = m.lastindex
-            if kind == _BINARY:
-                prec, least, right, join = ops[m[_BINARY]]
+            op = ops.get(tok)
+            if op is not None:
+                prec, least, right, join = op
+            elif not tok and more:
+                base += i
+                tokens, more = _window(text, more)
+                tok, i = tokens[0], 0
+                continue
             else:
                 least = 1
             while stack and stack[-1][0] >= least:
@@ -213,28 +270,30 @@ def _read(text: str, fold: _Fold):
                     depth = left_depth
                 depth += 1
                 if depth > MAX_DEPTH:
-                    _too_deep(m, match, at)
+                    _fail(text, base + i, _TOO_DEEP, at)
                 value = neg(value) if fold_pending is None else fold_pending(left, value)
-            if kind == _BINARY:
+            if op is not None:
                 if right:
                     nesting += 1
                     if nesting > MAX_DEPTH:
-                        _too_deep(m, match, m)
-                stack.append((prec, join, m, value, depth, right))
-                m = match()
+                        _fail(text, base + i, _TOO_DEEP)
+                stack.append((prec, join, base + i, value, depth, right))
+                i += 1
+                tok = tokens[i]
                 break
-            if kind == _CLOSE and stack:  # the top is the "(" this closes
+            if tok == ")" and stack:  # the top is the "(" this closes
                 at = stack.pop()[2]
                 nesting -= 1
                 depth += 1
                 if depth > MAX_DEPTH:
-                    _too_deep(m, match, at)
-                m = match()
+                    _fail(text, base + i, _TOO_DEEP, at)
+                i += 1
+                tok = tokens[i]
                 continue
             if stack:
-                _fail(m, match, "expected ')'", m.start(kind))
-            if kind != _END:
-                _fail(m, match, f"trailing input {m[kind]!r}", m.start(kind))
+                _fail(text, base + i, "expected ')'")
+            if tok:
+                _fail(text, base + i, f"trailing input {tok!r}")
             return value, unknown
 
 

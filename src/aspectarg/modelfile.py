@@ -107,23 +107,20 @@ def _is_strings(value: Any) -> bool:
     return True
 
 
-def _within(value: Any, known: frozenset[str]) -> bool:
-    """Whether ``value`` is a list whose members all lie in ``known``: one
-    C-level test that passes a well-formed list without walking it here."""
-    try:
-        return isinstance(value, list) and known.issuperset(value)
-    except TypeError:  # an unhashable member
-        return False
-
-
 def load_path(path: str | Path) -> Document:
+    """Load the model file at ``path``.  Its bytes are read in one call and
+    decoded at once, and line ends are translated as ``Path.read_text`` does,
+    so a JSON error names the same line, column and character."""
     p = Path(path)
     try:
-        raw = p.read_text(encoding="utf-8")
+        with open(p, "rb", buffering=0) as fh:
+            raw = fh.read().decode("utf-8")
     except OSError as exc:
         raise ModelFileError(f"cannot read {p}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ModelFileError(f"{p} is not UTF-8 text: {exc}") from exc
+    if "\r" in raw:
+        raw = raw.replace("\r\n", "\n").replace("\r", "\n")
     return loads(raw)
 
 
@@ -139,7 +136,12 @@ def loads(text: str) -> Document:
 
 def from_dict(data: Any) -> Document:
     """Read a parsed model file.  The first problem in document order raises a
-    :class:`ModelFileError`, whose text is built only then."""
+    :class:`ModelFileError`, whose text is built only then.
+
+    Each statement, relation and row gets one cheap test that a well-formed
+    entry passes; only an entry that fails it is checked field by field, in
+    document order, which raises its first problem or accepts it.
+    """
     if not isinstance(data, dict):
         _fail("document", "expected a JSON object")
     for key in ("themes", "props", "statements", "relations"):
@@ -170,62 +172,47 @@ def from_dict(data: Any) -> Document:
         raise ModelFileError(f"props: {exc}") from exc
 
     statements: list[Statement] = []
-    statement_themes: dict[str, list[str]] = {}
+    statement_themes: dict[str, frozenset[str]] = {}
+    # the ids a statement may not take: the empty and reserved ones, and each taken
+    taken = {"", *RESERVED_IDS}
     entries = data["statements"]
     if not isinstance(entries, list):
         _fail("statements", "expected a list")
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            _fail(f"statements[{i}]", "expected an object")
-        sid = entry.get("id")
-        if not isinstance(sid, str) or sid == "":
-            _fail(f"statements[{i}]", "missing or empty id")
-        if sid in RESERVED_IDS:
-            _fail(f"statements[{i}]", f"statement id {sid!r} is reserved")
-        if sid in statement_themes:
-            _fail(f"statements[{i}]", f"duplicate statement id {sid!r}")
-        kind = entry.get("kind", "ordinary")
-        if kind == "ordinary":
-            if "theme" in entry or "target" in entry:
-                _fail(f"statements[{i}]", "ordinary statements take no 'theme'/'target'")
-            statements.append(Statement(sid))
-        elif kind == "pointer":
-            theme, target = entry.get("theme"), entry.get("target")
-            if not isinstance(theme, str):
-                _fail(f"statements[{i}]", "pointer needs a 'theme'")
-            if not isinstance(target, str):
-                _fail(f"statements[{i}]", "pointer needs a 'target'")
-            if target == OMEGA:
-                _fail(f"statements[{i}]", f"{OMEGA!r} cannot be a pointer target")
-            ref_target = None if target == SUMMARY else target
-            statements.append(Statement(sid, ref_theme=theme, ref_target=ref_target))
-        else:
-            _fail(f"statements[{i}]", f"unknown kind {kind!r}")
-        typed = entry.get("themes", [])
-        if not _within(typed, declared) and not _is_strings(typed):
-            _fail(f"statements[{i}].themes", "expected a list of strings")
-        statement_themes[sid] = typed
+        try:
+            sid, kind, typed = entry["id"], entry.get("kind", "ordinary"), entry.get("themes", [])
+            typing = frozenset(typed)
+            fits = (type(entry) is dict and type(sid) is str and sid not in taken
+                    and type(typed) is list and typing <= declared
+                    and ("theme" not in entry and "target" not in entry if kind == "ordinary"
+                         else kind == "pointer" and type(entry.get("theme")) is str
+                         and type(entry.get("target")) is str and entry["target"] != OMEGA))
+        except (AttributeError, KeyError, TypeError):
+            fits = False
+        if not fits:
+            sid, typing = _statement(i, entry, taken)
+        target = entry.get("target")
+        statements.append(Statement(sid, entry.get("theme"), None if target == SUMMARY else target))
+        taken.add(sid)
+        statement_themes[sid] = typing
 
     relations: list[Relation] = []
     entries = data["relations"]
     if not isinstance(entries, list):
         _fail("relations", "expected a list")
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            _fail(f"relations[{i}]", "expected an object")
-        src, dst = entry.get("from"), entry.get("to")
-        if not (isinstance(src, str) and isinstance(dst, str)):
-            _fail(f"relations[{i}]", "needs 'from' and 'to'")
-        types, rel_themes = entry.get("types", []), entry.get("themes", [])
-        if not (_within(types, _REL_TYPES) and _within(rel_themes, declared)):
-            if not _is_strings(types):
-                _fail(f"relations[{i}].types", "expected a list of strings")
-            for ty in types:
-                if ty not in _REL_TYPES:
-                    _fail(f"relations[{i}]", f"unknown relation type {ty!r}")
-            if not _is_strings(rel_themes):
-                _fail(f"relations[{i}].themes", "expected a list of strings")
-        relations.append(Relation(src, dst, frozenset(types), frozenset(rel_themes)))
+        try:
+            src, dst = entry["from"], entry["to"]
+            types, rel_themes = entry.get("types", []), entry.get("themes", [])
+            type_set, theme_set = frozenset(types), frozenset(rel_themes)
+            fits = (type(entry) is dict and type(src) is str and type(dst) is str
+                    and type(types) is list and type_set <= _REL_TYPES
+                    and type(rel_themes) is list and theme_set <= declared)
+        except (AttributeError, KeyError, TypeError):
+            fits = False
+        if not fits:
+            src, dst, type_set, theme_set = _relation(i, entry)
+        relations.append(Relation(src, dst, type_set, theme_set))
 
     model = Model.build(themes, statements, statement_themes, relations)
 
@@ -251,38 +238,30 @@ def from_dict(data: Any) -> Document:
             if not isinstance(entries, list):
                 _fail(f"interpretation.{block}", "expected a list")
             for i, entry in enumerate(entries):
-                if not isinstance(entry, dict):
-                    _fail(f"interpretation.{block}[{i}]", "expected an object")
-                value = entry.get("themes")
-                if not _within(value, declared):
-                    if not _is_strings(value):
-                        _fail(f"interpretation.{block}[{i}].themes", "expected a list of strings")
-                    unknown = next(t for t in value if t not in declared)
-                    _fail(f"interpretation.{block}[{i}].themes", f"unknown theme {unknown!r}")
-                key = frozenset(value)
-                if by_statement:
-                    sid = entry.get("statement")
-                    if not isinstance(sid, str):
-                        _fail(f"interpretation.{block}[{i}]", "needs a 'statement' id")
-                    if sid not in statement_themes:
-                        _fail(f"interpretation.{block}[{i}]", f"unknown statement {sid!r}")
-                    key = (key, sid)
-                if key in rows:
-                    kind = block[:-1].replace("_", "-")
-                    _fail(f"interpretation.{block}[{i}]", f"duplicate {kind} row")
-                value = entry.get("aspects")
-                if value == "ALL":
+                try:
+                    value, aspects = entry["themes"], entry["aspects"]
+                    key = frozenset(value)
+                    fits = type(entry) is dict and type(value) is list and key <= declared
                     if by_statement:
-                        _fail(f"interpretation.{block}[{i}].aspects",
-                              '"ALL" is only valid for theme aspects')
+                        sid = entry["statement"]
+                        fits = fits and sid in statement_themes
+                        key = (key, sid)
+                    fits = fits and key not in rows and (
+                        type(aspects) is list or aspects == "ALL" and not by_statement)
+                except (KeyError, TypeError):
+                    fits = False
+                if not fits:
+                    key, aspects = _row(block, i, entry, rows, declared, statement_themes)
+                if not isinstance(aspects, list):  # "ALL"
                     rows[key] = FULL_ROW
                     continue
-                if not _is_strings(value):
-                    _fail(f"interpretation.{block}[{i}].aspects", "expected a list of strings")
                 singles = []
-                for f in value:
-                    single = read.get(f)
+                for f in aspects:
+                    single = read.get(f) if type(f) is str else None
                     if single is None:
+                        # a new text, read once every member of the row is a string
+                        if not _is_strings(aspects):
+                            _fail(f"interpretation.{block}[{i}].aspects", "expected a list of strings")
                         try:
                             mask = reader.read(f)
                         except AspectArgError as exc:
@@ -297,6 +276,90 @@ def from_dict(data: Any) -> Document:
     return Document(
         model, Interpretation(algebra, theme_rows, statement_rows, ElementNames(formulas))
     )
+
+
+def _statement(i: int, entry: Any, taken: set[str]) -> tuple[str, frozenset[str]]:
+    """The id and theme set of statement ``i``; its first problem raises."""
+    where = f"statements[{i}]"
+    if not isinstance(entry, dict):
+        _fail(where, "expected an object")
+    sid = entry.get("id")
+    if not isinstance(sid, str) or sid == "":
+        _fail(where, "missing or empty id")
+    if sid in RESERVED_IDS:
+        _fail(where, f"statement id {sid!r} is reserved")
+    if sid in taken:
+        _fail(where, f"duplicate statement id {sid!r}")
+    kind = entry.get("kind", "ordinary")
+    if kind == "ordinary":
+        if "theme" in entry or "target" in entry:
+            _fail(where, "ordinary statements take no 'theme'/'target'")
+    elif kind == "pointer":
+        theme, target = entry.get("theme"), entry.get("target")
+        if not isinstance(theme, str):
+            _fail(where, "pointer needs a 'theme'")
+        if not isinstance(target, str):
+            _fail(where, "pointer needs a 'target'")
+        if target == OMEGA:
+            _fail(where, f"{OMEGA!r} cannot be a pointer target")
+    else:
+        _fail(where, f"unknown kind {kind!r}")
+    typed = entry.get("themes", [])
+    if not _is_strings(typed):
+        _fail(f"{where}.themes", "expected a list of strings")
+    return sid, frozenset(typed)
+
+
+def _relation(i: int, entry: Any) -> tuple[str, str, frozenset[str], frozenset[str]]:
+    """The ends, type set and theme set of relation ``i``; its first problem raises."""
+    where = f"relations[{i}]"
+    if not isinstance(entry, dict):
+        _fail(where, "expected an object")
+    src, dst = entry.get("from"), entry.get("to")
+    if not (isinstance(src, str) and isinstance(dst, str)):
+        _fail(where, "needs 'from' and 'to'")
+    types, rel_themes = entry.get("types", []), entry.get("themes", [])
+    if not _is_strings(types):
+        _fail(f"{where}.types", "expected a list of strings")
+    for ty in types:
+        if ty not in _REL_TYPES:
+            _fail(where, f"unknown relation type {ty!r}")
+    if not _is_strings(rel_themes):
+        _fail(f"{where}.themes", "expected a list of strings")
+    return src, dst, frozenset(types), frozenset(rel_themes)
+
+
+def _row(block: str, i: int, entry: Any, rows: dict, declared: frozenset[str],
+         statement_themes: dict[str, frozenset[str]]) -> tuple[Any, Any]:
+    """The key and aspects (``"ALL"`` or a list of strings) of row ``i`` of
+    ``block``; its first problem before its formulas raises."""
+    where = f"interpretation.{block}[{i}]"
+    if not isinstance(entry, dict):
+        _fail(where, "expected an object")
+    value = entry.get("themes")
+    if not _is_strings(value):
+        _fail(f"{where}.themes", "expected a list of strings")
+    for theme in value:
+        if theme not in declared:
+            _fail(f"{where}.themes", f"unknown theme {theme!r}")
+    key: Any = frozenset(value)
+    by_statement = block == "statement_aspects"
+    if by_statement:
+        sid = entry.get("statement")
+        if not isinstance(sid, str):
+            _fail(where, "needs a 'statement' id")
+        if sid not in statement_themes:
+            _fail(where, f"unknown statement {sid!r}")
+        key = (key, sid)
+    if key in rows:
+        _fail(where, f"duplicate {block[:-1].replace('_', '-')} row")
+    aspects = entry.get("aspects")
+    if aspects == "ALL":
+        if by_statement:
+            _fail(f"{where}.aspects", '"ALL" is only valid for theme aspects')
+    elif not _is_strings(aspects):
+        _fail(f"{where}.aspects", "expected a list of strings")
+    return key, aspects
 
 
 def to_dict(model: Model, interp: Interpretation) -> dict:

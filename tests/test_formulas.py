@@ -310,6 +310,37 @@ def _document(*rows: list[str]) -> str:
     })
 
 
+#: Proposition names of 1 to 200 characters, some holding digits.
+LONG_PROPS = ["x", "x1y", "y" * 37, "z2" * 60, "w" * 200]
+
+
+def _long_texts(shift: int) -> list[str]:
+    """Formulas of more than 4 KB after ``shift`` spaces: groups of two names
+    joined by ``<->`` or ``->``, themselves joined by ``&`` and ``|``, ending
+    well, in a character no token starts with, an unknown name or a syntax
+    error; and a chain of names one level too deep.  Around the 4 KB mark,
+    where the first window ends, the names are of at most three characters,
+    so that across the shifts every kind of token starts at every offset mod
+    64 there.  Then texts whose first 4 KB hold only characters a token may
+    run on past (name characters, ``<`` and ``-``), with ``<->``, ``->`` and
+    a long name across the window's end at each offset mod 64."""
+    rng = random.Random(shift)
+    body = " " * shift
+    while len(body) < 5000:
+        names = LONG_PROPS[:2] if 3900 < len(body) < 4300 else LONG_PROPS
+        left, right = rng.choice(names), rng.choice(names)
+        body += f"({left} {rng.choice(['<->', '->'])} {right}) {rng.choice('&|')} "
+    body += "x"
+    endings = ["", " ?", " | " + "q" * 150, " &", ")"]
+    chain = " " * shift + " | ".join(rng.choice(LONG_PROPS) for _ in range(MAX_DEPTH + 2))
+    k = 4096 - 32 + shift
+    no_space = ["0" * k + "<->" + "0" * 99 + " ?", "0" * k + "->" + "0" * 99 + " ?",
+                "0" * k + "y1" * 99 + "<-x", "x->" + "y" * k + "<->z" + " " * 99,
+                "x <-> " + "y" * k + " & ~z" + " " * 99, "0" * k + "<" * 99 + "-> x",
+                "-" * k + "->" + "x" * 99 + " ?"]
+    return [body + ending for ending in endings] + [chain] + no_space
+
+
 class TestLoaderMatchesTheReferenceReader:
     @given(formula_texts())
     @settings(max_examples=400)
@@ -341,6 +372,30 @@ class TestLoaderMatchesTheReferenceReader:
             assert (str(info.value), info.value.offset) == (str(exc), exc.offset)
         else:
             assert parse(text) == tree
+
+    @pytest.mark.parametrize("shift", range(64))
+    def test_texts_longer_than_a_window(self, shift):
+        """Texts of more than 4 KB, whose tokens fall at every offset mod 64
+        across the shifts, read to the reference's outcome whichever token a
+        window of the text ends at."""
+        algebra = mk_algebra(LONG_PROPS)
+        reader = ElementReader(algebra)
+        for text in _long_texts(shift):
+            assert len(text) > 4096
+            try:
+                expected = truth_table_element(oracle_formula(text, algebra), algebra).mask
+            except FormulaError as exc:
+                expected = (str(exc), exc.offset)
+            except AspectArgError as exc:
+                expected = str(exc)
+            try:
+                got = reader.read(text)
+            except FormulaError as exc:
+                got = (str(exc), exc.offset)
+            except AspectArgError as exc:
+                got = str(exc)
+            assert got == expected
+            assert _outcome(parse, text) == _outcome(oracle_parse, text)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -416,8 +471,11 @@ class TestReaderIsFlat:
             # the depth error at offset 201 gives way to the character at the end
             ("x|" * 500_000 + "x ?", ("unexpected character '?' (at offset 1000002)", 1000002)),
             (_balanced(15), mk_algebra(PROPS).full_mask),  # (B) | ~(B) is 1 at every level
+            # no space: a token may run on past any character but the last
+            ("0" * 1_000_000 + " ?", ("unexpected character '?' (at offset 1000001)", 1000001)),
+            ("x-" * 500_000, ("unexpected character '-' (at offset 1)", 1)),
         ],
-        ids=["chain_of_1MB", "balanced_of_300kB"],
+        ids=["chain_of_1MB", "balanced_of_300kB", "zeros_of_1MB", "dashes_of_1MB"],
     )
     def test_memory_does_not_grow_with_the_text(self, text, outcome):
         reader = ElementReader(mk_algebra(PROPS))

@@ -172,6 +172,73 @@ LOADER_REFUSALS = [
     ),
 ]
 
+#: Entries that hold every field the loader's cheap test reads, and so reach
+#: it, each refused with the line LOADER_REFUSALS gives that field: a list
+#: member that is itself a list or a dict, in each field whose list the
+#: loader tests as a whole; a member that is a number; an id, a relation's
+#: types or themes, or a pointer's theme or target that alone is wrong; and
+#: an ordinary statement with a theme, and a statement of an unknown kind,
+#: that have all a pointer's fields.
+COMPLETE_ENTRY_REFUSALS = [
+    ("statements[0].themes: expected a list of strings", ("statements", 0, "themes"), ["t", ["t"]]),
+    ("statements[0].themes: expected a list of strings", ("statements", 0, "themes"), ["t", 5]),
+    ("statements[0]: ordinary statements take no 'theme'/'target'", ("statements", 0, "theme"), "t"),
+    (
+        "statements[0]: unknown kind 'claim'",
+        ("statements", 0),
+        {"id": "s", "kind": "claim", "theme": "t", "target": "s", "themes": ["t"]},
+    ),
+    ("statements[1]: pointer needs a 'target'", ("statements", 1), pointer("q", theme="t", target=5)),
+    (
+        "relations[0].types: expected a list of strings",
+        ("relations", 0),
+        {"from": "s", "to": "s", "types": [["attack"]], "themes": ["t"]},
+    ),
+    (
+        "relations[0].themes: expected a list of strings",
+        ("relations", 0),
+        {"from": "s", "to": "s", "types": ["attack"], "themes": ["t", {"t": 1}]},
+    ),
+    (
+        "relations[0].themes: expected a list of strings",
+        ("relations", 0),
+        {"from": "s", "to": "s", "types": ["attack"], "themes": ["t", 5]},
+    ),
+    *[
+        (f"interpretation.{block}[0].{field}: expected a list of strings",
+         ("interpretation", block, 0), {**MINIMAL["interpretation"][block][0], field: value})
+        for block in ("theme_aspects", "statement_aspects")
+        for field, value in (("themes", [["t"]]), ("aspects", ["p", {"p": 1}]))
+    ],
+    (
+        "relations[0]: unknown relation type 'attak'",
+        ("relations", 0),
+        {"from": "s", "to": "s", "types": ["attack", "attak"], "themes": ["t"]},
+    ),
+    (
+        "relations[0].themes: expected a list of strings",
+        ("relations", 0),
+        {"from": "s", "to": "s", "types": ["attack"], "themes": "t"},
+    ),
+    (
+        "relations[0].types: expected a list of strings",
+        ("relations", 0),
+        {"from": "s", "to": "s", "types": {"attack": 1}, "themes": ["t"]},
+    ),
+    ("statements[0]: missing or empty id", ("statements", 0, "id"), 5),
+    ("statements[1]: pointer needs a 'theme'", ("statements", 1), pointer("q", theme=5, target="s")),
+    (
+        "relations[0]: needs 'from' and 'to'",
+        ("relations", 0),
+        {"from": 5, "to": "s", "types": ["attack"], "themes": ["t"]},
+    ),
+    (
+        "relations[0]: needs 'from' and 'to'",
+        ("relations", 0),
+        {"from": "s", "to": ["s"], "types": ["attack"], "themes": ["t"]},
+    ),
+]
+
 #: (the one violation's detail, the path of the edit to MINIMAL, the value put there)
 FILE_WF_RULES = [
     ("statement s untyped (no themes)", ("statements", 0, "themes"), []),
@@ -246,14 +313,49 @@ def test_every_case_is_one_message():
     messages += [v.detail for v, _ in CODE_WF_RULES]
     assert len(set(messages)) == len(messages)
     assert len({case_id(m) for m in messages}) == len(messages)
+    assert {m for m, *_ in COMPLETE_ENTRY_REFUSALS} <= set(messages)
 
 
 @pytest.mark.parametrize(
-    "message, edit, value", LOADER_REFUSALS, ids=[case_id(m) for m, *_ in LOADER_REFUSALS]
+    "message, edit, value",
+    LOADER_REFUSALS + COMPLETE_ENTRY_REFUSALS,
+    ids=[case_id(m) for m, *_ in LOADER_REFUSALS]
+    + [f"complete-entry-{n}" for n in range(len(COMPLETE_ENTRY_REFUSALS))],
 )
 def test_the_loader_refuses_with_one_error_line(tmp_path, message, edit, value):
     _, code, out, err = validate(tmp_path, edited(edit, value))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+#: A document whose fourth line follows the third without a comma.
+NO_COMMA = '{\n "themes": ["t"],\n "props": ["p"]\n "statements": [],\n "relations": []\n}\n'
+
+
+def validate_bytes(tmp_path, data: bytes) -> tuple[int, str, str]:
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["validate", str(path)], out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_each_line_end_counts_as_one_character(tmp_path, newline):
+    """The file's line ends are translated before JSON reads it, so a CRLF or
+    CR file names the line, column and character of its LF twin."""
+    data = NO_COMMA.replace("\n", newline).encode()
+    assert validate_bytes(tmp_path, data) == (
+        2, "", "error: invalid JSON: Expecting ',' delimiter: line 4 column 2 (char 37)\n"
+    )
+
+
+def test_a_byte_order_mark_is_refused(tmp_path):
+    data = b"\xef\xbb\xbf" + json.dumps(MINIMAL).encode()
+    assert validate_bytes(tmp_path, data) == (
+        2,
+        "",
+        "error: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n",
+    )
 
 
 @pytest.mark.parametrize(
