@@ -484,7 +484,7 @@ def _core(
     are singleton rows at its own themes has the same row at a mask as at
     the mask's own themes, its proper-range bound, so it skips pr.
     """
-    model, keys, texts = table.model, table.keys, table.key_texts
+    keys, texts = table.keys, table.key_texts
     out: dict[str, list[tuple]] = {cid: [] for cid in CORE_IDS}
     omega = table.rows(OMEGA)
 
@@ -509,12 +509,13 @@ def _core(
     partial = [tmask for tmask in subsets if not omega[tmask][0]]
     by_own: dict[int, list[int]] = {}  # the masks inside each statement's own themes
     singles_of, others_of = table.explicit()
+    owns = table.owns()
     upper: set[int] = set()  # the masks of ``subsets``, once a statement needs them
     for s in statements:
         sid = s.id
         named = (sid,)
         rows, infs = table.rows(sid), table.infs(sid)
-        own = table.mask(t for t in model.themes_of(sid) if t in table.bits)
+        own = owns.get(sid, 0)
         singles, others = singles_of.get(sid, 0), others_of.get(sid, ())
         if vacuous and rows[0] != EMPTY_ROW:
             detail = f"{sid} has aspects for the empty theme set"

@@ -354,23 +354,19 @@ class _Rows(dict):
     """The rows of one statement, or of :data:`OMEGA`, by theme mask, each
     made on its first read.
 
-    A mask's row is the explicit row at its theme set, and else the union of
-    the statement's singleton rows at the mask's themes.  That default depends
-    only on the mask's bits among the themes of those rows, ``singles``, so
-    each projection is unioned once, in ``unions``.  Omega and summary
-    pointers have no ``singles`` and never default.  No field refers back to
-    the table, so a table is freed as soon as its check drops it, with no
-    cyclic collection.
+    A mask's row is the explicit row at that mask, in ``given``, and else the
+    union of the statement's singleton rows at the mask's themes.  That
+    default depends only on the mask's bits among the themes of those rows,
+    ``singles``, so each projection is unioned once, in ``unions``.  Omega
+    and summary pointers have no ``singles`` and never default.  No field
+    refers back to the table, so a table is freed as soon as its check drops
+    it, with no cyclic collection.
     """
 
-    __slots__ = ("themes", "given", "s", "singles", "unions", "listable")
+    __slots__ = ("given", "singles", "unions", "listable")
 
     def __missing__(self, tmask: int) -> Row:
-        themes = self.themes[tmask]
-        if self.s is OMEGA:
-            out = self[tmask] = self.given.get(themes, EMPTY_ROW)
-            return out
-        out = self.given.get((themes, self.s))
+        out = self.given.get(tmask)
         if out is None:
             projection = tmask & self.singles
             if not projection:
@@ -388,25 +384,38 @@ class _Rows(dict):
         while projection:
             bit = projection & -projection
             projection ^= bit
-            out = _union(out, self.given[self.themes[bit], self.s])
+            out = _union(out, self.given[bit])
         return FULL_ROW if len(out[1]) == self.listable else out
 
 
 class _Infs(dict):
     """The masks of the infima of one statement's rows by theme mask, each
-    made on its first read; ``None`` for an empty row."""
+    made on its first read; ``None`` for an empty row.
 
-    __slots__ = ("rows", "full_mask")
+    A row built in ``rows`` or explicit in ``given`` gives its own infimum.
+    Any other row is a union of singleton rows, and the infimum of a union
+    is the meet of its parts' infima, so it is the meet of the infima at the
+    mask's bits among ``singles``, empty rows skipped: no union is built."""
+
+    __slots__ = ("rows", "given", "singles", "full_mask")
 
     def __missing__(self, tmask: int) -> int | None:
-        full, masks = self.rows[tmask]
-        if full:
+        row = self.rows.get(tmask) or self.given.get(tmask)
+        if row is None:
+            out, projection = None, tmask & self.singles
+            while projection:
+                bit = projection & -projection
+                projection ^= bit
+                eff = self[bit]
+                if eff is not None:
+                    out = eff if out is None else out & eff
+        elif row[0]:
             out = 0  # the carrier contains the bottom element
-        elif not masks:
+        elif not row[1]:
             out = None
         else:
             out = self.full_mask
-            for m in masks:
+            for m in row[1]:
                 out &= m
         self[tmask] = out
         return out
@@ -418,12 +427,14 @@ class AspectTable:
     Themes are bit positions in ``model.themes`` order, so a theme set is an
     int mask, and a row is a :data:`Row` of element masks.  Every check reads
     the interpretation one way: :meth:`rows` and :meth:`infs` map a theme
-    mask to a statement's (or :data:`OMEGA`'s) row and its infimum, and each
-    entry is computed on its first read.  So a sweep over every theme mask,
-    which runs only under the theme cap, and a read at a few theme sets make
-    the same reads, and the latter read a few rows however many themes the
-    model declares, which no cap limits.  Entries are kept for the life of
-    the table, which is one check: no cache outlives a call.
+    mask to a statement's (or :data:`OMEGA`'s) row and its infimum, each
+    computed on its first read.  The first read of any statement makes one
+    pass that keeps each explicit row under its theme mask; later reads are
+    by int key.  :meth:`infs` takes a defaulted row's infimum as the meet of
+    singleton infima, so only :meth:`rows` builds union rows.  Nothing is
+    built over every theme mask, so a read at a few theme sets reads a few
+    rows however many themes the model declares, which no cap limits.
+    Entries live as long as the table, which is one check.
     """
 
     def __init__(self, interp: Interpretation, model: Model):
@@ -431,24 +442,22 @@ class AspectTable:
         self.model = model
         self.algebra = interp.algebra
         self.full_mask = interp.algebra.full_mask
-        self.names = tuple(dict.fromkeys(model.themes))
-        self.bits = {t: 1 << i for i, t in enumerate(self.names)}
+        self.names = names = tuple(dict.fromkeys(model.themes))
+        self.bits = {t: 1 << i for i, t in enumerate(names)}
         # as in AspectSet: a small carrier listed in full is full
         self._listable = _listable(self.algebra)
         # by statement, each made on its first read
         self._rows: dict[str, _Rows] = {}
         self._infs: dict[str, _Infs] = {}
-        # each statement's singleton-row bits and the masks of its other
-        # explicit rows, found in one pass on first need
-        self._singles: dict[str, int] | None = None
-        self._others: dict[str, list[int]] = {}
-        # each mask's theme set, its sorted names as violation records carry
-        # them, and their ``repr`` as violation details print theme sets
-        names = self.names
-        self.themes = themes = _Memo(
-            lambda tmask: frozenset(t for i, t in enumerate(names) if tmask >> i & 1)
+        # the explicit rows by mask, and each statement's own-theme mask,
+        # each from one pass on first need
+        self._compiled: tuple | None = None
+        self._owns: dict[str, int] | None = None
+        # each mask's sorted theme names, as violation records carry them,
+        # and their ``repr``, as violation details print theme sets
+        self.keys = keys = _Memo(
+            lambda tmask: tuple(sorted(t for i, t in enumerate(names) if tmask >> i & 1))
         )
-        self.keys = keys = _Memo(lambda tmask: tuple(sorted(themes[tmask])))
         self.key_texts = _Memo(lambda tmask: repr(keys[tmask]))
 
     def mask(self, themes: Iterable[str]) -> int:
@@ -460,6 +469,17 @@ class AspectTable:
                 raise UnknownIdError(f"unknown theme id {th!r}")
             out |= bit
         return out
+
+    def owns(self) -> Mapping[str, int]:
+        """By statement, the mask of its declared themes, from one pass."""
+        if self._owns is None:
+            bits, self._owns = self.bits, {}
+            for sid, themes in self.model.statement_themes.items():
+                own = 0
+                for th in themes:
+                    own |= bits.get(th, 0)
+                self._owns[sid] = own
+        return self._owns
 
     def rows(self, s: str) -> Mapping[int, Row]:
         """The aspects of statement ``s`` (or :data:`OMEGA`) by theme mask."""
@@ -473,22 +493,22 @@ class AspectTable:
         for an empty row."""
         out = self._infs.get(s)
         if out is None:
+            rows = self.rows(s)
             out = self._infs[s] = _Infs()
-            out.rows, out.full_mask = self.rows(s), self.full_mask
+            out.rows, out.given, out.singles = rows, rows.given, rows.singles
+            out.full_mask = self.full_mask
         return out
 
     def _statement_rows(self, s: str) -> _Rows:
         """The empty row map of ``s``; an unknown statement raises."""
+        singles, given, _, omega = self._compile()
         out = _Rows()
-        out.themes, out.unions, out.listable = self.themes, {}, self._listable
+        out.unions, out.listable = {}, self._listable
         if s == OMEGA:
-            out.s, out.given, out.singles = OMEGA, self.interp.theme_aspects, 0
+            out.given, out.singles = omega, 0
             return out
-        out.s, out.given = s, self.interp.statement_aspects
-        if self.model.statement(s).is_summary_pointer:
-            out.singles = 0
-        else:
-            out.singles = self._singleton_bits().get(s, 0)
+        out.given = given.get(s, {})
+        out.singles = 0 if self.model.statement(s).is_summary_pointer else singles.get(s, 0)
         return out
 
     def explicit(self) -> tuple[Mapping[str, int], Mapping[str, Sequence[int]]]:
@@ -497,34 +517,41 @@ class AspectTable:
         none is not a key.  Where a statement defaults and has none of the
         latter, its row at every mask is the union of its singleton rows at
         the mask's themes."""
-        return self._singleton_bits(), self._others
+        singles, _, others, _ = self._compile()
+        return singles, others
 
-    def _singleton_bits(self) -> dict[str, int]:
-        """The bits of the themes of each statement's singleton rows, from one
-        pass over the statement rows, which also keeps the masks of the
-        other explicit rows; a row keyed by an undeclared theme has no mask
-        and is never read."""
-        out = self._singles
-        if out is not None:
-            return out
-        bits, out, others = self.bits, {}, self._others
-        for themes, s in self.interp.statement_aspects:
-            if len(themes) == 1:
-                (theme,) = themes
-                bit = bits.get(theme)
-                if bit is not None:
-                    out[s] = out.get(s, 0) | bit
-                continue
-            mask = 0
-            for theme in themes:
-                bit = bits.get(theme)
-                if bit is None:
-                    break
-                mask |= bit
-            else:
-                others.setdefault(s, []).append(mask)
-        self._singles = out
-        return out
+    def _compile(self) -> tuple:
+        """One pass over the rows: by statement, its singleton-row bits, its
+        explicit rows by theme mask and the masks of those of other than one
+        theme; and the omega rows by theme mask.  A row keyed by an
+        undeclared theme gets no mask and is left out."""
+        if self._compiled is None:
+            bits, singles, given, others = self.bits, {}, {}, {}
+            for (themes, s), row in self.interp.statement_aspects.items():
+                if len(themes) == 1:
+                    (theme,) = themes
+                    mask = bits.get(theme)
+                    if mask is None:
+                        continue
+                    singles[s] = singles.get(s, 0) | mask
+                else:
+                    try:
+                        mask = self.mask(themes)
+                    except UnknownIdError:
+                        continue
+                    others.setdefault(s, []).append(mask)
+                rows = given.get(s)
+                if rows is None:
+                    rows = given[s] = {}
+                rows[mask] = row
+            omega = {}
+            for themes, row in self.interp.theme_aspects.items():
+                try:
+                    omega[self.mask(themes)] = row
+                except UnknownIdError:
+                    pass
+            self._compiled = (singles, given, others, omega)
+        return self._compiled
 
 
 def _union(a: Row, b: Row) -> Row:

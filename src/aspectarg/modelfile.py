@@ -119,6 +119,8 @@ def load_path(path: str | Path) -> Document:
         raise ModelFileError(f"cannot read {p}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ModelFileError(f"{p} is not UTF-8 text: {exc}") from exc
+    except MemoryError as exc:
+        raise ModelFileError(f"cannot read {p}: out of memory") from exc
     if "\r" in raw:
         raw = raw.replace("\r\n", "\n").replace("\r", "\n")
     return loads(raw)

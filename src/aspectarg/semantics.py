@@ -327,20 +327,18 @@ def detect_logical_fallacy(
     """
     cases = theme_subsets(sorted(model.used_themes()), min_size=1)
     table = AspectTable(interp, model)
-    # each statement with the mask of its declared themes
-    typed = [
-        (s.id, table.mask(th for th in model.themes_of(s.id) if th in table.bits))
-        for s in model.statements
-    ]
+    # each typed statement's infima with the mask of its declared themes
+    owns = table.owns()
+    typed = [(table.infs(s.id), owns[s.id]) for s in model.statements if owns.get(s.id)]
     for combo in cases:
         tmask = table.mask(combo)
-        kept = [sid for sid, smask in typed if smask & tmask]
+        kept = [infs for infs, own in typed if own & tmask]
         if not kept:
             continue  # the sub-model is undefined
         _check_enumerable(semantics, len(kept))
         met = table.full_mask
-        for sid in kept:
-            eff = table.infs(sid)[tmask]
+        for infs in kept:
+            eff = infs[tmask]
             if eff is not None:  # an absent aspect is top
                 met &= eff
         if met:

@@ -138,6 +138,32 @@ class TestUnreadableFiles:
         latin1.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
         self.assert_every_command_refuses(latin1, "not UTF-8")
 
+    def test_a_file_too_large_to_read_into_memory(self, tmp_path, monkeypatch):
+        # as a 9 MB file read under a small address-space cap: the read raises
+        # MemoryError, which the loader refuses like any other unreadable file
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(MINIMAL))
+
+        class Exhausted:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                raise MemoryError
+
+        monkeypatch.setattr(aspectarg.modelfile, "open", Exhausted, raising=False)
+        self.assert_every_command_refuses(model, "out of memory")
+        for command, *options in FILE_COMMANDS:
+            _, _, err = invoke(command, str(model), *options)
+            assert err.count("error:") == 1 and "Traceback" not in err, command
+            assert str(model) in err, command
+
 
 class TestModelFileSchema:
     def test_unknown_formula_prop(self):

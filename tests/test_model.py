@@ -35,6 +35,7 @@ from aspectarg.model import (
     validate_wellformed,
 )
 from aspectarg.modelfile import from_dict, load_path
+from aspectarg.semantics import SEMANTICS_IDS, detect_logical_fallacy
 from helpers import (
     intersection,
     issubset,
@@ -421,6 +422,19 @@ def without_some_omega_rows(rng: random.Random, interp: Interpretation):
     return Interpretation(interp.algebra, omega, interp.statement_aspects)
 
 
+def with_empty_and_full_singleton_rows(rng: random.Random, model: Model, interp: Interpretation):
+    """Make about a fifth of the singleton rows empty and a tenth full."""
+    rows = dict(interp.statement_aspects)
+    for s in model.statements:
+        for t in sorted(model.themes_of(s.id)):
+            roll = rng.random()
+            if roll < 0.2:
+                rows[(frozenset([t]), s.id)] = (False, frozenset())
+            elif roll < 0.3:
+                rows[(frozenset([t]), s.id)] = FULL_ROW
+    return Interpretation(interp.algebra, interp.theme_aspects, rows)
+
+
 class TestTableAgainstDefaultingRule:
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -463,6 +477,38 @@ class TestTableAgainstDefaultingRule:
             for s in ids:
                 assert shuffled.infs(s)[tmask] == table.infs(s)[tmask]
                 assert shuffled.rows(s)[tmask] == table.rows(s)[tmask]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_infima_read_before_or_after_the_rows(self, rng):
+        # an infimum read first is the meet of the singleton infima where the
+        # row defaults, and the explicit row's where it does not; read after
+        # the rows, it is the row's own
+        algebra = mk_algebra(rng.choice([["p"], ["p", "q"]]))
+        model = random_model_any(rng, max_themes=5)
+        interp = random_total_interpretation(rng, model, algebra)
+        interp = with_empty_and_full_singleton_rows(rng, model, interp)
+        if rng.random() < 0.8:
+            interp = with_extra_rows(rng, model, interp)
+        if rng.random() < 0.5:
+            # a listed union of a carrier of 4 or 16 elements is full
+            interp = with_covering_singleton_rows(rng, model, interp)
+        ids = [x.id for x in model.statements] + [OMEGA]
+        cases = []
+        for tmask in range(1 << len(model.themes)):
+            combo = [t for i, t in enumerate(model.themes) if tmask >> i & 1]
+            for s in ids:
+                full, masks = oracle_aspects(interp, model, combo, s)
+                cases.append((s, tmask, (full, masks), oracle_effective(interp, full, masks)))
+        rng.shuffle(cases)
+        infs_first, rows_first = AspectTable(interp, model), AspectTable(interp, model)
+        for s, tmask, _, want in cases:
+            assert infs_first.infs(s)[tmask] == want
+        for s, tmask, row, _ in cases:
+            assert infs_first.rows(s)[tmask] == row
+            assert rows_first.rows(s)[tmask] == row
+        for s, tmask, _, want in cases:
+            assert rows_first.infs(s)[tmask] == want
 
     def test_unknown_ids_still_raise(self, fear):
         with pytest.raises(UnknownIdError):
@@ -603,9 +649,59 @@ class TestTableRowsAreBuiltOnce:
         tmask = table.mask(["t1"])
         infs = [table.infs(s.id)[tmask] for s in statements]
         assert infs == [algebra.full_mask, algebra.full_mask] + [None] * 10
-        # one pass finds every statement's singleton bits, and each read
-        # looks up one key: no statement probes the declared themes
-        assert reads == {"pass": 1, "key": len(statements)}
+        # one pass reads each of the 24 rows once, by mask for every statement
+        assert reads == {"pass": 1, "key": 24}
+        # and no later read touches the interpretation
+        for s in statements:
+            table.rows(s.id)[table.mask(typing[s.id])]
+            table.infs(s.id)[table.mask(themes[:4])]
+        assert reads == {"pass": 1, "key": 24}
+
+
+class TestTheScanReadsNoUnion:
+    @pytest.mark.parametrize(
+        "index, rows, verdicts",
+        [(2, 27, [False] * 5), (5, 19, [True] * 5)],
+        ids=["consistent", "planted"],
+    )
+    def test_each_row_is_read_once_and_no_union_is_built(
+        self, monkeypatch, index, rows, verdicts
+    ):
+        # the extensions workload's graphs on three themes, whose statements
+        # have singleton rows only
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        workloads = runpy.run_path(str(bench / "workloads.py"))
+        rng = random.Random(f"extensions/{index}")
+        doc, _ = workloads["extensions_doc"](rng, 3, index % 2 == 1)
+        loaded = from_dict(doc)
+        model, interp = loaded.model, loaded.interpretation
+        given, reads = interp.statement_aspects, Counter()
+        assert len(given) == rows
+        assert all(len(themes) == 1 for themes, _ in given)
+
+        class Counted(Mapping):
+            """The rows, counting passes over them and reads of a key."""
+
+            def __getitem__(self, key):
+                reads["key"] += 1
+                return given[key]
+
+            def __iter__(self):
+                reads["pass"] += 1
+                return iter(given)
+
+            def __len__(self):
+                return len(given)
+
+        object.__setattr__(interp, "statement_aspects", Counted())
+        unions, original = [], model_module._union
+        monkeypatch.setattr(model_module, "_union", lambda a, b: unions.append(1) or original(a, b))
+        found = [detect_logical_fallacy(model, interp, sem).found for sem in SEMANTICS_IDS]
+        assert found == verdicts
+        # each scan makes one table, which makes one pass that reads each row
+        # once, and takes every infimum without a union row
+        assert unions == []
+        assert reads == {"pass": 5, "key": 5 * rows}
 
 
 class TestThemeSubsets:
