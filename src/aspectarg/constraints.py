@@ -26,6 +26,7 @@ from .model import (
     ATTACK,
     EMPTY_ROW,
     OMEGA,
+    REL_TYPES,
     SUPPORT,
     AspectTable,
     Interpretation,
@@ -185,50 +186,64 @@ _RELATION_TESTS = {
 
 def _relation_cases(
     table: AspectTable, relations: Iterable[Relation], tmask: int | None = None
-) -> list[tuple[Relation, list[int]]]:
-    """The (relation, theme masks) cases of ``relations``, in their order.
+) -> list[tuple[Relation, int, int | None, int | None, int]]:
+    """The decided cases of ``relations``, in their order: (relation, theme
+    mask, source's effective aspect, target's effective aspect, kinds).
 
     With no ``tmask``, each relation's non-empty theme subsets, with every
-    relation's cap checked before any case is evaluated; with one, that mask
+    relation's cap checked before any case is decided; with one, that mask
     for each relation whose themes include it.
     """
     declared = set(table.names)
     if tmask is None:
-        return [
+        cases = [
             (r, [table.mask(c) for c in theme_subsets(sorted(r.themes & declared), min_size=1)])
             for r in relations
         ]
-    return [(r, [tmask]) for r in relations if not tmask & ~table.mask(r.themes & declared)]
-
-
-def _tested_relations(model: Model, cid: str) -> list[Relation]:
-    """The relations of ``model`` of a type that relation constraint ``cid`` tests."""
-    wanted = {rel_type for rel_type, *_ in _RELATION_TESTS[cid]}
-    return [r for r in model.relations if r.rel_types & wanted]
-
-
-def _relation_violations(
-    table: AspectTable, cases: list[tuple[Relation, list[int]]], cid: str
-) -> list[tuple]:
-    """The witness rows of relation constraint ``cid`` on (relation, theme
-    masks) cases."""
-    out: list[tuple] = []
-    tests, full, infs = _RELATION_TESTS[cid], table.full_mask, table.infs
+    else:
+        cases = [(r, [tmask]) for r in relations if not tmask & ~table.mask(r.themes & declared)]
+    full, infs, out = table.full_mask, table.infs, []
     for r, masks in cases:
-        for tmask in masks:
-            u, v = infs(r.source)[tmask], infs(r.target)[tmask]
-            kinds = _kinds(u, v, full)
-            for rel_type, avoid, show, text in tests:
-                # an absent aspect has no kind: it fails aass only
-                failed = (kinds & avoid or not kinds & show) if kinds else cid == "aass"
-                if rel_type in r.rel_types and failed:
-                    detail = text.format(
-                        pair=r.pair,
-                        themes=table.key_texts[tmask],
-                        u=_render(table, u),
-                        v=_render(table, v),
-                    )
-                    out.append((cid, (), r.pair, table.keys[tmask], None, rel_type, detail))
+        for m in masks:
+            u, v = infs(r.source)[m], infs(r.target)[m]
+            out.append((r, m, u, v, _kinds(u, v, full)))
+    return out
+
+
+def _table_cases(table: AspectTable) -> list[tuple]:
+    """The decided cases of every attack or support relation, made once per
+    table and filtered by aass, das and nwci."""
+    if table.relation_cases is None:
+        tested = [r for r in table.model.relations if not r.rel_types.isdisjoint(REL_TYPES)]
+        table.relation_cases = _relation_cases(table, tested)
+    return table.relation_cases
+
+
+def _aspect_text(table: AspectTable, sid: str, tmask: int, mask: int | None) -> str:
+    """The text of ``mask``, the effective aspect of ``sid`` at ``tmask``,
+    rendered once per table."""
+    text = table.aspect_texts.get((sid, tmask))
+    if text is None:
+        text = table.aspect_texts[sid, tmask] = _render(table, mask)
+    return text
+
+
+def _relation_violations(table: AspectTable, cases: list[tuple], cid: str) -> list[tuple]:
+    """The witness rows of relation constraint ``cid`` on decided cases."""
+    out: list[tuple] = []
+    tests = _RELATION_TESTS[cid]
+    for r, tmask, u, v, kinds in cases:
+        for rel_type, avoid, show, text in tests:
+            # an absent aspect has no kind: it fails aass only
+            failed = (kinds & avoid or not kinds & show) if kinds else cid == "aass"
+            if failed and rel_type in r.rel_types:
+                detail = text.format(
+                    pair=r.pair,
+                    themes=table.key_texts[tmask],
+                    u=_aspect_text(table, r.source, tmask, u),
+                    v=_aspect_text(table, r.target, tmask, v),
+                )
+                out.append((cid, (), r.pair, table.keys[tmask], None, rel_type, detail))
     return out
 
 
@@ -364,13 +379,15 @@ def check_graphic(model: Model) -> dict[str, list[Violation]]:
                 Violation("nsa", relation=r.pair, detail=f"attack-typed self-loop on {r.source}")
             )
 
+    inhabited: set[str] | None = None  # the themes of the statements, on first need
     for s in model.statements:
         if not s.is_pointer:
             continue
         t = s.ref_theme
         if s.is_summary_pointer:
-            inhabited = any(t in model.themes_of(other.id) for other in model.statements)
-            if not inhabited:
+            if inhabited is None:
+                inhabited = {th for other in model.statements for th in model.themes_of(other.id)}
+            if t not in inhabited:
                 out["nnp"].append(
                     Violation(
                         "nnp",
@@ -405,11 +422,20 @@ def check_graphic(model: Model) -> dict[str, list[Violation]]:
                     )
                 )
 
-    attack_rels = [r for r in model.relations if ATTACK in r.rel_types]
-    support_pairs = {
-        (r.source, r.target): r.themes for r in model.relations if SUPPORT in r.rel_types
-    }
-    for r in attack_rels:
+    # by id, the statements of the model that support it and that it
+    # supports, each with the support's themes
+    supporters: dict[str, dict[str, frozenset[str]]] = {}
+    supported: dict[str, dict[str, frozenset[str]]] = {}
+    for r in model.relations:
+        if SUPPORT in r.rel_types:
+            if model.has_statement(r.source):
+                supporters.setdefault(r.target, {})[r.source] = r.themes
+            if model.has_statement(r.target):
+                supported.setdefault(r.source, {})[r.target] = r.themes
+    none: dict[str, frozenset[str]] = {}
+    for r in model.relations:
+        if ATTACK not in r.rel_types:
+            continue
         if SUPPORT in r.rel_types:
             out["nss"].append(
                 Violation(
@@ -418,32 +444,20 @@ def check_graphic(model: Model) -> dict[str, list[Violation]]:
                     detail=f"relation {r.pair} typed both attack and support",
                 )
             )
-        s1, s2 = r.pair
-        for s in model.statements:
-            up1, up2 = support_pairs.get((s.id, s1)), support_pairs.get((s.id, s2))
-            if up1 is not None and up2 is not None and up1 & up2:
-                out["nss"].append(
-                    Violation(
-                        "nss",
-                        (s.id,),
-                        relation=r.pair,
-                        theme_set=_tkey(up1 & up2),
-                        detail=f"{s.id} supports both ends of attack {r.pair} "
-                        f"for shared themes {sorted(up1 & up2)}",
+        for index, verb in ((supporters, "supports"), (supported, "is supported by")):
+            ends1, ends2 = index.get(r.source, none), index.get(r.target, none)
+            for sid in ends1.keys() & ends2.keys():
+                shared = ends1[sid] & ends2[sid]
+                if shared:
+                    detail = (
+                        f"{sid} {verb} both ends of attack {r.pair} "
+                        f"for shared themes {sorted(shared)}"
                     )
-                )
-            dn1, dn2 = support_pairs.get((s1, s.id)), support_pairs.get((s2, s.id))
-            if dn1 is not None and dn2 is not None and dn1 & dn2:
-                out["nss"].append(
-                    Violation(
-                        "nss",
-                        (s.id,),
-                        relation=r.pair,
-                        theme_set=_tkey(dn1 & dn2),
-                        detail=f"{s.id} is supported by both ends of attack {r.pair} "
-                        f"for shared themes {sorted(dn1 & dn2)}",
+                    out["nss"].append(
+                        Violation(
+                            "nss", (sid,), relation=r.pair, theme_set=_tkey(shared), detail=detail
+                        )
                     )
-                )
     return _sorted(out)
 
 
@@ -458,18 +472,17 @@ def check_core(
     """Check aass, i, vi, bat, pr, mat, manss and ss."""
     table = _compiled_table(model, interp, table)
     subsets = _subset_masks(table)
-    cases = _relation_cases(table, _tested_relations(model, "aass"))
-    return _witnesses(_core(table, subsets, cases, model.statements))
+    return _witnesses(_core(table, subsets, _table_cases(table), model.statements))
 
 
 def _core(
     table: AspectTable,
     subsets: list[int],
-    cases: list[tuple[Relation, list[int]]],
+    cases: list[tuple],
     statements: Iterable[Statement],
 ) -> dict[str, list[tuple]]:
     """Core's witness rows at the theme masks ``subsets``, for the statement
-    constraints on ``statements``, and, for aass, on relation ``cases``.
+    constraints on ``statements``, and, for aass, on decided relation ``cases``.
 
     A sweep passes every mask and ``recheck`` one instance's; both read the
     table's rows at just those masks.  mat and manss compare a mask with a
@@ -803,8 +816,7 @@ def check_nwci(
 
 
 def _check_relations(table: AspectTable, cid: str) -> WitnessRows:
-    cases = _relation_cases(table, _tested_relations(table.model, cid))
-    return _witnesses({cid: _relation_violations(table, cases, cid)})[cid]
+    return _witnesses({cid: _relation_violations(table, _table_cases(table), cid)})[cid]
 
 
 # ---------------------------------------------------------------------------
@@ -892,13 +904,10 @@ def classify_relations(
     table = AspectTable(interp, model)
     only = None if themes is None else table.mask(sorted(themes))
     relations = sorted(model.relations, key=lambda r: r.pair)
-    full = table.full_mask
     out = []
-    for r, masks in _relation_cases(table, relations, only):
-        for tmask in masks:
-            kinds = _kinds(table.infs(r.source)[tmask], table.infs(r.target)[tmask], full)
-            labels = frozenset(label for kind, label in KIND_LABELS.items() if kinds & kind)
-            out.append((r, table.keys[tmask], labels or frozenset(["undefined"])))
+    for r, tmask, _, _, kinds in _relation_cases(table, relations, only):
+        labels = frozenset(label for kind, label in KIND_LABELS.items() if kinds & kind)
+        out.append((r, table.keys[tmask], labels or frozenset(["undefined"])))
     return out
 
 

@@ -459,6 +459,10 @@ class AspectTable:
             lambda tmask: tuple(sorted(t for i, t in enumerate(names) if tmask >> i & 1))
         )
         self.key_texts = _Memo(lambda tmask: repr(keys[tmask]))
+        # the relation checkers' decided cases, made on first need, and the
+        # texts of effective aspects by (statement, theme mask)
+        self.relation_cases: list[tuple] | None = None
+        self.aspect_texts: dict[tuple[str, int], str] = {}
 
     def mask(self, themes: Iterable[str]) -> int:
         """The mask of a theme set; every theme must be declared by the model."""

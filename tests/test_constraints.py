@@ -1,7 +1,7 @@
 import dataclasses
 import random
 import runpy
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,7 @@ from aspectarg.constraints import (
     check_exact_region,
     check_fresh_aspects,
     check_graphic,
+    check_groups,
     check_nwci,
     classify_normal_form,
     classify_relations,
@@ -1042,6 +1043,117 @@ class TestDasNwci:
             assert not (core_ok and das_ok)
 
 
+class TestRelationWork:
+    """One check decides each relation case once: aass, das and nwci filter
+    the table's one list of cases, each statement's effective aspect is
+    rendered once per theme set, and nss reads support indexes, not every
+    statement for each attack."""
+
+    RELATION_IDS = ("aass", "das", "nwci")
+
+    @staticmethod
+    def instances():
+        rng = random.Random(38)
+        algebra = mk_algebra(["p", "q"])
+        for _ in range(40):
+            model = random_model_any(rng, max_themes=3)
+            yield model, random_total_interpretation(rng, model, algebra)
+        for _ in range(10):
+            yield block_instance(rng)
+
+    @staticmethod
+    def decided(model) -> int:
+        """The (relation, theme set) cases of the attacks and supports."""
+        declared = set(model.themes)
+        return sum(
+            2 ** len(r.themes & declared) - 1
+            for r in model.relations
+            if r.rel_types & {ATTACK, SUPPORT}
+        )
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        original = getattr(constraints, name)
+        monkeypatch.setattr(
+            constraints, name, lambda *args, **kw: calls.append(args) or original(*args, **kw)
+        )
+        return calls
+
+    def test_kinds_run_once_per_decided_case(self, monkeypatch):
+        calls = self.counted(monkeypatch, "_kinds")
+        total = 0
+        for model, interp in self.instances():
+            calls.clear()
+            check_groups(model, interp, {CORE, "das", "nwci"})
+            assert len(calls) == self.decided(model)
+            total += len(calls)
+        assert total > 100
+
+    def test_each_aspect_text_is_rendered_once(self, monkeypatch):
+        calls = self.counted(monkeypatch, "_render")
+        shared = 0
+        for model, interp in self.instances():
+            calls.clear()
+            groups = check_groups(model, interp, {CORE, "das", "nwci"})
+            ends = [
+                (sid, v.theme_set)
+                for found in groups.values()
+                for cid in self.RELATION_IDS
+                for v in found.get(cid, ())
+                for sid in v.relation
+            ]
+            assert len(calls) == len(set(ends))
+            shared += len(ends) - len(set(ends))
+        assert shared > 100  # texts another witness reuses
+
+    class CountedStatements(tuple):
+        iterations = 0
+
+        def __iter__(self):
+            type(self).iterations += 1
+            return super().__iter__()
+
+    def test_nss_reads_the_statements_independently_of_the_attacks(self):
+        # a summary pointer to an uninhabited theme, and a hub ``h`` that
+        # supports every statement, each of which supports a sink ``z``
+        ids = [f"s{i:03d}" for i in range(60)]
+        statements = [Statement(sid) for sid in ids + ["h", "z"]] + [Statement("p", "t2")]
+        supports = [
+            Relation(a, b, frozenset({SUPPORT}), frozenset({"t"}))
+            for sid in ids
+            for a, b in (("h", sid), (sid, "z"))
+        ]
+        counts, found = [], []
+        for attacks in (0, 10, 50):
+            relations = supports + [
+                Relation(ids[i], ids[i + 2], frozenset({ATTACK}), frozenset({"t"}))
+                for i in range(attacks)
+            ]
+            typing = {s.id: {"t"} for s in statements}
+            model = Model.build(["t", "t2"], statements, typing, relations)
+            counted = self.CountedStatements(model.statements)
+            model = dataclasses.replace(model, statements=counted)
+            self.CountedStatements.iterations = 0
+            found.append(len(check_graphic(model)["nss"]))
+            counts.append(self.CountedStatements.iterations)
+        assert found == [0, 20, 100] and len(set(counts)) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_a_shared_table_gives_the_same_rows_in_any_order(self, rng):
+        model = random_model_any(rng, max_themes=3)
+        interp = random_total_interpretation(rng, model, mk_algebra(["p", "q"]))
+        fresh = {g: run_group(model, interp, g) for g in (CORE, "das", "nwci")}
+        for order in permutations(fresh):
+            table = AspectTable(interp, model)
+            assert {g: run_group(model, interp, g, table) for g in order} == fresh
+        for cid in self.RELATION_IDS:
+            for found in fresh.values():
+                for v in found.get(cid, ()):
+                    assert recheck(model, interp, v), v
+
+
 class TestFreshAspectRecords:
     def test_equal_masks_of_two_themes_are_decided_apart(self, fig1, ev):
         # a -> b in both themes numbers {a, b} alike; only at t1 do they share
@@ -1183,6 +1295,50 @@ class TestGraphicOracle:
             for v in vs
         ]
         assert sorted(found, key=repr) == oracle_graphic(model)
+
+    @staticmethod
+    def dense_model(rng: random.Random) -> Model:
+        """6-12 statements and 10-30 relations over three themes, some of
+        whose ends are ids of no statement, and pointers that may dangle or
+        name the summary of ``t4``, a declared theme no statement has."""
+        themes = ["t1", "t2", "t3"]
+        ids = [f"s{i}" for i in range(rng.randint(6, 12))]
+        statements = []
+        for sid in ids:
+            draw = rng.random()
+            if draw < 0.15:
+                statements.append(Statement(sid, rng.choice(themes + ["t4"])))
+            elif draw < 0.3:
+                statements.append(Statement(sid, rng.choice(themes), rng.choice(ids + ["gone"])))
+            else:
+                statements.append(Statement(sid))
+        st_themes = {sid: rng.sample(themes, rng.randint(1, 3)) for sid in ids}
+        ends = ids + ["ghost1", "ghost2"]
+        relations = []
+        for _ in range(rng.randint(10, 30)):
+            types = rng.choice([{ATTACK}, {SUPPORT}, {SUPPORT}, {ATTACK, SUPPORT}])
+            source, target = rng.choice(ends), rng.choice(ends)
+            rel_themes = rng.sample(themes, rng.randint(1, 3))
+            relations.append(Relation(source, target, frozenset(types), frozenset(rel_themes)))
+        return Model.build(themes + ["t4"], statements, st_themes, relations)
+
+    def test_dense_models_with_dangling_ends_match_the_oracle(self):
+        """Double supports are common here, also from and to ids that are not
+        statements, which name no nss witness."""
+        rng = random.Random(38)
+        named = dangling = 0
+        for _ in range(300):
+            model = self.dense_model(rng)
+            found = [
+                (v.constraint, v.statements, v.relation, v.theme_set)
+                for vs in check_graphic(model).values()
+                for v in vs
+            ]
+            assert sorted(found, key=repr) == oracle_graphic(model)
+            named += sum(1 for cid, sids, _, _ in found if cid == "nss" and sids)
+            supports = [r for r in model.relations if SUPPORT in r.rel_types]
+            dangling += sum(not model.has_statement(r.source) for r in supports)
+        assert named > 300 and dangling > 300
 
 
 class TestClassifyRelation:
