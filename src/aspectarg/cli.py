@@ -98,14 +98,14 @@ def _validate_lines(report: dict[str, Any]) -> list[str]:
 def cmd_check(args, out, err) -> int:
     alpha = constraints.validate_alpha(_comma_list(args.alpha))
     doc = _load_wellformed(args.file)
-    graphic = constraints.check_graphic(doc.model)
+    graphic = violations_block(constraints.check_graphic(doc.model))
     # classify_normal_form's groups step: counting needs no joined list
     groups = constraints.check_groups(doc.model, doc.interpretation, alpha)
 
-    graphic_count = sum(len(vs) for vs in graphic.values())
     # the blocks hold the non-empty lists, so only those are counted
+    graphic_count = sum(map(len, graphic.values()))
     semantic = {g: violations_block(found) for g, found in groups.items()}
-    semantic_count = sum(len(vs) for block in semantic.values() for vs in block.values())
+    semantic_count = sum(sum(map(len, block.values())) for block in semantic.values())
     normal = semantic_count == 0
     alpha_label = "{" + ",".join(groups) + "}"  # groups in ALPHA_GROUPS order
 
@@ -113,7 +113,7 @@ def cmd_check(args, out, err) -> int:
         "command": "check",
         "file": args.file,
         "alpha": sorted(alpha),
-        "graphic": violations_block(graphic),
+        "graphic": graphic,
         "semantic": semantic,
         "normal": normal,
         "verdict": f"{alpha_label}-normal" if normal else f"{alpha_label}-fallacy",
@@ -307,17 +307,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: By command, what ``_read`` reads, derived once from ``COMMANDS``: its
+#: handler, its options by option string and each option's default.
+_TABLES = {
+    name: (func, {s: opt for opt in options for s in opt.strings},
+           {opt.dest: False if opt.flag else opt.default for opt in options})
+    for name, (func, _, options) in COMMANDS.items()
+}
+
+
 def _read(argv: list[str]) -> argparse.Namespace | None:
     """What ``build_parser().parse_args(argv)`` gives, read from ``COMMANDS``
     for a plain line: a command, one file, flags and exact option strings, each
     value after ``--long=`` or in the next token, among its choices; no file or
     value starts with ``-``, and a repeated option keeps its last value.  None
     for any other line, whose help and usage errors argparse gives."""
-    if not argv or argv[0] not in COMMANDS:
+    table = _TABLES.get(argv[0]) if argv else None
+    if table is None:
         return None
-    func, _, options = COMMANDS[argv[0]]
-    given = dict(((opt.dest, False if opt.flag else opt.default) for opt in options),
-                 command=argv[0], func=func, file=None)
+    func, options, given = table
+    given = dict(given, command=argv[0], func=func, file=None)
     tokens = iter(argv[1:])
     for token in tokens:
         if not token.startswith("-"):
@@ -326,7 +335,7 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
             given["file"] = token
             continue
         name, eq, value = token.partition("=")
-        opt = next((o for o in options if name in o.strings), None)
+        opt = options.get(name)
         if opt is None or eq and (opt.flag or not name.startswith("--")):
             return None
         if not (opt.flag or eq):

@@ -60,7 +60,11 @@ def _tkey(themes: Iterable[str]) -> tuple[str, ...]:
 
 
 def _subset_masks(table: AspectTable) -> list[int]:
-    return [table.mask(c) for c in theme_subsets(table.names)]
+    """The mask of every theme subset, in :func:`theme_subsets` order, made
+    once per table and shared by core and E."""
+    if table.subsets is None:
+        table.subsets = [table.mask(c) for c in theme_subsets(table.names)]
+    return table.subsets
 
 
 def _compiled_table(
@@ -672,6 +676,10 @@ class ExactRegionWitnesses(Witnesses):
             yield from map((c.heads[j] + c.firsts[i1]).__add__, map(c.seconds.__getitem__, seconds))
 
 
+#: The witnesses of an E constraint that holds, which index no text context.
+NO_REGION_WITNESSES = ExactRegionWitnesses(RegionContext([], [], [], [], [], []), [])
+
+
 def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, ExactRegionWitnesses]:
     """esr, ensr and eos on each pair of ``subsets``, decided and listed by
     row classes, each in report order; as in :func:`_core`, rows are read at
@@ -686,19 +694,21 @@ def _exact_region(table: AspectTable, subsets: list[int]) -> dict[str, ExactRegi
     class.  So E costs about 2^m·n per pair of omega classes plus its
     witnesses, not 4^m·n.  Each statement's runs come by first theme key,
     with their second sets in key order, so joining the statements' runs by
-    statement id gives the :meth:`Violation.sort_key` order.
+    statement id gives the :meth:`Violation.sort_key` order.  With fewer
+    than two sets of a non-empty omega row there is no pair, and E reads no
+    statement and builds no text context.
     """
+    omega = table.rows(OMEGA)
+    filled = [i for i, tmask in enumerate(subsets) if omega[tmask] != EMPTY_ROW]
+    if len(filled) < 2:
+        return dict.fromkeys(EXACT_REGION_IDS, NO_REGION_WITNESSES)  # no pair to compare
     stmts = sorted(table.model.statements, key=attrgetter("id"))
     sids = [s.id for s in stmts]
     cids = [_exact_region_id(s) for s in stmts]
     keys = [table.keys[tmask] for tmask in subsets]
-    order = sorted(range(len(subsets)), key=keys.__getitem__)
-    omega = table.rows(OMEGA)
     classes: dict[Row, list[int]] = {}
-    for i in order:
-        row = omega[subsets[i]]
-        if row != EMPTY_ROW:
-            classes.setdefault(row, []).append(i)
+    for i in sorted(filled, key=keys.__getitem__):
+        classes.setdefault(omega[subsets[i]], []).append(i)
     members = list(classes.values())
     masks = [[subsets[i] for i in ms] for ms in members]
     # each two omega classes that meet and hold a pair of sets, once, and

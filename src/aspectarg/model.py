@@ -305,6 +305,20 @@ class Interpretation:
         if not isinstance(self.formulas, ElementNames):
             set_field(self, "formulas", ElementNames(self.formulas.items()))
 
+    @classmethod
+    def _of_rows(cls, algebra: Algebra, theme_aspects: dict, statement_aspects: dict,
+                 formulas: ElementNames) -> "Interpretation":
+        """What the constructor makes of rows it keeps as given (each a
+        :data:`Row`, none a listed whole carrier), holding the dicts, which
+        the caller must not change, without a copy."""
+        self = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(self, "algebra", algebra)
+        set_field(self, "theme_aspects", MappingProxyType(theme_aspects))
+        set_field(self, "statement_aspects", MappingProxyType(statement_aspects))
+        set_field(self, "formulas", formulas)
+        return self
+
     def __reduce__(self):
         # a mapping proxy does not pickle; the rows rebuild from plain dicts
         return (
@@ -459,8 +473,9 @@ class AspectTable:
             lambda tmask: tuple(sorted(t for i, t in enumerate(names) if tmask >> i & 1))
         )
         self.key_texts = _Memo(lambda tmask: repr(keys[tmask]))
-        # the relation checkers' decided cases, made on first need, and the
-        # texts of effective aspects by (statement, theme mask)
+        # the theme subsets' masks and the relation checkers' decided cases,
+        # made on first need, and the texts of effective aspects by (statement, theme mask)
+        self.subsets: list[int] | None = None
         self.relation_cases: list[tuple] | None = None
         self.aspect_texts: dict[tuple[str, int], str] = {}
 

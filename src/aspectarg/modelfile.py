@@ -59,6 +59,7 @@ from .model import (
     Relation,
     Row,
     Statement,
+    _listable,
 )
 
 RESERVED_IDS = (OMEGA, SUMMARY)
@@ -110,27 +111,45 @@ def _is_strings(value: Any) -> bool:
 def load_path(path: str | Path) -> Document:
     """Load the model file at ``path``.  Its bytes are read in one call and
     decoded at once, and line ends are translated as ``Path.read_text`` does,
-    so a JSON error names the same line, column and character."""
-    p = Path(path)
+    so a JSON error names the same line, column and character.  An error
+    names the file as ``Path(path)`` prints it, which is built only then."""
     try:
-        with open(p, "rb", buffering=0) as fh:
+        try:
+            fh = open(path, "rb", buffering=0)
+        except OSError:
+            # ``Path`` drops "." parts and extra slashes, which can make an
+            # unreadable text name a readable file: open what it names
+            fh = open(Path(path), "rb", buffering=0)
+        with fh:
             raw = fh.read().decode("utf-8")
     except OSError as exc:
-        raise ModelFileError(f"cannot read {p}: {exc}") from exc
+        raise ModelFileError(f"cannot read {Path(path)}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ModelFileError(f"{p} is not UTF-8 text: {exc}") from exc
+        raise ModelFileError(f"{Path(path)} is not UTF-8 text: {exc}") from exc
     except MemoryError as exc:
-        raise ModelFileError(f"cannot read {p}: out of memory") from exc
+        raise ModelFileError(f"cannot read {Path(path)}: out of memory") from exc
     if "\r" in raw:
         raw = raw.replace("\r\n", "\n").replace("\r", "\n")
     return loads(raw)
 
 
 def loads(text: str) -> Document:
+    """Read the text of a model file.  An integer past ``int``'s digit limit
+    is refused as invalid JSON, and so is a lone surrogate, which no report
+    can print as UTF-8: only a ``\\u`` escape writes one in UTF-8 text."""
     try:
         data = json.loads(text)
+        # a lone surrogate is all that stops a string from encoding; a text
+        # with no backslash is passed by one search for a single character
+        if "\\" in text and "\\u" in text:
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        escape = f"\\u{ord(exc.object[exc.start]):04x}"
+        raise ModelFileError(f"invalid JSON: a string holds the lone surrogate {escape}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # the one other: ``int`` refuses too many digits
+        raise ModelFileError("invalid JSON: an integer has too many digits") from exc
     except RecursionError as exc:
         raise ModelFileError("invalid JSON: nested too deeply") from exc
     return from_dict(data)
@@ -198,7 +217,8 @@ def from_dict(data: Any) -> Document:
         taken.add(sid)
         statement_themes[sid] = typing
 
-    relations: list[Relation] = []
+    # by (from, to), the relation of every entry with those ends, merged
+    relations: dict[tuple[str, str], Relation] = {}
     entries = data["relations"]
     if not isinstance(entries, list):
         _fail("relations", "expected a list")
@@ -214,9 +234,13 @@ def from_dict(data: Any) -> Document:
             fits = False
         if not fits:
             src, dst, type_set, theme_set = _relation(i, entry)
-        relations.append(Relation(src, dst, type_set, theme_set))
+        prev = relations.get((src, dst))
+        if prev is not None:
+            type_set, theme_set = prev.rel_types | type_set, prev.themes | theme_set
+        relations[src, dst] = Relation(src, dst, type_set, theme_set)
 
-    model = Model.build(themes, statements, statement_themes, relations)
+    # what Model.build makes of these entries, which are checked and merged
+    model = Model(tuple(themes), tuple(statements), statement_themes, tuple(relations.values()))
 
     # each element mask with each formula written for it, to name it in reports
     formulas: list[tuple[int, str]] = []
@@ -225,6 +249,7 @@ def from_dict(data: Any) -> Document:
     # element: a text written in many rows is read once, a row is the union of
     # such sets, which keeps each mask's hash, and nothing outlives the document
     read: dict[str, frozenset[int]] = {}
+    listable = _listable(algebra)
     theme_rows: dict[frozenset[str], Row] = {}
     statement_rows: dict[tuple[frozenset[str], str], Row] = {}
     interp_data = data.get("interpretation")
@@ -249,7 +274,7 @@ def from_dict(data: Any) -> Document:
                         fits = fits and sid in statement_themes
                         key = (key, sid)
                     fits = fits and key not in rows and (
-                        type(aspects) is list or aspects == "ALL" and not by_statement)
+                        _is_strings(aspects) or aspects == "ALL" and not by_statement)
                 except (KeyError, TypeError):
                     fits = False
                 if not fits:
@@ -259,11 +284,8 @@ def from_dict(data: Any) -> Document:
                     continue
                 singles = []
                 for f in aspects:
-                    single = read.get(f) if type(f) is str else None
-                    if single is None:
-                        # a new text, read once every member of the row is a string
-                        if not _is_strings(aspects):
-                            _fail(f"interpretation.{block}[{i}].aspects", "expected a list of strings")
+                    single = read.get(f)
+                    if single is None:  # a new text
                         try:
                             mask = reader.read(f)
                         except AspectArgError as exc:
@@ -272,11 +294,12 @@ def from_dict(data: Any) -> Document:
                         single = read[f] = frozenset((mask,))
                         formulas.append((mask, f))
                     singles.append(single)
-                rows[key] = (False, singles[0] if len(singles) == 1
-                             else frozenset().union(*singles))
+                masks = singles[0] if len(singles) == 1 else frozenset().union(*singles)
+                # as in Interpretation, a listed whole carrier is the full row
+                rows[key] = FULL_ROW if len(masks) == listable else (False, masks)
 
     return Document(
-        model, Interpretation(algebra, theme_rows, statement_rows, ElementNames(formulas))
+        model, Interpretation._of_rows(algebra, theme_rows, statement_rows, ElementNames(formulas))
     )
 
 

@@ -58,11 +58,24 @@ def to_json(report: dict[str, Any]) -> str:
 def _write(value: Any, nl: str, chunks: list[str], layouts: dict[str, _Layout]) -> None:
     """Append ``value`` to ``chunks``; ``nl`` is a newline and the indent of
     the line the value starts on, ``layouts`` holds the record layout of
-    each indent that records were written at."""
-    if isinstance(value, Violation):
-        _write_records((violation_row(value),), _layout(nl, layouts), chunks)
-    elif isinstance(value, str):
+    each indent that records were written at.  The commonest kinds are
+    tested first, and the costlier test against ``Witnesses`` last."""
+    if isinstance(value, str):
         chunks.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            chunks.append(sep + _quote(key) + ": ")
+            _write(value[key], inner, chunks, layouts)
+            sep = "," + inner
+        chunks.append(nl + "}")
     elif value is None:
         chunks.append("null")
     elif value is True:
@@ -71,6 +84,8 @@ def _write(value: Any, nl: str, chunks: list[str], layouts: dict[str, _Layout]) 
         chunks.append("false")
     elif isinstance(value, int):
         chunks.append(int.__repr__(value))
+    elif isinstance(value, Violation):
+        _write_records((violation_row(value),), _layout(nl, layouts), chunks)
     elif isinstance(value, (list, tuple, Witnesses)):
         if not value:
             chunks.append("[]")
@@ -92,20 +107,6 @@ def _write(value: Any, nl: str, chunks: list[str], layouts: dict[str, _Layout]) 
                 _write(item, inner, chunks, layouts)
                 sep = "," + inner
         chunks.append(nl + "]")
-    elif isinstance(value, dict):
-        if not value:
-            chunks.append("{}")
-            return
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, not {type(key).__name__}")
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            chunks.append(sep + _quote(key) + ": ")
-            _write(value[key], inner, chunks, layouts)
-            sep = "," + inner
-        chunks.append(nl + "}")
     else:
         raise TypeError(f"a report cannot hold {type(value).__name__}")
 

@@ -119,12 +119,40 @@ FILE_COMMANDS = (
 )
 
 
+#: Model files that parse as JSON into values the loader refuses: a number
+#: past the interpreter's digit limit for ``int``, and a statement id that is
+#: a lone surrogate, which a report printed to UTF-8 could not encode.
+MALFORMED_VALUES = {
+    "digits": '{"themes": ["t"], "props": ["p"], "statements": [], "relations": [], "x": '
+    + "9" * 5000 + "}",
+    "surrogate": '{"themes": ["t"], "props": ["p"], "relations": [], '
+    '"statements": [{"id": "\\ud800", "kind": "ordinary", "themes": ["t"]}]}',
+}
+
+
 class TestUnreadableFiles:
     def assert_every_command_refuses(self, path, message):
         for command, *options in FILE_COMMANDS:
             code, out, err = invoke(command, str(path), *options)
             assert (code, out) == (2, ""), command
             assert err.startswith("error:") and message in err, command
+
+    @pytest.mark.parametrize("name", MALFORMED_VALUES)
+    def test_a_malformed_value_exits_2_in_both_formats(self, tmp_path, name):
+        model = tmp_path / "model.json"
+        model.write_text(MALFORMED_VALUES[name])
+        for command, *options in FILE_COMMANDS:
+            for fmt in [[]] if command == "synthesize" else [[], ["--format", "machine"]]:
+                code, out, err = invoke(command, str(model), *options, *fmt)
+                assert (code, out) == (2, ""), command
+                assert err.startswith("error: invalid JSON: "), command
+                assert err.count("error:") == 1 and "Traceback" not in err, command
+
+    def test_a_surrogate_pair_loads(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(MALFORMED_VALUES["surrogate"].replace("\\ud800", "\\ud834\\udd1e"))
+        assert invoke("validate", str(model))[0] == 0
+        assert loads(model.read_text()).model.has_statement("\U0001d11e")
 
     def test_deeply_nested_json(self, tmp_path):
         deep = tmp_path / "deep.json"
@@ -1137,6 +1165,20 @@ class TestDispatch:
         assert (run(None, out, err), out.getvalue(), err.getvalue()) == expected[-1]
         with pytest.raises(AssertionError):
             invoke("check", STRAW, "--al", "core")
+
+    def test_reading_a_line_builds_no_option_table(self, monkeypatch):
+        # each command's options and defaults are tabled once, at import, so
+        # a line reads the attribute name of the options it gives, and no other
+        reads = []
+        dest = cli.Option.dest.fget
+        monkeypatch.setattr(cli.Option, "dest", property(lambda opt: reads.append(opt) or dest(opt)))
+        accepted = 0
+        for argv in DISPATCH_LINES:
+            reads.clear()
+            if cli._read(argv) is not None:
+                accepted += 1
+                assert len(reads) == sum(token.startswith("-") for token in argv[1:]), argv
+        assert accepted >= 8
 
     def test_the_reader_accepts_every_documented_and_benchmarked_line(self):
         root = Path(__file__).resolve().parent.parent

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import runpy
+from collections import Counter
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from aspectarg.constraints import (
     violation_row,
     WitnessRows,
 )
-from aspectarg.corpus import corpus_path
+from aspectarg.corpus import CORPUS_NAMES, corpus_path
 from aspectarg.model import (
     ATTACK,
     OMEGA,
@@ -1152,6 +1153,63 @@ class TestRelationWork:
             for found in fresh.values():
                 for v in found.get(cid, ()):
                     assert recheck(model, interp, v), v
+
+
+class TestCheckWork:
+    """A check builds its theme-subset list once per table, for core and E
+    both, and E builds its text context only when a pair exists: with fewer
+    than two theme sets of a non-empty omega row it reads no statement."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(39)
+        algebra = mk_algebra(["p", "q"])
+        for name in CORPUS_NAMES:
+            doc = load_path(corpus_path(name))
+            yield doc.model, doc.interpretation
+        for _ in range(30):
+            model = random_model_any(rng, max_themes=3)
+            interp = random_total_interpretation(rng, model, algebra)
+            yield model, interp
+            yield model, with_mixed_omega_rows(rng, model, interp)
+        for _ in range(5):
+            yield block_instance(rng)
+
+    def test_core_and_E_share_one_subset_list(self, monkeypatch):
+        lists = []
+        original = constraints.theme_subsets
+
+        def counted(themes, min_size=0):
+            if min_size == 0:
+                lists.append(themes)
+            return original(themes, min_size)
+
+        monkeypatch.setattr(constraints, "theme_subsets", counted)
+        for model, interp in self.instances():
+            lists.clear()
+            check_groups(model, interp, {CORE, E})
+            assert len(lists) == 1
+
+    def test_E_builds_a_text_context_only_when_a_pair_exists(self, monkeypatch):
+        contexts = []
+        original = constraints.RegionContext
+        monkeypatch.setattr(
+            constraints, "RegionContext", lambda *args: contexts.append(args) or original(*args)
+        )
+        reads = []
+        rows = AspectTable.rows
+        monkeypatch.setattr(AspectTable, "rows", lambda table, s: reads.append(s) or rows(table, s))
+        seen = Counter()
+        for model, interp in self.instances():
+            contexts.clear()
+            reads.clear()
+            found = check_exact_region(model, interp)
+            paired = len([row for row in interp.theme_aspects.values() if row[0] or row[1]]) > 1
+            assert len(contexts) == paired
+            if not paired:
+                assert set(reads) == {OMEGA} and not any(found.values())
+            seen[paired] += 1
+        assert seen[True] and seen[False] > len(CORPUS_NAMES)
 
 
 class TestFreshAspectRecords:

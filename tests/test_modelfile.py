@@ -13,6 +13,7 @@ import io
 import json
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -22,10 +23,12 @@ from hypothesis import strategies as st
 from aspectarg.algebra import Element, mk_algebra
 from aspectarg.cli import run
 from aspectarg.corpus import CORPUS_NAMES, corpus_path
-from aspectarg.errors import AspectArgError
+from aspectarg import modelfile
+from aspectarg.errors import AspectArgError, ModelFileError
 from aspectarg.formulas import ElementReader, render_element
 from aspectarg.model import (
     WELLFORMED,
+    Interpretation,
     Model,
     Relation,
     Statement,
@@ -106,6 +109,10 @@ def rows_cases(block, row):
 #: (the message, the path of the edit to MINIMAL, the value put there)
 LOADER_REFUSALS = [
     ("document: expected a JSON object", (), []),
+    # a key the loader does not read still has to parse
+    ("invalid JSON: an integer has too many digits", ("x",), 10**5000 - 1),
+    # written as the escape "\ud800"; a surrogate pair loads
+    ("invalid JSON: a string holds the lone surrogate \\ud800", ("statements", 0, "id"), "\ud800"),
     ("document: missing required key 'themes'", ("themes",), DROP),
     ("document: missing required key 'relations'", ("relations",), DROP),
     ("themes: expected a list of strings", ("themes",), "t"),
@@ -302,7 +309,14 @@ def case_id(text):
 
 def validate(tmp_path, doc, *options):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
+    # write an integer of any length; the loader keeps the interpreter's
+    # digit limit and refuses one past it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        path.write_text(json.dumps(doc))
+    finally:
+        sys.set_int_max_str_digits(limit)
     out, err = io.StringIO(), io.StringIO()
     code = run(["validate", str(path), *options], out=out, err=err)
     return str(path), code, out.getvalue(), err.getvalue()
@@ -566,3 +580,139 @@ def test_each_written_element_mask_is_hashed_once(monkeypatch):
         assert hashes == dict.fromkeys({int(m) for m in masks}, 1)
         written += len(hashes)
     assert written >= 100
+
+
+class TestLoadWork:
+    """A load builds what it returns once: a readable file's ``Path`` is
+    never built, and neither ``Model.build`` nor ``Interpretation``'s
+    normalisation passes again over what the loader built."""
+
+    @staticmethod
+    def texts():
+        texts = [dumps(data) for data in witness_documents()]
+        return texts + [corpus_path(name).read_text() for name in CORPUS_NAMES]
+
+    def test_a_readable_file_builds_no_path(self, monkeypatch):
+        built = []
+        path_type = modelfile.Path
+        monkeypatch.setattr(modelfile, "Path", lambda *args: built.append(args) or path_type(*args))
+        for name in CORPUS_NAMES:
+            load_path(str(corpus_path(name)))
+        assert built == []
+
+    def test_an_error_names_the_file_as_its_path_prints(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.json").write_text(json.dumps(MINIMAL))
+        # "." parts and extra slashes name the file the text names once dropped
+        assert load_path(".//model.json/").model == load_path("model.json").model
+        for given, message in (
+            ("./missing.json", "cannot read missing.json: [Errno 2] No such file or directory: "
+                               "'missing.json'"),
+            ("", "cannot read .: [Errno 21] Is a directory: '.'"),
+        ):
+            with pytest.raises(ModelFileError) as refused:
+                load_path(given)
+            assert str(refused.value) == message
+
+    def test_the_model_and_interpretation_are_built_once(self, monkeypatch):
+        texts = self.texts()
+        calls = []
+        build = Model.build.__func__
+        monkeypatch.setattr(
+            Model, "build", classmethod(lambda cls, *args: calls.append("build") or build(cls, *args))
+        )
+        normalise = Interpretation.__post_init__
+        monkeypatch.setattr(
+            Interpretation, "__post_init__", lambda self: calls.append("rows") or normalise(self)
+        )
+        for text in texts:
+            from_dict(json.loads(text))
+        assert calls == []
+
+
+#: Texts of every element over ``p`` and over ``p`` and ``q``, in which a
+#: row lists a whole carrier, and other texts of some of those elements.
+CARRIERS = {
+    1: ["0", "1", "p", "~p"],
+    2: ["0", "1", "p", "~p", "q", "~q", "p & q", "p & ~q", "~p & q", "~p & ~q", "p | q",
+        "p | ~q", "~p | q", "~p | ~q", "p <-> q", "~(p <-> q)"],
+}
+SYNONYMS = ["p | p", "~~p", "p & 1", "0 | ~p", "p -> 0"]
+
+
+def random_document(rng: random.Random) -> dict:
+    """A valid model file of 1-3 themes over ``p`` (and ``q``): statements
+    and pointers, relations that repeat a (from, to) pair, and rows drawn
+    from few texts, some listing a whole carrier."""
+    themes = [f"t{i}" for i in range(rng.randint(1, 3))]
+    k = rng.randint(1, 2)
+
+    def some(items, least=1):
+        return rng.sample(items, rng.randint(least, len(items)))
+
+    statements = [{"id": f"s{i}", "themes": some(themes)} for i in range(rng.randint(1, 4))]
+    statements.append({"id": "ptr", "kind": "pointer", "theme": rng.choice(themes),
+                       "target": rng.choice(["s0", "@summary"]), "themes": some(themes)})
+    ids = [s["id"] for s in statements]
+    pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(3)]
+    relations = [
+        {"from": a, "to": b, "types": some(["attack", "support"], 0), "themes": some(themes, 0)}
+        for a, b in (rng.choice(pairs) for _ in range(rng.randint(0, 6)))
+    ]
+    texts = CARRIERS[k][2:5] + SYNONYMS
+
+    def aspects():
+        if rng.random() < 0.3:
+            return rng.sample(CARRIERS[k], len(CARRIERS[k])) + rng.sample(SYNONYMS, 1)
+        return [rng.choice(texts) for _ in range(rng.randint(0, 3))]
+
+    keys = {frozenset(some(themes, 0)) for _ in range(3)}
+    theme_rows = [{"themes": sorted(key), "aspects": "ALL" if rng.random() < 0.3 else aspects()}
+                  for key in keys]
+    cells = {(frozenset(some(themes)), rng.choice(ids)) for _ in range(5)}
+    statement_rows = [{"themes": sorted(key), "statement": sid, "aspects": aspects()}
+                      for key, sid in cells]
+    return {"themes": themes, "props": ["p", "q"][:k], "statements": statements,
+            "relations": relations,
+            "interpretation": {"theme_aspects": theme_rows, "statement_aspects": statement_rows}}
+
+
+def test_the_loader_builds_what_the_public_constructors_build():
+    """The loader merges relations and normalises rows itself.  Its model
+    equals ``Model.build`` over the same entries, and its interpretation
+    the one the public constructor makes of each row's masks as listed."""
+    rng = random.Random(39)
+    merged = full = 0
+    for _ in range(300):
+        data = random_document(rng)
+        doc = from_dict(copy.deepcopy(data))
+        statements = [
+            Statement(s["id"], s.get("theme"), {"@summary": None}.get(s.get("target"), s.get("target")))
+            for s in data["statements"]
+        ]
+        relations = [Relation(r["from"], r["to"], frozenset(r["types"]), frozenset(r["themes"]))
+                     for r in data["relations"]]
+        typing = {s["id"]: s["themes"] for s in data["statements"]}
+        assert doc.model == Model.build(data["themes"], statements, typing, relations)
+        merged += len(relations) - len(doc.model.relations)
+
+        algebra = doc.interpretation.algebra
+        reader = ElementReader(algebra)
+
+        def listed(aspects):
+            if aspects == "ALL":
+                return (True, frozenset())
+            return (False, frozenset(map(reader.read, aspects)))
+
+        block = data["interpretation"]
+        public = Interpretation(
+            algebra,
+            {frozenset(r["themes"]): listed(r["aspects"]) for r in block["theme_aspects"]},
+            {(frozenset(r["themes"]), r["statement"]): listed(r["aspects"])
+             for r in block["statement_aspects"]},
+            doc.interpretation.formulas,
+        )
+        assert doc.interpretation == public
+        full += sum(r["aspects"] != "ALL" and len(set(r["aspects"])) > algebra.carrier_size
+                    for r in block["theme_aspects"] + block["statement_aspects"])
+    assert merged > 100 and full > 100
